@@ -10,6 +10,14 @@ the emulated testbed at a bandwidth-constrained operating point:
   reconstruction-only repair time;
 * FastPR's migration/reconstruction coupling composes with it —
   pipelined FastPR is at least as fast as pipelined reconstruction.
+
+A second panel lists reconstruction-only repair round by round: star
+and chained seconds beside the ingress streams on the round's busiest
+NIC (``ingress_streams``: 1 = no node receives two streams; 2 = some
+chain has two sibling destinations among its helpers and only one can
+head it), and what plan order would have left there.  A chained round
+runs at ``1 / streams`` of the NIC rate, so this is where round-level
+chain order (DESIGN.md §14) shows outside the e2e benchmark.
 """
 
 from conftest import run_once
@@ -20,6 +28,7 @@ from repro.core.planner import (
     MigrationOnlyPlanner,
     ReconstructionOnlyPlanner,
 )
+from repro.core.scheduling import ingress_duties, ingress_streams
 from repro.ec import make_codec
 from repro.runtime.testbed import EmulatedTestbed
 from repro.sim.workload import SimulationConfig, fixed_stf_chunk_count
@@ -33,6 +42,11 @@ def run_pipelining_ablation(runs: int = 1) -> Experiment:
     panel = Panel(
         "RS(9,6), 21 nodes, bn/bd = 1.5 (network-constrained)",
         "strategy",
+    )
+    rounds = Panel(
+        "reconstruction-only, round by round (first run)",
+        "round",
+        ylabel="seconds; ingress streams on the busiest NIC",
     )
     acc = {}
     for run in range(runs):
@@ -56,6 +70,7 @@ def run_pipelining_ablation(runs: int = 1) -> Experiment:
             ("fastpr_star", FastPRPlanner(seed=run)),
             ("fastpr_pipelined", FastPRPlanner(seed=run, pipelined=True)),
         ]
+        plans, results = {}, {}
         with EmulatedTestbed(
             cluster, codec, packet_size=64 * 1024
         ) as testbed:
@@ -65,10 +80,28 @@ def run_pipelining_ablation(runs: int = 1) -> Experiment:
                 result = testbed.execute(plan)
                 testbed.verify_plan(plan)
                 acc.setdefault(label, []).append(result.time_per_chunk)
+                plans[label], results[label] = plan, result
+        if run == 0:
+            # The star and chained plans share rounds (same seed); only
+            # the ``pipelined`` flag differs.
+            for round_ in plans["recon_pipelined"].rounds:
+                plan_order = ingress_duties(round_.actions())
+                for action in round_.reconstructions:
+                    plan_order[action.sources[0]] -= 1
+                point = {
+                    label: results[label].round_times[round_.index]
+                    for label in ("recon_star", "recon_pipelined")
+                }
+                point["ingress_streams"] = max(
+                    ingress_streams(round_.actions()).values()
+                )
+                point["plan_order_streams"] = max(plan_order.values())
+                rounds.add_point(str(round_.index), point)
     panel.add_point(
         "per-chunk", {label: sum(v) / len(v) for label, v in acc.items()}
     )
     exp.panels.append(panel)
+    exp.panels.append(rounds)
     return exp
 
 
@@ -84,3 +117,12 @@ def test_repair_pipelining(benchmark, save_result):
     # And pipelined FastPR is the best (or ties best) overall.
     best = min(values.values())
     assert values["fastpr_pipelined"] <= best * 1.10
+    # Round-level chain order never shares more ingress than plan order.
+    rounds = exp.panels[1]
+    assert all(
+        chosen <= planned
+        for chosen, planned in zip(
+            rounds.values_of("ingress_streams"),
+            rounds.values_of("plan_order_streams"),
+        )
+    )

@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("off", "chain"),
         default="off",
         help="'chain' streams each reconstruction's partial sums "
-        "through an ordered helper chain (slowest links first) instead "
-        "of star fan-in; works uniformly across every --transport and "
+        "through an ordered helper chain (least-worth ingress first) "
+        "instead of star fan-in; works uniformly across every "
+        "--transport and "
         "--coordinators setting",
     )
     repair.add_argument(

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from .analysis import AnalyticalModel
+from .plan import ChunkRepairAction, RepairMethod
 
 
 @dataclass
@@ -175,30 +176,86 @@ def schedule_migration_only(
     return [RoundComposition(migration=list(chunks))]
 
 
+def _is_chain(action: ChunkRepairAction) -> bool:
+    return action.method is RepairMethod.RECONSTRUCTION and action.pipelined
+
+
+def ingress_duties(
+    actions: Iterable[ChunkRepairAction],
+) -> Dict[NodeId, int]:
+    """Ingress streams each node would carry in a round, heads included.
+
+    One chunk-sized stream enters a node's NIC per duty: a migration or
+    chained reconstruction it is the destination of (one stream), a
+    star reconstruction it is the destination of (one per helper), and
+    every chain it is a helper of.  The last is the count *before* any
+    chain spares its head — the one position that receives nothing —
+    so for a chain's own helpers it reads "streams this node ingests
+    unless this chain makes it the head", which is exactly what
+    :func:`order_chain` needs to pick that head.
+    :func:`ingress_streams` gives the count that remains afterwards.
+    """
+    duties: Dict[NodeId, int] = {}
+    for action in actions:
+        chained = _is_chain(action)
+        fan_in = 1 if chained else len(action.sources)
+        duties[action.destination] = duties.get(action.destination, 0) + fan_in
+        if chained:
+            for node in action.sources:
+                duties[node] = duties.get(node, 0) + 1
+    return duties
+
+
 def order_chain(
     helpers: Sequence[NodeId],
     weights: Optional[Dict[NodeId, float]] = None,
+    duties: Optional[Dict[NodeId, int]] = None,
 ) -> List[NodeId]:
-    """Order a repair chain's helpers slowest link first.
+    """Order a repair chain's helpers by what their ingress is worth.
 
-    Multi-level pipelined repair over heterogeneous links places the
-    slowest helper at the head of the chain: its single upload then
-    overlaps every faster downstream hop instead of throttling the
-    stream mid-chain, so the chain's completion time is governed by
-    ``max`` of the link times rather than their sum over the slow
-    tail.  ``weights`` maps node -> effective bandwidth (any consistent
-    unit: bytes/s, or a (0, 1] scale); missing nodes count as
-    ``+inf`` (never slower than a weighted one).  The sort is stable,
-    so a uniform-bandwidth chain comes back in its original order and
-    plans without fault-injected slowdowns are byte-identical to the
-    unordered ones.
+    A sliced chain streams at the rate of its slowest hop wherever that
+    hop sits, and a hop's ingress rate is its NIC's link scale divided
+    by the streams sharing that NIC.  The head is the one position with
+    no ingress at all, so the helper whose ingress is worth least —
+    ``scale / streams``, lowest first — goes there: a node that also
+    receives a repaired chunk or a sibling chain's partial sums this
+    round stops splitting its NIC, and a degraded link uploads from the
+    start of the pipeline, which shortens its fill latency (position
+    does not change a slow link's steady-state rate).
+
+    ``weights`` maps node -> link scale in (0, 1]; ``duties`` is the
+    round's :func:`ingress_duties`.  Missing nodes run at full scale
+    with the chain itself as their only stream.  The sort is stable, so
+    with no slowdowns and no shared ingress the chain comes back in
+    plan order.
     """
-    chain = list(helpers)
-    if not weights:
-        return chain
+    weights = weights or {}
+    duties = duties or {}
     return sorted(
-        chain, key=lambda node: weights.get(node, float("inf"))
+        helpers,
+        key=lambda node: weights.get(node, 1.0) / (duties.get(node) or 1),
     )
+
+
+def ingress_streams(
+    actions: Iterable[ChunkRepairAction],
+    weights: Optional[Dict[NodeId, float]] = None,
+) -> Dict[NodeId, int]:
+    """Per-node ingress streams of a round once every chain has a head.
+
+    :func:`ingress_duties` minus the stream each chain's
+    :func:`order_chain` head is spared.  The largest value is the
+    factor by which the busiest NIC is shared: 1 when no node ingests
+    two streams, 2 when some chain has two destinations among its
+    helpers (only one can be its head), ``k`` for a star destination.
+    """
+    actions = list(actions)
+    duties = ingress_duties(actions)
+    streams = dict(duties)
+    for action in actions:
+        if _is_chain(action):
+            streams[order_chain(action.sources, weights, duties)[0]] -= 1
+    return streams
 
 
 class BudgetTimeout(RuntimeError):

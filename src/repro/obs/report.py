@@ -38,13 +38,16 @@ class RoundBreakdown:
     migration_seconds: float = 0.0
     reconstruction_seconds: float = 0.0
     retries: int = 0
+    #: ingress streams on the round's busiest NIC (coordinator traces
+    #: only; the simulator's round spans do not carry it)
+    max_ingress_streams: Optional[int] = None
 
     @property
     def actions(self) -> int:
         return self.migrations + self.reconstructions
 
     def to_dict(self) -> dict:
-        return {
+        document = {
             "round": self.index,
             "duration_s": self.duration,
             "actions": self.actions,
@@ -54,6 +57,9 @@ class RoundBreakdown:
             "reconstruction_s": self.reconstruction_seconds,
             "retries": self.retries,
         }
+        if self.max_ingress_streams is not None:
+            document["max_ingress_streams"] = self.max_ingress_streams
+        return document
 
 
 @dataclass
@@ -106,6 +112,11 @@ def breakdown_from_trace(
             if entry is None:
                 entry = rounds[index] = RoundBreakdown(index, 0.0)
             entry.duration += duration
+            streams = round_span["attrs"].get("max_ingress_streams")
+            if streams is not None:
+                entry.max_ingress_streams = max(
+                    entry.max_ingress_streams or 0, int(streams)
+                )
             start = round_span["start"]
             for action in trace.children_of(round_span["id"], "action"):
                 method = action["attrs"].get("method", "reconstruction")
@@ -130,7 +141,7 @@ def render_breakdown(breakdown: RepairBreakdown) -> str:
     header = (
         f"{'round':>5s} {'actions':>8s} {'migr':>6s} {'recon':>6s} "
         f"{'duration(s)':>12s} {'migration(s)':>13s} "
-        f"{'reconstruction(s)':>18s} {'retries':>8s}"
+        f"{'reconstruction(s)':>18s} {'retries':>8s} {'ingress':>8s}"
     )
     lines = []
     attrs = breakdown.attrs
@@ -139,11 +150,13 @@ def render_breakdown(breakdown: RepairBreakdown) -> str:
         lines.append(f"repair: {described}")
     lines.append(header)
     for entry in breakdown.rounds:
+        streams = entry.max_ingress_streams
         lines.append(
             f"{entry.index:>5d} {entry.actions:>8d} {entry.migrations:>6d} "
             f"{entry.reconstructions:>6d} {entry.duration:>12.3f} "
             f"{entry.migration_seconds:>13.3f} "
-            f"{entry.reconstruction_seconds:>18.3f} {entry.retries:>8d}"
+            f"{entry.reconstruction_seconds:>18.3f} {entry.retries:>8d} "
+            f"{'-' if streams is None else streams:>8}"
         )
     lines.append(
         f"total: {breakdown.total_seconds:.3f}s over "

@@ -51,7 +51,12 @@ from ..cluster.chunk import NodeId, StripeId
 from ..cluster.cluster import StorageCluster
 from ..core.plan import ChunkRepairAction, RepairMethod, RepairPlan
 from ..core.planner import UnrecoverableChunkError, heal_action
-from ..core.scheduling import HelperBudget, order_chain
+from ..core.scheduling import (
+    HelperBudget,
+    ingress_duties,
+    ingress_streams,
+    order_chain,
+)
 from ..ec.codec import ErasureCodec
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, Tracer
@@ -281,6 +286,10 @@ HelperBudget`; when set, each round's helper/destination node slots
         self._slices_counter = m.counter(
             "repair_slices_total",
             "slices assembled at destinations (chained repairs)",
+        )
+        self._shared_ingress_counter = m.counter(
+            "repair_chain_shared_ingress_total",
+            "chains issued with a node still ingesting more than one stream",
         )
         self._last_seen: Dict[NodeId, float] = {}
         self._deferred: List[object] = []
@@ -638,7 +647,11 @@ HelperBudget`; when set, each round's helper/destination node slots
                 chunk=healed.chunk_index,
                 destination=healed.destination,
             )
-            self._issue(healed, packet, attempt=0)
+        # Issued only once the whole round is healed: chain order
+        # depends on every action's final destination and helpers.
+        busiest = self._issue(actions, list(actions), packet, attempts)
+        if round_span is not None:
+            round_span.annotate(max_ingress_streams=busiest)
         pending: Set[ActionKey] = set(actions)
         deadline = time.monotonic() + self._round_deadline(actions.values())
         while pending:
@@ -773,13 +786,13 @@ HelperBudget`; when set, each round's helper/destination node slots
                     spans[key].annotate(
                         healed=True, attempts=attempts[key]
                     )
-                self._issue(actions[key], packet, attempts[key])
+            self._issue(actions, sorted(keys), packet, attempts)
             return
         # Every suspect answered: the stall is transient (lost packets,
         # wedged transfer).  Bounded retry with exponential backoff.
         # The suspects are alive but were slow enough to stall a round:
         # halve their observed link scale so reissued chains place them
-        # early (slowest first), where their lag overlaps the pipeline.
+        # at the head, where they only upload.
         for node in sorted(suspects):
             self._observed_scales[node] = (
                 self._observed_scales.get(node, 1.0) * 0.5
@@ -800,7 +813,7 @@ HelperBudget`; when set, each round's helper/destination node slots
             attempts[key] += 1
             if key in spans:
                 spans[key].annotate(attempts=attempts[key])
-            self._issue(actions[key], packet, attempts[key])
+        self._issue(actions, sorted(keys), packet, attempts)
 
     def _heal(
         self,
@@ -900,13 +913,44 @@ HelperBudget`; when set, each round's helper/destination node slots
     # -- command issue --------------------------------------------------
 
     def _issue(
-        self, action: ChunkRepairAction, packet_size: int, attempt: int
-    ) -> None:
+        self,
+        actions: Dict[ActionKey, ChunkRepairAction],
+        keys: Sequence[ActionKey],
+        packet_size: int,
+        attempts: Dict[ActionKey, int],
+    ) -> int:
+        """Send the commands of ``keys``; returns the round's busiest
+        NIC's ingress stream count.
+
+        Chain order is a round-level decision: every chain is ordered
+        against the ingress duties of all the round's current
+        ``actions`` (:func:`ingress_duties`), so a helper that also
+        receives a chunk this round heads its chain.
+        """
         chunk_size = self.cluster.chunk_size
-        if action.method is RepairMethod.RECONSTRUCTION and action.pipelined:
-            self._issue_pipelined(action, chunk_size, packet_size, attempt)
-        else:
-            self._issue_star(action, chunk_size, packet_size, attempt)
+        weights = self._chain_weights()
+        current = list(actions.values())
+        duties = ingress_duties(current)
+        streams = ingress_streams(current, weights)
+        for key in keys:
+            action = actions[key]
+            attempt = attempts[key]
+            if (
+                action.method is RepairMethod.RECONSTRUCTION
+                and action.pipelined
+            ):
+                chain = order_chain(action.sources, weights, duties)
+                if any(
+                    streams[node] > 1
+                    for node in (*chain[1:], action.destination)
+                ):
+                    self._shared_ingress_counter.inc()
+                self._issue_pipelined(
+                    action, chain, chunk_size, packet_size, attempt
+                )
+            else:
+                self._issue_star(action, chunk_size, packet_size, attempt)
+        return max(streams.values())
 
     def _issue_star(
         self,
@@ -946,14 +990,14 @@ HelperBudget`; when set, each round's helper/destination node slots
             )
 
     def _chain_weights(self) -> Dict[NodeId, float]:
-        """Effective link scale per node, for slowest-first chain order.
+        """Effective link scale per node, for :func:`order_chain`.
 
         Folds the fault plan's slow-NIC scales (via
         :meth:`~repro.runtime.faults.FaultPlan.link_bandwidths`, the
         same numbers the injector applies to the NIC limiters and the
         cost model prices) with runtime-observed degradation from
         probe-surviving stalls.  Nodes absent from the result run at
-        full speed and sort to the chain's tail.
+        full speed.
         """
         weights: Dict[NodeId, float] = {}
         faults = getattr(self.network, "faults", None)
@@ -967,22 +1011,20 @@ HelperBudget`; when set, each round's helper/destination node slots
     def _issue_pipelined(
         self,
         action: ChunkRepairAction,
+        chain: List[NodeId],
         chunk_size: int,
         packet_size: int,
         attempt: int,
     ) -> None:
         """Repair pipelining: helpers chain partial sums to the destination.
 
-        The chain runs slowest link first (:func:`order_chain` over
-        :meth:`_chain_weights`), so a degraded helper's upload overlaps
-        every faster downstream hop instead of throttling mid-chain.
+        ``chain`` is ``action.sources`` in forwarding order, head first.
         With ``config.pipeline_slices > 0`` the transfer is carved into
         that many slices carried as :class:`SlicePacket` frames and the
         destination streams back per-slice :class:`SliceReport`
         progress; at 0 the legacy packet-granular protocol is used.
         """
         coeffs = self._source_coefficients(action)
-        chain = order_chain(action.sources, self._chain_weights())
         num_slices = self.config.pipeline_slices
         last = chain[-1]
         self.network.send(

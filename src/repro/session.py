@@ -21,7 +21,7 @@ collapses them into a builder::
 
 Pipelining is a *strategy flag*, not a separate code path: ``"chain"``
 rewrites every reconstruction in the plan to stream partial sums
-through an ordered helper chain (slowest links first — see
+through an ordered helper chain (least-worth ingress first — see
 :func:`repro.core.scheduling.order_chain`) and, with ``slices > 0``,
 carves each chunk into that many :class:`~repro.runtime.messages.\
 SlicePacket` frames with per-slice completion reports.  Mid-stream

@@ -27,6 +27,7 @@ from ..cluster.cluster import StorageCluster
 from ..core.analysis import AnalyticalModel, BandwidthProfile
 from ..core.plan import RepairPlan, RepairScenario
 from ..core.planner import profile_from_cluster
+from ..core.scheduling import ingress_streams
 from .simulator import RepairResult
 
 
@@ -40,11 +41,13 @@ class CostModelSimulator:
         link_scales: per-node NIC bandwidth scales in (0, 1] — the
             same numbers :meth:`~repro.runtime.faults.FaultPlan.\
 link_bandwidths` feeds the runtime's chain ordering.  A *chained*
-            (pipelined) round streams through every helper link in
-            series, so its network term is divided by the slowest
-            involved link's scale; the star-topology paths keep the
-            paper's uniform-bandwidth model.  ``None``/empty leaves
-            every time unchanged.
+            (pipelined) repair streams through every helper link in
+            series, so a round holding one has its network term
+            divided by the least ``scale / ingress streams`` among its
+            reconstruction nodes, with chains ordered exactly as the
+            runtime orders them
+            (:func:`~repro.core.scheduling.ingress_streams`); all-star
+            rounds keep the paper's uniform-bandwidth model.
     """
 
     def __init__(
@@ -61,7 +64,8 @@ link_bandwidths` feeds the runtime's chain ordering.  A *chained*
 
     def run(self, plan: RepairPlan) -> RepairResult:
         """Compute the plan's repair time and traffic."""
-        chunk = self.profile.chunk_size
+        p = self.profile
+        chunk = p.chunk_size
         hot_standby = None
         if plan.scenario is RepairScenario.HOT_STANDBY:
             hot_standby = self.cluster.num_hot_standby
@@ -79,23 +83,35 @@ link_bandwidths` feeds the runtime's chain ordering.  A *chained*
                     k_prime=self.k_prime,
                 )
                 fanin = model.repair_fanin
-                if all(a.pipelined for a in round_.reconstructions):
-                    # Repair pipelining: the destination ingests one
-                    # chunk's worth instead of k — per chunk the cost
-                    # collapses to read + transfer + write (plus a
-                    # per-hop packet drain the model neglects).  The
-                    # chain streams through every helper link in
-                    # series, so the slowest involved link throttles
-                    # the whole transfer.
-                    p = self.profile
-                    net = p.network_time / self._round_scale(round_)
-                    t_round = p.disk_time + net + p.disk_time
-                    if hot_standby is not None:
-                        t_round = p.disk_time + (
-                            round_.cr / hot_standby
-                        ) * (net + p.disk_time)
-                else:
+                chains = sum(a.pipelined for a in round_.reconstructions)
+                if not chains:
                     t_round = model.reconstruction_time(groups=round_.cr)
+                elif hot_standby is None:
+                    # Repair pipelining: a chain moves one chunk's worth
+                    # through every hop instead of k into the
+                    # destination, so per chunk the cost collapses to
+                    # read + transfer + write (plus a per-hop packet
+                    # drain the model neglects).  Hops stream in
+                    # series, so the round runs at its least ingress
+                    # worth: a slow link, or a NIC split between a
+                    # chain and another stream (k of them at a
+                    # destination healed back to star).
+                    streams = ingress_streams(
+                        round_.actions(), self.link_scales
+                    )
+                    net = p.network_time / self._ingress_worth(round_, streams)
+                    t_round = p.disk_time + net + p.disk_time
+                else:
+                    # Eq. (6)'s shape: the standby nodes split the
+                    # round's ingest (one stream per chain, k per star
+                    # repair) and its writes evenly.
+                    net = p.network_time / self._ingress_worth(round_, {})
+                    streams = chains + fanin * (round_.cr - chains)
+                    t_round = (
+                        p.disk_time
+                        + (streams / hot_standby) * net
+                        + (round_.cr / hot_standby) * p.disk_time
+                    )
                 bytes_read += round_.cr * fanin * chunk
                 bytes_transferred += round_.cr * fanin * chunk
                 bytes_written += round_.cr * chunk
@@ -115,17 +131,17 @@ link_bandwidths` feeds the runtime's chain ordering.  A *chained*
             bytes_written=bytes_written,
         )
 
-    def _round_scale(self, round_) -> float:
-        """Slowest link scale touched by the round's chained repairs."""
-        if not self.link_scales:
-            return 1.0
+    def _ingress_worth(self, round_, streams: Dict[NodeId, int]) -> float:
+        """Least link scale / ingress streams among the nodes the
+        round's reconstructions touch (the key
+        :func:`~repro.core.scheduling.order_chain` sorts by)."""
         involved = set()
         for action in round_.reconstructions:
             involved.update(action.sources)
             involved.add(action.destination)
         return min(
-            (self.link_scales.get(node, 1.0) for node in involved),
-            default=1.0,
+            self.link_scales.get(node, 1.0) / (streams.get(node) or 1)
+            for node in involved
         )
 
     def _round_k(self, round_) -> int:

@@ -111,6 +111,18 @@ class ShardedRepairResult(RepairResult):
     per_shard_rounds: Dict[int, List[float]] = field(default_factory=dict)
 
 
+def _reject_chained(plan: RepairPlan) -> None:
+    """The event-driven simulator only models star fan-in."""
+    for action in plan.actions():
+        if action.pipelined:
+            raise ValueError(
+                f"stripe {action.stripe_id} chunk {action.chunk_index} is a "
+                "chained (pipelined) reconstruction, which RepairSimulator "
+                "would time as star fan-in; price chained plans with "
+                "repro.sim.evaluate_plan"
+            )
+
+
 class RepairSimulator:
     """Executes :class:`RepairPlan` objects against a cluster's resources.
 
@@ -207,6 +219,7 @@ class RepairSimulator:
                 crash/recover cycle, modeling journal replay plus the
                 inventory reconciliation round trip.
         """
+        _reject_chained(plan)
         devices = DeviceMap(self.cluster)
         sim = Simulation()
         round_times: List[float] = []
@@ -336,6 +349,7 @@ class RepairSimulator:
         """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        _reject_chained(plan)
         if faults is not None and faults.domain_crashes and topology is not None:
             faults = faults.resolve_domains(topology)
         sub_plans = split_plan(plan, ShardMap(num_shards))

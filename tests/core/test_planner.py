@@ -1,5 +1,8 @@
 """Tests for the FastPR planner and its baselines."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +177,39 @@ class TestUniformKEnforcement:
         cluster.add_stripe(5, 2, [0, 5, 6, 7, 8])
         with pytest.raises(ValueError, match="uniform"):
             FastPRPlanner().plan(cluster, 0)
+
+
+#: sha256[:16] of ``json.dumps(plan.to_dict(), sort_keys=True)`` for
+#: ``StorageCluster.random(20, 40, 9, 6, seed=100 + seed)`` draining its
+#: most-loaded node, computed on the commit before chain order became a
+#: round-level decision (c2baa72).  Chain order is decided when commands
+#: are issued, never in the plan: these must not move.
+GOLDEN_PLAN_DIGESTS = {
+    (FastPRPlanner, 0): "c6d385fe9e2a66cd",
+    (ReconstructionOnlyPlanner, 0): "5a6723efe012b137",
+    (MigrationOnlyPlanner, 0): "38607e54d40527cf",
+    (FastPRPlanner, 1): "923f61e07ab8102f",
+    (ReconstructionOnlyPlanner, 1): "a1bbd802f48d8b6a",
+    (MigrationOnlyPlanner, 1): "8f590ea55a9d2540",
+    (FastPRPlanner, 2): "8ee3b4042a5c9836",
+    (ReconstructionOnlyPlanner, 2): "785491b1c7b9a67d",
+    (MigrationOnlyPlanner, 2): "fdb0a617a466ff04",
+}
+
+
+class TestGoldenPlans:
+    @pytest.mark.parametrize(
+        "planner, seed",
+        sorted(GOLDEN_PLAN_DIGESTS, key=lambda p: (p[0].__name__, p[1])),
+    )
+    def test_star_plan_digest_unchanged(self, planner, seed):
+        cluster = StorageCluster.random(
+            20, 40, 9, 6, seed=100 + seed, chunk_size=1 << 20
+        )
+        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+        cluster.node(stf).mark_soon_to_fail()
+        document = planner(seed=seed).plan(cluster, stf).to_dict()
+        digest = hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == GOLDEN_PLAN_DIGESTS[planner, seed]

@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.chunk import ChunkLocation
 from repro.core.analysis import AnalyticalModel, BandwidthProfile
+from repro.core.plan import ChunkRepairAction, RepairMethod
 from repro.core.scheduling import (
+    ingress_duties,
+    ingress_streams,
     migration_quota,
+    order_chain,
     schedule_migration_only,
     schedule_reconstruction_only,
     schedule_repair_rounds,
@@ -204,3 +208,154 @@ class TestBaselines:
 
     def test_migration_only_empty(self):
         assert schedule_migration_only([]) == []
+
+
+# ----------------------------------------------------------------------
+# round-level chain order: ingress duties, order_chain, ingress streams
+# ----------------------------------------------------------------------
+
+
+def chain(stripe, sources, destination, pipelined=True):
+    return ChunkRepairAction(
+        stripe, 0, RepairMethod.RECONSTRUCTION, tuple(sources), destination,
+        pipelined=pipelined,
+    )
+
+
+def migration(stripe, destination, stf=99):
+    return ChunkRepairAction(
+        stripe, 0, RepairMethod.MIGRATION, (stf,), destination
+    )
+
+
+class TestIngressDuties:
+    def test_counts_destinations_and_chain_helpers(self):
+        round_ = [
+            chain(0, [1, 2, 3], 4),          # 4 is chain 1's helper too
+            chain(1, [4, 5, 6], 7),
+            chain(2, [7, 8], 9, pipelined=False),   # star: k streams in
+            migration(3, 8),
+        ]
+        assert ingress_duties(round_) == {
+            1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1,
+            7: 1,       # chain 1's destination; star helpers ingest nothing
+            8: 1,       # the migration's destination
+            9: 2,       # a star destination ingests one stream per helper
+        }
+
+    def test_empty_round(self):
+        assert ingress_duties([]) == {}
+
+    def test_streams_spare_each_chain_head(self):
+        round_ = [chain(0, [1, 2, 3], 4), chain(1, [5, 4, 6], 7)]
+        # 4 receives chain 0's chunk, so it heads chain 1 and no node
+        # ingests twice; chain 0 has nothing shared and keeps plan order.
+        assert ingress_streams(round_) == {
+            1: 0, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1,
+        }
+
+    def test_two_destinations_in_one_chain_leave_one_shared(self):
+        round_ = [
+            chain(0, [1, 2, 3], 4),
+            chain(1, [5, 6, 7], 8),
+            chain(2, [9, 4, 8], 10),
+        ]
+        streams = ingress_streams(round_)
+        # Only one of 4 and 8 can head chain 2: the first in plan order.
+        assert (streams[4], streams[8]) == (1, 2)
+        assert max(streams.values()) == 2
+
+
+class TestOrderChainDuties:
+    def test_head_is_the_most_contended_ingress(self):
+        assert order_chain([5, 3, 7], None, {5: 1, 3: 1, 7: 2}) == [7, 5, 3]
+        assert order_chain([5, 3, 7], {}, {5: 1, 3: 3, 7: 2}) == [3, 7, 5]
+
+    def test_weights_still_dominate_when_scales_differ(self):
+        # 0.25 / 1 stream is worth less than 1.0 / 2 streams.
+        order = order_chain([5, 3, 7], {3: 0.25}, {5: 1, 3: 1, 7: 2})
+        assert order == [3, 7, 5]
+
+    def test_one_key_scale_over_streams(self):
+        # 0.5 / 1 ties with 1.0 / 2: the stable sort keeps plan order.
+        assert order_chain([5, 3], {5: 0.5}, {5: 1, 3: 2}) == [5, 3]
+        assert order_chain([3, 5], {5: 0.5}, {5: 1, 3: 2}) == [3, 5]
+
+    def test_stable_with_no_duties_and_no_weights(self):
+        helpers = [9, 2, 6, 4]
+        assert order_chain(helpers) == helpers
+        assert order_chain(helpers, {}, {}) == helpers
+        assert order_chain(helpers, None, {n: 1 for n in helpers}) == helpers
+
+
+@st.composite
+def planner_shaped_rounds(draw):
+    """Rounds as the planners build them: chains with disjoint helper
+    sets and distinct destinations, where a destination may be a
+    *sibling* chain's helper; plus a few migrations."""
+    k = draw(st.integers(2, 4))
+    num_chains = draw(st.integers(1, 4))
+    nodes = draw(st.permutations(range(k * num_chains + 4)))
+    helper_sets = [
+        list(nodes[i * k:(i + 1) * k]) for i in range(num_chains)
+    ]
+    taken = set()
+    actions = []
+    for index, helpers in enumerate(helper_sets):
+        free = [n for n in nodes if n not in helpers and n not in taken]
+        destination = draw(st.sampled_from(free))
+        taken.add(destination)
+        actions.append(chain(index, helpers, destination))
+    for index in range(draw(st.integers(0, 2))):
+        free = [n for n in nodes if n not in taken]
+        if not free:
+            break
+        destination = draw(st.sampled_from(free))
+        taken.add(destination)
+        actions.append(migration(100 + index, destination))
+    return actions
+
+
+class TestOrderChainProperties:
+    @given(planner_shaped_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_never_more_shared_ingress_than_plan_order(self, actions):
+        duties = ingress_duties(actions)
+        plan_order = dict(duties)
+        for action in actions:
+            if action.pipelined:
+                plan_order[action.sources[0]] -= 1
+        chosen = ingress_streams(actions)
+        assert max(chosen.values()) <= max(plan_order.values())
+        # Every chain spares exactly one helper, never a bystander.
+        assert sum(duties.values()) - sum(chosen.values()) == sum(
+            a.pipelined for a in actions
+        )
+        assert all(chosen[n] >= 0 for n in chosen)
+
+    @given(
+        planner_shaped_rounds(),
+        st.dictionaries(
+            st.integers(0, 19), st.sampled_from([0.25, 0.5, 1.0]), max_size=4
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chain_rate_never_below_plan_order(self, actions, weights):
+        """The head's ingress is free, every other hop's is worth
+        ``scale / streams``, and every hop uploads at its scale: the
+        chosen order's slowest hop is never slower than plan order's."""
+        duties = ingress_duties(actions)
+
+        def rate(order):
+            head, rest = order[0], order[1:]
+            return min(
+                [weights.get(head, 1.0)]
+                + [weights.get(n, 1.0) / duties[n] for n in rest]
+            )
+
+        for action in actions:
+            if not action.pipelined:
+                continue
+            chosen = order_chain(action.sources, weights, duties)
+            assert sorted(chosen) == sorted(action.sources)
+            assert rate(chosen) >= rate(list(action.sources))

@@ -8,10 +8,12 @@ load-bearing properties end to end:
 * **bit-exactness** — chained slice-granular partial sums produce the
   same bytes as one-shot decode, under reordering, duplication and
   in-flight corruption of individual slices;
-* **chain scheduling** — the coordinator orders chains slowest link
-  first, from the same per-node scales the injector and cost model
-  use (``FaultPlan.link_bandwidths``), folded with runtime-observed
-  degradation;
+* **chain scheduling** — the coordinator orders every chain of a round
+  by ``link scale / ingress streams``, lowest first: the per-node
+  scales the injector and cost model use
+  (``FaultPlan.link_bandwidths``) folded with runtime-observed
+  degradation, over the ingress duties of the whole round, so a helper
+  that also receives a chunk this round heads its chain;
 * **fallback** — a chain helper killed mid-stream degrades the action
   to star fan-in and the repaired chunk is still byte-identical.
 """
@@ -30,7 +32,7 @@ from repro.core.planner import (
     FastPRPlanner,
     ReconstructionOnlyPlanner,
 )
-from repro.core.scheduling import order_chain
+from repro.core.scheduling import ingress_streams, order_chain
 from repro.ec import make_codec
 from repro.ec.galois import gf_addmul_bytes, gf_mul_bytes
 from repro.runtime import (
@@ -45,10 +47,11 @@ from repro.runtime import (
 from repro.runtime.agent import _Assembly, slice_granularity
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.datanode import ChunkStore
-from repro.runtime.messages import ReceiveCommand, SlicePacket
+from repro.runtime.messages import ReceiveCommand, RelayCommand, SlicePacket
 from repro.runtime.testbed import EmulatedTestbed
 from repro.runtime.throttle import RateLimiter
 from repro.runtime.transport import Network
+from repro.obs import MetricsRegistry, Tracer, breakdown_from_trace, render_breakdown
 from repro.sim.cost_model import evaluate_plan
 
 CHUNK = 16 * 1024
@@ -78,7 +81,7 @@ relaxed = settings(
 )
 
 
-def make_cluster(num_stripes=8, seed=21):
+def make_cluster(num_stripes=8, seed=21, network_bandwidth=1e9):
     cluster = StorageCluster.random(
         num_nodes=10,
         num_stripes=num_stripes,
@@ -87,7 +90,7 @@ def make_cluster(num_stripes=8, seed=21):
         num_hot_standby=2,
         seed=seed,
         disk_bandwidth=1e9,
-        network_bandwidth=1e9,
+        network_bandwidth=network_bandwidth,
         chunk_size=CHUNK,
     )
     cluster.node(0).mark_soon_to_fail()
@@ -462,6 +465,158 @@ class TestSlicedChainedRepair:
             testbed.shutdown()
 
 
+def _shared_ingress(plan):
+    """``(chain, node)`` pairs of round 0 where ``node`` helps ``chain``
+    and is a sibling action's destination."""
+    round_ = plan.rounds[0]
+    destinations = {a.destination for a in round_.actions()}
+    return [
+        (action, node)
+        for action in round_.reconstructions
+        for node in action.sources
+        if node in destinations
+    ]
+
+
+def _record_relay_heads(testbed):
+    """Record ``(stripe, chunk, attempt) -> node`` for every
+    ``RelayCommand(first=True)`` the coordinator sends."""
+    heads = {}
+    send = testbed.network.send
+
+    def recording_send(src, dst, message):
+        if isinstance(message, RelayCommand) and message.first:
+            key = (message.stripe_id, message.chunk_index, message.attempt)
+            heads[key] = dst
+        return send(src, dst, message)
+
+    testbed.network.send = recording_send
+    return heads
+
+
+class TestRoundLevelChainOrder:
+    """A helper that also receives a chunk this round heads its chain.
+
+    RS(5,3) on nine healthy nodes packs three chains = nine helper
+    slots into round 0, so every destination is a sibling chain's
+    helper — and the plan lists each of them mid-chain or at the tail.
+    """
+
+    #: 16 KiB chunks on 2 MB/s NICs: ingress is what the round waits for
+    THROTTLED = dict(network_bandwidth=2e6)
+
+    def _plan(self, cluster):
+        plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
+            cluster, 0
+        )
+        shared = _shared_ingress(plan)
+        assert shared, "fixture lost its shared-ingress round"
+        # Plan order alone would leave every one of them ingesting twice.
+        assert all(node != chain.sources[0] for chain, node in shared)
+        return plan, shared
+
+    def test_double_duty_helper_heads_its_chain(self, tmp_path):
+        metrics, tracer = MetricsRegistry(), Tracer()
+        cluster = make_cluster(**self.THROTTLED)
+        testbed = EmulatedTestbed(
+            cluster, make_codec("rs(5,3)"), packet_size=CHUNK // 4,
+            workdir=tmp_path / "bed", config=SLICED,
+            metrics=metrics, tracer=tracer,
+        )
+        testbed.start()
+        try:
+            testbed.load_random_data(seed=1)
+            plan, shared = self._plan(cluster)
+            heads = _record_relay_heads(testbed)
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+            assert Scrubber(testbed).scan().clean
+            assert not result.degraded
+            for chain, node in shared:
+                key = (chain.stripe_id, chain.chunk_index, 0)
+                assert heads[key] == node
+            # Observability: no NIC of any round ingested two streams,
+            # and the trace and the metrics both say so.
+            rounds = tracer.spans("round")
+            assert [r.attrs["max_ingress_streams"] for r in rounds] == [
+                1
+            ] * plan.num_rounds
+            shared_counter = metrics.get("repair_chain_shared_ingress_total")
+            assert shared_counter.total() == 0
+            report = breakdown_from_trace(tracer.to_dict())
+            assert [r.max_ingress_streams for r in report.rounds] == [
+                1
+            ] * plan.num_rounds
+            assert "ingress" in render_breakdown(report).splitlines()[1]
+        finally:
+            testbed.shutdown()
+
+    def test_two_destinations_in_one_chain_are_counted(self, tmp_path):
+        # Round 0 of this cluster has a chain with two sibling
+        # destinations among its three helpers; only one can be head.
+        metrics, tracer = MetricsRegistry(), Tracer()
+        cluster = make_cluster(num_stripes=12, seed=23)
+        testbed = EmulatedTestbed(
+            cluster, make_codec("rs(5,3)"), packet_size=CHUNK // 4,
+            workdir=tmp_path / "bed", config=SLICED,
+            metrics=metrics, tracer=tracer,
+        )
+        testbed.start()
+        try:
+            testbed.load_random_data(seed=1)
+            plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
+                cluster, 0
+            )
+            expected = [
+                max(ingress_streams(r.actions()).values())
+                for r in plan.rounds
+            ]
+            assert expected[0] == 2 and set(expected[1:]) == {1}
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+            assert not result.degraded
+            rounds = tracer.spans("round")
+            assert [
+                r.attrs["max_ingress_streams"] for r in rounds
+            ] == expected
+            # The sharing node is a non-head helper of one chain and
+            # the destination of another: both chains run at half rate.
+            shared_counter = metrics.get("repair_chain_shared_ingress_total")
+            assert shared_counter.total() == 2
+        finally:
+            testbed.shutdown()
+
+    def test_head_killed_mid_stream_heals_to_star(self, tmp_path):
+        plan, shared = self._plan(make_cluster(**self.THROTTLED))
+        chain, node = shared[0]
+        crash = CrashFault(node=node, after_sent_bytes=CHUNK // 2)
+        cluster, testbed = make_testbed(
+            tmp_path, faults=FaultPlan(crashes=[crash]), **self.THROTTLED
+        )
+        try:
+            plan, _ = self._plan(cluster)
+            heads = _record_relay_heads(testbed)
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+            assert Scrubber(testbed).scan().clean
+            assert heads[chain.stripe_id, chain.chunk_index, 0] == node
+            assert result.dead_nodes == [node]
+            assert result.replans >= 1
+            executed = {
+                (a.stripe_id, a.chunk_index): a
+                for a in result.executed_actions
+            }
+            healed = executed[chain.stripe_id, chain.chunk_index]
+            assert not healed.pipelined and node not in healed.sources
+            # Nothing still reads from, or writes to, the dead node.
+            assert all(
+                node not in a.sources and node != a.destination
+                for a in result.executed_actions
+            )
+        finally:
+            testbed.shutdown()
+
+
 class TestApplyPipelining:
     def test_chain_marks_reconstructions_only(self):
         cluster = make_cluster()
@@ -539,7 +694,17 @@ class TestRepairSessionValidation:
 
 
 class TestCostModelLinkScales:
-    """Chained rounds are priced off the slowest involved link."""
+    """Chained rounds are priced off their least ``scale / streams``.
+
+    With c/bd = 10 and c/bn = 4: a star round costs 2*10 + 6*4 = 44, a
+    chained round whose busiest NIC ingests ``m`` streams at link scale
+    ``s`` costs 2*10 + m*4/s.  Round 0 of this fixture *does* share
+    ingress after head selection (its third chain has two sibling
+    destinations, nodes 1 and 0, among its helpers; only one can be the
+    head), so it costs 20 + 2*4 = 28; round 3 shares nothing: 24.
+    """
+
+    SHARED, CLEAN = 0, 3
 
     def _plans(self):
         cluster = StorageCluster.random(
@@ -552,32 +717,68 @@ class TestCostModelLinkScales:
         pipe = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
             cluster, stf
         )
+        streams = [
+            max(ingress_streams(r.actions()).values()) for r in pipe.rounds
+        ]
+        assert (streams[self.SHARED], streams[self.CLEAN]) == (2, 1)
         return cluster, star, pipe
 
+    def _spare(self, cluster, round_):
+        involved = set()
+        for action in round_.reconstructions:
+            involved.update(action.sources)
+            involved.add(action.destination)
+        return next(
+            n for n in cluster.storage_node_ids() if n not in involved
+        )
+
+    def test_shared_ingress_stretches_chained_round(self):
+        cluster, _, pipe = self._plans()
+        times = evaluate_plan(cluster, pipe).round_times
+        assert times[self.CLEAN] == 24.0
+        assert times[self.SHARED] == 28.0
+
     def test_slow_link_stretches_chained_round(self):
-        cluster, star, pipe = self._plans()
-        slow = pipe.rounds[0].reconstructions[0].sources[0]
-        base = evaluate_plan(cluster, pipe)
+        cluster, _, pipe = self._plans()
+        # A clean-round helper whose only stream is its chain's: at half
+        # scale it is that chain's head *and* the round's slowest hop
+        # (its upload), so the network term doubles: 20 + 4/0.5.
+        slow = next(
+            n for a in pipe.rounds[self.CLEAN].reconstructions
+            for n in a.sources
+            if ingress_streams(pipe.rounds[self.CLEAN].actions())[n] == 1
+        )
         scaled = evaluate_plan(cluster, pipe, link_scales={slow: 0.5})
-        # Star pricing: 2*c/bd + 6*c/bn = 44; chained: 2*c/bd + c/bn
-        # = 24; the halved link doubles the chained network term.
-        assert base.round_times[0] == pytest.approx(24.0)
-        assert scaled.round_times[0] == pytest.approx(28.0)
+        assert scaled.round_times[self.CLEAN] == 28.0
+        # One quarter-rate link costs more than two shared streams.
+        slow = pipe.rounds[self.SHARED].reconstructions[0].sources[0]
+        scaled = evaluate_plan(cluster, pipe, link_scales={slow: 0.25})
+        assert scaled.round_times[self.SHARED] == pytest.approx(36.0)
 
     def test_star_rounds_ignore_link_scales(self):
         cluster, star, _ = self._plans()
         slow = star.rounds[0].reconstructions[0].sources[0]
         scaled = evaluate_plan(cluster, star, link_scales={slow: 0.5})
-        assert scaled.round_times[0] == pytest.approx(44.0)
+        assert scaled.round_times[0] == 44.0
 
     def test_uninvolved_nodes_do_not_change_pricing(self):
         cluster, _, pipe = self._plans()
-        involved = set()
-        for action in pipe.rounds[0].reconstructions:
-            involved.update(action.sources)
-            involved.add(action.destination)
-        spare = next(
-            n for n in cluster.storage_node_ids() if n not in involved
-        )
+        spare = self._spare(cluster, pipe.rounds[self.CLEAN])
         scaled = evaluate_plan(cluster, pipe, link_scales={spare: 0.01})
-        assert scaled.round_times[0] == pytest.approx(24.0)
+        assert scaled.round_times[self.CLEAN] == 24.0
+
+    def test_round_with_one_action_healed_to_star_is_priced_as_star(self):
+        # heal/replan demotes single actions to star fan-in; the round
+        # then waits for that destination's k = 6 streams, not for the
+        # chains — and not for "all star" bookkeeping either.
+        cluster, star, pipe = self._plans()
+        round_ = pipe.rounds[self.CLEAN]
+        round_.reconstructions[0] = dataclasses.replace(
+            round_.reconstructions[0], pipelined=False
+        )
+        times = evaluate_plan(cluster, pipe).round_times
+        assert times[self.CLEAN] == pytest.approx(44.0)
+        assert times[self.CLEAN] == pytest.approx(
+            evaluate_plan(cluster, star).round_times[self.CLEAN]
+        )
+        assert times[self.SHARED] == 28.0

@@ -1,5 +1,7 @@
 """Tests for the paper-faithful cost-model simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import StorageCluster
@@ -109,6 +111,37 @@ class TestCostModel:
             model.reconstruction_time(groups=r.cr) for r in plan.rounds
         )
         assert result.total_time == pytest.approx(expected)
+
+    def test_hot_standby_mixed_round_counts_streams_per_action(
+        self, stf_setup
+    ):
+        # A round where heal/replan demoted one chain to star fan-in
+        # is neither all-chained nor all-star: the h standby nodes
+        # split one stream per chain plus k per star repair.
+        cluster, stf = stf_setup
+        plan = ReconstructionOnlyPlanner(
+            scenario=RepairScenario.HOT_STANDBY, seed=0, pipelined=True
+        ).plan(cluster, stf)
+        round_ = plan.rounds[0]
+        cr, h, k = round_.cr, cluster.num_hot_standby, 3
+        assert cr >= 2
+        disk, net = CHUNK / BD, CHUNK / BN
+        chained = evaluate_plan(cluster, plan).round_times[0]
+        assert chained == pytest.approx(
+            disk + (cr / h) * net + (cr / h) * disk
+        )
+        round_.reconstructions[0] = dataclasses.replace(
+            round_.reconstructions[0], pipelined=False
+        )
+        mixed = evaluate_plan(cluster, plan).round_times[0]
+        assert mixed == pytest.approx(
+            disk + ((cr - 1 + k) / h) * net + (cr / h) * disk
+        )
+        all_star = AnalyticalModel(
+            num_nodes=cluster.num_storage_nodes, k=k,
+            profile=profile_from_cluster(cluster), hot_standby=h,
+        ).reconstruction_time(groups=cr)
+        assert chained < mixed < all_star
 
     def test_event_sim_at_least_cost_model_scattered(self, stf_setup):
         # The cost model ignores interference; the DES charges it.

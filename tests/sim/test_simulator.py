@@ -219,3 +219,24 @@ class TestHotStandbyBottleneck:
             ).plan(cluster, stf)
             results[h] = simulate_repair(cluster, plan).time_per_chunk
         assert results[3] < results[1]
+
+
+class TestChainedPlansRejected:
+    def test_chained_plan_fails_loudly_instead_of_timing_star(self):
+        cluster = make_cluster()
+        cluster.node(0).mark_soon_to_fail()
+        star = ReconstructionOnlyPlanner(seed=0).plan(cluster, 0)
+        chained = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
+            cluster, 0
+        )
+        first = next(iter(chained.actions()))
+        message = (
+            f"stripe {first.stripe_id} chunk {first.chunk_index} "
+            ".*evaluate_plan"
+        )
+        simulator = RepairSimulator(cluster)
+        with pytest.raises(ValueError, match=message):
+            simulator.run(chained)
+        with pytest.raises(ValueError, match=message):
+            simulator.run_sharded(chained, num_shards=2)
+        assert simulator.run(star).total_time > 0
