@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the stripe space across N coordinators, each with "
         "its own journal and epoch; a crashed shard's ownership hands "
         "off to a survivor (with --journal naming the journal "
-        "directory when N > 1)",
+        "directory when N > 1; in-memory runs keep theirs under "
+        "<workdir>/shards and reject --journal)",
     )
     repair.add_argument(
         "--racks",
@@ -892,18 +893,50 @@ def _load_runtime_config(path):
         return RuntimeConfig.from_dict(json_mod.load(f))
 
 
+def _wire_arguments(args, shm_peer_ids):
+    """``--transport/--listen/--peers/--workdir`` as ``open_network`` keywords.
+
+    Returns None, after printing why, when the flags do not add up to a
+    network.  ``shm_peer_ids`` are the endpoints a shm process should
+    register (a tcp process is told by its peer spec).
+    """
+    from pathlib import Path
+
+    from .net import PeerSpecError, parse_peer_spec, shm_available
+
+    if args.transport == "shm":
+        if not shm_available():
+            print(
+                "shared-memory transport needs POSIX shm + flock",
+                file=sys.stderr,
+            )
+            return None
+        return {"workdir": Path(args.workdir), "peer_ids": shm_peer_ids}
+    if args.peers is None or args.listen is None:
+        print(
+            "--transport tcp needs --listen and --peers", file=sys.stderr
+        )
+        return None
+    try:
+        peers = parse_peer_spec(args.peers)
+    except PeerSpecError as exc:
+        print(f"bad --peers: {exc}", file=sys.stderr)
+        return None
+    host, sep, port = args.listen.rpartition(":")
+    if not sep:
+        print("--listen must be host:port", file=sys.stderr)
+        return None
+    return {"peers": peers, "listen": (host, int(port))}
+
+
 def _cmd_agent(args) -> int:
     import json as json_mod
     from pathlib import Path
 
     from .cluster import snapshot as snapshot_mod
-    from .net import (
-        PeerSpecError,
-        parse_peer_spec,
-        run_agent_process,
-        run_shm_agent_process,
-        shm_available,
-    )
+    from .gateway import CLIENT_ID, GATEWAY_ID
+    from .net import run_agent_process
+    from .net.launch import open_network
     from .runtime import FaultPlan
     from .runtime.coordinator import COORDINATOR_ID
 
@@ -919,114 +952,31 @@ def _cmd_agent(args) -> int:
             except ValueError as exc:
                 print(f"bad --fault-plan: {exc}", file=sys.stderr)
                 return 2
-    if args.transport == "shm":
-        if not shm_available():
-            print(
-                "shared-memory transport needs POSIX shm + flock",
-                file=sys.stderr,
-            )
-            return 2
-        loaded = run_shm_agent_process(
-            cluster,
-            codec,
-            args.node,
-            Path(args.workdir),
-            seed=args.seed,
-            config=_load_runtime_config(args.config),
-            load_data=not args.no_load,
-            faults=faults,
-        )
-        print(f"agent {args.node} done ({loaded} chunks served)")
-        return 0
-    if args.peers is None or args.listen is None:
-        print(
-            "--transport tcp needs --listen and --peers", file=sys.stderr
-        )
+    # Rings attach lazily, so a shm agent registers the gateway/client
+    # endpoints unconditionally — chunk RPC replies reach them when a
+    # gateway happens to share the workdir, and cost nothing otherwise.
+    wire = _wire_arguments(
+        args, list(cluster.nodes) + [COORDINATOR_ID, GATEWAY_ID, CLIENT_ID]
+    )
+    if wire is None:
         return 2
-    try:
-        peers = parse_peer_spec(args.peers)
-    except PeerSpecError as exc:
-        print(f"bad --peers: {exc}", file=sys.stderr)
-        return 2
-    if COORDINATOR_ID not in peers:
+    if "peers" in wire and COORDINATOR_ID not in wire["peers"]:
         print("--peers must include coordinator=host:port", file=sys.stderr)
         return 2
-    host, sep, port = args.listen.rpartition(":")
-    if not sep:
-        print("--listen must be host:port", file=sys.stderr)
-        return 2
+    config = _load_runtime_config(args.config)
     loaded = run_agent_process(
+        open_network(args.transport, args.node, config=config, **wire),
         cluster,
         codec,
         args.node,
-        (host, int(port)),
-        peers,
         Path(args.workdir),
         seed=args.seed,
-        config=_load_runtime_config(args.config),
+        config=config,
         load_data=not args.no_load,
         faults=faults,
     )
     print(f"agent {args.node} done ({loaded} chunks served)")
     return 0
-
-
-def _gateway_tcp_network(args, own_id: int):
-    """Build a listening TcpNetwork for a gateway-side CLI process."""
-    from .net import PeerSpecError, TcpNetwork, parse_peer_spec
-
-    if args.listen is None or args.peers is None:
-        print(
-            "--transport tcp needs --listen and --peers", file=sys.stderr
-        )
-        return None
-    try:
-        peers = parse_peer_spec(args.peers)
-    except PeerSpecError as exc:
-        print(f"bad --peers: {exc}", file=sys.stderr)
-        return None
-    host, sep, port = args.listen.rpartition(":")
-    if not sep:
-        print("--listen must be host:port", file=sys.stderr)
-        return None
-    network = TcpNetwork()
-    network.listen(host, int(port))
-    for peer_id, (peer_host, peer_port) in peers.items():
-        if peer_id != own_id:
-            network.add_peer(peer_id, peer_host, peer_port)
-    return network
-
-
-def _gateway_shm_network(args, own_id: int, peer_ids):
-    """Build a listening ShmNetwork keyed off the shared workdir."""
-    from pathlib import Path
-
-    from .net import ShmNetwork, shm_available, shm_ring_name
-
-    if not shm_available():
-        print(
-            "shared-memory transport needs POSIX shm + flock",
-            file=sys.stderr,
-        )
-        return None
-    workdir = Path(args.workdir)
-    network = ShmNetwork()
-    ring = shm_ring_name(workdir, own_id)
-    try:
-        network.listen(ring)
-    except FileExistsError:
-        # A crashed previous process (usually a one-shot client) left
-        # its segment linked; reclaim the name and retry once.
-        from multiprocessing import shared_memory
-
-        stale = shared_memory.SharedMemory(name=ring)
-        stale.close()
-        stale.unlink()
-        network.listen(ring)
-    for peer_id in peer_ids:
-        if peer_id != own_id:
-            network.add_peer(peer_id, shm_ring_name(workdir, peer_id))
-    return network
 
 
 def _cmd_gateway(args) -> int:
@@ -1047,18 +997,15 @@ def _cmd_gateway_serve(args) -> int:
 
     from .cluster import snapshot as snapshot_mod
     from .gateway import CLIENT_ID, GATEWAY_ID, GatewayServer, TrafficArbiter
+    from .net.launch import open_network
 
     cluster = snapshot_mod.load(args.snapshot)
     codec = _infer_codec(cluster)
     workdir = Path(args.workdir)
-    if args.transport == "shm":
-        network = _gateway_shm_network(
-            args, GATEWAY_ID, list(cluster.nodes) + [CLIENT_ID]
-        )
-    else:
-        network = _gateway_tcp_network(args, GATEWAY_ID)
-    if network is None:
+    wire = _wire_arguments(args, list(cluster.nodes) + [CLIENT_ID])
+    if wire is None:
         return 2
+    network = open_network(args.transport, GATEWAY_ID, **wire)
     arbiter = TrafficArbiter(
         cluster.network_bandwidth, client_floor=args.client_floor
     )
@@ -1094,13 +1041,12 @@ def _cmd_gateway_client(args) -> int:
     from pathlib import Path
 
     from .gateway import CLIENT_ID, GATEWAY_ID, GatewayError, ObjectClient
+    from .net.launch import open_network
 
-    if args.transport == "shm":
-        network = _gateway_shm_network(args, CLIENT_ID, [GATEWAY_ID])
-    else:
-        network = _gateway_tcp_network(args, CLIENT_ID)
-    if network is None:
+    wire = _wire_arguments(args, [GATEWAY_ID])
+    if wire is None:
         return 2
+    network = open_network(args.transport, CLIENT_ID, **wire)
     client = ObjectClient(network, timeout=args.timeout)
     try:
         if args.gateway_command == "put":

@@ -1,18 +1,18 @@
-"""repro.net — versioned wire protocol + TCP transport (DESIGN.md §10).
+"""repro.net — wire protocol, framed-transport core, backends (DESIGN.md §10).
 
 The runtime's messages travel either over the in-memory fabric
-(:class:`repro.runtime.transport.Network`) or, via this package, over
-real sockets between separate OS processes: :mod:`repro.net.wire`
-defines the length-prefixed CRC-checked frame format and
-:class:`repro.net.tcp.TcpNetwork` implements the shared
-:class:`~repro.runtime.transport.Transport` interface on asyncio TCP.
-:mod:`repro.net.launch` holds the process-per-node drivers behind
-``fastpr agent`` and ``fastpr repair --transport tcp``.
-
-The per-transport repair drivers (``run_tcp_repair`` and friends) are
-internal to :mod:`repro.net.launch` since the one-release deprecation
-shims were removed; drive repairs through
-:class:`repro.RepairSession` instead.
+(:class:`repro.runtime.transport.Network`) or, via this package,
+between separate OS processes.  :mod:`repro.net.wire` defines the
+length-prefixed CRC-checked frame format;
+:class:`repro.net.framed.FramedNetwork` implements the shared
+:class:`~repro.runtime.transport.Transport` interface on top of it
+once — send sequence, frame validation, delivery admission — and two
+backends supply the pipe: :class:`repro.net.tcp.TcpNetwork` (asyncio
+sockets) and :class:`repro.net.shm.ShmNetwork` (shared-memory rings).
+:mod:`repro.net.launch` holds the network factory, the one standalone
+agent runner and the one process-per-node repair driver behind
+``fastpr agent`` / ``fastpr gateway`` / ``fastpr repair --transport
+tcp|shm``; drive repairs through :class:`repro.RepairSession`.
 """
 
 from .launch import (
@@ -23,7 +23,6 @@ from .launch import (
     load_node_data,
     parse_peer_spec,
     run_agent_process,
-    run_shm_agent_process,
     sharded_peer_spec,
     shm_ring_name,
     stripe_checksums,
@@ -63,7 +62,6 @@ __all__ = [
     "load_node_data",
     "parse_peer_spec",
     "run_agent_process",
-    "run_shm_agent_process",
     "sharded_peer_spec",
     "shm_ring_name",
     "stripe_checksums",

@@ -1,9 +1,12 @@
-"""Process-per-node launch: standalone agents and the TCP repair driver.
+"""Process-per-node launch: one network factory, one agent, one driver.
 
-This module is the glue behind ``fastpr agent`` and
-``fastpr repair --transport tcp``: it turns a cluster snapshot plus a
-peer map into real OS processes talking :mod:`repro.net.wire` frames
-over :class:`~repro.net.tcp.TcpNetwork`.
+This module is the glue behind ``fastpr agent``, ``fastpr gateway`` and
+``fastpr repair --transport tcp|shm``: :func:`open_network` turns a
+transport kind plus a peer map (tcp) or a shared workdir (shm) into a
+listening network, :func:`run_agent_process` runs one storage node on
+it and :func:`run_repair` drives a repair — single or sharded — from
+the coordinator's side.  Neither of the latter two knows which pipe the
+:mod:`repro.net.wire` frames cross.
 
 Peer specs name every process's listen address::
 
@@ -29,7 +32,7 @@ import json
 import socket
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import StorageCluster
@@ -313,7 +316,7 @@ def verify_actions(
 
 
 # ----------------------------------------------------------------------
-# standalone agent process
+# network factory and standalone agent process
 # ----------------------------------------------------------------------
 
 
@@ -329,12 +332,80 @@ def node_store(
     return ChunkStore(Path(workdir) / f"node_{node_id}", node_id, disk)
 
 
+def open_network(
+    transport: str,
+    own_id: NodeId,
+    peers: Optional[PeerMap] = None,
+    listen: Optional[Tuple[str, int]] = None,
+    workdir: Optional[Path] = None,
+    peer_ids: Iterable[NodeId] = (),
+    config: Optional[RuntimeConfig] = None,
+    metrics: Optional[MetricsRegistry] = None,
+):
+    """A listening wire network with every other endpoint registered.
+
+    The one place a process's topology is wired, for agents, the repair
+    driver and the gateway CLI alike.  ``own_id`` is the endpoint this
+    process answers as; the caller attaches its local node(s) itself.
+
+    * ``"tcp"``: ``peers`` names every process's address.  The network
+      listens at ``listen`` (default: ``peers[own_id]``) and registers
+      every entry that is not hosted here — ``own_id`` itself and any
+      alias sharing its address (the ``coordinator<k>`` endpoints of a
+      sharded driver) stay local.
+    * ``"shm"``: no peer spec — ring names derive from the shared
+      ``workdir`` (:func:`shm_ring_name`) and ``peer_ids`` says which
+      endpoints to register.  Rings attach lazily, so naming an
+      endpoint nobody hosts costs nothing.  A segment left linked by a
+      crashed previous incarnation of ``own_id`` is reclaimed.
+    """
+    cfg = config or DEFAULT_CONFIG
+    if transport == "shm":
+        network = ShmNetwork(
+            metrics=metrics,
+            inbox_capacity=cfg.inbox_capacity,
+            connect_timeout=cfg.connect_timeout,
+        )
+        ring = shm_ring_name(workdir, own_id)
+        try:
+            network.listen(ring)
+        except FileExistsError:
+            # A crashed previous process (usually a one-shot gateway
+            # client) left its segment linked; reclaim the name once.
+            from multiprocessing import shared_memory
+
+            stale = shared_memory.SharedMemory(name=ring)
+            stale.close()
+            stale.unlink()
+            network.listen(ring)
+        routes = {p: (shm_ring_name(workdir, p),) for p in peer_ids}
+    else:
+        own = peers.get(own_id)
+        if listen is None and own is None:
+            raise PeerSpecError(
+                f"peer spec has no address for endpoint {own_id} to "
+                "listen on"
+            )
+        network = TcpNetwork(
+            metrics=metrics,
+            inbox_capacity=cfg.inbox_capacity,
+            send_queue_capacity=cfg.send_queue_capacity,
+            connect_timeout=cfg.connect_timeout,
+            drain_timeout=cfg.drain_timeout,
+        )
+        network.listen(*(listen or own))
+        routes = {p: addr for p, addr in peers.items() if addr != own}
+    for peer_id, route in routes.items():
+        if peer_id != own_id:
+            network.add_peer(peer_id, *route)
+    return network
+
+
 def run_agent_process(
+    network,
     cluster: StorageCluster,
     codec: ErasureCodec,
     node_id: NodeId,
-    listen: Tuple[str, int],
-    peers: PeerMap,
     workdir: Path,
     seed: Optional[int] = None,
     config: Optional[RuntimeConfig] = None,
@@ -344,9 +415,11 @@ def run_agent_process(
 ) -> int:
     """Run one standalone repair agent until the coordinator shuts it down.
 
-    Blocks until a :class:`~repro.runtime.messages.Shutdown` frame
-    arrives (``fastpr repair --transport tcp`` broadcasts one after the
-    run).  Returns the number of chunks the agent loaded at startup.
+    ``network`` comes from :func:`open_network` with ``own_id=node_id``;
+    it is closed on the way out.  Blocks until a
+    :class:`~repro.runtime.messages.Shutdown` frame arrives (the repair
+    driver broadcasts one after the run).  Returns the number of chunks
+    the agent loaded at startup.
 
     ``faults`` injects the same declarative
     :class:`~repro.runtime.faults.FaultPlan` the in-memory testbed
@@ -356,29 +429,9 @@ def run_agent_process(
     """
     cfg = config or DEFAULT_CONFIG
     node = cluster.node(node_id)
-    injector = None
-    agent_box: list = []
-    if faults is not None:
-        def _on_crash(victim: NodeId) -> None:
-            if victim == node_id and agent_box:
-                agent_box[0].crash()
-
-        injector = FaultInjector(faults, on_crash=_on_crash)
-    network = TcpNetwork(
-        faults=injector,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        send_queue_capacity=cfg.send_queue_capacity,
-        connect_timeout=cfg.connect_timeout,
-        drain_timeout=cfg.drain_timeout,
-    )
     network.attach(
         node_id, node.network_bandwidth or cluster.network_bandwidth
     )
-    network.listen(*listen)
-    for peer_id, (host, port) in peers.items():
-        if peer_id != node_id:
-            network.add_peer(peer_id, host, port)
     store = node_store(cluster, Path(workdir), node_id)
     loaded = 0
     if load_data:
@@ -391,77 +444,13 @@ def run_agent_process(
         config=cfg,
         metrics=metrics,
     )
-    agent_box.append(agent)
-    if injector is not None:
-        injector.start()
-    agent.start(heartbeat=True)
-    try:
-        agent.done.wait()
-    finally:
-        agent.stop()
-        network.close()
-    return loaded
-
-
-def run_shm_agent_process(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    node_id: NodeId,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    load_data: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
-    faults: Optional[FaultPlan] = None,
-) -> int:
-    """Shared-memory twin of :func:`run_agent_process`.
-
-    No peer spec: the topology is derived entirely from the shared
-    ``workdir`` via :func:`shm_ring_name` — this agent listens on its
-    node's ring and registers every other node plus the coordinator as
-    a peer.  Rings attach lazily, so processes may start in any order.
-    """
-    cfg = config or DEFAULT_CONFIG
-    node = cluster.node(node_id)
-    injector = None
-    agent_box: list = []
     if faults is not None:
         def _on_crash(victim: NodeId) -> None:
-            if victim == node_id and agent_box:
-                agent_box[0].crash()
+            if victim == node_id:
+                agent.crash()
 
         injector = FaultInjector(faults, on_crash=_on_crash)
-    network = ShmNetwork(
-        faults=injector,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        connect_timeout=cfg.connect_timeout,
-    )
-    network.attach(
-        node_id, node.network_bandwidth or cluster.network_bandwidth
-    )
-    network.listen(shm_ring_name(workdir, node_id))
-    # Rings attach lazily, so the gateway/client endpoints are
-    # registered unconditionally — chunk RPC replies reach them when a
-    # gateway happens to share the workdir, and cost nothing otherwise.
-    peer_ids = list(cluster.nodes) + [COORDINATOR_ID, GATEWAY_ID, CLIENT_ID]
-    for peer_id in peer_ids:
-        if peer_id != node_id:
-            network.add_peer(peer_id, shm_ring_name(workdir, peer_id))
-    store = node_store(cluster, Path(workdir), node_id)
-    loaded = 0
-    if load_data:
-        loaded = load_node_data(cluster, codec, seed, store, node_id)
-    agent = Agent(
-        node_id,
-        store,
-        network,
-        coordinator_id=COORDINATOR_ID,
-        config=cfg,
-        metrics=metrics,
-    )
-    agent_box.append(agent)
-    if injector is not None:
+        network.faults = injector
         injector.start()
     agent.start(heartbeat=True)
     try:
@@ -473,32 +462,8 @@ def run_shm_agent_process(
 
 
 # ----------------------------------------------------------------------
-# coordinator-side TCP repair driver
+# coordinator-side repair driver
 # ----------------------------------------------------------------------
-
-
-def build_coordinator_network(
-    peers: PeerMap,
-    config: RuntimeConfig,
-    metrics: Optional[MetricsRegistry] = None,
-    listen: Optional[Tuple[str, int]] = None,
-    faults: Optional[FaultInjector] = None,
-) -> TcpNetwork:
-    """The coordinator's transport: local coordinator, every node a peer."""
-    network = TcpNetwork(
-        faults=faults,
-        metrics=metrics,
-        inbox_capacity=config.inbox_capacity,
-        send_queue_capacity=config.send_queue_capacity,
-        connect_timeout=config.connect_timeout,
-        drain_timeout=config.drain_timeout,
-    )
-    if listen is not None:
-        network.listen(*listen)
-    for node_id, (host, port) in peers.items():
-        if node_id >= 0:  # coordinator endpoints (< 0) are local
-            network.add_peer(node_id, host, port)
-    return network
 
 
 def wait_for_agents(
@@ -519,163 +484,79 @@ def wait_for_agents(
         time.sleep(0.2)
 
 
-def shutdown_agents(network: TcpNetwork, nodes: Iterable[NodeId]) -> None:
-    """Broadcast Shutdown so standalone agent processes exit cleanly."""
-    for node_id in sorted(n for n in set(nodes) if n >= 0):
-        try:
-            network.send(COORDINATOR_ID, node_id, Shutdown())
-        except KeyError:
-            pass  # already detached/dead
-
-
-def run_tcp_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    peers: PeerMap,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_path: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    resume: bool = False,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[RuntimeResult, int]:
-    """Drive one multi-process repair from the coordinator's side.
-
-    The agent processes must (come up to) listen at the addresses in
-    ``peers``; connection backoff absorbs startup races, and an
-    explicit ping sweep gates command issue on every agent being
-    reachable.  After the run the repaired chunks are verified
-    byte-identical through the shared ``workdir`` and every agent is
-    told to shut down.
-
-    With ``resume=True`` the journal at ``journal_path`` is replayed
-    instead of starting fresh: the successor coordinator (epoch + 1)
-    reconciles agent inventories over TCP and re-issues only the
-    unfinished actions — the kill-one-coordinator walkthrough.
-
-    Returns ``(result, chunks_verified)``.
-    """
-    cfg = config or DEFAULT_CONFIG
-    listen = peers.get(COORDINATOR_ID)
-    # Coordinator-side injector covers control traffic and time-based
-    # triggers; each agent process runs the same plan for data packets.
-    # It attaches to the network only once every agent has answered a
-    # ping, so fault time zero is the start of the repair, not of the
-    # probe sweep.
-    injector = FaultInjector(faults) if faults is not None else None
-    network = build_coordinator_network(
-        peers, cfg, metrics=metrics, listen=listen
-    )
-    return _drive_repair(
-        network,
-        cluster,
-        codec,
-        plan,
-        peers,
-        workdir,
-        seed=seed,
-        cfg=cfg,
-        packet_size=packet_size,
-        journal_path=journal_path,
-        metrics=metrics,
-        tracer=tracer,
-        resume=resume,
-        agent_timeout=agent_timeout,
-        injector=injector,
-    )
-
-
-def run_shm_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    workdir: Path,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_path: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    resume: bool = False,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[RuntimeResult, int]:
-    """Shared-memory twin of :func:`run_tcp_repair`.
-
-    Same driver contract — the agents are
-    :func:`run_shm_agent_process` processes on this host, and every
-    frame crosses a ``multiprocessing.shared_memory`` ring instead of a
-    socket.  No peer spec: the topology derives from the shared
-    ``workdir`` (see :func:`shm_ring_name`).
-    """
-    cfg = config or DEFAULT_CONFIG
-    injector = FaultInjector(faults) if faults is not None else None
-    network = ShmNetwork(
-        faults=None,
-        metrics=metrics,
-        inbox_capacity=cfg.inbox_capacity,
-        connect_timeout=cfg.connect_timeout,
-    )
-    network.listen(shm_ring_name(workdir, COORDINATOR_ID))
-    for node_id in cluster.nodes:
-        network.add_peer(node_id, shm_ring_name(workdir, node_id))
-    return _drive_repair(
-        network,
-        cluster,
-        codec,
-        plan,
-        {node_id: None for node_id in cluster.nodes},
-        workdir,
-        seed=seed,
-        cfg=cfg,
-        packet_size=packet_size,
-        journal_path=journal_path,
-        metrics=metrics,
-        tracer=tracer,
-        resume=resume,
-        agent_timeout=agent_timeout,
-        injector=injector,
-    )
-
-
-def _drive_repair(
+def run_repair(
     network,
     cluster: StorageCluster,
     codec: ErasureCodec,
     plan: RepairPlan,
-    peers,
     workdir: Path,
-    seed: Optional[int],
-    cfg: RuntimeConfig,
-    packet_size: Optional[int],
-    journal_path: Optional[Path],
-    metrics: Optional[MetricsRegistry],
-    tracer: Optional[Tracer],
-    resume: bool,
-    agent_timeout: float,
-    injector: Optional[FaultInjector],
-) -> Tuple[RuntimeResult, int]:
-    """Transport-agnostic single-coordinator repair driver body.
+    coordinators: int = 1,
+    seed: Optional[int] = None,
+    config: Optional[RuntimeConfig] = None,
+    packet_size: Optional[int] = None,
+    journal_path: Optional[Path] = None,
+    journal_dir: Optional[Path] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    resume: bool = False,
+    agent_timeout: float = 60.0,
+    faults: Optional[FaultPlan] = None,
+    topology: Optional[RackTopology] = None,
+) -> Tuple[Union[RuntimeResult, MultiRepairResult], int]:
+    """Drive one process-per-node repair from the coordinator's side.
 
-    ``network`` must already listen and know every agent as a peer;
-    ``peers`` is only consulted for the shutdown broadcast's node ids.
+    ``network`` comes from :func:`open_network` with
+    ``own_id=COORDINATOR_ID`` and is closed on the way out; which pipe
+    it frames over is none of this function's business.  The agent
+    processes must (come up to) answer at the peers it knows: lazy
+    connects absorb startup races, and an explicit ping sweep gates
+    command issue on every involved agent being reachable.  After the
+    run the repaired chunks are verified byte-identical through the
+    shared ``workdir`` and every agent is told to shut down.
+
+    ``coordinators == 1`` journals to ``journal_path``; with
+    ``resume=True`` that journal is replayed instead of starting fresh
+    — the successor coordinator (epoch + 1) reconciles agent
+    inventories over the wire and re-issues only the unfinished
+    actions.  ``coordinators > 1`` shards the plan across that many
+    coordinators, all in this process on the one network: agents reach
+    shard ``k`` through its ``coordinator<k>`` endpoint id, each shard
+    journals under ``journal_dir`` (default ``workdir/shards``), and a
+    crashed shard hands off to a survivor exactly as in memory.
+
+    ``faults`` covers control traffic and time-based triggers on this
+    side (each agent process runs the same plan for its data packets).
+    Domain crashes need ``topology``; one that names coordinators kills
+    those shards mid-run.
+
+    Returns ``(result, chunks_verified)``.
     """
+    cfg = config or DEFAULT_CONFIG
     packet = packet_size or max(cluster.chunk_size // 16, 4096)
-    journal = None
-    if journal_path is not None and not resume:
-        journal = RepairJournal(
-            journal_path, fsync=cfg.journal_fsync, metrics=metrics
-        )
+    sharded = coordinators > 1
+    shards: Optional[MultiCoordinator] = None
+
+    def _kill_shard(shard: int) -> None:
+        if shards is not None:
+            shards.kill_shard(shard)
+
     try:
-        if resume:
-            if journal_path is None:
-                raise ValueError("resume needs a journal path")
-            coordinator = Coordinator.recover(
+        injector = None
+        if faults is not None:
+            if faults.domain_crashes:
+                if topology is None:
+                    raise ValueError(
+                        "fault plan has domain crashes but no topology "
+                        "was given"
+                    )
+                faults = faults.resolve_domains(topology)
+            injector = FaultInjector(faults, on_kill_coordinator=_kill_shard)
+        if sharded:
+            # Probe through a throwaway coordinator at the default
+            # endpoint; it is freed below so shard 0 can claim the id.
+            runner = Coordinator(network, cluster, codec, packet, config=cfg)
+        elif resume:
+            runner = Coordinator.recover(
                 journal_path,
                 network,
                 cluster,
@@ -686,7 +567,12 @@ def _drive_repair(
                 tracer=tracer,
             )
         else:
-            coordinator = Coordinator(
+            journal = None
+            if journal_path is not None:
+                journal = RepairJournal(
+                    journal_path, fsync=cfg.journal_fsync, metrics=metrics
+                )
+            runner = Coordinator(
                 network,
                 cluster,
                 codec,
@@ -696,131 +582,48 @@ def _drive_repair(
                 metrics=metrics,
                 tracer=tracer,
             )
-        involved = sorted(
-            {a.destination for a in plan.actions()}
-            | {s for a in plan.actions() for s in a.sources}
-        )
-        wait_for_agents(coordinator, involved, timeout=agent_timeout)
-        if injector is not None:
-            network.faults = injector
-            injector.start()
         try:
-            if resume:
-                result = coordinator.resume()
-            else:
-                result = coordinator.execute(plan)
-        finally:
-            coordinator.close()
-        checksums = stripe_checksums(cluster, codec, seed)
-        verified = verify_actions(
-            result.executed_actions or plan.actions(), checksums, workdir
-        )
-        return result, verified
-    finally:
-        shutdown_agents(network, peers)
-        network.close()
-
-
-def run_tcp_multicoord_repair(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    plan: RepairPlan,
-    peers: PeerMap,
-    workdir: Path,
-    num_coordinators: int = 2,
-    seed: Optional[int] = None,
-    config: Optional[RuntimeConfig] = None,
-    packet_size: Optional[int] = None,
-    journal_dir: Optional[Path] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    agent_timeout: float = 60.0,
-    faults: Optional[FaultPlan] = None,
-    topology: Optional[RackTopology] = None,
-) -> Tuple[MultiRepairResult, int]:
-    """Drive a sharded repair over TCP from one driver process.
-
-    Every shard coordinator lives in this process on one shared
-    :class:`~repro.net.tcp.TcpNetwork`; agents reach shard ``k``
-    through the ``coordinator<k>`` alias in their peer map (same
-    address as the driver, distinct endpoint id — see
-    :func:`sharded_peer_spec`).  Each shard keeps its own journal
-    under ``journal_dir`` (default ``workdir/shards``) and a crashed
-    shard hands off to a survivor exactly as in-memory: recover at the
-    same endpoint with a bumped epoch, replay the journal, resume only
-    the unfinished actions.
-
-    ``faults`` may carry :class:`~repro.runtime.faults.DomainCrashFault`
-    entries when ``topology`` is given; a domain crash that names
-    coordinators kills those shards mid-run through the injector.
-
-    Returns ``(result, chunks_verified)``.
-    """
-    cfg = config or DEFAULT_CONFIG
-    packet = packet_size or max(cluster.chunk_size // 16, 4096)
-    listen = peers.get(COORDINATOR_ID)
-    if faults is not None and faults.domain_crashes:
-        if topology is None:
-            raise ValueError(
-                "fault plan has domain crashes but no topology was given"
+            involved = sorted(
+                {a.destination for a in plan.actions()}
+                | {s for a in plan.actions() for s in a.sources}
             )
-        faults = faults.resolve_domains(topology)
-    multi_box: list = []
-
-    def _kill_shard(shard: int) -> None:
-        if multi_box:
-            multi_box[0].kill_shard(shard)
-
-    # As in run_tcp_repair, the injector attaches only after the probe
-    # sweep so fault time zero is the start of the sharded repair.
-    injector = (
-        FaultInjector(faults, on_kill_coordinator=_kill_shard)
-        if faults is not None
-        else None
-    )
-    network = build_coordinator_network(
-        peers, cfg, metrics=metrics, listen=listen
-    )
-    try:
-        involved = sorted(
-            {a.destination for a in plan.actions()}
-            | {s for a in plan.actions() for s in a.sources}
-        )
-        # Probe through a throwaway coordinator at the default endpoint,
-        # then free it so shard 0 can claim the same id.
-        probe = Coordinator(network, cluster, codec, packet, config=cfg)
-        try:
-            wait_for_agents(probe, involved, timeout=agent_timeout)
-        finally:
-            probe.close()
-            try:
+            wait_for_agents(runner, involved, timeout=agent_timeout)
+            if sharded:
                 network.detach(COORDINATOR_ID)
-            except KeyError:
-                pass
-        multi = MultiCoordinator(
-            network,
-            cluster,
-            codec,
-            packet,
-            journal_dir=journal_dir or Path(workdir) / "shards",
-            num_shards=num_coordinators,
-            config=cfg,
-            metrics=metrics,
-            tracer=tracer,
-        )
-        multi_box.append(multi)
-        if injector is not None:
-            network.faults = injector
-            injector.start()
-        try:
-            result = multi.execute(plan, packet_size=packet)
+                runner = shards = MultiCoordinator(
+                    network,
+                    cluster,
+                    codec,
+                    packet,
+                    journal_dir=journal_dir or Path(workdir) / "shards",
+                    num_shards=coordinators,
+                    config=cfg,
+                    metrics=metrics,
+                    tracer=tracer,
+                )
+            # The injector attaches only now, so fault time zero is the
+            # start of the repair, not of the probe sweep.
+            if injector is not None:
+                network.faults = injector
+                injector.start()
+            if resume:
+                result = runner.resume()
+            else:
+                result = runner.execute(plan, packet_size=packet)
         finally:
-            multi.close()
-        checksums = stripe_checksums(cluster, codec, seed)
+            runner.close()
         verified = verify_actions(
-            result.executed_actions or plan.actions(), checksums, workdir
+            result.executed_actions or plan.actions(),
+            stripe_checksums(cluster, codec, seed),
+            workdir,
         )
         return result, verified
     finally:
-        shutdown_agents(network, peers)
+        # Broadcast Shutdown so standalone agent processes exit cleanly.
+        for node_id in network.node_ids():
+            if node_id >= 0:
+                try:
+                    network.send(COORDINATOR_ID, node_id, Shutdown())
+                except KeyError:
+                    pass  # coordinator endpoint never came up / is gone
         network.close()

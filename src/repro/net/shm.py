@@ -1,22 +1,21 @@
-"""Shared-memory transport: same-host process-per-core repair.
+"""Shared-memory transport: the ring backend of the framed core.
 
-:class:`ShmNetwork` is the third ``Transport`` backend: it moves the
-same wire frames as :class:`~repro.net.tcp.TcpNetwork`, but through a
+:class:`ShmNetwork` moves the same wire frames as
+:class:`~repro.net.tcp.TcpNetwork`, but through a
 ``multiprocessing.shared_memory`` ring buffer instead of a socket —
 one inbound MPSC ring per process, written by every peer and drained
 by a single reader thread.  Same-host repair layouts (one process per
 core) skip the kernel socket path entirely: a send is one memcpy into
-the ring, a receive is one memcpy out.
+the ring, a receive is one memcpy out.  Everything that is not about
+rings — the ``Transport`` surface, the send sequence, frame
+validation, delivery admission, bandwidth emulation and fault
+injection — is inherited from :class:`~repro.net.framed.FramedNetwork`.
 
-Topology model mirrors TCP: each process attaches its *local* node(s)
-and registers every remote node as a peer (``node id -> ring name``).
-:meth:`listen` creates this process's inbound ring and returns its
-name; :meth:`add_peer` points a node id at the ring of the process
-hosting it.  Peers attach lazily with backoff, so processes may start
-in any order.  A node may be both local and a peer naming this
-process's own ring ("loopback wiring") — the peer route wins and every
-frame crosses shared memory, which is how the conformance suite
-exercises the ring inside one process.
+A peer is ``node id -> ring name``: :meth:`ShmNetwork.listen` creates
+this process's inbound ring and returns its name;
+:meth:`ShmNetwork.add_peer` points a node id at the ring of the
+process hosting it.  Peers attach lazily with backoff, so processes
+may start in any order.
 
 Ring layout (all little-endian)::
 
@@ -32,25 +31,21 @@ out.  A full ring blocks the sender (backpressure, like a full kernel
 socket buffer) and drops the frame after ``connect_timeout`` seconds,
 mirroring TCP's give-up-on-unreachable-peer behavior.
 
-Frame validation matches the socket path: a frame failing header
-checks counts ``net_frames_rejected_total`` and is skipped (ring
-framing is length-prefixed, so the stream stays aligned); a
-``DataPacket`` whose frame CRC validated is delivered with
-``checksum=None`` so the runtime skips its redundant per-payload
-crc32.  Bandwidth emulation and fault injection bind exactly as on
-TCP: egress NIC on the sending side, ingress NIC at delivery, packet
-drop/dup/corrupt/delay on the sender, crash black-holes on both.
+Ring framing is length-prefixed, so a frame the core rejects — header
+or body — is skipped and the ring stays aligned.  The length prefix
+itself lives in memory every peer can write, so the reader bound-checks
+it; a prefix that cannot be true resynchronises the ring (``tail =
+head``) and counts ``net_frames_rejected_total{reason="ring"}``.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import struct
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 try:
     import fcntl
@@ -65,12 +60,8 @@ except ImportError:  # pragma: no cover - stripped-down python
 
 from ..cluster.chunk import NodeId
 from ..runtime.faults import FaultInjector
-from ..runtime.messages import DataPacket
-from ..runtime.throttle import sleep_until
-from ..runtime.transport import Endpoint, Network
-from dataclasses import replace
-
-from .wire import HEADER, WireError, decode_body, encode_frame_parts, parse_header
+from .framed import FramedNetwork
+from .wire import HEADER
 
 #: ring header: head cursor, tail cursor, capacity (bytes each: u64)
 _RING_HEADER = struct.Struct("<QQQ")
@@ -138,11 +129,18 @@ class ShmRing:
             self.shm = shared_memory.SharedMemory(name=name)
             _untrack(name)
             _, _, self.capacity = _RING_HEADER.unpack_from(self.shm.buf, 0)
+            if not self.capacity:
+                # Linked, but its creator has not written the header
+                # yet: to a lazily attaching peer that is "not there".
+                self.shm.close()
+                raise FileNotFoundError(f"ring {name} is still being created")
         self._lockpath = os.path.join(
             tempfile.gettempdir(), f"fpr-shm-{name.lstrip('/')}.lock"
         )
         self._lockfd = os.open(self._lockpath, os.O_CREAT | os.O_RDWR, 0o600)
         self._lock = threading.Lock()
+        #: reader side: untrustworthy length prefixes skipped so far
+        self.resyncs = 0
 
     # -- cursors -------------------------------------------------------
 
@@ -218,14 +216,27 @@ class ShmRing:
         """Pop up to ``max_frames`` complete frames (single consumer).
 
         ``tail`` is republished after each frame so blocked writers see
-        space as soon as it exists.
+        space as soon as it exists.  The length prefix sits in memory
+        every peer can write, so it is bound-checked: one that exceeds
+        the ring or runs past ``head`` cannot be true, and following it
+        would push ``tail`` beyond ``head`` for good.  The reader then
+        skips to ``head`` (dropping whatever was in between) and bumps
+        :attr:`resyncs` for the owner to count.
         """
         frames: List[bytes] = []
         tail = self._tail()
-        while len(frames) < max_frames and tail < self._head():
+        while len(frames) < max_frames:
+            head = self._head()
+            if tail >= head:
+                break
             (length,) = _LEN.unpack(self._get(tail, _LEN.size))
+            end = tail + _LEN.size + length
+            if length > self.capacity or end > head:
+                self._set_tail(head)
+                self.resyncs += 1
+                break
             frames.append(self._get(tail + _LEN.size, length))
-            tail += _LEN.size + length
+            tail = end
             self._set_tail(tail)
         return frames
 
@@ -255,12 +266,12 @@ class _ShmPeer:
 
     def __init__(self, node_id: NodeId, ring_name: str):
         self.node_id = node_id
-        self.ring_name = ring_name
+        self.address = ring_name
         self.ring: Optional[ShmRing] = None
         self.lock = threading.Lock()
 
 
-class ShmNetwork:
+class ShmNetwork(FramedNetwork):
     """Shared-memory transport with the in-memory ``Network`` interface.
 
     Args:
@@ -286,86 +297,14 @@ class ShmNetwork:
         ring_capacity: int = 8 << 20,
         connect_timeout: float = 30.0,
     ):
-        self._inner = Network(
+        super().__init__(
             faults=faults, metrics=metrics, inbox_capacity=inbox_capacity
         )
-        self.metrics = metrics
-        self.net = self._inner.net
         self.ring_capacity = ring_capacity
         self.connect_timeout = connect_timeout
-        self._peers: Dict[NodeId, _ShmPeer] = {}
-        self._detached_peers: Set[NodeId] = set()
-        self._lock = threading.Lock()
-        self._shm_bytes = 0
         self._ring: Optional[ShmRing] = None
         self._reader: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._closed = False
-
-    # -- Transport interface (delegated local topology) ----------------
-
-    @property
-    def arbiter(self):
-        """QoS policy shared with the local fabric (see :class:`Network`)."""
-        return self._inner.arbiter
-
-    @arbiter.setter
-    def arbiter(self, arbiter) -> None:
-        self._inner.arbiter = arbiter
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self._inner.faults
-
-    @faults.setter
-    def faults(self, injector: Optional[FaultInjector]) -> None:
-        self._inner.faults = injector
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Throttled payload bytes moved (local + through rings)."""
-        with self._lock:
-            return self._inner.bytes_transferred + self._shm_bytes
-
-    def attach(
-        self,
-        node_id: NodeId,
-        bandwidth: Optional[float],
-        stop: Optional[threading.Event] = None,
-    ) -> Endpoint:
-        """Register a node hosted by *this* process."""
-        return self._inner.attach(node_id, bandwidth, stop=stop)
-
-    def detach(self, node_id: NodeId) -> Optional[Endpoint]:
-        """Remove a node from the topology (local endpoint, peer or both)."""
-        endpoint: Optional[Endpoint] = None
-        known = False
-        if node_id in self._inner._endpoints:
-            endpoint = self._inner.detach(node_id)
-            known = True
-        peer = self._peers.pop(node_id, None)
-        if peer is not None:
-            known = True
-            self._detached_peers.add(node_id)
-            if peer.ring is not None:
-                peer.ring.close()
-        if not known:
-            raise KeyError(f"node {node_id} not attached")
-        return endpoint
-
-    def endpoint(self, node_id: NodeId) -> Endpoint:
-        """The *local* endpoint of a node hosted by this process."""
-        return self._inner.endpoint(node_id)
-
-    def node_ids(self) -> List[NodeId]:
-        """Every node this process can reach: local endpoints + peers."""
-        return sorted(set(self._inner.node_ids()) | set(self._peers))
-
-    def scale_bandwidth(self, node_id: NodeId, factor: float) -> None:
-        """Degrade a *local* node's NIC rates (slow-NIC fault)."""
-        if node_id not in self._inner._endpoints:
-            return
-        self._inner.scale_bandwidth(node_id, factor)
 
     # -- peer wiring ---------------------------------------------------
 
@@ -397,12 +336,11 @@ class ShmNetwork:
         """
         if node_id in self._peers:
             raise ValueError(f"peer {node_id} already registered")
-        self._peers[node_id] = _ShmPeer(node_id, ring_name)
-        self._detached_peers.discard(node_id)
+        self._register_peer(_ShmPeer(node_id, ring_name))
 
-    def peers(self) -> Dict[NodeId, str]:
-        """Registered remote nodes and their ring names."""
-        return {p.node_id: p.ring_name for p in self._peers.values()}
+    def _forget_peer(self, peer: _ShmPeer) -> None:
+        if peer.ring is not None:
+            peer.ring.close()
 
     def refresh_peer(self, node_id: NodeId) -> None:
         """Drop a cached ring attachment; the next send re-opens by name.
@@ -421,84 +359,15 @@ class ShmNetwork:
                 peer.ring.close()
                 peer.ring = None
 
-    # -- send ----------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, message) -> None:
-        """Deliver a message; peers through rings, local nodes in memory.
-
-        Same contract as :meth:`Network.send`: DataPackets pay for the
-        sender's emulated NIC and exert backpressure; crashed, closed
-        or detached destinations swallow traffic silently; unknown
-        destinations raise ``KeyError``.
-        """
-        peer = self._peers.get(dst)
-        if peer is None:
-            if dst in self._detached_peers and dst not in self._inner._endpoints:
-                return  # dead remote peer: drop silently
-            self._inner.send(src, dst, message)
-            return
-        faults = self.faults
-        if faults is not None:
-            faults.tick(self)
-        sender = self._inner.endpoint(src)
-        if sender.closed:
-            return
-        if isinstance(message, DataPacket):
-            if src == dst:
-                raise ValueError("loopback data transfer is not modeled")
-            copies = 1
-            extra_delay = 0.0
-            corrupt_payload = None
-            if faults is not None:
-                fate = faults.on_data_packet(src, dst, message)
-                if not fate.deliver:
-                    return
-                copies = fate.copies
-                extra_delay = fate.extra_delay
-                corrupt_payload = fate.payload
-            nbytes = len(message.payload)
-            head, payload = encode_frame_parts(src, dst, message)
-            if corrupt_payload is not None:
-                # In-flight corruption: frame keeps the original CRC,
-                # so the receiver's frame CRC rejects it (same model
-                # as the TCP path).
-                payload = corrupt_payload
-            arbiter = self.arbiter
-            for _ in range(copies):
-                if arbiter is not None:
-                    arbiter.admit(message, nbytes, stop=sender.nic_out.stop)
-                deadline = sender.nic_out.reserve(nbytes)
-                sleep_until(deadline + extra_delay, stop=sender.nic_out.stop)
-                with self._lock:
-                    self._shm_bytes += nbytes
-                self.net.bytes_sent.inc(nbytes, node=src)
-                self._enqueue(peer, src, (head, payload))
-            return
-        if faults is not None and not faults.filter_message(src, dst):
-            return  # a crashed node neither sends nor receives
-        self._enqueue(peer, src, encode_frame_parts(src, dst, message))
-
-    def _enqueue(
-        self, peer: _ShmPeer, src: NodeId, parts: Tuple[bytes, bytes]
-    ) -> None:
+    def _enqueue(self, peer: _ShmPeer, parts: Tuple[bytes, bytes]) -> bool:
         """Write one frame into a peer's ring; blocks while it is full."""
-        if self._closed:
-            self.net.frames_dropped.inc(node=peer.node_id)
-            return
         ring = self._peer_ring(peer)
         if ring is None:
-            self.net.frames_dropped.inc(node=peer.node_id)
-            return
+            return False
         try:
-            delivered = ring.write(parts, timeout=self.connect_timeout)
-        except ValueError:
-            raise
+            return ring.write(parts, timeout=self.connect_timeout)
         except OSError:
-            delivered = False  # ring torn down underneath us
-        if delivered:
-            self.net.frames_sent.inc(node=src)
-        else:
-            self.net.frames_dropped.inc(node=peer.node_id)
+            return False  # ring torn down underneath us
 
     def _peer_ring(self, peer: _ShmPeer) -> Optional[ShmRing]:
         """Attach a peer's ring lazily, with backoff (like a TCP dial)."""
@@ -512,7 +381,7 @@ class ShmNetwork:
             delay = 0.005
             while True:
                 try:
-                    peer.ring = ShmRing(peer.ring_name)
+                    peer.ring = ShmRing(peer.address)
                     self.net.connections.inc(direction="out")
                     return peer.ring
                 except FileNotFoundError:
@@ -527,6 +396,9 @@ class ShmNetwork:
         ring = self._ring
         while not self._stop.is_set():
             frames = ring.read_frames()
+            if ring.resyncs:
+                self.net.frames_rejected.inc(ring.resyncs, reason="ring")
+                ring.resyncs = 0
             if not frames:
                 self._stop.wait(_EMPTY_POLL)
                 continue
@@ -534,66 +406,19 @@ class ShmNetwork:
                 self._handle_frame(frame)
 
     def _handle_frame(self, frame: bytes) -> None:
-        if len(frame) < HEADER.size:
-            self.net.frames_rejected.inc(reason="header")
+        parsed = self._parse_header(frame[: HEADER.size])
+        if parsed is None:
+            return  # skip: the ring's own length prefix keeps it aligned
+        decoded = self._decode_frame(
+            *parsed, memoryview(frame)[HEADER.size :]
+        )
+        if decoded is None:
             return
-        try:
-            code, _epoch, meta_len, payload_len, crc = parse_header(
-                frame[: HEADER.size]
-            )
-        except WireError:
-            # Ring framing is length-prefixed, so unlike a TCP byte
-            # stream a bad frame cannot desynchronize the rest: skip it.
-            self.net.frames_rejected.inc(reason="header")
-            return
-        if len(frame) != HEADER.size + meta_len + payload_len:
-            self.net.frames_rejected.inc(reason="truncated")
-            return
-        view = memoryview(frame)
-        try:
-            src, dst, message = decode_body(
-                code,
-                crc,
-                view[HEADER.size : HEADER.size + meta_len],
-                view[HEADER.size + meta_len :],
-            )
-        except WireError:
-            self.net.frames_rejected.inc(reason="body")
-            return
-        if isinstance(message, DataPacket) and message.checksum is not None:
-            # Frame CRC just validated the payload bytes: skip the
-            # runtime's redundant per-payload crc32 (satellite of the
-            # same contract the TCP receive path honors).
-            message = replace(message, checksum=None)
-        self._deliver(src, dst, message)
-
-    def _deliver(self, src: NodeId, dst: NodeId, message) -> None:
-        faults = self.faults
-        if faults is not None and not faults.filter_message(src, dst):
-            return  # locally known crashed node: black hole
-        try:
-            endpoint = self._inner.endpoint(dst)
-        except KeyError:
-            self.net.frames_dropped.inc(node=dst)
-            return  # misrouted or detached-here destination
-        if endpoint.closed:
-            return
-        if isinstance(message, DataPacket):
-            nbytes = len(message.payload)
-            deadline = endpoint.nic_in.reserve(nbytes)
-            sleep_until(deadline, stop=endpoint.nic_in.stop)
-            self.net.bytes_received.inc(nbytes, node=dst)
-        while True:
-            try:
-                endpoint.inbox.put_nowait(message)
-                break
-            except queue.Full:
-                # Bounded inbox: stall the reader; the ring then fills
-                # and blocks remote senders (end-to-end backpressure).
-                if self._stop.wait(0.005):
-                    return
-        self.net.frames_received.inc(node=dst)
-        self.net.inbox_depth.set(endpoint.inbox.qsize(), node=dst)
+        # Blocking is fine here: a stalled reader fills the ring, which
+        # blocks remote senders (end-to-end backpressure).
+        for delay in self._delivery(*decoded):
+            if self._stop.wait(delay):
+                return
 
     # -- lifecycle -----------------------------------------------------
 

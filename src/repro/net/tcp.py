@@ -1,65 +1,37 @@
-"""Asyncio TCP transport: the socket-backed ``Transport`` backend.
+"""Asyncio TCP transport: the socket backend of the framed core.
 
 :class:`TcpNetwork` moves the same runtime messages as the in-memory
 :class:`~repro.runtime.transport.Network`, but across real sockets
-between OS processes, framed by :mod:`repro.net.wire`.  It satisfies
-the same :class:`~repro.runtime.transport.Transport` protocol, so the
-coordinator, agents, journal and epoch fencing run on it unchanged.
+between OS processes.  Everything that is not about sockets — the
+``Transport`` surface, the send sequence, frame validation, delivery
+admission, bandwidth emulation and fault injection — is inherited from
+:class:`~repro.net.framed.FramedNetwork`; this module holds only the
+event loop, the per-peer writers and the stream reader.
 
-Topology model: each process attaches its *local* node(s) — an agent
-process attaches its own node id, the coordinator process attaches
-``COORDINATOR_ID`` — and registers every remote node as a *peer*
-(``node id -> host:port``).  A send to a peer is framed and queued to
-that peer's connection; a send between two local nodes takes the
-in-memory path with full NIC emulation.  A node may be both local and
-a peer pointing at this process's own listen port ("loopback wiring"),
-in which case the peer route wins and every message crosses a real
-socket — that is how the conformance suite exercises the socket path
-inside one process.
-
-Concurrency: agent worker threads call :meth:`send` synchronously; a
-single background thread runs an asyncio event loop owning all
-sockets.  Per peer there is one bounded frame queue and one writer
-task with reconnect/backoff — a full queue blocks the *sending
-thread* (backpressure), mirroring a full kernel socket buffer.  The
-server side validates every frame header and CRC before decoding;
-an unparseable *header* increments ``net_frames_rejected_total`` and
-drops the connection (a stream whose framing lied cannot be resynced),
-while a frame whose *body* fails its CRC is skipped individually — the
-validated header's length fields keep the stream aligned.  A received
-``DataPacket`` whose payload passed the frame CRC is delivered with
-``checksum=None``: the bytes were just validated, so the runtime skips
-its redundant per-payload crc32.
-
-Emulated bandwidth still holds: a :class:`DataPacket` send reserves
-the local sender's egress NIC limiter before the frame is queued, and
-delivery reserves the local receiver's ingress limiter before the
-message reaches the inbox — so a bandwidth cap configured on the
-cluster binds on both backends.  Fault injection applies on the
-sending side exactly as in memory (tick, crash black-holes, packet
-drop/dup/corrupt/delay); the receiving side additionally drops
-traffic involving locally known crashed nodes.  Byte-count crash
-triggers fire on the sending process only — the receiver never
-re-counts, so a trigger fires exactly once per plan.
+A peer is ``node id -> host:port``.  Concurrency: agent worker threads
+call ``send`` synchronously; a single background thread runs an
+asyncio event loop owning all sockets.  Per peer there is one bounded
+frame queue and one writer task with reconnect/backoff — a full queue
+blocks the *sending thread* (backpressure), mirroring a full kernel
+socket buffer.  The server side reads one frame at a time per
+connection: a header the core rejects drops the connection (a byte
+stream whose framing lied cannot be resynced), a rejected body is
+skipped and the connection lives on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..cluster.chunk import NodeId
 from ..runtime.faults import FaultInjector
-from ..runtime.messages import DataPacket
-from ..runtime.throttle import sleep_until
-from ..runtime.transport import Endpoint, Network
-from .wire import HEADER, WireError, decode_body, encode_frame_parts, parse_header
+from .framed import FramedNetwork
+from .wire import HEADER
 
 #: queue sentinel: flush what precedes it, then shut the writer down
 _CLOSE = object()
@@ -84,9 +56,6 @@ def reconnect_delay(backoff: float, rng: random.Random) -> float:
     half = backoff / 2
     return half + rng.uniform(0, half)
 
-#: poll period while a full bounded inbox exerts backpressure
-_INBOX_POLL = 0.005
-
 
 class _Peer:
     """One remote node: its address, frame queue and writer task.
@@ -103,8 +72,7 @@ class _Peer:
 
     def __init__(self, node_id: NodeId, host: str, port: int, capacity: int):
         self.node_id = node_id
-        self.host = host
-        self.port = port
+        self.address = (host, port)
         self.queue: deque = deque()
         self.slots = threading.Semaphore(capacity)
         #: created on the event loop (events bind to the running loop)
@@ -113,7 +81,7 @@ class _Peer:
         self.writer: Optional[asyncio.StreamWriter] = None
 
 
-class TcpNetwork:
+class TcpNetwork(FramedNetwork):
     """Socket-backed transport with the in-memory ``Network`` interface.
 
     Args:
@@ -142,109 +110,19 @@ class TcpNetwork:
         connect_timeout: float = 30.0,
         drain_timeout: float = 10.0,
     ):
-        # Local nodes live on a private in-memory fabric: attach/endpoint/
-        # local sends inherit its exact semantics (throttling, faults,
-        # detach black-holes) instead of reimplementing them.
-        self._inner = Network(
+        super().__init__(
             faults=faults, metrics=metrics, inbox_capacity=inbox_capacity
         )
-        self.metrics = metrics
-        self.net = self._inner.net
         self.send_queue_capacity = send_queue_capacity
         self.connect_timeout = connect_timeout
         self.drain_timeout = drain_timeout
         #: jitters reconnect backoff (see :func:`reconnect_delay`);
         #: swap in a seeded Random for deterministic tests
         self.reconnect_rng = random.Random()
-        self._peers: Dict[NodeId, _Peer] = {}
-        self._detached_peers: Set[NodeId] = set()
-        self._lock = threading.Lock()
-        self._tcp_bytes = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
-        self._closed = False
-
-    # -- Transport interface (delegated local topology) ------------------
-
-    @property
-    def arbiter(self):
-        """QoS policy shared with the local fabric (see :class:`Network`)."""
-        return self._inner.arbiter
-
-    @arbiter.setter
-    def arbiter(self, arbiter) -> None:
-        self._inner.arbiter = arbiter
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self._inner.faults
-
-    @faults.setter
-    def faults(self, injector: Optional[FaultInjector]) -> None:
-        self._inner.faults = injector
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Throttled payload bytes moved (local + sent over sockets)."""
-        with self._lock:
-            return self._inner.bytes_transferred + self._tcp_bytes
-
-    def attach(
-        self,
-        node_id: NodeId,
-        bandwidth: Optional[float],
-        stop: Optional[threading.Event] = None,
-    ) -> Endpoint:
-        """Register a node hosted by *this* process."""
-        return self._inner.attach(node_id, bandwidth, stop=stop)
-
-    def detach(self, node_id: NodeId) -> Optional[Endpoint]:
-        """Remove a node from the topology (local endpoint, peer or both).
-
-        Subsequent sends to it are silently dropped, exactly as on the
-        in-memory fabric.  Returns the local endpoint if there was one.
-        """
-        endpoint: Optional[Endpoint] = None
-        known = False
-        if node_id in self._inner._endpoints:
-            endpoint = self._inner.detach(node_id)
-            known = True
-        peer = self._peers.pop(node_id, None)
-        if peer is not None:
-            known = True
-            self._detached_peers.add(node_id)
-            if peer.wakeup is not None and self._loop is not None:
-                # _CLOSE bypasses the slot semaphore: a full queue must
-                # not block the detach (the writer drains it anyway).
-                peer.queue.append(_CLOSE)
-                try:
-                    self._loop.call_soon_threadsafe(peer.wakeup.set)
-                except RuntimeError:
-                    pass  # loop already stopped
-        if not known:
-            raise KeyError(f"node {node_id} not attached")
-        return endpoint
-
-    def endpoint(self, node_id: NodeId) -> Endpoint:
-        """The *local* endpoint of a node hosted by this process."""
-        return self._inner.endpoint(node_id)
-
-    def node_ids(self) -> List[NodeId]:
-        """Every node this process can reach: local endpoints + peers."""
-        return sorted(set(self._inner.node_ids()) | set(self._peers))
-
-    def scale_bandwidth(self, node_id: NodeId, factor: float) -> None:
-        """Degrade a *local* node's NIC rates (slow-NIC fault).
-
-        A remote node's slowdown is ignored here: every process runs
-        the same fault plan, and the slowdown binds in the process that
-        hosts the node.
-        """
-        if node_id not in self._inner._endpoints:
-            return
-        self._inner.scale_bandwidth(node_id, factor)
 
     # -- peer wiring -----------------------------------------------------
 
@@ -276,95 +154,35 @@ class TcpNetwork:
             self._install_peer(peer), self._ensure_loop()
         )
         future.result(timeout=30)
-        self._peers[node_id] = peer
-        self._detached_peers.discard(node_id)
+        self._register_peer(peer)
 
-    def peers(self) -> Dict[NodeId, Tuple[str, int]]:
-        """Registered remote nodes and their addresses."""
-        return {p.node_id: (p.host, p.port) for p in self._peers.values()}
+    def _forget_peer(self, peer: _Peer) -> None:
+        if peer.wakeup is not None and self._loop is not None:
+            # _CLOSE bypasses the slot semaphore: a full queue must
+            # not block the detach (the writer drains it anyway).
+            peer.queue.append(_CLOSE)
+            try:
+                self._loop.call_soon_threadsafe(peer.wakeup.set)
+            except RuntimeError:
+                pass  # loop already stopped
 
-    # -- send ------------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, message) -> None:
-        """Deliver a message; peers over TCP, local nodes in memory.
-
-        Same contract as :meth:`Network.send`: DataPackets pay for the
-        sender's emulated NIC and exert backpressure; crashed, closed
-        or detached destinations swallow traffic silently; unknown
-        destinations raise ``KeyError``.
-        """
-        peer = self._peers.get(dst)
-        if peer is None:
-            if dst in self._detached_peers and dst not in self._inner._endpoints:
-                return  # dead remote peer: drop silently
-            self._inner.send(src, dst, message)
-            return
-        faults = self.faults
-        if faults is not None:
-            faults.tick(self)
-        sender = self._inner.endpoint(src)
-        if sender.closed:
-            return
-        if isinstance(message, DataPacket):
-            if src == dst:
-                raise ValueError("loopback data transfer is not modeled")
-            copies = 1
-            extra_delay = 0.0
-            corrupt_payload = None
-            if faults is not None:
-                fate = faults.on_data_packet(src, dst, message)
-                if not fate.deliver:
-                    return
-                copies = fate.copies
-                extra_delay = fate.extra_delay
-                corrupt_payload = fate.payload
-            nbytes = len(message.payload)
-            head, payload = encode_frame_parts(src, dst, message)
-            if corrupt_payload is not None:
-                # Corruption happens "in flight": the frame keeps the
-                # CRC of the original bytes, so the receiver's frame
-                # CRC rejects it — the wire-level analogue of the
-                # in-memory fabric's stale-checksum packets.
-                payload = corrupt_payload
-            arbiter = self.arbiter
-            for _ in range(copies):
-                if arbiter is not None:
-                    arbiter.admit(message, nbytes, stop=sender.nic_out.stop)
-                # Sender-side egress reservation only: the receiver's
-                # ingress is charged in its own process at delivery.
-                deadline = sender.nic_out.reserve(nbytes)
-                sleep_until(deadline + extra_delay, stop=sender.nic_out.stop)
-                with self._lock:
-                    self._tcp_bytes += nbytes
-                self.net.bytes_sent.inc(nbytes, node=src)
-                self._enqueue(peer, src, (head, payload))
-            return
-        if faults is not None and not faults.filter_message(src, dst):
-            return  # a crashed node neither sends nor receives
-        self._enqueue(peer, src, encode_frame_parts(src, dst, message))
-
-    def _enqueue(
-        self, peer: _Peer, src: NodeId, parts: Tuple[bytes, bytes]
-    ) -> None:
+    def _enqueue(self, peer: _Peer, parts: Tuple[bytes, bytes]) -> bool:
         """Queue one frame's iovec to a peer; blocks while the queue is full."""
-        if self._closed or peer.wakeup is None:
-            self.net.frames_dropped.inc(node=peer.node_id)
-            return
+        if peer.wakeup is None:
+            return False
         self.net.send_queue_depth.observe(len(peer.queue), node=peer.node_id)
         # Bounded queue: the semaphore is the backpressure.  Poll so a
         # sender blocked against an abandoned peer notices close().
         while not peer.slots.acquire(timeout=0.5):
             if self._closed:
-                self.net.frames_dropped.inc(node=peer.node_id)
-                return
+                return False
         peer.queue.append(parts)
         try:
             self._loop.call_soon_threadsafe(peer.wakeup.set)
         except RuntimeError:
             peer.slots.release()
-            self.net.frames_dropped.inc(node=peer.node_id)
-            return  # loop stopped underneath us (late close)
-        self.net.frames_sent.inc(node=src)
+            return False  # loop stopped underneath us (late close)
+        return True
 
     # -- lifecycle -------------------------------------------------------
 
@@ -461,7 +279,7 @@ class TcpNetwork:
         while True:
             try:
                 _reader, writer = await asyncio.open_connection(
-                    peer.host, peer.port
+                    *peer.address
                 )
             except OSError:
                 delay = reconnect_delay(backoff, self.reconnect_rng)
@@ -505,42 +323,24 @@ class TcpNetwork:
                     header = await reader.readexactly(HEADER.size)
                 except asyncio.IncompleteReadError:
                     return  # peer closed cleanly (or mid-frame: nothing lost)
-                try:
-                    code, _epoch, meta_len, payload_len, crc = parse_header(
-                        header
-                    )
-                except WireError:
-                    self.net.frames_rejected.inc(reason="header")
+                parsed = self._parse_header(header)
+                if parsed is None:
                     return  # stream can't be resynced; drop the connection
+                _code, _crc, meta_len, payload_len = parsed
                 try:
                     body = await reader.readexactly(meta_len + payload_len)
-                except asyncio.IncompleteReadError:
-                    self.net.frames_rejected.inc(reason="truncated")
-                    return
-                view = memoryview(body)
-                try:
-                    src, dst, message = decode_body(
-                        code, crc, view[:meta_len], view[meta_len:]
-                    )
-                except WireError:
-                    # The header already validated, so the length
-                    # fields are honest and the stream stays aligned:
-                    # skip just this frame (a payload corrupted in
-                    # flight) instead of dropping the connection.
-                    self.net.frames_rejected.inc(reason="body")
-                    continue
-                if (
-                    isinstance(message, DataPacket)
-                    and message.checksum is not None
-                ):
-                    # The frame CRC validated these exact payload
-                    # bytes; clearing the app-level checksum lets
-                    # assemblies and relays skip an identical crc32
-                    # pass per payload.  (The in-memory fabric keeps
-                    # checksums: its faults corrupt packets after
-                    # construction, past any wire-level check.)
-                    message = replace(message, checksum=None)
-                await self._deliver(src, dst, message)
+                except asyncio.IncompleteReadError as exc:
+                    # Stream ended mid-frame: the core counts the short
+                    # body as truncated and the next header read ends us.
+                    body = exc.partial
+                decoded = self._decode_frame(*parsed, body)
+                if decoded is None:
+                    continue  # skip just this frame; the stream is aligned
+                # Never block the loop itself: a paused delivery pauses
+                # only this connection's reads (the kernel buffer then
+                # fills and stalls the remote writer).
+                for delay in self._delivery(*decoded):
+                    await asyncio.sleep(delay)
         except (ConnectionError, OSError):
             pass  # remote reset: equivalent to a closed stream
         except asyncio.CancelledError:
@@ -555,39 +355,6 @@ class TcpNetwork:
                 writer.close()
             except (ConnectionError, OSError):
                 pass
-
-    async def _deliver(self, src: NodeId, dst: NodeId, message) -> None:
-        """Hand a decoded message to the local endpoint it names."""
-        faults = self.faults
-        if faults is not None and not faults.filter_message(src, dst):
-            return  # locally known crashed node: black hole
-        try:
-            endpoint = self._inner.endpoint(dst)
-        except KeyError:
-            self.net.frames_dropped.inc(node=dst)
-            return  # misrouted or detached-here destination
-        if endpoint.closed:
-            return
-        if isinstance(message, DataPacket):
-            nbytes = len(message.payload)
-            # Receiver-side ingress reservation: the emulated NIC cap
-            # binds here even though the sender is another process.
-            deadline = endpoint.nic_in.reserve(nbytes)
-            delay = deadline - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            self.net.bytes_received.inc(nbytes, node=dst)
-        while True:
-            try:
-                endpoint.inbox.put_nowait(message)
-                break
-            except queue.Full:
-                # Bounded inbox: backpressure the socket by pausing this
-                # connection's reads (the kernel buffer then fills and
-                # stalls the remote writer). Never block the loop itself.
-                await asyncio.sleep(_INBOX_POLL)
-        self.net.frames_received.inc(node=dst)
-        self.net.inbox_depth.set(endpoint.inbox.qsize(), node=dst)
 
     async def _shutdown(self, drain: bool) -> None:
         for peer in self._peers.values():

@@ -1,11 +1,12 @@
 """One front door for executing a repair plan: :class:`RepairSession`.
 
-Historically every execution flavor had its own entry point —
-``EmulatedTestbed`` for in-process runs, ``run_tcp_repair`` /
-``run_shm_repair`` for process-per-node runs, and
-``run_tcp_multicoord_repair`` for sharded ones — and adding chained
-(pipelined) repair would have meant a fourth.  :class:`RepairSession`
-collapses them into a builder::
+There are two execution paths behind it: ``transport="memory"`` runs
+the plan on an in-process :class:`~repro.runtime.testbed.\
+EmulatedTestbed`; ``"tcp"`` and ``"shm"`` open a wire network with
+:func:`repro.net.launch.open_network` and hand it to the one
+process-per-node driver, :func:`repro.net.launch.run_repair`, which
+does not know which pipe it is on.  :class:`RepairSession` is the
+builder in front of both::
 
     from repro import RepairSession
 
@@ -233,9 +234,15 @@ class RepairSession:
         if coordinators < 1:
             raise ValueError("coordinators must be >= 1")
         if transport == "shm" and coordinators > 1:
+            # The driver itself is transport-blind; the hole is on the
+            # agent side: a shm agent derives its peers from the
+            # workdir and is never told a shard count, so it has no
+            # route to the coordinator<k> endpoints (a tcp agent gets
+            # them spelled out in its peer spec).
             raise ValueError(
-                "transport='shm' runs a single coordinator; use "
-                "transport='tcp' for sharded repair"
+                "transport='shm' runs a single coordinator (shm agents "
+                "derive their peers from the workdir and know no shard "
+                "count); use transport='tcp' for sharded repair"
             )
         if transport == "tcp" and peers is None:
             raise ValueError("transport='tcp' needs peers")
@@ -254,6 +261,22 @@ class RepairSession:
                     "resume applies to single-coordinator runs; sharded "
                     "runs recover crashed shards internally"
                 )
+        if journal_path is not None and coordinators > 1:
+            raise ValueError(
+                "journal_path applies to a single coordinator; a sharded "
+                "run keeps one journal per shard under journal_dir "
+                "(default <workdir>/shards)"
+            )
+        if journal_dir is not None and coordinators == 1:
+            raise ValueError(
+                "journal_dir applies to sharded runs; a single "
+                "coordinator journals to journal_path"
+            )
+        if journal_dir is not None and transport == "memory":
+            raise ValueError(
+                "transport='memory' keeps its shard journals under "
+                "<workdir>/shards; pass workdir instead of journal_dir"
+            )
         if transport == "memory" and peers is not None:
             raise ValueError("peers only applies to transport='tcp'")
         if isinstance(peers, str):
@@ -411,69 +434,42 @@ class RepairSession:
             return summary
 
     def _run_wire(self, plan: RepairPlan) -> RepairSummary:
-        from .net.launch import (
-            run_shm_repair,
-            run_tcp_multicoord_repair,
-            run_tcp_repair,
-            sharded_peer_spec,
-        )
+        from .net.launch import open_network, run_repair
+        from .runtime.coordinator import COORDINATOR_ID
 
-        if self.transport == "shm":
-            result, verified = run_shm_repair(
-                self.cluster,
-                self.codec,
-                plan,
-                self.workdir,
-                seed=self.seed,
-                config=self.config,
-                packet_size=self.packet_size,
-                journal_path=self.journal_path,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                resume=self.resume,
-                agent_timeout=self.agent_timeout,
-                faults=self.faults,
-            )
-            return self._summary(result, verified, 0)
-        if self.coordinators > 1:
-            result, verified = run_tcp_multicoord_repair(
-                self.cluster,
-                self.codec,
-                plan,
-                sharded_peer_spec(self.peers, self.coordinators),
-                self.workdir,
-                num_coordinators=self.coordinators,
-                seed=self.seed,
-                config=self.config,
-                packet_size=self.packet_size,
-                journal_dir=self.journal_dir,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                agent_timeout=self.agent_timeout,
-                faults=self.faults,
-                topology=self.topology,
-            )
-            if self.log is not None:
-                for event in result.takeovers:
-                    self.log(
-                        f"shard {event.shard} taken over by shard "
-                        f"{event.adopter} (epoch {event.epoch})"
-                    )
-            return self._summary(result, verified, len(result.takeovers))
-        result, verified = run_tcp_repair(
+        network = open_network(
+            self.transport,
+            COORDINATOR_ID,
+            peers=self.peers,
+            workdir=self.workdir,
+            peer_ids=self.cluster.nodes,
+            config=self.config,
+            metrics=self.metrics,
+        )
+        result, verified = run_repair(
+            network,
             self.cluster,
             self.codec,
             plan,
-            self.peers,
             self.workdir,
+            coordinators=self.coordinators,
             seed=self.seed,
             config=self.config,
             packet_size=self.packet_size,
             journal_path=self.journal_path,
+            journal_dir=self.journal_dir,
             metrics=self.metrics,
             tracer=self.tracer,
             resume=self.resume,
             agent_timeout=self.agent_timeout,
             faults=self.faults,
+            topology=self.topology,
         )
-        return self._summary(result, verified, 0)
+        takeovers = getattr(result, "takeovers", ())
+        if self.log is not None:
+            for event in takeovers:
+                self.log(
+                    f"shard {event.shard} taken over by shard "
+                    f"{event.adopter} (epoch {event.epoch})"
+                )
+        return self._summary(result, verified, len(takeovers))

@@ -675,6 +675,13 @@ class TestRepairSessionValidation:
              "single-coordinator"),
             ({"transport": "tcp", "peers": {1: ("h", 1)}, "workdir": "w",
               "scrub": True}, "scrub applies to transport='memory'"),
+            # A journal setting the run would silently ignore names
+            # where the journal actually goes instead.
+            ({"coordinators": 2, "journal_path": "j"},
+             "one journal per shard under journal_dir"),
+            ({"journal_dir": "d"}, "journals to journal_path"),
+            ({"coordinators": 2, "journal_dir": "d"},
+             "<workdir>/shards"),
         ],
     )
     def test_bad_combo_raises(self, kwargs, message):

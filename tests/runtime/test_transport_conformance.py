@@ -9,9 +9,9 @@ network's own ring, so every message crosses shared memory).  The
 runtime must not be able to tell the backends apart: ordering, payload
 fidelity, backpressure, silent-drop and error semantics all match.
 
-Backend-only behaviors (frame rejection, reconnection, coordinator
-kill/resume across the wire path) are exercised in the backend-specific
-classes below.
+Backend-only behaviors (stream rejection, reconnection, ring framing)
+are exercised in the backend-specific classes below; the coordinator
+kill/resume walk runs once per wire backend in :class:`TestKillResume`.
 """
 
 import socket
@@ -26,12 +26,16 @@ from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
 from repro.net import ShmNetwork, TcpNetwork, shm_available
 from repro.obs import MetricsRegistry
+from repro.net.framed import FramedNetwork
 from repro.runtime import (
     COORDINATOR_ID,
     CoordinatorCrash,
+    FaultPlan,
+    LinkFault,
     RuntimeConfig,
     Scrubber,
 )
+from repro.runtime.faults import FaultInjector
 from repro.runtime.agent import Agent
 from repro.runtime.datanode import ChunkStore
 from repro.gateway import GATEWAY_ID
@@ -108,18 +112,19 @@ class Backend:
                 net.close()
 
 
-@pytest.fixture(
-    params=[
-        "memory",
-        "tcp",
-        pytest.param(
-            "shm",
-            marks=pytest.mark.skipif(
-                not shm_available(), reason="needs POSIX shm + flock"
-            ),
+#: the backends that frame messages (everything but the memory fabric)
+WIRE_BACKENDS = [
+    "tcp",
+    pytest.param(
+        "shm",
+        marks=pytest.mark.skipif(
+            not shm_available(), reason="needs POSIX shm + flock"
         ),
-    ]
-)
+    ),
+]
+
+
+@pytest.fixture(params=["memory", *WIRE_BACKENDS])
 def backend(request):
     b = Backend(request.param)
     yield b
@@ -334,6 +339,66 @@ class TestTransportContract:
             assert not store.stripes()  # nothing mutated
         finally:
             agent.stop()
+
+    def test_fault_fates_bind_identically(self, backend):
+        # Duplicate, corrupt and delay fates on DataPackets: the wire
+        # backends share one send sequence and it must read like the
+        # memory fabric's — one arbiter admission and one byte count
+        # per copy that leaves the NIC, whatever happens to it next.
+        plan = FaultPlan(links=[
+            LinkFault(duplicate=1.0, dst=1),
+            LinkFault(corrupt=1.0, dst=2),
+            LinkFault(delay=0.05, dst=3),
+        ])
+        net = backend.make(
+            faults=FaultInjector(plan), metrics=MetricsRegistry()
+        )
+        admitted = []
+
+        class Arbiter:
+            def admit(self, message, nbytes, stop=None):
+                admitted.append(nbytes)
+
+        net.arbiter = Arbiter()
+        for node_id in range(4):
+            net.attach(node_id, 1e9)
+        backend.wire(net, [1, 2, 3])
+        net.faults.start()
+        payload = bytes(range(256)) * 4
+
+        def packet():
+            return DataPacket(
+                0, 0, 0, 0, payload, checksum=zlib.crc32(payload)
+            )
+
+        net.send(0, 1, packet())
+        twice = drain(net.endpoint(1), 2)
+        assert [bytes(p.payload) for p in twice] == [payload, payload]
+
+        net.send(0, 2, packet())
+        net.send(0, 2, Pong(node_id=0, nonce=5))
+        if backend.kind == "memory":
+            # Delivered with a checksum gone stale: the receiving
+            # assembly is what refuses it.
+            bad, after = drain(net.endpoint(2), 2)
+            assert zlib.crc32(bad.payload) != bad.checksum
+        else:
+            # Corrupted "in flight": the frame CRC refuses it, that one
+            # frame is skipped and the stream stays aligned.
+            (after,) = drain(net.endpoint(2), 1)
+            assert net.net.frames_rejected.value(reason="body") == 1
+        assert after.nonce == 5
+
+        began = time.monotonic()
+        net.send(0, 3, packet())
+        assert time.monotonic() - began >= 0.05  # the sender pays the delay
+        (late,) = drain(net.endpoint(3), 1)
+        assert bytes(late.payload) == payload
+        assert net.endpoint(3).inbox.empty()
+
+        assert admitted == [len(payload)] * 4
+        assert net.bytes_transferred == 4 * len(payload)
+        assert net.net.bytes_sent.value(node=0) == 4 * len(payload)
 
     # -- gateway wire messages (type codes 15-27) ----------------------
 
@@ -586,57 +651,55 @@ class TestShmOnly:
             net.close()
 
 
-@pytest.mark.skipif(not shm_available(), reason="needs POSIX shm + flock")
-class TestKillResumeOverShm:
-    def test_coordinator_crash_and_recovery_across_rings(self, tmp_path):
-        cluster = StorageCluster.random(
-            num_nodes=8,
-            num_stripes=10,
-            n=5,
-            k=3,
-            num_hot_standby=0,
-            seed=5,
-            chunk_size=1 << 14,
-        )
-        cluster.node(0).mark_soon_to_fail()
+    def test_garbage_length_prefix_resyncs_ring(self):
+        # The u32 length prefix lives in memory every peer can write.
+        # One that cannot be true must not drag ``tail`` past ``head``
+        # (the reader would never see another frame): the ring skips
+        # to ``head``, counts it, and keeps reading.
+        import struct
+
         net = ShmNetwork(metrics=MetricsRegistry())
-        name = net.listen()
-        for node_id in list(cluster.nodes) + [COORDINATOR_ID]:
-            net.add_peer(node_id, name)
-        testbed = EmulatedTestbed(
-            cluster,
-            make_codec("rs(5,3)"),
-            packet_size=1 << 12,
-            workdir=tmp_path / "bed",
-            config=FAST,
-            journal_path=tmp_path / "repair.journal",
-            network=net,
-        )
         try:
-            testbed.start()
-            testbed.load_random_data(seed=5)
-            plan = FastPRPlanner(seed=5).plan(cluster, 0)
-            plan.validate(cluster)
-            testbed.kill_coordinator_after(3)
-            with pytest.raises(CoordinatorCrash):
-                testbed.execute(plan)
-            successor = testbed.restart_coordinator()
-            assert successor.epoch == 1
-            result = testbed.resume()
-            assert result.chunks_repaired + result.recovered_chunks == (
-                plan.total_chunks
-            )
-            testbed.verify_plan(plan, result)
-            assert Scrubber(testbed).scan().clean
-            # The repair's frames really crossed the ring layer.
-            assert net.net.frames_received.total() > 0
+            net.attach(0, None)
+            net.attach(1, None)
+            name = net.listen()
+            net.add_peer(1, name)
+            from repro.net import ShmRing
+
+            rogue = ShmRing(name)
+            try:
+                head = rogue._head()
+                rogue._set_head(
+                    rogue._put(head, struct.pack("<I", 0xFFFFFFF0))
+                )
+            finally:
+                rogue.close()
+            deadline = time.monotonic() + 5.0
+            while net.net.frames_rejected.value(reason="ring") == 0:
+                assert time.monotonic() < deadline, "resync not counted"
+                time.sleep(0.01)
+            net.send(0, 1, Pong(node_id=0, nonce=11))
+            (got,) = drain(net.endpoint(1), 1)
+            assert got.nonce == 11
+            assert net._reader.is_alive()
+            assert net.net.frames_rejected.value(reason="ring") == 1
         finally:
-            testbed.shutdown()
             net.close()
 
 
-class TestKillResumeOverTcp:
-    def test_coordinator_crash_and_recovery_across_sockets(self, tmp_path):
+class TestSharedCore:
+    def test_backends_do_not_fork_the_core(self):
+        # One send sequence, one topology surface: if a backend grows
+        # its own copy again, this is where it shows.
+        assert TcpNetwork.send is ShmNetwork.send is FramedNetwork.send
+        for name in ("attach", "detach", "endpoint", "scale_bandwidth"):
+            assert name not in vars(TcpNetwork), name
+            assert name not in vars(ShmNetwork), name
+
+
+class TestKillResume:
+    @pytest.mark.parametrize("backend", WIRE_BACKENDS, indirect=True)
+    def test_coordinator_crash_and_recovery(self, backend, tmp_path):
         cluster = StorageCluster.random(
             num_nodes=8,
             num_stripes=10,
@@ -647,10 +710,8 @@ class TestKillResumeOverTcp:
             chunk_size=1 << 14,
         )
         cluster.node(0).mark_soon_to_fail()
-        net = TcpNetwork(metrics=MetricsRegistry())
-        host, port = net.listen()
-        for node_id in list(cluster.nodes) + [COORDINATOR_ID]:
-            net.add_peer(node_id, host, port)
+        net = backend.make(metrics=MetricsRegistry())
+        backend.wire(net, list(cluster.nodes) + [COORDINATOR_ID])
         testbed = EmulatedTestbed(
             cluster,
             make_codec("rs(5,3)"),
@@ -676,8 +737,7 @@ class TestKillResumeOverTcp:
             )
             testbed.verify_plan(plan, result)
             assert Scrubber(testbed).scan().clean
-            # The repair's frames really crossed the socket layer.
+            # The repair's frames really crossed the backend's pipe.
             assert net.net.frames_received.total() > 0
         finally:
             testbed.shutdown()
-            net.close()

@@ -119,15 +119,19 @@ def test_exports_come_from_repro_modules():
 
 
 def test_deprecated_net_drivers_removed():
-    # The PR-8 one-release DeprecationWarning shims are gone: the
-    # per-transport drivers live only in repro.net.launch, and
+    # The per-transport drivers, agent runners and network builders
+    # are gone for good — repro.net.launch keeps one factory
+    # (open_network), one agent runner and one repair driver, and
     # RepairSession is the supported way to drive a repair.
     import repro.net as net
+    from repro.net import launch
 
     for name in ("run_tcp_repair", "run_shm_repair",
-                 "run_tcp_multicoord_repair"):
+                 "run_tcp_multicoord_repair", "run_shm_agent_process",
+                 "build_coordinator_network"):
         assert not hasattr(net, name), name
         assert name not in net.__all__, name
+        assert not hasattr(launch, name), name
 
 
 def test_obs_surface():
