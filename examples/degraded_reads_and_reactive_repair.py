@@ -2,79 +2,97 @@
 """What happens when prediction misses: degraded reads + reactive repair.
 
 A node dies with no warning.  Until reactive repair finishes, clients
-reading its chunks pay the k-fold degraded-read penalty — the cost
-FastPR's predictive repair avoids.  This example measures that penalty
-on the emulated testbed, runs the reactive (reconstruction-only) repair
-of the dead node, and shows reads returning to normal.
+reading objects with a chunk on it pay the degraded-read penalty —
+fetch k survivors and decode — the cost FastPR's predictive repair
+avoids.  This example PUTs a few objects through the gateway's
+``ObjectStore``, measures that penalty on the emulated testbed, runs
+the reactive (reconstruction-only) repair of the dead node, and shows
+GETs returning to direct reads.
 
 Run:
     python examples/degraded_reads_and_reactive_repair.py
 """
 
-from repro import EmulatedTestbed, StorageClient, make_codec
+import time
+
+from repro import EmulatedTestbed, ObjectStore, make_codec
 from repro.cluster import StorageCluster
 from repro.core import apply_plan, plan_failed_node_repair
+
+CHUNK = 512 * 1024
+
+
+def timed_gets(store, keys):
+    """GET every key; returns (seconds, degraded stripes decoded)."""
+    started = time.perf_counter()
+    degraded = sum(store.get_result(key).degraded_stripes for key in keys)
+    return time.perf_counter() - started, degraded
 
 
 def main() -> None:
     cluster = StorageCluster.random(
         num_nodes=12,
-        num_stripes=20,
+        num_stripes=0,
         n=9,
         k=6,
         seed=2,
         disk_bandwidth=50e6,
         network_bandwidth=220e6,
-        chunk_size=512 * 1024,
+        chunk_size=CHUNK,
     )
     codec = make_codec("rs(9,6)")
-    victim = max(cluster.storage_node_ids(), key=cluster.load_of)
 
     with EmulatedTestbed(cluster, codec, packet_size=64 * 1024) as testbed:
-        testbed.load_random_data(seed=3)
-        client = StorageClient(testbed)
+        with ObjectStore(
+            cluster,
+            codec,
+            testbed.network,
+            bandwidth=cluster.network_bandwidth,
+            chunk_size=CHUNK,
+        ) as store:
+            keys = [f"object/{i}" for i in range(6)]
+            for i, key in enumerate(keys):
+                store.put(key, bytes([i]) * (codec.k * CHUNK))
+            # The node holding the most *data* chunks hurts the most.
+            data_chunks = [
+                node
+                for key in keys
+                for ref in store.stat(key).stripes
+                for node in ref.placement[: codec.k]
+            ]
+            victim = max(set(data_chunks), key=data_chunks.count)
 
-        # 1. Healthy reads of the victim's chunks.
-        victim_chunks = cluster.chunks_on_node(victim)
-        for chunk in victim_chunks[:3]:
-            client.read(chunk.stripe_id, chunk.chunk_index)
-        healthy_fetched = client.stats.bytes_fetched
-        print(
-            f"healthy: read 3 chunks from node {victim}, fetched "
-            f"{healthy_fetched >> 10} KiB ({client.stats.direct_reads} direct)"
-        )
+            # 1. Healthy GETs.
+            seconds, degraded = timed_gets(store, keys)
+            print(
+                f"healthy: {len(keys)} GETs in {seconds:.2f}s, "
+                f"{degraded} degraded stripes"
+            )
 
-        # 2. The node dies without warning (a missed prediction).
-        cluster.node(victim).mark_failed()
-        before = client.stats.bytes_fetched
-        for chunk in victim_chunks[:3]:
-            client.read(chunk.stripe_id, chunk.chunk_index)
-        degraded_fetched = client.stats.bytes_fetched - before
-        print(
-            f"after failure: same 3 reads now fetch "
-            f"{degraded_fetched >> 10} KiB "
-            f"({client.stats.degraded_reads} degraded reads, "
-            f"{degraded_fetched // max(healthy_fetched, 1)}x amplification)"
-        )
+            # 2. The node dies without warning (a missed prediction).
+            cluster.node(victim).mark_failed()
+            seconds, degraded = timed_gets(store, keys)
+            print(
+                f"after node {victim} failed: same GETs take {seconds:.2f}s, "
+                f"{degraded} stripes decoded around the dead node"
+            )
 
-        # 3. Reactive repair (the paper's fallback for missed failures).
-        plan = plan_failed_node_repair(cluster, victim, seed=0)
-        result = testbed.execute(plan)
-        testbed.verify_plan(plan)
-        apply_plan(cluster, plan)
-        print(
-            f"reactive repair: {plan.total_chunks} chunks reconstructed in "
-            f"{result.total_time:.2f}s over {plan.num_rounds} rounds (verified)"
-        )
+            # 3. Reactive repair (the paper's fallback for missed failures).
+            plan = plan_failed_node_repair(cluster, victim, seed=0)
+            result = testbed.execute(plan)
+            apply_plan(cluster, plan)
+            print(
+                f"reactive repair: {plan.total_chunks} chunks reconstructed "
+                f"in {result.total_time:.2f}s over {plan.num_rounds} rounds"
+            )
 
-        # 4. Reads are direct again (metadata points at the new copies).
-        before_direct = client.stats.direct_reads
-        for chunk in victim_chunks[:3]:
-            client.read(chunk.stripe_id, chunk.chunk_index)
-        print(
-            f"after repair: {client.stats.direct_reads - before_direct} of 3 "
-            "reads served directly — no decoding needed"
-        )
+            # 4. GETs are direct again (metadata points at the new
+            #    copies; every GET is sha256-checked against its PUT).
+            seconds, degraded = timed_gets(store, keys)
+            print(
+                f"after repair: {len(keys)} GETs in {seconds:.2f}s, "
+                f"{degraded} degraded stripes — no decoding needed"
+            )
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ from .runtime import (
     RuntimeConfig,
     Scrubber,
     ShardFailedError,
-    StorageClient,
     TakeoverEvent,
 )
 from .session import (
@@ -145,7 +144,6 @@ __all__ = [
     "RuntimeConfig",
     "Scrubber",
     "ShardFailedError",
-    "StorageClient",
     "TakeoverEvent",
     "ShmNetwork",
     "TcpNetwork",

@@ -279,7 +279,6 @@ class TestbedConfig:
     packet_size: int = 128 * 1024  # the paper's 4 MB at 1/32 scale
     disk_bandwidth: float = 10e6  # stands in for EC2's 142 MB/s
     network_bandwidth: float = 44e6  # stands in for EC2's 5 Gb/s
-    pipeline_depth: int = 2
     seed: int = 0
 
     def with_(self, **kwargs) -> "TestbedConfig":
@@ -322,7 +321,6 @@ def testbed_point(
             cluster,
             codec,
             packet_size=config.packet_size,
-            pipeline_depth=config.pipeline_depth,
         ) as testbed:
             testbed.load_random_data(seed=sim_cfg.seed)
             for planner in planners:

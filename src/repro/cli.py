@@ -723,7 +723,7 @@ def _cmd_repair(args) -> int:
     from .core.planner import FastPRPlanner
     from .obs import MetricsRegistry, Tracer
     from .runtime import FaultPlan
-    from .runtime.testbed import VerificationError
+    from .runtime.driver import VerificationError
     from .session import RepairSession
 
     config = _load_runtime_config(args.config)
@@ -790,7 +790,7 @@ def _cmd_repair(args) -> int:
             tracer=tracer,
             resume=args.resume,
             agent_timeout=args.agent_timeout,
-            scrub=(args.transport == "memory"),
+            scrub=True,
             log=print,
         )
     except ValueError as exc:
@@ -820,64 +820,55 @@ def _cmd_repair(args) -> int:
         tracer.save(args.trace_out)
         print(f"wrote trace to {args.trace_out}")
     report = summary.scrub_report
+    recovered = getattr(summary.result, "recovered_chunks", 0)
     if args.output is not None:
         document = {
             "version": 1,
             **summary.to_dict(),
-            "recovered_chunks": getattr(
-                summary.result, "recovered_chunks", 0
-            ),
+            "recovered_chunks": recovered,
             "converted_migrations": getattr(
                 summary.result, "converted_migrations", 0
             ),
-        }
-        if report is not None:
-            document["scrub"] = {
+            "scrub": {
                 "chunks_checked": report.chunks_checked,
                 "corrupt": len(report.corrupt),
-            }
+            },
+        }
         with open(args.output, "w") as f:
             json_mod.dump(document, f, indent=2)
         print(f"wrote run summary to {args.output}")
-    pipelined = ""
+    fabric = {"tcp": "TCP", "shm": "shared memory"}.get(
+        args.transport, "the in-memory fabric"
+    )
+    detail = ""
+    if args.coordinators > 1:
+        detail = (
+            f" ({args.coordinators} coordinators, {summary.restarts} takeovers)"
+        )
     if args.pipelining != "off":
-        pipelined = f" pipelining={args.pipelining}"
+        detail += f" pipelining={args.pipelining}"
         if args.slices:
-            pipelined += f" slices={args.slices}"
-    if args.transport == "memory":
-        print(
-            f"repaired {summary.chunks_repaired} chunks "
-            f"(+{getattr(summary.result, 'recovered_chunks', 0)} recovered) "
-            f"in {summary.total_time:.2f}s over {len(summary.round_times)} "
-            f"rounds; retries={summary.retries} replans={summary.replans} "
-            f"coordinator_restarts={summary.restarts}{pipelined}"
-        )
-        print(
-            f"post-repair scrub: {report.chunks_checked} chunks checked, "
-            f"{len(report.corrupt)} corrupt"
-        )
-        if not report.clean:
-            for corrupt in report.corrupt:
-                print(
-                    f"corrupt chunk: stripe {corrupt.stripe_id} "
-                    f"index {corrupt.chunk_index} at node "
-                    f"{corrupt.node_id}",
-                    file=sys.stderr,
-                )
-            return 1
-        print("all repaired chunks verified byte-identical")
-        return 0
-    sharded = (
-        f" ({args.coordinators} coordinators, {summary.restarts} takeovers)"
-        if args.coordinators > 1
-        else ""
-    )
-    wire = "shared memory" if args.transport == "shm" else "TCP"
+            detail += f" slices={args.slices}"
     print(
-        f"repaired {summary.chunks_repaired} chunks over {wire} in "
-        f"{summary.total_time:.2f}s{sharded}{pipelined}; "
-        f"{summary.chunks_verified} chunks verified byte-identical"
+        f"repaired {summary.chunks_repaired} chunks over {fabric} in "
+        f"{summary.total_time:.2f}s (+{recovered} recovered, "
+        f"{len(summary.round_times)} rounds){detail}; "
+        f"retries={summary.retries} replans={summary.replans} "
+        f"coordinator_restarts={summary.restarts}"
     )
+    print(
+        f"post-repair scrub: {report.chunks_checked} chunks checked, "
+        f"{len(report.corrupt)} corrupt"
+    )
+    for corrupt in report.corrupt:
+        print(
+            f"corrupt chunk: stripe {corrupt.stripe_id} index "
+            f"{corrupt.chunk_index} at node {corrupt.node_id}",
+            file=sys.stderr,
+        )
+    if not report.clean:
+        return 1
+    print(f"{summary.chunks_verified} chunks verified byte-identical")
     return 0
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.chunk import NodeId
-from ..cluster.cluster import StorageCluster
+from ..cluster.cluster import ClusterError, StorageCluster
 from ..ec.codec import DecodeError, ErasureCodec
 from ..runtime.messages import (
     ChunkDelete,
@@ -371,7 +371,7 @@ class ObjectStore(RpcEndpoint):
         parts = []
         degraded_stripes = 0
         with self._client_flow():
-            for ref in manifest.stripes:
+            for ref in map(self._located, manifest.stripes):
                 data_chunks, degraded = self._read_stripe(manifest, ref)
                 parts.extend(data_chunks)
                 if degraded:
@@ -385,6 +385,16 @@ class ObjectStore(RpcEndpoint):
         self._count("gets")
         self._count("bytes_out", len(data))
         return GetResult(data=data, degraded_stripes=degraded_stripes)
+
+    def _located(self, ref: StripeRef) -> StripeRef:
+        """``ref`` with the stripe's current placement: a repair
+        relocates chunks in the cluster catalog (``apply_plan``), the
+        manifest only remembers where the PUT wrote them."""
+        try:
+            stripe = self.cluster.stripe(ref.stripe_id)
+        except ClusterError:
+            return ref  # manifest outlives the snapshot: try it
+        return StripeRef(ref.stripe_id, stripe.placement)
 
     def _read_stripe(
         self, manifest: ObjectManifest, ref: StripeRef
@@ -514,7 +524,7 @@ class ObjectStore(RpcEndpoint):
         """
         manifest = self.manifests.load(key)
         calls = []
-        for ref in manifest.stripes:
+        for ref in map(self._located, manifest.stripes):
             for index, dst in enumerate(ref.placement):
                 calls.append((dst, ChunkDelete(
                     stripe_id=ref.stripe_id,

@@ -9,10 +9,11 @@ length-prefixed CRC-checked frame format;
 once — send sequence, frame validation, delivery admission — and two
 backends supply the pipe: :class:`repro.net.tcp.TcpNetwork` (asyncio
 sockets) and :class:`repro.net.shm.ShmNetwork` (shared-memory rings).
-:mod:`repro.net.launch` holds the network factory, the one standalone
-agent runner and the one process-per-node repair driver behind
-``fastpr agent`` / ``fastpr gateway`` / ``fastpr repair --transport
-tcp|shm``; drive repairs through :class:`repro.RepairSession`.
+:mod:`repro.net.launch` holds peer specs, the network factory and the
+one standalone agent runner behind ``fastpr agent`` / ``fastpr gateway``
+/ ``fastpr repair --transport tcp|shm``; the repair driver itself is
+transport-blind (:mod:`repro.runtime.driver`) — drive repairs through
+:class:`repro.RepairSession`.
 """
 
 from .launch import (
@@ -20,12 +21,10 @@ from .launch import (
     PeerSpecError,
     allocate_ports,
     format_peer_spec,
-    load_node_data,
     parse_peer_spec,
     run_agent_process,
     sharded_peer_spec,
     shm_ring_name,
-    stripe_checksums,
 )
 from .shm import ShmNetwork, ShmRing, shm_available
 from .tcp import TcpNetwork
@@ -59,10 +58,8 @@ __all__ = [
     "encode_frame_parts",
     "shm_available",
     "format_peer_spec",
-    "load_node_data",
     "parse_peer_spec",
     "run_agent_process",
     "sharded_peer_spec",
     "shm_ring_name",
-    "stripe_checksums",
 ]

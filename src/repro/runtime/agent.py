@@ -446,9 +446,6 @@ class Agent:
             target and the reply address for messages that carry no
             ``reply_to``.  Replies to commands go to the command's own
             ``reply_to`` endpoint.
-        pipeline_depth: bounded queue between the packet reader and the
-            packet sender; 0 disables pipelining (read the whole chunk,
-            then send).
         ack_timeout: seconds a sender waits for a destination's
             :class:`WriteComplete` before NACKing the coordinator
             (defaults to ``config.ack_timeout``).
@@ -465,7 +462,6 @@ class Agent:
         store: ChunkStore,
         network: Network,
         coordinator_id: NodeId,
-        pipeline_depth: int = 2,
         ack_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -475,7 +471,6 @@ class Agent:
         self.store = store
         self.network = network
         self.coordinator_id = coordinator_id
-        self.pipeline_depth = pipeline_depth
         self.config = config or DEFAULT_CONFIG
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
@@ -1204,47 +1199,32 @@ class Agent:
         size = self.store.size(command.stripe_id)
         packet_size = min(command.packet_size, size)
         offsets = list(range(0, size, packet_size))
-        if self.pipeline_depth > 0 and len(offsets) > 1:
-            buffer: "queue.Queue" = queue.Queue(maxsize=self.pipeline_depth)
+        # Read ahead of the sender by up to two packets, so disk and
+        # NIC waits overlap.
+        buffer: "queue.Queue" = queue.Queue(maxsize=2)
 
-            def reader():
-                for offset in offsets:
-                    length = min(packet_size, size - offset)
-                    buffer.put(
-                        (
-                            offset,
-                            self.store.read_packet(
-                                command.stripe_id, offset, length
-                            ),
-                        )
-                    )
-
-            reader_thread = threading.Thread(
-                target=self._guard(reader),
-                name=f"agent-{self.node_id}-read",
-                daemon=True,
-            )
-            reader_thread.start()
-            for _ in offsets:
-                offset, payload = buffer.get()
-                self._send_packet(command, offset, payload)
-            reader_thread.join()
-        else:
-            # No pipelining: read everything, then send (64 MB packets
-            # in Experiment B.1).
-            packets = [
-                (
-                    offset,
-                    self.store.read_packet(
-                        command.stripe_id,
+        def reader():
+            for offset in offsets:
+                length = min(packet_size, size - offset)
+                buffer.put(
+                    (
                         offset,
-                        min(packet_size, size - offset),
-                    ),
+                        self.store.read_packet(
+                            command.stripe_id, offset, length
+                        ),
+                    )
                 )
-                for offset in offsets
-            ]
-            for offset, payload in packets:
-                self._send_packet(command, offset, payload)
+
+        reader_thread = threading.Thread(
+            target=self._guard(reader),
+            name=f"agent-{self.node_id}-read",
+            daemon=True,
+        )
+        reader_thread.start()
+        for _ in offsets:
+            offset, payload = buffer.get()
+            self._send_packet(command, offset, payload)
+        reader_thread.join()
 
     def _send_packet(
         self, command: SendCommand, offset: int, payload: bytes

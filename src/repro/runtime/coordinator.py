@@ -526,7 +526,7 @@ HelperBudget`; when set, each round's helper/destination node slots
         """
         if self._recovered is None:
             raise RuntimeError(
-                "resume() needs Coordinator.recover(); this coordinator "
+                "resume() needs Coordinator.recover; this coordinator "
                 "was not built from a journal"
             )
         state = self._recovered

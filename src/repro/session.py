@@ -1,12 +1,12 @@
 """One front door for executing a repair plan: :class:`RepairSession`.
 
-There are two execution paths behind it: ``transport="memory"`` runs
-the plan on an in-process :class:`~repro.runtime.testbed.\
-EmulatedTestbed`; ``"tcp"`` and ``"shm"`` open a wire network with
-:func:`repro.net.launch.open_network` and hand it to the one
-process-per-node driver, :func:`repro.net.launch.run_repair`, which
-does not know which pipe it is on.  :class:`RepairSession` is the
-builder in front of both::
+There is one driver behind it, :func:`repro.runtime.driver.run_repair`,
+and it does not know which pipe it is on.  The transports differ only
+in who hosts the agents: ``transport="memory"`` starts them as threads
+of this process on an :class:`~repro.runtime.testbed.EmulatedTestbed`;
+``"tcp"`` and ``"shm"`` reach agent processes through the network
+:func:`repro.net.launch.open_network` opens.  :class:`RepairSession` is
+the builder in front of that choice::
 
     from repro import RepairSession
 
@@ -37,6 +37,7 @@ the same combos at parse time) never launch half a run first.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -49,7 +50,6 @@ from .obs.metrics import MetricsRegistry
 from .obs.tracing import Tracer
 from .runtime.config import DEFAULT_CONFIG, RuntimeConfig
 from .runtime.faults import FaultPlan
-from .runtime.journal import CoordinatorCrash
 
 #: supported transports, pipelining modes (validated at construction)
 TRANSPORTS = ("memory", "tcp", "shm")
@@ -79,13 +79,13 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
     nacks: int = 0
     #: per-slice completions streamed back by destinations (chained)
     slices_completed: int = 0
-    #: coordinator restarts (memory) or shard takeovers (sharded)
+    #: coordinator crash recoveries plus shard takeovers
     restarts: int = 0
     round_times: List[float] = field(default_factory=list)
     dead_nodes: List[int] = field(default_factory=list)
     #: the driver-specific result object, untouched
     result: object = None
-    #: post-repair scrub report (memory runs with ``scrub=True``)
+    #: post-repair scrub report (runs with ``scrub=True``)
     scrub_report: object = None
 
     @property
@@ -165,24 +165,29 @@ class RepairSession:
             slices (0 keeps packet-granular chaining).
         peers: (tcp) ``{node_id: (host, port)}`` map or a
             ``node=host:port,...`` / ``@file.json`` spec string.
-        workdir: (tcp/shm) shared directory with each agent's chunk
-            store; also used for byte-identical verification.
+        workdir: directory with each agent's chunk store, read for
+            byte-identical verification (tcp/shm: required, shared with
+            the agent processes; memory: a temp dir by default).
         seed: deterministic data-set seed (must match the agents').
         config: runtime tuning; ``pipeline_slices`` is overridden from
             ``slices`` when pipelining is on.
         packet_size: transfer granularity (default chunk/16, >= 4 KiB).
         journal_path: write-ahead journal (single coordinator).
-        journal_dir: journal directory for sharded runs.
+        journal_dir: journal directory for sharded runs (default
+            ``<workdir>/shards``).
         faults: declarative fault plan to inject.
         topology: rack topology (resolves domain crashes).
         metrics, tracer: observability sinks shared with the driver.
-        resume: (tcp/shm) recover from ``journal_path`` instead of
-            starting fresh.
-        agent_timeout: (tcp/shm) seconds to wait for agents to answer.
-        max_restarts: (memory) bound on coordinator crash-recovery
-            cycles before the injected crash is re-raised.
-        scrub: (memory) run a post-repair checksum scrub of every
-            store; the report lands in ``RepairSummary.scrub_report``.
+        resume: recover from ``journal_path`` instead of starting
+            fresh (the interrupted run's ``workdir`` must survive).
+        agent_timeout: seconds to wait for agents to answer.
+        max_restarts: bound on coordinator crash-recovery cycles
+            before the injected crash is re-raised.
+        scrub: run a post-repair checksum scrub of every store; the
+            report lands in ``RepairSummary.scrub_report``.
+        arbiter: (memory) optional :class:`repro.gateway.\
+TrafficArbiter`; repair traffic is registered as a flow and paced
+            against the client bandwidth floor.
         log: optional callback for human-readable progress events
             (coordinator restarts, shard takeovers); ``None`` is
             silent.
@@ -234,11 +239,9 @@ class RepairSession:
         if coordinators < 1:
             raise ValueError("coordinators must be >= 1")
         if transport == "shm" and coordinators > 1:
-            # The driver itself is transport-blind; the hole is on the
-            # agent side: a shm agent derives its peers from the
-            # workdir and is never told a shard count, so it has no
-            # route to the coordinator<k> endpoints (a tcp agent gets
-            # them spelled out in its peer spec).
+            # The hole is on the agent side: it has no route to the
+            # coordinator<k> endpoints (a tcp agent's peer spec spells
+            # them out).
             raise ValueError(
                 "transport='shm' runs a single coordinator (shm agents "
                 "derive their peers from the workdir and know no shard "
@@ -249,11 +252,6 @@ class RepairSession:
         if transport in ("tcp", "shm") and workdir is None:
             raise ValueError(f"transport={transport!r} needs workdir")
         if resume:
-            if transport == "memory":
-                raise ValueError(
-                    "resume applies to tcp/shm runs; memory runs recover "
-                    "in-process via their own journal"
-                )
             if journal_path is None:
                 raise ValueError("resume needs journal_path")
             if coordinators > 1:
@@ -271,11 +269,6 @@ class RepairSession:
             raise ValueError(
                 "journal_dir applies to sharded runs; a single "
                 "coordinator journals to journal_path"
-            )
-        if journal_dir is not None and transport == "memory":
-            raise ValueError(
-                "transport='memory' keeps its shard journals under "
-                "<workdir>/shards; pass workdir instead of journal_dir"
             )
         if transport == "memory" and peers is not None:
             raise ValueError("peers only applies to transport='tcp'")
@@ -310,23 +303,15 @@ class RepairSession:
         self.topology = topology
         self.metrics = metrics
         self.tracer = tracer
-        if scrub and transport != "memory":
-            raise ValueError(
-                "scrub applies to transport='memory' (process-per-node "
-                "stores are verified through the shared workdir)"
-            )
         if arbiter is not None and transport != "memory":
             raise ValueError(
-                "arbiter applies to transport='memory' (QoS arbitration "
-                "happens inside the shared in-process fabric)"
+                "arbiter applies to transport='memory' (admission happens "
+                "in the sender's process; agent processes take no arbiter)"
             )
         self.resume = resume
         self.agent_timeout = agent_timeout
         self.max_restarts = max_restarts
         self.scrub = scrub
-        #: optional :class:`repro.gateway.TrafficArbiter`; repair
-        #: traffic is registered as a flow so the session's packets are
-        #: paced against the client bandwidth floor
         self.arbiter = arbiter
         self.log = log
 
@@ -337,139 +322,81 @@ class RepairSession:
 
         Repaired chunks are always verified byte-identical against the
         deterministic data set (raising
-        :class:`~repro.runtime.testbed.VerificationError` otherwise).
+        :class:`~repro.runtime.driver.VerificationError` otherwise).
         """
-        effective = apply_pipelining(self.plan, self.pipelining)
-        if self.transport == "memory":
-            return self._run_memory(effective)
-        return self._run_wire(effective)
+        from .runtime.driver import RepairDriver, run_repair
 
-    def _summary(self, result, verified: int, restarts: int) -> RepairSummary:
-        return RepairSummary(
-            transport=self.transport,
-            coordinators=self.coordinators,
-            pipelining=self.pipelining,
-            slices=self.slices,
-            total_time=result.total_time,
-            chunks_repaired=result.chunks_repaired,
-            chunks_verified=verified,
-            bytes_transferred=result.bytes_transferred,
-            retries=result.retries,
-            replans=result.replans,
-            nacks=getattr(result, "nacks", 0),
-            slices_completed=getattr(result, "slices_completed", 0),
-            restarts=restarts,
-            round_times=list(result.round_times),
-            dead_nodes=list(getattr(result, "dead_nodes", [])),
-            result=result,
-        )
-
-    def _run_memory(self, plan: RepairPlan) -> RepairSummary:
-        from .runtime.testbed import EmulatedTestbed
-
-        testbed = EmulatedTestbed(
-            self.cluster,
-            self.codec,
+        common = dict(
             packet_size=self.packet_size,
-            workdir=self.workdir,
             config=self.config,
-            faults=self.faults,
-            journal_path=(
-                self.journal_path if self.coordinators <= 1 else None
-            ),
+            journal_path=self.journal_path,
             metrics=self.metrics,
             tracer=self.tracer,
+            faults=self.faults,
             topology=self.topology,
-            arbiter=self.arbiter,
         )
-        restarts = 0
-        with testbed:
-            testbed.load_random_data(seed=self.seed)
-            if self.coordinators > 1:
-                result = testbed.execute_sharded(
-                    plan, num_coordinators=self.coordinators
+        with ExitStack() as stack:
+            if self.transport == "memory":
+                from .runtime.testbed import EmulatedTestbed
+
+                # The testbed is the driver plus the agents, as threads
+                # of this process for as long as the ``with`` lasts.
+                driver = EmulatedTestbed(
+                    self.cluster,
+                    self.codec,
+                    workdir=self.workdir,
+                    arbiter=self.arbiter,
+                    **common,
                 )
-                restarts = len(result.takeovers)
-                if self.log is not None:
-                    for event in result.takeovers:
-                        self.log(
-                            f"shard {event.shard} taken over by shard "
-                            f"{event.adopter} (epoch {event.epoch})"
-                        )
+                stack.enter_context(driver)
             else:
-                try:
-                    result = testbed.execute(plan)
-                except CoordinatorCrash as crash:
-                    # Injected coordinator death: recover from the
-                    # journal under a bumped epoch, bounded so a crash
-                    # plan denser than the plan's rounds still ends.
-                    if self.log is not None:
-                        self.log(
-                            f"coordinator crashed: {crash}; recovering "
-                            "from journal"
-                        )
-                    while True:
-                        restarts += 1
-                        if restarts > self.max_restarts:
-                            raise
-                        testbed.restart_coordinator()
-                        try:
-                            result = testbed.resume()
-                            break
-                        except CoordinatorCrash as crash:
-                            if self.log is not None:
-                                self.log(
-                                    f"coordinator crashed again: {crash}; "
-                                    "recovering"
-                                )
-            testbed.verify_plan(plan, result)
-            verified = result.chunks_repaired + getattr(
-                result, "recovered_chunks", 0
+                from .net.launch import open_network
+                from .runtime.coordinator import COORDINATOR_ID
+
+                network = open_network(
+                    self.transport,
+                    COORDINATOR_ID,
+                    peers=self.peers,
+                    workdir=self.workdir,
+                    peer_ids=self.cluster.nodes,
+                    config=self.config,
+                    metrics=self.metrics,
+                )
+                stack.callback(network.close)
+                driver = RepairDriver(
+                    network, self.cluster, self.codec, self.workdir, **common
+                )
+            driver.load_random_data(seed=self.seed)
+            result, verified, restarts = run_repair(
+                driver,
+                apply_pipelining(self.plan, self.pipelining),
+                coordinators=self.coordinators,
+                journal_dir=self.journal_dir,
+                resume=self.resume,
+                agent_timeout=self.agent_timeout,
+                max_restarts=self.max_restarts,
+                log=self.log,
             )
-            summary = self._summary(result, verified, restarts)
+            summary = RepairSummary(
+                transport=self.transport,
+                coordinators=self.coordinators,
+                pipelining=self.pipelining,
+                slices=self.slices,
+                total_time=result.total_time,
+                chunks_repaired=result.chunks_repaired,
+                chunks_verified=verified,
+                bytes_transferred=result.bytes_transferred,
+                retries=result.retries,
+                replans=result.replans,
+                nacks=getattr(result, "nacks", 0),
+                slices_completed=getattr(result, "slices_completed", 0),
+                restarts=restarts,
+                round_times=list(result.round_times),
+                dead_nodes=list(getattr(result, "dead_nodes", [])),
+                result=result,
+            )
             if self.scrub:
                 from .runtime.scrub import Scrubber
 
-                summary.scrub_report = Scrubber(testbed).scan()
+                summary.scrub_report = Scrubber(driver).scan()
             return summary
-
-    def _run_wire(self, plan: RepairPlan) -> RepairSummary:
-        from .net.launch import open_network, run_repair
-        from .runtime.coordinator import COORDINATOR_ID
-
-        network = open_network(
-            self.transport,
-            COORDINATOR_ID,
-            peers=self.peers,
-            workdir=self.workdir,
-            peer_ids=self.cluster.nodes,
-            config=self.config,
-            metrics=self.metrics,
-        )
-        result, verified = run_repair(
-            network,
-            self.cluster,
-            self.codec,
-            plan,
-            self.workdir,
-            coordinators=self.coordinators,
-            seed=self.seed,
-            config=self.config,
-            packet_size=self.packet_size,
-            journal_path=self.journal_path,
-            journal_dir=self.journal_dir,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            resume=self.resume,
-            agent_timeout=self.agent_timeout,
-            faults=self.faults,
-            topology=self.topology,
-        )
-        takeovers = getattr(result, "takeovers", ())
-        if self.log is not None:
-            for event in takeovers:
-                self.log(
-                    f"shard {event.shard} taken over by shard "
-                    f"{event.adopter} (epoch {event.epoch})"
-                )
-        return self._summary(result, verified, len(takeovers))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import StorageCluster
+from repro.core.planner import FastPRPlanner, apply_plan
 from repro.ec import make_codec
 from repro.gateway import (
     GatewayError,
@@ -141,6 +142,27 @@ class TestDegradedReads:
         assert result.degraded
         assert result.degraded_stripes >= 1
         assert counter_total(metrics, "gateway_degraded_reads_total") >= 1
+
+    def test_reads_go_direct_again_after_the_drain(self, tmp_path):
+        cluster, codec, testbed, metrics = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK, metrics=metrics
+        ) as store:
+            testbed.load_random_data(seed=6)
+            data = bytes(range(256)) * (codec.k * CHUNK // 256)
+            victim = self.data_victim(store.put("hot", data))
+            cluster.node(victim).mark_soon_to_fail()
+            assert store.get_result("hot").degraded
+            # The drain finishes and its placements are committed: the
+            # manifest still names the drained node, the catalog does not.
+            plan = FastPRPlanner(seed=0).plan(cluster, victim)
+            testbed.execute(plan)
+            apply_plan(cluster, plan)
+            cluster.decommission(victim)
+            result = store.get_result("hot")
+            assert result.data == data
+            assert not result.degraded
+            assert counter_total(metrics, "gateway_degraded_reads_total") == 1
 
     def test_failed_node_read_around(self, rig):
         cluster, codec, store, _ = rig

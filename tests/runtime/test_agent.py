@@ -31,7 +31,7 @@ def rig(tmp_path):
     for node_id in (0, 1):
         net.attach(node_id, None)
         store = ChunkStore(tmp_path / f"n{node_id}", node_id, RateLimiter(None))
-        agents[node_id] = Agent(node_id, store, net, COORD, pipeline_depth=2)
+        agents[node_id] = Agent(node_id, store, net, COORD)
         agents[node_id].start()
     yield net, coord, agents
     for agent in agents.values():

@@ -119,21 +119,3 @@ class TestLifecycle:
             plan = MigrationOnlyPlanner().plan(cluster, 0)
             testbed.execute(plan)
             testbed.verify_plan(plan)
-
-    def test_pipeline_depth_toggle(self, tmp_path):
-        cluster = StorageCluster.random(
-            6, 4, 4, 2, seed=3, chunk_size=4096, disk_bandwidth=1e9,
-            network_bandwidth=1e9,
-        )
-        cluster.node(0).mark_soon_to_fail()
-        with EmulatedTestbed(
-            cluster,
-            make_codec("rs(4,2)"),
-            workdir=tmp_path,
-            pipeline_depth=0,
-        ) as testbed:
-            assert all(a.pipeline_depth == 0 for a in testbed.agents.values())
-            testbed.load_random_data(seed=4)
-            plan = MigrationOnlyPlanner().plan(cluster, 0)
-            testbed.execute(plan)
-            testbed.verify_plan(plan)

@@ -14,13 +14,18 @@ are exercised in the backend-specific classes below; the coordinator
 kill/resume walk runs once per wire backend in :class:`TestKillResume`.
 """
 
+import dataclasses
 import socket
 import threading
 import time
 import zlib
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import RepairSession, apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
@@ -30,11 +35,14 @@ from repro.net.framed import FramedNetwork
 from repro.runtime import (
     COORDINATOR_ID,
     CoordinatorCrash,
+    CoordinatorCrashFault,
     FaultPlan,
     LinkFault,
+    RepairJournal,
     RuntimeConfig,
     Scrubber,
 )
+from repro.runtime.driver import run_repair
 from repro.runtime.faults import FaultInjector
 from repro.runtime.agent import Agent
 from repro.runtime.datanode import ChunkStore
@@ -741,3 +749,119 @@ class TestKillResume:
             assert net.net.frames_received.total() > 0
         finally:
             testbed.shutdown()
+
+
+# ----------------------------------------------------------------------
+# the one repair driver, over every backend
+# ----------------------------------------------------------------------
+
+
+def drive(backend_kind, workdir, pipelining="off", faults=None):
+    """One ``run_repair`` over a loopback-wired backend, agents in-process.
+
+    Returns ``(plan, result, verified, restarts, successor epoch,
+    journal records)``; the journal is the driver's default one.
+    """
+    backend = Backend(backend_kind)
+    cluster = StorageCluster.random(
+        num_nodes=8, num_stripes=10, n=5, k=3, num_hot_standby=0, seed=5,
+        chunk_size=1 << 14,
+    )
+    cluster.node(0).mark_soon_to_fail()
+    net = backend.make(metrics=MetricsRegistry())
+    backend.wire(net, list(cluster.nodes) + [COORDINATOR_ID])
+    slices = 4 if pipelining == "chain" else 0
+    testbed = EmulatedTestbed(
+        cluster,
+        make_codec("rs(5,3)"),
+        packet_size=1 << 12,
+        workdir=workdir / "bed",
+        config=dataclasses.replace(FAST, pipeline_slices=slices),
+        journal_path=workdir / "repair.journal" if faults is None else None,
+        faults=faults,
+        network=net,
+    )
+    try:
+        with testbed:
+            testbed.load_random_data(seed=5)
+            plan = apply_pipelining(FastPRPlanner(seed=5).plan(cluster, 0), pipelining)
+            result, verified, restarts = run_repair(testbed, plan)
+            return (
+                plan,
+                result,
+                verified,
+                restarts,
+                testbed.coordinator.epoch,
+                RepairJournal.replay(testbed.journal_path),
+            )
+    finally:
+        backend.close()
+
+
+BACKENDS = ["memory", *WIRE_BACKENDS]
+
+
+class TestOneDriver:
+    def test_driver_is_not_forked(self):
+        # One construction site each for a run's coordinators and one
+        # mismatch scan: a second driver shows up here first.
+        src = Path(repro.__file__).parent
+        sites = {"MultiCoordinator(": [], "Coordinator.recover(": [],
+                 "ChunkMismatch(": []}
+        for path in src.rglob("*.py"):
+            if path.name == "multicoord.py":
+                continue
+            text = path.read_text()
+            for needle, found in sites.items():
+                found.extend([path.name] * text.count(needle))
+        assert sites == {needle: ["driver.py"] for needle in sites}
+        assert not hasattr(RepairSession, "_run_memory")
+        assert not hasattr(RepairSession, "_run_wire")
+        assert not any(
+            "repro.net" in line or "..net" in line
+            for path in (src / "runtime").glob("*.py")
+            for line in path.read_text().splitlines()
+            if line.lstrip().startswith(("from ", "import "))
+        )
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_injected_coordinator_crash_recovers_in_place(self, kind, tmp_path):
+        faults = FaultPlan(
+            coordinator_crashes=[CoordinatorCrashFault(after_records=3)]
+        )
+        plan, result, verified, restarts, epoch, records = drive(
+            kind, tmp_path, faults=faults
+        )
+        assert restarts == 1
+        assert epoch == 1  # the successor; agents fenced epoch 0
+        assert result.chunks_repaired + result.recovered_chunks == (
+            plan.total_chunks
+        )
+        assert verified == plan.total_chunks
+        # The crash plan alone turned journaling on, at the default path.
+        assert sorted({r.epoch for r in records}) == [0, 1]
+
+    @pytest.mark.parametrize("pipelining", ["off", "chain"])
+    def test_every_backend_runs_the_same_repair(self, pipelining, tmp_path):
+        runs = {}
+        for kind in ["memory", "tcp"] + ["shm"] * shm_available():
+            plan, result, verified, restarts, _epoch, records = drive(
+                kind, tmp_path / kind, pipelining
+            )
+            kinds = [type(r).__name__ for r in records]
+            # ACK arrival order inside a round is timing, not protocol:
+            # compare the round skeleton in order plus per-kind totals.
+            inner = ("ActionCompleted", "SliceCompleted")
+            runs[kind] = (
+                sorted((a.stripe_id, a.chunk_index) for a in result.executed_actions),
+                [k for k in kinds if k not in inner],
+                Counter(kinds),
+                verified,
+                restarts,
+            )
+        assert runs["memory"][3] == plan.total_chunks
+        if pipelining == "chain":
+            chained = sum(1 for a in plan.actions() if a.pipelined)
+            assert runs["memory"][2]["SliceCompleted"] == 4 * chained > 0
+        for kind, run in runs.items():
+            assert run == runs["memory"], kind

@@ -57,7 +57,6 @@ PUBLIC_API = [
     "RuntimeConfig",
     "Scrubber",
     "ShardFailedError",
-    "StorageClient",
     "TakeoverEvent",
     "ShmNetwork",
     "TcpNetwork",
