@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test bench-smoke bench-hotpath profile
+.PHONY: test bench-smoke bench-hotpath profile pairs
 
 test:
 	$(PY) -m pytest -x -q tests/
@@ -28,3 +28,12 @@ bench-hotpath:
 profile:
 	$(PY) -m repro.bench.smoke -o /tmp/bench_repair_rounds.json \
 		--net-output '' --profile-out profile
+
+# Alternating parent/change pairs of one benchmarks/e2e workload, with
+# the choosing-metrics verdict (>= 9/10 wins and median gap > parent
+# IQR):  make pairs PARENT=HEAD~1 WORKLOAD=drain-cpu-mem [PAIRS=10 SEED=7]
+PAIRS ?= 10
+SEED ?= 7
+pairs:
+	python3 tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)

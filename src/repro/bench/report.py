@@ -6,6 +6,10 @@ This module folds the JSON documents into one markdown report — a table
 per panel — so a full reproduction run can be summarized with::
 
     python -m repro.bench.report benchmarks/results -o REPORT.md
+
+A hand-written ``<id>.notes.md`` beside ``<id>.json`` is placed under
+that experiment's heading, so commentary on a figure survives the next
+regeneration.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from typing import List, Optional
 from .harness import Experiment
 
 
-def experiment_to_markdown(experiment: Experiment) -> List[str]:
-    """Render one experiment as markdown blocks."""
+def experiment_to_markdown(
+    experiment: Experiment, notes: str = ""
+) -> List[str]:
+    """Render one experiment as markdown blocks (``notes`` first)."""
     out = [f"## {experiment.experiment_id}: {experiment.title}", ""]
+    if notes.strip():
+        out.extend([notes.strip(), ""])
     for panel in experiment.panels:
         out.append(f"### {panel.title}")
         out.append(f"*{panel.ylabel}*")
@@ -62,7 +70,12 @@ def generate_report(
     parts: List[str] = [f"# {title}", ""]
     for path in files:
         experiment = Experiment.from_dict(json.loads(path.read_text()))
-        parts.extend(experiment_to_markdown(experiment))
+        notes = path.with_suffix(".notes.md")
+        parts.extend(
+            experiment_to_markdown(
+                experiment, notes.read_text() if notes.is_file() else ""
+            )
+        )
     return "\n".join(parts)
 
 

@@ -126,7 +126,14 @@ class ShmRing:
             _RING_HEADER.pack_into(self.shm.buf, 0, 0, 0, capacity)
             self.capacity = capacity
         else:
-            self.shm = shared_memory.SharedMemory(name=name)
+            try:
+                self.shm = shared_memory.SharedMemory(name=name)
+            except ValueError:
+                # Linked but not yet sized ("cannot mmap an empty
+                # file"): the same not-there-yet as an unwritten header.
+                raise FileNotFoundError(
+                    f"ring {name} is still being created"
+                ) from None
             _untrack(name)
             _, _, self.capacity = _RING_HEADER.unpack_from(self.shm.buf, 0)
             if not self.capacity:

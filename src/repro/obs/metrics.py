@@ -96,6 +96,26 @@ class Metric:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
+        #: labels exactly as an update passed them -> their frozen set
+        self._frozen: Dict[tuple, LabelSet] = {}
+
+    def _freeze(self, labels: Dict[str, object]) -> LabelSet:
+        """:func:`_freeze_labels`, validated and sorted once per distinct
+        label set instead of on every update of a per-packet metric.
+
+        The memo key keeps each value's type beside it: ``1``, ``1.0``
+        and ``True`` hash alike but label differently.
+        """
+        if not labels:
+            return ()
+        try:
+            key = (*labels.items(), *map(type, labels.values()))
+            frozen = self._frozen.get(key)
+        except TypeError:  # unhashable label value
+            return _freeze_labels(labels)
+        if frozen is None:
+            frozen = self._frozen[key] = _freeze_labels(labels)
+        return frozen
 
     def samples(self) -> List[dict]:
         """JSON-compatible samples (one per label set)."""
@@ -125,14 +145,14 @@ class Counter(Metric):
     def inc(self, amount: Union[int, float] = 1, **labels) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name} cannot decrease")
-        key = _freeze_labels(labels)
+        key = self._freeze(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
         """Current value for one label set (0 if never incremented)."""
         with self._lock:
-            return self._values.get(_freeze_labels(labels), 0.0)
+            return self._values.get(self._freeze(labels), 0.0)
 
     def total(self) -> float:
         """Sum across every label set."""
@@ -168,10 +188,10 @@ class Gauge(Metric):
 
     def set(self, value: Union[int, float], **labels) -> None:
         with self._lock:
-            self._values[_freeze_labels(labels)] = float(value)
+            self._values[self._freeze(labels)] = float(value)
 
     def inc(self, amount: Union[int, float] = 1, **labels) -> None:
-        key = _freeze_labels(labels)
+        key = self._freeze(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -180,7 +200,7 @@ class Gauge(Metric):
 
     def value(self, **labels) -> float:
         with self._lock:
-            return self._values.get(_freeze_labels(labels), 0.0)
+            return self._values.get(self._freeze(labels), 0.0)
 
     def samples(self) -> List[dict]:
         with self._lock:
@@ -229,7 +249,7 @@ class Histogram(Metric):
         self._series: Dict[LabelSet, List] = {}
 
     def observe(self, value: Union[int, float], **labels) -> None:
-        key = _freeze_labels(labels)
+        key = self._freeze(labels)
         index = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)
@@ -242,18 +262,18 @@ class Histogram(Metric):
 
     def count(self, **labels) -> int:
         with self._lock:
-            series = self._series.get(_freeze_labels(labels))
+            series = self._series.get(self._freeze(labels))
             return 0 if series is None else series[2]
 
     def sum(self, **labels) -> float:
         with self._lock:
-            series = self._series.get(_freeze_labels(labels))
+            series = self._series.get(self._freeze(labels))
             return 0.0 if series is None else series[1]
 
     def bucket_counts(self, **labels) -> Dict[float, int]:
         """Cumulative counts per upper bound (including ``inf``)."""
         with self._lock:
-            series = self._series.get(_freeze_labels(labels))
+            series = self._series.get(self._freeze(labels))
             raw = [0] * (len(self.buckets) + 1) if series is None else series[0]
         cumulative: Dict[float, int] = {}
         running = 0

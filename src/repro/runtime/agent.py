@@ -7,20 +7,32 @@ Each storage node runs an :class:`Agent` with:
   synchronous round trip (the next chunk starts only after the
   destination confirms the previous one is written, matching the
   sequential read->transmit->write decomposition of Eq. (4)); within a
-  chunk, a reader thread and the sender loop pipeline packets (the
-  paper's multi-threaded pipeline, Experiment B.1),
+  chunk, a short-lived *reader* thread runs ahead of the sender loop by
+  up to the chunk (the paper's multi-threaded pipeline, Experiment B.1),
+* a *client worker* serving gateway chunk reads, writes and deletes off
+  the dispatcher thread,
 * one *decode thread per chunk being assembled*, which applies the
-  GF(2^8) recovery coefficient to each arriving packet and writes the
-  fully decoded chunk to disk (the paper's "one thread for decoding the
-  received packets"),
+  GF(2^8) recovery coefficient to each arriving packet (the paper's
+  "one thread for decoding the received packets"), plus its
+  *staging-writer* thread, which writes each fully decoded region to
+  the assembly's staging file while the next packet is decoded,
+* one *relay thread per chained stage*, plus its *relay-read* thread
+  double-buffering the stage's own chunk,
 * an optional *heartbeat* thread beaconing liveness to the coordinator.
+
+The hand-offs between those threads are ``queue.SimpleQueue``s, and a
+stream opens its chunk file once (:meth:`ChunkStore.open_read`,
+:meth:`ChunkStore.open_staged`): what a packet costs is its CRC, its
+GF math, one ``pread``/``pwrite`` and the limiters, not a file open or
+a blocking queue (DESIGN.md §13 has the per-packet table).
 
 Migration and reconstruction share one code path: a migration is an
 assembly with a single source whose coefficient is 1.
 
 Fault tolerance: every command carries an ``attempt`` number; stale
-packets and commands from superseded attempts are dropped, assemblies
-write to a staging file and promote atomically, failures that can be
+packets and commands from superseded attempts are dropped, every
+assembly writes to a staging file of its own (named by stripe, epoch
+and attempt) and promotes it atomically, failures that can be
 tied to an action are NACKed to the coordinator (instead of dying
 silently in a worker thread), and :meth:`crash` stands the whole agent
 down the way a killed process would.
@@ -56,7 +68,7 @@ from ..ec.galois import gf_addmul_bytes, gf_mul_bytes
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .config import DEFAULT_CONFIG, RuntimeConfig
-from .datanode import ChunkStore
+from .datanode import ChunkStore, ChunkWriter
 from .messages import (
     ActionKey,
     ChunkDelete,
@@ -137,7 +149,13 @@ class _Assembly:
     ):
         self.command = command
         self.store = store
-        self.packets: "queue.Queue" = queue.Queue()
+        self.packets: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: set by :meth:`abort`; honoured at the next packet, ahead of
+        #: whatever backlog is queued
+        self._aborted = False
+        #: this assembly's own staging file, opened by :meth:`run`; the
+        #: agent promotes or discards it once the chunk is decoded
+        self.staged: Optional[ChunkWriter] = None
         self._buffer = np.zeros(command.chunk_size, dtype=np.uint8)
         #: offset -> set of sources that already contributed (dedupes
         #: duplicated packets, which would otherwise double-apply coeffs)
@@ -151,7 +169,7 @@ class _Assembly:
         self._on_slice = on_slice
         #: completed regions queued to the staging-writer thread, so
         #: the (throttled) disk write overlaps the next packet's GF math
-        self._writes: "queue.Queue" = queue.Queue()
+        self._writes: "queue.SimpleQueue" = queue.SimpleQueue()
         self._write_error: Optional[BaseException] = None
         #: telemetry accumulated over the assembly's lifetime
         self.decode_seconds = 0.0
@@ -165,7 +183,10 @@ class _Assembly:
         return (size + packet - 1) // packet
 
     def abort(self) -> None:
-        """Unblock the decode thread; it discards staging and exits."""
+        """Stop the decode thread at its next packet (the sentinel only
+        wakes it if it is blocked on an empty queue); it discards its
+        staging file and exits."""
+        self._aborted = True
         self.packets.put(_ABORT)
 
     def _staging_writer(self) -> None:
@@ -176,7 +197,6 @@ class _Assembly:
         thread never touches those buffer bytes again and the write
         can proceed without copying them out (no ``tobytes``).
         """
-        size = self.command.chunk_size
         while True:
             item = self._writes.get()
             if item is None:
@@ -184,13 +204,7 @@ class _Assembly:
             offset, end = item
             started = time.perf_counter()
             try:
-                self.store.write_packet(
-                    self.command.stripe_id,
-                    offset,
-                    self._buffer[offset:end],
-                    size,
-                    staged=True,
-                )
+                self.staged.write(offset, self._buffer[offset:end])
             except BaseException as exc:  # surfaced by run() after join
                 self._write_error = exc
                 return
@@ -204,6 +218,11 @@ class _Assembly:
         """
         num_sources = len(self.command.sources)
         size = self.command.chunk_size
+        self.staged = self.store.open_staged(
+            self.command.stripe_id,
+            size,
+            tag=f"e{self.command.epoch}a{self.command.attempt}",
+        )
         writer = threading.Thread(
             target=self._staging_writer,
             name=f"agent-staging-{self.command.key}",
@@ -211,10 +230,11 @@ class _Assembly:
         )
         writer.start()
         started_at = time.perf_counter()
+        complete = False
         try:
             while self._remaining_offsets > 0:
                 packet = self.packets.get()
-                if packet is _ABORT:
+                if self._aborted:
                     return False
                 if (
                     packet.attempt != self.command.attempt
@@ -264,20 +284,18 @@ class _Assembly:
                         )
                 if self._write_error is not None:
                     break
-            return self._finish_writer(writer)
+            self._writes.put(None)
+            writer.join()
+            if self._write_error is not None:
+                raise self._write_error
+            complete = True
+            return True
         finally:
             if writer.is_alive():
                 self._writes.put(None)
                 writer.join()
-            if self._remaining_offsets > 0:
-                self.store.discard_staged(self.command.stripe_id)
-
-    def _finish_writer(self, writer: threading.Thread) -> bool:
-        self._writes.put(None)
-        writer.join()
-        if self._write_error is not None:
-            raise self._write_error
-        return True
+            if not complete:
+                self.staged.discard()
 
 
 class _Relay:
@@ -293,9 +311,12 @@ class _Relay:
         self.command = command
         self.store = store
         self.agent = agent
-        self.packets: "queue.Queue" = queue.Queue()
+        self.packets: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._aborted = False
 
     def abort(self) -> None:
+        """Stop at the next packet (see :meth:`_Assembly.abort`)."""
+        self._aborted = True
         self.packets.put(_ABORT)
 
     def run(self) -> None:
@@ -319,22 +340,21 @@ class _Relay:
             np.empty(packet_size, dtype=np.uint8),
             np.empty(packet_size, dtype=np.uint8),
         ]
-        free: "queue.Queue" = queue.Queue()
+        free: "queue.SimpleQueue" = queue.SimpleQueue()
         free.put(0)
         free.put(1)
-        ready: "queue.Queue" = queue.Queue()
+        ready: "queue.SimpleQueue" = queue.SimpleQueue()
 
         def read_ahead():
             try:
-                for offset in offsets:
-                    length = min(packet_size, size - offset)
-                    index = free.get()
-                    if index is None:
-                        return  # relay finished early (abort/supersede)
-                    self.store.read_packet_into(
-                        command.stripe_id, offset, bufs[index][:length]
-                    )
-                    ready.put((index, length))
+                with self.store.open_read(command.stripe_id) as chunk:
+                    for offset in offsets:
+                        length = min(packet_size, size - offset)
+                        index = free.get()
+                        if index is None:
+                            return  # relay finished early (abort/supersede)
+                        chunk.read_into(offset, bufs[index][:length])
+                        ready.put((index, length))
             except Exception as exc:
                 ready.put(exc)
 
@@ -349,6 +369,8 @@ class _Relay:
                 item = ready.get()
                 if isinstance(item, BaseException):
                     raise item
+                if self._aborted:
+                    return
                 index, length = item
                 own = bufs[index][:length]
                 # Fresh output per packet: the transport may reference
@@ -410,7 +432,7 @@ class _Relay:
                     f"relay {self.command.key} at node {self.agent.node_id}: "
                     f"no upstream packet for offset {offset} within {timeout}s"
                 ) from None
-            if upstream is _ABORT:
+            if self._aborted:
                 return None
             if (
                 upstream.attempt != self.command.attempt
@@ -469,6 +491,9 @@ class Agent:
     ):
         self.node_id = node_id
         self.store = store
+        # This agent is the store's only writer: anything staged before
+        # it existed is an orphan of a process that died mid-assembly.
+        store.sweep_staged()
         self.network = network
         self.coordinator_id = coordinator_id
         self.config = config or DEFAULT_CONFIG
@@ -513,14 +538,16 @@ class Agent:
         self._epochs: Dict[NodeId, int] = {}
         self._epoch_for(coordinator_id)
         self._assembly_lock = threading.Lock()
-        self._send_queue: "queue.Queue" = queue.Queue()
+        self._send_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         #: gateway chunk ops (ChunkRead/ChunkWrite/ChunkDelete) are
         #: served off the dispatcher thread so a throttled client read
         #: never delays repair traffic dispatch
-        self._client_queue: "queue.Queue" = queue.Queue()
+        self._client_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._write_acks: Dict[tuple, threading.Event] = {}
         self._ack_lock = threading.Lock()
         self._threads = []
+        #: per-action decode/relay threads still running
+        self._workers = []
         self.errors = []
         self._started = False
         self._stop_event = threading.Event()
@@ -555,15 +582,39 @@ class Agent:
             self._threads.append(thread)
 
     def stop(self) -> None:
-        """Stop both worker loops and join them."""
+        """Stop the worker loops, stand down whatever assembly or relay
+        is still in flight (each discards its staging file), join all."""
         self._stop_event.set()
         self._endpoint.inbox.put(Shutdown())
         self._send_queue.put(None)
         self._client_queue.put(None)
+        # Loops first: the dispatcher may still start work from what
+        # was queued ahead of the Shutdown.
         for thread in self._threads:
             thread.join(timeout=self.config.join_timeout)
+        self._abort_in_flight()
+        for thread in self._workers:
+            thread.join(timeout=self.config.join_timeout)
         self._threads = []
+        self._workers = []
         self._started = False
+
+    def _abort_in_flight(self) -> None:
+        with self._assembly_lock:
+            for assembly in self._assemblies.values():
+                assembly.abort()
+            for relay in self._relays.values():
+                relay.abort()
+            self._assemblies.clear()
+            self._relays.clear()
+            self._pending.clear()
+
+    def _spawn_worker(self, target, name: str) -> None:
+        """Start a per-action thread that :meth:`stop` will join."""
+        thread = threading.Thread(target=target, name=name, daemon=True)
+        self._workers = [t for t in self._workers if t.is_alive()]
+        self._workers.append(thread)
+        thread.start()
 
     def crash(self) -> None:
         """Stand down as if the node's process was killed.
@@ -575,14 +626,7 @@ class Agent:
         """
         self.crashed = True
         self._stop_event.set()
-        with self._assembly_lock:
-            for assembly in self._assemblies.values():
-                assembly.abort()
-            for relay in self._relays.values():
-                relay.abort()
-            self._assemblies.clear()
-            self._relays.clear()
-            self._pending.clear()
+        self._abort_in_flight()
         with self._ack_lock:
             for event in self._write_acks.values():
                 event.set()
@@ -877,8 +921,8 @@ class Agent:
             self._assemblies[command.key] = assembly
             for packet in self._pending.pop(command.key, []):
                 assembly.packets.put(packet)
-        thread = threading.Thread(
-            target=self._guard(
+        self._spawn_worker(
+            self._guard(
                 lambda: self._run_assembly(assembly),
                 key=command.key,
                 attempt=command.attempt,
@@ -886,9 +930,7 @@ class Agent:
                 reply_to=command.reply_to,
             ),
             name=f"agent-{self.node_id}-decode-{command.key}",
-            daemon=True,
         )
-        thread.start()
 
     def _start_relay(self, command: RelayCommand) -> None:
         if not self._note_attempt(command.key, _generation(command)):
@@ -903,8 +945,8 @@ class Agent:
             self._relays[command.key] = relay
             for packet in self._pending.pop(command.key, []):
                 relay.packets.put(packet)
-        thread = threading.Thread(
-            target=self._guard(
+        self._spawn_worker(
+            self._guard(
                 lambda: self._run_relay(relay),
                 key=command.key,
                 attempt=command.attempt,
@@ -912,9 +954,7 @@ class Agent:
                 reply_to=command.reply_to,
             ),
             name=f"agent-{self.node_id}-relay-{command.key}",
-            daemon=True,
         )
-        thread.start()
 
     def _run_relay(self, relay: _Relay) -> None:
         try:
@@ -942,7 +982,7 @@ class Agent:
                 promo = self.tracer.start_span(
                     "promotion", parent=assembly.span, node=self.node_id
                 )
-                self.store.promote(assembly.command.stripe_id)
+                assembly.staged.promote()
                 promo.finish()
                 self._completed[key] = (epoch, attempt)
                 self._pending.pop(key, None)
@@ -950,7 +990,7 @@ class Agent:
             elif decoded:
                 # Fully decoded, but fenced or superseded meanwhile: a
                 # fenced epoch must not publish anything.
-                self.store.discard_staged(assembly.command.stripe_id)
+                assembly.staged.discard()
         if not promoted:
             if assembly.span is not None:
                 assembly.span.finish(promoted=False)
@@ -1198,33 +1238,38 @@ class Agent:
         """Read the local chunk packet-by-packet and stream it out."""
         size = self.store.size(command.stripe_id)
         packet_size = min(command.packet_size, size)
-        offsets = list(range(0, size, packet_size))
-        # Read ahead of the sender by up to two packets, so disk and
-        # NIC waits overlap.
-        buffer: "queue.Queue" = queue.Queue(maxsize=2)
+        offsets = range(0, size, packet_size)
+        # The reader runs ahead of the sender so disk and NIC waits
+        # overlap, and never blocks on the sender: the read-ahead is
+        # bounded by the chunk, and the send worker streams one chunk
+        # at a time, so that is one chunk of memory per node.
+        ahead: "queue.SimpleQueue" = queue.SimpleQueue()
+        abandoned = threading.Event()
 
         def reader():
-            for offset in offsets:
-                length = min(packet_size, size - offset)
-                buffer.put(
-                    (
-                        offset,
-                        self.store.read_packet(
-                            command.stripe_id, offset, length
-                        ),
-                    )
-                )
+            try:
+                with self.store.open_read(command.stripe_id) as chunk:
+                    for offset in offsets:
+                        if abandoned.is_set():
+                            return
+                        length = min(packet_size, size - offset)
+                        ahead.put((offset, chunk.read(offset, length)))
+            except Exception as exc:
+                ahead.put(exc)
 
         reader_thread = threading.Thread(
-            target=self._guard(reader),
-            name=f"agent-{self.node_id}-read",
-            daemon=True,
+            target=reader, name=f"agent-{self.node_id}-read", daemon=True
         )
         reader_thread.start()
-        for _ in offsets:
-            offset, payload = buffer.get()
-            self._send_packet(command, offset, payload)
-        reader_thread.join()
+        try:
+            for _ in offsets:
+                item = ahead.get()
+                if isinstance(item, BaseException):
+                    raise item
+                self._send_packet(command, *item)
+        finally:
+            abandoned.set()
+            reader_thread.join()
 
     def _send_packet(
         self, command: SendCommand, offset: int, payload: bytes

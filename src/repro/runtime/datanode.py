@@ -4,16 +4,123 @@ Each node's agent owns a :class:`ChunkStore` — a directory of chunk
 files (one per stripe the node participates in), with reads and writes
 throttled by the node's emulated disk bandwidth.  This is the stand-in
 for the HDFS DataNode block storage of the paper's testbed.
+
+A chunk moves as a stream of packets, so the per-packet work is one
+``pread``/``pwrite`` (plus the disk limiter) on a handle opened once
+per stream: :class:`ChunkReader` at the source, :class:`ChunkWriter`
+at the destination.  The store's packet methods are one-shot wrappers
+over the same handles.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cluster.chunk import NodeId, StripeId
 from .throttle import RateLimiter
+
+
+class _ChunkFile:
+    """An open chunk file; closing is idempotent, ``with`` closes."""
+
+    _fd = -1
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ChunkReader(_ChunkFile):
+    """One stored chunk opened for packet reads (one fd per stream)."""
+
+    def __init__(self, store: "ChunkStore", stripe_id: StripeId):
+        self._disk = store.disk
+        self._stripe_id = stripe_id
+        self._fd = os.open(store._path(stripe_id), os.O_RDONLY)
+
+    def _short(self, offset: int, got: int, length: int) -> IOError:
+        return IOError(
+            f"short read on stripe {self._stripe_id} at {offset}: "
+            f"{got} < {length}"
+        )
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Read one packet, charged against the disk limiter."""
+        self._disk.throttle(length)
+        data = os.pread(self._fd, length, offset)
+        if len(data) != length:
+            raise self._short(offset, len(data), length)
+        return data
+
+    def read_into(self, offset: int, out) -> int:
+        """Fill a caller-owned writable buffer from ``offset`` (throttled)."""
+        length = len(out)
+        self._disk.throttle(length)
+        read = os.preadv(self._fd, [out], offset)
+        if read != length:
+            raise self._short(offset, read, length)
+        return read
+
+
+class ChunkWriter(_ChunkFile):
+    """One chunk file being assembled: pre-sized, written at offsets.
+
+    Opened on a staging path it is the whole life of a repaired chunk:
+    packets land in any order, then :meth:`promote` publishes the file
+    atomically or :meth:`discard` removes it — only ever *this* file,
+    so a superseded assembly standing down late cannot touch the file
+    its retry is writing.
+    """
+
+    def __init__(
+        self,
+        store: "ChunkStore",
+        stripe_id: StripeId,
+        path: Path,
+        total_size: int,
+    ):
+        self._store = store
+        self._stripe_id = stripe_id
+        self.path = path
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        # Pre-size the file so packets may land in any order.
+        if os.fstat(self._fd).st_size != total_size:
+            os.ftruncate(self._fd, total_size)
+
+    def write(self, offset: int, data) -> None:
+        """Write one packet at ``offset`` (throttled)."""
+        view = memoryview(data)
+        self._store.disk.throttle(view.nbytes)
+        while view.nbytes:
+            written = os.pwrite(self._fd, view, offset)
+            offset += written
+            view = view[written:]
+
+    def promote(self) -> None:
+        """Atomically publish the assembled file as the stripe's chunk."""
+        self.close()
+        self._store._publish(self.path, self._stripe_id)
+
+    def discard(self) -> None:
+        """Drop this partial assembly (aborted, superseded or fenced)."""
+        self.close()
+        _remove(self.path)
+
+
+def _remove(path: Path) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 class ChunkStore:
@@ -39,8 +146,20 @@ class ChunkStore:
     def _path(self, stripe_id: StripeId) -> Path:
         return self.root / f"stripe_{stripe_id}.chunk"
 
-    def _staging_path(self, stripe_id: StripeId) -> Path:
-        return self.root / f"stripe_{stripe_id}.chunk.part"
+    def _staging_path(self, stripe_id: StripeId, tag: str = "") -> Path:
+        suffix = f".{tag}" if tag else ""
+        return self.root / f"stripe_{stripe_id}.chunk.part{suffix}"
+
+    def sweep_staged(self) -> None:
+        """Remove every staging file.
+
+        For the store's *owner* (its agent) at start-up: whatever is
+        staged then belongs to a process that died mid-assembly.  A
+        second ``ChunkStore`` on the same directory — the repair
+        driver's verification view — must not call this.
+        """
+        for path in list(self.root.glob("stripe_*.chunk.part*")):
+            _remove(path)
 
     # ------------------------------------------------------------------
 
@@ -66,37 +185,37 @@ class ChunkStore:
             self._sizes[stripe_id] = size
         return size
 
+    def open_read(self, stripe_id: StripeId) -> ChunkReader:
+        """Open a stored chunk for a stream of packet reads."""
+        return ChunkReader(self, stripe_id)
+
+    def open_staged(
+        self, stripe_id: StripeId, total_size: int, tag: str = ""
+    ) -> ChunkWriter:
+        """Open a staging file for a chunk about to be assembled.
+
+        ``tag`` names the assembly (the agent passes epoch + attempt):
+        concurrent assemblies of one stripe each stage into their own
+        file.  The untagged file is the one :meth:`write_packet`,
+        :meth:`promote` and :meth:`discard_staged` address.
+        """
+        return ChunkWriter(
+            self, stripe_id, self._staging_path(stripe_id, tag), total_size
+        )
+
     def read_packet(self, stripe_id: StripeId, offset: int, length: int) -> bytes:
         """Read one packet, charged against the disk limiter."""
-        self.disk.throttle(length)
-        with open(self._path(stripe_id), "rb") as f:
-            f.seek(offset)
-            data = f.read(length)
-        if len(data) != length:
-            raise IOError(
-                f"short read on stripe {stripe_id} at {offset}: "
-                f"{len(data)} < {length}"
-            )
-        return data
+        with self.open_read(stripe_id) as chunk:
+            return chunk.read(offset, length)
 
     def read_packet_into(self, stripe_id: StripeId, offset: int, out) -> int:
         """Read one packet into a caller-owned buffer (throttled).
 
         ``out`` is any writable buffer (memoryview, numpy array); the
-        read fills it completely.  This is the allocation-free variant
-        of :meth:`read_packet` used by double-buffered pipelines.
+        read fills it completely.
         """
-        length = len(out)
-        self.disk.throttle(length)
-        with open(self._path(stripe_id), "rb") as f:
-            f.seek(offset)
-            read = f.readinto(out)
-        if read != length:
-            raise IOError(
-                f"short read on stripe {stripe_id} at {offset}: "
-                f"{read} < {length}"
-            )
-        return read
+        with self.open_read(stripe_id) as chunk:
+            return chunk.read_into(offset, out)
 
     def write_packet(
         self,
@@ -108,44 +227,40 @@ class ChunkStore:
     ) -> None:
         """Write one packet of a chunk being assembled.
 
-        With ``staged=True`` the packet lands in a ``.part`` staging
-        file that only becomes the chunk on :meth:`promote` — so a
-        crashed or retried assembly never leaves a torn chunk behind.
+        With ``staged=True`` the packet lands in the untagged ``.part``
+        staging file that only becomes the chunk on :meth:`promote` —
+        so a crashed or retried assembly never leaves a torn chunk
+        behind.
         """
-        self.disk.throttle(len(data))
         path = self._staging_path(stripe_id) if staged else self._path(stripe_id)
-        if not path.exists():
-            # Pre-size the file so packets may land in any order.
-            with open(path, "wb") as f:
-                f.truncate(total_size)
-        with open(path, "r+b") as f:
-            f.seek(offset)
-            f.write(data)
+        with ChunkWriter(self, stripe_id, path, total_size) as chunk:
+            chunk.write(offset, data)
         if not staged:
             self._sizes[stripe_id] = total_size
 
-    def promote(self, stripe_id: StripeId) -> None:
-        """Atomically publish a fully assembled staged chunk.
+    def _publish(self, staging: Path, stripe_id: StripeId) -> None:
+        """``os.replace`` a staging file over the stripe's chunk.
 
-        ``os.replace`` is atomic on POSIX, so readers see either the
-        old chunk (if any) or the complete new one — never a torn mix.
+        Atomic on POSIX, so readers see either the old chunk (if any)
+        or the complete new one — never a torn mix.
         """
-        staging = self._staging_path(stripe_id)
-        if not staging.exists():
+        try:
+            size = staging.stat().st_size
+        except FileNotFoundError:
             raise FileNotFoundError(
                 f"node {self.node_id}: no staged chunk for stripe {stripe_id}"
-            )
-        size = staging.stat().st_size
+            ) from None
         os.replace(staging, self._path(stripe_id))
         self._sizes[stripe_id] = size
         self.promotions[stripe_id] = self.promotions.get(stripe_id, 0) + 1
 
+    def promote(self, stripe_id: StripeId) -> None:
+        """Atomically publish the untagged staged chunk."""
+        self._publish(self._staging_path(stripe_id), stripe_id)
+
     def discard_staged(self, stripe_id: StripeId) -> None:
-        """Drop a partial staged assembly (aborted or superseded)."""
-        try:
-            os.remove(self._staging_path(stripe_id))
-        except FileNotFoundError:
-            pass
+        """Drop the untagged staged chunk, if any."""
+        _remove(self._staging_path(stripe_id))
 
     def read(self, stripe_id: StripeId, throttled: bool = False) -> bytes:
         """Read a whole chunk (verification; unthrottled by default)."""
@@ -154,10 +269,7 @@ class ChunkStore:
         return self._path(stripe_id).read_bytes()
 
     def delete(self, stripe_id: StripeId) -> None:
-        try:
-            os.remove(self._path(stripe_id))
-        except FileNotFoundError:
-            pass
+        _remove(self._path(stripe_id))
         self._sizes.pop(stripe_id, None)
 
     def stripes(self) -> List[StripeId]:

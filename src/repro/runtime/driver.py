@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -508,12 +509,20 @@ class RepairDriver:
 
     # -- running -------------------------------------------------------
 
-    def probe(self, plan: RepairPlan, timeout: float = 60.0) -> None:
-        """Barrier: block until every node the plan touches answers a
-        ping (lazy connects absorb agent-process startup races)."""
+    def probe(
+        self,
+        plan: RepairPlan,
+        timeout: float = 60.0,
+        also: Iterable[NodeId] = (),
+    ) -> None:
+        """Barrier: block until every node the plan touches, and every
+        node in ``also``, answers a ping (lazy connects absorb
+        agent-process startup races; an agent answers only once its
+        data is loaded)."""
         pending = {a.destination for a in plan.actions()} | {
             s for a in plan.actions() for s in a.sources
         }
+        pending.update(also)
         deadline = time.monotonic() + timeout
         while True:
             pending -= self.coordinator._probe(set(pending))
@@ -567,12 +576,15 @@ def run_repair(
     agent_timeout: float = 60.0,
     max_restarts: int = 8,
     log: Optional[Callable[[str], None]] = None,
+    await_nodes: Iterable[NodeId] = (),
 ) -> Tuple[Result, int, int]:
     """Drive one repair to a verified end; the same on every transport.
 
     Build a coordinator (``resume=True``: recover it from the journal,
     epoch + 1, agents fence the old epoch) unless the driver holds one;
-    gate on every involved agent answering a ping; with
+    gate on every involved agent — the plan's, plus ``await_nodes``
+    (whatever else the caller will read afterwards, e.g. every store
+    for a post-repair scrub) — answering a ping; with
     ``coordinators > 1`` hand over to that many shard coordinators;
     install the fault injector only now, so fault time zero is the
     start of the repair, not of the probe sweep; execute (or resume).
@@ -591,7 +603,7 @@ def run_repair(
     try:
         if resume or driver.coordinator is None:
             driver.build(resume=resume)
-        driver.probe(plan, agent_timeout)
+        driver.probe(plan, agent_timeout, also=await_nodes)
         if coordinators > 1:
             driver.shard(coordinators, journal_dir)
         if resume:

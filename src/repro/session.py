@@ -376,6 +376,15 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
                 agent_timeout=self.agent_timeout,
                 max_restarts=self.max_restarts,
                 log=self.log,
+                # The scrub reads every store: a node the plan never
+                # touches must have finished loading its data too.
+                await_nodes=[
+                    node_id
+                    for node_id in self.cluster.nodes
+                    if not self.cluster.node(node_id).is_failed
+                ]
+                if self.scrub
+                else (),
             )
             summary = RepairSummary(
                 transport=self.transport,

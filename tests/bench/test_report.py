@@ -56,6 +56,15 @@ class TestGenerateReport:
         report = generate_report(results_dir)
         assert report.index("fig2") < report.index("lrc_extension")
 
+    def test_notes_file_lands_under_its_heading(self, results_dir):
+        (results_dir / "fig2.notes.md").write_text("Read this first.\n")
+        report = generate_report(results_dir)
+        heading = report.index("## fig2: Mathematical analysis")
+        assert heading < report.index("Read this first.") < report.index(
+            "### Fig 2(a)"
+        )
+        assert report.count("Read this first.") == 1
+
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             generate_report(tmp_path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,34 @@ class TestCounter:
         counter = MetricsRegistry().counter("c")
         with pytest.raises(MetricError):
             counter.inc(-1)
+
+    def test_invalid_label_name_rejected_at_first_use(self):
+        registry = MetricsRegistry()
+        for update in (
+            registry.counter("c").inc,
+            registry.gauge("g").set,
+            registry.histogram("h").observe,
+        ):
+            update(1, node=3)  # a valid set frozen before changes nothing
+            for _ in range(2):  # and a rejected one is never memoised
+                with pytest.raises(MetricError):
+                    update(1, **{"bad-name": 3})
+
+    def test_label_order_and_value_type(self):
+        counter = MetricsRegistry().counter("c")
+        counter.inc(1, src=0, dst=1)
+        counter.inc(1, dst=1, src=0)
+        assert counter.value(src=0, dst=1) == 2
+        # Equal-hashing values of different types label differently.
+        counter.inc(1, node=1)
+        counter.inc(1, node=1.0)
+        counter.inc(1, node=True)
+        counter.inc(1, node="1")
+        assert counter.value(node=1) == 2  # 1 and "1" both label as "1"
+        assert counter.value(node=1.0) == 1
+        assert counter.value(node=True) == 1
+        counter.inc(1, node=[1])  # unhashable values still label by str()
+        assert counter.value(node=[1]) == 1
 
 
 class TestGauge:
@@ -125,7 +154,47 @@ def _populated_registry() -> MetricsRegistry:
     return registry
 
 
+def _golden_registry() -> MetricsRegistry:
+    """A fixed sequence of updates: repeated and reordered label sets,
+    look-alike label values, unlabeled series."""
+    registry = MetricsRegistry()
+    sent = registry.counter("net_bytes_sent_total", "payload bytes sent, by node")
+    depth = registry.gauge("net_inbox_depth", "inbox depth, by node")
+    wait = registry.histogram(
+        "ratelimiter_wait_seconds", "reservation wait", buckets=[0.001, 0.1]
+    )
+    for packet in range(6):
+        sent.inc(65536, node=packet % 2)
+        depth.set(packet, node=packet % 2)
+        wait.observe(0.0005 * packet, device="nic_out", node=packet % 2)
+        wait.observe(0.05, node=packet % 2, device="nic_out")
+    sent.inc(1)
+    sent.inc(2, node="1")
+    sent.inc(3, node=1.0)
+    sent.inc(4, node=True)
+    sent.inc(5, src=0, dst=1)
+    sent.inc(6, dst=1, src=0)
+    depth.inc(2, node=0)
+    depth.dec(1, node=0)
+    wait.observe(7)
+    return registry
+
+
 class TestExposition:
+    def test_output_matches_golden(self):
+        """Both expositions byte for byte as before label sets were
+        memoised (the golden files were written by that code)."""
+        registry = _golden_registry()
+        here = Path(__file__).parent
+        assert (
+            json.dumps(registry.to_dict(), indent=1, sort_keys=True) + "\n"
+            == (here / "golden_metrics.json").read_text()
+        )
+        assert (
+            registry.render_prometheus()
+            == (here / "golden_metrics.prom").read_text()
+        )
+
     def test_json_document_shape(self, tmp_path):
         registry = _populated_registry()
         path = tmp_path / "metrics.json"

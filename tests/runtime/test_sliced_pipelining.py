@@ -257,7 +257,7 @@ def _run_assembly(tmp_path, command, packets, on_slice=None):
         assembly.packets.put(packet)
     thread.join(timeout=10.0)
     assert not thread.is_alive(), "assembly never completed"
-    store.promote(command.stripe_id)
+    assembly.staged.promote()
     return store.read_packet(command.stripe_id, 0, command.chunk_size)
 
 
