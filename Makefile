@@ -4,7 +4,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test bench-smoke bench-hotpath profile pairs
+.PHONY: test bench-smoke bench-hotpath profile pairs packet-sweep
 
 test:
 	$(PY) -m pytest -x -q tests/
@@ -37,3 +37,11 @@ SEED ?= 7
 pairs:
 	python3 tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED)
+
+# End-to-end packet-size sweep of one drain rig against the size
+# core.analysis.optimal_packet_size picks for it; non-zero when the pick
+# is more than 5 % slower than the best swept size:
+#   make packet-sweep WORKLOAD=drain-cpu-mem [SWEEP_ARGS=--quick]
+packet-sweep:
+	python3 tools/packet_sweep.py --workload $(WORKLOAD) --seed $(SEED) \
+		$(SWEEP_ARGS)

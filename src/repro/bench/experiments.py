@@ -276,7 +276,8 @@ class TestbedConfig:
     n: int = 9
     k: int = 6
     chunk_size: int = 2 * 1024 * 1024
-    packet_size: int = 128 * 1024  # the paper's 4 MB at 1/32 scale
+    #: the paper's 4 MB at 1/32 scale; None lets the testbed choose
+    packet_size: Optional[int] = 128 * 1024
     disk_bandwidth: float = 10e6  # stands in for EC2's 142 MB/s
     network_bandwidth: float = 44e6  # stands in for EC2's 5 Gb/s
     seed: int = 0
@@ -357,6 +358,8 @@ def fig11_packet_size(runs: int = DEFAULT_TESTBED_RUNS) -> Experiment:
 
     The paper's 1/4/16/64 MB packets map to chunk/64, chunk/16,
     chunk/4 and chunk-sized packets (64 MB packets = no pipelining).
+    The ``auto`` point passes no packet size at all, so it shows where
+    :func:`~repro.core.analysis.optimal_packet_size` lands on the curve.
     """
     exp = Experiment("fig11", "Testbed: impact of the packet size (B.1)")
     config = TestbedConfig()
@@ -370,6 +373,7 @@ def fig11_packet_size(runs: int = DEFAULT_TESTBED_RUNS) -> Experiment:
             ("64MB(scaled)", chunk),
         )
     ]
+    points.append(("auto", config.with_(packet_size=None), None))
     exp.panels.extend(_both_scenarios("Fig 11", "packet size", points, runs))
     return exp
 

@@ -141,7 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead journal path (default: auto when the fault "
         "plan crashes the coordinator)",
     )
-    repair.add_argument("--packet-size", type=int, default=None)
+    repair.add_argument(
+        "--packet-size",
+        type=int,
+        default=None,
+        help="transfer granularity in bytes (default: chosen from the "
+        "snapshot's chunk size and disk/network bandwidths, the paper's "
+        "Experiment B.1 trade; at most what one transport frame carries)",
+    )
     repair.add_argument(
         "--metrics-out",
         default=None,

@@ -82,6 +82,59 @@ class BandwidthProfile:
 PAPER_DEFAULT_PROFILE = BandwidthProfile()
 
 
+#: Critical-path seconds one more packet per stream adds to a repair
+#: round, and the rate of the stage every packet crosses in memory
+#: whatever the devices are (read-ahead, two CRC32s, a star
+#: destination's k GF accumulations, the hand-off to the staging
+#: writer — all agents of a host sharing one interpreter).  Measured,
+#: not derived: both are the least-squares fit of ``T(p)`` below to the
+#: end-to-end sweep of the unthrottled in-memory rig (``make
+#: packet-sweep WORKLOAD=drain-cpu-mem``; REPORT.md §fig11 has the
+#: table they were read off).
+PACKET_COST = 3.0e-3
+MEMORY_BANDWIDTH = 100e6
+#: No packet is smaller than this, whatever the devices are.
+MIN_PACKET_SIZE = 4096
+
+
+def optimal_packet_size(
+    profile: BandwidthProfile, max_packet: Optional[int] = None
+) -> int:
+    """Transfer granularity that minimises a round's pipelined time.
+
+    The paper's Experiment B.1 trade: a stream of ``c/p`` packets pays
+    :data:`PACKET_COST` per packet, and its first packet crosses source
+    disk, link, memory and destination disk one after the other before
+    the stages overlap, so a round takes::
+
+        T(p) = (c/p) * PACKET_COST + p * (2/b_d + 1/b_n + 1/b_mem) + const
+
+    which is least at ``p* = sqrt(PACKET_COST * c / (2/b_d + 1/b_n +
+    1/b_mem))``.  ``p*`` is rounded to the nearest power of two and
+    clamped to ``[MIN_PACKET_SIZE, c]`` — and to ``max_packet``, the
+    largest payload the transport can carry in one frame, when given.
+    Non-decreasing in the chunk size and in every bandwidth.
+    """
+    fill = (
+        2.0 / profile.disk_bandwidth
+        + 1.0 / profile.network_bandwidth
+        + 1.0 / MEMORY_BANDWIDTH
+    )
+    ideal = (PACKET_COST * profile.chunk_size / fill) ** 0.5
+    packet = _floor_power_of_two(ideal)
+    if ideal * ideal > 2.0 * packet * packet:  # nearer 2p on a log scale
+        packet *= 2
+    ceiling = profile.chunk_size
+    if max_packet is not None:
+        ceiling = min(ceiling, max_packet)
+    return max(min(packet, _floor_power_of_two(ceiling)), MIN_PACKET_SIZE)
+
+
+def _floor_power_of_two(x: float) -> int:
+    """Largest power of two <= max(x, 1)."""
+    return 1 << (max(int(x), 1).bit_length() - 1)
+
+
 @dataclass(frozen=True)
 class AnalyticalModel:
     """Closed-form repair-time model for one STF node.

@@ -67,6 +67,10 @@ from .wire import HEADER
 _RING_HEADER = struct.Struct("<QQQ")
 _LEN = struct.Struct("<I")
 
+#: ring bytes a data frame needs beyond its payload: the length prefix,
+#: the frame header and the JSON envelope (~250 bytes for a slice packet)
+_FRAME_OVERHEAD = 1024
+
 #: sender poll period while the ring is full (backpressure spin)
 _FULL_POLL = 0.0002
 
@@ -312,6 +316,13 @@ class ShmNetwork(FramedNetwork):
         self._ring: Optional[ShmRing] = None
         self._reader: Optional[threading.Thread] = None
         self._stop = threading.Event()
+
+    @property
+    def max_packet(self) -> int:
+        """Largest data payload whose frame fits a ring of this
+        network's capacity (every process of a run is built with the
+        same one); the repair driver sizes packets under it."""
+        return max(self.ring_capacity - _FRAME_OVERHEAD, 0)
 
     # -- peer wiring ---------------------------------------------------
 

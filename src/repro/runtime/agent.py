@@ -59,7 +59,7 @@ import queue
 import threading
 import time
 import zlib
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -117,8 +117,11 @@ Generation = Tuple[int, int]
 def _generation(message) -> Generation:
     return (message.epoch, message.attempt)
 
-#: cap on buffered packets awaiting a late Receive/Relay registration
-MAX_PENDING_PACKETS = 4096
+#: cap on the bytes buffered for one action awaiting a late
+#: Receive/Relay registration, in chunks: every source of a wide stripe
+#: may have sent its whole chunk (and a faulty link duplicated it)
+#: before the command lands, but nothing legitimate sends more
+MAX_PENDING_CHUNKS = 64
 
 #: sentinel that aborts a blocked assembly/relay worker
 _ABORT = object()
@@ -126,6 +129,39 @@ _ABORT = object()
 
 class AgentError(RuntimeError):
     """Raised (and recorded) on protocol violations inside an agent."""
+
+
+class _PendingPackets:
+    """One action's packets that arrived ahead of its command.
+
+    No command means no chunk size, so the bound is taken against the
+    chunk extent the buffered packets themselves span (each lies inside
+    the chunk): :data:`MAX_PENDING_CHUNKS` times that, in bytes.
+    """
+
+    __slots__ = ("packets", "nbytes", "extent")
+
+    def __init__(self):
+        self.packets: List[DataPacket] = []
+        self.nbytes = 0
+        self.extent = 0
+
+    def add(self, packet: DataPacket) -> bool:
+        """Buffer ``packet``; False (and not buffered) on overflow."""
+        size = len(packet.payload)
+        extent = max(self.extent, packet.offset + size)
+        if self.nbytes + size > MAX_PENDING_CHUNKS * extent:
+            return False
+        self.packets.append(packet)
+        self.nbytes += size
+        self.extent = extent
+        return True
+
+    def drop_older_than(self, epoch: int) -> bool:
+        """Forget packets of epochs before ``epoch``; False if none remain."""
+        self.packets = [p for p in self.packets if p.epoch >= epoch]
+        self.nbytes = sum(len(p.payload) for p in self.packets)
+        return bool(self.packets)
 
 
 class _Assembly:
@@ -528,7 +564,7 @@ class Agent:
         self._endpoint = network.endpoint(node_id)
         self._assemblies: Dict[ActionKey, _Assembly] = {}
         self._relays: Dict[ActionKey, _Relay] = {}
-        self._pending: Dict[ActionKey, list] = {}
+        self._pending: Dict[ActionKey, _PendingPackets] = {}
         #: newest (epoch, attempt) seen per action (commands are authoritative)
         self._attempts: Dict[ActionKey, Generation] = {}
         #: (epoch, attempt) at which an assembly last completed here
@@ -729,11 +765,8 @@ class Agent:
             # endpoint is unknown; dropping stale-looking ones from a
             # foreign shard is safe (the sender's round trip stalls and
             # the action is retried) and rare.
-            for key, packets in list(self._pending.items()):
-                fresh = [p for p in packets if p.epoch >= epoch]
-                if fresh:
-                    self._pending[key] = fresh
-                else:
+            for key, pending in list(self._pending.items()):
+                if not pending.drop_older_than(epoch):
                     del self._pending[key]
             path = self._epoch_path(coordinator)
             tmp = path.with_suffix(".tmp")
@@ -919,7 +952,7 @@ class Agent:
                 existing.abort()  # superseded by a retry or a new epoch
             self._completed.pop(command.key, None)
             self._assemblies[command.key] = assembly
-            for packet in self._pending.pop(command.key, []):
+            for packet in self._take_pending(command.key):
                 assembly.packets.put(packet)
         self._spawn_worker(
             self._guard(
@@ -932,6 +965,11 @@ class Agent:
             name=f"agent-{self.node_id}-decode-{command.key}",
         )
 
+    def _take_pending(self, key: ActionKey) -> List[DataPacket]:
+        """The packets that beat ``key``'s command here (lock held)."""
+        pending = self._pending.pop(key, None)
+        return pending.packets if pending is not None else []
+
     def _start_relay(self, command: RelayCommand) -> None:
         if not self._note_attempt(command.key, _generation(command)):
             return
@@ -943,7 +981,7 @@ class Agent:
                     raise AgentError(f"duplicate relay {command.key}")
                 existing.abort()
             self._relays[command.key] = relay
-            for packet in self._pending.pop(command.key, []):
+            for packet in self._take_pending(command.key):
                 relay.packets.put(packet)
         self._spawn_worker(
             self._guard(
@@ -1035,13 +1073,15 @@ class Agent:
             if target is None:
                 # The Receive/Relay command may still be in flight on a
                 # pipelined path; buffer until it registers.
-                pending = self._pending.setdefault(packet.key, [])
-                if len(pending) >= MAX_PENDING_PACKETS:
+                pending = self._pending.setdefault(
+                    packet.key, _PendingPackets()
+                )
+                if not pending.add(packet):
                     raise AgentError(
                         f"pending-packet overflow for {packet.key} at node "
-                        f"{self.node_id}: no Receive/Relay command arrived"
+                        f"{self.node_id}: {pending.nbytes} bytes buffered, "
+                        "no Receive/Relay command arrived"
                     )
-                pending.append(packet)
                 return
         target.packets.put(packet)
 

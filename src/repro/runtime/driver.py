@@ -43,7 +43,9 @@ from typing import (
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import StorageCluster
 from ..cluster.topology import RackTopology
+from ..core.analysis import optimal_packet_size
 from ..core.plan import RepairPlan
+from ..core.planner import profile_from_cluster
 from ..core.scheduling import HelperBudget
 from ..ec.codec import ErasureCodec
 from ..obs.metrics import MetricsRegistry
@@ -258,7 +260,11 @@ class RepairDriver:
         codec: erasure codec matching the cluster's stripes.
         workdir: directory of every node's chunk store (``node_<id>``).
         packet_size: transfer granularity (the paper's Experiment B.1
-            knob); defaults to chunk_size / 16.
+            knob).  Defaults to what
+            :func:`~repro.core.analysis.optimal_packet_size` picks from
+            the cluster's chunk size and bandwidths, capped at the
+            transport's largest packet; an explicit size the transport
+            cannot carry is a ``ValueError``.
         config: runtime timeouts/retry policy.
         journal_path: write-ahead journal of a single-coordinator run;
             defaults to ``workdir/"repair.journal"`` once a coordinator
@@ -293,7 +299,14 @@ class RepairDriver:
         self.cluster = cluster
         self.codec = codec
         self.workdir = Path(workdir)
-        self.packet_size = packet_size or max(cluster.chunk_size // 16, 4096)
+        #: largest payload one frame of this transport carries, if bounded
+        self.max_packet: Optional[int] = getattr(network, "max_packet", None)
+        self.packet_size = self._fitting(
+            packet_size
+            or optimal_packet_size(
+                profile_from_cluster(cluster), self.max_packet
+            )
+        )
         self.config = config or DEFAULT_CONFIG
         self.metrics = metrics
         self.tracer = tracer
@@ -323,6 +336,16 @@ class RepairDriver:
             self._crash_faults = list(faults.coordinator_crashes)
         self.coordinator: Optional[Coordinator] = None
         self.multi: Optional[MultiCoordinator] = None
+
+    def _fitting(self, packet_size: int) -> int:
+        """``packet_size``, or a ``ValueError`` when no frame of the
+        transport can carry it (it would fail mid-round instead)."""
+        if self.max_packet is not None and packet_size > self.max_packet:
+            raise ValueError(
+                f"packet_size {packet_size} does not fit the transport: "
+                f"its largest packet is {self.max_packet} bytes"
+            )
+        return packet_size
 
     # -- the data set --------------------------------------------------
 
@@ -545,6 +568,8 @@ class RepairDriver:
         self, plan: RepairPlan, packet_size: Optional[int] = None
     ) -> Result:
         """Run ``plan`` from the top on the live coordinator(s)."""
+        if packet_size is not None:
+            self._fitting(packet_size)
         self.arm_faults()
         runner = self.multi or self.coordinator
         return self._supervised(

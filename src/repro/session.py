@@ -171,7 +171,9 @@ class RepairSession:
         seed: deterministic data-set seed (must match the agents').
         config: runtime tuning; ``pipeline_slices`` is overridden from
             ``slices`` when pipelining is on.
-        packet_size: transfer granularity (default chunk/16, >= 4 KiB).
+        packet_size: transfer granularity; by default the driver picks
+            it from the cluster's chunk size and bandwidths
+            (:func:`~repro.core.analysis.optimal_packet_size`).
         journal_path: write-ahead journal (single coordinator).
         journal_dir: journal directory for sharded runs (default
             ``<workdir>/shards``).

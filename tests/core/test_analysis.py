@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.analysis import (
     AnalyticalModel,
     BandwidthProfile,
+    MIN_PACKET_SIZE,
     PAPER_DEFAULT_PROFILE,
     gbit_per_s,
     mb_per_s,
     mib,
+    optimal_packet_size,
 )
 
 
@@ -187,3 +189,69 @@ class TestValidation:
     def test_bad_k_prime(self):
         with pytest.raises(ValueError):
             AnalyticalModel(num_nodes=10, k=2, k_prime=0)
+
+
+KIB = 1024
+
+_chunks = st.integers(min_value=MIN_PACKET_SIZE, max_value=mib(256))
+_rates = st.floats(min_value=1e5, max_value=1e12)
+_speedups = st.floats(min_value=1.0, max_value=1e4)
+
+
+class TestOptimalPacketSize:
+    """The Experiment B.1 rule that replaces ``chunk/16``."""
+
+    # (chunk, disk, nic) of the benchmarks/e2e rigs and of the Fig. 11
+    # testbed, with the packet REPORT.md §fig11's sweeps found fastest
+    # on each; the last row is the paper's own Section III profile.
+    @pytest.mark.parametrize(
+        "chunk, disk, nic, expected",
+        [
+            pytest.param(mib(1), 100e9, 125e9, 512 * KIB, id="unthrottled"),
+            pytest.param(mib(1), 100e6, 10e6, 128 * KIB, id="nic10"),
+            pytest.param(mib(1) // 4, 400e6, 40e6, 128 * KIB, id="nic40"),
+            pytest.param(mib(2), 10e6, 44e6, 128 * KIB, id="fig11-testbed"),
+            pytest.param(
+                mib(64), mb_per_s(100), gbit_per_s(1), mib(2), id="paper"
+            ),
+        ],
+    )
+    def test_tabulated_rigs(self, chunk, disk, nic, expected):
+        assert optimal_packet_size(BandwidthProfile(chunk, disk, nic)) == expected
+
+    def test_fig11_rig_keeps_chunk_over_16(self):
+        profile = BandwidthProfile(mib(2), 10e6, 44e6)
+        assert optimal_packet_size(profile) == profile.chunk_size // 16
+
+    @given(chunk=_chunks, disk=_rates, nic=_rates)
+    def test_power_of_two_within_bounds(self, chunk, disk, nic):
+        packet = optimal_packet_size(BandwidthProfile(chunk, disk, nic))
+        assert MIN_PACKET_SIZE <= packet <= chunk
+        assert packet & (packet - 1) == 0
+
+    @given(
+        chunk=_chunks, disk=_rates, nic=_rates,
+        faster_disk=_speedups, faster_nic=_speedups, bigger=_speedups,
+    )
+    def test_monotone(self, chunk, disk, nic, faster_disk, faster_nic, bigger):
+        base = BandwidthProfile(chunk, disk, nic)
+        packet = optimal_packet_size(base)
+        assert optimal_packet_size(
+            base.with_(disk_bandwidth=disk * faster_disk)
+        ) >= packet
+        assert optimal_packet_size(
+            base.with_(network_bandwidth=nic * faster_nic)
+        ) >= packet
+        assert optimal_packet_size(
+            base.with_(chunk_size=int(chunk * bigger))
+        ) >= packet
+
+    def test_tiny_chunk_is_one_minimum_packet(self):
+        assert optimal_packet_size(BandwidthProfile(1000, 1e9, 1e9)) == (
+            MIN_PACKET_SIZE
+        )
+
+    def test_transport_limit_caps_the_choice(self):
+        profile = BandwidthProfile(mib(1), 100e9, 125e9)
+        assert optimal_packet_size(profile, max_packet=300 * KIB) == 256 * KIB
+        assert optimal_packet_size(profile, max_packet=mib(8)) == 512 * KIB

@@ -175,6 +175,8 @@ class TestTraceJournalReconciliation:
     def test_faulted_run_with_retries(self, tmp_path):
         faults = FaultPlan(links=[LinkFault(drop=0.1)], seed=11)
         testbed, result, journal_path, _ = run_repair(tmp_path, faults=faults)
+        assert testbed.faults.stats["dropped"] >= 1
+        assert result.retries >= 1
         reconcile(testbed, result, journal_path)
 
     def test_crash_recovery_folds_into_one_breakdown(self, tmp_path):

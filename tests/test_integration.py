@@ -144,7 +144,10 @@ class TestRuntimeAgainstSimulator:
         cluster.node(stf).mark_soon_to_fail()
         plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
         plan.validate(cluster)
-        with EmulatedTestbed(cluster, codec, workdir=tmp_path) as testbed:
+        # 16 packets per stream, so the decode really streams.
+        with EmulatedTestbed(
+            cluster, codec, packet_size=4096, workdir=tmp_path
+        ) as testbed:
             testbed.load_random_data(seed=101)
             testbed.execute(plan)
             testbed.verify_plan(plan)
