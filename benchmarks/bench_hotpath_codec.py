@@ -4,9 +4,9 @@ Sibling of the Figure 15 microbench, but for this repository's own
 optimization rather than a paper figure: the ``encode_batch`` /
 ``decode_batch`` entry points (DESIGN.md §13) fold a window of stripes
 into one wide GF(256) matrix product.  At repair packet sizes (4 KiB)
-the per-stripe loop pays Python call overhead per stripe and single
-chunks sit at the uint16 paired-lookup threshold, so batching must win
-clearly once the window is wide.
+the per-stripe loop pays Python call overhead per stripe around a
+sub-microsecond kernel, so batching must win clearly once the window is
+wide.
 """
 
 from conftest import run_once
@@ -27,8 +27,8 @@ def test_hotpath_codec(benchmark, save_result):
         panel = exp.panel(title)
         loop = panel.values_of("per_stripe")
         batched = panel.values_of("batched")
-        # Wide windows amortize per-call overhead and unlock the u16
-        # kernel: the batched path must beat the loop it replaced.
+        # Wide windows amortize per-call overhead: the batched path
+        # must beat the loop it replaced.
         assert batched[-1] > 1.2 * loop[-1], (
             f"{title}: batched {batched[-1]:.1f} MB/s vs "
             f"per-stripe {loop[-1]:.1f} MB/s at batch {BATCHES[-1]}"

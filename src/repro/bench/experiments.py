@@ -493,10 +493,9 @@ def hotpath_codec(
     old per-stripe calls against ``encode_batch``/``decode_batch``.
     The batched entry points fold the whole window into one wide
     GF(256) matrix product (DESIGN.md §13).  Small chunks are the
-    interesting regime: per-call overhead dominates and a single
-    chunk sits right at the uint16 paired-lookup threshold, so only
-    the widened batch runs the fast kernel.  At chunk sizes past
-    ~32 KiB both paths are kernel-bound and the gap closes.
+    interesting regime: a 4 KiB region costs the kernel well under a
+    microsecond, so the per-stripe loop is all per-call overhead and
+    only the widened batch is kernel-bound.
     """
     import random
 

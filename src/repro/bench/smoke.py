@@ -314,9 +314,11 @@ _HOTPATH_TRANSPORTS = ("memory", "tcp", "shm")
 
 
 def run_gf_kernels(buffer_bytes: int = 8 << 20, repeats: int = 3) -> dict:
-    """Time the vectorized GF(256) kernels; returns GB/s figures.
+    """Time the GF(256) region kernels; returns GB/s figures.
 
-    Reported rates are input bytes over best-of-``repeats`` wall time:
+    ``kernel`` names the implementation that was timed
+    (:data:`repro.ec.galois.KERNEL`).  Reported rates are input bytes
+    over best-of-``repeats`` wall time:
     ``gf_mul_gb_s``/``gf_addmul_gb_s`` stream one flat buffer,
     ``gf_matmul_gb_s`` is the input rate of a parity-shaped (3, 6)
     coefficient matrix over six 1 MiB shards — the decode-side product
@@ -324,7 +326,12 @@ def run_gf_kernels(buffer_bytes: int = 8 << 20, repeats: int = 3) -> dict:
     """
     import numpy as np
 
-    from ..ec.galois import gf_addmul_bytes, gf_matmul_bytes, gf_mul_bytes
+    from ..ec.galois import (
+        KERNEL,
+        gf_addmul_bytes,
+        gf_matmul_bytes,
+        gf_mul_bytes,
+    )
 
     def best(fn) -> float:
         times = []
@@ -348,6 +355,7 @@ def run_gf_kernels(buffer_bytes: int = 8 << 20, repeats: int = 3) -> dict:
     )
     t_matmul = best(lambda: gf_matmul_bytes(matrix, shards))
     return {
+        "kernel": KERNEL,
         "buffer_bytes": buffer_bytes,
         "gf_mul_gb_s": buffer_bytes / t_mul / 1e9,
         "gf_addmul_gb_s": buffer_bytes / t_addmul / 1e9,
@@ -927,8 +935,9 @@ def main(argv: Optional[list] = None) -> int:
             f.write("\n")
         kernels = hotpath_doc["kernels"]
         print(
-            f"wrote {args.hotpath}: gf_mul {kernels['gf_mul_gb_s']:.2f} "
-            f"GB/s, gf_matmul {kernels['gf_matmul_gb_s']:.2f} GB/s"
+            f"wrote {args.hotpath}: {kernels['kernel']} kernel, gf_mul "
+            f"{kernels['gf_mul_gb_s']:.2f} GB/s, gf_matmul "
+            f"{kernels['gf_matmul_gb_s']:.2f} GB/s"
         )
         for entry in hotpath_doc["transports"]:
             best = max(run["mb_per_s"] for run in entry["single"])

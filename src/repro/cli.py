@@ -932,6 +932,7 @@ def _cmd_agent(args) -> int:
     from pathlib import Path
 
     from .cluster import snapshot as snapshot_mod
+    from .ec.galois import KERNEL
     from .gateway import CLIENT_ID, GATEWAY_ID
     from .net import run_agent_process
     from .net.launch import open_network
@@ -962,6 +963,11 @@ def _cmd_agent(args) -> int:
         print("--peers must include coordinator=host:port", file=sys.stderr)
         return 2
     config = _load_runtime_config(args.config)
+    print(
+        f"agent {args.node} starting over {args.transport} "
+        f"(GF kernel {KERNEL})",
+        flush=True,
+    )
     loaded = run_agent_process(
         open_network(args.transport, args.node, config=config, **wire),
         cluster,
@@ -994,6 +1000,7 @@ def _cmd_gateway_serve(args) -> int:
     from pathlib import Path
 
     from .cluster import snapshot as snapshot_mod
+    from .ec.galois import KERNEL
     from .gateway import CLIENT_ID, GATEWAY_ID, GatewayServer, TrafficArbiter
     from .net.launch import open_network
 
@@ -1018,7 +1025,9 @@ def _cmd_gateway_serve(args) -> int:
     )
     print(
         f"gateway serving {codec!r} objects over {args.transport} "
-        f"(client floor {args.client_floor:.0%}); ^C to stop"
+        f"(client floor {args.client_floor:.0%}, GF kernel {KERNEL}); "
+        "^C to stop",
+        flush=True,
     )
     try:
         if args.max_seconds > 0:

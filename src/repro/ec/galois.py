@@ -8,15 +8,23 @@ The field is GF(2^8) built from the primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), the same polynomial used by
 Jerasure's default GF(2^8) implementation and by most storage-oriented
 Reed-Solomon codecs.  Elements are integers in ``[0, 255]``; addition is
-XOR, and multiplication is implemented with log/antilog tables so that
-both scalar and vectorized (numpy) operations are cheap.
+XOR, and scalar multiplication goes through log/antilog tables.
 
 Two API levels are exposed:
 
 * scalar helpers (:func:`gf_add`, :func:`gf_mul`, :func:`gf_div`,
   :func:`gf_pow`, :func:`gf_inv`) for matrix construction and tests, and
-* vectorized helpers (:func:`gf_mul_bytes`, :func:`gf_addmul_bytes`)
-  used on whole chunk buffers by the codecs.
+* region kernels (:func:`gf_mul_bytes`, :func:`gf_addmul_bytes`,
+  :func:`gf_matmul_bytes`) used on whole chunk buffers by the codecs
+  and the repair agents.
+
+The region kernels run in C (``gf256.c``, split-nibble ``pshufb``
+lookups with the GIL released) when :mod:`repro.ec._native` could build
+and load it — once per process, when a region kernel is first used —
+and as one numpy byte gather through the 256x256 product table
+otherwise.  Both write the same bytes; ``KERNEL`` (``native-avx2``,
+``native-ssse3``, ``native-scalar`` or ``numpy``) says which one this
+process runs.  Importing this module neither compiles nor warns.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+
+from . import _native
 
 #: Primitive polynomial for GF(2^8): x^8 + x^4 + x^3 + x^2 + 1.
 PRIMITIVE_POLY = 0x11D
@@ -143,85 +153,105 @@ def gf_log(a: int) -> int:
     return int(_LOG[a])
 
 
-# -- vectorized chunk kernels ------------------------------------------
+# -- region kernels ----------------------------------------------------
 #
-# The hot path multiplies whole chunk buffers by one coefficient.  A
-# plain 256-entry lookup (``_MUL_TABLE[coeff][data]``) gathers one byte
-# per index; gathering two bytes at a time through a per-coefficient
-# 65536-entry uint16 table roughly halves the index traffic and is
-# ~2.5x faster on large buffers.  The pairing is endian-agnostic: the
-# composed table maps (low byte, high byte) independently, which is
-# exactly what viewing the same memory as uint16 does on any platform.
+# The hot path multiplies whole chunk buffers by one coefficient.  The
+# work is done by the native kernel (gf256.c: split-nibble ``pshufb``
+# lookups, GIL released) when it could be built and loaded, and by the
+# byte gather ``_MUL_TABLE[coeff][data]`` otherwise — the same gather
+# the equivalence tests hold the native kernel to.  This module owns
+# every check: only C-contiguous uint8 buffers of one size, a writable
+# destination and an in-range coefficient ever reach a raw pointer.
 
-#: below this many bytes the uint16 table's setup overhead loses to
-#: the plain byte-wise gather
-_U16_MIN_BYTES = 4096
+#: row ``c`` is the native kernel's two 16-entry tables for ``c``:
+#: ``c * 0..15``, then ``c * 0x00, 0x10 .. 0xF0``
+_NIBBLE_TABLES = np.ascontiguousarray(
+    np.hstack([_MUL_TABLE[:, :16], _MUL_TABLE[:, ::16]])
+)
 
-_PAIR_TABLES: dict = {}
-_PAIR_LOCK = threading.Lock()
+#: cffi handles of the loaded kernel; ``_LIB`` stays ``None`` on numpy
+_FFI = _LIB = _TABLES = None
+#: name of the kernel in use, ``None`` until :func:`_load` has decided
+_KERNEL = None
+_LOAD_LOCK = threading.Lock()
 
 
-def _pair_table(coeff: int) -> np.ndarray:
-    """The 65536-entry paired multiplication table for ``coeff``.
+def _load() -> str:
+    """Decide, once per process, which kernel runs; return its name."""
+    global _FFI, _LIB, _TABLES, _KERNEL
+    with _LOAD_LOCK:
+        if _KERNEL is None:
+            loaded = _native.load()
+            if loaded is None:
+                _KERNEL = "numpy"
+            else:
+                _FFI, _LIB = loaded
+                _TABLES = _FFI.from_buffer("uint8_t[]", _NIBBLE_TABLES)
+                level = _LIB.gf_cpu_level()
+                _KERNEL = "native-" + ("scalar", "ssse3", "avx2")[level]
+    return _KERNEL
 
-    Built lazily (≈3 ms, 128 KiB) and cached forever: a codec uses a
-    small, fixed set of coefficients for the lifetime of the process.
+
+def __getattr__(name: str):
+    # ``KERNEL`` is read, not stored: the first read (or the first
+    # region call) is what builds and loads the native kernel.
+    if name == "KERNEL":
+        return _load()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def record_kernel(metrics) -> None:
+    """Set the ``ec_kernel_info{backend=KERNEL}`` gauge in a registry.
+
+    Called by whatever does GF math for a run (agents, the object
+    store), so a metrics document says whether the fallback was active.
     """
-    table = _PAIR_TABLES.get(coeff)
-    if table is None:
-        with _PAIR_LOCK:
-            table = _PAIR_TABLES.get(coeff)
-            if table is None:
-                mc = _MUL_TABLE[coeff].astype(np.uint16)
-                idx = np.arange(1 << 16, dtype=np.uint32)
-                table = (mc[idx & 0xFF] | (mc[idx >> 8] << 8)).astype(
-                    np.uint16
-                )
-                _PAIR_TABLES[coeff] = table
-    return table
+    metrics.gauge(
+        "ec_kernel_info", "GF(256) region kernel this process runs (1)"
+    ).set(1, backend=_load())
 
 
-_TLS = threading.local()
+def _check_operands(coeff: int, out: np.ndarray, data: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``out <- coeff * data`` is well formed."""
+    if not 0 <= coeff < GF_SIZE:
+        raise ValueError(f"coefficient {coeff} outside GF(2^8)")
+    for name, array in (("source", data), ("destination", out)):
+        if not isinstance(array, np.ndarray) or array.dtype != np.uint8:
+            raise ValueError(
+                f"{name} must be a uint8 numpy array, got "
+                f"{getattr(array, 'dtype', type(array).__name__)}"
+            )
+    if out.shape != data.shape:
+        raise ValueError(
+            f"destination has shape {out.shape}, source {data.shape}"
+        )
+    if not out.flags.writeable:
+        raise ValueError("destination is read-only")
 
 
-def _scratch(nbytes: int) -> np.ndarray:
-    """A reusable thread-local uint8 buffer of at least ``nbytes``."""
-    buf = getattr(_TLS, "buf", None)
-    if buf is None or buf.size < nbytes:
-        buf = np.empty(max(nbytes, 1 << 16), dtype=np.uint8)
-        _TLS.buf = buf
-    return buf[:nbytes]
+def _region(out: np.ndarray, coeff: int, data: np.ndarray, add: bool) -> None:
+    """``out = coeff * data``, or ``out ^= coeff * data`` when ``add``.
 
-
-def _flat_u16_view(array: np.ndarray, even: int) -> np.ndarray:
-    return array.reshape(-1)[:even].view(np.uint16)
-
-
-def _apply_mul(coeff: int, data: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = coeff * data`` for coeff >= 2; handles aliasing."""
-    n = data.size
-    fast = (
-        n >= _U16_MIN_BYTES
-        and data.flags.c_contiguous
+    Operands have passed :func:`_check_operands`.  ``out`` may be
+    ``data`` itself; a partial overlap goes through a temporary.
+    """
+    if _KERNEL is None:
+        _load()
+    if (
+        _LIB is not None
         and out.flags.c_contiguous
-    )
-    if not fast:
-        # Cold path (tiny or strided buffers): byte-wise gather through
-        # a temporary — also alias-safe, since the gather allocates.
-        out[...] = _MUL_TABLE[coeff][data]
-        return
-    even = n & ~1
-    d16 = _flat_u16_view(data, even)
-    if np.shares_memory(data, out):
-        # np.take may not buffer when indices alias the output; route
-        # through the thread-local scratch instead of allocating.
-        tmp = _scratch(even).view(np.uint16)
-        np.take(_pair_table(coeff), d16, out=tmp)
-        _flat_u16_view(out, even)[...] = tmp
+        and data.flags.c_contiguous
+    ):
+        dst = _FFI.from_buffer("uint8_t[]", out, require_writable=True)
+        src = _FFI.from_buffer("uint8_t[]", data)
+        if dst != src and np.may_share_memory(out, data):
+            data = data.copy()
+            src = _FFI.from_buffer("uint8_t[]", data)
+        _LIB.gf_region(dst, src, out.size, _TABLES + 32 * coeff, add)
+    elif add:
+        np.bitwise_xor(out, _MUL_TABLE[coeff][data], out=out)
     else:
-        np.take(_pair_table(coeff), d16, out=_flat_u16_view(out, even))
-    if n & 1:
-        out.reshape(-1)[even:] = _MUL_TABLE[coeff][data.reshape(-1)[even:]]
+        out[...] = _MUL_TABLE[coeff][data]
 
 
 def gf_mul_bytes(
@@ -231,29 +261,21 @@ def gf_mul_bytes(
 
     Args:
         coeff: field element in [0, 255].
-        data: a ``uint8`` numpy array (any shape).
+        data: a ``uint8`` numpy array (any shape; may be read-only).
         out: optional preallocated ``uint8`` array of the same shape;
             may alias ``data`` (in-place scaling).
 
     Returns:
         ``out`` if given, else a new ``uint8`` array of the same shape.
+
+    Raises:
+        ValueError: coefficient out of range, an operand that is not a
+            ``uint8`` array, mismatched shapes, or a read-only ``out``.
     """
-    if not 0 <= coeff < GF_SIZE:
-        raise ValueError(f"coefficient {coeff} outside GF(2^8)")
     if out is None:
-        out = np.empty_like(data)
-    elif out.shape != data.shape or out.dtype != np.uint8:
-        raise ValueError(
-            f"out has shape {out.shape}/{out.dtype}, "
-            f"expected {data.shape}/uint8"
-        )
-    if coeff == 0:
-        out[...] = 0
-    elif coeff == 1:
-        if out is not data:
-            np.copyto(out, data)
-    else:
-        _apply_mul(coeff, data, out)
+        out = np.empty(np.shape(data), dtype=np.uint8)
+    _check_operands(coeff, out, data)
+    _region(out, coeff, data, add=False)
     return out
 
 
@@ -261,23 +283,16 @@ def gf_addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
     """In place, set ``acc ^= coeff * data`` byte-wise over GF(2^8).
 
     This is the inner loop of erasure encoding/decoding: accumulate a
-    scaled source buffer into a destination parity buffer.  The scaled
-    product lands in a reusable thread-local scratch buffer, so the
-    call allocates nothing on the hot path.
+    scaled source buffer into a destination parity buffer.  Allocates
+    nothing on the native path.
+
+    Raises:
+        ValueError: as :func:`gf_mul_bytes`; shapes must match exactly
+            (nothing is broadcast).
     """
-    if not 0 <= coeff < GF_SIZE:
-        raise ValueError(f"coefficient {coeff} outside GF(2^8)")
-    if coeff == 0:
-        return
-    if coeff == 1:
-        np.bitwise_xor(acc, data, out=acc)
-        return
-    if acc.size >= _U16_MIN_BYTES and data.flags.c_contiguous:
-        scaled = _scratch(data.size).reshape(data.shape)
-        _apply_mul(coeff, data, scaled)
-        np.bitwise_xor(acc, scaled, out=acc)
-    else:
-        np.bitwise_xor(acc, _MUL_TABLE[coeff][data], out=acc)
+    _check_operands(coeff, acc, data)
+    if coeff:
+        _region(acc, coeff, data, add=True)
 
 
 def gf_matmul_bytes(
@@ -289,44 +304,57 @@ def gf_matmul_bytes(
         matrix: ``(r, s)`` uint8 array of coefficients.
         shards: ``(s, L)`` uint8 array: ``s`` source buffers of ``L`` bytes.
         out: optional preallocated ``(r, L)`` uint8 output (must not
-            alias ``shards``); zeroed and accumulated into.
+            alias ``shards``); every byte is overwritten.
 
     Returns:
         ``(r, L)`` uint8 array: each output row is the GF-linear
         combination of the input shards given by the matrix row.
     """
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    shards = np.asarray(shards, dtype=np.uint8)
+    matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
+    if not isinstance(shards, np.ndarray) or shards.dtype != np.uint8:
+        raise ValueError("shards must be a uint8 numpy array")
     if matrix.ndim != 2 or shards.ndim != 2:
         raise ValueError("matrix and shards must both be 2-D")
     if matrix.shape[1] != shards.shape[0]:
         raise ValueError(
             f"shape mismatch: matrix {matrix.shape} x shards {shards.shape}"
         )
-    rows, _ = matrix.shape
+    rows, cols = matrix.shape
     shape = (rows, shards.shape[1])
     if out is None:
         out = np.empty(shape, dtype=np.uint8)
-    elif out.shape != shape or out.dtype != np.uint8:
-        raise ValueError(
-            f"out has shape {out.shape}/{out.dtype}, expected {shape}/uint8"
-        )
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype != np.uint8
+        or not out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writable {shape}/uint8 array")
     elif np.shares_memory(out, shards):
         raise ValueError("out must not alias shards")
-    for r in range(rows):
-        acc = out[r]
-        row = matrix[r]
-        # Seed the accumulator with the first non-zero term (saves one
-        # full-width memset + XOR pass per row), then accumulate.
-        first = -1
-        for s in range(row.size):
-            if row[s]:
-                first = s
-                break
-        if first < 0:
+    if _KERNEL is None:
+        _load()
+    if (
+        _LIB is not None
+        and out.flags.c_contiguous
+        and shards.flags.c_contiguous
+    ):
+        _LIB.gf_matmul(
+            _FFI.from_buffer("uint8_t[]", out, require_writable=True),
+            _FFI.from_buffer("uint8_t[]", matrix),
+            _FFI.from_buffer("uint8_t[]", shards),
+            rows,
+            cols,
+            shape[1],
+            _TABLES,
+        )
+        return out
+    for acc, row in zip(out, matrix):
+        add = False
+        for coeff, shard in zip(row, shards):
+            if coeff:
+                _region(acc, int(coeff), shard, add)
+                add = True
+        if not add:
             acc[...] = 0
-            continue
-        gf_mul_bytes(int(row[first]), shards[first], out=acc)
-        for s in range(first + 1, row.size):
-            gf_addmul_bytes(acc, int(row[s]), shards[s])
     return out

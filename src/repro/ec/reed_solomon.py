@@ -28,6 +28,13 @@ from .galois import gf_matmul_bytes
 from .matrix import cauchy, identity, invert, matmul, SingularMatrixError
 
 
+#: input bytes ``encode_batch`` stacks per matmul (4 stripes of rs(9,6)
+#: at 4 KiB chunks, which already amortizes the calls).  Kept under the
+#: allocator's 128 KiB mmap threshold: a larger stack is mapped afresh
+#: and page-faulted in on every call, which cost more than it saved.
+_WINDOW_BYTES = 96 * 1024
+
+
 class ReedSolomonCodec(ErasureCodec):
     """Systematic RS(n, k) codec.
 
@@ -73,13 +80,15 @@ class ReedSolomonCodec(ErasureCodec):
     def encode_batch(
         self, stripes: Sequence[Sequence[bytes]]
     ) -> List[List[bytes]]:
-        """Encode a batch of stripes with one wide parity matmul.
+        """Encode a batch of stripes with wide parity matmuls.
 
-        The ``B`` stripes' data shards are laid side by side into a
-        single ``(k, B*L)`` matrix, so the GF kernel runs once over the
-        whole batch instead of once per stripe — same bytes out as
+        The stripes' data shards are laid side by side into a
+        ``(k, W*L)`` matrix, so the GF kernel runs once per window of
+        ``W`` stripes instead of once per stripe — same bytes out as
         ``[self.encode(s) for s in stripes]``, far less per-call
-        overhead.
+        overhead.  A window holds at most ``_WINDOW_BYTES`` of input
+        (one stripe when a stripe is larger), so a large batch never
+        allocates a second copy of itself.
         """
         stripes = list(stripes)
         if not stripes:
@@ -95,22 +104,26 @@ class ReedSolomonCodec(ErasureCodec):
         size = check_equal_sizes(
             [chunk for stripe in stripes for chunk in stripe]
         )
-        batch = len(stripes)
-        shards = np.empty((self.k, batch * size), dtype=np.uint8)
-        for b, stripe in enumerate(stripes):
-            for row, chunk in enumerate(stripe):
-                shards[row, b * size : (b + 1) * size] = np.frombuffer(
-                    chunk, dtype=np.uint8
-                )
-        parity = gf_matmul_bytes(self._generator[self.k :, :], shards)
+        window = max(1, _WINDOW_BYTES // max(1, self.k * size))
+        parity_rows = self._generator[self.k :, :]
         coded: List[List[bytes]] = []
-        for b, stripe in enumerate(stripes):
-            rows = [bytes(chunk) for chunk in stripe]
-            rows.extend(
-                parity[i, b * size : (b + 1) * size].tobytes()
-                for i in range(self.n - self.k)
-            )
-            coded.append(rows)
+        for start in range(0, len(stripes), window):
+            group = stripes[start : start + window]
+            # one join is the whole row-major (k, W*L) stack
+            shards = np.frombuffer(
+                b"".join(
+                    [stripe[row] for row in range(self.k) for stripe in group]
+                ),
+                dtype=np.uint8,
+            ).reshape(self.k, len(group) * size)
+            parity = gf_matmul_bytes(parity_rows, shards)
+            for b, stripe in enumerate(group):
+                rows = [bytes(chunk) for chunk in stripe]
+                rows.extend(
+                    parity[i, b * size : (b + 1) * size].tobytes()
+                    for i in range(self.n - self.k)
+                )
+                coded.append(rows)
         return coded
 
     def decode_batch(

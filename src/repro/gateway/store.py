@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import ClusterError, StorageCluster
 from ..ec.codec import DecodeError, ErasureCodec
+from ..ec.galois import record_kernel
 from ..runtime.messages import (
     ChunkDelete,
     ChunkRead,
@@ -242,6 +243,7 @@ class ObjectStore(RpcEndpoint):
         self._suspects: Dict[NodeId, float] = {}
         self._counters = None
         if metrics is not None:
+            record_kernel(metrics)
             self._counters = {
                 name: metrics.counter(f"gateway_{name}_total", help_)
                 for name, help_ in (

@@ -64,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..cluster.chunk import NodeId
-from ..ec.galois import gf_addmul_bytes, gf_mul_bytes
+from ..ec.galois import gf_addmul_bytes, gf_mul_bytes, record_kernel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .config import DEFAULT_CONFIG, RuntimeConfig
@@ -536,6 +536,7 @@ class Agent:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         m = self.metrics
+        record_kernel(m)
         self._bytes_sent = m.counter(
             "agent_bytes_sent_total", "repair payload bytes sent, by node"
         )

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import StorageCluster
 from repro.core.planner import FastPRPlanner, apply_plan
 from repro.ec import make_codec
+from repro.ec.galois import KERNEL
 from repro.gateway import (
     GatewayError,
     GatewayServer,
@@ -65,6 +66,16 @@ def counter_total(metrics, name):
         if metric.name == name:
             return int(metric.total())
     return 0
+
+
+def test_store_metrics_say_which_gf_kernel_runs(tmp_path):
+    cluster, codec, testbed, _ = build_rig(tmp_path)
+    own = MetricsRegistry()
+    with testbed:
+        ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK, metrics=own
+        ).close()
+    assert own.get("ec_kernel_info").value(backend=KERNEL) == 1
 
 
 class TestPutGet:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.ec.galois import KERNEL
 from repro.net import shm_available
 
 pytestmark = pytest.mark.skipif(
@@ -133,3 +134,5 @@ def test_degraded_get_survives_datanode_kill(tmp_path):
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
+    # the serve line says which GF kernel decodes degraded reads
+    assert f"GF kernel {KERNEL}" in gateway.stdout.read().decode()

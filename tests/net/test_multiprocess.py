@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.ec.galois import KERNEL
 from repro.net import allocate_ports, format_peer_spec, sharded_peer_spec
 from repro.runtime import COORDINATOR_ID, FaultPlan, LinkFault, RuntimeConfig
 from repro.runtime.faults import DomainCrashFault
@@ -133,6 +134,8 @@ def test_multiprocess_rs96_repair(tmp_path, peer_map):
             remaining = max(0.5, deadline - time.monotonic())
             out, _ = proc.communicate(timeout=remaining)
             assert proc.returncode == 0, out.decode()
+            # the start-up line says which GF kernel the process runs
+            assert f"(GF kernel {KERNEL})" in out.decode()
 
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["transport"] == "tcp"

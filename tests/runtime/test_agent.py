@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.ec.galois import gf_mul
+from repro.ec.galois import KERNEL, gf_mul
 from repro.runtime.agent import Agent, AgentError
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.messages import (
@@ -40,6 +40,12 @@ def rig(tmp_path):
 
 def wait_ack(coord, timeout=10.0):
     return coord.inbox.get(timeout=timeout)
+
+
+def test_agent_metrics_say_which_gf_kernel_runs(rig):
+    _, _, agents = rig
+    gauge = agents[1].metrics.get("ec_kernel_info")
+    assert gauge.samples() == [{"labels": {"backend": KERNEL}, "value": 1.0}]
 
 
 class TestMigrationPath:
