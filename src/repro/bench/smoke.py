@@ -12,7 +12,7 @@ run fails the job instead of uploading garbage.
 The module also measures the socket transport itself: a loopback
 :class:`~repro.net.TcpNetwork` streams DataPacket frames at 64 KiB and
 1 MiB payloads, and the frames/s + MB/s land in
-``BENCH_net_throughput.json`` — so a wire-codec or event-loop
+``BENCH_net_throughput.json`` — so a wire-codec or socket-path
 regression shows up as a number, not a hunch.
 
 The hot-path sweep (``--hotpath``) goes further: GF(256) kernel GB/s,
@@ -151,7 +151,7 @@ def run_net_throughput(
     """Stream frames over a loopback TCP socket; return the bench doc.
 
     Endpoints attach unthrottled (``bandwidth=None``), so the numbers
-    measure the wire codec + asyncio socket path, not the emulated NIC.
+    measure the wire codec + blocking-socket path, not the emulated NIC.
     """
     from ..net import TcpNetwork
     from ..runtime.messages import DataPacket

@@ -7,7 +7,7 @@ length-prefixed CRC-checked frame format;
 :class:`repro.net.framed.FramedNetwork` implements the shared
 :class:`~repro.runtime.transport.Transport` interface on top of it
 once — send sequence, frame validation, delivery admission — and two
-backends supply the pipe: :class:`repro.net.tcp.TcpNetwork` (asyncio
+backends supply the pipe: :class:`repro.net.tcp.TcpNetwork` (blocking
 sockets) and :class:`repro.net.shm.ShmNetwork` (shared-memory rings).
 :mod:`repro.net.launch` holds peer specs, the network factory and the
 one standalone agent runner behind ``fastpr agent`` / ``fastpr gateway``

@@ -12,11 +12,8 @@ endpoint lookup, ingress NIC reservation, bounded-inbox offer).
 A backend (:class:`~repro.net.tcp.TcpNetwork`,
 :class:`~repro.net.shm.ShmNetwork`) supplies only what is genuinely
 its own: ``listen``/``add_peer``, :meth:`_enqueue` ("write these iovec
-parts to that peer"), :meth:`_forget_peer`, ``close`` — and how it
-*waits*.  :meth:`_delivery` is a generator for that reason: it runs the
-admission sequence and yields the seconds the caller has to wait
-before resuming it, so the asyncio backend can ``await`` and the ring
-reader can block without either re-stating the sequence.
+parts to that peer"), :meth:`_forget_peer`, ``close`` — and a reader
+thread that hands each frame it takes off its pipe to :meth:`_receive`.
 
 Topology model: each process attaches its *local* node(s) and
 registers every remote node as a *peer*.  A send to a peer is framed
@@ -51,7 +48,7 @@ import struct
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..cluster.chunk import NodeId
 from ..runtime.faults import FaultInjector
@@ -98,6 +95,8 @@ class FramedNetwork:
         self._lock = threading.Lock()
         self._wire_bytes = 0
         self._closed = False
+        #: set by the backend's ``close``: ends every reader-side wait
+        self._stop = threading.Event()
 
     # -- backend hooks -------------------------------------------------
 
@@ -262,39 +261,30 @@ class FramedNetwork:
 
     # -- receive -------------------------------------------------------
 
-    def _parse_header(self, header) -> Optional[Tuple[int, int, int, int]]:
-        """Validate a frame header: ``(code, crc, meta_len, payload_len)``.
+    def _receive(self, header, read_body: Callable[[int], memoryview]) -> bool:
+        """One frame off a backend's pipe: parse header, decode body, deliver.
 
-        ``None`` (counted ``reason="header"``) means the framing cannot
-        be trusted — the backend drops its stream or skips its frame.
+        ``read_body(nbytes)`` returns the bytes behind the header (fewer
+        if the pipe ended).  ``False`` is the module doc's bad *header*
+        (the backend drops its stream or skips its frame); a bad *body*
+        is counted, skipped alone, and ``True``.
         """
         try:
             code, _epoch, meta_len, payload_len, crc = parse_header(header)
         except (WireError, struct.error):
             self.net.frames_rejected.inc(reason="header")
-            return None
-        return code, crc, meta_len, payload_len
-
-    def _decode_frame(
-        self, code: int, crc: int, meta_len: int, payload_len: int, body
-    ) -> Optional[Tuple[NodeId, NodeId, object]]:
-        """Decode the bytes behind a validated header: ``(src, dst, msg)``.
-
-        ``None`` means *skip this one frame* (counted ``"truncated"``
-        or ``"body"``): the header's lengths were honest, so whatever
-        follows is still aligned.
-        """
+            return False
+        body = read_body(meta_len + payload_len)
         if len(body) != meta_len + payload_len:
             self.net.frames_rejected.inc(reason="truncated")
-            return None
-        view = memoryview(body)
+            return True
         try:
             src, dst, message = decode_body(
-                code, crc, view[:meta_len], view[meta_len:]
+                code, crc, body[:meta_len], body[meta_len:]
             )
         except WireError:
             self.net.frames_rejected.inc(reason="body")
-            return None
+            return True
         if isinstance(message, DataPacket) and message.checksum is not None:
             # The frame CRC validated these exact payload bytes;
             # clearing the app-level checksum lets assemblies and
@@ -302,16 +292,15 @@ class FramedNetwork:
             # in-memory fabric keeps checksums: its faults corrupt
             # packets after construction, past any wire-level check.)
             message = replace(message, checksum=None)
-        return src, dst, message
+        self._delivery(src, dst, message)
+        return True
 
-    def _delivery(self, src: NodeId, dst: NodeId, message) -> Iterator[float]:
+    def _delivery(self, src: NodeId, dst: NodeId, message) -> None:
         """Admit one decoded message to the local endpoint it names.
 
-        A generator: each yielded value is a number of seconds the
-        backend must wait (however it waits) before resuming — the
-        ingress NIC reservation first, then one poll period per retry
-        against a full bounded inbox.  Abandoning the generator midway
-        abandons the message.
+        Waits out the ingress NIC reservation, then a full bounded
+        inbox, on the stop event (``close`` abandons the message): a
+        stalled reader fills its pipe, which blocks the remote sender.
         """
         faults = self.faults
         if faults is not None and not faults.filter_message(src, dst):
@@ -328,16 +317,17 @@ class FramedNetwork:
             # Receiver-side ingress reservation: the emulated NIC cap
             # binds here even though the sender is another process.
             delay = endpoint.nic_in.reserve(nbytes) - time.monotonic()
-            if delay > 0:
-                yield delay
+            if delay > 0 and self._stop.wait(delay):
+                return
             self.net.bytes_received.inc(nbytes, node=dst)
         while True:
             try:
-                endpoint.inbox.put_nowait(message)
+                endpoint.inbox.put(message, timeout=_INBOX_POLL)
                 break
             except queue.Full:
                 # Bounded inbox: stalling the backend's reader is the
                 # backpressure — its pipe fills and blocks the sender.
-                yield _INBOX_POLL
+                if self._stop.is_set():
+                    return
         self.net.frames_received.inc(node=dst)
         self.net.inbox_depth.set(endpoint.inbox.qsize(), node=dst)

@@ -315,7 +315,6 @@ class ShmNetwork(FramedNetwork):
         self.connect_timeout = connect_timeout
         self._ring: Optional[ShmRing] = None
         self._reader: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     @property
     def max_packet(self) -> int:
@@ -424,19 +423,10 @@ class ShmNetwork(FramedNetwork):
                 self._handle_frame(frame)
 
     def _handle_frame(self, frame: bytes) -> None:
-        parsed = self._parse_header(frame[: HEADER.size])
-        if parsed is None:
-            return  # skip: the ring's own length prefix keeps it aligned
-        decoded = self._decode_frame(
-            *parsed, memoryview(frame)[HEADER.size :]
-        )
-        if decoded is None:
-            return
-        # Blocking is fine here: a stalled reader fills the ring, which
-        # blocks remote senders (end-to-end backpressure).
-        for delay in self._delivery(*decoded):
-            if self._stop.wait(delay):
-                return
+        # A frame the core rejects, header or body, is skipped either
+        # way: the ring's own length prefix keeps it aligned.
+        body = memoryview(frame)[HEADER.size :]
+        self._receive(frame[: HEADER.size], lambda _nbytes: body)
 
     # -- lifecycle -----------------------------------------------------
 

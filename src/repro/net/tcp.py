@@ -1,4 +1,4 @@
-"""Asyncio TCP transport: the socket backend of the framed core.
+"""Blocking-socket TCP transport: the socket backend of the framed core.
 
 :class:`TcpNetwork` moves the same runtime messages as the in-memory
 :class:`~repro.runtime.transport.Network`, but across real sockets
@@ -6,35 +6,41 @@ between OS processes.  Everything that is not about sockets — the
 ``Transport`` surface, the send sequence, frame validation, delivery
 admission, bandwidth emulation and fault injection — is inherited from
 :class:`~repro.net.framed.FramedNetwork`; this module holds only the
-event loop, the per-peer writers and the stream reader.
+per-peer writers, the acceptor and the per-connection readers.
 
 A peer is ``node id -> host:port``.  Concurrency: agent worker threads
-call ``send`` synchronously; a single background thread runs an
-asyncio event loop owning all sockets.  Per peer there is one bounded
-frame queue and one writer task with reconnect/backoff — a full queue
-blocks the *sending thread* (backpressure), mirroring a full kernel
-socket buffer.  The server side reads one frame at a time per
-connection: a header the core rejects drops the connection (a byte
-stream whose framing lied cannot be resynced), a rejected body is
-skipped and the connection lives on.
+call ``send`` synchronously and never touch a socket.  Per peer there
+is one bounded frame queue and one writer thread (started by the
+peer's first frame) that owns the lazy dial, reconnect/backoff and the
+scatter-gather write — a full queue blocks the *sending thread*
+(backpressure), mirroring a full kernel socket buffer, and a send to a
+peer that is not listening yet returns at once.  Per inbound
+connection one reader thread receives each frame straight into the
+buffer the message will reference; the syscalls and the CRC release
+the GIL, so the streams of a round overlap.  A header the core rejects
+drops the connection (a byte stream whose framing lied cannot be
+resynced), a rejected body is skipped and the connection lives on.
 """
 
 from __future__ import annotations
 
-import asyncio
+import logging
+import queue
 import random
+import socket
 import threading
 import time
-from collections import deque
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..cluster.chunk import NodeId
 from ..runtime.faults import FaultInjector
 from .framed import FramedNetwork
 from .wire import HEADER
 
-#: queue sentinel: flush what precedes it, then shut the writer down
-_CLOSE = object()
+_LOG = logging.getLogger(__name__)
+
+#: queue token that wakes an idle writer so it notices ``peer.closing``
+_WAKE = object()
 
 #: first reconnect backoff (seconds); doubles up to _BACKOFF_CAP
 _BACKOFF_BASE = 0.05
@@ -57,28 +63,41 @@ def reconnect_delay(backoff: float, rng: random.Random) -> float:
     return half + rng.uniform(0, half)
 
 
-class _Peer:
-    """One remote node: its address, frame queue and writer task.
+def _send_parts(sock: socket.socket, parts) -> None:
+    """Scatter-gather write of one frame's buffers, as the sender made
+    them (no join copy); a blocking ``sendmsg`` may still write short."""
+    views = [memoryview(part) for part in parts if len(part)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
-    The queue is a plain ``deque`` fed by sender threads and drained by
-    the writer task; a counting semaphore bounds its depth (sender-side
-    backpressure) and an :class:`asyncio.Event` — set via
-    ``call_soon_threadsafe``, fire-and-forget — wakes the writer.  The
-    old design funneled every frame through
-    ``run_coroutine_threadsafe(queue.put(...)).result()``, which costs
-    a full cross-thread round trip (~1 ms) per frame and dominated
-    loopback throughput.
-    """
+
+def _recv_exact(sock: socket.socket, view: memoryview) -> int:
+    """Fill ``view`` from the socket; short only if the stream ended."""
+    got = 0
+    while got < len(view):
+        count = sock.recv_into(view[got:], 0, socket.MSG_WAITALL)
+        if not count:
+            break
+        got += count
+    return got
+
+
+class _Peer:
+    """One remote node: its address, bounded frame queue and writer."""
 
     def __init__(self, node_id: NodeId, host: str, port: int, capacity: int):
         self.node_id = node_id
         self.address = (host, port)
-        self.queue: deque = deque()
-        self.slots = threading.Semaphore(capacity)
-        #: created on the event loop (events bind to the running loop)
-        self.wakeup: Optional[asyncio.Event] = None
-        self.task: Optional[asyncio.Task] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.queue: queue.Queue = queue.Queue(capacity)
+        #: set on detach/close: the writer exits once the queue is empty
+        self.closing = False
+        self.thread: Optional[threading.Thread] = None
+        #: touched by the writer thread only
+        self.sock: Optional[socket.socket] = None
 
 
 class TcpNetwork(FramedNetwork):
@@ -97,8 +116,8 @@ class TcpNetwork(FramedNetwork):
         connect_timeout: total seconds of reconnect backoff before a
             frame to an unreachable peer is dropped
             (``net_frames_dropped_total``).
-        drain_timeout: seconds :meth:`close` waits per peer for queued
-            frames to flush before force-closing.
+        drain_timeout: seconds :meth:`close` waits for the peers'
+            queued frames to flush before force-closing.
     """
 
     def __init__(
@@ -119,10 +138,13 @@ class TcpNetwork(FramedNetwork):
         #: jitters reconnect backoff (see :func:`reconnect_delay`);
         #: swap in a seeded Random for deterministic tests
         self.reconnect_rng = random.Random()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        #: every live thread this network started; ``close`` joins them
+        self._threads: List[threading.Thread] = []
+        #: every open connection, dialed or accepted; ``close`` shuts
+        #: them down, the thread that owns one closes it
+        self._socks: Set[socket.socket] = set()
 
     # -- peer wiring -----------------------------------------------------
 
@@ -135,10 +157,16 @@ class TcpNetwork(FramedNetwork):
         counted and dropped, never raised — a remote peer cannot crash
         this process with bytes.
         """
-        future = asyncio.run_coroutine_threadsafe(
-            self._start_server(host, port), self._ensure_loop()
-        )
-        return future.result(timeout=30)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("TcpNetwork is closed")
+            if self._listener is not None:
+                raise RuntimeError("already listening")
+            self._listener = socket.create_server((host, port))
+            self._acceptor = self._spawn(
+                self._accept_loop, "tcp-accept", self._listener
+            )
+        return self._listener.getsockname()[:2]
 
     def add_peer(self, node_id: NodeId, host: str, port: int) -> None:
         """Register a remote node reachable at ``host:port``.
@@ -147,231 +175,222 @@ class TcpNetwork(FramedNetwork):
         frame and redials with exponential backoff on failure, so peers
         may be registered before the remote process is listening.
         """
+        if self._closed:
+            raise RuntimeError("TcpNetwork is closed")
         if node_id in self._peers:
             raise ValueError(f"peer {node_id} already registered")
-        peer = _Peer(node_id, host, port, self.send_queue_capacity)
-        future = asyncio.run_coroutine_threadsafe(
-            self._install_peer(peer), self._ensure_loop()
+        self._register_peer(
+            _Peer(node_id, host, port, self.send_queue_capacity)
         )
-        future.result(timeout=30)
-        self._register_peer(peer)
 
     def _forget_peer(self, peer: _Peer) -> None:
-        if peer.wakeup is not None and self._loop is not None:
-            # _CLOSE bypasses the slot semaphore: a full queue must
-            # not block the detach (the writer drains it anyway).
-            peer.queue.append(_CLOSE)
-            try:
-                self._loop.call_soon_threadsafe(peer.wakeup.set)
-            except RuntimeError:
-                pass  # loop already stopped
+        peer.closing = True
+        try:
+            peer.queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass  # a writer with frames to write is not idle
 
     def _enqueue(self, peer: _Peer, parts: Tuple[bytes, bytes]) -> bool:
         """Queue one frame's iovec to a peer; blocks while the queue is full."""
-        if peer.wakeup is None:
-            return False
-        self.net.send_queue_depth.observe(len(peer.queue), node=peer.node_id)
-        # Bounded queue: the semaphore is the backpressure.  Poll so a
-        # sender blocked against an abandoned peer notices close().
-        while not peer.slots.acquire(timeout=0.5):
-            if self._closed:
-                return False
-        peer.queue.append(parts)
-        try:
-            self._loop.call_soon_threadsafe(peer.wakeup.set)
-        except RuntimeError:
-            peer.slots.release()
-            return False  # loop stopped underneath us (late close)
-        return True
+        self.net.send_queue_depth.observe(peer.queue.qsize(), node=peer.node_id)
+        if peer.thread is None:
+            with self._lock:
+                if peer.thread is None and not self._closed:
+                    peer.thread = self._spawn(
+                        self._writer_loop, f"tcp-writer[{peer.node_id}]", peer
+                    )
+        # Poll so a sender blocked against an abandoned peer notices.
+        while not (self._closed or peer.closing):
+            try:
+                peer.queue.put(parts, timeout=0.5)
+                return True
+            except queue.Full:
+                pass
+        return False
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
         """Shut the socket layer down (idempotent).
 
-        With ``drain`` (the default), every peer queue is flushed —
-        bounded by ``drain_timeout`` per peer — before connections
-        close; without it, queued frames are abandoned.  Local
-        endpoints are left attached: a closed TcpNetwork degrades to
-        the in-memory fabric.
+        With ``drain`` (the default), every peer queue is flushed and
+        what the kernel already holds for the readers is delivered —
+        bounded by ``drain_timeout`` — before connections close;
+        without it, queued frames are abandoned.  Every thread this
+        network started has been joined on return.  Local endpoints
+        are left attached: a closed TcpNetwork degrades to the
+        in-memory fabric.
         """
-        if self._closed or self._loop is None:
-            self._closed = True
-            return
-        self._closed = True
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(drain), self._loop
-        )
-        try:
-            future.result(
-                timeout=self.drain_timeout * (len(self._peers) + 1) + 5
-            )
-        except Exception:
-            pass  # a wedged drain must not wedge the caller
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    # -- event-loop side -------------------------------------------------
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         with self._lock:
             if self._closed:
-                raise RuntimeError("TcpNetwork is closed")
-            if self._loop is None:
-                self._loop = asyncio.new_event_loop()
-                self._thread = threading.Thread(
-                    target=self._loop.run_forever,
-                    name="tcp-network-loop",
-                    daemon=True,
-                )
-                self._thread.start()
-            return self._loop
+                return
+            self._closed = True  # senders are refused: no new writers
+        deadline = time.monotonic() + self.drain_timeout
+        peers = list(self._peers.values())
+        for peer in peers:
+            self._forget_peer(peer)
+        if drain:
+            self._join([p.thread for p in peers if p.thread], deadline)
+        listener = self._listener
+        if listener is not None:
+            # Non-blocking from here on, the acceptor takes what is
+            # queued (what our own writers just dialed may still sit in
+            # the backlog) and ends; a dial of ours wakes it.
+            listener.setblocking(False)
+            try:
+                socket.create_connection(listener.getsockname()[:2], 1).close()
+            except OSError:
+                self._shutdown(listener)  # fails its accept() instead
+            self._join([self._acceptor], deadline)
+            listener.close()
+        with self._lock:
+            threads, socks = list(self._threads), list(self._socks)
+        # A shut-down socket still yields what it had buffered, then
+        # EOF: readers finish the frames that arrived, stuck writers fail.
+        for sock in socks:
+            self._shutdown(sock)
+        if drain:
+            self._join(threads, deadline)
+        self._stop.set()
+        self._join(threads, time.monotonic() + self.drain_timeout)
 
-    async def _install_peer(self, peer: _Peer) -> None:
-        # The wakeup event and task are created on the loop (an
-        # asyncio.Event binds to the running loop on first use).
-        peer.wakeup = asyncio.Event()
-        peer.task = asyncio.ensure_future(self._peer_writer(peer))
+    @staticmethod
+    def _shutdown(sock: socket.socket) -> None:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or the remote end went first
 
-    async def _peer_writer(self, peer: _Peer) -> None:
+    @staticmethod
+    def _join(threads, deadline: float) -> None:
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+
+    def _spawn(self, target, name: str, *args) -> threading.Thread:
+        """Start a tracked daemon thread (the caller holds ``_lock``)."""
+        thread = threading.Thread(
+            target=target, args=args, name=name, daemon=True
+        )
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+        thread.start()
+        return thread
+
+    def _release(self, sock: socket.socket, direction: str) -> None:
+        self.net.connections.dec(direction=direction)
+        with self._lock:
+            self._socks.discard(sock)
+        sock.close()
+
+    # -- writer side -----------------------------------------------------
+
+    def _writer_loop(self, peer: _Peer) -> None:
         """Drain one peer's frame queue into its (re)connected socket."""
         try:
-            while True:
-                while not peer.queue:
-                    await peer.wakeup.wait()
-                    peer.wakeup.clear()
-                parts = peer.queue.popleft()
-                if parts is _CLOSE:
-                    return
-                peer.slots.release()
-                await self._write_frame(peer, parts)
+            while not self._stop.is_set() and not (
+                peer.closing and peer.queue.empty()
+            ):
+                parts = peer.queue.get()
+                if parts is _WAKE:
+                    continue
+                try:
+                    self._write_frame(peer, parts)
+                except Exception:
+                    _LOG.exception("tcp writer to node %s", peer.node_id)
+                    self._close_peer_socket(peer)
+                    self.net.frames_dropped.inc(node=peer.node_id)
         finally:
-            await self._close_peer_socket(peer)
+            self._close_peer_socket(peer)
 
-    async def _write_frame(self, peer: _Peer, parts: Tuple[bytes, bytes]) -> None:
-        head, payload = parts
-        for retry in range(2):
-            if peer.writer is None and not await self._connect(peer):
+    def _write_frame(self, peer: _Peer, parts: Tuple[bytes, bytes]) -> None:
+        for _retry in range(2):
+            if peer.sock is None and not self._connect(peer):
                 break
             try:
-                # Scatter-gather: header+meta and payload go out as the
-                # buffers the sender produced — no per-frame join copy.
-                peer.writer.write(head)
-                if len(payload):
-                    peer.writer.write(payload)
-                await peer.writer.drain()
+                _send_parts(peer.sock, parts)
                 return
-            except (ConnectionError, OSError):
+            except OSError:
                 # Connection died mid-write; retry once on a fresh one.
                 # Re-sent frames may duplicate at the receiver — the
                 # runtime dedupes (packet arrived-sets, attempt tags).
-                await self._close_peer_socket(peer)
+                self._close_peer_socket(peer)
         self.net.frames_dropped.inc(node=peer.node_id)
 
-    async def _connect(self, peer: _Peer) -> bool:
+    def _connect(self, peer: _Peer) -> bool:
         """Dial a peer with exponential backoff; False when given up."""
         backoff = _BACKOFF_BASE
         deadline = time.monotonic() + self.connect_timeout
-        while True:
+        while not self._stop.is_set():
             try:
-                _reader, writer = await asyncio.open_connection(
-                    *peer.address
+                sock = socket.create_connection(
+                    peer.address, timeout=self.connect_timeout
                 )
             except OSError:
                 delay = reconnect_delay(backoff, self.reconnect_rng)
                 if time.monotonic() + delay >= deadline:
                     return False
-                await asyncio.sleep(delay)
+                self._stop.wait(delay)
                 backoff = min(backoff * 2, _BACKOFF_CAP)
                 continue
-            peer.writer = writer
+            sock.settimeout(None)
+            # A 200-byte command behind a 512 KiB payload must not wait
+            # out Nagle + delayed ACK (~40 ms).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                self._socks.add(sock)
+            peer.sock = sock
             self.net.reconnects.inc(node=peer.node_id)
             self.net.connections.inc(direction="out")
             return True
+        return False
 
-    async def _close_peer_socket(self, peer: _Peer) -> None:
-        if peer.writer is None:
-            return
-        writer, peer.writer = peer.writer, None
-        self.net.connections.dec(direction="out")
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    def _close_peer_socket(self, peer: _Peer) -> None:
+        if peer.sock is not None:
+            sock, peer.sock = peer.sock, None
+            self._release(sock, "out")
 
-    async def _start_server(self, host: str, port: int) -> Tuple[str, int]:
-        if self._server is not None:
-            raise RuntimeError("already listening")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+    # -- reader side -----------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self.net.connections.inc(direction="in")
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(HEADER.size)
-                except asyncio.IncompleteReadError:
-                    return  # peer closed cleanly (or mid-frame: nothing lost)
-                parsed = self._parse_header(header)
-                if parsed is None:
-                    return  # stream can't be resynced; drop the connection
-                _code, _crc, meta_len, payload_len = parsed
-                try:
-                    body = await reader.readexactly(meta_len + payload_len)
-                except asyncio.IncompleteReadError as exc:
-                    # Stream ended mid-frame: the core counts the short
-                    # body as truncated and the next header read ends us.
-                    body = exc.partial
-                decoded = self._decode_frame(*parsed, body)
-                if decoded is None:
-                    continue  # skip just this frame; the stream is aligned
-                # Never block the loop itself: a paused delivery pauses
-                # only this connection's reads (the kernel buffer then
-                # fills and stalls the remote writer).
-                for delay in self._delivery(*decoded):
-                    await asyncio.sleep(delay)
-        except (ConnectionError, OSError):
-            pass  # remote reset: equivalent to a closed stream
-        except asyncio.CancelledError:
-            # Swallow the shutdown cancel: asyncio's stream-server
-            # done-callback re-raises task.exception() into the loop's
-            # exception handler otherwise, spamming stderr on close.
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            self.net.connections.dec(direction="in")
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
             try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _shutdown(self, drain: bool) -> None:
-        for peer in self._peers.values():
-            if peer.wakeup is None or peer.task is None:
+                conn, _address = listener.accept()
+            except BlockingIOError:
+                return  # close() is draining and the backlog is empty
+            except OSError:
+                # Closed listener: done.  Anything else (ECONNABORTED,
+                # EMFILE) is transient: pause, accept again.
+                if self._closed or self._stop.wait(_BACKOFF_BASE):
+                    return
                 continue
-            if drain:
-                peer.queue.append(_CLOSE)
-                peer.wakeup.set()
-                try:
-                    await asyncio.wait_for(peer.task, self.drain_timeout)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    peer.task.cancel()
-            else:
-                peer.task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
+            with self._lock:
+                self._spawn(self._reader_loop, "tcp-reader", conn)
+                self._socks.add(conn)
+
+    def _reader_loop(self, conn: socket.socket) -> None:
+        """Receive one connection's frames until it ends or its framing lies."""
+        self.net.connections.inc(direction="in")
+        header = memoryview(bytearray(HEADER.size))
+
+        def read_body(nbytes: int) -> memoryview:
+            # One buffer per frame, filled by the kernel; the decoded
+            # message's payload is a view of it (no user-space copy).
+            body = memoryview(bytearray(nbytes))
+            return body[: _recv_exact(conn, body)].toreadonly()
+
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # A stream that ends inside a header lost nothing whole; one
+            # that ends mid-body is counted truncated by the core and
+            # the next header read ends us.
+            while _recv_exact(conn, header) == HEADER.size and self._receive(
+                header, read_body
+            ):
+                pass
+        except OSError:
+            pass  # remote reset: equivalent to a closed stream
+        except Exception:
+            _LOG.exception("tcp reader")
+            self.net.frames_rejected.inc(reason="reader")
+        finally:
+            self._release(conn, "in")

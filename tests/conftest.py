@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster import StorageCluster
+
+
+@pytest.fixture
+def tcp_threads_joined():
+    """After a test and its teardown no ``TcpNetwork`` thread is alive:
+    ``close`` joined every acceptor, reader and writer it started.
+    (``tests/net`` and the transport conformance suite make it autouse.)"""
+    yield
+    leaked = sorted(
+        t.name for t in threading.enumerate() if t.name.startswith("tcp-")
+    )
+    assert not leaked, f"TcpNetwork threads left alive: {leaked}"
 
 
 @pytest.fixture
