@@ -8,19 +8,22 @@ regimes:
 
 - ``idle`` — no repair traffic at all (the baseline);
 - ``predictive`` — a FastPR soon-to-fail repair runs concurrently,
-  with the :class:`~repro.gateway.TrafficArbiter` holding the client
-  bandwidth floor;
+  with the :class:`~repro.gateway.TrafficArbiter` pacing repair on the
+  links the GETs' bytes cross (and only there);
 - ``predictive_unarbitrated`` — the same repair with the arbiter
-  disabled, to show what the floor is worth;
+  disabled, to show what the floor is worth and what it costs;
 - ``reactive`` — the node is already dead: the same GETs now decode
   around the hole (degraded reads) while a reconstruction-only repair
   runs.
 
 Each regime reports p50/p99 latency, GET goodput and the degraded-read
-count.  The committed document carries its own acceptance bar:
-``p99(predictive) <= max_p99_ratio * p99(idle)`` — if the arbiter
-stops protecting foreground reads, ``--fail-on-regression`` fails the
-bench instead of shipping the regression.
+count.  The committed document carries its own acceptance bars, one
+per side of the arbiter's trade: ``p99(predictive) <= max_p99_ratio *
+p99(idle)`` and ``repair_seconds(predictive) <= max_repair_ratio *
+repair_seconds(predictive_unarbitrated)`` — if the arbiter stops
+protecting foreground reads, or goes back to holding repair off links
+no client is using, ``--fail-on-regression`` fails the bench instead
+of shipping the regression.
 
 Usage::
 
@@ -39,15 +42,16 @@ from typing import List, Optional
 
 from ..core.serde import Schema
 
+_FIELDS = ("config", "scenarios", "max_p99_ratio", "max_repair_ratio")
 GATEWAY_BENCH_SCHEMA = Schema(
-    "bench-gateway",
-    version=1,
-    fields=("config", "scenarios", "max_p99_ratio"),
-    required=("config", "scenarios", "max_p99_ratio"),
+    "bench-gateway", version=2, fields=_FIELDS, required=_FIELDS
 )
 
-#: the acceptance bar: predictive-repair p99 within this factor of idle
+#: the acceptance bars: predictive-repair p99 within this factor of
+#: idle, and the arbitrated repair within this factor of the
+#: unarbitrated one
 _MAX_P99_RATIO = 2.0
+_MAX_REPAIR_RATIO = 1.25
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -249,6 +253,7 @@ def run_gateway_bench(
         },
         "scenarios": scenarios,
         "max_p99_ratio": _MAX_P99_RATIO,
+        "max_repair_ratio": _MAX_REPAIR_RATIO,
     }
     return GATEWAY_BENCH_SCHEMA.dump(body)
 
@@ -270,22 +275,36 @@ def validate_gateway(document: dict) -> dict:
 
 
 def check_gateway_gate(document: dict) -> Optional[str]:
-    """The QoS acceptance bar; a problem string or None.
+    """The QoS acceptance bars; a problem string or None.
 
-    Evaluated within a single run (idle and predictive measured
-    seconds apart on the same host), so it gates even when the config
-    changed and the cross-commit comparison is skipped.
+    Evaluated within a single run (the scenarios are measured seconds
+    apart on the same host), so it gates even when the config changed
+    and the cross-commit comparison is skipped.  Two bars, one per
+    side of the trade: GET p99 under arbitrated repair against idle,
+    and the arbitrated repair's seconds against the unarbitrated one's.
     """
-    idle = document["scenarios"]["idle"]["p99_seconds"]
-    repair = document["scenarios"]["predictive"]["p99_seconds"]
+    scenarios = document["scenarios"]
+    problems = []
+    idle = scenarios["idle"]["p99_seconds"]
+    repair = scenarios["predictive"]["p99_seconds"]
     limit = document["max_p99_ratio"]
     if repair > limit * idle:
-        return (
+        problems.append(
             f"p99 GET under predictive repair is {repair:.3f}s, more "
             f"than {limit:.1f}x the idle p99 of {idle:.3f}s; the "
             "arbiter is no longer holding the client floor"
         )
-    return None
+    arbitrated = scenarios["predictive"]["repair_seconds"]
+    unarbitrated = scenarios["predictive_unarbitrated"]["repair_seconds"]
+    limit = document["max_repair_ratio"]
+    if arbitrated > limit * unarbitrated:
+        problems.append(
+            f"predictive repair took {arbitrated:.3f}s behind the "
+            f"arbiter, more than {limit:.2f}x the {unarbitrated:.3f}s "
+            "it takes without; the arbiter is holding repair off links "
+            "no client is using"
+        )
+    return "; ".join(problems) or None
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -264,10 +264,11 @@ class ObjectStore(RpcEndpoint):
     def _client_flow(self):
         """Registered client flow spanning one object request.
 
-        Marks the arbiter's client class busy for the whole PUT/GET —
-        including the think time between stripes — so background
-        repair stays clamped to its share throughout, not only in the
-        instants client packets are in flight.
+        Accounting only (``arbiter_active_flows{cls="client"}``: how
+        many object requests are in flight).  It clamps nothing — the
+        arbiter paces background traffic by what this request's chunk
+        bytes do to the links they cross, not by the fact that some
+        request is open somewhere.
         """
         arbiter = getattr(self.network, "arbiter", None)
         if arbiter is None:
@@ -407,24 +408,28 @@ class ObjectStore(RpcEndpoint):
         """
         k = manifest.k
         wanted = list(range(k))
-        available: Dict[int, bytes] = {}
-        # First pass: fetch data chunks from nodes the monitor/probe
-        # state calls readable.
-        direct = [i for i in wanted if self._readable(ref.placement[i])]
-        available.update(self._fetch_chunks(ref, direct))
+        # One request wave for k chunks: the data chunks on nodes the
+        # monitor/probe state calls readable, plus one readable parity
+        # for every data chunk that state leaves short.
+        first = [i for i in wanted if self._readable(ref.placement[i])]
+        parities = (
+            i for i in range(k, manifest.n)
+            if self._readable(ref.placement[i])
+        )
+        first.extend(itertools.islice(parities, k - len(first)))
+        available = self._fetch_chunks(ref, first)
         missing = [i for i in wanted if i not in available]
         if not missing:
             return [available[i] for i in wanted], False
-        # Degraded path: top up to k chunks from surviving parities
-        # (and any data chunks skipped above), then decode the holes.
-        substitutes = [
-            i for i in range(manifest.n)
-            if i not in available and self._readable(ref.placement[i])
-        ]
-        for index in substitutes:
+        # Only when a reply in that wave failed (its node is suspect
+        # now): top up one at a time from whatever else is readable.
+        for index in range(manifest.n):
             if len(available) >= k:
                 break
-            available.update(self._fetch_chunks(ref, [index]))
+            if index not in available and self._readable(
+                ref.placement[index]
+            ):
+                available.update(self._fetch_chunks(ref, [index]))
         if len(available) < k:
             raise GatewayError(
                 f"stripe {ref.stripe_id}: only {len(available)} of the "

@@ -242,10 +242,14 @@ class FramedNetwork:
             payload = corrupt_payload
         arbiter = self.arbiter
         for _ in range(copies):
+            # Sender-side egress only, for the arbiter and the NIC
+            # reservation alike: the receiver's ingress is charged in
+            # its own process at delivery.
             if arbiter is not None:
-                arbiter.admit(message, nbytes, stop=sender.nic_out.stop)
-            # Sender-side egress reservation only: the receiver's
-            # ingress is charged in its own process at delivery.
+                arbiter.admit(
+                    message, nbytes, ((src, "out"),),
+                    stop=sender.nic_out.stop,
+                )
             deadline = sender.nic_out.reserve(nbytes)
             sleep_until(deadline + extra_delay, stop=sender.nic_out.stop)
             with self._lock:

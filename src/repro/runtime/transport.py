@@ -186,8 +186,9 @@ class Network:
         self.metrics = metrics
         self.inbox_capacity = inbox_capacity
         #: optional QoS policy (:class:`repro.gateway.TrafficArbiter`,
-        #: duck-typed): every throttled transfer is admitted through it
-        #: before competing for NIC time
+        #: duck-typed): every throttled transfer is admitted through it,
+        #: naming the two NICs it is about to reserve, before competing
+        #: for them
         self.arbiter = None
         #: total throttled payload bytes moved (telemetry)
         self.bytes_transferred = 0
@@ -319,9 +320,12 @@ class Network:
                     message = corrupted(message, fate.payload)
             nbytes = len(message.payload)
             arbiter = self.arbiter
+            links = ((src, "out"), (dst, "in"))
             for _ in range(copies):
                 if arbiter is not None:
-                    arbiter.admit(message, nbytes, stop=sender.nic_out.stop)
+                    arbiter.admit(
+                        message, nbytes, links, stop=sender.nic_out.stop
+                    )
                 deadline = reserve_transfer(
                     sender.nic_out, receiver.nic_in, nbytes
                 )

@@ -154,6 +154,51 @@ class TestDegradedReads:
         assert result.degraded_stripes >= 1
         assert counter_total(metrics, "gateway_degraded_reads_total") >= 1
 
+    @staticmethod
+    def count_fanouts(store):
+        """Sizes of the ``_rpc_many`` waves ``store`` issues from now on."""
+        waves = []
+        rpc_many = store._rpc_many
+
+        def counting(calls, timeout=None):
+            waves.append(len(calls))
+            return rpc_many(calls, timeout=timeout)
+
+        store._rpc_many = counting
+        return waves
+
+    def test_stf_stripe_is_read_in_one_fan_out(self, rig):
+        cluster, codec, store, _ = rig
+        data = bytes(range(256)) * (codec.k * CHUNK // 256)
+        manifest = store.put("hot", data)
+        cluster.node(self.data_victim(manifest)).mark_soon_to_fail()
+        waves = self.count_fanouts(store)
+        result = store.get_result("hot")
+        assert result.data == data and result.degraded
+        # k chunks asked for at once: k - 1 data and one parity.
+        assert waves == [codec.k]
+
+    def test_failed_reply_in_the_wave_still_tops_up(self, tmp_path):
+        cluster, codec, testbed, metrics = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK, metrics=metrics
+        ) as store:
+            data = bytes(range(256)) * (codec.k * CHUNK // 256)
+            ref = store.put("hot", data).stripes[0]
+            cluster.node(ref.placement[0]).mark_soon_to_fail()
+            # A data chunk and the first parity are gone from disk:
+            # both replies of the wave come back ok=False.
+            for index in (1, codec.k):
+                testbed.stores[ref.placement[index]].delete(ref.stripe_id)
+            waves = self.count_fanouts(store)
+            result = store.get_result("hot")
+            assert result.data == data and result.degraded
+            # The wave, then one substitute at a time for its two holes.
+            assert waves == [codec.k, 1, 1]
+            assert not store._readable(ref.placement[1])
+            assert not store._readable(ref.placement[codec.k])
+            assert counter_total(metrics, "gateway_degraded_reads_total") == 1
+
     def test_reads_go_direct_again_after_the_drain(self, tmp_path):
         cluster, codec, testbed, metrics = build_rig(tmp_path)
         with testbed, ObjectStore(

@@ -367,10 +367,12 @@ class TestTransportContract:
             faults=FaultInjector(plan), metrics=MetricsRegistry()
         )
         admitted = []
+        links = set()
 
         class Arbiter:
-            def admit(self, message, nbytes, stop=None):
+            def admit(self, message, nbytes, links_, stop=None):
                 admitted.append(nbytes)
+                links.update(links_)
 
         net.arbiter = Arbiter()
         for node_id in range(4):
@@ -410,6 +412,13 @@ class TestTransportContract:
         assert net.endpoint(3).inbox.empty()
 
         assert admitted == [len(payload)] * 4
+        # The memory fabric names both NICs it reserves; a wire backend
+        # only the sender's egress (the receiver charges its own side).
+        assert (0, "out") in links
+        ingress = {(dst, "in") for dst in (1, 2, 3)}
+        assert links - {(0, "out")} == (
+            ingress if backend.kind == "memory" else set()
+        )
         assert net.bytes_transferred == 4 * len(payload)
         assert net.net.bytes_sent.value(node=0) == 4 * len(payload)
 
