@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="(with --pipelining chain) carve each chunk into N slices "
-        "streamed as SlicePacket frames with per-slice completion "
+        "streamed one data packet per slice with per-slice completion "
         "reports; 0 keeps packet-granular chaining",
     )
 

@@ -292,7 +292,7 @@ class FramedNetwork:
         if isinstance(message, DataPacket) and message.checksum is not None:
             # The frame CRC validated these exact payload bytes;
             # clearing the app-level checksum lets assemblies and
-            # relays skip an identical crc32 pass per payload.  (The
+            # chain stages skip an identical crc32 pass per payload.  (The
             # in-memory fabric keeps checksums: its faults corrupt
             # packets after construction, past any wire-level check.)
             message = replace(message, checksum=None)

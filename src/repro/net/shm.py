@@ -68,7 +68,7 @@ _RING_HEADER = struct.Struct("<QQQ")
 _LEN = struct.Struct("<I")
 
 #: ring bytes a data frame needs beyond its payload: the length prefix,
-#: the frame header and the JSON envelope (~250 bytes for a slice packet)
+#: the frame header and the JSON envelope (~230 bytes for a data packet)
 _FRAME_OVERHEAD = 1024
 
 #: sender poll period while the ring is full (backpressure spin)

@@ -3,11 +3,15 @@
 Each storage node runs an :class:`Agent` with:
 
 * a *dispatcher* thread draining the node's inbox,
-* a *send worker* that streams chunks out — one chunk at a time as a
-  synchronous round trip (the next chunk starts only after the
-  destination confirms the previous one is written, matching the
-  sequential read->transmit->write decomposition of Eq. (4)); within a
-  chunk, a short-lived *reader* thread runs ahead of the sender loop by
+* a *send worker* that runs the node's star and migration streams one
+  chunk at a time, each as a synchronous round trip (the next chunk
+  starts only after the destination confirms the previous one is
+  written, matching the sequential read->transmit->write decomposition
+  of Eq. (4)),
+* one *stream worker per chain stage*: a stage blocks on its upstream's
+  partial sums, so it cannot queue on the send worker — two chains
+  crossing a node in opposite order would deadlock there,
+* one short-lived *reader* thread per stream, running ahead of it by
   up to the chunk (the paper's multi-threaded pipeline, Experiment B.1),
 * a *client worker* serving gateway chunk reads, writes and deletes off
   the dispatcher thread,
@@ -16,8 +20,6 @@ Each storage node runs an :class:`Agent` with:
   "one thread for decoding the received packets"), plus its
   *staging-writer* thread, which writes each fully decoded region to
   the assembly's staging file while the next packet is decoded,
-* one *relay thread per chained stage*, plus its *relay-read* thread
-  double-buffering the stage's own chunk,
 * an optional *heartbeat* thread beaconing liveness to the coordinator.
 
 The hand-offs between those threads are ``queue.SimpleQueue``s, and a
@@ -26,8 +28,10 @@ stream opens its chunk file once (:meth:`ChunkStore.open_read`,
 GF math, one ``pread``/``pwrite`` and the limiters, not a file open or
 a blocking queue (DESIGN.md §13 has the per-packet table).
 
-Migration and reconstruction share one code path: a migration is an
-assembly with a single source whose coefficient is 1.
+Migration and reconstruction share one code path on both ends: a
+migration is an assembly with a single source whose coefficient is 1,
+and every helper runs one stream body (:class:`_Stream`) — a star or
+migration sender is a repair-pipelining stage of a chain of length one.
 
 Fault tolerance: every command carries an ``attempt`` number; stale
 packets and commands from superseded attempts are dropped, every
@@ -83,11 +87,9 @@ from .messages import (
     Ping,
     Pong,
     ReceiveCommand,
-    RelayCommand,
     RepairAck,
     SendCommand,
     Shutdown,
-    SlicePacket,
     SliceReport,
     WriteComplete,
     nack,
@@ -102,7 +104,7 @@ def slice_granularity(
 
     Sliced chained reconstruction carves the chunk into ``num_slices``
     equal slices (the last may run short); ``num_slices == 0`` keeps
-    the command's packet size.  Relays and assemblies both derive
+    the command's packet size.  Streams and assemblies both derive
     their offsets from this, so slice boundaries agree across every
     hop of a chain regardless of the packet size the run was tuned to.
     """
@@ -118,17 +120,36 @@ def _generation(message) -> Generation:
     return (message.epoch, message.attempt)
 
 #: cap on the bytes buffered for one action awaiting a late
-#: Receive/Relay registration, in chunks: every source of a wide stripe
+#: Receive/Send registration, in chunks: every source of a wide stripe
 #: may have sent its whole chunk (and a faulty link duplicated it)
 #: before the command lands, but nothing legitimate sends more
 MAX_PENDING_CHUNKS = 64
 
-#: sentinel that aborts a blocked assembly/relay worker
+#: sentinel that aborts a blocked assembly/stream worker
 _ABORT = object()
 
 
 class AgentError(RuntimeError):
     """Raised (and recorded) on protocol violations inside an agent."""
+
+
+class _ActionWorker:
+    """What the agent's per-action registry holds for one command.
+
+    Packets for the action are routed to :attr:`packets`; :meth:`abort`
+    takes effect at the worker's next packet, ahead of whatever backlog
+    is queued (the sentinel only wakes a worker blocked on an empty
+    queue).
+    """
+
+    def __init__(self, command):
+        self.command = command
+        self.packets: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.aborted = False
+
+    def abort(self) -> None:
+        self.aborted = True
+        self.packets.put(_ABORT)
 
 
 class _PendingPackets:
@@ -164,7 +185,7 @@ class _PendingPackets:
         return bool(self.packets)
 
 
-class _Assembly:
+class _Assembly(_ActionWorker):
     """Accumulates coefficient-scaled packets into a repaired chunk.
 
     Each packet offset is decoded in memory; once every source has
@@ -183,12 +204,8 @@ class _Assembly:
         store: ChunkStore,
         on_slice: Optional[Callable[[int, float], None]] = None,
     ):
-        self.command = command
+        super().__init__(command)
         self.store = store
-        self.packets: "queue.SimpleQueue" = queue.SimpleQueue()
-        #: set by :meth:`abort`; honoured at the next packet, ahead of
-        #: whatever backlog is queued
-        self._aborted = False
         #: this assembly's own staging file, opened by :meth:`run`; the
         #: agent promotes or discards it once the chunk is decoded
         self.staged: Optional[ChunkWriter] = None
@@ -217,13 +234,6 @@ class _Assembly:
     def _count_offsets(self) -> int:
         size, packet = self.command.chunk_size, self._granularity
         return (size + packet - 1) // packet
-
-    def abort(self) -> None:
-        """Stop the decode thread at its next packet (the sentinel only
-        wakes it if it is blocked on an empty queue); it discards its
-        staging file and exits."""
-        self._aborted = True
-        self.packets.put(_ABORT)
 
     def _staging_writer(self) -> None:
         """Writer-thread body: flush completed regions to the .part file.
@@ -270,7 +280,7 @@ class _Assembly:
         try:
             while self._remaining_offsets > 0:
                 packet = self.packets.get()
-                if self._aborted:
+                if self.aborted:
                     return False
                 if (
                     packet.attempt != self.command.attempt
@@ -334,127 +344,97 @@ class _Assembly:
                 self.staged.discard()
 
 
-class _Relay:
-    """One stage of a repair pipeline (Li et al.'s repair pipelining).
+class _Stream(_ActionWorker):
+    """One helper's stream of one action (Section V's send path).
 
     Reads the node's own chunk of the stripe packet by packet, scales
-    it by the recovery coefficient, XORs in the upstream stage's
-    partial sum (unless this is the first stage), and forwards the
-    result to the next hop.
+    each packet by the command's ``coeff`` (unless it is 1), XORs in
+    the upstream stage's partial sum for the same offset (unless there
+    is no upstream), and sends the result to the next hop — one stage
+    of Li et al.'s repair pipelining.  A star or migration sender is
+    the chain of length one: coefficient 1 (the destination applies the
+    recovery coefficient), no upstream, the destination as next hop.
     """
 
-    def __init__(self, command: RelayCommand, store: ChunkStore, agent: "Agent"):
-        self.command = command
+    def __init__(self, command: SendCommand, store: ChunkStore, agent: "Agent"):
+        super().__init__(command)
         self.store = store
         self.agent = agent
-        self.packets: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._aborted = False
-
-    def abort(self) -> None:
-        """Stop at the next packet (see :meth:`_Assembly.abort`)."""
-        self._aborted = True
-        self.packets.put(_ABORT)
 
     def run(self) -> None:
-        command = self.command
+        command, agent = self.command, self.agent
         size = self.store.size(command.stripe_id)
         if size != command.chunk_size:
             raise AgentError(
-                f"relay chunk size mismatch: stored {size}, command "
+                f"chunk size mismatch: stored {size}, command "
                 f"{command.chunk_size}"
             )
         packet_size = slice_granularity(
             size, min(command.packet_size, size), command.num_slices
         )
         offsets = range(0, size, packet_size)
-        # Double-buffered chunk reads: a reader thread fills one
-        # preallocated buffer while the GF math consumes the other, so
-        # (throttled) disk I/O overlaps compute.  Buffers cycle through
-        # a free-list, so one is never refilled before the math is done
-        # with it.
-        bufs = [
-            np.empty(packet_size, dtype=np.uint8),
-            np.empty(packet_size, dtype=np.uint8),
-        ]
-        free: "queue.SimpleQueue" = queue.SimpleQueue()
-        free.put(0)
-        free.put(1)
-        ready: "queue.SimpleQueue" = queue.SimpleQueue()
+        # The reader runs ahead so (throttled) disk waits overlap the
+        # GF math and the NIC.  Every packet is read into a fresh buffer
+        # that send() hands over to the transport (DESIGN.md §13), so no
+        # buffer is ever refilled and the read-ahead is bounded by the
+        # chunk.
+        ahead: "queue.SimpleQueue" = queue.SimpleQueue()
+        finished = threading.Event()
 
         def read_ahead():
             try:
                 with self.store.open_read(command.stripe_id) as chunk:
                     for offset in offsets:
-                        length = min(packet_size, size - offset)
-                        index = free.get()
-                        if index is None:
-                            return  # relay finished early (abort/supersede)
-                        chunk.read_into(offset, bufs[index][:length])
-                        ready.put((index, length))
+                        if finished.is_set():
+                            return
+                        buf = np.empty(
+                            min(packet_size, size - offset), dtype=np.uint8
+                        )
+                        chunk.read_into(offset, buf)
+                        ahead.put(buf)
             except Exception as exc:
-                ready.put(exc)
+                ahead.put(exc)
 
         reader = threading.Thread(
-            target=read_ahead,
-            name=f"agent-{self.agent.node_id}-relay-read",
-            daemon=True,
+            target=read_ahead, name=f"agent-{agent.node_id}-read", daemon=True
         )
         reader.start()
         try:
             for offset in offsets:
-                item = ready.get()
-                if isinstance(item, BaseException):
-                    raise item
-                if self._aborted:
+                buf = ahead.get()
+                if isinstance(buf, BaseException):
+                    raise buf
+                if self.aborted:
                     return
-                index, length = item
-                own = bufs[index][:length]
-                # Fresh output per packet: the transport may reference
-                # the payload from its send queue after we return, so
-                # send buffers are never reused (ownership transfers).
-                out = gf_mul_bytes(command.coeff, own)
-                free.put(index)  # own is consumed; reader may refill
-                if not command.first:
+                if command.coeff != 1:
+                    gf_mul_bytes(command.coeff, buf, out=buf)
+                if command.upstream != -1:
                     upstream = self._next_upstream(offset)
                     if upstream is None:
                         return  # aborted or superseded
                     np.bitwise_xor(
-                        out,
+                        buf,
                         np.frombuffer(upstream.payload, dtype=np.uint8),
-                        out=out,
+                        out=buf,
                     )
-                payload = out.data  # zero-copy view; no bytes join
-                self.agent._bytes_sent.inc(length, node=self.agent.node_id)
-                if command.num_slices > 0:
-                    packet = SlicePacket(
+                payload = buf.data  # zero-copy view; no bytes join
+                agent._bytes_sent.inc(len(buf), node=agent.node_id)
+                agent.network.send(
+                    agent.node_id,
+                    command.destination,
+                    DataPacket(
                         stripe_id=command.stripe_id,
                         chunk_index=command.chunk_index,
-                        source=self.agent.node_id,
+                        source=agent.node_id,
                         offset=offset,
                         payload=payload,
                         attempt=command.attempt,
                         epoch=command.epoch,
                         checksum=zlib.crc32(payload),
-                        slice_index=offset // packet_size,
-                        num_slices=command.num_slices,
-                        chain_pos=command.chain_pos,
-                    )
-                else:
-                    packet = DataPacket(
-                        stripe_id=command.stripe_id,
-                        chunk_index=command.chunk_index,
-                        source=self.agent.node_id,
-                        offset=offset,
-                        payload=payload,
-                        attempt=command.attempt,
-                        epoch=command.epoch,
-                        checksum=zlib.crc32(payload),
-                    )
-                self.agent.network.send(
-                    self.agent.node_id, command.destination, packet
+                    ),
                 )
         finally:
-            free.put(None)  # unblock the reader if it is still ahead
+            finished.set()  # stop the reader if it is still ahead
             reader.join()
 
     def _next_upstream(self, offset: int) -> Optional[DataPacket]:
@@ -465,10 +445,10 @@ class _Relay:
                 upstream = self.packets.get(timeout=timeout)
             except queue.Empty:
                 raise AgentError(
-                    f"relay {self.command.key} at node {self.agent.node_id}: "
+                    f"stream {self.command.key} at node {self.agent.node_id}: "
                     f"no upstream packet for offset {offset} within {timeout}s"
                 ) from None
-            if self._aborted:
+            if self.aborted:
                 return None
             if (
                 upstream.attempt != self.command.attempt
@@ -563,8 +543,9 @@ class Agent:
             ack_timeout if ack_timeout is not None else self.config.ack_timeout
         )
         self._endpoint = network.endpoint(node_id)
-        self._assemblies: Dict[ActionKey, _Assembly] = {}
-        self._relays: Dict[ActionKey, _Relay] = {}
+        #: the one per-action registry: each action's assembly (at its
+        #: destination) or stream (at a helper), queued ones included
+        self._inflight: Dict[ActionKey, _ActionWorker] = {}
         self._pending: Dict[ActionKey, _PendingPackets] = {}
         #: newest (epoch, attempt) seen per action (commands are authoritative)
         self._attempts: Dict[ActionKey, Generation] = {}
@@ -575,15 +556,18 @@ class Agent:
         self._epochs: Dict[NodeId, int] = {}
         self._epoch_for(coordinator_id)
         self._assembly_lock = threading.Lock()
+        #: star and migration stream runs, one at a time (Eq. 4)
         self._send_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         #: gateway chunk ops (ChunkRead/ChunkWrite/ChunkDelete) are
         #: served off the dispatcher thread so a throttled client read
         #: never delays repair traffic dispatch
         self._client_queue: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: (key, epoch, attempt) -> the event a star/migration stream
+        #: waits on for its destination's WriteComplete
         self._write_acks: Dict[tuple, threading.Event] = {}
         self._ack_lock = threading.Lock()
         self._threads = []
-        #: per-action decode/relay threads still running
+        #: per-action decode/stream threads still running
         self._workers = []
         self.errors = []
         self._started = False
@@ -619,8 +603,9 @@ class Agent:
             self._threads.append(thread)
 
     def stop(self) -> None:
-        """Stop the worker loops, stand down whatever assembly or relay
-        is still in flight (each discards its staging file), join all."""
+        """Stop the worker loops, stand down whatever assembly or stream
+        is still in flight (an assembly discards its staging file), join
+        all."""
         self._stop_event.set()
         self._endpoint.inbox.put(Shutdown())
         self._send_queue.put(None)
@@ -638,12 +623,9 @@ class Agent:
 
     def _abort_in_flight(self) -> None:
         with self._assembly_lock:
-            for assembly in self._assemblies.values():
-                assembly.abort()
-            for relay in self._relays.values():
-                relay.abort()
-            self._assemblies.clear()
-            self._relays.clear()
+            for worker in self._inflight.values():
+                worker.abort()
+            self._inflight.clear()
             self._pending.clear()
 
     def _spawn_worker(self, target, name: str) -> None:
@@ -656,7 +638,7 @@ class Agent:
     def crash(self) -> None:
         """Stand down as if the node's process was killed.
 
-        Aborts every in-flight assembly/relay (discarding staged
+        Aborts every in-flight assembly/stream (discarding staged
         writes), releases blocked waiters, and silences error
         recording — a dead node does not report anything.  The network
         side (black-holing the endpoint) is the fault injector's job.
@@ -671,27 +653,23 @@ class Agent:
         self._send_queue.put(None)
         self._client_queue.put(None)
 
-    def _guard(
-        self,
-        fn,
-        key: Optional[ActionKey] = None,
-        attempt: int = 0,
-        epoch: int = 0,
-        reply_to: Optional[NodeId] = None,
-    ):
+    def _guard(self, fn, command=None):
+        """``fn`` with its failures NACKed as ``command``'s (recorded in
+        :attr:`errors` when there is no command)."""
+
         def runner():
             try:
                 fn()
             except Exception as exc:
                 if self.crashed:
                     return  # dead nodes don't file reports
-                if key is not None:
+                if command is not None:
                     self._nack(
-                        key,
-                        attempt,
+                        command.key,
+                        command.attempt,
                         f"{type(exc).__name__}: {exc}",
-                        epoch,
-                        reply_to=reply_to,
+                        command.epoch,
+                        reply_to=command.reply_to,
                     )
                 else:
                     self.errors.append(exc)
@@ -740,8 +718,8 @@ class Agent:
     def _bump_epoch(self, coordinator: NodeId, epoch: int) -> None:
         """Adopt a newer epoch for one endpoint; fence everything older.
 
-        In-flight assemblies and relays started under an older epoch of
-        the same coordinator endpoint are aborted (their staged writes
+        In-flight assemblies and streams started under an older epoch
+        of the same coordinator endpoint are aborted (staged writes
         discarded), buffered stale packets are dropped, and the new
         epoch is persisted atomically so fencing survives an agent
         restart.  Runs under the assembly lock: promotion also takes
@@ -752,16 +730,11 @@ class Agent:
             if epoch <= self._epoch_for(coordinator):
                 return
             self._epochs[coordinator] = epoch
-            for key, assembly in list(self._assemblies.items()):
-                command = assembly.command
+            for key, worker in list(self._inflight.items()):
+                command = worker.command
                 if command.reply_to == coordinator and command.epoch < epoch:
-                    assembly.abort()
-                    del self._assemblies[key]
-            for key, relay in list(self._relays.items()):
-                command = relay.command
-                if command.reply_to == coordinator and command.epoch < epoch:
-                    relay.abort()
-                    del self._relays[key]
+                    worker.abort()
+                    del self._inflight[key]
             # Pending packets predate their command, so their owning
             # endpoint is unknown; dropping stale-looking ones from a
             # foreign shard is safe (the sender's round trip stalls and
@@ -836,7 +809,7 @@ class Agent:
 
     def _dispatch_one(self, message) -> None:
         if isinstance(
-            message, (ReceiveCommand, SendCommand, RelayCommand)
+            message, (ReceiveCommand, SendCommand)
         ) and not self._admit_command(message):
             return  # fenced: a stale-epoch coordinator mutates nothing
         # Gateway chunk ops first: ChunkWrite subclasses DataPacket, so
@@ -847,16 +820,18 @@ class Agent:
         if isinstance(message, ReceiveCommand):
             self._start_assembly(message)
         elif isinstance(message, SendCommand):
-            if self._note_attempt(message.key, _generation(message)):
-                self._send_queue.put(message)
-        elif isinstance(message, RelayCommand):
-            self._start_relay(message)
+            self._start_stream(message)
         elif isinstance(message, DataPacket):
             self._route_packet(message)
         elif isinstance(message, WriteComplete):
-            self._ack_event(
-                (message.key, message.epoch, message.attempt)
-            ).set()
+            with self._ack_lock:
+                written = self._write_acks.get(
+                    (message.key, message.epoch, message.attempt)
+                )
+            # Only a star/migration stream waits for one; a chain's last
+            # stage is thanked too and has nothing to wake.
+            if written is not None:
+                written.set()
         elif isinstance(message, Ping):
             self.network.send(
                 self.node_id, message.reply_to, Pong(self.node_id, message.nonce)
@@ -901,13 +876,23 @@ class Agent:
             self._attempts[key] = generation
             return True
 
-    def _ack_event(self, key) -> threading.Event:
-        with self._ack_lock:
-            event = self._write_acks.get(key)
-            if event is None:
-                event = threading.Event()
-                self._write_acks[key] = event
-            return event
+    def _register(self, worker: _ActionWorker) -> None:
+        """Make ``worker`` its action's one in-flight worker here.
+
+        A worker of an older attempt or epoch is aborted (superseded);
+        the packets that beat the command are handed over.
+        """
+        key = worker.command.key
+        with self._assembly_lock:
+            existing = self._inflight.get(key)
+            if existing is not None:
+                if _generation(existing.command) == _generation(worker.command):
+                    raise AgentError(f"duplicate command for {key}")
+                existing.abort()
+            self._completed.pop(key, None)
+            self._inflight[key] = worker
+            for packet in self._take_pending(key):
+                worker.packets.put(packet)
 
     def _start_assembly(self, command: ReceiveCommand) -> None:
         if not self._note_attempt(command.key, _generation(command)):
@@ -945,24 +930,9 @@ class Agent:
             epoch=command.epoch,
             attempt=command.attempt,
         )
-        with self._assembly_lock:
-            existing = self._assemblies.get(command.key)
-            if existing is not None:
-                if _generation(existing.command) == _generation(command):
-                    raise AgentError(f"duplicate assembly {command.key}")
-                existing.abort()  # superseded by a retry or a new epoch
-            self._completed.pop(command.key, None)
-            self._assemblies[command.key] = assembly
-            for packet in self._take_pending(command.key):
-                assembly.packets.put(packet)
+        self._register(assembly)
         self._spawn_worker(
-            self._guard(
-                lambda: self._run_assembly(assembly),
-                key=command.key,
-                attempt=command.attempt,
-                epoch=command.epoch,
-                reply_to=command.reply_to,
-            ),
+            self._guard(lambda: self._run_assembly(assembly), command),
             name=f"agent-{self.node_id}-decode-{command.key}",
         )
 
@@ -971,37 +941,53 @@ class Agent:
         pending = self._pending.pop(key, None)
         return pending.packets if pending is not None else []
 
-    def _start_relay(self, command: RelayCommand) -> None:
+    def _start_stream(self, command: SendCommand) -> None:
+        """Register a helper stream and schedule it.
+
+        One scheduling rule: a star or migration stream (``chain_pos ==
+        -1``) queues on the node's send worker, one synchronous round
+        trip at a time (Eq. 4); a chain stage (``chain_pos >= 0``) gets
+        a worker of its own, because it blocks on its upstream — two
+        chains crossing this node in opposite order would deadlock on a
+        shared worker.
+        """
         if not self._note_attempt(command.key, _generation(command)):
             return
-        relay = _Relay(command, self.store, self)
-        with self._assembly_lock:
-            existing = self._relays.get(command.key)
-            if existing is not None:
-                if _generation(existing.command) == _generation(command):
-                    raise AgentError(f"duplicate relay {command.key}")
-                existing.abort()
-            self._relays[command.key] = relay
-            for packet in self._take_pending(command.key):
-                relay.packets.put(packet)
-        self._spawn_worker(
-            self._guard(
-                lambda: self._run_relay(relay),
-                key=command.key,
-                attempt=command.attempt,
-                epoch=command.epoch,
-                reply_to=command.reply_to,
-            ),
-            name=f"agent-{self.node_id}-relay-{command.key}",
-        )
+        stream = _Stream(command, self.store, self)
+        self._register(stream)
+        run = self._guard(lambda: self._run_stream(stream), command)
+        if command.chain_pos < 0:
+            self._send_queue.put(run)
+        else:
+            self._spawn_worker(
+                run, name=f"agent-{self.node_id}-stream-{command.key}"
+            )
 
-    def _run_relay(self, relay: _Relay) -> None:
+    def _run_stream(self, stream: _Stream) -> None:
+        """Run one stream; a star or migration stream then waits for its
+        destination's WriteComplete."""
+        if stream.aborted:
+            return  # superseded or fenced while queued
+        command = stream.command
+        round_trip = command.chain_pos < 0
+        ack_key = (command.key, command.epoch, command.attempt)
+        if round_trip:
+            # Registered before the first packet, so the WriteComplete
+            # those packets earn always finds it.
+            written = threading.Event()
+            with self._ack_lock:
+                self._write_acks[ack_key] = written
         try:
-            relay.run()
+            stream.run()
+            if round_trip and not stream.aborted:
+                self._await_write_complete(stream, written)
         finally:
             with self._assembly_lock:
-                if self._relays.get(relay.command.key) is relay:
-                    self._relays.pop(relay.command.key, None)
+                if self._inflight.get(command.key) is stream:
+                    del self._inflight[command.key]
+            if round_trip:
+                with self._ack_lock:
+                    self._write_acks.pop(ack_key, None)
 
     def _run_assembly(self, assembly: _Assembly) -> None:
         decoded = assembly.run()
@@ -1010,9 +996,9 @@ class Agent:
         epoch = assembly.command.epoch
         promoted = False
         with self._assembly_lock:
-            current = self._assemblies.get(key) is assembly
+            current = self._inflight.get(key) is assembly
             if current:
-                del self._assemblies[key]
+                del self._inflight[key]
             fenced = epoch < self._epoch_for(assembly.command.reply_to)
             if decoded and current and not fenced:
                 # Publish under the lock: an epoch bump (fencing) and
@@ -1068,11 +1054,9 @@ class Agent:
                 return  # stale traffic from a superseded attempt/epoch
             if self._completed.get(packet.key) == _generation(packet):
                 return  # late duplicate after completion
-            target = self._assemblies.get(packet.key) or self._relays.get(
-                packet.key
-            )
+            target = self._inflight.get(packet.key)
             if target is None:
-                # The Receive/Relay command may still be in flight on a
+                # The Receive/Send command may still be in flight on a
                 # pipelined path; buffer until it registers.
                 pending = self._pending.setdefault(
                     packet.key, _PendingPackets()
@@ -1081,7 +1065,7 @@ class Agent:
                     raise AgentError(
                         f"pending-packet overflow for {packet.key} at node "
                         f"{self.node_id}: {pending.nbytes} bytes buffered, "
-                        "no Receive/Relay command arrived"
+                        "no Receive/Send command arrived"
                     )
                 return
         target.packets.put(packet)
@@ -1211,122 +1195,24 @@ class Agent:
     # ------------------------------------------------------------------
 
     def _send_loop(self) -> None:
+        """The send worker: star and migration streams, one at a time."""
         while True:
-            command: Optional[SendCommand] = self._send_queue.get()
-            if command is None:
+            run = self._send_queue.get()
+            if run is None or self.crashed:
                 return
-            if self.crashed:
-                return
-            key = command.key
-            generation = _generation(command)
-            with self._assembly_lock:
-                if self._attempts.get(key, generation) > generation:
-                    continue  # superseded before we even started
-                if command.epoch < self._epoch_for(command.reply_to):
-                    continue  # fenced while queued
-            event = self._ack_event((key, command.epoch, command.attempt))
-            try:
-                self._stream_chunk(command)
-            except Exception as exc:
-                if self.crashed:
-                    return
-                self._nack(
-                    key,
-                    command.attempt,
-                    f"{type(exc).__name__}: {exc}",
-                    command.epoch,
-                    reply_to=command.reply_to,
-                )
-                continue
-            # Synchronous round trip: wait until the destination has
-            # durably written the repaired chunk.  The wait is
-            # cancellable: a crash or a newer attempt abandons it.
-            self._await_write_complete(command, event)
+            run()
 
     def _await_write_complete(
-        self, command: SendCommand, event: threading.Event
+        self, stream: _Stream, written: threading.Event
     ) -> None:
-        key = command.key
-        generation = _generation(command)
+        """Synchronous round trip: wait until the destination has durably
+        written the repaired chunk.  The wait is cancellable: a crash, a
+        stop or an abort (a newer attempt or epoch) abandons it."""
         tick = self.config.poll_interval
         waited = 0.0
-        try:
-            while not event.wait(timeout=tick):
-                waited += tick
-                if self.crashed or self._stop_event.is_set():
-                    return
-                with self._assembly_lock:
-                    if self._attempts.get(key, generation) > generation:
-                        return  # superseded by a retry; stop waiting
-                    if command.epoch < self._epoch_for(command.reply_to):
-                        return  # fenced: the new epoch owns this action
-                if waited >= self.ack_timeout:
-                    self._nack(
-                        key,
-                        command.attempt,
-                        f"no WriteComplete within {self.ack_timeout}s",
-                        command.epoch,
-                        reply_to=command.reply_to,
-                    )
-                    return
-        finally:
-            with self._ack_lock:
-                self._write_acks.pop(
-                    (key, command.epoch, command.attempt), None
-                )
-
-    def _stream_chunk(self, command: SendCommand) -> None:
-        """Read the local chunk packet-by-packet and stream it out."""
-        size = self.store.size(command.stripe_id)
-        packet_size = min(command.packet_size, size)
-        offsets = range(0, size, packet_size)
-        # The reader runs ahead of the sender so disk and NIC waits
-        # overlap, and never blocks on the sender: the read-ahead is
-        # bounded by the chunk, and the send worker streams one chunk
-        # at a time, so that is one chunk of memory per node.
-        ahead: "queue.SimpleQueue" = queue.SimpleQueue()
-        abandoned = threading.Event()
-
-        def reader():
-            try:
-                with self.store.open_read(command.stripe_id) as chunk:
-                    for offset in offsets:
-                        if abandoned.is_set():
-                            return
-                        length = min(packet_size, size - offset)
-                        ahead.put((offset, chunk.read(offset, length)))
-            except Exception as exc:
-                ahead.put(exc)
-
-        reader_thread = threading.Thread(
-            target=reader, name=f"agent-{self.node_id}-read", daemon=True
-        )
-        reader_thread.start()
-        try:
-            for _ in offsets:
-                item = ahead.get()
-                if isinstance(item, BaseException):
-                    raise item
-                self._send_packet(command, *item)
-        finally:
-            abandoned.set()
-            reader_thread.join()
-
-    def _send_packet(
-        self, command: SendCommand, offset: int, payload: bytes
-    ) -> None:
-        self._bytes_sent.inc(len(payload), node=self.node_id)
-        self.network.send(
-            self.node_id,
-            command.destination,
-            DataPacket(
-                stripe_id=command.stripe_id,
-                chunk_index=command.chunk_index,
-                source=self.node_id,
-                offset=offset,
-                payload=payload,
-                attempt=command.attempt,
-                epoch=command.epoch,
-                checksum=zlib.crc32(payload),
-            ),
-        )
+        while not written.wait(timeout=tick):
+            waited += tick
+            if self.crashed or self._stop_event.is_set() or stream.aborted:
+                return
+            if waited >= self.ack_timeout:
+                raise AgentError(f"no WriteComplete within {self.ack_timeout}s")

@@ -51,7 +51,7 @@ class RuntimeConfig:
     Attributes:
         ack_timeout: ceiling (seconds) a sending agent waits for the
             destination's ``WriteComplete`` before NACKing the
-            coordinator.  Also bounds a relay stage's wait for its
+            coordinator.  Also bounds a chain stage's wait for its
             upstream partial sum.
         join_timeout: seconds :meth:`Agent.stop` waits for each worker
             thread to exit.
@@ -96,10 +96,9 @@ class RuntimeConfig:
             peer's queued frames to flush before force-closing.
         pipeline_slices: slice count for chained (pipelined)
             reconstructions — each chunk is carved into this many
-            slices streamed through the helper chain as
-            :class:`~repro.runtime.messages.SlicePacket` frames with
-            per-slice completion reports.  ``0`` keeps the legacy
-            packet-granular chaining (no slice protocol on the wire).
+            slices, one data packet each, streamed through the helper
+            chain with per-slice completion reports.  ``0`` keeps
+            packet-granular chaining (no slice reports).
     """
 
     ack_timeout: float = 120.0

@@ -81,7 +81,6 @@ from .messages import (
     Ping,
     Pong,
     ReceiveCommand,
-    RelayCommand,
     RepairAck,
     SendCommand,
     SliceReport,
@@ -934,7 +933,7 @@ HelperBudget`; when set, each round's helper/destination node slots
         streams = ingress_streams(current, weights)
         for key in keys:
             action = actions[key]
-            attempt = attempts[key]
+            chain = None
             if (
                 action.method is RepairMethod.RECONSTRUCTION
                 and action.pipelined
@@ -945,49 +944,85 @@ HelperBudget`; when set, each round's helper/destination node slots
                     for node in (*chain[1:], action.destination)
                 ):
                     self._shared_ingress_counter.inc()
-                self._issue_pipelined(
-                    action, chain, chunk_size, packet_size, attempt
-                )
-            else:
-                self._issue_star(action, chunk_size, packet_size, attempt)
+            self._issue_action(
+                action, chain, chunk_size, packet_size, attempts[key]
+            )
         return max(streams.values())
 
-    def _issue_star(
+    def _issue_action(
         self,
         action: ChunkRepairAction,
+        chain: Optional[List[NodeId]],
         chunk_size: int,
         packet_size: int,
         attempt: int,
     ) -> None:
-        """Conventional fan-in: every source sends to the destination."""
-        sources = self._source_coefficients(action)
-        receive = ReceiveCommand(
-            stripe_id=action.stripe_id,
-            chunk_index=action.chunk_index,
-            chunk_size=chunk_size,
-            packet_size=packet_size,
-            sources=sources,
-            attempt=attempt,
-            epoch=self.epoch,
-            reply_to=self.coordinator_id,
-        )
+        """A :class:`ReceiveCommand`, then one :class:`SendCommand` per stage.
+
+        ``chain`` is a pipelined reconstruction's helpers in forwarding
+        order, head first (repair pipelining): each stage scales its own
+        chunk by its coefficient, XORs in its upstream's partial sum and
+        forwards to the next stage, and the destination's one source is
+        the last stage.  ``None`` is star fan-in (and migration): each
+        source is a stage of its own whose next hop is the destination,
+        which applies the coefficients.  With ``config.pipeline_slices >
+        0`` a chain is carved into that many slices and the destination
+        streams back per-slice :class:`SliceReport` progress.
+        """
+        coeffs = self._source_coefficients(action)
+        if chain is None:
+            chains = [[node] for node in action.sources]
+            sources = coeffs
+            num_slices = 0
+        else:
+            chains = [chain]
+            sources = {chain[-1]: 1}
+            num_slices = self.config.pipeline_slices
         # The ReceiveCommand must precede any data packet; per-inbox
         # FIFO plus issuing it first guarantees that.
-        self.network.send(self.coordinator_id, action.destination, receive)
-        for source in action.sources:
-            self.network.send(
-                self.coordinator_id,
-                source,
-                SendCommand(
-                    stripe_id=action.stripe_id,
-                    chunk_index=action.chunk_index,
-                    destination=action.destination,
-                    packet_size=packet_size,
-                    attempt=attempt,
-                    epoch=self.epoch,
-                    reply_to=self.coordinator_id,
-                ),
-            )
+        self.network.send(
+            self.coordinator_id,
+            action.destination,
+            ReceiveCommand(
+                stripe_id=action.stripe_id,
+                chunk_index=action.chunk_index,
+                chunk_size=chunk_size,
+                packet_size=packet_size,
+                sources=sources,
+                attempt=attempt,
+                epoch=self.epoch,
+                reply_to=self.coordinator_id,
+                num_slices=num_slices,
+            ),
+        )
+        for stages in chains:
+            # Register stages downstream-first so each hop (usually)
+            # exists before its upstream starts; late packets buffer
+            # regardless.
+            for pos in reversed(range(len(stages))):
+                node = stages[pos]
+                self.network.send(
+                    self.coordinator_id,
+                    node,
+                    SendCommand(
+                        stripe_id=action.stripe_id,
+                        chunk_index=action.chunk_index,
+                        destination=(
+                            stages[pos + 1]
+                            if pos + 1 < len(stages)
+                            else action.destination
+                        ),
+                        packet_size=packet_size,
+                        chunk_size=chunk_size,
+                        attempt=attempt,
+                        epoch=self.epoch,
+                        reply_to=self.coordinator_id,
+                        coeff=1 if chain is None else coeffs[node],
+                        upstream=stages[pos - 1] if pos else -1,
+                        num_slices=num_slices,
+                        chain_pos=-1 if chain is None else pos,
+                    ),
+                )
 
     def _chain_weights(self) -> Dict[NodeId, float]:
         """Effective link scale per node, for :func:`order_chain`.
@@ -1007,65 +1042,6 @@ HelperBudget`; when set, each round's helper/destination node slots
         for node, scale in self._observed_scales.items():
             weights[node] = weights.get(node, 1.0) * scale
         return weights
-
-    def _issue_pipelined(
-        self,
-        action: ChunkRepairAction,
-        chain: List[NodeId],
-        chunk_size: int,
-        packet_size: int,
-        attempt: int,
-    ) -> None:
-        """Repair pipelining: helpers chain partial sums to the destination.
-
-        ``chain`` is ``action.sources`` in forwarding order, head first.
-        With ``config.pipeline_slices > 0`` the transfer is carved into
-        that many slices carried as :class:`SlicePacket` frames and the
-        destination streams back per-slice :class:`SliceReport`
-        progress; at 0 the legacy packet-granular protocol is used.
-        """
-        coeffs = self._source_coefficients(action)
-        num_slices = self.config.pipeline_slices
-        last = chain[-1]
-        self.network.send(
-            self.coordinator_id,
-            action.destination,
-            ReceiveCommand(
-                stripe_id=action.stripe_id,
-                chunk_index=action.chunk_index,
-                chunk_size=chunk_size,
-                packet_size=packet_size,
-                sources={last: 1},
-                attempt=attempt,
-                epoch=self.epoch,
-                reply_to=self.coordinator_id,
-                num_slices=num_slices,
-            ),
-        )
-        # Register stages downstream-first so each hop (usually) exists
-        # before its upstream starts; late packets buffer regardless.
-        for i in reversed(range(len(chain))):
-            node = chain[i]
-            next_hop = action.destination if i == len(chain) - 1 else chain[i + 1]
-            self.network.send(
-                self.coordinator_id,
-                node,
-                RelayCommand(
-                    stripe_id=action.stripe_id,
-                    chunk_index=action.chunk_index,
-                    destination=next_hop,
-                    packet_size=packet_size,
-                    chunk_size=chunk_size,
-                    coeff=coeffs[node],
-                    first=(i == 0),
-                    upstream=chain[i - 1] if i > 0 else -1,
-                    attempt=attempt,
-                    epoch=self.epoch,
-                    reply_to=self.coordinator_id,
-                    num_slices=num_slices,
-                    chain_pos=i,
-                ),
-            )
 
     def _source_coefficients(
         self, action: ChunkRepairAction

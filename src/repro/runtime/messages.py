@@ -55,6 +55,9 @@ ACK_FAILED = "failed"
 WIRE_MESSAGES: Dict[str, type] = {}
 #: binary type code -> message class (repro.net frame header)
 WIRE_CODES: Dict[int, type] = {}
+#: codes of retired messages (3 ``relay``, 13 ``slice``): never reused,
+#: so a frame carrying one is always an unknown-type reject
+RETIRED_WIRE_CODES = frozenset({3, 13})
 
 
 def wire_message(
@@ -87,6 +90,8 @@ def wire_message(
             raise ValueError(f"duplicate wire message name {name!r}")
         if code in WIRE_CODES:
             raise ValueError(f"duplicate wire message code {code}")
+        if code in RETIRED_WIRE_CODES:
+            raise ValueError(f"wire message code {code} is retired")
         all_fields = dataclass_fields(cls)
         payload_field = next(
             (f.name for f in all_fields if f.name == "payload"), None
@@ -187,9 +192,9 @@ class ReceiveCommand:
     attempt: int = 0
     epoch: int = 0
     reply_to: NodeId = -1
-    #: >0: expect :class:`SlicePacket` streams carved into this many
-    #: slices (sliced chained reconstruction); 0 keeps the legacy
-    #: packet-granular protocol.
+    #: >0: the streams are carved into this many slices (sliced chained
+    #: reconstruction) and each completed slice is reported with a
+    #: :class:`SliceReport`; 0 keeps the packet granularity.
     num_slices: int = 0
 
     @property
@@ -197,63 +202,43 @@ class ReceiveCommand:
         return (self.stripe_id, self.chunk_index)
 
 
-@wire_message("send", 2)
+@wire_message("send", 2, version=2)
 @dataclass(frozen=True)
 class SendCommand:
-    """Tell an agent to stream its locally stored chunk of a stripe.
+    """Tell a helper to stream its own chunk of a stripe to a next hop.
 
-    For migration the sender is the STF node sending the repaired
-    chunk itself; for reconstruction the sender is a helper sending its
-    own chunk of the same stripe.
-    """
-
-    stripe_id: StripeId
-    #: the repaired chunk's index (names the assembly at the destination)
-    chunk_index: int
-    destination: NodeId
-    packet_size: int
-    attempt: int = 0
-    epoch: int = 0
-    #: issuing coordinator endpoint (fencing + reply routing)
-    reply_to: NodeId = -1
-
-    @property
-    def key(self) -> ActionKey:
-        return (self.stripe_id, self.chunk_index)
-
-
-@wire_message("relay", 3)
-@dataclass(frozen=True)
-class RelayCommand:
-    """Tell a helper to act as one stage of a repair pipeline.
-
-    The helper scales its own chunk of the stripe by ``coeff`` and
-    forwards it packet-by-packet to ``destination`` (the next pipeline
-    stage, or the repairing node).  Unless ``first`` is set, it waits
-    for the upstream stage's partial-sum packet for each offset and
-    XORs its own contribution into it before forwarding — the repair
-    pipelining of Li et al. (ATC'17).
+    One command for every helper stream: the helper reads its chunk
+    packet by packet, scales each packet by ``coeff``, XORs in the
+    partial sum its ``upstream`` stage forwards for the same offset and
+    sends the result to ``destination`` — one stage of the repair
+    pipelining of Li et al. (ATC'17).  A star or migration source is
+    the chain of length one: coefficient 1 (the destination applies the
+    recovery coefficient), no upstream, the repairing node as next hop.
+    For migration the sender is the STF node sending the repaired chunk
+    itself.
     """
 
     stripe_id: StripeId
     #: the repaired chunk's index (names the stream across hops)
     chunk_index: int
+    #: next hop: the next chain stage, or the repairing node
     destination: NodeId
     packet_size: int
+    #: total bytes of the chunk (the helper checks its stored copy)
     chunk_size: int
-    coeff: int
-    first: bool
-    #: the upstream node (unset when first)
-    upstream: NodeId = -1
     attempt: int = 0
     epoch: int = 0
     #: issuing coordinator endpoint (fencing + reply routing)
     reply_to: NodeId = -1
-    #: >0: carve the chunk into this many slices and emit
-    #: :class:`SlicePacket` frames tagged with slice index + chain
-    #: position; 0 keeps the legacy packet-granular relay.
+    #: GF(2^8) factor applied to each packet before forwarding
+    coeff: int = 1
+    #: the stage whose partial sums this one XORs in (-1: none)
+    upstream: NodeId = -1
+    #: >0: carve the chunk into this many slices; 0 keeps packet_size
     num_slices: int = 0
-    #: this helper's position in the chain (0 = first; -1 = unsliced)
+    #: position in a chain (0 = head); -1 is a star or migration
+    #: stream, which runs as a synchronous round trip ending at the
+    #: destination's :class:`WriteComplete`
     chain_pos: int = -1
 
     @property
@@ -283,27 +268,6 @@ class DataPacket:
     @property
     def key(self) -> ActionKey:
         return (self.stripe_id, self.chunk_index)
-
-
-@wire_message("slice", 13)
-@dataclass(frozen=True)
-class SlicePacket(DataPacket):
-    """One slice-granular partial sum flowing through a repair chain.
-
-    A :class:`DataPacket` specialization (it inherits NIC throttling,
-    link-fault injection and CRC verification on every transport) that
-    additionally names which of the chunk's ``num_slices`` slices it
-    carries and which chain position emitted it.  ``offset`` remains
-    the byte offset of the slice within the chunk, so legacy assembly
-    bookkeeping (dedupe, completion tracking) applies unchanged.
-    """
-
-    #: index of the slice within the chunk, ``0 <= slice_index < num_slices``
-    slice_index: int = 0
-    #: total slices the chunk was carved into
-    num_slices: int = 0
-    #: chain position of the emitting helper (0 = chain head)
-    chain_pos: int = -1
 
 
 @wire_message("slice_report", 14)
@@ -481,8 +445,7 @@ class Shutdown:
 # all transports.  All gateway messages carry ``TRAFFIC_CLASS =
 # "client"`` so an attached :class:`repro.gateway.TrafficArbiter` can
 # tell foreground traffic from repair traffic at the transport layer
-# (repair's :class:`DataPacket`/:class:`SlicePacket` default to
-# ``"repair"``).
+# (repair's :class:`DataPacket` defaults to ``"repair"``).
 
 DataPacket.TRAFFIC_CLASS = "repair"
 

@@ -15,7 +15,7 @@ the builder in front of that choice::
         transport="memory",        # or "tcp" / "shm"
         coordinators=1,            # > 1 shards the stripe space
         pipelining="chain",        # "off" keeps star-topology repair
-        slices=8,                  # SlicePacket granularity per chunk
+        slices=8,                  # slices per chunk along the chain
         seed=7,
     ).run()
     print(summary.total_time, summary.chunks_verified)
@@ -24,10 +24,10 @@ Pipelining is a *strategy flag*, not a separate code path: ``"chain"``
 rewrites every reconstruction in the plan to stream partial sums
 through an ordered helper chain (least-worth ingress first — see
 :func:`repro.core.scheduling.order_chain`) and, with ``slices > 0``,
-carves each chunk into that many :class:`~repro.runtime.messages.\
-SlicePacket` frames with per-slice completion reports.  Mid-stream
-chain failures fall back to star-topology repair per action through
-the coordinator's existing probe/heal/reissue machinery.
+carves each chunk into that many slices, one data packet each, with
+per-slice completion reports.  Mid-stream chain failures fall back to
+star-topology repair per action through the coordinator's existing
+probe/heal/reissue machinery.
 
 Unsupported combinations fail at *construction* time with a
 :class:`ValueError` naming the conflict, so drivers (the CLI rejects
@@ -161,8 +161,8 @@ class RepairSession:
             chained partial-sum streaming through ordered helper
             chains.
         slices: with ``pipelining="chain"``, carve each chunk into
-            this many :class:`~repro.runtime.messages.SlicePacket`
-            slices (0 keeps packet-granular chaining).
+            this many slices, one data packet each (0 keeps
+            packet-granular chaining).
         peers: (tcp) ``{node_id: (host, port)}`` map or a
             ``node=host:port,...`` / ``@file.json`` spec string.
         workdir: directory with each agent's chunk store, read for

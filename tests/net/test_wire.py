@@ -41,17 +41,17 @@ from repro.runtime.messages import (
     Pong,
     PutReply,
     PutRequest,
+    RETIRED_WIRE_CODES,
     ReceiveCommand,
-    RelayCommand,
     RepairAck,
     SendCommand,
     Shutdown,
-    SlicePacket,
     SliceReport,
     StatReply,
     StatRequest,
     WriteComplete,
     nack,
+    wire_message,
 )
 
 #: one representative instance of every wire-registered message
@@ -67,12 +67,8 @@ SAMPLES = [
     ),
     SendCommand(
         stripe_id=7, chunk_index=2, destination=5, packet_size=512,
-        attempt=1, epoch=4,
-    ),
-    RelayCommand(
-        stripe_id=7, chunk_index=2, destination=5, packet_size=512,
-        chunk_size=4096, coeff=17, first=False, upstream=3, attempt=1,
-        epoch=4,
+        chunk_size=4096, attempt=1, epoch=4, coeff=17, upstream=3,
+        num_slices=8, chain_pos=1,
     ),
     DataPacket(
         stripe_id=7, chunk_index=2, source=3, offset=1024,
@@ -88,11 +84,6 @@ SAMPLES = [
     InventoryQuery(epoch=4, nonce=99),
     InventoryReply(node_id=5, epoch=4, nonce=99, stripes=(1, 7, 30)),
     Shutdown(),
-    SlicePacket(
-        stripe_id=7, chunk_index=2, source=3, offset=1024,
-        payload=bytes(range(256)) * 2, attempt=1, epoch=4,
-        checksum=0xDEADBEEF, slice_index=2, num_slices=8, chain_pos=1,
-    ),
     SliceReport(
         stripe_id=7, chunk_index=2, node_id=5, slice_index=2,
         num_slices=8, attempt=1, epoch=4, elapsed=0.125,
@@ -178,10 +169,10 @@ class TestRoundTrip:
         assert {
             code: cls.WIRE_NAME for code, cls in sorted(WIRE_CODES.items())
         } == {
-            1: "receive", 2: "send", 3: "relay", 4: "data",
+            1: "receive", 2: "send", 4: "data",
             5: "repair_ack", 6: "write_complete", 7: "heartbeat",
             8: "ping", 9: "pong", 10: "inventory_query",
-            11: "inventory_reply", 12: "shutdown", 13: "slice",
+            11: "inventory_reply", 12: "shutdown",
             14: "slice_report", 15: "chunk_write",
             16: "chunk_write_reply", 17: "chunk_read",
             18: "chunk_read_reply", 19: "chunk_delete",
@@ -189,6 +180,12 @@ class TestRoundTrip:
             23: "get_reply", 24: "delete_request", 25: "delete_reply",
             26: "stat_request", 27: "stat_reply",
         }
+        # Retired codes (3 "relay", 13 "slice") are never handed out
+        # again: an old peer's frame must stay an unknown type.
+        assert RETIRED_WIRE_CODES == {3, 13}
+        assert not RETIRED_WIRE_CODES & set(WIRE_CODES)
+        with pytest.raises(ValueError, match="retired"):
+            wire_message("reborn_relay", 3)(type("Reborn", (), {}))
 
 
 def _mangle(frame: bytes, **header_overrides) -> bytes:
@@ -214,8 +211,29 @@ class TestRejection:
             decode_frame(_mangle(self.frame(), version=WIRE_VERSION + 1))
 
     def test_unknown_type_code(self):
-        with pytest.raises(WireError, match="unknown message type"):
-            decode_frame(_mangle(self.frame(), code=999))
+        for code in (999, *sorted(RETIRED_WIRE_CODES)):
+            with pytest.raises(WireError, match="unknown message type"):
+                decode_frame(_mangle(self.frame(), code=code))
+
+    def test_old_shape_send_command_fails_loudly(self):
+        # Version 1 of "send" had no chunk_size/coeff/upstream/chain_pos:
+        # a peer still speaking it must not be half-understood.
+        import zlib
+
+        old = {
+            "version": 1, "stripe_id": 7, "chunk_index": 2,
+            "destination": 5, "packet_size": 512, "attempt": 0,
+            "epoch": 0, "reply_to": -1,
+        }
+        meta = json.dumps(
+            {"version": 1, "src": 0, "dst": 1, "msg": old}
+        ).encode()
+        header = HEADER.pack(
+            MAGIC, WIRE_VERSION, SendCommand.WIRE_CODE, 0, len(meta), 0,
+            zlib.crc32(meta),
+        )
+        with pytest.raises(WireError, match="send message version 1"):
+            decode_frame(header + meta)
 
     def test_absurd_meta_length(self):
         with pytest.raises(WireError, match="meta length"):

@@ -67,7 +67,13 @@ class TestMigrationPath:
         net.send(
             COORD,
             0,
-            SendCommand(stripe_id=7, chunk_index=2, destination=1, packet_size=1024),
+            SendCommand(
+                stripe_id=7,
+                chunk_index=2,
+                destination=1,
+                packet_size=1024,
+                chunk_size=len(payload),
+            ),
         )
         ack = wait_ack(coord)
         assert ack == RepairAck(7, 2, 1)
@@ -83,7 +89,7 @@ class TestMigrationPath:
             1,
             ReceiveCommand(3, 0, len(payload), len(payload), sources={0: 1}),
         )
-        net.send(COORD, 0, SendCommand(3, 0, 1, len(payload)))
+        net.send(COORD, 0, SendCommand(3, 0, 1, len(payload), len(payload)))
         wait_ack(coord)
         assert agents[1].store.read(3) == payload
 
@@ -107,8 +113,8 @@ class TestReconstructionPath:
             net.send(
                 COORD, 2, ReceiveCommand(4, 1, 128, 64, sources=coeffs)
             )
-            net.send(COORD, 0, SendCommand(4, 1, 2, 64))
-            net.send(COORD, 1, SendCommand(4, 1, 2, 64))
+            net.send(COORD, 0, SendCommand(4, 1, 2, 64, 128))
+            net.send(COORD, 1, SendCommand(4, 1, 2, 64, 128))
             ack = coord.inbox.get(timeout=10)
             assert ack.key == (4, 1)
             expected = gf_mul(3, 5) ^ gf_mul(7, 9)
@@ -128,7 +134,7 @@ class TestSynchronousRoundTrip:
             net.send(
                 COORD, 1, ReceiveCommand(stripe, 0, 2048, 512, sources={0: 1})
             )
-            net.send(COORD, 0, SendCommand(stripe, 0, 1, 512))
+            net.send(COORD, 0, SendCommand(stripe, 0, 1, 512, 2048))
         acks = {wait_ack(coord).key for _ in range(2)}
         assert acks == {(1, 0), (2, 0)}
 

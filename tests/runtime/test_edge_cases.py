@@ -44,7 +44,9 @@ def transfer(net, src, dst, stripe, payload, packet_size):
         dst,
         ReceiveCommand(stripe, 0, len(payload), packet_size, sources={src: 1}),
     )
-    net.send(COORD, src, SendCommand(stripe, 0, dst, packet_size))
+    net.send(
+        COORD, src, SendCommand(stripe, 0, dst, packet_size, len(payload))
+    )
 
 
 class TestBoundaries:
@@ -89,8 +91,8 @@ class TestBoundaries:
             agents[2].store.put(2, b)
             net.send(COORD, 1, ReceiveCommand(1, 0, 2048, 512, sources={0: 1}))
             net.send(COORD, 1, ReceiveCommand(2, 0, 2048, 512, sources={2: 1}))
-            net.send(COORD, 0, SendCommand(1, 0, 1, 512))
-            net.send(COORD, 2, SendCommand(2, 0, 1, 512))
+            net.send(COORD, 0, SendCommand(1, 0, 1, 512, 2048))
+            net.send(COORD, 2, SendCommand(2, 0, 1, 512, 2048))
             keys = {coord.inbox.get(timeout=10).key for _ in range(2)}
             assert keys == {(1, 0), (2, 0)}
             assert agents[1].store.read(1) == a
@@ -107,7 +109,7 @@ class TestFailureInjection:
         net, coord, agents = build_rig(tmp_path, ack_timeout=0.5)
         try:
             agents[0].store.put(9, b"x" * 128)
-            net.send(COORD, 0, SendCommand(9, 0, 1, 64))
+            net.send(COORD, 0, SendCommand(9, 0, 1, 64, 128))
             ack = coord.inbox.get(timeout=10)
             assert isinstance(ack, RepairAck)
             assert not ack.ok
@@ -138,7 +140,7 @@ class TestFailureInjection:
         net, coord, agents = build_rig(tmp_path)
         try:
             net.send(COORD, 1, ReceiveCommand(4, 0, 128, 64, sources={0: 1}))
-            net.send(COORD, 0, SendCommand(4, 0, 1, 64))
+            net.send(COORD, 0, SendCommand(4, 0, 1, 64, 128))
             ack = coord.inbox.get(timeout=10)
             assert not ack.ok
             assert ack.key == (4, 0)

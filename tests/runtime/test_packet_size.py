@@ -226,19 +226,17 @@ class TestTransportFrameLimit:
             network.close()
 
     def test_largest_packet_really_fits_the_ring(self):
-        """``max_packet`` is honest: a slice packet of that size, with
+        """``max_packet`` is honest: a data packet of that size, with
         its header and envelope, is accepted by a ring of that capacity."""
         from repro.net.shm import ShmRing
         from repro.net.wire import encode_frame_parts
-        from repro.runtime.messages import SlicePacket
 
         network = ShmNetwork(ring_capacity=self.RING)
         ring = ShmRing(f"fpr-test-{id(self) & 0xFFFFFF:06x}", self.RING, create=True)
         try:
-            packet = SlicePacket(
+            packet = DataPacket(
                 2**31, 255, 2**31, 2**40, bytes(network.max_packet),
                 attempt=2**16, epoch=2**31, checksum=2**32 - 1,
-                slice_index=2**20, num_slices=2**20, chain_pos=255,
             )
             assert ring.write(encode_frame_parts(2**31, 2**31, packet), 1.0)
         finally:

@@ -245,7 +245,7 @@ class TestEpochFencing:
             assert isinstance(nack, RepairAck)
             assert not nack.ok
             assert "stale epoch 1 < 3" in nack.detail
-            assert testbed.agents[1]._assemblies == {}
+            assert testbed.agents[1]._inflight == {}
             assert set(store.stripes()) == before
             assert store.promotions == {}
         finally:
@@ -270,14 +270,14 @@ class TestEpochFencing:
             )
             deadline = threading.Event()
             for _ in range(100):
-                if agent._assemblies:
+                if agent._inflight:
                     break
                 deadline.wait(0.02)
-            assert agent._assemblies
+            assert agent._inflight
             testbed.network.send(COORDINATOR_ID, 1, InventoryQuery(5, 1))
             reply = testbed.coordinator._endpoint.inbox.get(timeout=5)
             assert isinstance(reply, InventoryReply)
-            assert agent._assemblies == {}  # fenced work was aborted
+            assert agent._inflight == {}  # fenced work was aborted
             assert not testbed.stores[1].has(stripe.stripe_id)
         finally:
             testbed.shutdown()

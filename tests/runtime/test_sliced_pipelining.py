@@ -1,8 +1,8 @@
 """Sliced chained reconstruction: slice protocol, chain order, fallback.
 
 The sliced pipelining path (DESIGN.md §14) carves each chunk into
-``pipeline_slices`` slices carried as :class:`SlicePacket` frames
-through a bandwidth-ordered helper chain.  These tests pin the three
+``pipeline_slices`` slices, one data packet each, through a
+bandwidth-ordered helper chain.  These tests pin the three
 load-bearing properties end to end:
 
 * **bit-exactness** — chained slice-granular partial sums produce the
@@ -19,8 +19,12 @@ load-bearing properties end to end:
 """
 
 import dataclasses
+import tempfile
 import threading
+import time
 import zlib
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from repro.core.planner import (
 )
 from repro.core.scheduling import ingress_streams, order_chain
 from repro.ec import make_codec
-from repro.ec.galois import gf_addmul_bytes, gf_mul_bytes
+from repro.ec.galois import gf_addmul_bytes
 from repro.runtime import (
     CoordinatorCrash,
     CoordinatorCrashFault,
@@ -46,10 +50,10 @@ from repro.runtime import (
     Scrubber,
     SlowNicFault,
 )
-from repro.runtime.agent import _Assembly, slice_granularity
+from repro.runtime.agent import _Assembly, _Stream, slice_granularity
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.datanode import ChunkStore
-from repro.runtime.messages import ReceiveCommand, RelayCommand, SlicePacket
+from repro.runtime.messages import DataPacket, ReceiveCommand, SendCommand
 from repro.runtime.testbed import EmulatedTestbed
 from repro.runtime.throttle import RateLimiter
 from repro.runtime.transport import Network
@@ -224,7 +228,7 @@ def _sliced_command(sources, chunk_size=256, num_slices=SLICES):
 
 
 def _slice_packets(command, chunks):
-    """Build the full SlicePacket stream for an assembly."""
+    """Build the full slice-packet stream for an assembly."""
     gran = slice_granularity(
         command.chunk_size, command.packet_size, command.num_slices
     )
@@ -233,15 +237,13 @@ def _slice_packets(command, chunks):
         for offset in range(0, command.chunk_size, gran):
             payload = bytes(chunk[offset : offset + gran])
             packets.append(
-                SlicePacket(
+                DataPacket(
                     stripe_id=command.stripe_id,
                     chunk_index=command.chunk_index,
                     source=source,
                     offset=offset,
                     payload=payload,
                     checksum=zlib.crc32(payload),
-                    slice_index=offset // gran,
-                    num_slices=command.num_slices,
                 )
             )
     return packets
@@ -328,8 +330,51 @@ class TestSliceAssembly:
         assert sorted(seen) == list(range(SLICES))
 
 
+def _run_chain(root, chunks, coeffs, num_slices):
+    """Stream ``chunks`` (helper -> its chunk, head first) through real
+    :class:`_Stream` stages wired head to tail; returns what the last
+    stage delivers."""
+    helpers = list(chunks)
+    size = len(chunks[helpers[0]])
+    delivered = np.zeros(size, dtype=np.uint8)
+    stages = {}
+
+    def send(src, dst, packet):
+        if dst in stages:
+            stages[dst].packets.put(packet)
+        else:
+            end = packet.offset + len(packet.payload)
+            delivered[packet.offset : end] = np.frombuffer(
+                packet.payload, dtype=np.uint8
+            )
+
+    network = SimpleNamespace(send=send)
+    sent = MetricsRegistry().counter("agent_bytes_sent_total")
+    for pos, helper in enumerate(helpers):
+        store = ChunkStore(root / f"n{helper}", helper, RateLimiter(None))
+        store.put(0, chunks[helper])
+        agent = SimpleNamespace(
+            node_id=helper, ack_timeout=5.0, network=network, _bytes_sent=sent
+        )
+        command = SendCommand(
+            0, 0,
+            destination=helpers[pos + 1] if pos + 1 < len(helpers) else -1,
+            packet_size=size, chunk_size=size, coeff=coeffs[helper],
+            upstream=helpers[pos - 1] if pos else -1,
+            num_slices=num_slices, chain_pos=pos,
+        )
+        stages[helper] = _Stream(command, store, agent)
+    threads = [threading.Thread(target=s.run) for s in stages.values()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "chain stage never finished"
+    return delivered.tobytes()
+
+
 class TestChainedSliceMath:
-    """The relay-chain arithmetic equals one-shot decode, by property."""
+    """The chain's partial sums equal one-shot decode, by property."""
 
     @given(
         params=st.sampled_from([(5, 3), (6, 4), (9, 6)]),
@@ -353,22 +398,14 @@ class TestChainedSliceMath:
         helpers = [int(i) for i in rng.permutation(n) if i != lost][:k]
         coeffs = codec.recovery_coefficients(lost, helpers)
 
-        # Emulate the chain slice by slice, exactly like _Relay.run():
-        # head scales its own slice; every later hop scales its own and
-        # XORs in the upstream partial sum.
-        gran = slice_granularity(chunk_size, chunk_size, num_slices)
-        chained = np.zeros(chunk_size, dtype=np.uint8)
-        for offset in range(0, chunk_size, gran):
-            upstream = None
-            for helper in helpers:
-                own = np.frombuffer(
-                    coded[helper][offset : offset + gran], dtype=np.uint8
-                )
-                out = gf_mul_bytes(coeffs[helper], own)
-                if upstream is not None:
-                    np.bitwise_xor(out, upstream, out=out)
-                upstream = out
-            chained[offset : offset + len(upstream)] = upstream
+        # The agents' own stream body, stage by stage: the head scales
+        # its slice; every later hop scales its own and XORs in the
+        # upstream partial sum.
+        with tempfile.TemporaryDirectory() as root:
+            chained = _run_chain(
+                Path(root), {h: coded[h] for h in helpers}, coeffs,
+                num_slices,
+            )
 
         # One-shot accumulation over whole chunks (the star path) ...
         one_shot = np.zeros(chunk_size, dtype=np.uint8)
@@ -377,9 +414,9 @@ class TestChainedSliceMath:
                 one_shot, coeffs[helper],
                 np.frombuffer(coded[helper], dtype=np.uint8),
             )
-        assert chained.tobytes() == one_shot.tobytes()
+        assert chained == one_shot.tobytes()
         # ... and both equal the chunk that was lost.
-        assert chained.tobytes() == coded[lost]
+        assert chained == coded[lost]
 
 
 class TestSlicedChainedRepair:
@@ -397,6 +434,28 @@ class TestSlicedChainedRepair:
             assert not result.degraded
             # Every chained chunk streamed back one report per slice.
             assert result.slices_completed == SLICES * plan.total_chunks
+        finally:
+            testbed.shutdown()
+
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["star", "chain"])
+    def test_no_write_ack_outlives_its_repair(self, tmp_path, pipelined):
+        # Only a star/migration stream waits for WriteComplete.  A
+        # chain's last stage is sent one too and must not be left
+        # holding an entry nobody awaits: a daemon would grow it forever.
+        cluster, testbed = make_testbed(tmp_path, num_stripes=16)
+        try:
+            plan = ReconstructionOnlyPlanner(
+                seed=1, pipelined=pipelined
+            ).plan(cluster, 0)
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+            agents = testbed.agents.values()
+            deadline = time.monotonic() + 5.0
+            while any(agent._write_acks for agent in agents):
+                assert time.monotonic() < deadline, [
+                    len(agent._write_acks) for agent in agents
+                ]
+                time.sleep(0.01)
         finally:
             testbed.shutdown()
 
@@ -481,13 +540,13 @@ def _shared_ingress(plan):
 
 
 def _record_relay_heads(testbed):
-    """Record ``(stripe, chunk, attempt) -> node`` for every
-    ``RelayCommand(first=True)`` the coordinator sends."""
+    """Record ``(stripe, chunk, attempt) -> node`` for every chain head
+    (``SendCommand(chain_pos=0)``) the coordinator sends."""
     heads = {}
     send = testbed.network.send
 
     def recording_send(src, dst, message):
-        if isinstance(message, RelayCommand) and message.first:
+        if isinstance(message, SendCommand) and message.chain_pos == 0:
             key = (message.stripe_id, message.chunk_index, message.attempt)
             heads[key] = dst
         return send(src, dst, message)

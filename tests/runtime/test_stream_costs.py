@@ -19,12 +19,12 @@ import pytest
 from repro.ec.galois import gf_addmul_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import datanode
-from repro.runtime.agent import Agent, _Assembly, _Relay
+from repro.runtime.agent import Agent, _Assembly, _Stream
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.messages import (
     DataPacket,
+    InventoryQuery,
     ReceiveCommand,
-    RelayCommand,
     RepairAck,
     SendCommand,
 )
@@ -217,16 +217,54 @@ class TestAbortAheadOfBacklog:
             network=SimpleNamespace(send=lambda *args: sent.append(args)),
             _bytes_sent=MetricsRegistry().counter("agent_bytes_sent_total"),
         )
-        command = RelayCommand(
+        command = SendCommand(
             5, 2, destination=3, packet_size=PACKET, chunk_size=len(chunk),
-            coeff=7, first=False, upstream=0,
+            coeff=7, upstream=0, chain_pos=1,
         )
-        relay = _Relay(command, store, agent)
+        relay = _Stream(command, store, agent)
         for packet in _packets(chunk, 0, attempt=0):
             relay.packets.put(packet)
         relay.abort()
         relay.run()
         assert sent == []
+
+    @pytest.mark.parametrize("stop", ["epoch_bump", "superseding_attempt"])
+    def test_star_sender_abort_stops_within_a_packet(self, tmp_path, stop):
+        """A star/migration sender fenced by a new epoch, or superseded
+        by a retry, does not stream the rest of its chunk."""
+        net = Network()
+        net.attach(COORD, None)
+        net.attach(0, 64 * PACKET)  # 16 ms a packet: 1 s for the chunk
+        destination = net.attach(4, None)
+        store = _store(tmp_path, 0)
+        chunk = _chunk(8, 64 * PACKET)
+        store.put(5, chunk)
+        store.put(6, chunk[:PACKET])
+        agent = Agent(0, store, net, COORD)
+        agent.start()
+        try:
+            net.send(COORD, 0, SendCommand(5, 2, 4, PACKET, len(chunk)))
+            assert destination.inbox.get(timeout=10.0).attempt == 0
+            # The send worker runs one stream at a time, so the first
+            # packet of the command queued behind the aborted stream
+            # marks the moment it stopped.
+            if stop == "epoch_bump":
+                net.send(COORD, 0, InventoryQuery(epoch=1, nonce=1))
+                after = SendCommand(6, 0, 4, PACKET, PACKET, epoch=1)
+            else:
+                after = SendCommand(5, 2, 4, PACKET, len(chunk), attempt=1)
+            net.send(COORD, 0, after)
+            stale = 1
+            while True:
+                packet = destination.inbox.get(timeout=10.0)
+                if (packet.epoch, packet.attempt) == (after.epoch, after.attempt):
+                    break
+                stale += 1
+            net.detach(4)  # the rest of the new stream goes nowhere fast
+            # The packet on the wire when the abort landed may finish.
+            assert stale <= 3
+        finally:
+            agent.stop()
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +319,7 @@ class TestOneOpenPerStream:
         net.send(
             COORD, 4, ReceiveCommand(5, 2, len(chunk), PACKET, sources={0: 1})
         )
-        net.send(COORD, 0, SendCommand(5, 2, 4, PACKET))
+        net.send(COORD, 0, SendCommand(5, 2, 4, PACKET, len(chunk)))
         _await_ack(coord)
         assert agents[4].store.read(5) == chunk
         assert opens == {"stripe_5.chunk": 1, "stripe_5.chunk.part.e0a0": 1}
@@ -299,7 +337,7 @@ class TestOneOpenPerStream:
             )
         net.send(COORD, 4, ReceiveCommand(5, 2, size, PACKET, sources=coeffs))
         for node_id in coeffs:
-            net.send(COORD, node_id, SendCommand(5, 2, 4, PACKET))
+            net.send(COORD, node_id, SendCommand(5, 2, 4, PACKET, size))
         _await_ack(coord)
         assert agents[4].store.read(5) == expected.tobytes()
         # Three source chunks share a file name across their stores.
@@ -322,10 +360,10 @@ class TestOneOpenPerStream:
             net.send(
                 COORD,
                 node_id,
-                RelayCommand(
+                SendCommand(
                     5, 2, destination=downstream, packet_size=PACKET,
                     chunk_size=size, coeff=coeffs[node_id],
-                    first=node_id == 0, upstream=node_id - 1,
+                    upstream=node_id - 1, chain_pos=node_id,
                 ),
             )
         _await_ack(coord)

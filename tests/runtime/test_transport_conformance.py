@@ -49,6 +49,7 @@ from repro.runtime.datanode import ChunkStore
 from repro.gateway import GATEWAY_ID
 from repro.runtime.messages import (
     ACK_FAILED,
+    RETIRED_WIRE_CODES,
     ChunkRead,
     ChunkReadReply,
     ChunkWrite,
@@ -62,7 +63,6 @@ from repro.runtime.messages import (
     Pong,
     ReceiveCommand,
     RepairAck,
-    SlicePacket,
     SliceReport,
     StatReply,
 )
@@ -232,43 +232,6 @@ class TestTransportContract:
         assert net.net.frames_received.total() >= 2
         assert net.net.bytes_sent.total() == 100
 
-    def test_slice_packet_survives_backend_bit_exact(self, backend):
-        # SlicePacket is a DataPacket specialization; every backend
-        # must carry the slice-protocol fields and the payload intact.
-        net = backend.make()
-        net.attach(0, 1e9)
-        net.attach(1, 1e9)
-        backend.wire(net, [1])
-        payload = bytes(range(256)) * 16
-        net.send(
-            0,
-            1,
-            SlicePacket(
-                stripe_id=3,
-                chunk_index=1,
-                source=0,
-                offset=4096,
-                payload=payload,
-                attempt=2,
-                epoch=1,
-                checksum=zlib.crc32(payload),
-                slice_index=1,
-                num_slices=4,
-                chain_pos=2,
-            ),
-        )
-        (got,) = drain(net.endpoint(1), 1)
-        assert isinstance(got, SlicePacket)
-        assert got.payload == payload
-        # The memory fabric carries the per-packet checksum verbatim;
-        # the wire backends drop it (the frame CRC covers meta+payload)
-        # — either way the payload integrity contract holds.
-        assert got.checksum in (None, zlib.crc32(payload))
-        assert (got.slice_index, got.num_slices, got.chain_pos) == (1, 4, 2)
-        assert (got.stripe_id, got.chunk_index, got.offset) == (3, 1, 4096)
-        assert (got.attempt, got.epoch) == (2, 1)
-        assert net.bytes_transferred == len(payload)
-
     def test_slice_stream_ordered_per_peer(self, backend):
         # A chain hop consumes upstream partial sums strictly in slice
         # order; the transport must never reorder them.
@@ -282,20 +245,18 @@ class TestTransportContract:
             net.send(
                 0,
                 1,
-                SlicePacket(
+                DataPacket(
                     stripe_id=0,
                     chunk_index=0,
                     source=0,
                     offset=index * 512,
                     payload=payload,
                     checksum=zlib.crc32(payload),
-                    slice_index=index,
-                    num_slices=num_slices,
                 ),
             )
         got = drain(net.endpoint(1), num_slices)
-        assert [p.slice_index for p in got] == list(range(num_slices))
-        assert all(p.payload == bytes([p.slice_index]) * 512 for p in got)
+        assert [p.offset // 512 for p in got] == list(range(num_slices))
+        assert all(p.payload == bytes([p.offset // 512]) * 512 for p in got)
 
     def test_slice_report_roundtrip(self, backend):
         # The destination's per-slice progress stream reaches the
@@ -1053,6 +1014,50 @@ class TestShmOnly:
             assert net.net.frames_rejected.value(reason="ring") == 1
         finally:
             net.close()
+
+
+class TestRetiredTypeCodes:
+    @pytest.mark.parametrize("backend", WIRE_BACKENDS, indirect=True)
+    def test_retired_codes_are_counted_rejects(self, backend):
+        # 3 ("relay") and 13 ("slice") are gone for good: an old peer's
+        # frame is an unknown type, counted, and delivery goes on.
+        from repro.net import ShmRing, encode_frame
+        from repro.net.wire import HEADER
+
+        net = backend.make(metrics=MetricsRegistry())
+        net.attach(0, None)
+        net.attach(1, None)
+        if backend.kind == "tcp":
+            address = net.listen()
+            net.add_peer(1, *address)
+
+            def inject(frame):
+                with socket.create_connection(address) as sock:
+                    sock.sendall(frame)
+        else:
+            name = net.listen()
+            net.add_peer(1, name)
+
+            def inject(frame):
+                ring = ShmRing(name)
+                try:
+                    assert ring.write([frame], timeout=1.0)
+                finally:
+                    ring.close()
+
+        frame = encode_frame(0, 1, Pong(node_id=0, nonce=1))
+        header = list(HEADER.unpack(frame[: HEADER.size]))
+        for code in sorted(RETIRED_WIRE_CODES):
+            header[2] = code
+            inject(HEADER.pack(*header) + frame[HEADER.size :])
+        deadline = time.monotonic() + 5.0
+        while net.net.frames_rejected.value(reason="header") < 2:
+            assert time.monotonic() < deadline, "rejects not counted"
+            time.sleep(0.01)
+        net.send(0, 1, Pong(node_id=0, nonce=2))
+        (got,) = drain(net.endpoint(1), 1)
+        assert got.nonce == 2
+        assert net.net.frames_rejected.total() == 2
 
 
 class TestSharedCore:
