@@ -2,8 +2,11 @@
 
 A manifest records everything needed to read an object back without
 the cluster snapshot that produced it: the erasure scheme, the chunk
-geometry, a content hash, and each stripe's id plus its placement
-(chunk index → node id).  Manifests ride the shared
+geometry, and each stripe's id, placement (chunk index → node id) and
+one sha256 per chunk, parities included.  The object's ``sha256`` is
+the root over those chunk digests, so a GET verifies every chunk it
+returns — fetched, parity or decoded — and never hashes the object a
+second time.  Manifests ride the shared
 :class:`~repro.core.serde.Schema` protocol, so versioning and
 unknown-key rejection behave exactly like fault plans and cluster
 snapshots (DESIGN.md §15).
@@ -16,7 +19,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.chunk import NodeId, StripeId
 from ..core.serde import Schema
@@ -29,7 +32,7 @@ class ManifestError(ValueError):
 #: on-disk/wire schema for one object manifest
 MANIFEST_SCHEMA = Schema(
     "gateway-manifest",
-    version=1,
+    version=2,
     fields=(
         "key", "size", "chunk_size", "n", "k", "sha256", "stripes",
     ),
@@ -42,16 +45,20 @@ MANIFEST_SCHEMA = Schema(
 
 @dataclass(frozen=True)
 class StripeRef:
-    """One stripe of an object: id plus chunk placement."""
+    """One stripe of an object: id, chunk placement and chunk digests."""
 
     stripe_id: StripeId
     #: node id holding each chunk, indexed by chunk index (len == n)
     placement: Tuple[NodeId, ...]
+    #: hex sha256 of each chunk as PUT wrote it, indexed by chunk index
+    #: (len == n; empty only for a ref built by hand, which GET refuses)
+    digests: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict:
         return {
             "stripe_id": self.stripe_id,
             "placement": list(self.placement),
+            "digests": list(self.digests),
         }
 
     @classmethod
@@ -59,6 +66,7 @@ class StripeRef:
         return cls(
             stripe_id=int(data["stripe_id"]),
             placement=tuple(int(n) for n in data["placement"]),
+            digests=tuple(str(d) for d in data.get("digests", ())),
         )
 
 
@@ -72,7 +80,8 @@ class ObjectManifest:
     chunk_size: int
     n: int
     k: int
-    #: hex sha256 of the original bytes — GET verifies against this
+    #: hex sha256 over every stripe's chunk digests, in order
+    #: (:func:`root_digest`); a loaded manifest must agree with them
     sha256: str
     stripes: Tuple[StripeRef, ...] = field(default_factory=tuple)
 
@@ -97,8 +106,13 @@ class ObjectManifest:
 
     @classmethod
     def from_dict(cls, document: Dict) -> "ObjectManifest":
+        """Load a document, refusing digests that cannot be trusted.
+
+        Digests are checked here and at GET, not on construction: a
+        manifest built in memory may carry digest-less stripes.
+        """
         body = MANIFEST_SCHEMA.load(document)
-        return cls(
+        manifest = cls(
             key=body["key"],
             size=int(body["size"]),
             chunk_size=int(body["chunk_size"]),
@@ -109,11 +123,36 @@ class ObjectManifest:
                 StripeRef.from_dict(ref) for ref in body["stripes"]
             ),
         )
+        for ref in manifest.stripes:
+            if len(ref.digests) != manifest.n:
+                raise ManifestError(
+                    f"{manifest.key!r} stripe {ref.stripe_id}: "
+                    f"{len(ref.digests)} chunk digests, expected {manifest.n}"
+                )
+        if root_digest(manifest.stripes) != manifest.sha256:
+            raise ManifestError(
+                f"{manifest.key!r}: sha256 disagrees with its chunk digests"
+            )
+        return manifest
 
 
 def digest(data: bytes) -> str:
-    """The content hash manifests carry (hex sha256)."""
+    """The hash a manifest records per chunk (hex sha256).
+
+    A GET accepts a chunk only if its bytes hash to this digest: the
+    one end-to-end check between the PUT's encoder and the GET's
+    caller, whatever agents and transports did in between.
+    """
     return hashlib.sha256(data).hexdigest()
+
+
+def root_digest(stripes: Sequence[StripeRef]) -> str:
+    """An object's ``sha256``: the hash of its chunk digests, in order."""
+    root = hashlib.sha256()
+    for ref in stripes:
+        for chunk_digest in ref.digests:
+            root.update(chunk_digest.encode())
+    return root.hexdigest()
 
 
 class ManifestStore:

@@ -3,11 +3,19 @@
 :class:`ObjectStore` is the gateway's core.  It stripes named objects
 through the erasure codec onto the cluster's agents with
 :class:`~repro.runtime.messages.ChunkWrite` RPCs, records a durable
-:class:`~repro.gateway.manifest.ObjectManifest` per object, and reads
-them back with :class:`~repro.runtime.messages.ChunkRead` — falling
+:class:`~repro.gateway.manifest.ObjectManifest` per object — with one
+sha256 per chunk, hashed while the writes are in flight — and reads
+them back with :class:`~repro.runtime.messages.ChunkRead`, falling
 back to a *degraded read* (fetch any ``k`` survivors, decode around
 the hole; cf. the decode paths in Li et al., arXiv:1908.01527) when a
-datanode is failed, flagged soon-to-fail, or suspected unresponsive.
+datanode is failed, flagged soon-to-fail, suspected unresponsive, or
+returns bytes that do not match their digest.
+
+A GET hashes each chunk it returns exactly once, against the
+manifest's digest for that chunk, whether it was fetched or decoded:
+that is the read path's only integrity check, end to end from the
+PUT's encoder, so agents serve chunks without a checksum and the
+object is never hashed whole.
 
 Everything speaks the existing :class:`~repro.runtime.transport`
 interface, so the same gateway runs unchanged over the in-memory,
@@ -22,9 +30,9 @@ import threading
 import time
 import zlib
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import ClusterError, StorageCluster
@@ -45,7 +53,13 @@ from ..runtime.messages import (
     StatReply,
     StatRequest,
 )
-from .manifest import ManifestStore, ObjectManifest, StripeRef, digest
+from .manifest import (
+    ManifestStore,
+    ObjectManifest,
+    StripeRef,
+    digest,
+    root_digest,
+)
 
 #: well-known endpoint id of the gateway (below all shard coordinators)
 GATEWAY_ID: NodeId = -1000
@@ -148,12 +162,15 @@ class RpcEndpoint:
         self,
         calls: Sequence[Tuple[NodeId, object]],
         timeout: Optional[float] = None,
+        meanwhile: Optional[Callable[[], None]] = None,
     ) -> List:
         """Fan out requests, then await every reply.
 
         Each message must already carry a unique ``nonce``; the result
         list aligns with ``calls``, with ``None`` for timeouts and
-        unreachable destinations.
+        unreachable destinations.  ``meanwhile`` runs between the two
+        halves — every request sent, no reply awaited yet — so the
+        caller's own work overlaps the round trips.
         """
         timeout = self.timeout if timeout is None else timeout
         slots = []
@@ -168,6 +185,8 @@ class RpcEndpoint:
                     self.network.send(self.node_id, dst, message)
                 except KeyError:
                     pass  # unknown peer: surfaces as a timeout
+            if meanwhile is not None:
+                meanwhile()
             replies = []
             for slot in slots:
                 replies.append(
@@ -281,14 +300,16 @@ class ObjectStore(RpcEndpoint):
     def put(self, key: str, data: bytes) -> ObjectManifest:
         """Stripe ``data`` onto the cluster under ``key``.
 
-        Re-putting an existing key overwrites the manifest (the old
-        stripes' chunks are deleted best-effort first).
+        Re-putting an existing key replaces it only once the new
+        version is whole: new stripes written, new manifest saved, then
+        the old chunks deleted (best effort).  A PUT that fails midway
+        deletes what it wrote (best effort) and leaves the old version
+        readable.
         """
         if not key:
             raise GatewayError("object key must be non-empty")
         data = bytes(data)  # wire payloads arrive as memoryview
-        if self.manifests.has(key):
-            self.delete(key)
+        old = self.manifests.load(key) if self.manifests.has(key) else None
         k, n = self.codec.k, self.codec.n
         stripe_bytes = k * self.chunk_size
         num_stripes = max(-(-len(data) // stripe_bytes), 1)
@@ -303,25 +324,38 @@ class ObjectStore(RpcEndpoint):
             ]
             for s in range(num_stripes)
         ]
-        refs = []
+        refs: List[StripeRef] = []
         with self._client_flow():
-            for chunks in self.codec.encode_batch(stripes):
-                refs.append(self._write_stripe(chunks))
-        manifest = ObjectManifest(
-            key=key,
-            size=len(data),
-            chunk_size=self.chunk_size,
-            n=n,
-            k=k,
-            sha256=digest(data),
-            stripes=tuple(refs),
-        )
-        self.manifests.save(manifest)
+            try:
+                for chunks in self.codec.encode_batch(stripes):
+                    self._write_stripe(chunks, refs)
+            except GatewayError:
+                self._delete_chunks(refs)
+                raise
+            manifest = ObjectManifest(
+                key=key,
+                size=len(data),
+                chunk_size=self.chunk_size,
+                n=n,
+                k=k,
+                sha256=root_digest(refs),
+                stripes=tuple(refs),
+            )
+            self.manifests.save(manifest)
+            if old is not None:
+                self._delete_chunks(old.stripes)
         self._count("puts")
         self._count("bytes_in", len(data))
         return manifest
 
-    def _write_stripe(self, chunks: Sequence[bytes]) -> StripeRef:
+    def _write_stripe(
+        self, chunks: Sequence[bytes], written: List[StripeRef]
+    ) -> None:
+        """Write one stripe, hashing its chunks while the writes fly.
+
+        The stripe's ref joins ``written`` before any reply is judged,
+        so a failed PUT can delete whatever reached a node.
+        """
         placement = self._choose_placement(len(chunks))
         stripe = self.cluster.add_stripe(
             self.codec.n, self.codec.k, placement
@@ -338,7 +372,14 @@ class ObjectStore(RpcEndpoint):
                 nonce=self._next_nonce(),
                 reply_to=self.node_id,
             )))
-        for (dst, _), reply in zip(calls, self._rpc_many(calls)):
+        digests: List[str] = []
+        replies = self._rpc_many(
+            calls, meanwhile=lambda: digests.extend(map(digest, chunks))
+        )
+        written.append(
+            StripeRef(stripe.stripe_id, tuple(placement), tuple(digests))
+        )
+        for (dst, _), reply in zip(calls, replies):
             if reply is None:
                 raise GatewayError(
                     f"node {dst} did not acknowledge chunk write "
@@ -348,7 +389,6 @@ class ObjectStore(RpcEndpoint):
                 raise GatewayError(
                     f"node {dst} rejected chunk write: {reply.detail}"
                 )
-        return StripeRef(stripe.stripe_id, tuple(placement))
 
     def _choose_placement(self, n: int) -> List[NodeId]:
         """``n`` distinct healthy nodes, least-loaded first."""
@@ -379,12 +419,9 @@ class ObjectStore(RpcEndpoint):
                 parts.extend(data_chunks)
                 if degraded:
                     degraded_stripes += 1
+        # Every part already matched its chunk digest: nothing to
+        # hash again here.
         data = b"".join(parts)[:manifest.size]
-        if digest(data) != manifest.sha256:
-            raise GatewayError(
-                f"content hash mismatch reading {key!r} "
-                "(decoded bytes differ from manifest sha256)"
-            )
         self._count("gets")
         self._count("bytes_out", len(data))
         return GetResult(data=data, degraded_stripes=degraded_stripes)
@@ -397,15 +434,22 @@ class ObjectStore(RpcEndpoint):
             stripe = self.cluster.stripe(ref.stripe_id)
         except ClusterError:
             return ref  # manifest outlives the snapshot: try it
-        return StripeRef(ref.stripe_id, stripe.placement)
+        return replace(ref, placement=stripe.placement)
 
     def _read_stripe(
         self, manifest: ObjectManifest, ref: StripeRef
     ) -> Tuple[List[bytes], bool]:
         """One stripe's ``k`` data chunks, degraded-decoding if needed.
 
-        Returns ``(data_chunks, was_degraded)``.
+        Every chunk returned matched its manifest digest.  Returns
+        ``(data_chunks, was_degraded)``.
         """
+        if len(ref.digests) != manifest.n:
+            raise GatewayError(
+                f"stripe {ref.stripe_id}: manifest holds "
+                f"{len(ref.digests)} chunk digests, not {manifest.n}; "
+                "nothing to verify a read against"
+            )
         k = manifest.k
         wanted = list(range(k))
         # One request wave for k chunks: the data chunks on nodes the
@@ -441,6 +485,12 @@ class ObjectStore(RpcEndpoint):
             raise GatewayError(
                 f"stripe {ref.stripe_id}: degraded decode failed: {exc}"
             ) from exc
+        for index in missing:
+            if digest(decoded[index]) != ref.digests[index]:
+                raise GatewayError(
+                    f"stripe {ref.stripe_id}: decoded chunk {index} "
+                    "does not match its manifest digest"
+                )
         self._count("degraded_reads")
         chunks = [
             available[i] if i in available else decoded[i] for i in wanted
@@ -450,7 +500,11 @@ class ObjectStore(RpcEndpoint):
     def _fetch_chunks(
         self, ref: StripeRef, indices: Sequence[int]
     ) -> Dict[int, bytes]:
-        """ChunkRead fan-out; failures mark the node suspect."""
+        """ChunkRead fan-out, keeping only replies that match their digest.
+
+        A timeout, a refusal or bytes that rotted at rest or in flight
+        all mark the node suspect; the caller decodes around it.
+        """
         if not indices:
             return {}
         calls = [
@@ -464,20 +518,15 @@ class ObjectStore(RpcEndpoint):
         ]
         fetched: Dict[int, bytes] = {}
         for (dst, request), reply in zip(calls, self._rpc_many(calls)):
-            # checksum=None means the transport already CRC-verified
-            # the payload at the frame level (tcp/shm strip it after
-            # validation); only an *attached* checksum can mismatch.
+            index = request.chunk_index
             if (
                 reply is None
                 or not reply.ok
-                or (
-                    reply.checksum is not None
-                    and zlib.crc32(reply.payload) != reply.checksum
-                )
+                or digest(reply.payload) != ref.digests[index]
             ):
                 self._suspect(dst)
                 continue
-            fetched[request.chunk_index] = reply.payload
+            fetched[index] = reply.payload
         return fetched
 
     # ------------------------------------------------------------------
@@ -530,8 +579,16 @@ class ObjectStore(RpcEndpoint):
         reused); their chunks are simply gone.
         """
         manifest = self.manifests.load(key)
+        with self._client_flow():
+            acked = self._delete_chunks(manifest.stripes)
+        self.manifests.delete(key)
+        self._count("deletes")
+        return acked
+
+    def _delete_chunks(self, stripes: Sequence[StripeRef]) -> int:
+        """ChunkDelete every chunk of ``stripes``; the acks received."""
         calls = []
-        for ref in map(self._located, manifest.stripes):
+        for ref in map(self._located, stripes):
             for index, dst in enumerate(ref.placement):
                 calls.append((dst, ChunkDelete(
                     stripe_id=ref.stripe_id,
@@ -539,10 +596,7 @@ class ObjectStore(RpcEndpoint):
                     nonce=self._next_nonce(),
                     reply_to=self.node_id,
                 )))
-        with self._client_flow():
-            replies = self._rpc_many(calls)
-        self.manifests.delete(key)
-        self._count("deletes")
+        replies = self._rpc_many(calls)
         return sum(
             1 for reply in replies if reply is not None and reply.ok
         )

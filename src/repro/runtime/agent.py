@@ -1125,7 +1125,7 @@ class Agent:
                     source=self.node_id,
                     offset=0,
                     payload=payload,
-                    checksum=zlib.crc32(payload),
+                    checksum=None,
                     nonce=message.nonce,
                 ),
             )

@@ -512,7 +512,10 @@ class ChunkReadReply(DataPacket):
 
     ``ok=False`` (missing/unreadable chunk) carries an empty payload
     and names the reason in ``detail`` — the gateway then decodes
-    around this node instead of erroring the GET.
+    around this node instead of erroring the GET.  Agents send it with
+    ``checksum=None``: a CRC taken over bytes already read from disk
+    cannot see rot at rest, and the gateway checks every chunk against
+    its manifest sha256 anyway — the end-to-end check.
     """
 
     nonce: int = 0

@@ -15,6 +15,7 @@ from repro.core.planner import FastPRPlanner, apply_plan
 from repro.ec import make_codec
 from repro.ec.galois import KERNEL
 from repro.gateway import (
+    GATEWAY_ID,
     GatewayError,
     GatewayServer,
     ManifestError,
@@ -22,6 +23,7 @@ from repro.gateway import (
     ObjectStore,
 )
 from repro.obs import MetricsRegistry
+from repro.runtime.faults import FaultInjector, FaultPlan, LinkFault
 from repro.runtime.testbed import EmulatedTestbed
 
 CHUNK = 1024
@@ -106,6 +108,29 @@ class TestPutGet:
         store.put("obj", b"second, longer version" * 100)
         assert store.get("obj") == b"second, longer version" * 100
         assert store.keys() == ["obj"]
+
+    def test_failed_overwrite_leaves_the_old_object_readable(self, tmp_path):
+        cluster, codec, testbed, _ = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK, timeout=2.0
+        ) as store:
+            old = bytes(i % 241 for i in range(2 * codec.k * CHUNK))
+            store.put("obj", old)
+            held = {n: set(s.stripes()) for n, s in testbed.stores.items()}
+            # The next stripe's first node NACKs its ChunkWrite: the
+            # gateway's CRC no longer matches the bytes that arrive.
+            nacker = store._choose_placement(codec.n)[0]
+            testbed.network.faults = FaultInjector(FaultPlan(links=[
+                LinkFault(corrupt=1.0, src=GATEWAY_ID, dst=nacker)
+            ]))
+            with pytest.raises(GatewayError, match="rejected chunk write"):
+                store.put("obj", b"new version" * 1000)
+            testbed.network.faults = None
+            assert store.get("obj") == old
+            # ... and the new version's chunks are gone again.
+            assert {
+                n: set(s.stripes()) for n, s in testbed.stores.items()
+            } == held
 
     def test_missing_key_raises(self, rig):
         _, _, store, _ = rig
@@ -246,6 +271,34 @@ class TestDegradedReads:
         data = b"h" * (codec.k * CHUNK * 2)
         store.put("fine", data)
         assert not store.get_result("fine").degraded
+
+
+class TestCorruptionIsLocalised:
+    """A chunk whose bytes no longer match its manifest digest costs a
+    degraded read around its node, never the GET."""
+
+    @pytest.mark.parametrize("where", ["at_rest", "in_flight"])
+    def test_corrupt_data_chunk_is_decoded_around(self, tmp_path, where):
+        cluster, codec, testbed, _ = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK
+        ) as store:
+            data = bytes(i % 239 for i in range(codec.k * CHUNK))
+            ref = store.put("rot", data).stripes[0]
+            victim = ref.placement[0]  # holds data chunk 0
+            if where == "at_rest":
+                chunks = testbed.stores[victim]
+                rotted = bytearray(chunks.read(ref.stripe_id))
+                rotted[CHUNK // 2] ^= 0x01
+                chunks.put(ref.stripe_id, bytes(rotted))
+            else:
+                testbed.network.faults = FaultInjector(FaultPlan(links=[
+                    LinkFault(corrupt=1.0, src=victim, dst=GATEWAY_ID)
+                ]))
+            result = store.get_result("rot")
+            assert result.data == data
+            assert result.degraded
+            assert not store._readable(victim)
 
 
 class TestGatewayServerInProcess:
