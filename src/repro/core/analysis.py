@@ -87,12 +87,16 @@ PAPER_DEFAULT_PROFILE = BandwidthProfile()
 #: whatever the devices are (read-ahead, two CRC32s, a star
 #: destination's k GF accumulations, the hand-off to the staging
 #: writer — all agents of a host sharing one interpreter).  Measured,
-#: not derived: both are the least-squares fit of ``T(p)`` below to the
-#: end-to-end sweep of the unthrottled in-memory rig (``make
-#: packet-sweep WORKLOAD=drain-cpu-mem``; REPORT.md §fig11 has the
-#: table they were read off).
+#: not derived: ``PACKET_COST`` is the least-squares fit of ``T(p)``
+#: below to the end-to-end sweep of the unthrottled in-memory rig
+#: (``make packet-sweep WORKLOAD=drain-cpu-mem``; REPORT.md §fig11 has
+#: the table it was read off).  ``MEMORY_BANDWIDTH`` is the 173 MB/s
+#: that sweep fitted once the GF math was native, with the two CRC32
+#: passes the native fold then took off the stage (≈ 0.8 ns a byte):
+#: since then the sweep's optimum is the whole 1 MiB chunk, so there
+#: is no interior optimum left to fit (DESIGN.md §13).
 PACKET_COST = 3.0e-3
-MEMORY_BANDWIDTH = 100e6
+MEMORY_BANDWIDTH = 200e6
 #: No packet is smaller than this, whatever the devices are.
 MIN_PACKET_SIZE = 4096
 

@@ -1,4 +1,4 @@
-"""Build, cache and load the native GF(2^8) kernel (``gf256.c``).
+"""Build, cache and load the native GF(2^8) and CRC-32 kernel (``gf256.c``).
 
 :func:`load` is called once per process, by :mod:`repro.ec.galois` when
 a region kernel (or ``KERNEL``) is first used.  It returns a cffi
@@ -42,8 +42,19 @@ void gf_region_at(int level, uint8_t *out, const uint8_t *in, size_t n,
                   const uint8_t *tab, int add);
 void gf_matmul(uint8_t *out, const uint8_t *matrix, const uint8_t *shards,
                size_t rows, size_t cols, size_t len, const uint8_t *tabs);
+int crc32_cpu_level(void);
+uint32_t crc32_update(uint32_t crc, const uint8_t *buf, size_t len);
+uint32_t crc32_at(int level, uint32_t crc, const uint8_t *buf, size_t len);
 """
-_ENTRY_POINTS = ("gf_cpu_level", "gf_region", "gf_region_at", "gf_matmul")
+_ENTRY_POINTS = (
+    "gf_cpu_level",
+    "gf_region",
+    "gf_region_at",
+    "gf_matmul",
+    "crc32_cpu_level",
+    "crc32_update",
+    "crc32_at",
+)
 
 
 def _require_private(path: Path, kind: int) -> None:

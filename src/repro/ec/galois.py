@@ -18,6 +18,10 @@ Two API levels are exposed:
   :func:`gf_matmul_bytes`) used on whole chunk buffers by the codecs
   and the repair agents.
 
+Beside them sits :func:`crc32`, the one payload checksum of the data
+path: ``zlib.crc32``'s values from the same native library (a
+``PCLMULQDQ`` fold) on buffers large enough for that to pay.
+
 The region kernels run in C (``gf256.c``, split-nibble ``pshufb``
 lookups with the GIL released) when :mod:`repro.ec._native` could build
 and load it — once per process, when a region kernel is first used —
@@ -30,6 +34,7 @@ process runs.  Importing this module neither compiles nor warns.
 from __future__ import annotations
 
 import threading
+import zlib
 
 import numpy as np
 
@@ -173,12 +178,15 @@ _NIBBLE_TABLES = np.ascontiguousarray(
 _FFI = _LIB = _TABLES = None
 #: name of the kernel in use, ``None`` until :func:`_load` has decided
 _KERNEL = None
+#: whether :func:`crc32` runs the native ``PCLMULQDQ`` fold (decided
+#: with ``_KERNEL``; false on numpy and on CPUs without the instruction)
+_CRC_FOLD = False
 _LOAD_LOCK = threading.Lock()
 
 
 def _load() -> str:
     """Decide, once per process, which kernel runs; return its name."""
-    global _FFI, _LIB, _TABLES, _KERNEL
+    global _FFI, _LIB, _TABLES, _KERNEL, _CRC_FOLD
     with _LOAD_LOCK:
         if _KERNEL is None:
             loaded = _native.load()
@@ -188,6 +196,7 @@ def _load() -> str:
                 _FFI, _LIB = loaded
                 _TABLES = _FFI.from_buffer("uint8_t[]", _NIBBLE_TABLES)
                 level = _LIB.gf_cpu_level()
+                _CRC_FOLD = _LIB.crc32_cpu_level() > 0
                 _KERNEL = "native-" + ("scalar", "ssse3", "avx2")[level]
     return _KERNEL
 
@@ -358,3 +367,28 @@ def gf_matmul_bytes(
         if not add:
             acc[...] = 0
     return out
+
+
+#: Below this many bytes one cffi call (with its GIL release and
+#: re-acquisition) costs more than zlib's own CRC loop.
+_CRC_FOLD_MIN = 8192
+
+
+def crc32(data, value: int = 0) -> int:
+    """Return ``zlib.crc32(data, value)``, the same value at a higher rate.
+
+    Contiguous buffers of at least ``_CRC_FOLD_MIN`` bytes go to the
+    native ``PCLMULQDQ`` fold (GIL released) when this CPU has it;
+    everything else, including what ``zlib.crc32`` rejects, is zlib's.
+    """
+    if _KERNEL is None:
+        _load()
+    if _CRC_FOLD:
+        view = memoryview(data)
+        if view.nbytes >= _CRC_FOLD_MIN and view.c_contiguous:
+            return _LIB.crc32_update(
+                value & 0xFFFFFFFF,
+                _FFI.from_buffer("uint8_t[]", view),
+                view.nbytes,
+            )
+    return zlib.crc32(data, value)

@@ -28,7 +28,6 @@ import itertools
 import queue
 import threading
 import time
-import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import ClusterError, StorageCluster
 from ..ec.codec import DecodeError, ErasureCodec
-from ..ec.galois import record_kernel
+from ..ec.galois import crc32, record_kernel
 from ..runtime.messages import (
     ChunkDelete,
     ChunkRead,
@@ -368,7 +367,7 @@ class ObjectStore(RpcEndpoint):
                 source=self.node_id,
                 offset=0,
                 payload=chunk,
-                checksum=zlib.crc32(chunk),
+                checksum=crc32(chunk),
                 nonce=self._next_nonce(),
                 reply_to=self.node_id,
             )))
@@ -652,6 +651,13 @@ class GatewayServer(ObjectStore):
 
     def _serve_one(self, message):
         if isinstance(message, PutRequest):
+            # checksum=None: the transport already frame-CRC-verified the
+            # payload and stripped the field (tcp/shm receive contract).
+            if (
+                message.checksum is not None
+                and crc32(message.payload) != message.checksum
+            ):
+                raise GatewayError("payload checksum mismatch")
             manifest = self.put(message.key, message.payload)
             return PutReply(
                 key=message.key,
@@ -667,7 +673,7 @@ class GatewayServer(ObjectStore):
                 source=self.node_id,
                 offset=0,
                 payload=result.data,
-                checksum=zlib.crc32(result.data),
+                checksum=crc32(result.data),
                 key=message.key,
                 nonce=message.nonce,
                 degraded=result.degraded,
@@ -753,7 +759,7 @@ class ObjectClient(RpcEndpoint):
     def put(self, key: str, data: bytes) -> PutReply:
         return self._call(PutRequest(
             stripe_id=-1, chunk_index=-1, source=self.node_id, offset=0,
-            payload=data, checksum=zlib.crc32(data), key=key,
+            payload=data, checksum=crc32(data), key=key,
             nonce=self._next_nonce(), reply_to=self.node_id,
         ))
 
@@ -765,7 +771,7 @@ class ObjectClient(RpcEndpoint):
         # payload and stripped the field (tcp/shm receive contract).
         if (
             reply.checksum is not None
-            and zlib.crc32(reply.payload) != reply.checksum
+            and crc32(reply.payload) != reply.checksum
         ):
             raise GatewayError(f"GET {key!r}: payload checksum mismatch")
         return reply

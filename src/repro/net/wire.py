@@ -10,12 +10,13 @@ Every message crossing a socket is one length-prefixed frame::
     | payload: raw chunk bytes (DataPacket only; empty otherwise)           |
     +-----------------------------------------------------------------------+
 
-All header integers are little-endian.  The CRC32 covers meta and
-payload together, so a flipped bit anywhere in the body is rejected at
-the receiver before any JSON parsing happens.  The ``epoch`` is copied
-from the message (0 for epoch-less messages like heartbeats) so a
-zombie coordinator's traffic is identifiable on the wire without
-decoding the body.
+All header integers are little-endian.  The CRC32 (zlib's) covers meta
+and payload together, so a flipped bit anywhere in the body is rejected
+at the receiver before any JSON parsing happens; the payload half runs
+on :func:`repro.ec.galois.crc32`, the same value at the native rate.
+The ``epoch`` is copied from the message (0 for epoch-less messages
+like heartbeats) so a zombie coordinator's traffic is identifiable on
+the wire without decoding the body.
 
 Control fields travel as schema-validated JSON (the per-message
 :class:`~repro.core.serde.Schema` installed by
@@ -37,6 +38,7 @@ from typing import Tuple
 
 from ..cluster.chunk import NodeId
 from ..core.serde import Schema, SerdeError
+from ..ec.galois import crc32
 from ..runtime.messages import WIRE_CODES
 
 #: first bytes of every frame; a connection that does not start with
@@ -95,7 +97,7 @@ def encode_frame_parts(src: NodeId, dst: NodeId, message) -> Tuple[bytes, bytes]
     ).encode("utf-8")
     crc = zlib.crc32(meta)
     if len(payload):
-        crc = zlib.crc32(payload, crc)
+        crc = crc32(payload, crc)
     header = HEADER.pack(
         MAGIC,
         WIRE_VERSION,
@@ -162,7 +164,7 @@ def decode_body(
     """
     actual = zlib.crc32(meta)
     if len(payload):
-        actual = zlib.crc32(payload, actual)
+        actual = crc32(payload, actual)
     if actual != crc:
         raise WireError("frame CRC mismatch (corrupted in flight)")
     try:

@@ -62,13 +62,12 @@ import os
 import queue
 import threading
 import time
-import zlib
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..cluster.chunk import NodeId
-from ..ec.galois import gf_addmul_bytes, gf_mul_bytes, record_kernel
+from ..ec.galois import crc32, gf_addmul_bytes, gf_mul_bytes, record_kernel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .config import DEFAULT_CONFIG, RuntimeConfig
@@ -289,7 +288,7 @@ class _Assembly(_ActionWorker):
                     continue  # stale retry traffic (or a fenced epoch's)
                 if (
                     packet.checksum is not None
-                    and zlib.crc32(packet.payload) != packet.checksum
+                    and crc32(packet.payload) != packet.checksum
                 ):
                     continue  # corrupted in flight; the round trip stalls
                 coeff = self.command.sources.get(packet.source)
@@ -430,7 +429,7 @@ class _Stream(_ActionWorker):
                         payload=payload,
                         attempt=command.attempt,
                         epoch=command.epoch,
-                        checksum=zlib.crc32(payload),
+                        checksum=crc32(payload),
                     ),
                 )
         finally:
@@ -457,7 +456,7 @@ class _Stream(_ActionWorker):
                 continue
             if (
                 upstream.checksum is not None
-                and zlib.crc32(upstream.payload) != upstream.checksum
+                and crc32(upstream.payload) != upstream.checksum
             ):
                 continue  # corrupted partial sum; wait for a retry
             if upstream.offset != offset:
@@ -1135,7 +1134,7 @@ class Agent:
             payload = bytes(message.payload)
             if (
                 message.checksum is not None
-                and zlib.crc32(payload) != message.checksum
+                and crc32(payload) != message.checksum
             ):
                 ok, detail = False, "payload checksum mismatch"
             else:

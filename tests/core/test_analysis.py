@@ -202,12 +202,13 @@ class TestOptimalPacketSize:
     """The Experiment B.1 rule that replaces ``chunk/16``."""
 
     # (chunk, disk, nic) of the benchmarks/e2e rigs and of the Fig. 11
-    # testbed, with the packet REPORT.md §fig11's sweeps found fastest
-    # on each; the last row is the paper's own Section III profile.
+    # testbed, with the packet the latest sweeps (REPORT.md §fig11,
+    # DESIGN.md §13) found fastest on each; the last row is the paper's
+    # own Section III profile.
     @pytest.mark.parametrize(
         "chunk, disk, nic, expected",
         [
-            pytest.param(mib(1), 100e9, 125e9, 512 * KIB, id="unthrottled"),
+            pytest.param(mib(1), 100e9, 125e9, mib(1), id="unthrottled"),
             pytest.param(mib(1), 100e6, 10e6, 128 * KIB, id="nic10"),
             pytest.param(mib(1) // 4, 400e6, 40e6, 128 * KIB, id="nic40"),
             pytest.param(mib(2), 10e6, 44e6, 128 * KIB, id="fig11-testbed"),
@@ -254,4 +255,4 @@ class TestOptimalPacketSize:
     def test_transport_limit_caps_the_choice(self):
         profile = BandwidthProfile(mib(1), 100e9, 125e9)
         assert optimal_packet_size(profile, max_packet=300 * KIB) == 256 * KIB
-        assert optimal_packet_size(profile, max_packet=mib(8)) == 512 * KIB
+        assert optimal_packet_size(profile, max_packet=mib(8)) == mib(1)

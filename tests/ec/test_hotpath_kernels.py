@@ -10,11 +10,15 @@ Every kernel test runs its body twice (``both_kernels``): on the kernel
 this host loaded (``galois.KERNEL``), then with the native library
 taken away, so both implementations face the same properties.
 ``TestNativeMatchesOracle`` then holds each native instruction set to
-the numpy byte gather directly.
+the numpy byte gather directly.  ``crc32`` is held to ``zlib.crc32`` the
+same way, and at each native CRC instruction set on every length.
 """
 
 import contextlib
 import functools
+import re
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.ec import galois, make_codec
 from repro.ec.galois import (
     _MUL_TABLE,
+    crc32,
     gf_addmul_bytes,
     gf_matmul_bytes,
     gf_mul,
@@ -54,6 +59,7 @@ def both_kernels(test):
         test(*args, **kwargs)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(galois, "_LIB", None)
+            patch.setattr(galois, "_CRC_FOLD", False)
             test(*args, **kwargs)
 
     return on_both
@@ -285,6 +291,8 @@ lengths = st.one_of(
 NATIVE = galois.KERNEL.startswith("native")
 #: best instruction set of this CPU: 0 scalar, 1 SSSE3, 2 AVX2
 CPU_LEVEL = galois._LIB.gf_cpu_level() if NATIVE else 0
+#: best CRC instruction set of this CPU: 0 byte table, 1 PCLMULQDQ fold
+CRC_LEVEL = galois._LIB.crc32_cpu_level() if NATIVE else 0
 levels = st.integers(0, CPU_LEVEL)
 
 
@@ -421,6 +429,108 @@ class TestNativeMatchesOracle:
         out = np.full((rows, length), 0xEE, dtype=np.uint8)
         assert gf_matmul_bytes(matrix, shards, out=out) is out
         assert np.array_equal(out, expected)
+
+
+@contextlib.contextmanager
+def crc_at_level(level):
+    """Inside, ``crc32`` runs native CRC instruction set ``level`` on
+    every buffer, however short."""
+    lib = galois._LIB
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(galois, "_LIB", types.SimpleNamespace(
+            crc32_update=functools.partial(lib.crc32_at, level)
+        ))
+        patch.setattr(galois, "_CRC_FOLD", True)
+        patch.setattr(galois, "_CRC_FOLD_MIN", 0)
+        yield
+
+
+def every_crc_path(test):
+    """Run ``test`` under ``both_kernels``, then at each native CRC
+    instruction set this CPU has (the byte table included)."""
+    on_both = both_kernels(test)
+
+    @functools.wraps(test)
+    def on_every(*args, **kwargs):
+        on_both(*args, **kwargs)
+        for level in range(CRC_LEVEL + 1) if NATIVE else ():
+            with crc_at_level(level):
+                test(*args, **kwargs)
+
+    return on_every
+
+
+def same_as_zlib(data, value=0):
+    """``crc32`` returns what ``zlib.crc32`` returns, or raises its error."""
+    try:
+        expected = zlib.crc32(data, value)
+    except (BufferError, TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            crc32(data, value)
+    else:
+        assert crc32(data, value) == expected
+
+
+class TestCrc32:
+    """``crc32`` is ``zlib.crc32``: same value for every input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(0, 70000),
+        offset=st.integers(0, 63),
+        value=st.integers(0, 2**32 - 1),
+        cut=st.floats(0, 1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @every_crc_path
+    def test_any_length_offset_and_chained_value(
+        self, length, offset, value, cut, seed
+    ):
+        backing = np.random.default_rng(seed).bytes(offset + length)
+        data = memoryview(backing)[offset:]
+        same_as_zlib(data, value)
+        split = int(cut * length)
+        assert crc32(data[split:], crc32(data[:split], value)) == zlib.crc32(
+            data, value
+        )
+
+    @every_crc_path
+    def test_every_length_across_the_fold_boundaries(self):
+        data = np.random.default_rng(23).bytes(200)
+        for length in range(201):
+            same_as_zlib(data[:length])
+            same_as_zlib(data[:length], 0xFFFFFFFF)
+            same_as_zlib(memoryview(data)[1 : 1 + length], 0x1234ABCD)
+
+    @every_crc_path
+    def test_four_mib(self):
+        same_as_zlib(np.random.default_rng(29).bytes(4 << 20), 99)
+
+    @pytest.mark.parametrize("size", [100, 8191, 8192, 70001])
+    @every_crc_path
+    def test_every_buffer_kind(self, size):
+        payload = np.random.default_rng(size).bytes(size)
+        array = np.frombuffer(payload, dtype=np.uint8).copy()
+        frozen = memoryview(payload)
+        assert frozen.readonly
+        kinds = [
+            payload,
+            bytearray(payload),
+            frozen,
+            frozen[3:],
+            array[5:],
+            array[: size // 8 * 8].view(np.uint64),
+            frozen[: size // 4 * 4].cast("I"),
+            array[::2],
+            frozen[::3],
+        ]
+        for data in kinds:
+            same_as_zlib(data, 7)
+
+    def test_huge_or_negative_value_is_taken_mod_two_to_the_32(self):
+        data = bytes(9000)
+        for value in (-1, 2**32, 2**40 + 5):
+            same_as_zlib(data, value)
 
 
 class TestBatchedCodec:

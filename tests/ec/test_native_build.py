@@ -73,6 +73,10 @@ def test_no_compiler_means_numpy_one_warning_same_bytes(tmp_path):
         "from repro.ec import galois\n"
         "assert galois._KERNEL is None, 'importing loaded the kernel'\n"
         "from tests.ec.test_native_build import star_repair_digest\n"
+        "import zlib\n"
+        "data = bytes(range(256)) * 100\n"
+        "assert galois.crc32(data, 7) == zlib.crc32(data, 7)\n"
+        "assert not galois._CRC_FOLD\n"
         "print(galois.KERNEL)\n"
         "print(star_repair_digest(pathlib.Path(sys.argv[1])))\n"
     )

@@ -15,6 +15,7 @@ from repro.core.planner import FastPRPlanner, apply_plan
 from repro.ec import make_codec
 from repro.ec.galois import KERNEL
 from repro.gateway import (
+    CLIENT_ID,
     GATEWAY_ID,
     GatewayError,
     GatewayServer,
@@ -349,6 +350,36 @@ class TestGatewayServerInProcess:
                 got = client.get("deg/obj")
                 assert bytes(got.payload) == data
                 assert got.degraded
+            finally:
+                client.close()
+                server.close()
+
+    def test_corrupted_put_is_refused_not_stored(self, tmp_path):
+        # The in-memory fabric corrupts a payload after the message is
+        # built, past any frame CRC: only the PutRequest's own checksum
+        # can tell the gateway that the bytes are not the client's.
+        cluster, codec, testbed, _ = build_rig(tmp_path)
+        with testbed:
+            server = GatewayServer(
+                cluster, codec, testbed.network, chunk_size=CHUNK
+            )
+            client = ObjectClient(testbed.network)
+            try:
+                held = {n: set(s.stripes()) for n, s in testbed.stores.items()}
+                testbed.network.faults = FaultInjector(FaultPlan(links=[
+                    LinkFault(corrupt=1.0, src=CLIENT_ID, dst=GATEWAY_ID)
+                ]))
+                data = bytes(i % 89 for i in range(codec.k * CHUNK + 7))
+                with pytest.raises(
+                    GatewayError, match="payload checksum mismatch"
+                ):
+                    client.put("bent/obj", data)
+                assert testbed.network.faults.stats["corrupted"] == 1
+                testbed.network.faults = None
+                assert server.keys() == []
+                assert {
+                    n: set(s.stripes()) for n, s in testbed.stores.items()
+                } == held
             finally:
                 client.close()
                 server.close()

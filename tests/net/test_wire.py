@@ -9,6 +9,7 @@ entire defense against corrupted or hostile byte streams.
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -154,6 +155,26 @@ class TestRoundTrip:
         frame = encode_frame(0, 1, Heartbeat(node_id=0))
         assert HEADER.unpack(frame[: HEADER.size])[3] == 0
 
+    def test_frame_crc_is_zlib_crc32_at_packet_size(self):
+        # A 64 KiB payload takes the native CRC fold: the header must
+        # still carry zlib's CRC-32 of meta then payload, so frames stay
+        # byte-identical across versions, and one flipped bit fails.
+        payload = bytes(range(251)) * 261
+        packet = DataPacket(
+            stripe_id=3, chunk_index=1, source=2, offset=65536,
+            payload=payload, attempt=2, epoch=5, checksum=zlib.crc32(payload),
+        )
+        frame = encode_frame(2, 4, packet)
+        crc = HEADER.unpack(frame[: HEADER.size])[6]
+        assert crc == zlib.crc32(frame[HEADER.size :])
+        src, dst, decoded = decode_frame(frame)
+        assert decoded == packet
+        assert encode_frame(src, dst, decoded) == frame
+        flipped = bytearray(frame)
+        flipped[-40_000] ^= 0x10
+        with pytest.raises(WireError, match="CRC"):
+            decode_frame(bytes(flipped))
+
     def test_empty_payload_packet(self):
         src, dst, decoded = decode_frame(
             encode_frame(0, 1, DataPacket(1, 0, 0, 0, b""))
@@ -218,8 +239,6 @@ class TestRejection:
     def test_old_shape_send_command_fails_loudly(self):
         # Version 1 of "send" had no chunk_size/coeff/upstream/chain_pos:
         # a peer still speaking it must not be half-understood.
-        import zlib
-
         old = {
             "version": 1, "stripe_id": 7, "chunk_index": 2,
             "destination": 5, "packet_size": 512, "attempt": 0,
@@ -275,8 +294,6 @@ class TestRejection:
             decode_frame(mangled)
 
     def test_unknown_envelope_key_rejected(self):
-        import zlib
-
         meta = json.dumps({
             "version": 1, "src": 0, "dst": 1, "msg": Ping(nonce=1).to_dict(),
             "evil": True,
@@ -289,8 +306,6 @@ class TestRejection:
             decode_frame(header + meta)
 
     def test_payload_on_payloadless_message_rejected(self):
-        import zlib
-
         meta = json.dumps({
             "version": 1, "src": 0, "dst": 1, "msg": Ping(nonce=1).to_dict(),
         }).encode()
