@@ -22,6 +22,7 @@ chain order (DESIGN.md §14) shows outside the e2e benchmark.
 
 from conftest import run_once
 
+from repro import apply_pipelining
 from repro.bench.harness import Experiment, Panel
 from repro.core.planner import (
     FastPRPlanner,
@@ -64,19 +65,19 @@ def run_pipelining_ablation(runs: int = 1) -> Experiment:
         cluster, stf = fixed_stf_chunk_count(cfg, 8)
         codec = make_codec("rs(9,6)")
         strategies = [
-            ("migration", MigrationOnlyPlanner()),
-            ("recon_star", ReconstructionOnlyPlanner(seed=run)),
-            ("recon_pipelined", ReconstructionOnlyPlanner(seed=run, pipelined=True)),
-            ("fastpr_star", FastPRPlanner(seed=run)),
-            ("fastpr_pipelined", FastPRPlanner(seed=run, pipelined=True)),
+            ("migration", MigrationOnlyPlanner(), "off"),
+            ("recon_star", ReconstructionOnlyPlanner(seed=run), "off"),
+            ("recon_pipelined", ReconstructionOnlyPlanner(seed=run), "chain"),
+            ("fastpr_star", FastPRPlanner(seed=run), "off"),
+            ("fastpr_pipelined", FastPRPlanner(seed=run), "chain"),
         ]
         plans, results = {}, {}
         with EmulatedTestbed(
             cluster, codec, packet_size=64 * 1024
         ) as testbed:
             testbed.load_random_data(seed=cfg.seed)
-            for label, planner in strategies:
-                plan = planner.plan(cluster, stf)
+            for label, planner, pipelining in strategies:
+                plan = apply_pipelining(planner.plan(cluster, stf), pipelining)
                 result = testbed.execute(plan)
                 testbed.verify_plan(plan)
                 acc.setdefault(label, []).append(result.time_per_chunk)

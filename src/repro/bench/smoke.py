@@ -237,6 +237,7 @@ def run_pipelining_bench(
     from ..cluster import StorageCluster
     from ..core.planner import ReconstructionOnlyPlanner
     from ..ec import make_codec
+    from ..runtime.config import RuntimeConfig
     from ..session import RepairSession
 
     codec = make_codec("rs(9,6)")
@@ -253,15 +254,13 @@ def run_pipelining_bench(
     stf = max(cluster.storage_node_ids(), key=cluster.load_of)
     cluster.node(stf).mark_soon_to_fail()
     plan = ReconstructionOnlyPlanner(seed=seed).plan(cluster, stf)
+    # Only chains slice: the star run moves the same plan at the
+    # run's packet size.
+    config = RuntimeConfig(pipeline_slices=slices)
     summaries = {}
-    for mode, num_slices in (("off", 0), ("chain", slices)):
+    for mode in ("off", "chain"):
         session = RepairSession(
-            cluster,
-            codec,
-            plan,
-            pipelining=mode,
-            slices=num_slices,
-            seed=seed,
+            cluster, codec, plan, pipelining=mode, config=config, seed=seed
         )
         summaries[mode] = session.run()
     star, chain = summaries["off"], summaries["chain"]

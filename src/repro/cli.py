@@ -234,16 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="'chain' streams each reconstruction's partial sums "
         "through an ordered helper chain (least-worth ingress first) "
         "instead of star fan-in; works uniformly across every "
-        "--transport and "
-        "--coordinators setting",
-    )
-    repair.add_argument(
-        "--slices",
-        type=int,
-        default=0,
-        help="(with --pipelining chain) carve each chunk into N slices "
-        "streamed one data packet per slice with per-slice completion "
-        "reports; 0 keeps packet-granular chaining",
+        "--transport and --coordinators setting.  A --config with "
+        "pipeline_slices N moves each chunk down the chain in N "
+        "slices, one packet each",
     )
 
     agent = sub.add_parser(
@@ -783,7 +776,6 @@ def _cmd_repair(args) -> int:
             transport=args.transport,
             coordinators=args.coordinators,
             pipelining=args.pipelining,
-            slices=args.slices,
             peers=args.peers,
             workdir=args.workdir,
             seed=args.seed,
@@ -854,8 +846,6 @@ def _cmd_repair(args) -> int:
         )
     if args.pipelining != "off":
         detail += f" pipelining={args.pipelining}"
-        if args.slices:
-            detail += f" slices={args.slices}"
     print(
         f"repaired {summary.chunks_repaired} chunks over {fabric} in "
         f"{summary.total_time:.2f}s (+{recovered} recovered, "

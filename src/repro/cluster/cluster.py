@@ -56,8 +56,8 @@ class StorageCluster:
             self.nodes[node_id] = Node(node_id, role=NodeRole.HOT_STANDBY)
         self.catalog = StripeCatalog()
         self._next_stripe_id = 0
-        #: bumped on every placement mutation; lets caches (e.g. the
-        #: precomputed reconstruction sets of Section IV-D) invalidate
+        #: bumped on every placement mutation; lets caches keyed to the
+        #: placement invalidate
         self.metadata_version = 0
         # node id -> set of stripe ids with a chunk there (storage index)
         self._node_index: Dict[NodeId, Set[StripeId]] = {

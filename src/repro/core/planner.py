@@ -90,14 +90,10 @@ class RepairPlanner(ABC):
         scenario: RepairScenario = RepairScenario.SCATTERED,
         profile: Optional[BandwidthProfile] = None,
         seed: Optional[int] = None,
-        pipelined: bool = False,
     ):
         self.scenario = scenario
         self.profile = profile
         self.seed = seed
-        #: reconstruct via helper chains (repair pipelining) instead of
-        #: fan-in at the destination
-        self.pipelined = pipelined
 
     @abstractmethod
     def compose_rounds(
@@ -160,7 +156,6 @@ class RepairPlanner(ABC):
                     method=RepairMethod.RECONSTRUCTION,
                     sources=tuple(helpers[chunk.stripe_id]),
                     destination=destinations[(chunk.stripe_id, chunk.chunk_index)],
-                    pipelined=self.pipelined,
                 )
             )
         for chunk in comp.migration:
@@ -215,9 +210,8 @@ class FastPRPlanner(RepairPlanner):
         seed: Optional[int] = None,
         k_prime: Optional[int] = None,
         rounding: str = "nearest",
-        pipelined: bool = False,
     ):
-        super().__init__(scenario, profile, seed, pipelined=pipelined)
+        super().__init__(scenario, profile, seed)
         self.optimize = optimize
         self.group_size = group_size
         self.k_prime = k_prime
@@ -256,9 +250,8 @@ class ReconstructionOnlyPlanner(RepairPlanner):
         optimize: bool = True,
         group_size: Optional[int] = None,
         seed: Optional[int] = None,
-        pipelined: bool = False,
     ):
-        super().__init__(scenario, profile, seed, pipelined=pipelined)
+        super().__init__(scenario, profile, seed)
         self.optimize = optimize
         self.group_size = group_size
 

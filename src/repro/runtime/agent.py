@@ -62,7 +62,7 @@ import os
 import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -89,27 +89,11 @@ from .messages import (
     RepairAck,
     SendCommand,
     Shutdown,
-    SliceReport,
     WriteComplete,
     nack,
 )
 from .transport import Network
 
-
-def slice_granularity(
-    chunk_size: int, packet_size: int, num_slices: int
-) -> int:
-    """Effective transfer granularity of a (possibly sliced) stream.
-
-    Sliced chained reconstruction carves the chunk into ``num_slices``
-    equal slices (the last may run short); ``num_slices == 0`` keeps
-    the command's packet size.  Streams and assemblies both derive
-    their offsets from this, so slice boundaries agree across every
-    hop of a chain regardless of the packet size the run was tuned to.
-    """
-    if num_slices > 0:
-        return max(1, -(-chunk_size // num_slices))
-    return packet_size
 
 #: ordering handle for staleness: a bigger (epoch, attempt) supersedes
 Generation = Tuple[int, int]
@@ -197,12 +181,7 @@ class _Assembly(_ActionWorker):
     never publishes a torn chunk.
     """
 
-    def __init__(
-        self,
-        command: ReceiveCommand,
-        store: ChunkStore,
-        on_slice: Optional[Callable[[int, float], None]] = None,
-    ):
+    def __init__(self, command: ReceiveCommand, store: ChunkStore):
         super().__init__(command)
         self.store = store
         #: this assembly's own staging file, opened by :meth:`run`; the
@@ -212,13 +191,7 @@ class _Assembly(_ActionWorker):
         #: offset -> set of sources that already contributed (dedupes
         #: duplicated packets, which would otherwise double-apply coeffs)
         self._arrived: Dict[int, Set[NodeId]] = {}
-        #: transfer granularity; for sliced streams this *is* the slice
-        self._granularity = slice_granularity(
-            command.chunk_size, command.packet_size, command.num_slices
-        )
         self._remaining_offsets = self._count_offsets()
-        #: best-effort per-slice progress hook (slice_index, elapsed_s)
-        self._on_slice = on_slice
         #: completed regions queued to the staging-writer thread, so
         #: the (throttled) disk write overlaps the next packet's GF math
         self._writes: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -231,7 +204,7 @@ class _Assembly(_ActionWorker):
         self.span = None
 
     def _count_offsets(self) -> int:
-        size, packet = self.command.chunk_size, self._granularity
+        size, packet = self.command.chunk_size, self.command.packet_size
         return (size + packet - 1) // packet
 
     def _staging_writer(self) -> None:
@@ -274,7 +247,6 @@ class _Assembly(_ActionWorker):
             daemon=True,
         )
         writer.start()
-        started_at = time.perf_counter()
         complete = False
         try:
             while self._remaining_offsets > 0:
@@ -319,14 +291,6 @@ class _Assembly(_ActionWorker):
                     self._remaining_offsets -= 1
                     # Fully decoded region: hand it to the writer.
                     self._writes.put((packet.offset, end))
-                    if (
-                        self._on_slice is not None
-                        and self.command.num_slices > 0
-                    ):
-                        self._on_slice(
-                            packet.offset // self._granularity,
-                            time.perf_counter() - started_at,
-                        )
                 if self._write_error is not None:
                     break
             self._writes.put(None)
@@ -368,9 +332,7 @@ class _Stream(_ActionWorker):
                 f"chunk size mismatch: stored {size}, command "
                 f"{command.chunk_size}"
             )
-        packet_size = slice_granularity(
-            size, min(command.packet_size, size), command.num_slices
-        )
+        packet_size = min(command.packet_size, size)
         offsets = range(0, size, packet_size)
         # The reader runs ahead so (throttled) disk waits overlap the
         # GF math and the NIC.  Every packet is read into a fresh buffer
@@ -896,31 +858,7 @@ class Agent:
     def _start_assembly(self, command: ReceiveCommand) -> None:
         if not self._note_attempt(command.key, _generation(command)):
             return
-        on_slice = None
-        if command.num_slices > 0:
-
-            def on_slice(slice_index: int, elapsed: float) -> None:
-                # Best-effort progress stream: a lost report only dims
-                # the coordinator's per-slice journal, never the repair.
-                try:
-                    self.network.send(
-                        self.node_id,
-                        command.reply_to,
-                        SliceReport(
-                            stripe_id=command.stripe_id,
-                            chunk_index=command.chunk_index,
-                            node_id=self.node_id,
-                            slice_index=slice_index,
-                            num_slices=command.num_slices,
-                            attempt=command.attempt,
-                            epoch=command.epoch,
-                            elapsed=elapsed,
-                        ),
-                    )
-                except Exception:
-                    pass
-
-        assembly = _Assembly(command, self.store, on_slice=on_slice)
+        assembly = _Assembly(command, self.store)
         assembly.span = self.tracer.start_span(
             "assembly",
             node=self.node_id,

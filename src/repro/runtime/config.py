@@ -94,11 +94,11 @@ class RuntimeConfig:
             that peer are dropped as undeliverable.
         drain_timeout: seconds :meth:`TcpNetwork.close` waits for each
             peer's queued frames to flush before force-closing.
-        pipeline_slices: slice count for chained (pipelined)
-            reconstructions — each chunk is carved into this many
-            slices, one data packet each, streamed through the helper
-            chain with per-slice completion reports.  ``0`` keeps
-            packet-granular chaining (no slice reports).
+        pipeline_slices: slices per chunk along a repair chain.  A
+            slice is a packet: with ``N > 0`` the coordinator sizes a
+            chained reconstruction's packets at ``ceil(chunk / N)``
+            bytes; ``0`` gives chains the run's packet size, like star
+            and migration streams.
     """
 
     ack_timeout: float = 120.0

@@ -71,7 +71,6 @@ from .journal import (
     RepairJournal,
     RoundCompleted,
     RoundStarted,
-    SliceCompleted,
 )
 from .messages import (
     ActionKey,
@@ -83,7 +82,6 @@ from .messages import (
     ReceiveCommand,
     RepairAck,
     SendCommand,
-    SliceReport,
 )
 from .transport import Network
 
@@ -148,8 +146,6 @@ class RuntimeResult:
     #: actions found already durably complete when resuming (journal
     #: or agent inventory); ``chunks_repaired`` counts only this run's
     recovered_chunks: int = 0
-    #: per-slice completions reported by destinations (chained repairs)
-    slices_completed: int = 0
 
     @property
     def time_per_chunk(self) -> float:
@@ -282,15 +278,10 @@ HelperBudget`; when set, each round's helper/destination node slots
         #: round triggered, so chain ordering demotes flaky-but-alive
         #: helpers to the head of subsequent chains
         self._observed_scales: Dict[NodeId, float] = {}
-        self._slices_counter = m.counter(
-            "repair_slices_total",
-            "slices assembled at destinations (chained repairs)",
-        )
         self._shared_ingress_counter = m.counter(
             "repair_chain_shared_ingress_total",
             "chains issued with a node still ingesting more than one stream",
         )
-        self._last_seen: Dict[NodeId, float] = {}
         self._deferred: List[object] = []
         self._nonce = 0
         self._recovered: Optional[RecoveredState] = None
@@ -607,7 +598,7 @@ HelperBudget`; when set, each round's helper/destination node slots
                 if message.nonce == nonce:
                     inventory[message.node_id] = set(message.stripes)
             elif isinstance(message, (Heartbeat, Pong)):
-                self._last_seen[message.node_id] = time.monotonic()
+                pass  # liveness only counts inside a probe
             elif isinstance(message, RepairAck):
                 pass  # straggler from the fenced epoch; inventory wins
             else:
@@ -668,39 +659,11 @@ HelperBudget`; when set, each round's helper/destination node slots
             message = self._next_message(min(deadline - now, cfg.poll_interval))
             if message is None:
                 continue
-            if isinstance(message, Heartbeat):
-                self._last_seen[message.node_id] = time.monotonic()
-            elif isinstance(message, Pong):
-                self._last_seen[message.node_id] = time.monotonic()
-            elif isinstance(message, InventoryReply):
-                continue  # late reply from a recovery inventory sweep
-            elif isinstance(message, SliceReport):
-                self._last_seen[message.node_id] = time.monotonic()
-                key = message.key
-                if (
-                    message.epoch != self.epoch
-                    or key not in pending
-                    or message.attempt != attempts.get(key, -1)
-                ):
-                    continue  # fenced epoch or a superseded attempt
-                # Informational progress record: recovery ignores it
-                # (only ActionCompleted is durable progress) but the
-                # journal now shows how far a chained repair streamed.
-                self._journal(
-                    SliceCompleted(
-                        self.epoch,
-                        round_index,
-                        message.stripe_id,
-                        message.chunk_index,
-                        message.slice_index,
-                        message.num_slices,
-                        message.attempt,
-                    )
-                )
-                result.slices_completed += 1
-                self._slices_counter.inc()
-            elif isinstance(message, RepairAck):
-                self._last_seen[message.node_id] = time.monotonic()
+            if isinstance(message, (Heartbeat, Pong, InventoryReply)):
+                # Liveness only counts inside a probe; an InventoryReply
+                # here is late from a recovery inventory sweep.
+                continue
+            if isinstance(message, RepairAck):
                 key = message.key
                 if message.epoch != self.epoch:
                     continue  # ack/NACK addressed to a fenced epoch
@@ -863,11 +826,9 @@ HelperBudget`; when set, each round's helper/destination node slots
             except queue.Empty:
                 break
             if isinstance(message, Pong):
-                self._last_seen[message.node_id] = time.monotonic()
                 if message.nonce == nonce and message.node_id in nodes:
                     alive.add(message.node_id)
             elif isinstance(message, Heartbeat):
-                self._last_seen[message.node_id] = time.monotonic()
                 if message.node_id in nodes:
                     alive.add(message.node_id)
             else:
@@ -965,19 +926,25 @@ HelperBudget`; when set, each round's helper/destination node slots
         forwards to the next stage, and the destination's one source is
         the last stage.  ``None`` is star fan-in (and migration): each
         source is a stage of its own whose next hop is the destination,
-        which applies the coefficients.  With ``config.pipeline_slices >
-        0`` a chain is carved into that many slices and the destination
-        streams back per-slice :class:`SliceReport` progress.
+        which applies the coefficients.
+
+        A slice is a packet, and this is the one place that sizes it:
+        with ``config.pipeline_slices > 0`` every hop of a chain moves
+        ``ceil(chunk_size / pipeline_slices)``-byte packets, so the
+        hops overlap slice by slice (Li et al. §3).  Star and migration
+        streams, and chains with ``pipeline_slices == 0``, keep the
+        run's ``packet_size``.
         """
         coeffs = self._source_coefficients(action)
         if chain is None:
             chains = [[node] for node in action.sources]
             sources = coeffs
-            num_slices = 0
         else:
             chains = [chain]
             sources = {chain[-1]: 1}
-            num_slices = self.config.pipeline_slices
+            slices = self.config.pipeline_slices
+            if slices > 0:
+                packet_size = max(1, -(-chunk_size // slices))
         # The ReceiveCommand must precede any data packet; per-inbox
         # FIFO plus issuing it first guarantees that.
         self.network.send(
@@ -992,7 +959,6 @@ HelperBudget`; when set, each round's helper/destination node slots
                 attempt=attempt,
                 epoch=self.epoch,
                 reply_to=self.coordinator_id,
-                num_slices=num_slices,
             ),
         )
         for stages in chains:
@@ -1019,7 +985,6 @@ HelperBudget`; when set, each round's helper/destination node slots
                         reply_to=self.coordinator_id,
                         coeff=1 if chain is None else coeffs[node],
                         upstream=stages[pos - 1] if pos else -1,
-                        num_slices=num_slices,
                         chain_pos=-1 if chain is None else pos,
                     ),
                 )

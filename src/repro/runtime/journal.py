@@ -104,27 +104,6 @@ class ActionCompleted:
 
 
 @dataclass(frozen=True)
-class SliceCompleted:
-    """One slice of a chained (pipelined) reconstruction assembled.
-
-    Sliced repairs stream partial sums through a helper chain; the
-    destination reports each completed slice and the coordinator
-    journals it, so a post-crash operator can see exactly how far a
-    partial reconstruction got.  Purely informational for recovery:
-    only a chunk-level :class:`ActionCompleted` marks durable progress
-    (a partially sliced chunk is re-reconstructed from scratch).
-    """
-
-    epoch: int
-    round_index: int
-    stripe_id: int
-    chunk_index: int
-    slice_index: int
-    num_slices: int
-    attempt: int
-
-
-@dataclass(frozen=True)
 class RoundCompleted:
     """Every action of round ``round_index`` is complete."""
 
@@ -159,7 +138,6 @@ JournalRecord = Union[
     PlanCommitted,
     RoundStarted,
     ActionCompleted,
-    SliceCompleted,
     RoundCompleted,
     RepairFinished,
     ShardTakeover,
@@ -169,7 +147,6 @@ _RECORD_TYPES: Dict[str, Type[JournalRecord]] = {
     "plan_committed": PlanCommitted,
     "round_started": RoundStarted,
     "action_completed": ActionCompleted,
-    "slice_completed": SliceCompleted,
     "round_completed": RoundCompleted,
     "repair_finished": RepairFinished,
     "shard_takeover": ShardTakeover,
@@ -190,9 +167,10 @@ def encode_record(record: JournalRecord) -> bytes:
 
 def decode_payload(payload: bytes) -> JournalRecord:
     document = json.loads(payload.decode("utf-8"))
-    cls = _RECORD_TYPES.get(document.pop("type", None))
+    name = document.pop("type", None)
+    cls = _RECORD_TYPES.get(name)
     if cls is None:
-        raise JournalError(f"unknown journal record in payload: {payload!r}")
+        raise JournalError(f"unknown journal record type {name!r}")
     return cls(**document)
 
 
@@ -343,6 +321,11 @@ class RepairJournal:
         back to the last good record so subsequent appends extend a
         clean log.  Replaying twice therefore yields the same records
         — replay is idempotent.
+
+        Raises:
+            JournalError: an intact frame holds a record type this
+                version does not know.  That is not a torn tail, so it
+                is never skipped or truncated away.
         """
         path = Path(path)
         records: List[JournalRecord] = []
@@ -363,7 +346,7 @@ class RepairJournal:
                 break  # corrupted record: stop trusting the log here
             try:
                 records.append(decode_payload(payload))
-            except (JournalError, ValueError, TypeError, KeyError):
+            except (ValueError, TypeError, KeyError):
                 break  # undecodable record counts as corruption
             offset = end
             good_end = end

@@ -55,9 +55,10 @@ ACK_FAILED = "failed"
 WIRE_MESSAGES: Dict[str, type] = {}
 #: binary type code -> message class (repro.net frame header)
 WIRE_CODES: Dict[int, type] = {}
-#: codes of retired messages (3 ``relay``, 13 ``slice``): never reused,
-#: so a frame carrying one is always an unknown-type reject
-RETIRED_WIRE_CODES = frozenset({3, 13})
+#: codes of retired messages (3 ``relay``, 13 ``slice``, 14
+#: ``slice_report``): never reused, so a frame carrying one is always
+#: an unknown-type reject
+RETIRED_WIRE_CODES = frozenset({3, 13, 14})
 
 
 def wire_message(
@@ -162,7 +163,7 @@ def _coerce_inventory_reply(body: dict) -> dict:
     return body
 
 
-@wire_message("receive", 1, coerce=_coerce_receive)
+@wire_message("receive", 1, coerce=_coerce_receive, version=2)
 @dataclass(frozen=True)
 class ReceiveCommand:
     """Tell the destination agent to expect and assemble a chunk.
@@ -174,7 +175,8 @@ class ReceiveCommand:
     Attributes:
         stripe_id / chunk_index: the chunk being repaired.
         chunk_size: total bytes of the chunk.
-        packet_size: packet granularity of the incoming transfers.
+        packet_size: packet granularity of the incoming transfers; in
+            a sliced chain one packet is one slice.
         sources: source node -> GF(2^8) coefficient.
         attempt: retry generation; packets from other attempts are
             ignored by the assembly.
@@ -192,17 +194,13 @@ class ReceiveCommand:
     attempt: int = 0
     epoch: int = 0
     reply_to: NodeId = -1
-    #: >0: the streams are carved into this many slices (sliced chained
-    #: reconstruction) and each completed slice is reported with a
-    #: :class:`SliceReport`; 0 keeps the packet granularity.
-    num_slices: int = 0
 
     @property
     def key(self) -> ActionKey:
         return (self.stripe_id, self.chunk_index)
 
 
-@wire_message("send", 2, version=2)
+@wire_message("send", 2, version=3)
 @dataclass(frozen=True)
 class SendCommand:
     """Tell a helper to stream its own chunk of a stripe to a next hop.
@@ -223,6 +221,7 @@ class SendCommand:
     chunk_index: int
     #: next hop: the next chain stage, or the repairing node
     destination: NodeId
+    #: bytes per packet; in a sliced chain one packet is one slice
     packet_size: int
     #: total bytes of the chunk (the helper checks its stored copy)
     chunk_size: int
@@ -234,8 +233,6 @@ class SendCommand:
     coeff: int = 1
     #: the stage whose partial sums this one XORs in (-1: none)
     upstream: NodeId = -1
-    #: >0: carve the chunk into this many slices; 0 keeps packet_size
-    num_slices: int = 0
     #: position in a chain (0 = head); -1 is a star or migration
     #: stream, which runs as a synchronous round trip ending at the
     #: destination's :class:`WriteComplete`
@@ -264,32 +261,6 @@ class DataPacket:
     attempt: int = 0
     epoch: int = 0
     checksum: Optional[int] = None
-
-    @property
-    def key(self) -> ActionKey:
-        return (self.stripe_id, self.chunk_index)
-
-
-@wire_message("slice_report", 14)
-@dataclass(frozen=True)
-class SliceReport:
-    """Destination -> coordinator: one slice fully assembled.
-
-    Streams per-slice completion progress so the coordinator can track
-    partial reconstructions in its journal and observe effective chain
-    throughput (``elapsed`` is seconds since assembly start), feeding
-    the bandwidth-aware re-sort of later chains.
-    """
-
-    stripe_id: StripeId
-    chunk_index: int
-    node_id: NodeId
-    slice_index: int
-    num_slices: int
-    attempt: int = 0
-    epoch: int = 0
-    #: seconds between assembly start and this slice's completion
-    elapsed: float = 0.0
 
     @property
     def key(self) -> ActionKey:

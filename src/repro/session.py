@@ -8,14 +8,14 @@ of this process on an :class:`~repro.runtime.testbed.EmulatedTestbed`;
 :func:`repro.net.launch.open_network` opens.  :class:`RepairSession` is
 the builder in front of that choice::
 
-    from repro import RepairSession
+    from repro import RepairSession, RuntimeConfig
 
     summary = RepairSession(
         cluster, codec, plan,
         transport="memory",        # or "tcp" / "shm"
         coordinators=1,            # > 1 shards the stripe space
         pipelining="chain",        # "off" keeps star-topology repair
-        slices=8,                  # slices per chunk along the chain
+        config=RuntimeConfig(pipeline_slices=8),  # slices per chunk
         seed=7,
     ).run()
     print(summary.total_time, summary.chunks_verified)
@@ -23,11 +23,11 @@ the builder in front of that choice::
 Pipelining is a *strategy flag*, not a separate code path: ``"chain"``
 rewrites every reconstruction in the plan to stream partial sums
 through an ordered helper chain (least-worth ingress first — see
-:func:`repro.core.scheduling.order_chain`) and, with ``slices > 0``,
-carves each chunk into that many slices, one data packet each, with
-per-slice completion reports.  Mid-stream chain failures fall back to
-star-topology repair per action through the coordinator's existing
-probe/heal/reissue machinery.
+:func:`repro.core.scheduling.order_chain`); with
+``config.pipeline_slices > 0`` the coordinator sizes a chain's packets
+so each chunk crosses the chain in that many slices, one packet each.
+Mid-stream chain failures fall back to star-topology repair per action
+through the coordinator's existing probe/heal/reissue machinery.
 
 Unsupported combinations fail at *construction* time with a
 :class:`ValueError` naming the conflict, so drivers (the CLI rejects
@@ -69,7 +69,6 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
     transport: str
     coordinators: int
     pipelining: str
-    slices: int
     total_time: float
     chunks_repaired: int
     chunks_verified: int
@@ -77,8 +76,6 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
     retries: int = 0
     replans: int = 0
     nacks: int = 0
-    #: per-slice completions streamed back by destinations (chained)
-    slices_completed: int = 0
     #: coordinator crash recoveries plus shard takeovers
     restarts: int = 0
     round_times: List[float] = field(default_factory=list)
@@ -101,7 +98,6 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
             "transport": self.transport,
             "coordinators": self.coordinators,
             "pipelining": self.pipelining,
-            "slices": self.slices,
             "total_time_s": self.total_time,
             "round_times_s": list(self.round_times),
             "chunks_repaired": self.chunks_repaired,
@@ -110,7 +106,6 @@ RuntimeResult` or :class:`~repro.runtime.multicoord.MultiRepairResult`
             "retries": self.retries,
             "replans": self.replans,
             "nacks": self.nacks,
-            "slices_completed": self.slices_completed,
             "restarts": self.restarts,
             "dead_nodes": list(self.dead_nodes),
         }
@@ -159,18 +154,15 @@ class RepairSession:
             (``"shm"`` supports exactly 1).
         pipelining: ``"off"`` = star-topology repair, ``"chain"`` =
             chained partial-sum streaming through ordered helper
-            chains.
-        slices: with ``pipelining="chain"``, carve each chunk into
-            this many slices, one data packet each (0 keeps
-            packet-granular chaining).
+            chains; ``config.pipeline_slices`` sets how many slices
+            (one packet each) a chunk crosses a chain in.
         peers: (tcp) ``{node_id: (host, port)}`` map or a
             ``node=host:port,...`` / ``@file.json`` spec string.
         workdir: directory with each agent's chunk store, read for
             byte-identical verification (tcp/shm: required, shared with
             the agent processes; memory: a temp dir by default).
         seed: deterministic data-set seed (must match the agents').
-        config: runtime tuning; ``pipeline_slices`` is overridden from
-            ``slices`` when pipelining is on.
+        config: runtime tuning, passed to the driver as given.
         packet_size: transfer granularity; by default the driver picks
             it from the cluster's chunk size and bandwidths
             (:func:`~repro.core.analysis.optimal_packet_size`).
@@ -203,7 +195,6 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
         transport: str = "memory",
         coordinators: int = 1,
         pipelining: str = "off",
-        slices: int = 0,
         peers: Union[None, str, Dict[int, Tuple[str, int]]] = None,
         workdir: Union[None, str, Path] = None,
         seed: Optional[int] = None,
@@ -230,13 +221,6 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
             raise ValueError(
                 f"pipelining must be one of {PIPELINING_MODES}, "
                 f"got {pipelining!r}"
-            )
-        if slices < 0:
-            raise ValueError("slices must be non-negative")
-        if slices > 0 and pipelining != "chain":
-            raise ValueError(
-                "slices > 0 requires pipelining='chain' (slice streaming "
-                "is a property of chained repair)"
             )
         if coordinators < 1:
             raise ValueError("coordinators must be >= 1")
@@ -284,16 +268,10 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
         self.transport = transport
         self.coordinators = coordinators
         self.pipelining = pipelining
-        self.slices = slices
         self.peers = peers
         self.workdir = Path(workdir) if workdir is not None else None
         self.seed = seed
-        base = config or DEFAULT_CONFIG
-        self.config = (
-            replace(base, pipeline_slices=slices)
-            if pipelining == "chain"
-            else base
-        )
+        self.config = config or DEFAULT_CONFIG
         self.packet_size = packet_size
         self.journal_path = (
             Path(journal_path) if journal_path is not None else None
@@ -392,7 +370,6 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
                 transport=self.transport,
                 coordinators=self.coordinators,
                 pipelining=self.pipelining,
-                slices=self.slices,
                 total_time=result.total_time,
                 chunks_repaired=result.chunks_repaired,
                 chunks_verified=verified,
@@ -400,7 +377,6 @@ TrafficArbiter`; repair traffic is registered as a flow and paced
                 retries=result.retries,
                 replans=result.replans,
                 nacks=getattr(result, "nacks", 0),
-                slices_completed=getattr(result, "slices_completed", 0),
                 restarts=restarts,
                 round_times=list(result.round_times),
                 dead_nodes=list(getattr(result, "dead_nodes", [])),

@@ -229,18 +229,25 @@ def test_multiprocess_chained_sliced_repair(tmp_path, peer_map):
 
     Same topology as the star run, but every reconstruction streams
     coefficient-scaled slices through an ordered helper chain
-    (``--pipelining chain --slices 4``).  The repaired bytes must still
-    verify byte-identical, and the summary must account for every slice
-    the destinations assembled.
+    (``--pipelining chain`` with ``pipeline_slices: 4`` in the
+    coordinator's ``--config``; a slice is a packet the coordinator
+    sizes, so the agents need no setting).  The repaired bytes must
+    still verify byte-identical.
     """
+    config_file = tmp_path / "config.json"
+    config_file.write_text(
+        json.dumps(RuntimeConfig(pipeline_slices=4).to_dict())
+    )
     agents, repair = _launch(
         tmp_path, peer_map,
-        extra_repair_args=("--pipelining", "chain", "--slices", "4"),
+        extra_repair_args=(
+            "--pipelining", "chain", "--config", str(config_file),
+        ),
     )
     try:
         assert repair.returncode == 0, repair.stdout + repair.stderr
         assert "verified byte-identical" in repair.stdout
-        assert "pipelining=chain slices=4" in repair.stdout
+        assert "pipelining=chain" in repair.stdout
 
         deadline = time.monotonic() + 30
         for proc in agents:
@@ -251,15 +258,10 @@ def test_multiprocess_chained_sliced_repair(tmp_path, peer_map):
 
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["pipelining"] == "chain"
-        assert summary["slices"] == 4
         assert summary["chunks_repaired"] >= 1
         assert summary["chunks_verified"] == (
             summary["chunks_repaired"] + summary["recovered_chunks"]
         )
-        # Every chained reconstruction reports all 4 slices; migrations
-        # contribute none, so the count is a positive multiple of 4.
-        assert summary["slices_completed"] > 0
-        assert summary["slices_completed"] % 4 == 0
         assert summary["nacks"] == 0
     except BaseException:
         _save_journal_artifact(tmp_path, "multiprocess_chained")

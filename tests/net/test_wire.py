@@ -47,7 +47,6 @@ from repro.runtime.messages import (
     RepairAck,
     SendCommand,
     Shutdown,
-    SliceReport,
     StatReply,
     StatRequest,
     WriteComplete,
@@ -69,7 +68,7 @@ SAMPLES = [
     SendCommand(
         stripe_id=7, chunk_index=2, destination=5, packet_size=512,
         chunk_size=4096, attempt=1, epoch=4, coeff=17, upstream=3,
-        num_slices=8, chain_pos=1,
+        chain_pos=1,
     ),
     DataPacket(
         stripe_id=7, chunk_index=2, source=3, offset=1024,
@@ -85,10 +84,6 @@ SAMPLES = [
     InventoryQuery(epoch=4, nonce=99),
     InventoryReply(node_id=5, epoch=4, nonce=99, stripes=(1, 7, 30)),
     Shutdown(),
-    SliceReport(
-        stripe_id=7, chunk_index=2, node_id=5, slice_index=2,
-        num_slices=8, attempt=1, epoch=4, elapsed=0.125,
-    ),
     ChunkWrite(
         stripe_id=41, chunk_index=3, source=-1000, offset=0,
         payload=b"\x5a" * 1024, checksum=0xCAFE, nonce=12, reply_to=-1000,
@@ -194,16 +189,17 @@ class TestRoundTrip:
             5: "repair_ack", 6: "write_complete", 7: "heartbeat",
             8: "ping", 9: "pong", 10: "inventory_query",
             11: "inventory_reply", 12: "shutdown",
-            14: "slice_report", 15: "chunk_write",
+            15: "chunk_write",
             16: "chunk_write_reply", 17: "chunk_read",
             18: "chunk_read_reply", 19: "chunk_delete",
             20: "put_request", 21: "put_reply", 22: "get_request",
             23: "get_reply", 24: "delete_request", 25: "delete_reply",
             26: "stat_request", 27: "stat_reply",
         }
-        # Retired codes (3 "relay", 13 "slice") are never handed out
-        # again: an old peer's frame must stay an unknown type.
-        assert RETIRED_WIRE_CODES == {3, 13}
+        # Retired codes (3 "relay", 13 "slice", 14 "slice_report") are
+        # never handed out again: an old peer's frame must stay an
+        # unknown type.
+        assert RETIRED_WIRE_CODES == {3, 13, 14}
         assert not RETIRED_WIRE_CODES & set(WIRE_CODES)
         with pytest.raises(ValueError, match="retired"):
             wire_message("reborn_relay", 3)(type("Reborn", (), {}))
@@ -237,22 +233,37 @@ class TestRejection:
                 decode_frame(_mangle(self.frame(), code=code))
 
     def test_old_shape_send_command_fails_loudly(self):
-        # Version 1 of "send" had no chunk_size/coeff/upstream/chain_pos:
-        # a peer still speaking it must not be half-understood.
-        old = {
-            "version": 1, "stripe_id": 7, "chunk_index": 2,
-            "destination": 5, "packet_size": 512, "attempt": 0,
-            "epoch": 0, "reply_to": -1,
+        # Version 1 of "send" had no chunk_size/coeff/upstream/chain_pos;
+        # version 2 of "send" and version 1 of "receive" carried a
+        # num_slices the coordinator now folds into packet_size.  A
+        # peer still speaking any of them must not be half-understood.
+        common = {
+            "stripe_id": 7, "chunk_index": 2, "packet_size": 512,
+            "attempt": 0, "epoch": 0, "reply_to": -1,
         }
-        meta = json.dumps(
-            {"version": 1, "src": 0, "dst": 1, "msg": old}
-        ).encode()
-        header = HEADER.pack(
-            MAGIC, WIRE_VERSION, SendCommand.WIRE_CODE, 0, len(meta), 0,
-            zlib.crc32(meta),
-        )
-        with pytest.raises(WireError, match="send message version 1"):
-            decode_frame(header + meta)
+        old_shapes = [
+            (SendCommand, 1, {"destination": 5}),
+            (SendCommand, 2, {
+                "destination": 5, "chunk_size": 4096, "coeff": 17,
+                "upstream": 3, "num_slices": 8, "chain_pos": 1,
+            }),
+            (ReceiveCommand, 1, {
+                "chunk_size": 4096, "sources": {"3": 17}, "num_slices": 8,
+            }),
+        ]
+        for cls, version, fields in old_shapes:
+            old = {"version": version, **common, **fields}
+            meta = json.dumps(
+                {"version": 1, "src": 0, "dst": 1, "msg": old}
+            ).encode()
+            header = HEADER.pack(
+                MAGIC, WIRE_VERSION, cls.WIRE_CODE, 0, len(meta), 0,
+                zlib.crc32(meta),
+            )
+            with pytest.raises(
+                WireError, match=f"{cls.WIRE_NAME} message version {version}"
+            ):
+                decode_frame(header + meta)
 
     def test_absurd_meta_length(self):
         with pytest.raises(WireError, match="meta length"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.planner import FastPRPlanner, ReconstructionOnlyPlanner
 from repro.ec import make_codec
@@ -40,14 +41,18 @@ def rig(tmp_path_factory):
 class TestPipelinedReconstruction:
     def test_bytes_verified(self, rig):
         cluster, testbed = rig
-        plan = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(cluster, 0)
+        plan = apply_pipelining(
+            ReconstructionOnlyPlanner(seed=0).plan(cluster, 0), "chain"
+        )
         assert all(a.pipelined for a in plan.actions())
         testbed.execute(plan)
         testbed.verify_plan(plan)
 
     def test_fastpr_with_pipelining(self, rig):
         cluster, testbed = rig
-        plan = FastPRPlanner(seed=0, pipelined=True).plan(cluster, 0)
+        plan = apply_pipelining(
+            FastPRPlanner(seed=0).plan(cluster, 0), "chain"
+        )
         testbed.execute(plan)
         testbed.verify_plan(plan)
 
@@ -55,7 +60,7 @@ class TestPipelinedReconstruction:
         """Pipelining moves the same bytes, but off the destination."""
         cluster, testbed = rig
         star = ReconstructionOnlyPlanner(seed=1).plan(cluster, 0)
-        pipe = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(cluster, 0)
+        pipe = apply_pipelining(star, "chain")
         r_star = testbed.execute(star)
         testbed.verify_plan(star)
         r_pipe = testbed.execute(pipe)
@@ -85,9 +90,7 @@ class TestPipelinedReconstruction:
         ) as testbed:
             testbed.load_random_data(seed=94)
             star = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
-            pipe = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
-                cluster, stf
-            )
+            pipe = apply_pipelining(star, "chain")
             t_star = testbed.execute(star)
             testbed.verify_plan(star)
             t_pipe = testbed.execute(pipe)
@@ -109,9 +112,7 @@ class TestCostModelPipelined:
         stf = max(cluster.storage_node_ids(), key=cluster.load_of)
         cluster.node(stf).mark_soon_to_fail()
         star = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
-        pipe = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
-            cluster, stf
-        )
+        pipe = apply_pipelining(star, "chain")
         t_star = evaluate_plan(cluster, star)
         t_pipe = evaluate_plan(cluster, pipe)
         # Star: 2*c/bd + 6*c/bn = 44 s/round; pipelined: 2*c/bd + c/bn

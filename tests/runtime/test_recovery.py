@@ -12,6 +12,7 @@ import os
 import shutil
 import struct
 import threading
+import zlib
 
 import pytest
 
@@ -165,6 +166,31 @@ class TestJournal:
         blob[offset] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert RepairJournal.replay(path) == self.RECORDS[:1]
+
+    def test_record_of_unknown_type_fails_loudly(self, tmp_path):
+        # An intact record this version cannot read (slice_completed
+        # was journaled per slice by older versions) is not a torn
+        # tail: replay raises naming it and leaves the file whole.
+        unknown = {
+            "slice_completed": {
+                "epoch": 0, "round_index": 0, "stripe_id": 3,
+                "chunk_index": 1, "slice_index": 2, "num_slices": 4,
+                "attempt": 0,
+            },
+            "no_such_record": {"epoch": 0},
+        }
+        for name, fields in unknown.items():
+            path = tmp_path / name
+            self.write(path, self.RECORDS[:2])
+            payload = json.dumps({"type": name, **fields}).encode()
+            with open(path, "ab") as f:
+                f.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+                f.write(payload)
+            self.write(path, self.RECORDS[2:])
+            size = path.stat().st_size
+            with pytest.raises(JournalError, match=repr(name)):
+                RepairJournal.replay(path)
+            assert path.stat().st_size == size
 
     def test_double_replay_is_idempotent(self, tmp_path):
         path = tmp_path / "j"

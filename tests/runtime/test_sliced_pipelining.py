@@ -1,9 +1,10 @@
-"""Sliced chained reconstruction: slice protocol, chain order, fallback.
+"""Sliced chained reconstruction: slice size, chain order, fallback.
 
-The sliced pipelining path (DESIGN.md §14) carves each chunk into
-``pipeline_slices`` slices, one data packet each, through a
-bandwidth-ordered helper chain.  These tests pin the three
-load-bearing properties end to end:
+The sliced pipelining path (DESIGN.md §14) moves each chunk down a
+bandwidth-ordered helper chain in ``pipeline_slices`` slices.  A slice
+is a packet: the coordinator sizes a chain's packets at
+``ceil(chunk / pipeline_slices)`` and nothing else knows about slicing.
+These tests pin that and the three load-bearing properties end to end:
 
 * **bit-exactness** — chained slice-granular partial sums produce the
   same bytes as one-shot decode, under reordering, duplication and
@@ -32,6 +33,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import RepairSession, apply_pipelining
 from repro.cluster import StorageCluster
+from repro.core.plan import RepairMethod
 from repro.core.planner import (
     FastPRPlanner,
     ReconstructionOnlyPlanner,
@@ -50,7 +52,7 @@ from repro.runtime import (
     Scrubber,
     SlowNicFault,
 )
-from repro.runtime.agent import _Assembly, _Stream, slice_granularity
+from repro.runtime.agent import _Assembly, _Stream
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.messages import DataPacket, ReceiveCommand, SendCommand
@@ -103,12 +105,19 @@ def make_cluster(num_stripes=8, seed=21, network_bandwidth=1e9):
     return cluster
 
 
-def make_testbed(tmp_path, faults=None, config=SLICED, **kw):
+def chained_plan(planner, cluster, stf=0):
+    """``planner``'s plan for ``stf`` with every reconstruction chained."""
+    return apply_pipelining(planner.plan(cluster, stf), "chain")
+
+
+def make_testbed(
+    tmp_path, faults=None, config=SLICED, packet_size=CHUNK // 4, **kw
+):
     cluster = make_cluster(**kw)
     testbed = EmulatedTestbed(
         cluster,
         make_codec("rs(5,3)"),
-        packet_size=CHUNK // 4,
+        packet_size=packet_size,
         workdir=tmp_path / "bed",
         config=config,
         faults=faults,
@@ -118,22 +127,85 @@ def make_testbed(tmp_path, faults=None, config=SLICED, **kw):
     return cluster, testbed
 
 
+def _issued_packet_sizes(slices, chunk_size=1 << 20, packet_size=4096):
+    """Packet sizes the coordinator puts on one action's commands.
+
+    Returns ``{"chain": {...}, "star": {...}}``: the ``packet_size``
+    of every Receive/SendCommand it sends for one reconstruction
+    issued as a chain and as star fan-in, at ``pipeline_slices =
+    slices``.
+    """
+    cluster, network, sent = make_cluster(), Network(), []
+    coord = Coordinator(
+        network, cluster, make_codec("rs(5,3)"), packet_size=packet_size,
+        config=dataclasses.replace(FAST, pipeline_slices=slices),
+    )
+    network.send = lambda src, dst, message: sent.append(message)
+    plan = ReconstructionOnlyPlanner(seed=1).plan(cluster, 0)
+    action = plan.rounds[0].reconstructions[0]
+    sizes = {}
+    for topology, chain in (("chain", list(action.sources)), ("star", None)):
+        sent.clear()
+        coord._issue_action(action, chain, chunk_size, packet_size, 0)
+        assert {type(m) for m in sent} == {ReceiveCommand, SendCommand}
+        sizes[topology] = {m.packet_size for m in sent}
+    return sizes
+
+
 class TestSliceGranularity:
+    """A slice is a packet, sized by the coordinator alone."""
+
     def test_zero_slices_keeps_packet_size(self):
-        assert slice_granularity(1 << 20, 4096, 0) == 4096
+        assert _issued_packet_sizes(0) == {"chain": {4096}, "star": {4096}}
 
     def test_even_split(self):
-        assert slice_granularity(1 << 20, 4096, 4) == (1 << 20) // 4
+        sizes = _issued_packet_sizes(4)
+        assert sizes == {"chain": {(1 << 20) // 4}, "star": {4096}}
 
     def test_rounds_up_so_last_slice_runs_short(self):
-        # 100 bytes in 3 slices -> 34-byte granularity, slices of
-        # 34 + 34 + 32; ceil keeps the count at num_slices.
-        gran = slice_granularity(100, 4096, 3)
-        assert gran == 34
-        assert (100 + gran - 1) // gran == 3
+        # 100 bytes in 3 slices -> 34-byte packets, slices of
+        # 34 + 34 + 32; ceil keeps the count at pipeline_slices.
+        sizes = _issued_packet_sizes(3, chunk_size=100)
+        assert sizes["chain"] == {34}
+        assert (100 + 34 - 1) // 34 == 3
 
     def test_more_slices_than_bytes_clamps_to_one_byte(self):
-        assert slice_granularity(2, 4096, 64) == 1
+        assert _issued_packet_sizes(64, chunk_size=2)["chain"] == {1}
+
+    def test_slice_is_a_packet(self, tmp_path):
+        # A whole run at pipeline_slices=4 with the driver's packet at
+        # an eighth of a chunk: every chained command carries a quarter
+        # chunk, every star and migration command the driver's size.
+        cluster, testbed = make_testbed(tmp_path, packet_size=CHUNK // 8)
+        try:
+            plan = chained_plan(FastPRPlanner(seed=1), cluster)
+            plan.rounds[0].reconstructions[0] = dataclasses.replace(
+                plan.rounds[0].reconstructions[0], pipelined=False
+            )
+            methods = {a.method for a in plan.actions()}
+            assert methods == {
+                RepairMethod.RECONSTRUCTION, RepairMethod.MIGRATION
+            }
+            commands = _record_commands(testbed)
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+            assert not result.degraded
+            by_action = {
+                (a.stripe_id, a.chunk_index): a for a in plan.actions()
+            }
+            seen = set()
+            for message in commands:
+                action = by_action[message.key]
+                want = -(-CHUNK // SLICES) if action.pipelined else CHUNK // 8
+                assert message.packet_size == want, (action, message)
+                seen.add((action.method, action.pipelined))
+            assert seen == {
+                (RepairMethod.RECONSTRUCTION, True),
+                (RepairMethod.RECONSTRUCTION, False),
+                (RepairMethod.MIGRATION, False),
+            }
+        finally:
+            testbed.shutdown()
 
 
 class TestOrderChain:
@@ -216,26 +288,23 @@ class TestChainWeights:
         assert coord._chain_weights() == {}
 
 
-def _sliced_command(sources, chunk_size=256, num_slices=SLICES):
+def _sliced_command(sources, chunk_size=256, packet_size=256 // SLICES):
     return ReceiveCommand(
         stripe_id=0,
         chunk_index=0,
         chunk_size=chunk_size,
-        packet_size=64,
+        packet_size=packet_size,
         sources=sources,
-        num_slices=num_slices,
     )
 
 
 def _slice_packets(command, chunks):
     """Build the full slice-packet stream for an assembly."""
-    gran = slice_granularity(
-        command.chunk_size, command.packet_size, command.num_slices
-    )
+    size = command.packet_size
     packets = []
     for source, chunk in chunks.items():
-        for offset in range(0, command.chunk_size, gran):
-            payload = bytes(chunk[offset : offset + gran])
+        for offset in range(0, command.chunk_size, size):
+            payload = bytes(chunk[offset : offset + size])
             packets.append(
                 DataPacket(
                     stripe_id=command.stripe_id,
@@ -249,10 +318,10 @@ def _slice_packets(command, chunks):
     return packets
 
 
-def _run_assembly(tmp_path, command, packets, on_slice=None):
+def _run_assembly(tmp_path, command, packets):
     """Drive one _Assembly to completion; return the promoted bytes."""
     store = ChunkStore(tmp_path / "dest", 1, RateLimiter(1e9))
-    assembly = _Assembly(command, store, on_slice=on_slice)
+    assembly = _Assembly(command, store)
     thread = threading.Thread(target=assembly.run, daemon=True)
     thread.start()
     for packet in packets:
@@ -319,18 +388,8 @@ class TestSliceAssembly:
         got = _run_assembly(tmp_path, command, [bad] + packets)
         assert got == _expected(command, chunks)
 
-    def test_on_slice_fires_once_per_completed_slice(self, tmp_path):
-        command = _sliced_command({2: 7, 3: 91})
-        chunks = self._chunks(command.sources, command.chunk_size, seed=4)
-        seen = []
-        _run_assembly(
-            tmp_path, command, _slice_packets(command, chunks),
-            on_slice=lambda index, elapsed: seen.append(index),
-        )
-        assert sorted(seen) == list(range(SLICES))
 
-
-def _run_chain(root, chunks, coeffs, num_slices):
+def _run_chain(root, chunks, coeffs, packet_size):
     """Stream ``chunks`` (helper -> its chunk, head first) through real
     :class:`_Stream` stages wired head to tail; returns what the last
     stage delivers."""
@@ -359,9 +418,8 @@ def _run_chain(root, chunks, coeffs, num_slices):
         command = SendCommand(
             0, 0,
             destination=helpers[pos + 1] if pos + 1 < len(helpers) else -1,
-            packet_size=size, chunk_size=size, coeff=coeffs[helper],
-            upstream=helpers[pos - 1] if pos else -1,
-            num_slices=num_slices, chain_pos=pos,
+            packet_size=packet_size, chunk_size=size, coeff=coeffs[helper],
+            upstream=helpers[pos - 1] if pos else -1, chain_pos=pos,
         )
         stages[helper] = _Stream(command, store, agent)
     threads = [threading.Thread(target=s.run) for s in stages.values()]
@@ -380,11 +438,11 @@ class TestChainedSliceMath:
         params=st.sampled_from([(5, 3), (6, 4), (9, 6)]),
         seed=st.integers(0, 2**32 - 1),
         chunk_size=st.integers(17, 257),
-        num_slices=st.integers(1, 9),
+        slices=st.integers(1, 9),
     )
     @relaxed
     def test_chained_partial_sums_match_one_shot_decode(
-        self, params, seed, chunk_size, num_slices
+        self, params, seed, chunk_size, slices
     ):
         n, k = params
         rng = np.random.default_rng(seed)
@@ -404,7 +462,7 @@ class TestChainedSliceMath:
         with tempfile.TemporaryDirectory() as root:
             chained = _run_chain(
                 Path(root), {h: coded[h] for h in helpers}, coeffs,
-                num_slices,
+                -(-chunk_size // slices),
             )
 
         # One-shot accumulation over whole chunks (the star path) ...
@@ -423,17 +481,16 @@ class TestSlicedChainedRepair:
     """Whole-testbed runs with slice streaming on."""
 
     def test_sliced_chain_repairs_byte_identical(self, tmp_path):
-        cluster, testbed = make_testbed(tmp_path)
+        cluster, testbed = make_testbed(tmp_path, packet_size=CHUNK // 8)
         try:
-            plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-                cluster, 0
-            )
+            plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
+            commands = _record_commands(testbed)
             result = testbed.execute(plan)
             testbed.verify_plan(plan, result)
             assert Scrubber(testbed).scan().clean
             assert not result.degraded
-            # Every chained chunk streamed back one report per slice.
-            assert result.slices_completed == SLICES * plan.total_chunks
+            # Every chained chunk crossed its chain in SLICES packets.
+            assert {m.packet_size for m in commands} == {CHUNK // SLICES}
         finally:
             testbed.shutdown()
 
@@ -444,9 +501,10 @@ class TestSlicedChainedRepair:
         # holding an entry nobody awaits: a daemon would grow it forever.
         cluster, testbed = make_testbed(tmp_path, num_stripes=16)
         try:
-            plan = ReconstructionOnlyPlanner(
-                seed=1, pipelined=pipelined
-            ).plan(cluster, 0)
+            plan = apply_pipelining(
+                ReconstructionOnlyPlanner(seed=1).plan(cluster, 0),
+                "chain" if pipelined else "off",
+            )
             result = testbed.execute(plan)
             testbed.verify_plan(plan, result)
             agents = testbed.agents.values()
@@ -460,12 +518,15 @@ class TestSlicedChainedRepair:
             testbed.shutdown()
 
     def test_star_plan_reports_no_slices(self, tmp_path):
-        cluster, testbed = make_testbed(tmp_path)
+        # Slicing is a property of chains: a star plan on a sliced
+        # config moves the driver's packets.
+        cluster, testbed = make_testbed(tmp_path, packet_size=CHUNK // 8)
         try:
             plan = ReconstructionOnlyPlanner(seed=1).plan(cluster, 0)
+            commands = _record_commands(testbed)
             result = testbed.execute(plan)
             testbed.verify_plan(plan, result)
-            assert result.slices_completed == 0
+            assert {m.packet_size for m in commands} == {CHUNK // 8}
         finally:
             testbed.shutdown()
 
@@ -476,9 +537,7 @@ class TestSlicedChainedRepair:
             num_stripes=6,
         )
         try:
-            plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-                cluster, 0
-            )
+            plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
             result = testbed.execute(plan)
             testbed.verify_plan(plan, result)
             assert Scrubber(testbed).scan().clean
@@ -492,8 +551,8 @@ class TestSlicedChainedRepair:
     ):
         # Pick a chain helper from an identical (deterministic) plan and
         # kill it after the first slices went out.
-        preview = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-            make_cluster(), 0
+        preview = chained_plan(
+            ReconstructionOnlyPlanner(seed=1), make_cluster()
         )
         helper = next(iter(preview.actions())).sources[0]
         assert helper != 0
@@ -502,9 +561,7 @@ class TestSlicedChainedRepair:
             tmp_path, faults=FaultPlan(crashes=[crash])
         )
         try:
-            plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-                cluster, 0
-            )
+            plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
             result = testbed.execute(plan)
             # Byte-identical despite the dead chain link.
             testbed.verify_plan(plan, result)
@@ -539,6 +596,20 @@ def _shared_ingress(plan):
     ]
 
 
+def _record_commands(testbed):
+    """Every Receive/SendCommand the coordinator sends, in order."""
+    commands = []
+    send = testbed.network.send
+
+    def recording_send(src, dst, message):
+        if isinstance(message, (ReceiveCommand, SendCommand)):
+            commands.append(message)
+        return send(src, dst, message)
+
+    testbed.network.send = recording_send
+    return commands
+
+
 def _record_relay_heads(testbed):
     """Record ``(stripe, chunk, attempt) -> node`` for every chain head
     (``SendCommand(chain_pos=0)``) the coordinator sends."""
@@ -567,9 +638,7 @@ class TestRoundLevelChainOrder:
     THROTTLED = dict(network_bandwidth=2e6)
 
     def _plan(self, cluster):
-        plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-            cluster, 0
-        )
+        plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
         shared = _shared_ingress(plan)
         assert shared, "fixture lost its shared-ingress round"
         # Plan order alone would leave every one of them ingesting twice.
@@ -625,9 +694,7 @@ class TestRoundLevelChainOrder:
         testbed.start()
         try:
             testbed.load_random_data(seed=1)
-            plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-                cluster, 0
-            )
+            plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
             expected = [
                 max(ingress_streams(r.actions()).values())
                 for r in plan.rounds
@@ -694,9 +761,7 @@ class TestApplyPipelining:
 
     def test_off_clears_the_flag(self):
         cluster = make_cluster()
-        plan = ReconstructionOnlyPlanner(seed=1, pipelined=True).plan(
-            cluster, 0
-        )
+        plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
         cleared = apply_pipelining(plan, "off")
         assert all(not a.pipelined for a in cleared.actions())
 
@@ -720,8 +785,9 @@ class TestRepairSessionValidation:
         [
             ({"transport": "carrier-pigeon"}, "transport must be"),
             ({"pipelining": "mesh"}, "pipelining must be"),
-            ({"slices": -1}, "non-negative"),
-            ({"slices": 4}, "requires pipelining='chain'"),
+            ({"transport": "shm"}, "transport='shm' needs workdir"),
+            ({"coordinators": 2, "resume": True, "journal_path": "j"},
+             "single-coordinator"),
             ({"coordinators": 0}, "coordinators must be"),
             ({"transport": "shm", "coordinators": 2, "workdir": "w"},
              "single coordinator"),
@@ -796,14 +862,15 @@ class TestRepairSessionValidation:
         assert summary.restarts == 0 and summary.scrub_report.clean
 
     def test_slices_thread_into_runtime_config(self):
+        # The slice count is a RuntimeConfig field like any other: the
+        # session hands the config to the driver as given.
         cluster, codec, plan = self._args()
-        session = RepairSession(
-            cluster, codec, plan, pipelining="chain", slices=8
-        )
-        assert session.config.pipeline_slices == 8
-        # ... but an off session leaves the config alone.
-        off = RepairSession(cluster, codec, plan)
-        assert off.config.pipeline_slices == 0
+        config = dataclasses.replace(FAST, pipeline_slices=8)
+        for pipelining in ("chain", "off"):
+            session = RepairSession(
+                cluster, codec, plan, pipelining=pipelining, config=config
+            )
+            assert session.config is config
 
 
 class TestCostModelLinkScales:
@@ -827,9 +894,7 @@ class TestCostModelLinkScales:
         stf = max(cluster.storage_node_ids(), key=cluster.load_of)
         cluster.node(stf).mark_soon_to_fail()
         star = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
-        pipe = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
-            cluster, stf
-        )
+        pipe = apply_pipelining(star, "chain")
         streams = [
             max(ingress_streams(r.actions()).values()) for r in pipe.rounds
         ]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.analysis import AnalyticalModel
 from repro.core.planner import (
@@ -119,9 +120,12 @@ class TestCostModel:
         # is neither all-chained nor all-star: the h standby nodes
         # split one stream per chain plus k per star repair.
         cluster, stf = stf_setup
-        plan = ReconstructionOnlyPlanner(
-            scenario=RepairScenario.HOT_STANDBY, seed=0, pipelined=True
-        ).plan(cluster, stf)
+        plan = apply_pipelining(
+            ReconstructionOnlyPlanner(
+                scenario=RepairScenario.HOT_STANDBY, seed=0
+            ).plan(cluster, stf),
+            "chain",
+        )
         round_ = plan.rounds[0]
         cr, h, k = round_.cr, cluster.num_hot_standby, 3
         assert cr >= 2

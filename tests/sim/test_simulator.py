@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.analysis import AnalyticalModel, BandwidthProfile
 from repro.core.plan import (
@@ -226,9 +227,7 @@ class TestChainedPlansRejected:
         cluster = make_cluster()
         cluster.node(0).mark_soon_to_fail()
         star = ReconstructionOnlyPlanner(seed=0).plan(cluster, 0)
-        chained = ReconstructionOnlyPlanner(seed=0, pipelined=True).plan(
-            cluster, 0
-        )
+        chained = apply_pipelining(star, "chain")
         first = next(iter(chained.actions()))
         message = (
             f"stripe {first.stripe_id} chunk {first.chunk_index} "
