@@ -4,30 +4,27 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test bench-smoke bench-hotpath profile pairs packet-sweep
+.PHONY: test report profile pairs packet-sweep
 
 test:
 	$(PY) -m pytest -x -q tests/
 
-# Regenerate the committed bench documents.  --fail-on-regression
-# compares each figure against the committed file before overwriting:
-# a schema-identical config that comes out >30% slower exits non-zero.
-bench-smoke:
-	$(PY) -m repro.bench.smoke -o BENCH_repair_rounds.json \
-		--net-output BENCH_net_throughput.json \
-		--hotpath BENCH_hotpath.json \
-		--fail-on-regression
+# REPORT.md is generated output only: re-fold benchmarks/results/*.json
+# (written by `pytest benchmarks/ --benchmark-only`) and commit the
+# result.  Hand-written commentary goes into
+# benchmarks/results/<id>.notes.md.
+report:
+	$(PY) -m repro.bench.report benchmarks/results -o REPORT.md
 
-# Hot-path sweep only (GF kernels + per-transport throughput).
-bench-hotpath:
-	$(PY) -m repro.bench.smoke -o /tmp/bench_repair_rounds.json \
-		--net-output '' --hotpath BENCH_hotpath.json
-
-# cProfile the instrumented repair; profile.prof feeds any flamegraph
-# tool (e.g. snakeviz/flameprof), profile.txt is readable as-is.
+# cProfile one quick drain-cpu-mem run of the end-to-end harness;
+# profile.prof feeds any flamegraph tool (e.g. snakeviz/flameprof),
+# profile.txt is the top functions by cumulative time, readable as-is.
 profile:
-	$(PY) -m repro.bench.smoke -o /tmp/bench_repair_rounds.json \
-		--net-output '' --profile-out profile
+	$(PY) -m cProfile -o profile.prof benchmarks/e2e/run.py \
+		--workload drain-cpu-mem --quick
+	python3 -c "import pstats, sys; pstats.Stats('profile.prof', \
+		stream=sys.stdout).sort_stats('cumulative').print_stats(60)" \
+		> profile.txt
 
 # Alternating parent/change pairs of one benchmarks/e2e workload, with
 # the choosing-metrics verdict (>= 9/10 wins and median gap > parent

@@ -22,13 +22,12 @@ per side of the arbiter's trade: ``p99(predictive) <= max_p99_ratio *
 p99(idle)`` and ``repair_seconds(predictive) <= max_repair_ratio *
 repair_seconds(predictive_unarbitrated)`` — if the arbiter stops
 protecting foreground reads, or goes back to holding repair off links
-no client is using, ``--fail-on-regression`` fails the bench instead
-of shipping the regression.
+no client is using, the bench exits non-zero instead of shipping the
+regression.
 
 Usage::
 
-    python -m repro.bench.gateway -o BENCH_gateway.json \
-        --fail-on-regression
+    python -m repro.bench.gateway -o BENCH_gateway.json
 """
 
 from __future__ import annotations
@@ -68,9 +67,7 @@ def _summarize(latencies: List[float], payload_bytes: int) -> dict:
         "p50_seconds": _percentile(latencies, 0.50),
         "p99_seconds": _percentile(latencies, 0.99),
         "mean_seconds": total / len(latencies),
-        # MB/s of object bytes returned to the client; carries the
-        # ``mb_per_s`` suffix so the generic bench regression gate
-        # watches it across commits.
+        # MB/s of object bytes returned to the client
         "get_mb_per_s": (payload_bytes * len(latencies) / 1e6) / total,
     }
 
@@ -278,8 +275,8 @@ def check_gateway_gate(document: dict) -> Optional[str]:
     """The QoS acceptance bars; a problem string or None.
 
     Evaluated within a single run (the scenarios are measured seconds
-    apart on the same host), so it gates even when the config changed
-    and the cross-commit comparison is skipped.  Two bars, one per
+    apart on the same host), never against numbers from another
+    commit or host.  Two bars, one per
     side of the trade: GET p99 under arbitrated repair against idle,
     and the arbitrated repair's seconds against the unarbitrated one's.
     """
@@ -324,43 +321,13 @@ def main(argv: Optional[list] = None) -> int:
         "--client-floor", type=float, default=0.7,
         help="arbiter client bandwidth floor during repair scenarios",
     )
-    parser.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="enforce the in-document p99 gate and compare goodput "
-        "against the committed document",
-    )
-    parser.add_argument(
-        "--regression-tolerance", type=float, default=0.30,
-        help="fractional goodput slowdown tolerated vs the committed "
-        "document",
-    )
     args = parser.parse_args(argv)
 
     document = run_gateway_bench(
         seed=args.seed, gets=args.gets, client_floor=args.client_floor
     )
     validate_gateway(document)
-
-    problems = []
-    if args.fail_on_regression:
-        gate = check_gateway_gate(document)
-        if gate is not None:
-            problems.append(gate)
-        try:
-            with open(args.output) as f:
-                committed = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            committed = None
-        if committed is not None:
-            from .smoke import check_regressions
-
-            problems.extend(
-                check_regressions(
-                    committed, document,
-                    tolerance=args.regression_tolerance,
-                )
-            )
+    problem = check_gateway_gate(document)
 
     with open(args.output, "w") as f:
         json.dump(document, f, indent=2, sort_keys=True)
@@ -375,9 +342,8 @@ def main(argv: Optional[list] = None) -> int:
             f"{section['get_mb_per_s']:.1f} MB/s, "
             f"{section['degraded_gets']} degraded"
         )
-    if problems:
-        for problem in problems:
-            print(f"gateway bench regression: {problem}", file=sys.stderr)
+    if problem is not None:
+        print(f"gateway bench regression: {problem}", file=sys.stderr)
         return 1
     return 0
 

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import time
-import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,10 +46,8 @@ from ..core.plan import RepairPlan, RepairScenario
 from ..core.planner import FastPRPlanner, apply_plan
 from ..core.reactive import plan_failed_node_repair
 from ..failure.monitor import ClusterFailureMonitor, MissedFailure, MonitorReport, StfEvent
-from .journal import CoordinatorCrash
+from .journal import CoordinatorCrash, encode_frame, read_frames
 from .scrub import Scrubber
-
-_HEADER = struct.Struct("<II")  # [payload length][CRC32], as in journal.py
 
 
 class DaemonCrash(RuntimeError):
@@ -101,8 +97,9 @@ class RepairTask:
 class DaemonJournal:
     """Append-only CRC-framed log of daemon queue transitions.
 
-    Same frame format as the coordinator journal
-    (``[u32 len][u32 crc32][UTF-8 JSON]``), but records are plain dicts
+    Same frame code as the coordinator journal
+    (:func:`~repro.runtime.journal.encode_frame`,
+    :func:`~repro.runtime.journal.read_frames`), but records are plain dicts
     with a ``"type"`` key — the daemon's vocabulary is small and flat:
 
     * ``task_enqueued`` — task_id, node_id, kind, day, disk_id
@@ -115,10 +112,12 @@ class DaemonJournal:
 
     Opening a journal replays it first: complete frames become
     :attr:`recovered`; a torn tail (crash mid-write) is truncated so
-    appends continue from the last durable record.
+    appends continue from the last durable record.  ``fsync`` is the
+    coordinator journal's policy (``"always"`` or ``"never"``, see
+    :attr:`~repro.runtime.config.RuntimeConfig.journal_fsync`).
     """
 
-    def __init__(self, path: Path, fsync: bool = False):
+    def __init__(self, path: Path, fsync: str = "always"):
         self.path = Path(path)
         self.fsync = fsync
         self.recovered: List[dict] = self.replay(self.path)
@@ -129,36 +128,16 @@ class DaemonJournal:
     @staticmethod
     def replay(path: Path, truncate: bool = True) -> List[dict]:
         """Read every complete record; truncate a torn tail."""
-        path = Path(path)
-        if not path.exists():
-            return []
-        records: List[dict] = []
-        with open(path, "rb") as fh:
-            data = fh.read()
-        offset = 0
-        while offset + _HEADER.size <= len(data):
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > len(data):
-                break  # torn frame
-            payload = data[start:end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                break  # torn/corrupt tail
-            records.append(json.loads(payload.decode("utf-8")))
-            offset = end
-        if truncate and offset < len(data):
-            with open(path, "r+b") as fh:
-                fh.truncate(offset)
-        return records
+        return read_frames(
+            path, lambda payload: json.loads(payload.decode("utf-8")), truncate
+        )
 
     def append(self, type: str, **fields) -> dict:
         record = {"type": type, **fields}
         payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        self._file.write(frame + payload)
+        self._file.write(encode_frame(payload))
         self._file.flush()
-        if self.fsync:
+        if self.fsync == "always":
             os.fsync(self._file.fileno())
         self.records_written += 1
         return record
@@ -219,7 +198,9 @@ class RepairDaemon:
         journal_path: the daemon queue journal; defaults to
             ``testbed.workdir / "daemon.journal"``.  Opening an
             existing journal recovers its queue — call :meth:`resume`
-            before :meth:`run` after a crash.
+            before :meth:`run` after a crash.  It is fsynced under the
+            testbed's ``config.journal_fsync``, like every repair
+            journal.
         scenario: repair scenario for planned repairs.
         seed: planner seed (kept fixed so replanning after a crash is
             deterministic).
@@ -256,7 +237,8 @@ class RepairDaemon:
         self.journal = DaemonJournal(
             Path(journal_path)
             if journal_path is not None
-            else testbed.workdir / "daemon.journal"
+            else testbed.workdir / "daemon.journal",
+            fsync=testbed.config.journal_fsync,
         )
         pending, interrupted, last_day = _queue_state(self.journal.recovered)
         self.queue: List[RepairTask] = pending

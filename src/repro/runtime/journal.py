@@ -47,7 +47,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 _HEADER = struct.Struct("<II")
 
@@ -154,6 +154,56 @@ _RECORD_TYPES: Dict[str, Type[JournalRecord]] = {
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 
 
+def encode_frame(payload: bytes) -> bytes:
+    """Frame one payload: ``[u32 length][u32 CRC32][payload]``."""
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def read_frames(
+    path: Union[str, Path],
+    decode: Callable[[bytes], Any],
+    truncate: bool = True,
+) -> List[Any]:
+    """Decode every complete frame of ``path``; truncate the torn tail.
+
+    Walks the frames in order and stops at the first incomplete or
+    CRC-mismatched frame — the torn tail of a crash mid-append (or a
+    corrupted record, after which nothing downstream can be trusted) —
+    or at a payload ``decode`` rejects with ``ValueError``,
+    ``TypeError`` or ``KeyError``, which counts as corruption too.
+    With ``truncate=True`` the file is cut back to the last good frame
+    so subsequent appends extend a clean log; reading twice therefore
+    yields the same records.  Any other exception from ``decode``
+    propagates and nothing is truncated.  A missing file holds no
+    records.
+    """
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    records: List[Any] = []
+    offset = 0
+    while offset + _HEADER.size <= len(blob):
+        length, crc = _HEADER.unpack_from(blob, offset)
+        start = offset + _HEADER.size
+        end = start + length
+        if end > len(blob):
+            break  # torn tail: header written, payload incomplete
+        payload = blob[start:end]
+        if zlib.crc32(payload) != crc:
+            break  # corrupted record: stop trusting the log here
+        try:
+            records.append(decode(payload))
+        except (ValueError, TypeError, KeyError):
+            break  # undecodable record counts as corruption
+        offset = end
+    if truncate and offset < len(blob):
+        with open(path, "r+b") as f:
+            f.truncate(offset)
+    return records
+
+
 def encode_record(record: JournalRecord) -> bytes:
     """Frame one record: length + CRC32 header, JSON payload."""
     name = _TYPE_NAMES.get(type(record))
@@ -162,7 +212,7 @@ def encode_record(record: JournalRecord) -> bytes:
     payload = json.dumps(
         {"type": name, **asdict(record)}, separators=(",", ":")
     ).encode("utf-8")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return encode_frame(payload)
 
 
 def decode_payload(payload: bytes) -> JournalRecord:
@@ -314,12 +364,10 @@ class RepairJournal:
     ) -> List[JournalRecord]:
         """Read every complete record; truncate the torn tail.
 
-        Walks the frames in order and stops at the first incomplete or
-        CRC-mismatched frame — the torn tail of a crash mid-append (or
-        a corrupted record, after which nothing downstream can be
-        trusted).  With ``truncate=True`` (the default) the file is cut
-        back to the last good record so subsequent appends extend a
-        clean log.  Replaying twice therefore yields the same records
+        The frame walk is :func:`read_frames`: it stops at the first
+        incomplete, CRC-mismatched or undecodable frame and, with
+        ``truncate=True`` (the default), cuts the file back to the last
+        good record.  Replaying twice therefore yields the same records
         — replay is idempotent.
 
         Raises:
@@ -327,30 +375,4 @@ class RepairJournal:
                 version does not know.  That is not a torn tail, so it
                 is never skipped or truncated away.
         """
-        path = Path(path)
-        records: List[JournalRecord] = []
-        good_end = 0
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return records
-        offset = 0
-        while offset + _HEADER.size <= len(blob):
-            length, crc = _HEADER.unpack_from(blob, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > len(blob):
-                break  # torn tail: header written, payload incomplete
-            payload = blob[start:end]
-            if zlib.crc32(payload) != crc:
-                break  # corrupted record: stop trusting the log here
-            try:
-                records.append(decode_payload(payload))
-            except (ValueError, TypeError, KeyError):
-                break  # undecodable record counts as corruption
-            offset = end
-            good_end = end
-        if truncate and good_end < len(blob):
-            with open(path, "r+b") as f:
-                f.truncate(good_end)
-        return records
+        return read_frames(path, decode_payload, truncate)

@@ -1,6 +1,7 @@
 """Tests for the markdown report generator."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +93,12 @@ class TestCli:
 
     def test_missing_dir(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
+
+
+class TestCommittedReport:
+    def test_report_md_is_generated_from_benchmarks_results(self):
+        # REPORT.md changes only by `make report`; hand-written prose
+        # goes into benchmarks/results/<id>.notes.md.
+        root = Path(__file__).resolve().parents[2]
+        committed = (root / "REPORT.md").read_text()
+        assert committed == generate_report(root / "benchmarks" / "results")

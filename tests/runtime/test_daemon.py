@@ -8,6 +8,7 @@ executed twice.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from repro.runtime import (
     FaultPlan,
     RepairDaemon,
     RepairTask,
+    RuntimeConfig,
 )
 from repro.runtime.daemon import _queue_state
 from repro.runtime.testbed import EmulatedTestbed
@@ -36,7 +38,7 @@ CHUNK = 16 * 1024
 
 #: a hot fleet against a small cluster: by day ~50 the daemon has a mix
 #: of predictive and reactive work, which is what the crash tests cut.
-def build(tmp_path, faults=None):
+def build(tmp_path, faults=None, config=None):
     cluster = StorageCluster.random(
         num_nodes=12,
         num_stripes=10,
@@ -48,7 +50,9 @@ def build(tmp_path, faults=None):
         chunk_size=CHUNK,
     )
     codec = make_codec("rs(5,3)")
-    testbed = EmulatedTestbed(cluster, codec, workdir=tmp_path, faults=faults)
+    testbed = EmulatedTestbed(
+        cluster, codec, workdir=tmp_path, faults=faults, config=config
+    )
     testbed.load_random_data(seed=5)
     traces = SmartTraceGenerator(
         12, horizon_days=90, annual_failure_rate=0.9, seed=21
@@ -133,6 +137,28 @@ class TestDaemonJournal:
         data[-1] ^= 0xFF  # flip a byte in the last record's payload
         path.write_bytes(data)
         assert [r["day"] for r in DaemonJournal.replay(path)] == [0]
+
+
+    @pytest.mark.parametrize("policy,fsyncs", [("always", 3), ("never", 0)])
+    def test_fsync_policy_follows_the_runtime_config(
+        self, tmp_path, monkeypatch, policy, fsyncs
+    ):
+        _, testbed, monitor = build(
+            tmp_path, config=RuntimeConfig(journal_fsync=policy)
+        )
+        with testbed:
+            daemon = RepairDaemon(
+                testbed, monitor, seed=3, sleep=lambda s: None
+            )
+            calls = []
+            real_fsync = os.fsync
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))
+            )
+            for day in range(3):
+                daemon.journal.append("day_observed", day=day)
+            daemon.journal.close()
+        assert len(calls) == fsyncs
 
 
 class TestQueueState:

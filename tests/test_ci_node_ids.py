@@ -1,10 +1,13 @@
-"""Every test the CI workflow names by node id still exists.
+"""Every test, module and make target CI names still exists.
 
 Some steps of ``.github/workflows/ci.yml`` run single tests or classes
-(``tests/...::...``).  A renamed or deleted test would otherwise only
-show on the next CI run, as an error or as nothing run at all.
+(``tests/...::...``), modules (``python -m ...``) or Makefile targets
+(``make ...``), and the Makefile runs modules too.  A renamed or
+deleted one would otherwise only show on the next CI run, as an error
+or as nothing run at all.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,8 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+MAKEFILE = ROOT / "Makefile"
 #: a node id up to the first space or quote (ids may carry ``[...]``)
 NODE_ID = re.compile(r"tests/[\w/]+\.py::[^\s\"']+")
+#: ``python -m mod``, ``python3 -m mod`` or the Makefile's ``$(PY) -m mod``
+MODULE = re.compile(r"(?:\bpython3?|\$\(PY\))\s+-m\s+([\w.]+)")
+MAKE_TARGET = re.compile(r"\bmake\s+([\w-]+)")
 
 
 def ci_node_ids():
@@ -47,3 +54,23 @@ def test_every_workflow_node_id_collects():
         if not any(line.startswith(node) for line in collected)
     ]
     assert not missing, missing
+
+
+def test_every_module_ci_and_the_makefile_run_resolves(monkeypatch):
+    text = WORKFLOW.read_text() + MAKEFILE.read_text()
+    modules = sorted(set(MODULE.findall(text)))
+    assert "repro.bench.gateway" in modules, modules
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    missing = [
+        name for name in modules if importlib.util.find_spec(name) is None
+    ]
+    assert not missing, missing
+
+
+def test_every_make_target_ci_names_exists():
+    targets = set(MAKE_TARGET.findall(WORKFLOW.read_text()))
+    assert "packet-sweep" in targets, targets
+    defined = set(
+        re.findall(r"^([\w-]+):", MAKEFILE.read_text(), re.MULTILINE)
+    )
+    assert not targets - defined, sorted(targets - defined)
