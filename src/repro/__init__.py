@@ -3,20 +3,20 @@
 The package reimplements, in pure Python, the complete FastPR system
 from Shen, Li and Lee (DSN 2019): the erasure-coding substrate, the
 cluster model, the reconstruction-set and repair-scheduling algorithms,
-the Section-III analytical model, a discrete-event simulator, an
-emulated coordinator/agent testbed runtime, and a disk-failure
-prediction substrate.
+the Section-III analytical model and the cost-model plan timer of the
+paper's simulator, an emulated coordinator/agent testbed runtime, and a
+disk-failure prediction substrate.
 
 Quickstart::
 
     from repro import make_codec, StorageCluster, FastPRPlanner
-    from repro import RepairSimulator          # discrete-event backend
+    from repro import evaluate_plan            # cost-model plan timer
     from repro import Testbed                  # emulated-runtime backend
 
 The names exported here are the stable public API: planning
-(``FastPRPlanner`` and friends), both execution backends
-(``RepairSimulator`` and the emulated ``Testbed``/``Coordinator``/
-``RepairAgent`` runtime), their shared configuration (``RuntimeConfig``,
+(``FastPRPlanner`` and friends), the plan timer (``evaluate_plan``),
+the one executor (the emulated ``Testbed``/``Coordinator``/
+``RepairAgent`` runtime) with its configuration (``RuntimeConfig``,
 ``FaultPlan``), and the observability layer (``MetricsRegistry``,
 ``Tracer``).  Deeper module paths (``repro.runtime.transport``, ...)
 are implementation detail and may move between releases;
@@ -86,14 +86,11 @@ from .session import (
 from .sim import (
     LifetimeConfig,
     LifetimeReport,
-    RepairSimulator,
-    ShardedRepairResult,
     TraceReplayProcess,
     WeibullFailureProcess,
     durability_study,
+    evaluate_plan,
     run_lifetime,
-    simulate_repair,
-    simulate_sharded_repair,
 )
 
 # Stable aliases: the paper talks about "the testbed" and "repair
@@ -160,17 +157,14 @@ __all__ = [
     "ObjectManifest",
     "ObjectStore",
     "TrafficArbiter",
-    # simulator backend
+    # plan timer and lifetime studies
     "LifetimeConfig",
     "LifetimeReport",
-    "RepairSimulator",
-    "ShardedRepairResult",
     "TraceReplayProcess",
     "WeibullFailureProcess",
     "durability_study",
+    "evaluate_plan",
     "run_lifetime",
-    "simulate_repair",
-    "simulate_sharded_repair",
     # observability
     "MetricsRegistry",
     "Tracer",

@@ -4,7 +4,7 @@ Each ``figN_*`` function regenerates the corresponding figure:
 
 * Figures 2-3 — Section III mathematical analysis (closed form).
 * Figures 8-10 — Section VI-A large-scale simulation (planners +
-  discrete-event simulator).
+  the cost-model plan timer :func:`repro.sim.evaluate_plan`).
 * Figures 11-14 — Section VI-B testbed experiments, on the emulated
   local testbed (see DESIGN.md for the EC2 substitution and scaling).
 * Figure 15 — Algorithm 1 microbenchmarks.
@@ -286,6 +286,31 @@ class TestbedConfig:
         return replace(self, **kwargs)
 
 
+def testbed_cluster(
+    config: TestbedConfig, run: int
+) -> Tuple[StorageCluster, int, int]:
+    """The rig's cluster for one run: ``(cluster, STF node, seed)``.
+
+    Every run draws a fresh placement from ``config.seed + 97 * run``
+    and pins the STF node at ``config.stf_chunks`` chunks; the same
+    seed fills the testbed's chunks.
+    """
+    seed = config.seed + 97 * run
+    sim_cfg = SimulationConfig(
+        num_nodes=config.num_nodes,
+        num_stripes=config.stf_chunks + config.extra_stripes,
+        n=config.n,
+        k=config.k,
+        num_hot_standby=config.num_hot_standby,
+        chunk_size=config.chunk_size,
+        disk_bandwidth=config.disk_bandwidth,
+        network_bandwidth=config.network_bandwidth,
+        seed=seed,
+    )
+    cluster, stf = fixed_stf_chunk_count(sim_cfg, config.stf_chunks)
+    return cluster, stf, seed
+
+
 def testbed_point(
     config: TestbedConfig,
     scenario: RepairScenario,
@@ -299,20 +324,9 @@ def testbed_point(
         RECONSTRUCTION: [],
         MIGRATION: [],
     }
+    codec = make_codec(f"rs({config.n},{config.k})")
     for run in range(runs):
-        sim_cfg = SimulationConfig(
-            num_nodes=config.num_nodes,
-            num_stripes=config.stf_chunks + config.extra_stripes,
-            n=config.n,
-            k=config.k,
-            num_hot_standby=config.num_hot_standby,
-            chunk_size=config.chunk_size,
-            disk_bandwidth=config.disk_bandwidth,
-            network_bandwidth=config.network_bandwidth,
-            seed=config.seed + 97 * run,
-        )
-        cluster, stf = fixed_stf_chunk_count(sim_cfg, config.stf_chunks)
-        codec = make_codec(f"rs({config.n},{config.k})")
+        cluster, stf, seed = testbed_cluster(config, run)
         planners = [
             FastPRPlanner(scenario=scenario, seed=run),
             ReconstructionOnlyPlanner(scenario=scenario, seed=run),
@@ -323,7 +337,7 @@ def testbed_point(
             codec,
             packet_size=config.packet_size,
         ) as testbed:
-            testbed.load_random_data(seed=sim_cfg.seed)
+            testbed.load_random_data(seed=seed)
             for planner in planners:
                 plan = planner.plan(cluster, stf)
                 result = testbed.execute(plan, packet_size=packet_size)

@@ -289,8 +289,8 @@ class ShardMap:
 
     Shard assignment is ``crc32("stripe:<id>") % num_shards`` — stable
     across processes and Python versions (unlike ``hash()``), the same
-    idiom the fault injector's link RNG uses.  Every coordinator,
-    agent-side tool and the simulator derive an identical mapping from
+    idiom the fault injector's link RNG uses.  Every coordinator and
+    agent-side tool derives an identical mapping from
     just the shard count, so there is no shard-map metadata to
     replicate or recover: a takeover only moves *ownership*, never the
     mapping.

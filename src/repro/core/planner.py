@@ -7,9 +7,9 @@
 * :class:`MigrationOnlyPlanner` — relocate every chunk off the STF
   node, serialized by its bandwidth.
 
-All planners emit a :class:`~repro.core.plan.RepairPlan` that the
-simulator (:mod:`repro.sim`) or the emulated testbed runtime
-(:mod:`repro.runtime`) can execute.
+All planners emit a :class:`~repro.core.plan.RepairPlan` that
+:func:`repro.sim.evaluate_plan` times and the emulated testbed runtime
+(:mod:`repro.runtime`) executes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ assumptions).  This module implements that fallback:
   each healthy node serves at most one chunk transfer.
 
 Both produce ordinary :class:`~repro.core.plan.RepairPlan` objects, so
-the simulators and the emulated testbed execute them unchanged.
+:func:`repro.sim.evaluate_plan` times them and the emulated testbed
+executes them unchanged.
 """
 
 from __future__ import annotations

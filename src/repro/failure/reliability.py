@@ -107,7 +107,8 @@ def estimate_vulnerability(
     Args:
         cluster: metadata (stripe placements and tolerances).
         plan: the repair plan being executed from virtual time 0.
-        round_times: per-round durations (from a simulator result).
+        round_times: per-round durations (e.g. from
+            :func:`repro.sim.evaluate_plan`).
         stf_failure_time: when the STF node actually dies, measured
             from repair start.  ``0`` models reactive repair (the node
             is already gone); a positive value models predictive repair

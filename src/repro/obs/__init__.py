@@ -4,8 +4,8 @@ The measurement substrate for every "where does repair time go"
 question the paper's evaluation asks (see DESIGN.md, "Observability"):
 a zero-dependency :class:`MetricsRegistry` (counters / gauges /
 fixed-bucket histograms with JSON and Prometheus-text exposition) and
-a span :class:`Tracer` whose wall-clock and simulated-clock backends
-make the testbed and the simulator emit the same trace schema.
+a span :class:`Tracer` with a pluggable wall-clock or simulated
+clock, whose one trace schema every transport emits.
 """
 
 from .metrics import (

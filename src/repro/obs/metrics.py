@@ -3,7 +3,7 @@
 The paper's evaluation is a per-stage timing breakdown — where each
 repair round spends its time (migration vs. reconstruction, disk vs.
 network, Figs. 8-15).  :class:`MetricsRegistry` is the substrate that
-makes those breakdowns observable on our runtime and simulator without
+makes those breakdowns observable on our runtime without
 pulling in a metrics client library:
 
 * :class:`Counter` — monotonically increasing totals (bytes moved,

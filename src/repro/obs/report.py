@@ -1,7 +1,7 @@
 """Per-round repair breakdown from a trace document.
 
 This is the analysis layer behind ``repro report``: fold the span tree
-emitted by a repair run (testbed or simulator — same schema) into one
+emitted by a repair run (any transport — same schema) into one
 :class:`RoundBreakdown` per repair round, splitting each round's time
 into its migration and reconstruction components the way the paper's
 Figs. 8-10 do, and render the result as a table (or JSON via ``-o``).
@@ -38,8 +38,8 @@ class RoundBreakdown:
     migration_seconds: float = 0.0
     reconstruction_seconds: float = 0.0
     retries: int = 0
-    #: ingress streams on the round's busiest NIC (coordinator traces
-    #: only; the simulator's round spans do not carry it)
+    #: ingress streams on the round's busiest NIC (None when the
+    #: round span does not carry it)
     max_ingress_streams: Optional[int] = None
 
     @property

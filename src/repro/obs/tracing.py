@@ -1,4 +1,4 @@
-"""Span-based tracing of repair runs (testbed and simulator alike).
+"""Span-based tracing of repair runs.
 
 A repair run is a tree of timed phases::
 
@@ -11,13 +11,13 @@ A repair run is a tree of timed phases::
     └── round (round=1) ...
 
 :class:`Tracer` records that tree as flat :class:`Span` records (id,
-parent id, name, start, end, attrs) — the JSON schema both the
-wall-clock runtime and the discrete-event simulator emit, so the same
-``repro report`` renders either.  The clock is pluggable:
+parent id, name, start, end, attrs) — the JSON schema every transport
+of the runtime emits, so one ``repro report`` renders any run.  The
+clock is pluggable:
 
 * :class:`WallClock` — ``time.monotonic()``; the emulated testbed.
-* :class:`SimClock` — an explicitly advanced simulated time; the
-  event-driven simulator sets it to ``Simulation.now``.
+* :class:`SimClock` — an explicitly advanced simulated time, for a
+  caller that drives time itself (e.g. from ``Simulation.now``).
 
 Span creation is thread-safe and parenting is per-thread: a span
 opened on an agent worker thread does not accidentally nest under the
@@ -52,7 +52,7 @@ class WallClock:
 
 
 class SimClock:
-    """Explicitly advanced simulated time (the simulator's clock)."""
+    """Explicitly advanced simulated time."""
 
     def __init__(self, start: float = 0.0):
         self.time = float(start)

@@ -16,11 +16,6 @@ stand down via the injector's ``on_crash`` callback, and the
 coordinator discovers the death through missed ACK deadlines plus an
 explicit ping probe.  Nothing in the repair protocol is told about the
 crash out of band.
-
-The same crash specs drive the discrete-event simulator
-(:meth:`repro.sim.simulator.RepairSimulator.run` accepts a
-``FaultPlan``), so simulated and emulated degraded repairs agree on
-the failure model.
 """
 
 from __future__ import annotations
@@ -156,7 +151,7 @@ class CoordinatorCrashFault:
         after_records: die immediately after the Nth journal record of
             the run hits disk (the crash-point sweep iterates this).
         after_round: die right after the given round's ``RoundCompleted``
-            record is journaled (the simulator mirrors this trigger).
+            record is journaled.
     """
 
     after_records: Optional[int] = None
@@ -251,11 +246,6 @@ class FaultPlan:
     domain_crashes: List[DomainCrashFault] = field(default_factory=list)
     daemon_crashes: List[DaemonCrashFault] = field(default_factory=list)
     seed: int = 0
-
-    def crash_times(self) -> List[CrashFault]:
-        """Time-triggered crashes, sorted (for the simulator mirror)."""
-        timed = [c for c in self.crashes if c.at_time is not None]
-        return sorted(timed, key=lambda c: c.at_time)
 
     def link_bandwidths(
         self, at_time: Optional[float] = None

@@ -5,8 +5,8 @@ emulates the paper's disk/network bandwidths (``b_d``, ``b_n``) with
 rate limiters.  Each limiter models one serial device: a request for
 ``n`` bytes reserves the device for ``n / rate`` seconds starting when
 the device next frees up, then sleeps until that reservation completes.
-This matches the serial-resource semantics of the discrete-event
-simulator, but in wall-clock time.
+This is the serial-device assumption behind the cost model's
+Eqs. (4)-(6), in wall-clock time.
 
 Fairness (DESIGN.md §15): strict FIFO reservation lets one huge
 reservation push ``_next_free`` far into the future, so a 4 KiB client

@@ -1,7 +1,7 @@
-"""Discrete-event simulation of repair plans."""
+"""Cost-model timing of repair plans and Monte-Carlo cluster studies."""
 
-from .cost_model import CostModelSimulator, evaluate_plan
-from .events import Acquire, Delay, Process, Release, Resource, Simulation, SimulationError, use
+from .cost_model import RepairResult, evaluate_plan
+from .events import Simulation, SimulationError
 from .lifetime import (
     DiskEvent,
     LifetimeConfig,
@@ -11,17 +11,6 @@ from .lifetime import (
     WeibullFailureProcess,
     durability_study,
     run_lifetime,
-)
-from .resources import DeviceMap, NodeDevices
-from .simulator import (
-    DeviceUtilization,
-    RepairRateCalibration,
-    RepairResult,
-    RepairSimulator,
-    ShardedRepairResult,
-    calibrate_repair_rates,
-    simulate_repair,
-    simulate_sharded_repair,
 )
 from .timeline import (
     ClusterLifetime,
@@ -38,9 +27,7 @@ from .workload import (
 )
 
 __all__ = [
-    "Acquire",
     "ClusterLifetime",
-    "CostModelSimulator",
     "DiskEvent",
     "EventKind",
     "LifetimeConfig",
@@ -51,28 +38,14 @@ __all__ = [
     "TraceReplayProcess",
     "WeibullFailureProcess",
     "evaluate_plan",
-    "Delay",
-    "DeviceMap",
-    "DeviceUtilization",
-    "NodeDevices",
     "PAPER_SIM_CONFIG",
-    "Process",
-    "Release",
-    "RepairRateCalibration",
     "RepairResult",
-    "RepairSimulator",
-    "Resource",
-    "ShardedRepairResult",
     "Simulation",
     "SimulationConfig",
     "SimulationError",
     "build_cluster",
     "build_cluster_with_stf",
-    "calibrate_repair_rates",
     "durability_study",
     "fixed_stf_chunk_count",
     "run_lifetime",
-    "simulate_repair",
-    "simulate_sharded_repair",
-    "use",
 ]

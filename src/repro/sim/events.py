@@ -1,110 +1,39 @@
-"""A small discrete-event simulation kernel.
+"""A small discrete-event scheduler.
 
-Provides generator-based processes (a la SimPy, implemented from
-scratch): a process is a Python generator that yields
-:class:`Acquire` / :class:`Release` / :class:`Delay` commands.  The
-:class:`Simulation` drives all processes in virtual time.
-
-This kernel underlies :mod:`repro.sim.simulator`, which executes
-repair plans against per-node disk/NIC resources.
+:class:`Simulation` runs callbacks at absolute virtual times, in time
+order, for event-driven models (e.g. :mod:`repro.sim.lifetime`) that
+react to point events — a disk failing, a scrub tick.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, List
 
 
 class SimulationError(RuntimeError):
-    """Raised on kernel misuse (e.g. releasing an un-held resource)."""
-
-
-@dataclass(frozen=True)
-class Acquire:
-    """Yield to wait for exclusive use of a resource."""
-
-    resource: "Resource"
-
-
-@dataclass(frozen=True)
-class Release:
-    """Yield to release a held resource."""
-
-    resource: "Resource"
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Yield to advance this process by ``duration`` of virtual time."""
-
-    duration: float
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"negative delay {self.duration}")
-
-
-Process = Generator[object, None, None]
-
-
-class Resource:
-    """An exclusive-use resource with a FIFO wait queue.
-
-    Models one serial device: a node's disk, its NIC ingress, or its
-    NIC egress.  Utilization accounting feeds the simulator's traffic
-    statistics.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self._holder: Optional[int] = None  # process id
-        self._waiters: deque = deque()
-        #: cumulative busy time (for utilization reports)
-        self.busy_time: float = 0.0
-        self._acquired_at: float = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Resource({self.name})"
+    """Raised on scheduler misuse (e.g. scheduling in the past)."""
 
 
 class Simulation:
-    """Drives processes and resources in virtual time."""
+    """Runs scheduled callbacks in virtual time."""
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: List = []
         self._seq = itertools.count()
-        self._active = 0
-
-    # -- process management ---------------------------------------------
-
-    def spawn(
-        self,
-        process: Process,
-        on_done: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """Register a process to start at the current time."""
-        self._active += 1
-        pid = next(self._seq)
-        self._schedule(self.now, lambda: self._step(pid, process, on_done, None))
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute virtual time ``time``.
 
-        The public face of the internal scheduler, for event-driven
-        models (e.g. :mod:`repro.sim.lifetime`) that react to point
-        events — a disk failing, a scrub tick — rather than holding
-        resources through generator processes.  Events at equal times
-        fire in scheduling order.
+        Events at equal times fire in scheduling order.
         """
         if time < self.now - 1e-12:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self.now})"
             )
-        self._schedule(max(time, self.now), fn)
+        heapq.heappush(self._queue, (max(time, self.now), next(self._seq), fn))
 
     def run(self) -> float:
         """Run until no events remain; returns the final virtual time."""
@@ -130,61 +59,3 @@ class Simulation:
             fn()
         self.now = max(self.now, deadline)
         return self.now
-
-    # -- internals --------------------------------------------------------
-
-    def _schedule(self, time: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), fn))
-
-    def _step(self, pid, process: Process, on_done, send_value) -> None:
-        try:
-            command = process.send(send_value)
-        except StopIteration:
-            self._active -= 1
-            if on_done is not None:
-                on_done(self.now)
-            return
-        if isinstance(command, Delay):
-            self._schedule(
-                self.now + command.duration,
-                lambda: self._step(pid, process, on_done, None),
-            )
-        elif isinstance(command, Acquire):
-            self._acquire(pid, command.resource, process, on_done)
-        elif isinstance(command, Release):
-            self._release(pid, command.resource)
-            self._schedule(self.now, lambda: self._step(pid, process, on_done, None))
-        else:
-            raise SimulationError(f"process yielded unknown command {command!r}")
-
-    def _acquire(self, pid, resource: Resource, process, on_done) -> None:
-        grant = lambda: self._grant(pid, resource, process, on_done)
-        if resource._holder is None and not resource._waiters:
-            grant()
-        else:
-            resource._waiters.append(grant)
-
-    def _grant(self, pid, resource: Resource, process, on_done) -> None:
-        if resource._holder is not None:
-            raise SimulationError(f"{resource} granted while held")
-        resource._holder = pid
-        resource._acquired_at = self.now
-        self._schedule(self.now, lambda: self._step(pid, process, on_done, None))
-
-    def _release(self, pid, resource: Resource) -> None:
-        if resource._holder != pid:
-            raise SimulationError(
-                f"process {pid} released {resource} held by {resource._holder}"
-            )
-        resource.busy_time += self.now - resource._acquired_at
-        resource._holder = None
-        if resource._waiters:
-            grant = resource._waiters.popleft()
-            grant()
-
-
-def use(resource: Resource, duration: float) -> Process:
-    """Inline helper: acquire, hold for ``duration``, release."""
-    yield Acquire(resource)
-    yield Delay(duration)
-    yield Release(resource)

@@ -28,14 +28,13 @@ invisible — and at risk — until a periodic scrub cycle (the
 Monte-Carlo counterpart of :class:`repro.runtime.scrub.Scrubber`)
 detects them and queues a targeted chunk repair.
 
-The engine runs on the shared discrete-event kernel
+The engine runs on the shared discrete-event scheduler
 (:class:`repro.sim.events.Simulation` via ``schedule_at`` /
-``run_until``); repair durations can be calibrated against the
-event-driven repair simulator with
-:func:`repro.sim.simulator.calibrate_repair_rates`.  Repairs contend
-for a bounded crew (``repair_concurrency``) with the daemon's
-degradation policy: reactive and scrub repairs admit first, predictive
-repairs defer while the queue holds reactive work.
+``run_until``); repair durations can be derived from the plan timer
+:func:`repro.sim.evaluate_plan` (see :class:`LifetimeConfig`).
+Repairs contend for a bounded crew (``repair_concurrency``) with the
+daemon's degradation policy: reactive and scrub repairs admit first,
+predictive repairs defer while the queue holds reactive work.
 """
 
 from __future__ import annotations
@@ -238,10 +237,9 @@ class LifetimeConfig:
     """Shape and policy knobs of one lifetime study.
 
     Repair durations default to conservative whole-disk rebuild times;
-    calibrate them against the event-driven repair simulator via
-    :func:`repro.sim.simulator.calibrate_repair_rates` (convert with
-    ``.predictive_days`` / ``.reactive_days``) for numbers tied to the
-    modeled bandwidths.
+    time a FastPR and a reconstruction-only plan of one disk with
+    :func:`repro.sim.evaluate_plan` (``total_time`` / 86400) for
+    numbers tied to the modeled bandwidths.
     """
 
     num_disks: int = 30

@@ -38,7 +38,6 @@ from repro.runtime import (
 )
 from repro.runtime.messages import DataPacket
 from repro.runtime.testbed import EmulatedTestbed
-from repro.sim.simulator import RepairSimulator
 
 CHUNK = 16 * 1024
 
@@ -409,50 +408,3 @@ class TestHealAction:
         dead.add(0)
         with pytest.raises(UnrecoverableChunkError):
             heal_action(cluster, 0, action, dead=dead)
-
-
-class TestSimulatorMirror:
-    def test_time_triggered_crash_converts_migrations(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner().plan(cluster, 0)
-        migrations = sum(
-            1 for a in plan.actions() if a.method is RepairMethod.MIGRATION
-        )
-        assert migrations > 0
-        sim = RepairSimulator(cluster)
-        clean = sim.run(plan)
-        faults = FaultPlan(crashes=[CrashFault(node=0, at_time=0.0)])
-        degraded = sim.run(plan, faults=faults)
-        assert degraded.dead_nodes == [0]
-        assert degraded.replans == 1
-        assert degraded.converted_migrations == migrations
-        assert degraded.chunks_repaired == plan.total_chunks
-        # Reconstruction moves k chunks per repaired chunk: the
-        # degraded repair pays strictly more traffic.
-        assert degraded.bytes_transferred > clean.bytes_transferred
-        assert clean.replans == 0 and clean.dead_nodes == []
-
-    def test_detection_delay_shifts_the_timeline(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner().plan(cluster, 0)
-        faults = FaultPlan(crashes=[CrashFault(node=0, at_time=0.0)])
-        sim = RepairSimulator(cluster)
-        base = sim.run(plan, faults=faults)
-        delayed = sim.run(plan, faults=faults, detection_delay=0.5)
-        assert delayed.total_time == pytest.approx(
-            base.total_time + 0.5, abs=1e-3
-        )
-
-    def test_late_crash_only_affects_later_rounds(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner().plan(cluster, 0)
-        sim = RepairSimulator(cluster)
-        clean = sim.run(plan)
-        # Crash long after the repair finished: nothing changes.
-        faults = FaultPlan(
-            crashes=[CrashFault(node=0, at_time=clean.total_time * 10)]
-        )
-        result = sim.run(plan, faults=faults)
-        assert result.total_time == pytest.approx(clean.total_time)
-        assert result.dead_nodes == []
-        assert result.converted_migrations == 0

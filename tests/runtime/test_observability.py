@@ -9,7 +9,7 @@ armed, and reconcile three independent records of the same run —
 * the write-ahead journal
 
 — per round: action counts, retry counts and round durations must all
-tell the same story, and the simulator must emit the same schema.
+tell the same story.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro import (
     make_codec,
 )
 from repro.cluster import StorageCluster
-from repro.obs import SimClock, TraceDocument, breakdown_from_trace
+from repro.obs import TraceDocument, breakdown_from_trace
 from repro.runtime import (
     ActionCompleted,
     CoordinatorCrashFault,
@@ -35,7 +35,6 @@ from repro.runtime import (
     RepairJournal,
     RoundCompleted,
 )
-from repro.sim.simulator import RepairSimulator
 
 CHUNK = 16 * 1024
 
@@ -193,27 +192,3 @@ class TestTraceJournalReconciliation:
         assert len(repairs) == 1 + restarts
         assert any(r["attrs"].get("resumed") for r in repairs)
         assert breakdown.rounds, "resume produced no round spans"
-
-
-class TestSimulatorTraceParity:
-    def test_simulator_emits_same_schema(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner(seed=3).plan(cluster, 0)
-        metrics = MetricsRegistry()
-        tracer = Tracer(clock=SimClock())
-        sim = RepairSimulator(cluster, metrics=metrics, tracer=tracer)
-        sim_result = sim.run(plan)
-        breakdown = breakdown_from_trace(tracer.to_dict())
-        assert len(breakdown.rounds) == len(plan.rounds)
-        assert breakdown.total_actions == metrics.get(
-            "repair_actions_total"
-        ).total()
-        # Simulated trace time matches the simulator's own clock.
-        assert breakdown.total_seconds == pytest.approx(
-            sim_result.total_time, rel=0.01
-        )
-
-    def test_simulator_rejects_wall_clock_tracer(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError, match="SimClock"):
-            RepairSimulator(cluster, tracer=Tracer())

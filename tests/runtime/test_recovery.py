@@ -40,7 +40,6 @@ from repro.runtime import (
 )
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.testbed import EmulatedTestbed
-from repro.sim.simulator import RepairSimulator
 
 CHUNK = 16 * 1024
 
@@ -500,7 +499,7 @@ def _save_journal_artifact(testbed, crash_point):
 
 
 # ----------------------------------------------------------------------
-# fault-plan serialization + simulator mirror
+# fault-plan serialization
 # ----------------------------------------------------------------------
 
 
@@ -536,32 +535,3 @@ class TestCoordinatorCrashFault:
             FaultPlan.from_dict(
                 {"coordinator_crashs": [{"after_round": 0}]}
             )
-
-
-class TestSimulatorMirror:
-    def test_coordinator_crash_costs_one_recovery_pause(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner(seed=3).plan(cluster, 0)
-        assert plan.num_rounds >= 1
-        simulator = RepairSimulator(cluster)
-        baseline = simulator.run(plan)
-        faults = FaultPlan(
-            coordinator_crashes=[CoordinatorCrashFault(after_round=0)]
-        )
-        crashed = simulator.run(plan, faults=faults, recovery_delay=2.5)
-        assert crashed.coordinator_restarts == 1
-        assert crashed.chunks_repaired == baseline.chunks_repaired
-        assert crashed.total_time == pytest.approx(
-            baseline.total_time + 2.5, rel=1e-6
-        )
-
-    def test_after_records_triggers_are_ignored_by_the_simulator(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner(seed=3).plan(cluster, 0)
-        faults = FaultPlan(
-            coordinator_crashes=[CoordinatorCrashFault(after_records=2)]
-        )
-        result = RepairSimulator(cluster).run(
-            plan, faults=faults, recovery_delay=2.5
-        )
-        assert result.coordinator_restarts == 0

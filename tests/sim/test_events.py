@@ -1,166 +1,59 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event scheduler."""
 
 import pytest
 
-from repro.sim.events import (
-    Acquire,
-    Delay,
-    Release,
-    Resource,
-    Simulation,
-    SimulationError,
-    use,
-)
+from repro.sim.events import Simulation, SimulationError
 
 
-class TestDelays:
-    def test_single_process(self):
+class TestSimulationSchedule:
+    def test_schedule_at_runs_in_time_order(self):
         sim = Simulation()
-        log = []
-
-        def proc():
-            yield Delay(5.0)
-            log.append(sim.now)
-
-        sim.spawn(proc())
-        assert sim.run() == pytest.approx(5.0)
-        assert log == [pytest.approx(5.0)]
-
-    def test_parallel_processes_overlap(self):
-        sim = Simulation()
-
-        def proc(duration):
-            yield Delay(duration)
-
-        sim.spawn(proc(3.0))
-        sim.spawn(proc(7.0))
-        assert sim.run() == pytest.approx(7.0)
-
-    def test_sequential_delays_accumulate(self):
-        sim = Simulation()
-
-        def proc():
-            yield Delay(2.0)
-            yield Delay(3.0)
-
-        sim.spawn(proc())
-        assert sim.run() == pytest.approx(5.0)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Delay(-1.0)
-
-    def test_on_done_callback(self):
-        sim = Simulation()
-        done_at = []
-
-        def proc():
-            yield Delay(4.0)
-
-        sim.spawn(proc(), on_done=done_at.append)
+        seen = []
+        sim.schedule_at(2.0, lambda: seen.append("b"))
+        sim.schedule_at(1.0, lambda: seen.append("a"))
         sim.run()
-        assert done_at == [pytest.approx(4.0)]
+        assert seen == ["a", "b"]
 
-
-class TestResources:
-    def test_exclusive_use_serializes(self):
+    def test_schedule_in_past_rejected(self):
         sim = Simulation()
-        resource = Resource("disk")
-        finish = []
-
-        def proc():
-            yield Acquire(resource)
-            yield Delay(2.0)
-            yield Release(resource)
-            finish.append(sim.now)
-
-        sim.spawn(proc())
-        sim.spawn(proc())
+        sim.schedule_at(5.0, lambda: None)
         sim.run()
-        assert finish == [pytest.approx(2.0), pytest.approx(4.0)]
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.schedule_at(1.0, lambda: None)
 
-    def test_fifo_ordering(self):
+    def test_equal_times_fire_fifo(self):
         sim = Simulation()
-        resource = Resource("r")
-        order = []
-
-        def proc(name, start_delay):
-            yield Delay(start_delay)
-            yield Acquire(resource)
-            order.append(name)
-            yield Delay(1.0)
-            yield Release(resource)
-
-        sim.spawn(proc("b", 0.2))
-        sim.spawn(proc("a", 0.1))
+        seen = []
+        for name in "cab":
+            sim.schedule_at(1.0, lambda name=name: seen.append(name))
         sim.run()
-        assert order == ["a", "b"]
+        assert seen == ["c", "a", "b"]
 
-    def test_busy_time_accounting(self):
+    def test_callback_can_schedule_at_now(self):
         sim = Simulation()
-        resource = Resource("r")
+        seen = []
 
-        def proc():
-            yield Acquire(resource)
-            yield Delay(3.0)
-            yield Release(resource)
+        def first():
+            seen.append(("first", sim.now))
+            sim.schedule_at(sim.now, lambda: seen.append(("then", sim.now)))
 
-        sim.spawn(proc())
-        sim.spawn(proc())
+        sim.schedule_at(4.0, first)
+        assert sim.run() == 4.0
+        assert seen == [("first", 4.0), ("then", 4.0)]
+
+    def test_run_until_leaves_later_events_queued(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(1))
+        sim.schedule_at(10.0, lambda: seen.append(10))
+        assert sim.run_until(5.0) == 5.0
+        assert seen == [1]
         sim.run()
-        assert resource.busy_time == pytest.approx(6.0)
+        assert seen == [1, 10]
 
-    def test_release_unheld_raises(self):
+    def test_run_until_fires_events_at_the_deadline(self):
         sim = Simulation()
-        resource = Resource("r")
-
-        def bad():
-            yield Release(resource)
-
-        sim.spawn(bad())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_two_resources_held_simultaneously(self):
-        sim = Simulation()
-        a, b = Resource("a"), Resource("b")
-        blocked_at = []
-
-        def holder():
-            yield Acquire(a)
-            yield Acquire(b)
-            yield Delay(2.0)
-            yield Release(b)
-            yield Release(a)
-
-        def waiter():
-            yield Delay(0.5)
-            yield Acquire(b)
-            blocked_at.append(sim.now)
-            yield Release(b)
-
-        sim.spawn(holder())
-        sim.spawn(waiter())
-        sim.run()
-        assert blocked_at == [pytest.approx(2.0)]
-
-    def test_use_helper(self):
-        sim = Simulation()
-        resource = Resource("r")
-
-        def proc():
-            yield from use(resource, 1.5)
-            yield from use(resource, 1.5)
-
-        sim.spawn(proc())
-        assert sim.run() == pytest.approx(3.0)
-
-    def test_unknown_command(self):
-        sim = Simulation()
-
-        def bad():
-            yield "not-a-command"
-
-        sim.spawn(bad())
-        with pytest.raises(SimulationError):
-            sim.run()
+        seen = []
+        sim.schedule_at(5.0, lambda: seen.append(5))
+        assert sim.run_until(5.0) == 5.0
+        assert seen == [5]

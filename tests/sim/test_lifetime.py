@@ -7,7 +7,6 @@ import pytest
 
 from repro.failure.predictor import ThresholdPredictor, first_alarm_day
 from repro.failure.smart import SmartTraceGenerator
-from repro.sim.events import Simulation, SimulationError
 from repro.sim.lifetime import (
     DiskEvent,
     LifetimeConfig,
@@ -30,33 +29,6 @@ class TestDiskEvent:
     def test_false_alarm_and_miss_are_legal(self):
         assert DiskEvent(0, None, 5.0).fail_day is None
         assert DiskEvent(0, 5.0, None).alarm_day is None
-
-
-class TestSimulationSchedule:
-    def test_schedule_at_runs_in_time_order(self):
-        sim = Simulation()
-        seen = []
-        sim.schedule_at(2.0, lambda: seen.append("b"))
-        sim.schedule_at(1.0, lambda: seen.append("a"))
-        sim.run()
-        assert seen == ["a", "b"]
-
-    def test_schedule_in_past_rejected(self):
-        sim = Simulation()
-        sim.schedule_at(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError, match="cannot schedule"):
-            sim.schedule_at(1.0, lambda: None)
-
-    def test_run_until_leaves_later_events_queued(self):
-        sim = Simulation()
-        seen = []
-        sim.schedule_at(1.0, lambda: seen.append(1))
-        sim.schedule_at(10.0, lambda: seen.append(10))
-        assert sim.run_until(5.0) == 5.0
-        assert seen == [1]
-        sim.run()
-        assert seen == [1, 10]
 
 
 class TestWeibullProcess:

@@ -73,17 +73,14 @@ PUBLIC_API = [
     "ObjectManifest",
     "ObjectStore",
     "TrafficArbiter",
-    # simulator backend
+    # plan timer and lifetime studies
     "LifetimeConfig",
     "LifetimeReport",
-    "RepairSimulator",
-    "ShardedRepairResult",
     "TraceReplayProcess",
     "WeibullFailureProcess",
     "durability_study",
+    "evaluate_plan",
     "run_lifetime",
-    "simulate_repair",
-    "simulate_sharded_repair",
     # observability
     "MetricsRegistry",
     "Tracer",

@@ -2,7 +2,7 @@
 
 These tests wire the substrates together the way the paper's system
 does: SMART telemetry -> failure predictor -> STF flag -> FastPR plan ->
-simulated or emulated execution -> metadata update -> rebalance.
+cost-model timing or emulated execution -> metadata update -> rebalance.
 """
 
 import pytest
@@ -13,8 +13,8 @@ from repro import (
     MigrationOnlyPlanner,
     ReconstructionOnlyPlanner,
     RepairScenario,
+    evaluate_plan,
     make_codec,
-    simulate_repair,
 )
 from repro.cluster import Rebalancer, StorageCluster, placement_balance
 from repro.core import apply_plan
@@ -23,7 +23,6 @@ from repro.failure import (
     LogisticPredictor,
     SmartTraceGenerator,
 )
-from repro.sim import evaluate_plan
 
 
 class TestPredictiveMaintenancePipeline:
@@ -97,7 +96,7 @@ class TestRepairThenRebalance:
 
 
 class TestRuntimeAgainstSimulator:
-    """The emulated testbed's bytes match plans the simulator times."""
+    """The emulated testbed moves the bytes the cost model charges."""
 
     def test_same_plan_runs_on_both_substrates(self, tmp_path):
         cluster = StorageCluster.random(
@@ -115,15 +114,15 @@ class TestRuntimeAgainstSimulator:
         if cluster.load_of(0) == 0:
             pytest.skip("seed gave the STF node no chunks")
         plan = FastPRPlanner(seed=0).plan(cluster, 0)
-        sim_result = simulate_repair(cluster, plan)
+        model = evaluate_plan(cluster, plan)
         with EmulatedTestbed(
             cluster, make_codec("rs(5,3)"), workdir=tmp_path
         ) as testbed:
             testbed.load_random_data(seed=81)
             run_result = testbed.execute(plan)
             testbed.verify_plan(plan)
-        assert run_result.chunks_repaired == sim_result.chunks_repaired
-        assert run_result.bytes_transferred == sim_result.bytes_transferred
+        assert run_result.chunks_repaired == model.chunks_repaired
+        assert run_result.bytes_transferred == model.bytes_transferred
 
     def test_lrc_repair_on_testbed(self, tmp_path):
         """LRC local repair end-to-end: XOR streaming decode, verified."""
