@@ -11,16 +11,17 @@ Quickstart::
 
     from repro import make_codec, StorageCluster, FastPRPlanner
     from repro import evaluate_plan            # cost-model plan timer
-    from repro import Testbed                  # emulated-runtime backend
+    from repro import EmulatedTestbed          # emulated-runtime backend
 
 The names exported here are the stable public API: planning
 (``FastPRPlanner`` and friends), the plan timer (``evaluate_plan``),
-the one executor (the emulated ``Testbed``/``Coordinator``/
-``RepairAgent`` runtime) with its configuration (``RuntimeConfig``,
-``FaultPlan``), and the observability layer (``MetricsRegistry``,
-``Tracer``).  Deeper module paths (``repro.runtime.transport``, ...)
-are implementation detail and may move between releases;
-``tests/test_api_surface.py`` pins this surface.
+the emulated runtime (``EmulatedTestbed``, ``Coordinator``, ``Agent``)
+with its configuration (``RuntimeConfig``, ``FaultPlan``), and the
+observability layer (``MetricsRegistry``, ``Tracer``).  A repair runs
+through :func:`repro.runtime.driver.run_repair` on any transport, which
+``fastpr repair`` calls.  Deeper module paths
+(``repro.runtime.transport``, ...) are implementation detail and may
+move between releases; ``tests/test_api_surface.py`` pins this surface.
 
 See ``examples/quickstart.py`` for a runnable tour.
 """
@@ -49,6 +50,7 @@ from .core import (
     split_plan,
     stagger_concurrent_plans,
 )
+from .core.plan import PIPELINING_MODES, apply_pipelining
 from .gateway import (
     GatewayError,
     GatewayServer,
@@ -77,12 +79,6 @@ from .runtime import (
     ShardFailedError,
     TakeoverEvent,
 )
-from .session import (
-    PIPELINING_MODES,
-    RepairSession,
-    RepairSummary,
-    apply_pipelining,
-)
 from .sim import (
     LifetimeConfig,
     LifetimeReport,
@@ -92,11 +88,6 @@ from .sim import (
     evaluate_plan,
     run_lifetime,
 )
-
-# Stable aliases: the paper talks about "the testbed" and "repair
-# agents"; the implementation classes carry their historical names.
-Testbed = EmulatedTestbed
-RepairAgent = Agent
 
 __version__ = "1.0.0"
 
@@ -135,7 +126,6 @@ __all__ = [
     "FaultPlan",
     "MultiCoordinator",
     "MultiRepairResult",
-    "RepairAgent",
     "RepairDaemon",
     "RepairFailedError",
     "RuntimeConfig",
@@ -144,11 +134,8 @@ __all__ = [
     "TakeoverEvent",
     "ShmNetwork",
     "TcpNetwork",
-    "Testbed",
-    # unified repair-session front door
+    # plan strategy rewrite
     "PIPELINING_MODES",
-    "RepairSession",
-    "RepairSummary",
     "apply_pipelining",
     # client-facing object gateway
     "GatewayError",

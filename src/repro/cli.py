@@ -47,6 +47,7 @@ and ``-o/--output`` writes the command's primary artifact to a file.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import List, Optional
@@ -54,6 +55,11 @@ from typing import List, Optional
 from .bench.experiments import ALL_EXPERIMENTS
 
 _FIGURE_WORDS = set(ALL_EXPERIMENTS) | {"all", "list"}
+
+
+class UsageError(Exception):
+    """A bad invocation: :func:`main` prints the message on one line
+    and exits 2, before any repair, journal or process exists."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the stripe space across N coordinators, each with "
         "its own journal and epoch; a crashed shard's ownership hands "
         "off to a survivor (with --journal naming the journal "
-        "directory when N > 1; in-memory runs keep theirs under "
-        "<workdir>/shards and reject --journal)",
+        "directory when N > 1, default <workdir>/shards)",
     )
     repair.add_argument(
         "--racks",
@@ -609,20 +614,13 @@ def _cmd_figures(args) -> int:
         for name in ALL_EXPERIMENTS:
             print(run_experiment(name, args.runs, args.seed, collected))
     elif args.experiment not in ALL_EXPERIMENTS:
-        print(
-            f"unknown experiment {args.experiment!r}; try 'list'",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"unknown experiment {args.experiment!r}; try 'list'")
     else:
         print(run_experiment(args.experiment, args.runs, args.seed, collected))
     if args.output is not None:
-        import json as json_mod
-
-        with open(args.output, "w") as f:
-            json_mod.dump(
-                [experiment.to_dict() for experiment in collected], f, indent=2
-            )
+        _write_json(
+            args.output, [experiment.to_dict() for experiment in collected]
+        )
         print(f"wrote {len(collected)} experiment(s) to {args.output}")
     return 0
 
@@ -635,9 +633,14 @@ def _cmd_figures(args) -> int:
 def _cmd_snapshot(args) -> int:
     from .cluster import StorageCluster
     from .cluster import snapshot as snapshot_mod
-    from .ec import make_codec
+    from .ec import ReedSolomonCodec
 
-    codec = make_codec(args.code)
+    codec = _make_codec(args.code)
+    if not isinstance(codec, ReedSolomonCodec):
+        # A snapshot stores no code; every reader rebuilds rs(n, k).
+        raise UsageError(
+            f"snapshot stripes are rs(n,k); got --code {args.code!r}"
+        )
     extra = {}
     if args.chunk_size is not None:
         extra["chunk_size"] = args.chunk_size
@@ -658,7 +661,6 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .cluster import snapshot as snapshot_mod
     from .core.plan import RepairScenario
     from .core.planner import (
         FastPRPlanner,
@@ -667,13 +669,9 @@ def _cmd_plan(args) -> int:
     )
     from .sim.cost_model import evaluate_plan
 
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     scenario = RepairScenario(args.scenario)
-    node = cluster.node(args.stf)
-    if node.is_failed:
-        print(f"node {args.stf} already failed", file=sys.stderr)
-        return 2
-    node.mark_soon_to_fail()
+    _mark_stf(cluster, args.stf)
     chunks = cluster.load_of(args.stf)
     print(f"{cluster}; STF node {args.stf} stores {chunks} chunks\n")
     print(
@@ -697,12 +695,39 @@ def _cmd_plan(args) -> int:
             f"{result.total_time:>9.1f} {result.time_per_chunk:>8.3f}"
         )
     if args.output is not None:
-        import json as json_mod
-
-        with open(args.output, "w") as f:
-            json_mod.dump(fastpr_plan.to_dict(), f, indent=2)
+        _write_json(args.output, fastpr_plan.to_dict())
         print(f"\nwrote FastPR plan to {args.output}")
     return 0
+
+
+def _write_json(path, document) -> None:
+    with open(path, "w") as f:
+        json.dump(document, f, indent=2)
+
+
+def _read_json(flag: str, path: str, parse):
+    """``parse`` of the JSON file named by ``flag``; a missing file or a
+    document ``parse`` rejects is a :class:`UsageError`."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {flag}: {exc}") from None
+
+
+def _load_snapshot(path: str):
+    from .cluster import snapshot as snapshot_mod
+
+    return _read_json("--snapshot", path, snapshot_mod.from_dict)
+
+
+def _make_codec(spec: str):
+    from .ec import make_codec
+
+    try:
+        return make_codec(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad --code {spec!r}: {exc}") from None
 
 
 def _infer_codec(cluster):
@@ -710,93 +735,177 @@ def _infer_codec(cluster):
 
     stripes = list(cluster.stripes())
     if not stripes:
-        raise SystemExit("snapshot has no stripes; nothing to repair")
+        raise UsageError("snapshot has no stripes; nothing to repair")
     first = stripes[0]
     return make_codec(f"rs({first.n},{first.k})")
 
 
-def _cmd_repair(args) -> int:
-    import json as json_mod
+def _mark_stf(cluster, node_id: int) -> None:
+    """Flag ``--stf`` soon-to-fail; it must be a live node."""
+    from .cluster.cluster import ClusterError
 
-    from .cluster import snapshot as snapshot_mod
-    from .core.plan import RepairScenario
+    try:
+        node = cluster.node(node_id)
+    except ClusterError as exc:
+        raise UsageError(f"bad --stf: {exc}") from None
+    if node.is_failed:
+        raise UsageError(f"node {node_id} already failed")
+    node.mark_soon_to_fail()
+
+
+def _load_runtime_config(path):
+    """Load a RuntimeConfig JSON file, or None when no path given."""
+    from .runtime import RuntimeConfig
+
+    if path is None:
+        return None
+    return _read_json("--config", path, RuntimeConfig.from_dict)
+
+
+def _load_fault_plan(path, cluster):
+    """Load a FaultPlan JSON file against ``cluster``'s node set, or
+    None when no path given."""
+    from .runtime import FaultPlan
+
+    if path is None:
+        return None
+    return _read_json(
+        "--fault-plan",
+        path,
+        lambda document: FaultPlan.from_dict(document, node_ids=cluster.nodes),
+    )
+
+
+def _parse_peers(spec: str):
+    from .net import PeerSpecError, parse_peer_spec
+
+    try:
+        return parse_peer_spec(spec)
+    except PeerSpecError as exc:
+        raise UsageError(f"bad --peers: {exc}") from None
+
+
+def _require_shm() -> None:
+    from .net import shm_available
+
+    if not shm_available():
+        raise UsageError("shared-memory transport needs POSIX shm + flock")
+
+
+def _check_repair_invocation(args) -> None:
+    """Reject a ``fastpr repair`` flag mix that cannot run."""
+    if args.coordinators < 1:
+        raise UsageError("--coordinators must be >= 1")
+    if args.transport == "memory" and args.peers is not None:
+        raise UsageError("--peers only applies to --transport tcp")
+    if args.transport == "tcp" and args.peers is None:
+        raise UsageError("--transport tcp needs --peers")
+    if args.transport != "memory" and args.workdir is None:
+        raise UsageError(f"--transport {args.transport} needs --workdir")
+    if args.transport == "shm":
+        if args.coordinators > 1:
+            # The hole is on the agent side: it has no route to the
+            # coordinator<k> endpoints (a tcp agent's peer spec spells
+            # them out).
+            raise UsageError(
+                "--transport shm runs a single coordinator (shm agents "
+                "derive their peers from the workdir and know no shard "
+                "count); use --transport tcp for sharded repair"
+            )
+        _require_shm()
+    if args.resume:
+        if args.journal is None:
+            raise UsageError("--resume needs --journal")
+        if args.coordinators > 1:
+            raise UsageError(
+                "--resume applies to single-coordinator runs; sharded "
+                "runs recover crashed shards internally"
+            )
+
+
+def _cmd_repair(args) -> int:
+    from contextlib import ExitStack
+    from pathlib import Path
+
+    from .core.plan import RepairScenario, apply_pipelining
     from .core.planner import FastPRPlanner
     from .obs import MetricsRegistry, Tracer
-    from .runtime import FaultPlan
-    from .runtime.driver import VerificationError
-    from .session import RepairSession
+    from .runtime import Scrubber
+    from .runtime.coordinator import COORDINATOR_ID
+    from .runtime.driver import RepairDriver, VerificationError, run_repair
+    from .runtime.testbed import EmulatedTestbed
 
+    _check_repair_invocation(args)
+    peers = _parse_peers(args.peers) if args.peers is not None else None
     config = _load_runtime_config(args.config)
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
-    node = cluster.node(args.stf)
-    if node.is_failed:
-        print(f"node {args.stf} already failed", file=sys.stderr)
-        return 2
-    node.mark_soon_to_fail()
-    faults = None
-    if args.fault_plan is not None:
-        with open(args.fault_plan) as f:
-            try:
-                faults = FaultPlan.from_dict(
-                    json_mod.load(f), node_ids=cluster.nodes
-                )
-            except ValueError as exc:
-                print(f"bad --fault-plan: {exc}", file=sys.stderr)
-                return 2
+    _mark_stf(cluster, args.stf)
+    faults = _load_fault_plan(args.fault_plan, cluster)
     topology = None
     if args.racks is not None:
         from .cluster.topology import RackTopology
 
         topology = RackTopology.uniform(sorted(cluster.nodes), args.racks)
-    if args.transport == "shm":
-        from .net import shm_available
-
-        if not shm_available():
-            print(
-                "shared-memory transport needs POSIX shm + flock",
-                file=sys.stderr,
-            )
-            return 2
     plan = FastPRPlanner(
         scenario=RepairScenario(args.scenario), seed=args.seed
     ).plan(cluster, args.stf)
     plan.validate(cluster)
     print(plan.summary())
+    sharded = args.coordinators > 1
     metrics = MetricsRegistry()
     tracer = Tracer()
+    common = dict(
+        packet_size=args.packet_size,
+        config=config,
+        journal_path=None if sharded else args.journal,
+        metrics=metrics,
+        tracer=tracer,
+        faults=faults,
+        topology=topology,
+    )
     try:
-        # The session builder is the single validator for transport /
-        # coordinators / pipelining combinations: a bad mix fails here,
-        # before any process, journal or data load exists.
-        session = RepairSession(
-            cluster,
-            codec,
-            plan,
-            transport=args.transport,
-            coordinators=args.coordinators,
-            pipelining=args.pipelining,
-            peers=args.peers,
-            workdir=args.workdir,
-            seed=args.seed,
-            config=config,
-            packet_size=args.packet_size,
-            journal_path=args.journal if args.coordinators <= 1 else None,
-            journal_dir=args.journal if args.coordinators > 1 else None,
-            faults=faults,
-            topology=topology,
-            metrics=metrics,
-            tracer=tracer,
-            resume=args.resume,
-            agent_timeout=args.agent_timeout,
-            scrub=True,
-            log=print,
-        )
-    except ValueError as exc:
-        print(f"bad repair invocation: {exc}", file=sys.stderr)
-        return 2
-    try:
-        summary = session.run()
+        with ExitStack() as stack:
+            # Who hosts the agents is the one thing the transport picks:
+            # threads of this process, or agent processes on a wire.
+            if args.transport == "memory":
+                driver = stack.enter_context(
+                    EmulatedTestbed(cluster, codec, workdir=args.workdir, **common)
+                )
+            else:
+                from .net.launch import open_network
+
+                network = open_network(
+                    args.transport,
+                    COORDINATOR_ID,
+                    peers=peers,
+                    workdir=Path(args.workdir),
+                    peer_ids=cluster.nodes,
+                    config=config,
+                    metrics=metrics,
+                )
+                stack.callback(network.close)
+                driver = RepairDriver(
+                    network, cluster, codec, Path(args.workdir), **common
+                )
+            driver.load_random_data(seed=args.seed)
+            result, verified, restarts = run_repair(
+                driver,
+                apply_pipelining(plan, args.pipelining),
+                coordinators=args.coordinators,
+                journal_dir=args.journal if sharded else None,
+                resume=args.resume,
+                agent_timeout=args.agent_timeout,
+                log=print,
+                # The scrub reads every store: a node the plan never
+                # touches must have finished loading its data too.
+                await_nodes=[
+                    node_id
+                    for node_id in cluster.nodes
+                    if not cluster.node(node_id).is_failed
+                ],
+            )
+            report = Scrubber(driver).scan()
     except VerificationError as exc:
         # Verification failure must surface as a non-zero exit with the
         # full list of mismatching chunk ids, never a silent success.
@@ -818,40 +927,47 @@ def _cmd_repair(args) -> int:
     if args.trace_out is not None:
         tracer.save(args.trace_out)
         print(f"wrote trace to {args.trace_out}")
-    report = summary.scrub_report
-    recovered = getattr(summary.result, "recovered_chunks", 0)
     if args.output is not None:
-        document = {
-            "version": 1,
-            **summary.to_dict(),
-            "recovered_chunks": recovered,
-            "converted_migrations": getattr(
-                summary.result, "converted_migrations", 0
-            ),
-            "scrub": {
-                "chunks_checked": report.chunks_checked,
-                "corrupt": len(report.corrupt),
+        _write_json(
+            args.output,
+            {
+                "version": 1,
+                "transport": args.transport,
+                "coordinators": args.coordinators,
+                "pipelining": args.pipelining,
+                "total_time_s": result.total_time,
+                "round_times_s": list(result.round_times),
+                "chunks_repaired": result.chunks_repaired,
+                "chunks_verified": verified,
+                "bytes_transferred": result.bytes_transferred,
+                "retries": result.retries,
+                "replans": result.replans,
+                "nacks": result.nacks,
+                "restarts": restarts,
+                "dead_nodes": list(result.dead_nodes),
+                "recovered_chunks": result.recovered_chunks,
+                "converted_migrations": result.converted_migrations,
+                "scrub": {
+                    "chunks_checked": report.chunks_checked,
+                    "corrupt": len(report.corrupt),
+                },
             },
-        }
-        with open(args.output, "w") as f:
-            json_mod.dump(document, f, indent=2)
+        )
         print(f"wrote run summary to {args.output}")
     fabric = {"tcp": "TCP", "shm": "shared memory"}.get(
         args.transport, "the in-memory fabric"
     )
     detail = ""
-    if args.coordinators > 1:
-        detail = (
-            f" ({args.coordinators} coordinators, {summary.restarts} takeovers)"
-        )
+    if sharded:
+        detail = f" ({args.coordinators} coordinators, {restarts} takeovers)"
     if args.pipelining != "off":
         detail += f" pipelining={args.pipelining}"
     print(
-        f"repaired {summary.chunks_repaired} chunks over {fabric} in "
-        f"{summary.total_time:.2f}s (+{recovered} recovered, "
-        f"{len(summary.round_times)} rounds){detail}; "
-        f"retries={summary.retries} replans={summary.replans} "
-        f"coordinator_restarts={summary.restarts}"
+        f"repaired {result.chunks_repaired} chunks over {fabric} in "
+        f"{result.total_time:.2f}s (+{result.recovered_chunks} recovered, "
+        f"{len(result.round_times)} rounds){detail}; "
+        f"retries={result.retries} replans={result.replans} "
+        f"coordinator_restarts={restarts}"
     )
     print(
         f"post-repair scrub: {report.chunks_checked} chunks checked, "
@@ -865,93 +981,50 @@ def _cmd_repair(args) -> int:
         )
     if not report.clean:
         return 1
-    print(f"{summary.chunks_verified} chunks verified byte-identical")
+    print(f"{verified} chunks verified byte-identical")
     return 0
-
-
-def _load_runtime_config(path):
-    """Load a RuntimeConfig JSON file, or None when no path given."""
-    if path is None:
-        return None
-    import json as json_mod
-
-    from .runtime import RuntimeConfig
-
-    with open(path) as f:
-        return RuntimeConfig.from_dict(json_mod.load(f))
 
 
 def _wire_arguments(args, shm_peer_ids):
     """``--transport/--listen/--peers/--workdir`` as ``open_network`` keywords.
 
-    Returns None, after printing why, when the flags do not add up to a
-    network.  ``shm_peer_ids`` are the endpoints a shm process should
-    register (a tcp process is told by its peer spec).
+    ``shm_peer_ids`` are the endpoints a shm process should register (a
+    tcp process is told by its peer spec).
     """
     from pathlib import Path
 
-    from .net import PeerSpecError, parse_peer_spec, shm_available
-
     if args.transport == "shm":
-        if not shm_available():
-            print(
-                "shared-memory transport needs POSIX shm + flock",
-                file=sys.stderr,
-            )
-            return None
+        _require_shm()
         return {"workdir": Path(args.workdir), "peer_ids": shm_peer_ids}
     if args.peers is None or args.listen is None:
-        print(
-            "--transport tcp needs --listen and --peers", file=sys.stderr
-        )
-        return None
-    try:
-        peers = parse_peer_spec(args.peers)
-    except PeerSpecError as exc:
-        print(f"bad --peers: {exc}", file=sys.stderr)
-        return None
+        raise UsageError("--transport tcp needs --listen and --peers")
+    peers = _parse_peers(args.peers)
     host, sep, port = args.listen.rpartition(":")
-    if not sep:
-        print("--listen must be host:port", file=sys.stderr)
-        return None
+    if not sep or not port.isdigit():
+        raise UsageError(f"--listen must be host:port, got {args.listen!r}")
     return {"peers": peers, "listen": (host, int(port))}
 
 
 def _cmd_agent(args) -> int:
-    import json as json_mod
     from pathlib import Path
 
-    from .cluster import snapshot as snapshot_mod
     from .ec.galois import KERNEL
     from .gateway import CLIENT_ID, GATEWAY_ID
     from .net import run_agent_process
     from .net.launch import open_network
-    from .runtime import FaultPlan
     from .runtime.coordinator import COORDINATOR_ID
 
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
-    faults = None
-    if args.fault_plan is not None:
-        with open(args.fault_plan) as f:
-            try:
-                faults = FaultPlan.from_dict(
-                    json_mod.load(f), node_ids=cluster.nodes
-                )
-            except ValueError as exc:
-                print(f"bad --fault-plan: {exc}", file=sys.stderr)
-                return 2
+    faults = _load_fault_plan(args.fault_plan, cluster)
     # Rings attach lazily, so a shm agent registers the gateway/client
     # endpoints unconditionally — chunk RPC replies reach them when a
     # gateway happens to share the workdir, and cost nothing otherwise.
     wire = _wire_arguments(
         args, list(cluster.nodes) + [COORDINATOR_ID, GATEWAY_ID, CLIENT_ID]
     )
-    if wire is None:
-        return 2
     if "peers" in wire and COORDINATOR_ID not in wire["peers"]:
-        print("--peers must include coordinator=host:port", file=sys.stderr)
-        return 2
+        raise UsageError("--peers must include coordinator=host:port")
     config = _load_runtime_config(args.config)
     print(
         f"agent {args.node} starting over {args.transport} "
@@ -975,11 +1048,7 @@ def _cmd_agent(args) -> int:
 
 def _cmd_gateway(args) -> int:
     if args.gateway_command is None:
-        print(
-            "gateway needs a subcommand: serve, put or get",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("gateway needs a subcommand: serve, put or get")
     if args.gateway_command == "serve":
         return _cmd_gateway_serve(args)
     return _cmd_gateway_client(args)
@@ -989,17 +1058,14 @@ def _cmd_gateway_serve(args) -> int:
     import time as time_mod
     from pathlib import Path
 
-    from .cluster import snapshot as snapshot_mod
     from .ec.galois import KERNEL
     from .gateway import CLIENT_ID, GATEWAY_ID, GatewayServer, TrafficArbiter
     from .net.launch import open_network
 
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
     workdir = Path(args.workdir)
     wire = _wire_arguments(args, list(cluster.nodes) + [CLIENT_ID])
-    if wire is None:
-        return 2
     network = open_network(args.transport, GATEWAY_ID, **wire)
     arbiter = TrafficArbiter(
         cluster.network_bandwidth, client_floor=args.client_floor
@@ -1041,8 +1107,6 @@ def _cmd_gateway_client(args) -> int:
     from .net.launch import open_network
 
     wire = _wire_arguments(args, [GATEWAY_ID])
-    if wire is None:
-        return 2
     network = open_network(args.transport, CLIENT_ID, **wire)
     client = ObjectClient(network, timeout=args.timeout)
     try:
@@ -1080,11 +1144,10 @@ def _cmd_gateway_client(args) -> int:
 def _cmd_scrub(args) -> int:
     import random as random_mod
 
-    from .cluster import snapshot as snapshot_mod
     from .runtime import Scrubber
     from .runtime.testbed import EmulatedTestbed
 
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
     testbed = EmulatedTestbed(cluster, codec)
     with testbed:
@@ -1101,19 +1164,21 @@ def _cmd_scrub(args) -> int:
         report = Scrubber(testbed).scrub()
         if args.output is not None:
             import dataclasses
-            import json as json_mod
 
-            document = {
-                "version": 1,
-                "chunks_checked": report.chunks_checked,
-                "corrupt": [dataclasses.asdict(c) for c in report.corrupt],
-                "repaired": [dataclasses.asdict(c) for c in report.repaired],
-                "unrepairable": [
-                    dataclasses.asdict(c) for c in report.unrepairable
-                ],
-            }
-            with open(args.output, "w") as f:
-                json_mod.dump(document, f, indent=2)
+            _write_json(
+                args.output,
+                {
+                    "version": 1,
+                    "chunks_checked": report.chunks_checked,
+                    "corrupt": [dataclasses.asdict(c) for c in report.corrupt],
+                    "repaired": [
+                        dataclasses.asdict(c) for c in report.repaired
+                    ],
+                    "unrepairable": [
+                        dataclasses.asdict(c) for c in report.unrepairable
+                    ],
+                },
+            )
             print(f"wrote scrub report to {args.output}")
         print(
             f"scrubbed {report.chunks_checked} chunks: "
@@ -1148,31 +1213,29 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
+def _predictor(model: str, seed: int, traces):
+    """The ``--model`` failure predictor, trained on ``traces``."""
+    from .failure import CartPredictor, LogisticPredictor, ThresholdPredictor
+
+    try:
+        if model == "logistic":
+            return LogisticPredictor(seed=seed).fit(traces)
+        if model == "cart":
+            return CartPredictor().fit(traces)
+        return ThresholdPredictor()
+    except ValueError as exc:
+        raise UsageError(f"training failed: {exc}") from None
+
+
 def _cmd_predict(args) -> int:
-    from .failure import (
-        CartPredictor,
-        LogisticPredictor,
-        ThresholdPredictor,
-        evaluate,
-        load_traces,
-    )
+    from .failure import evaluate, load_traces
 
     traces = load_traces(args.fleet)
     split = int(len(traces) * args.train_fraction)
     train, test = traces[:split], traces[split:]
     if not train or not test:
-        print("fleet too small to split", file=sys.stderr)
-        return 2
-    try:
-        if args.model == "logistic":
-            predictor = LogisticPredictor(seed=args.seed).fit(train)
-        elif args.model == "cart":
-            predictor = CartPredictor().fit(train)
-        else:
-            predictor = ThresholdPredictor()
-    except ValueError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError("fleet too small to split")
+    predictor = _predictor(args.model, args.seed, train)
     metrics = evaluate(predictor, test)
     print(
         f"model: {args.model}; disks: {len(train)} train / {len(test)} test\n"
@@ -1181,67 +1244,41 @@ def _cmd_predict(args) -> int:
         f"mean lead={metrics.mean_lead_days:.1f} days"
     )
     if args.output is not None:
-        import json as json_mod
-
-        document = {
-            "version": 1,
-            "model": args.model,
-            "train_disks": len(train),
-            "test_disks": len(test),
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "false_alarm_rate": metrics.false_alarm_rate,
-            "mean_lead_days": metrics.mean_lead_days,
-        }
-        with open(args.output, "w") as f:
-            json_mod.dump(document, f, indent=2)
+        _write_json(
+            args.output,
+            {
+                "version": 1,
+                "model": args.model,
+                "train_disks": len(train),
+                "test_disks": len(test),
+                "precision": metrics.precision,
+                "recall": metrics.recall,
+                "false_alarm_rate": metrics.false_alarm_rate,
+                "mean_lead_days": metrics.mean_lead_days,
+            },
+        )
         print(f"wrote evaluation metrics to {args.output}")
     return 0
 
 
 def _cmd_daemon(args) -> int:
-    import json as json_mod
+    from functools import partial
     from pathlib import Path
 
-    from .cluster import snapshot as snapshot_mod
     from .core.plan import RepairScenario
-    from .failure import (
-        CartPredictor,
-        ClusterFailureMonitor,
-        LogisticPredictor,
-        ThresholdPredictor,
-        load_traces,
-    )
-    from .runtime import CoordinatorCrash, FaultPlan
+    from .failure import ClusterFailureMonitor, load_traces
+    from .runtime import CoordinatorCrash
     from .runtime.daemon import DaemonCrash, RepairDaemon
     from .runtime.testbed import EmulatedTestbed
 
-    cluster = snapshot_mod.load(args.snapshot)
+    cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
     traces = load_traces(args.fleet)
     storage_nodes = cluster.storage_node_ids()
     if len(traces) > len(storage_nodes):
         traces = traces[: len(storage_nodes)]
-    try:
-        if args.model == "logistic":
-            predictor = LogisticPredictor(seed=args.seed).fit(traces)
-        elif args.model == "cart":
-            predictor = CartPredictor().fit(traces)
-        else:
-            predictor = ThresholdPredictor()
-    except ValueError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 2
-    faults = None
-    if args.fault_plan is not None:
-        with open(args.fault_plan) as f:
-            try:
-                faults = FaultPlan.from_dict(
-                    json_mod.load(f), node_ids=cluster.nodes
-                )
-            except ValueError as exc:
-                print(f"bad --fault-plan: {exc}", file=sys.stderr)
-                return 2
+    predictor = _predictor(args.model, args.seed, traces)
+    faults = _load_fault_plan(args.fault_plan, cluster)
     testbed = EmulatedTestbed(
         cluster,
         codec,
@@ -1252,18 +1289,20 @@ def _cmd_daemon(args) -> int:
         Path(args.journal) if args.journal else testbed.workdir / "daemon.journal"
     )
     monitor = ClusterFailureMonitor(cluster, traces, predictor)
+    new_daemon = partial(
+        RepairDaemon,
+        testbed,
+        monitor,
+        journal_path=journal_path,
+        scenario=RepairScenario(args.scenario),
+        seed=args.seed,
+        helper_budget=args.helper_budget,
+        scrub_interval_days=args.scrub_interval,
+    )
     crashes = 0
     with testbed:
         testbed.load_random_data(seed=args.seed)
-        daemon = RepairDaemon(
-            testbed,
-            monitor,
-            journal_path=journal_path,
-            scenario=RepairScenario(args.scenario),
-            seed=args.seed,
-            helper_budget=args.helper_budget,
-            scrub_interval_days=args.scrub_interval,
-        )
+        daemon = new_daemon()
         # Supervised loop: an injected daemon/coordinator death is
         # survived by a successor on the same journals — the always-on
         # property the deployment story needs.
@@ -1276,15 +1315,7 @@ def _cmd_daemon(args) -> int:
                 crashes += 1
                 print(f"daemon died ({crash}); restarting from journal")
                 daemon.close()
-                daemon = RepairDaemon(
-                    testbed,
-                    monitor,
-                    journal_path=journal_path,
-                    scenario=RepairScenario(args.scenario),
-                    seed=args.seed,
-                    helper_budget=args.helper_budget,
-                    scrub_interval_days=args.scrub_interval,
-                )
+                daemon = new_daemon()
         daemon.close()
     print(
         f"daemon observed {daemon.next_day} days: "
@@ -1298,26 +1329,24 @@ def _cmd_daemon(args) -> int:
         testbed.metrics.save(args.metrics_out)
         print(f"wrote metrics to {args.metrics_out}")
     if args.output is not None:
-        document = {
-            "version": 1,
-            "days_observed": daemon.next_day,
-            "stf_events": len(report.stf_events),
-            "suppressed_alarms": len(report.suppressed_alarms),
-            "missed_failures": len(report.missed_failures),
-            "repairs_completed": daemon.completed_tasks,
-            "queue_depth": daemon.queue_depth,
-            "restarts": crashes,
-        }
-        with open(args.output, "w") as f:
-            json_mod.dump(document, f, indent=2)
+        _write_json(
+            args.output,
+            {
+                "version": 1,
+                "days_observed": daemon.next_day,
+                "stf_events": len(report.stf_events),
+                "suppressed_alarms": len(report.suppressed_alarms),
+                "missed_failures": len(report.missed_failures),
+                "repairs_completed": daemon.completed_tasks,
+                "queue_depth": daemon.queue_depth,
+                "restarts": crashes,
+            },
+        )
         print(f"wrote daemon report to {args.output}")
     return 0
 
 
 def _cmd_lifetime(args) -> int:
-    import json as json_mod
-
-    from .ec import make_codec
     from .failure import SmartTraceGenerator, ThresholdPredictor, load_traces
     from .sim.lifetime import (
         LifetimeConfig,
@@ -1326,7 +1355,7 @@ def _cmd_lifetime(args) -> int:
         durability_study,
     )
 
-    codec = make_codec(args.code)
+    codec = _make_codec(args.code)
     config = LifetimeConfig(
         num_disks=args.disks,
         num_stripes=args.stripes,
@@ -1368,15 +1397,16 @@ def _cmd_lifetime(args) -> int:
                 f"max queue={summary['max_queue_depth']}"
             )
     if args.output is not None:
-        document = {
-            "version": 1,
-            "trials": args.trials,
-            "years": args.years,
-            "code": args.code,
-            "processes": entries,
-        }
-        with open(args.output, "w") as f:
-            json_mod.dump(document, f, indent=2)
+        _write_json(
+            args.output,
+            {
+                "version": 1,
+                "trials": args.trials,
+                "years": args.years,
+                "code": args.code,
+                "processes": entries,
+            },
+        )
         print(f"wrote durability study to {args.output}")
     return 0
 
@@ -1394,8 +1424,7 @@ def _cmd_report(args) -> int:
         trace, metrics_doc = load_report_inputs(args.trace, args.metrics)
         breakdown = breakdown_from_trace(trace)
     except (OSError, TraceError, ValueError) as exc:
-        print(f"cannot build report: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot build report: {exc}") from None
     print(render_breakdown(breakdown))
     if metrics_doc is not None:
         summary = metrics_summary(metrics_doc)
@@ -1403,10 +1432,7 @@ def _cmd_report(args) -> int:
             print("\nmetrics:")
             print(summary)
     if args.output is not None:
-        import json as json_mod
-
-        with open(args.output, "w") as f:
-            json_mod.dump(breakdown.to_dict(), f, indent=2)
+        _write_json(args.output, breakdown.to_dict())
         print(f"\nwrote breakdown to {args.output}")
     return 0
 
@@ -1435,7 +1461,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lifetime": _cmd_lifetime,
         "report": _cmd_report,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

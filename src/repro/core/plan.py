@@ -9,9 +9,10 @@ to its agents (Section V).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Tuple
 
 from ..cluster.chunk import NodeId, StripeId
@@ -281,6 +282,37 @@ class RepairPlan:
             f"rounds={self.num_rounds}, reconstructed={self.reconstructed_chunks}, "
             f"migrated={self.migrated_chunks})"
         )
+
+
+#: how a plan's reconstructions move data (see :func:`apply_pipelining`)
+PIPELINING_MODES = ("off", "chain")
+
+
+def apply_pipelining(plan: RepairPlan, pipelining: str) -> RepairPlan:
+    """Return ``plan`` with every reconstruction's strategy rewritten.
+
+    ``"chain"`` marks each reconstruction ``pipelined=True`` (chained
+    partial-sum streaming); ``"off"`` clears the flag.  Migrations are
+    untouched — they are single-source copies with nothing to chain.
+    The input plan is never mutated (actions are frozen dataclasses).
+    """
+    if pipelining not in PIPELINING_MODES:
+        raise ValueError(
+            f"pipelining must be one of {PIPELINING_MODES}, "
+            f"got {pipelining!r}"
+        )
+    chained = pipelining == "chain"
+    rounds = [
+        RepairRound(
+            index=r.index,
+            reconstructions=[
+                replace(a, pipelined=chained) for a in r.reconstructions
+            ],
+            migrations=list(r.migrations),
+        )
+        for r in plan.rounds
+    ]
+    return dataclasses.replace(plan, rounds=rounds)
 
 
 @dataclass(frozen=True)

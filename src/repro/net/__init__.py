@@ -12,8 +12,7 @@ sockets) and :class:`repro.net.shm.ShmNetwork` (shared-memory rings).
 :mod:`repro.net.launch` holds peer specs, the network factory and the
 one standalone agent runner behind ``fastpr agent`` / ``fastpr gateway``
 / ``fastpr repair --transport tcp|shm``; the repair driver itself is
-transport-blind (:mod:`repro.runtime.driver`) — drive repairs through
-:class:`repro.RepairSession`.
+transport-blind (:func:`repro.runtime.driver.run_repair`).
 """
 
 from .launch import (

@@ -446,8 +446,8 @@ HelperBudget`; when set, each round's helper/destination node slots
         records into a :class:`RecoveredState`, and returns a new
         coordinator one epoch above the highest journaled one.  Call
         :meth:`resume` on the result to finish the repair.  The old
-        coordinator's endpoint must be detached first (the testbed's
-        ``restart_coordinator`` does both).  In a sharded run the
+        coordinator's endpoint must be detached first (the driver's
+        ``build(resume=True)`` does both).  In a sharded run the
         successor assumes the dead shard's identity: same
         ``coordinator_id``, same journal, bumped epoch.
 

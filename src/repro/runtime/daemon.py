@@ -22,7 +22,7 @@ or together with its coordinator
 rebuilding its queue from the journal and calling :meth:`RepairDaemon.resume`:
 completed tasks are never re-executed, the interrupted one is finished
 through coordinator journal recovery
-(:meth:`~repro.runtime.testbed.EmulatedTestbed.restart_coordinator`),
+(:meth:`~repro.runtime.driver.RepairDriver.build` with ``resume=True``),
 and the remainder drains normally, ending in a cluster byte-identical
 to a fault-free run.
 
@@ -433,7 +433,7 @@ class RepairDaemon:
         was started but neither completed nor failed was cut by a
         coordinator (or daemon) death mid-execute: it is finished
         through coordinator journal recovery
-        (``testbed.restart_coordinator()`` + ``testbed.resume()``) when
+        (``testbed.build(resume=True)`` + ``testbed.resume()``) when
         a repair journal exists, else re-executed from scratch.  The
         remaining pending tasks stay queued for :meth:`run` / :meth:`pump`.
         """
@@ -445,7 +445,7 @@ class RepairDaemon:
             self._interrupted.remove(task_id)
             journal_path = self.testbed.journal_path
             if journal_path is not None and Path(journal_path).exists():
-                self.testbed.restart_coordinator()
+                self.testbed.build(resume=True)
                 self.testbed.resume()
                 # The executed plan is reproducible: planner seed and
                 # cluster metadata are unchanged until _finalize.

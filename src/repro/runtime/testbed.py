@@ -31,14 +31,11 @@ from typing import Optional
 
 from ..cluster.cluster import StorageCluster
 from ..cluster.topology import RackTopology
-from ..core.plan import RepairPlan
-from ..core.scheduling import HelperBudget
 from ..ec.codec import ErasureCodec
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .agent import AgentError
 from .config import RuntimeConfig
-from .coordinator import Coordinator
 from .driver import (  # noqa: F401 - what verify_plan raises, for callers
     ChunkMismatch,
     RepairDriver,
@@ -46,8 +43,7 @@ from .driver import (  # noqa: F401 - what verify_plan raises, for callers
     host_agent,
     mismatch_error,
 )
-from .faults import CoordinatorCrashFault, FaultPlan
-from .multicoord import MultiRepairResult
+from .faults import FaultPlan
 from .transport import Network
 
 
@@ -180,31 +176,7 @@ class EmulatedTestbed(RepairDriver):
         # Don't let the teardown error check shadow an in-flight one.
         self.shutdown(check_errors=exc[0] is None)
 
-    # -- the driver's steps under the names callers know ---------------
-
     def _supervised(self, run):
         if not self._started:
             raise RuntimeError("call start() (or use as a context manager) first")
         return super()._supervised(run)
-
-    def kill_coordinator_after(self, records: int) -> None:
-        """Arm a coordinator death right after its ``records``-th
-        journal record (see :meth:`RepairDriver.arm_crash`)."""
-        self.arm_crash(CoordinatorCrashFault(after_records=records))
-
-    def restart_coordinator(self) -> Coordinator:
-        """Replace a crashed coordinator with a recovering successor
-        (one epoch up); call :meth:`resume` to finish the repair."""
-        return self.build(resume=True)
-
-    def execute_sharded(
-        self,
-        plan: RepairPlan,
-        num_coordinators: int = 2,
-        packet_size: Optional[int] = None,
-        budget: Optional[HelperBudget] = None,
-    ) -> MultiRepairResult:
-        """Run a plan under ``num_coordinators`` shard coordinators
-        journaling under ``workdir/shards`` (see :meth:`shard`)."""
-        self.shard(num_coordinators, budget=budget)
-        return self.execute(plan, packet_size=packet_size)

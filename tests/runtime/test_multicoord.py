@@ -141,7 +141,8 @@ class TestShardedRepair:
         cluster, testbed = make_sharded_testbed(tmp_path)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            result = testbed.execute_sharded(plan, num_coordinators=2)
+            testbed.shard(2)
+            result = testbed.execute(plan)
             assert isinstance(result, MultiRepairResult)
             assert result.takeovers == []
             assert not result.degraded
@@ -161,7 +162,8 @@ class TestShardedRepair:
         cluster, testbed = make_sharded_testbed(tmp_path)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            result = testbed.execute_sharded(plan, num_coordinators=3)
+            testbed.shard(3)
+            result = testbed.execute(plan)
             keys = [
                 (a.stripe_id, a.chunk_index) for a in result.executed_actions
             ]
@@ -174,7 +176,8 @@ class TestShardedRepair:
         cluster, testbed = make_sharded_testbed(tmp_path)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            result = testbed.execute_sharded(plan, num_coordinators=1)
+            testbed.shard(1)
+            result = testbed.execute(plan)
             assert set(result.per_shard) == {0}
             testbed.verify_plan(plan, result)
         finally:
@@ -184,9 +187,10 @@ class TestShardedRepair:
         cluster, testbed = make_sharded_testbed(tmp_path)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            testbed.execute_sharded(plan, num_coordinators=2)
+            testbed.shard(2)
+            testbed.execute(plan)
             with pytest.raises(RuntimeError):
-                testbed.execute_sharded(plan, num_coordinators=3)
+                testbed.shard(3)
         finally:
             testbed.shutdown(check_errors=False)
 
@@ -221,7 +225,8 @@ class TestCorrelatedFailures:
         cluster, testbed = make_sharded_testbed(tmp_path, faults=faults)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            result = testbed.execute_sharded(plan, num_coordinators=2)
+            testbed.shard(2)
+            result = testbed.execute(plan)
             # The takeover happened and is visible everywhere it must be.
             assert len(result.takeovers) >= 1
             event = result.takeovers[0]
@@ -263,7 +268,8 @@ class TestCorrelatedFailures:
             )
             try:
                 plan = FastPRPlanner(seed=3).plan(cluster, 0)
-                result = testbed.execute_sharded(plan, num_coordinators=2)
+                testbed.shard(2)
+                result = testbed.execute(plan)
                 testbed.verify_plan(plan, result)
                 plans[label] = {
                     (a.stripe_id, a.chunk_index)
@@ -302,7 +308,8 @@ class TestCorrelatedFailures:
         cluster, testbed = make_sharded_testbed(tmp_path, faults=faults)
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            result = testbed.execute_sharded(plan, num_coordinators=2)
+            testbed.shard(2)
+            result = testbed.execute(plan)
             assert len(result.takeovers) >= 2
             assert [e.shard for e in result.takeovers[:2]] == [1, 1]
             epochs = [e.epoch for e in result.takeovers]

@@ -91,7 +91,7 @@ def run_repair(tmp_path, faults=None):
         except CoordinatorCrash:
             while True:
                 restarts += 1
-                testbed.restart_coordinator()
+                testbed.build(resume=True)
                 try:
                     result = testbed.resume()
                     break

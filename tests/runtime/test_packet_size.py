@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.ec import make_codec
 from repro.net.shm import ShmNetwork, shm_available
-from repro.runtime import CoordinatorCrash, RuntimeConfig
+from repro.runtime import CoordinatorCrash, CoordinatorCrashFault, RuntimeConfig
 from repro.runtime.agent import MAX_PENDING_CHUNKS, Agent, AgentError
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.driver import RepairDriver
@@ -154,7 +154,8 @@ class TestResumeKeepsTheJournaledSize:
         try:
             journaled = testbed.packet_size
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
-            testbed.kill_coordinator_after(2)  # plan + first round start
+            # plan + first round start
+            testbed.arm_crash(CoordinatorCrashFault(after_records=2))
             with pytest.raises(CoordinatorCrash):
                 testbed.execute(plan)
             committed = [
@@ -168,7 +169,7 @@ class TestResumeKeepsTheJournaledSize:
             assert today == CHUNK != journaled
             testbed.packet_size = today  # what a restarted process computes
             network.streams = {}
-            testbed.restart_coordinator()
+            testbed.build(resume=True)
             result = testbed.resume()
             testbed.verify_plan(plan, result)
         finally:

@@ -364,10 +364,10 @@ class TestKillAndResume:
         try:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
             plan.validate(cluster)
-            testbed.kill_coordinator_after(3)
+            testbed.arm_crash(CoordinatorCrashFault(after_records=3))
             with pytest.raises(CoordinatorCrash):
                 testbed.execute(plan)
-            successor = testbed.restart_coordinator()
+            successor = testbed.build(resume=True)
             assert successor.epoch == 1
             result = testbed.resume()
             assert result.chunks_repaired + result.recovered_chunks == (
@@ -385,7 +385,7 @@ class TestKillAndResume:
             plan = FastPRPlanner(seed=3).plan(cluster, 0)
             testbed.execute(plan)
             transferred = testbed.network.bytes_transferred
-            testbed.restart_coordinator()
+            testbed.build(resume=True)
             result = testbed.resume()
             assert result.chunks_repaired == 0
             assert result.recovered_chunks == plan.total_chunks
@@ -414,13 +414,13 @@ class TestKillAndResume:
         testbed.load_random_data(seed=2)  # different bytes this time
         try:
             second = FastPRPlanner(seed=3).plan(cluster, 0)
-            testbed.kill_coordinator_after(3)
+            testbed.arm_crash(CoordinatorCrashFault(after_records=3))
             with pytest.raises(CoordinatorCrash):
                 testbed.execute(second)
             # execute() truncated the leftover: the journal holds only
             # this run's records, not the finished first repair's.
             assert len(RepairJournal.replay(journal_path)) == 3
-            testbed.restart_coordinator()
+            testbed.build(resume=True)
             result = testbed.resume()
             # The repaired bytes are seed=2's, proving recovery never
             # trusted the first run's journaled completions.
@@ -443,7 +443,7 @@ class TestKillAndResume:
                 isinstance(r, RoundCompleted) and r.round_index == 0
                 for r in replayed
             )
-            testbed.restart_coordinator()
+            testbed.build(resume=True)
             result = testbed.resume()
             testbed.verify_plan(plan, result)
             assert_no_double_execution(testbed)
@@ -463,11 +463,11 @@ class TestCrashPointSweep:
             cluster, testbed = make_testbed(run_dir)
             try:
                 swept = FastPRPlanner(seed=3).plan(cluster, 0)
-                testbed.kill_coordinator_after(n)
+                testbed.arm_crash(CoordinatorCrashFault(after_records=n))
                 with pytest.raises(CoordinatorCrash) as crash:
                     testbed.execute(swept)
                 assert crash.value.records_written == n
-                testbed.restart_coordinator()
+                testbed.build(resume=True)
                 result = testbed.resume()
                 assert result.chunks_repaired + result.recovered_chunks == (
                     swept.total_chunks

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import RepairSession, apply_pipelining
+from repro import apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.plan import RepairMethod
 from repro.core.planner import (
@@ -42,8 +42,6 @@ from repro.core.scheduling import ingress_streams, order_chain
 from repro.ec import make_codec
 from repro.ec.galois import gf_addmul_bytes
 from repro.runtime import (
-    CoordinatorCrash,
-    CoordinatorCrashFault,
     CrashFault,
     FaultInjector,
     FaultPlan,
@@ -770,107 +768,6 @@ class TestApplyPipelining:
         plan = FastPRPlanner(seed=1).plan(cluster, 0)
         with pytest.raises(ValueError, match="pipelining"):
             apply_pipelining(plan, "mesh")
-
-
-class TestRepairSessionValidation:
-    """Invalid builder combos fail at construction, before any I/O."""
-
-    def _args(self):
-        cluster = make_cluster()
-        plan = FastPRPlanner(seed=1).plan(cluster, 0)
-        return cluster, make_codec("rs(5,3)"), plan
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"transport": "carrier-pigeon"}, "transport must be"),
-            ({"pipelining": "mesh"}, "pipelining must be"),
-            ({"transport": "shm"}, "transport='shm' needs workdir"),
-            ({"coordinators": 2, "resume": True, "journal_path": "j"},
-             "single-coordinator"),
-            ({"coordinators": 0}, "coordinators must be"),
-            ({"transport": "shm", "coordinators": 2, "workdir": "w"},
-             "single coordinator"),
-            ({"transport": "tcp", "workdir": "w"}, "needs peers"),
-            ({"transport": "tcp", "peers": {1: ("h", 1)}}, "needs workdir"),
-            ({"peers": {1: ("h", 1)}}, "only applies to transport='tcp'"),
-            ({"resume": True}, "resume needs journal_path"),
-            ({"transport": "tcp", "peers": {1: ("h", 1)}, "workdir": "w",
-              "resume": True}, "needs journal_path"),
-            ({"transport": "tcp", "peers": {1: ("h", 1)}, "workdir": "w",
-              "resume": True, "journal_path": "j", "coordinators": 2},
-             "single-coordinator"),
-            ({"transport": "tcp", "peers": {1: ("h", 1)}, "workdir": "w",
-              "arbiter": object()}, "admission happens in the sender's"),
-            # A journal setting the run would silently ignore names
-            # where the journal actually goes instead.
-            ({"coordinators": 2, "journal_path": "j"},
-             "one journal per shard under journal_dir"),
-            ({"journal_dir": "d"}, "journals to journal_path"),
-            ({"transport": "shm", "workdir": "w", "arbiter": object()},
-             "admission happens in the sender's"),
-        ],
-    )
-    def test_bad_combo_raises(self, kwargs, message):
-        cluster, codec, plan = self._args()
-        with pytest.raises(ValueError, match=message):
-            RepairSession(cluster, codec, plan, **kwargs)
-
-    # What one driver for every transport lifted: these were rejections.
-
-    def test_scrub_is_accepted_on_wire_transports(self):
-        cluster, codec, plan = self._args()
-        for kwargs in (
-            {"transport": "tcp", "peers": {1: ("h", 1)}},
-            {"transport": "shm"},
-        ):
-            session = RepairSession(
-                cluster, codec, plan, workdir="w", scrub=True, **kwargs
-            )
-            assert session.scrub
-
-    def test_memory_sharded_run_journals_under_journal_dir(self, tmp_path):
-        cluster, codec, plan = self._args()
-        summary = RepairSession(
-            cluster, codec, plan, coordinators=2, seed=3, config=FAST,
-            journal_dir=tmp_path / "elsewhere",
-        ).run()
-        assert summary.chunks_verified == plan.total_chunks
-        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == [
-            "shard-0.journal", "shard-1.journal"
-        ]
-
-    def test_memory_run_resumes_from_a_journal(self, tmp_path):
-        cluster, codec, plan = self._args()
-        common = dict(
-            seed=3, config=FAST, workdir=tmp_path / "bed",
-            journal_path=tmp_path / "repair.journal",
-        )
-        with pytest.raises(CoordinatorCrash):
-            RepairSession(
-                cluster, codec, plan, max_restarts=0,
-                faults=FaultPlan(
-                    coordinator_crashes=[CoordinatorCrashFault(after_round=0)]
-                ),
-                **common,
-            ).run()
-        summary = RepairSession(
-            cluster, codec, plan, resume=True, scrub=True, **common
-        ).run()
-        assert summary.result.recovered_chunks > 0
-        assert summary.chunks_verified == plan.total_chunks
-        assert summary.restarts == 0 and summary.scrub_report.clean
-
-    def test_slices_thread_into_runtime_config(self):
-        # The slice count is a RuntimeConfig field like any other: the
-        # session hands the config to the driver as given.
-        cluster, codec, plan = self._args()
-        config = dataclasses.replace(FAST, pipeline_slices=8)
-        for pipelining in ("chain", "off"):
-            session = RepairSession(
-                cluster, codec, plan, pipelining=pipelining, config=config
-            )
-            assert session.config is config
 
 
 class TestCostModelLinkScales:

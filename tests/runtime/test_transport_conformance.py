@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import RepairSession, apply_pipelining
+from repro import apply_pipelining
 from repro.cluster import StorageCluster
 from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
@@ -1073,10 +1073,10 @@ class TestKillResume:
             testbed.load_random_data(seed=5)
             plan = FastPRPlanner(seed=5).plan(cluster, 0)
             plan.validate(cluster)
-            testbed.kill_coordinator_after(3)
+            testbed.arm_crash(CoordinatorCrashFault(after_records=3))
             with pytest.raises(CoordinatorCrash):
                 testbed.execute(plan)
-            successor = testbed.restart_coordinator()
+            successor = testbed.build(resume=True)
             assert successor.epoch == 1
             result = testbed.resume()
             assert result.chunks_repaired + result.recovered_chunks == (
@@ -1154,14 +1154,66 @@ class TestOneDriver:
             for needle, found in sites.items():
                 found.extend([path.name] * text.count(needle))
         assert sites == {needle: ["driver.py"] for needle in sites}
-        assert not hasattr(RepairSession, "_run_memory")
-        assert not hasattr(RepairSession, "_run_wire")
+        # One way to run a repair: no builder in front of run_repair,
+        # and fastpr repair is its only caller in the package.
+        assert not (src / "session.py").exists()
+        callers = [
+            path.name
+            for path in src.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if "run_repair(" in line and "def run_repair(" not in line
+        ]
+        assert callers == ["cli.py"]
         assert not any(
             "repro.net" in line or "..net" in line
             for path in (src / "runtime").glob("*.py")
             for line in path.read_text().splitlines()
             if line.lstrip().startswith(("from ", "import "))
         )
+
+    def _memory_run(self):
+        cluster = StorageCluster.random(
+            num_nodes=10, num_stripes=8, n=5, k=3, num_hot_standby=2,
+            seed=21, chunk_size=1 << 14,
+        )
+        cluster.node(0).mark_soon_to_fail()
+        return cluster, make_codec("rs(5,3)"), FastPRPlanner(seed=1).plan(cluster, 0)
+
+    def test_memory_sharded_run_journals_under_journal_dir(self, tmp_path):
+        cluster, codec, plan = self._memory_run()
+        with EmulatedTestbed(cluster, codec, config=FAST) as testbed:
+            testbed.load_random_data(seed=3)
+            _result, verified, _restarts = run_repair(
+                testbed, plan, coordinators=2,
+                journal_dir=tmp_path / "elsewhere",
+            )
+        assert verified == plan.total_chunks
+        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == [
+            "shard-0.journal", "shard-1.journal"
+        ]
+
+    def test_memory_run_resumes_from_a_journal(self, tmp_path):
+        cluster, codec, plan = self._memory_run()
+        common = dict(
+            config=FAST, workdir=tmp_path / "bed",
+            journal_path=tmp_path / "repair.journal",
+        )
+        crash = FaultPlan(
+            coordinator_crashes=[CoordinatorCrashFault(after_round=0)]
+        )
+        with pytest.raises(CoordinatorCrash):
+            with EmulatedTestbed(cluster, codec, faults=crash, **common) as bed:
+                bed.load_random_data(seed=3)
+                run_repair(bed, plan, max_restarts=0)
+        with EmulatedTestbed(cluster, codec, **common) as testbed:
+            testbed.load_random_data(seed=3)
+            result, verified, restarts = run_repair(
+                testbed, plan, resume=True, await_nodes=cluster.nodes
+            )
+            report = Scrubber(testbed).scan()
+        assert result.recovered_chunks > 0
+        assert verified == plan.total_chunks
+        assert restarts == 0 and report.clean
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_injected_coordinator_crash_recovers_in_place(self, kind, tmp_path):

@@ -51,7 +51,6 @@ PUBLIC_API = [
     "FaultPlan",
     "MultiCoordinator",
     "MultiRepairResult",
-    "RepairAgent",
     "RepairDaemon",
     "RepairFailedError",
     "RuntimeConfig",
@@ -60,11 +59,8 @@ PUBLIC_API = [
     "TakeoverEvent",
     "ShmNetwork",
     "TcpNetwork",
-    "Testbed",
-    # unified repair-session front door
+    # plan strategy rewrite
     "PIPELINING_MODES",
-    "RepairSession",
-    "RepairSummary",
     "apply_pipelining",
     # client-facing object gateway
     "GatewayError",
@@ -101,10 +97,11 @@ def test_no_duplicate_exports():
     assert len(repro.__all__) == len(set(repro.__all__))
 
 
-def test_stable_aliases():
-    # Paper-vocabulary aliases point at the implementation classes.
-    assert repro.Testbed is repro.EmulatedTestbed
-    assert repro.RepairAgent is repro.Agent
+def test_one_name_per_class():
+    # A second name for one class, or a second front door in front of
+    # run_repair, is retired for good.
+    for name in ("Testbed", "RepairAgent", "RepairSession", "RepairSummary"):
+        assert not hasattr(repro, name), name
 
 
 def test_exports_come_from_repro_modules():
@@ -117,8 +114,8 @@ def test_exports_come_from_repro_modules():
 def test_deprecated_net_drivers_removed():
     # The per-transport drivers, agent runners and network builders
     # are gone for good — repro.net.launch keeps one factory
-    # (open_network), one agent runner and one repair driver, and
-    # RepairSession is the supported way to drive a repair.
+    # (open_network), one agent runner and one repair driver
+    # (repro.runtime.driver.run_repair).
     import repro.net as net
     from repro.net import launch
 

@@ -156,6 +156,23 @@ class TestRepairAndScrub:
         assert "0 corrupt" in out
         assert "verified byte-identical" in out
 
+    def test_repair_summary_keys(self, tmp_path, capsys):
+        # The -o document is read by scripts; its shape is pinned.
+        path = self.snapshot(tmp_path, capsys)
+        out = tmp_path / "summary.json"
+        argv = ["repair", "--snapshot", str(path), "--stf", "0", "-o", str(out)]
+        assert main(argv) == 0
+        document = json.loads(out.read_text())
+        assert set(document) == {
+            "version", "transport", "coordinators", "pipelining",
+            "total_time_s", "round_times_s", "chunks_repaired",
+            "chunks_verified", "bytes_transferred", "retries", "replans",
+            "nacks", "restarts", "dead_nodes", "recovered_chunks",
+            "converted_migrations", "scrub",
+        }
+        assert set(document["scrub"]) == {"chunks_checked", "corrupt"}
+        assert document["chunks_verified"] == document["chunks_repaired"] > 0
+
     def test_repair_survives_coordinator_crash(self, tmp_path, capsys):
         path = self.snapshot(tmp_path, capsys)
         faults = tmp_path / "faults.json"
@@ -427,3 +444,115 @@ class TestParser:
     def test_plan_requires_snapshot(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--stf", "1"])
+
+
+def _small_snapshot(tmp_path):
+    path = tmp_path / "cluster.json"
+    assert main([
+        "snapshot", "--nodes", "12", "--stripes", "4", "--code", "rs(5,3)",
+        "--seed", "7", "--chunk-size", "4096", "-o", str(path),
+    ]) == 0
+    return path
+
+
+def _one_line_exit_2(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+    return captured
+
+
+class TestBadInput:
+    """Bad input exits 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # A snapshot stores no code: every reader rebuilds rs(n,k),
+            # so anything else would be repaired as the wrong code.
+            (["snapshot", "--code", "lrc(6,2,2)", "-o", "{tmp}/x.json"],
+             "rs(n,k)"),
+            (["snapshot", "--code", "rs(9)", "-o", "{tmp}/x.json"],
+             "bad --code"),
+            (["snapshot", "--code", "msr(9,6)", "-o", "{tmp}/x.json"],
+             "bad --code"),
+            (["agent", "--snapshot", "{snap}", "--node", "1",
+              "--listen", "127.0.0.1:abc",
+              "--peers", "coordinator=127.0.0.1:9", "--workdir", "{tmp}/w"],
+             "--listen must be host:port"),
+            (["repair", "--snapshot", "{snap}", "--stf", "0",
+              "--config", "{tmp}/missing.json"], "bad --config"),
+            (["repair", "--snapshot", "{snap}", "--stf", "0",
+              "--config", "{tmp}/typo.json"], "ack_timeoutt"),
+            (["repair", "--snapshot", "{tmp}/missing.json", "--stf", "0"],
+             "bad --snapshot"),
+            (["plan", "--snapshot", "{snap}", "--stf", "99"], "unknown node"),
+            (["repair", "--snapshot", "{snap}", "--stf", "99"],
+             "unknown node"),
+        ],
+        ids=[
+            "snapshot-lrc", "code-rs-one-parameter", "code-msr-too-short",
+            "agent-listen-port", "config-missing", "config-typo",
+            "snapshot-missing", "plan-stf-unknown", "repair-stf-unknown",
+        ],
+    )
+    def test_rejected_on_one_line(self, argv, message, tmp_path, capsys):
+        snap = _small_snapshot(tmp_path)
+        (tmp_path / "typo.json").write_text(json.dumps({"ack_timeoutt": 3}))
+        argv = [a.format(tmp=tmp_path, snap=snap) for a in argv]
+        captured = _one_line_exit_2(argv, capsys)
+        assert message in captured.err
+        assert not (tmp_path / "x.json").exists()
+        assert not (tmp_path / "w").exists()
+
+
+class TestRepairInvocation:
+    """A flag mix that cannot run exits 2 before any driver, process or
+    journal exists."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--transport", "shm", "--coordinators", "2",
+              "--workdir", "{tmp}/w"], "single coordinator"),
+            (["--transport", "tcp", "--workdir", "{tmp}/w"], "needs --peers"),
+            (["--transport", "tcp", "--peers", "1=127.0.0.1:1"],
+             "needs --workdir"),
+            (["--transport", "shm"], "needs --workdir"),
+            (["--peers", "1=127.0.0.1:1"], "only applies to --transport tcp"),
+            (["--resume"], "--resume needs --journal"),
+            (["--resume", "--journal", "{tmp}/j", "--coordinators", "2"],
+             "single-coordinator"),
+            (["--coordinators", "0"], "--coordinators must be"),
+            (["--transport", "tcp", "--workdir", "{tmp}/w",
+              "--peers", "garbage"], "bad --peers"),
+        ],
+        ids=[
+            "shm-sharded", "tcp-without-peers", "tcp-without-workdir",
+            "shm-without-workdir", "peers-on-memory", "resume-without-journal",
+            "resume-sharded", "no-coordinators", "malformed-peers",
+        ],
+    )
+    def test_rejected_before_anything_runs(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        from repro.net import launch
+        from repro.runtime import driver
+        from repro.runtime.testbed import EmulatedTestbed
+
+        def ran(*_args, **_kwargs):
+            raise AssertionError("a rejected invocation reached the driver")
+
+        monkeypatch.setattr(EmulatedTestbed, "__init__", ran)
+        monkeypatch.setattr(launch, "open_network", ran)
+        monkeypatch.setattr(driver, "run_repair", ran)
+        snap = _small_snapshot(tmp_path)
+        argv = ["repair", "--snapshot", str(snap), "--stf", "0"] + [
+            f.format(tmp=tmp_path) for f in flags
+        ]
+        captured = _one_line_exit_2(argv, capsys)
+        assert message in captured.err
+        assert captured.out == ""  # rejected before planning, too
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cluster.json"]
