@@ -641,10 +641,14 @@ def _cmd_snapshot(args) -> int:
         raise UsageError(
             f"snapshot stripes are rs(n,k); got --code {args.code!r}"
         )
+    if args.stripes < 1:
+        raise UsageError("--stripes must be >= 1")
     extra = {}
     if args.chunk_size is not None:
         extra["chunk_size"] = args.chunk_size
-    cluster = StorageCluster.random(
+    cluster = _checked(
+        "--nodes/--code",
+        StorageCluster.random,
         args.nodes,
         args.stripes,
         codec.n,
@@ -713,6 +717,24 @@ def _read_json(flag: str, path: str, parse):
             return parse(json.load(f))
     except (OSError, TypeError, ValueError) as exc:
         raise UsageError(f"bad {flag}: {exc}") from None
+
+
+def _checked(flags: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the ValueError it raises on a value
+    taken from ``flags`` is a :class:`UsageError`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad {flags}: {exc}") from None
+
+
+def _load_fleet(path: str):
+    from .failure import load_traces
+
+    try:
+        return load_traces(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad --fleet: {exc}") from None
 
 
 def _load_snapshot(path: str):
@@ -1198,7 +1220,9 @@ def _cmd_scrub(args) -> int:
 def _cmd_fleet(args) -> int:
     from .failure import SmartTraceGenerator, save_traces
 
-    traces = SmartTraceGenerator(
+    traces = _checked(
+        "--disks/--days/--afr",
+        SmartTraceGenerator,
         args.disks,
         horizon_days=args.days,
         annual_failure_rate=args.afr,
@@ -1228,9 +1252,13 @@ def _predictor(model: str, seed: int, traces):
 
 
 def _cmd_predict(args) -> int:
-    from .failure import evaluate, load_traces
+    from .failure import evaluate
 
-    traces = load_traces(args.fleet)
+    if not 0 < args.train_fraction < 1:
+        raise UsageError(
+            f"--train-fraction must be in (0, 1), got {args.train_fraction}"
+        )
+    traces = _load_fleet(args.fleet)
     split = int(len(traces) * args.train_fraction)
     train, test = traces[:split], traces[split:]
     if not train or not test:
@@ -1266,14 +1294,14 @@ def _cmd_daemon(args) -> int:
     from pathlib import Path
 
     from .core.plan import RepairScenario
-    from .failure import ClusterFailureMonitor, load_traces
+    from .failure import ClusterFailureMonitor
     from .runtime import CoordinatorCrash
     from .runtime.daemon import DaemonCrash, RepairDaemon
     from .runtime.testbed import EmulatedTestbed
 
     cluster = _load_snapshot(args.snapshot)
     codec = _infer_codec(cluster)
-    traces = load_traces(args.fleet)
+    traces = _load_fleet(args.fleet)
     storage_nodes = cluster.storage_node_ids()
     if len(traces) > len(storage_nodes):
         traces = traces[: len(storage_nodes)]
@@ -1347,7 +1375,7 @@ def _cmd_daemon(args) -> int:
 
 
 def _cmd_lifetime(args) -> int:
-    from .failure import SmartTraceGenerator, ThresholdPredictor, load_traces
+    from .failure import SmartTraceGenerator, ThresholdPredictor
     from .sim.lifetime import (
         LifetimeConfig,
         TraceReplayProcess,
@@ -1355,8 +1383,12 @@ def _cmd_lifetime(args) -> int:
         durability_study,
     )
 
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     codec = _make_codec(args.code)
-    config = LifetimeConfig(
+    config = _checked(
+        "--disks/--stripes/--code/--years/--concurrency",
+        LifetimeConfig,
         num_disks=args.disks,
         num_stripes=args.stripes,
         n=codec.n,
@@ -1369,13 +1401,17 @@ def _cmd_lifetime(args) -> int:
     processes = []
     if args.process in ("weibull", "both"):
         processes.append(
-            WeibullFailureProcess(annual_failure_rate=args.afr)
+            _checked(
+                "--afr", WeibullFailureProcess, annual_failure_rate=args.afr
+            )
         )
     if args.process in ("trace-replay", "both"):
         if args.fleet is not None:
-            traces = load_traces(args.fleet)
+            traces = _load_fleet(args.fleet)
         else:
-            traces = SmartTraceGenerator(
+            traces = _checked(
+                "--afr",
+                SmartTraceGenerator,
                 max(args.disks, 50),
                 annual_failure_rate=max(args.afr, 0.05),
                 seed=args.seed,

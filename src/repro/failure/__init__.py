@@ -1,13 +1,6 @@
 """Disk-failure prediction substrate: SMART traces, predictors, monitor."""
 
 from .monitor import ClusterFailureMonitor, MissedFailure, MonitorReport, StfEvent
-from .reliability import (
-    ReliabilityConfig,
-    VulnerabilityReport,
-    chunk_completion_times,
-    compare_predictive_vs_reactive,
-    estimate_vulnerability,
-)
 from .cart import CartPredictor, training_windows
 from .traces_io import TraceFormatError, load_traces, save_traces
 from .predictor import (
@@ -39,12 +32,7 @@ __all__ = [
     "MissedFailure",
     "MonitorReport",
     "PredictionMetrics",
-    "ReliabilityConfig",
     "SMART_ATTRIBUTES",
-    "VulnerabilityReport",
-    "chunk_completion_times",
-    "compare_predictive_vs_reactive",
-    "estimate_vulnerability",
     "SmartSample",
     "SmartTraceGenerator",
     "StfEvent",

@@ -12,12 +12,6 @@ from .lifetime import (
     durability_study,
     run_lifetime,
 )
-from .timeline import (
-    ClusterLifetime,
-    EventKind,
-    TimelineEvent,
-    TimelineReport,
-)
 from .workload import (
     PAPER_SIM_CONFIG,
     SimulationConfig,
@@ -27,14 +21,10 @@ from .workload import (
 )
 
 __all__ = [
-    "ClusterLifetime",
     "DiskEvent",
-    "EventKind",
     "LifetimeConfig",
     "LifetimeReport",
     "LifetimeResult",
-    "TimelineEvent",
-    "TimelineReport",
     "TraceReplayProcess",
     "WeibullFailureProcess",
     "evaluate_plan",

@@ -309,7 +309,6 @@ class LifetimeResult:
     repairs_completed: Dict[str, int] = field(default_factory=dict)
     predictive_deferrals: int = 0
     max_queue_depth: int = 0
-    mean_queue_depth: float = 0.0
     #: time-weighted count of chunk-days below full redundancy
     chunk_days_at_risk: float = 0.0
 
@@ -368,8 +367,6 @@ class _LifetimeTrial:
         self._seq = 0
         self._active_predictive: Dict[int, _Job] = {}
         self._drained: Set[int] = set()  # disks drained before their failure
-        self._depth_last_day = 0.0
-        self._depth_area = 0.0
         # -- schedule ------------------------------------------------------
         for event in events:
             if config.predictive and event.alarm_day is not None:
@@ -564,10 +561,6 @@ class _LifetimeTrial:
 
     def _note_queue_depth(self) -> None:
         depth = len(self.queue) + self.in_flight
-        self._depth_area += (self.sim.now - self._depth_last_day) * (
-            len(self.queue) + self.in_flight
-        )
-        self._depth_last_day = self.sim.now
         self.result.max_queue_depth = max(self.result.max_queue_depth, depth)
 
     def _schedule_latent_errors(self) -> None:
@@ -592,9 +585,6 @@ class _LifetimeTrial:
         for chunk, since in self.latent.items():
             self.result.chunk_days_at_risk += self.horizon - since
         self.result.lost_stripes = len(self.lost)
-        self.result.mean_queue_depth = (
-            self._depth_area / self.horizon if self.horizon > 0 else 0.0
-        )
         return self.result
 
 

@@ -239,6 +239,38 @@ class TestRunLifetime:
         assert "summary" not in document
 
 
+class _AlarmThenFailure:
+    """Disk 0 is flagged at day 10.0 and dies half a day later."""
+
+    name = "alarm-then-failure"
+
+    def events(self, rng, num_disks, horizon_days):
+        return [DiskEvent(0, fail_day=10.5, alarm_day=10.0)]
+
+
+class TestDrainRace:
+    """A predictive drain either beats the failure it was warned of, or
+    the disk's stripes sit below full redundancy from the failure until
+    the drain completes."""
+
+    @pytest.mark.parametrize(
+        "drain_days, days_exposed",
+        [(2.0, 1.5), (0.25, 0.0)],
+        ids=["drain-outlives-disk", "drain-beats-failure"],
+    )
+    def test_chunk_days_at_risk(self, drain_days, days_exposed):
+        config = LifetimeConfig(
+            num_disks=12, num_stripes=30, predictive_repair_days=drain_days
+        )
+        on_disk_0 = sum(0 in disks for disks in config.placement())
+        assert on_disk_0 > 0
+        report = run_lifetime(_AlarmThenFailure(), config, trials=1)
+        assert report.mean_chunk_days_at_risk == pytest.approx(
+            days_exposed * on_disk_0
+        )
+        assert report.lost_stripe_probability == 0.0
+
+
 class TestDurabilityStudy:
     def test_both_modes_per_process(self):
         traces = SmartTraceGenerator(

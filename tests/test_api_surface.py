@@ -9,6 +9,10 @@ diff in review rather than a silent break.
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 import repro
 
 # The snapshot. Extending the surface means updating this list — a
@@ -84,8 +88,82 @@ PUBLIC_API = [
 ]
 
 
+# The subpackages are programmed against too (the benches, examples and
+# CLI import from them), so their surfaces are pinned the same way.
+SIM_API = [
+    "DiskEvent",
+    "LifetimeConfig",
+    "LifetimeReport",
+    "LifetimeResult",
+    "PAPER_SIM_CONFIG",
+    "RepairResult",
+    "Simulation",
+    "SimulationConfig",
+    "SimulationError",
+    "TraceReplayProcess",
+    "WeibullFailureProcess",
+    "build_cluster",
+    "build_cluster_with_stf",
+    "durability_study",
+    "evaluate_plan",
+    "fixed_stf_chunk_count",
+    "run_lifetime",
+]
+
+FAILURE_API = [
+    "CartPredictor",
+    "ClusterFailureMonitor",
+    "DEGRADATION_ATTRIBUTES",
+    "DiskTrace",
+    "FailurePredictor",
+    "LogisticPredictor",
+    "MissedFailure",
+    "MonitorReport",
+    "PredictionMetrics",
+    "SMART_ATTRIBUTES",
+    "SmartSample",
+    "SmartTraceGenerator",
+    "StfEvent",
+    "ThresholdPredictor",
+    "TraceFormatError",
+    "daily_samples",
+    "evaluate",
+    "first_alarm_day",
+    "load_traces",
+    "save_traces",
+    "training_windows",
+    "window_features",
+]
+
+
 def test_all_matches_snapshot():
     assert sorted(repro.__all__) == sorted(PUBLIC_API)
+
+
+@pytest.mark.parametrize(
+    "module, snapshot",
+    [("repro.sim", SIM_API), ("repro.failure", FAILURE_API)],
+)
+def test_subpackage_all_matches_snapshot(module, snapshot):
+    exported = importlib.import_module(module).__all__
+    assert sorted(exported) == sorted(snapshot)
+    assert len(exported) == len(set(exported))
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        # one cluster-over-time model: sim.lifetime
+        "repro.sim.timeline",
+        "repro.failure.reliability",
+        # one plan timer: sim.cost_model.evaluate_plan
+        "repro.sim.simulator",
+        "repro.sim.resources",
+    ],
+)
+def test_retired_modules_stay_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 def test_every_export_resolves():

@@ -491,11 +491,36 @@ class TestBadInput:
             (["plan", "--snapshot", "{snap}", "--stf", "99"], "unknown node"),
             (["repair", "--snapshot", "{snap}", "--stf", "99"],
              "unknown node"),
+            (["lifetime", "--trials", "0"], "--trials must be >= 1"),
+            (["lifetime", "--disks", "3"], "need at least n disks"),
+            (["lifetime", "--concurrency", "0"], "repair_concurrency"),
+            (["lifetime", "--years", "0"], "years"),
+            (["lifetime", "--afr", "1.5"], "bad --afr"),
+            (["lifetime", "--process", "trace-replay",
+              "--fleet", "{tmp}/missing.csv"], "bad --fleet"),
+            (["predict", "--fleet", "{tmp}/missing.csv"], "bad --fleet"),
+            (["predict", "--fleet", "{tmp}/missing.csv",
+              "--train-fraction", "1.5"], "--train-fraction"),
+            (["daemon", "--snapshot", "{snap}",
+              "--fleet", "{tmp}/missing.csv"], "bad --fleet"),
+            (["fleet", "--disks", "0", "-o", "{tmp}/x.json"], "num_disks"),
+            (["fleet", "--afr", "2", "-o", "{tmp}/x.json"],
+             "annual_failure_rate"),
+            (["snapshot", "--nodes", "3", "-o", "{tmp}/x.json"],
+             "exceeds cluster size"),
+            (["snapshot", "--stripes", "-1", "-o", "{tmp}/x.json"],
+             "--stripes must be >= 1"),
         ],
         ids=[
             "snapshot-lrc", "code-rs-one-parameter", "code-msr-too-short",
             "agent-listen-port", "config-missing", "config-typo",
             "snapshot-missing", "plan-stf-unknown", "repair-stf-unknown",
+            "lifetime-no-trials", "lifetime-too-few-disks",
+            "lifetime-no-concurrency", "lifetime-no-years",
+            "lifetime-afr-above-one", "lifetime-fleet-missing",
+            "predict-fleet-missing", "predict-train-fraction",
+            "daemon-fleet-missing", "fleet-no-disks", "fleet-afr-above-one",
+            "snapshot-nodes-below-n", "snapshot-negative-stripes",
         ],
     )
     def test_rejected_on_one_line(self, argv, message, tmp_path, capsys):
