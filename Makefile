@@ -9,12 +9,14 @@ PY := PYTHONPATH=src python
 test:
 	$(PY) -m pytest -x -q tests/
 
-# REPORT.md is generated output only: re-fold benchmarks/results/*.json
-# (written by `pytest benchmarks/ --benchmark-only`) and commit the
-# result.  Hand-written commentary goes into
-# benchmarks/results/<id>.notes.md.
+# REPORT.md and figures/*.svg are generated output only: re-fold
+# benchmarks/results/*.json (written by `pytest benchmarks/
+# --benchmark-only`) and commit the result.  Hand-written commentary
+# goes into benchmarks/results/<id>.notes.md.
 report:
 	$(PY) -m repro.bench.report benchmarks/results -o REPORT.md
+	rm -f figures/*.svg
+	$(PY) -m repro.bench.plots benchmarks/results -o figures
 
 # cProfile one quick drain-cpu-mem run of the end-to-end harness;
 # profile.prof feeds any flamegraph tool (e.g. snakeviz/flameprof),

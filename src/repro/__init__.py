@@ -48,7 +48,6 @@ from .core import (
     ShardMap,
     find_reconstruction_sets,
     split_plan,
-    stagger_concurrent_plans,
 )
 from .core.plan import PIPELINING_MODES, apply_pipelining
 from .gateway import (
@@ -114,7 +113,6 @@ __all__ = [
     "ShardMap",
     "find_reconstruction_sets",
     "split_plan",
-    "stagger_concurrent_plans",
     # runtime backend
     "Agent",
     "Coordinator",

@@ -1,16 +1,8 @@
-"""Storage-cluster metadata model: nodes, stripes, placement, rebalance."""
+"""Storage-cluster metadata model: nodes, stripes, rack topology."""
 
 from .chunk import ChunkLocation, NodeId, Stripe, StripeCatalog, StripeId
 from .cluster import ClusterError, StorageCluster
 from .node import Node, NodeRole, NodeState
-from .placement import (
-    ParityDeclusteredPlacement,
-    PlacementPolicy,
-    RandomPlacement,
-    RoundRobinPlacement,
-    placement_balance,
-)
-from .rebalance import RebalanceMove, Rebalancer
 from .topology import (
     RackAwarePlacement,
     RackTopology,
@@ -26,20 +18,13 @@ __all__ = [
     "NodeId",
     "NodeRole",
     "NodeState",
-    "ParityDeclusteredPlacement",
-    "PlacementPolicy",
     "RackAwarePlacement",
     "RackTopology",
     "RackViolationError",
     "verify_rack_tolerance",
-    "RandomPlacement",
-    "RebalanceMove",
-    "Rebalancer",
-    "RoundRobinPlacement",
     "StorageCluster",
     "Stripe",
     "StripeCatalog",
     "StripeId",
-    "placement_balance",
     "snapshot",
 ]

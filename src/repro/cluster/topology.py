@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .chunk import NodeId
 from .cluster import StorageCluster
-from .placement import PlacementPolicy
 
 
 class RackViolationError(ValueError):
@@ -133,7 +132,7 @@ class RackTopology:
         return counts
 
 
-class RackAwarePlacement(PlacementPolicy):
+class RackAwarePlacement:
     """Places each stripe with at most ``max_per_rack`` chunks per rack.
 
     With ``max_per_rack <= n - k`` a whole-rack failure never destroys

@@ -37,9 +37,7 @@ from .planner import (
     RepairPlanner,
     apply_plan,
     model_for,
-    plan_predictive_repair,
     profile_from_cluster,
-    stagger_concurrent_plans,
 )
 from .lrc_support import (
     LrcFastPRPlanner,
@@ -48,13 +46,7 @@ from .lrc_support import (
     lrc_helper_candidates,
     split_by_repair_locality,
 )
-from .reactive import (
-    MultiFailureRepairPlanner,
-    UnrecoverableStripeError,
-    plan_failed_node_repair,
-    repair_after_failures,
-    replan_after_midrepair_failure,
-)
+from .reactive import plan_failed_node_repair
 from .reconstruction_sets import (
     Algorithm1Stats,
     ReconstructionSetFinder,
@@ -86,12 +78,8 @@ __all__ = [
     "build_lrc_cluster",
     "lrc_helper_candidates",
     "split_by_repair_locality",
-    "MultiFailureRepairPlanner",
     "PAPER_DEFAULT_PROFILE",
-    "UnrecoverableStripeError",
     "plan_failed_node_repair",
-    "repair_after_failures",
-    "replan_after_midrepair_failure",
     "PlacementError",
     "ReconstructionOnlyPlanner",
     "ReconstructionSetFinder",
@@ -105,7 +93,6 @@ __all__ = [
     "split_plan",
     "BudgetTimeout",
     "HelperBudget",
-    "stagger_concurrent_plans",
     "apply_plan",
     "assign_scattered_destinations",
     "find_reconstruction_sets",
@@ -118,7 +105,6 @@ __all__ = [
     "migration_quota",
     "model_for",
     "optimal_packet_size",
-    "plan_predictive_repair",
     "profile_from_cluster",
     "schedule_migration_only",
     "schedule_reconstruction_only",

@@ -7,8 +7,9 @@ solves this as a bipartite maximum matching (stripes x nodes) and notes
 that with ``M - n >= c_m + c_r`` Hall's theorem guarantees a perfect
 matching.
 
-Hot-standby repair simply spreads repaired chunks evenly over the ``h``
-standby nodes.
+Hot-standby repair spreads repaired chunks evenly over the ``h``
+standby nodes, skipping a standby that already stores a chunk of the
+stripe.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ def assign_scattered_destinations(
     stf_node: NodeId,
     chunks: Sequence[ChunkLocation],
     allow_reuse_fallback: bool = True,
-    stripe_reservations: Optional[Dict[int, set]] = None,
 ) -> Dict[ChunkKey, NodeId]:
     """Choose one destination node per repaired chunk of a round.
 
@@ -43,10 +43,6 @@ def assign_scattered_destinations(
             is infeasible (small clusters violating ``M - n >= c_m+c_r``),
             fall back to least-loaded placement that may reuse a
             destination within the round.
-        stripe_reservations: stripe_id -> nodes already promised a
-            repaired chunk of that stripe by a concurrent plan (used by
-            multi-failure repair so two plans never co-locate two
-            chunks of one stripe).
 
     Returns:
         (stripe_id, chunk_index) -> destination node id.
@@ -55,17 +51,11 @@ def assign_scattered_destinations(
         PlacementError: if some stripe has no eligible destination at
             all (fault tolerance could not be preserved).
     """
-    reservations = stripe_reservations or {}
     candidates: Dict[ChunkKey, List[NodeId]] = {}
     for chunk in chunks:
-        reserved = reservations.get(chunk.stripe_id, set())
-        eligible = [
-            node
-            for node in cluster.eligible_destinations(
-                chunk.stripe_id, exclude={stf_node}
-            )
-            if node not in reserved
-        ]
+        eligible = cluster.eligible_destinations(
+            chunk.stripe_id, exclude={stf_node}
+        )
         if not eligible:
             raise PlacementError(
                 f"no eligible destination for stripe {chunk.stripe_id}: "
@@ -98,20 +88,41 @@ class HotStandbyPlacer:
 
     Keeps a cursor across rounds so the total distribution stays even
     (the paper: "we simply evenly distribute the repaired chunks to all
-    h hot-standby nodes").
+    h hot-standby nodes").  A standby that already stores a chunk of the
+    stripe (placed there by an earlier hot-standby repair) is skipped:
+    two chunks of one stripe on one node would cost the stripe its
+    fault tolerance, and the second write would replace the first.
     """
 
     def __init__(self, cluster: StorageCluster, standby_ids: Optional[Iterable[NodeId]] = None):
         ids = list(standby_ids) if standby_ids is not None else cluster.hot_standby_ids()
         if not ids:
             raise PlacementError("hot-standby repair requires standby nodes")
+        self._cluster = cluster
         self._ids = sorted(ids)
         self._cursor = 0
 
     def assign(self, chunks: Sequence[ChunkLocation]) -> Dict[ChunkKey, NodeId]:
+        """Next standby in round-robin order that holds no chunk of the
+        stripe, per chunk.
+
+        Raises:
+            PlacementError: every standby already stores a chunk of
+                some chunk's stripe.
+        """
         assignment: Dict[ChunkKey, NodeId] = {}
         for chunk in chunks:
-            node = self._ids[self._cursor % len(self._ids)]
-            self._cursor += 1
+            stripe = self._cluster.stripe(chunk.stripe_id)
+            for step in range(len(self._ids)):
+                node = self._ids[(self._cursor + step) % len(self._ids)]
+                if not stripe.stores_on(node):
+                    break
+            else:
+                raise PlacementError(
+                    f"no hot-standby destination for stripe "
+                    f"{chunk.stripe_id}: every standby already stores one "
+                    "of its chunks"
+                )
+            self._cursor += step + 1
             assignment[(chunk.stripe_id, chunk.chunk_index)] = node
         return assignment

@@ -183,9 +183,9 @@ class RepairPlan:
         * reconstruction helpers hold chunks of the stripe and exclude
           the STF node; each helper serves at most one chunk per round;
         * migrations read from the STF node;
-        * scattered destinations hold no chunk of the stripe and
-          receive at most one repaired chunk per round (write path);
-        * hot-standby destinations are standby nodes.
+        * destinations hold no chunk of the stripe;
+        * scattered destinations are storage nodes, hot-standby
+          destinations are standby nodes.
 
         Raises:
             ValueError: on the first violated invariant.
@@ -222,12 +222,12 @@ class RepairPlan:
                         helpers_this_round[helper] = (
                             helpers_this_round.get(helper, 0) + 1
                         )
+                if stripe.stores_on(action.destination):
+                    raise ValueError(
+                        f"destination {action.destination} already stores a "
+                        f"chunk of stripe {action.stripe_id}"
+                    )
                 if self.scenario is RepairScenario.SCATTERED:
-                    if stripe.stores_on(action.destination):
-                        raise ValueError(
-                            f"destination {action.destination} already stores a "
-                            f"chunk of stripe {action.stripe_id}"
-                        )
                     if cluster.node(action.destination).role is not NodeRole.STORAGE:
                         raise ValueError(
                             f"scattered repair must target storage nodes, got "

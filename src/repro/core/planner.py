@@ -275,85 +275,6 @@ class MigrationOnlyPlanner(RepairPlanner):
         return schedule_migration_only(chunks)
 
 
-def stagger_concurrent_plans(plans: List[RepairPlan]) -> List[RepairPlan]:
-    """Align concurrent plans so no helper is double-booked per round.
-
-    Each plan was built assuming it owns its helpers, but concurrent
-    STF repairs share the surviving fleet: if plan A's round 2 and plan
-    B's round 2 both read helper 7, the two streams halve each other's
-    bandwidth and both rounds blow their cost-model deadline.  This
-    pass greedily re-slots rounds onto a shared timeline — a round
-    moves to the earliest slot (not before its predecessor within its
-    own plan) whose already-booked source nodes it does not intersect —
-    and pads the gaps with empty rounds, so executing the returned
-    plans in lockstep (round index r together) never co-schedules two
-    reads of one helper.  Single-plan input comes back unchanged.
-    """
-    slot_sources: List[Set[NodeId]] = []
-    staggered: List[RepairPlan] = []
-    for plan in plans:
-        placements: Dict[int, RepairRound] = {}
-        cursor = 0
-        for round_ in plan.rounds:
-            sources: Set[NodeId] = set()
-            for action in round_.actions():
-                sources.update(action.sources)
-            slot = cursor
-            while True:
-                while slot >= len(slot_sources):
-                    slot_sources.append(set())
-                if not (slot_sources[slot] & sources):
-                    break
-                slot += 1
-            slot_sources[slot].update(sources)
-            placements[slot] = round_
-            cursor = slot + 1
-        rounds: List[RepairRound] = []
-        for slot in range(max(placements) + 1 if placements else 0):
-            placed = placements.get(slot)
-            rounds.append(
-                RepairRound(
-                    index=slot,
-                    reconstructions=(
-                        list(placed.reconstructions) if placed else []
-                    ),
-                    migrations=list(placed.migrations) if placed else [],
-                )
-            )
-        staggered.append(
-            RepairPlan(
-                stf_node=plan.stf_node, scenario=plan.scenario, rounds=rounds
-            )
-        )
-    return staggered
-
-
-def plan_predictive_repair(
-    cluster: StorageCluster,
-    scenario: RepairScenario = RepairScenario.SCATTERED,
-    **planner_kwargs,
-) -> List[RepairPlan]:
-    """Plan repair for the cluster's currently flagged STF nodes.
-
-    Implements the paper's single-STF assumption: with exactly one STF
-    node, FastPR runs; with several (rare; the paper cites 98%
-    single-node events), each node falls back to the conventional
-    reconstruction-only reactive repair.  Concurrent plans are
-    staggered (:func:`stagger_concurrent_plans`) so no two of them
-    read the same helper in the same round.
-    """
-    stf_nodes = cluster.stf_nodes()
-    if not stf_nodes:
-        return []
-    if len(stf_nodes) == 1:
-        planner = FastPRPlanner(scenario=scenario, **planner_kwargs)
-        return [planner.plan(cluster, stf_nodes[0])]
-    fallback = ReconstructionOnlyPlanner(scenario=scenario)
-    return stagger_concurrent_plans(
-        [fallback.plan(cluster, node) for node in stf_nodes]
-    )
-
-
 class UnrecoverableChunkError(ValueError):
     """A chunk cannot be repaired with the surviving nodes."""
 

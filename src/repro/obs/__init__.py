@@ -3,7 +3,7 @@
 The measurement substrate for every "where does repair time go"
 question the paper's evaluation asks (see DESIGN.md, "Observability"):
 a zero-dependency :class:`MetricsRegistry` (counters / gauges /
-fixed-bucket histograms with JSON and Prometheus-text exposition) and
+fixed-bucket histograms with one JSON exposition) and
 a span :class:`Tracer` with a pluggable wall-clock or simulated
 clock, whose one trace schema every transport emits.
 """
@@ -16,7 +16,6 @@ from .metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
-    parse_prometheus,
 )
 from .report import (
     REPORT_SCHEMA_VERSION,
@@ -60,6 +59,5 @@ __all__ = [
     "duration_of",
     "load_report_inputs",
     "metrics_summary",
-    "parse_prometheus",
     "render_breakdown",
 ]

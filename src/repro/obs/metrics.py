@@ -14,12 +14,8 @@ pulling in a metrics client library:
 
 All three support optional labels (``counter.inc(5, node=3)``), are
 thread-safe (the runtime increments from agent worker threads), and
-are exposed two ways:
-
-* :meth:`MetricsRegistry.to_dict` — a JSON document for
-  ``--metrics-out`` files and the bench harness;
-* :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
-  exposition format, so a scraper (or a test) can parse the registry.
+are exposed as one JSON document (:meth:`MetricsRegistry.to_dict`) for
+``--metrics-out`` files, ``fastpr report`` and the benches.
 
 Metric names follow the Prometheus conventions: ``snake_case``, unit
 suffixes (``_seconds``, ``_bytes``), ``_total`` for counters.  The
@@ -63,28 +59,6 @@ def _freeze_labels(labels: Dict[str, object]) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_labels(labels: LabelSet, extra: Sequence[Tuple[str, str]] = ()) -> str:
-    pairs = list(labels) + list(extra)
-    if not pairs:
-        return ""
-    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in pairs)
-    return "{" + inner + "}"
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if value == -math.inf:
-        return "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
 class Metric:
     """Base class: a named family of samples keyed by label set."""
 
@@ -121,16 +95,6 @@ class Metric:
         """JSON-compatible samples (one per label set)."""
         raise NotImplementedError
 
-    def render(self) -> List[str]:
-        """Prometheus text-format lines for this family."""
-        raise NotImplementedError
-
-    def _header(self) -> List[str]:
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {self.name} {self.help}")
-        lines.append(f"# TYPE {self.name} {self.metric_type}")
-        return lines
 
 
 class Counter(Metric):
@@ -166,16 +130,6 @@ class Counter(Metric):
                 for key, value in sorted(self._values.items())
             ]
 
-    def render(self) -> List[str]:
-        lines = self._header()
-        with self._lock:
-            items = sorted(self._values.items())
-        for key, value in items:
-            lines.append(
-                f"{self.name}{_format_labels(key)} {_format_value(value)}"
-            )
-        return lines
-
 
 class Gauge(Metric):
     """A value that can go up and down (queue depths, levels)."""
@@ -208,16 +162,6 @@ class Gauge(Metric):
                 {"labels": dict(key), "value": value}
                 for key, value in sorted(self._values.items())
             ]
-
-    def render(self) -> List[str]:
-        lines = self._header()
-        with self._lock:
-            items = sorted(self._values.items())
-        for key, value in items:
-            lines.append(
-                f"{self.name}{_format_labels(key)} {_format_value(value)}"
-            )
-        return lines
 
 
 class Histogram(Metric):
@@ -304,27 +248,6 @@ class Histogram(Metric):
             )
         return out
 
-    def render(self) -> List[str]:
-        lines = self._header()
-        for sample in self.samples():
-            key = tuple(sorted(sample["labels"].items()))
-            for bucket in sample["buckets"]:
-                le = bucket["le"]
-                le_str = le if isinstance(le, str) else _format_value(le)
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{_format_labels(key, [('le', le_str)])} "
-                    f"{bucket['count']}"
-                )
-            lines.append(
-                f"{self.name}_sum{_format_labels(key)} "
-                f"{_format_value(sample['sum'])}"
-            )
-            lines.append(
-                f"{self.name}_count{_format_labels(key)} {sample['count']}"
-            )
-        return lines
-
 
 class MetricsRegistry:
     """Thread-safe registry of named metric families.
@@ -397,59 +320,6 @@ class MetricsRegistry:
             ],
         }
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: List[str] = []
-        for metric in self:
-            lines.extend(metric.render())
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def save(self, path: Union[str, Path]) -> None:
         """Write the JSON exposition document to a file."""
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-
-def parse_prometheus(text: str) -> Dict[str, Dict[str, float]]:
-    """Minimal Prometheus text-format parser (for tests and tooling).
-
-    Returns ``{sample_name: {serialized_labels: value}}``.  Raises
-    :class:`MetricError` on lines that do not conform to the format —
-    the exposition test feeds :meth:`MetricsRegistry.render_prometheus`
-    through this to prove the output is scrapeable.
-    """
-    sample_re = re.compile(
-        r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)$"
-    )
-    label_re = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-    out: Dict[str, Dict[str, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP ") or line.startswith("# TYPE "):
-            continue
-        if line.startswith("#"):
-            raise MetricError(f"malformed comment line: {line!r}")
-        match = sample_re.match(line)
-        if match is None:
-            raise MetricError(f"malformed sample line: {line!r}")
-        name, labels, raw = match.groups()
-        if labels:
-            body = labels[1:-1]
-            parsed = label_re.findall(body)
-            rebuilt = ",".join(f'{k}="{v}"' for k, v in parsed)
-            if rebuilt != body.rstrip(","):
-                raise MetricError(f"malformed labels in line: {line!r}")
-        if raw == "+Inf":
-            value = math.inf
-        elif raw == "-Inf":
-            value = -math.inf
-        elif raw == "NaN":
-            value = math.nan
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise MetricError(f"malformed value in line: {line!r}") from None
-        out.setdefault(name, {})[labels or ""] = value
-    return out

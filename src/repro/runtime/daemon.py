@@ -350,16 +350,18 @@ class RepairDaemon:
     # -- execution -------------------------------------------------------
 
     def _plan_for(self, task: RepairTask) -> RepairPlan:
+        """Plan the task and validate the plan before any bytes move."""
+        cluster = self.testbed.cluster
         if task.kind == "reactive":
-            return plan_failed_node_repair(
-                self.testbed.cluster,
-                task.node_id,
-                scenario=self.scenario,
-                seed=self.seed,
+            plan = plan_failed_node_repair(
+                cluster, task.node_id, scenario=self.scenario, seed=self.seed
             )
-        return FastPRPlanner(scenario=self.scenario, seed=self.seed).plan(
-            self.testbed.cluster, task.node_id
-        )
+        else:
+            plan = FastPRPlanner(scenario=self.scenario, seed=self.seed).plan(
+                cluster, task.node_id
+            )
+        plan.validate(cluster)
+        return plan
 
     def _execute(self, task: RepairTask) -> None:
         attempt = task.attempts

@@ -167,8 +167,8 @@ class Network:
     Args:
         faults: optional fault injector consulted on every send.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; records
-            per-node byte counters, transfer throttle waits, and inbox
-            queue depths.
+            the shared ``net_*`` family (per-node bytes and frames,
+            inbox depths) plus transfer throttle waits.
         inbox_capacity: bound on every endpoint's inbox (0 = unbounded);
             a full inbox blocks the sender (backpressure).
     """
@@ -194,26 +194,11 @@ class Network:
         self.bytes_transferred = 0
         #: shared net_* metric family (same shape as the TCP backend)
         self.net = NetInstruments(metrics)
-        self._sent_counter = None
-        self._recv_counter = None
         self._wait_hist = None
-        self._inbox_gauge = None
         if metrics is not None:
-            self._sent_counter = metrics.counter(
-                "transport_bytes_sent_total",
-                "throttled payload bytes leaving each node's NIC",
-            )
-            self._recv_counter = metrics.counter(
-                "transport_bytes_received_total",
-                "throttled payload bytes arriving at each node's NIC",
-            )
             self._wait_hist = metrics.histogram(
                 "transport_throttle_wait_seconds",
                 "emulated transfer duration paid per data packet",
-            )
-            self._inbox_gauge = metrics.gauge(
-                "transport_inbox_depth",
-                "receiver inbox depth sampled after each data delivery",
             )
 
     def attach(
@@ -335,17 +320,10 @@ class Network:
                 sleep_until(deadline + extra_delay, stop=sender.nic_out.stop)
                 with self._lock:
                     self.bytes_transferred += nbytes
-                if self._sent_counter is not None:
-                    self._sent_counter.inc(nbytes, node=src)
-                    self._recv_counter.inc(nbytes, node=dst)
                 self.net.frames_sent.inc(node=src)
                 self.net.bytes_sent.inc(nbytes, node=src)
                 self.net.bytes_received.inc(nbytes, node=dst)
                 self._deliver(receiver, message)
-                if self._inbox_gauge is not None:
-                    self._inbox_gauge.set(
-                        receiver.inbox.qsize(), node=dst
-                    )
             return
         # Control path.  (Crashed-node *data* sends are dropped inside
         # on_data_packet so byte-triggered crashes still see the bytes.)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import Experiment, Panel
+from repro.bench.plots import main as plots_main
 from repro.bench.report import experiment_to_markdown, generate_report, main
 
 
@@ -102,3 +103,17 @@ class TestCommittedReport:
         root = Path(__file__).resolve().parents[2]
         committed = (root / "REPORT.md").read_text()
         assert committed == generate_report(root / "benchmarks" / "results")
+
+    def test_figures_are_generated_from_benchmarks_results(self, tmp_path):
+        # figures/ changes only by `make report`, like REPORT.md: the
+        # same SVG names, byte for byte, as a fresh render.
+        root = Path(__file__).resolve().parents[2]
+        results = root / "benchmarks" / "results"
+        assert plots_main([str(results), "-o", str(tmp_path)]) == 0
+        fresh = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
+        committed = {
+            p.name: p.read_bytes() for p in (root / "figures").glob("*.svg")
+        }
+        assert sorted(committed) == sorted(fresh)
+        stale = sorted(n for n in fresh if committed[n] != fresh[n])
+        assert stale == []

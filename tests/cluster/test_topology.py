@@ -53,21 +53,20 @@ class TestRackAwarePlacement:
 
     def test_populate_and_verify(self, topology):
         cluster = StorageCluster(12)
-        RackAwarePlacement(topology, max_per_rack=2, seed=1).populate(
-            cluster, 25, 5, 3
-        )
+        placer = RackAwarePlacement(topology, max_per_rack=2, seed=1)
+        for _ in range(25):
+            cluster.add_stripe(5, 3, placer.choose(cluster, 5))
         cluster.verify_fault_tolerance()
         # n - k = 2: a rack loss never exceeds the code's tolerance.
         verify_rack_tolerance(cluster, topology)
 
     def test_balances_load(self, topology):
-        from repro.cluster import placement_balance
-
         cluster = StorageCluster(12)
-        RackAwarePlacement(topology, max_per_rack=1, seed=2).populate(
-            cluster, 30, 4, 2
-        )
-        assert placement_balance(cluster) < 1.3
+        placer = RackAwarePlacement(topology, max_per_rack=1, seed=2)
+        for _ in range(30):
+            cluster.add_stripe(4, 2, placer.choose(cluster, 4))
+        loads = [cluster.load_of(n) for n in cluster.storage_node_ids()]
+        assert max(loads) / (sum(loads) / len(loads)) < 1.3
 
     def test_bad_bound(self, topology):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@
 Covers the pieces concurrent coordinators stand on: the consistent
 shard map (stable, total, disjoint), plan splitting that preserves
 per-round coupling, the deadline-priority :class:`HelperBudget`, and
-the two-STF guarantee that staggered plans plus a shared budget never
-double-book a helper in the same round.
+the two-STF guarantee that a shared budget never double-books a helper
+in the same round.
 """
 
 import threading
@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import StorageCluster
 from repro.core.plan import ShardMap, split_plan
-from repro.core.planner import FastPRPlanner, stagger_concurrent_plans
+from repro.core.planner import FastPRPlanner
 from repro.core.scheduling import BudgetTimeout, HelperBudget
 
 
@@ -210,52 +210,9 @@ class TestHelperBudget:
 
 
 class TestConcurrentStfRepairs:
-    def test_staggered_plans_share_no_helper_per_round(self):
-        """Static guarantee: lockstep rounds have disjoint source sets."""
-        cluster = make_cluster()
-        cluster.node(0).mark_soon_to_fail()
-        cluster.node(1).mark_soon_to_fail()
-        plans = [
-            FastPRPlanner(seed=2).plan(cluster, 0),
-            FastPRPlanner(seed=2).plan(cluster, 1),
-        ]
-        staggered = stagger_concurrent_plans(plans)
-        assert len(staggered) == 2
-        depth = max(len(p.rounds) for p in staggered)
-        for r in range(depth):
-            # One plan may read a helper several times in its own round
-            # (e.g. two migrations off the STF node); the guarantee is
-            # that no *other* concurrent plan touches the same helper.
-            claimed = set()
-            for plan in staggered:
-                if r >= len(plan.rounds):
-                    continue
-                sources = set()
-                for action in plan.rounds[r].actions():
-                    sources.update(action.sources)
-                booked = claimed & sources
-                assert not booked, (
-                    f"helpers {sorted(booked)} double-booked in round {r}"
-                )
-                claimed |= sources
-
-    def test_stagger_preserves_every_action(self):
-        cluster = make_cluster()
-        cluster.node(0).mark_soon_to_fail()
-        cluster.node(1).mark_soon_to_fail()
-        plans = [
-            FastPRPlanner(seed=2).plan(cluster, 0),
-            FastPRPlanner(seed=2).plan(cluster, 1),
-        ]
-        staggered = stagger_concurrent_plans(plans)
-        for before, after in zip(plans, staggered):
-            assert {
-                (a.stripe_id, a.chunk_index) for a in before.actions()
-            } == {(a.stripe_id, a.chunk_index) for a in after.actions()}
-
     def test_budget_serializes_contending_rounds(self):
-        """Dynamic guarantee: even un-staggered rounds can't overlap on
-        a helper once both coordinators route through one budget."""
+        """Two STF plans' rounds never overlap on a helper once both
+        coordinators route through one budget."""
         cluster = make_cluster()
         cluster.node(0).mark_soon_to_fail()
         cluster.node(1).mark_soon_to_fail()

@@ -95,3 +95,16 @@ class TestHotStandbyPlacer:
         placer = HotStandbyPlacer(cluster, standby_ids=[11])
         chunks = cluster.chunks_on_node(0)[:2]
         assert set(placer.assign(chunks).values()) == {11}
+
+    def test_skips_standby_holding_a_chunk_of_the_stripe(self, cluster):
+        # An earlier hot-standby repair left a chunk of stripe 0 on 10.
+        cluster.relocate_chunk(0, 1, 10)
+        placer = HotStandbyPlacer(cluster)
+        chunks = cluster.chunks_on_node(0)[:2]
+        assert list(placer.assign(chunks).values()) == [11, 12]
+
+    def test_no_free_standby_raises(self, cluster):
+        placer = HotStandbyPlacer(cluster, standby_ids=[11])
+        cluster.relocate_chunk(0, 1, 11)
+        with pytest.raises(PlacementError, match="stripe 0"):
+            placer.assign(cluster.chunks_on_node(0)[:1])

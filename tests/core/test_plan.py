@@ -189,6 +189,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="standby"):
             plan.validate(cluster)
 
+    def test_hot_standby_destination_conflict(self, cluster):
+        # An earlier hot-standby repair left chunk 1 of S0 on standby 6;
+        # writing chunk 0 there too would replace it.
+        cluster.relocate_chunk(0, 1, 6)
+        plan = RepairPlan(stf_node=0, scenario=RepairScenario.HOT_STANDBY)
+        plan.rounds.append(
+            RepairRound(
+                index=0,
+                migrations=[migration(0, 0, 0, 6), migration(1, 0, 0, 6)],
+            )
+        )
+        with pytest.raises(ValueError, match="6 already stores a chunk of stripe 0"):
+            plan.validate(cluster)
+
     def test_plan_counters(self, cluster):
         plan = self.make_plan(
             cluster,

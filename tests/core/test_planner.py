@@ -15,7 +15,6 @@ from repro.core.planner import (
     ReconstructionOnlyPlanner,
     apply_plan,
     model_for,
-    plan_predictive_repair,
     profile_from_cluster,
 )
 
@@ -146,28 +145,6 @@ class TestApplyPlan:
         apply_plan(cluster, FastPRPlanner(seed=0).plan(cluster, stf))
         cluster.decommission(stf)
         assert cluster.node(stf).is_failed
-
-
-class TestPlanPredictiveRepair:
-    def test_no_stf_nodes(self, small_cluster):
-        assert plan_predictive_repair(small_cluster) == []
-
-    def test_single_stf_uses_fastpr(self, stf_cluster):
-        cluster, stf = stf_cluster
-        plans = plan_predictive_repair(cluster, seed=0)
-        assert len(plans) == 1
-        assert plans[0].stf_node == stf
-        # FastPR couples methods when parallelism allows; at minimum the
-        # plan is valid.
-        plans[0].validate(cluster)
-
-    def test_multi_stf_falls_back_to_reactive(self, small_cluster):
-        small_cluster.node(0).mark_soon_to_fail()
-        small_cluster.node(1).mark_soon_to_fail()
-        plans = plan_predictive_repair(small_cluster)
-        assert len(plans) == 2
-        for plan in plans:
-            assert plan.migrated_chunks == 0
 
 
 class TestUniformKEnforcement:

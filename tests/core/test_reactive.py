@@ -1,15 +1,9 @@
-"""Tests for reactive (failed-node and multi-failure) repair."""
+"""Tests for reactive repair of one failed node."""
 
 import pytest
 
 from repro.cluster import StorageCluster
-from repro.core.plan import RepairMethod, RepairScenario
-from repro.core.reactive import (
-    MultiFailureRepairPlanner,
-    UnrecoverableStripeError,
-    plan_failed_node_repair,
-    repair_after_failures,
-)
+from repro.core.reactive import plan_failed_node_repair
 from repro.core.planner import apply_plan
 from repro.sim.cost_model import evaluate_plan
 
@@ -44,184 +38,3 @@ class TestSingleFailedNode:
         assert result.total_time > 0
         apply_plan(cluster, plan)
         assert cluster.load_of(3) == 0
-
-
-class TestMultiFailure:
-    def fail(self, cluster, nodes):
-        for node in nodes:
-            cluster.node(node).mark_failed()
-
-    def test_plans_cover_all_lost_chunks(self):
-        cluster = make_cluster(seed=3)
-        failed = [0, 1]
-        lost = {n: cluster.load_of(n) for n in failed}
-        self.fail(cluster, failed)
-        plans = MultiFailureRepairPlanner(seed=0).plan(cluster, failed)
-        assert len(plans) == 2
-        for plan in plans:
-            plan.validate(cluster)
-            assert plan.total_chunks == lost[plan.stf_node]
-            for action in plan.actions():
-                assert action.method is RepairMethod.RECONSTRUCTION
-                assert not set(action.sources) & set(failed)
-
-    def test_shared_stripe_destinations_disjoint(self):
-        # Stripes that lost chunks on both failed nodes must get their
-        # two repaired chunks on different nodes.
-        cluster = StorageCluster(12)
-        for _ in range(6):
-            cluster.add_stripe(5, 3, [0, 1, 2, 3, 4])
-        self.fail(cluster, [0, 1])
-        plans = MultiFailureRepairPlanner(seed=0).plan(cluster, [0, 1])
-        per_stripe = {}
-        for plan in plans:
-            for action in plan.actions():
-                per_stripe.setdefault(action.stripe_id, []).append(
-                    action.destination
-                )
-        for stripe_id, dests in per_stripe.items():
-            assert len(dests) == 2
-            assert len(set(dests)) == 2, f"stripe {stripe_id} collided"
-
-    def test_apply_both_plans_keeps_fault_tolerance(self):
-        cluster = make_cluster(seed=4)
-        failed = [2, 5]
-        self.fail(cluster, failed)
-        for plan in MultiFailureRepairPlanner(seed=0).plan(cluster, failed):
-            apply_plan(cluster, plan)
-        cluster.verify_fault_tolerance()
-        for node in failed:
-            assert cluster.load_of(node) == 0
-
-    def test_unrecoverable_stripe_detected(self):
-        cluster = StorageCluster(8)
-        cluster.add_stripe(5, 3, [0, 1, 2, 3, 4])
-        self.fail(cluster, [0, 1, 2])  # 3 losses > n - k = 2
-        with pytest.raises(UnrecoverableStripeError):
-            MultiFailureRepairPlanner().plan(cluster, [0, 1, 2])
-
-    def test_hot_standby_scenario(self):
-        cluster = make_cluster(seed=5)
-        failed = [0, 1]
-        self.fail(cluster, failed)
-        plans = MultiFailureRepairPlanner(
-            scenario=RepairScenario.HOT_STANDBY, seed=0
-        ).plan(cluster, failed)
-        standbys = set(cluster.hot_standby_ids())
-        for plan in plans:
-            plan.validate(cluster)
-            assert {a.destination for a in plan.actions()} <= standbys
-
-    def test_rounds_respect_helper_exclusivity(self):
-        cluster = make_cluster(seed=6)
-        failed = [0, 4]
-        self.fail(cluster, failed)
-        for plan in MultiFailureRepairPlanner(seed=0).plan(cluster, failed):
-            for round_ in plan.rounds:
-                helpers = [h for a in round_.actions() for h in a.sources]
-                assert len(helpers) == len(set(helpers))
-
-    def test_unmarked_node_rejected(self):
-        cluster = make_cluster(seed=7)
-        cluster.node(0).mark_failed()
-        with pytest.raises(ValueError, match="not marked failed"):
-            MultiFailureRepairPlanner().plan(cluster, [0, 1])
-
-
-class TestMidRepairFailure:
-    def setup_plan(self, seed=20):
-        from repro.core.planner import FastPRPlanner
-
-        cluster = make_cluster(seed=seed, num_nodes=20, stripes=80)
-        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
-        cluster.node(stf).mark_soon_to_fail()
-        plan = FastPRPlanner(seed=0).plan(cluster, stf)
-        return cluster, stf, plan
-
-    def apply_rounds(self, cluster, plan, upto):
-        for round_ in plan.rounds[:upto]:
-            for action in round_.actions():
-                cluster.relocate_chunk(
-                    action.stripe_id, action.chunk_index, action.destination
-                )
-
-    def test_replan_covers_exactly_remaining(self):
-        from repro.core.reactive import replan_after_midrepair_failure
-
-        cluster, stf, plan = self.setup_plan()
-        assert plan.num_rounds >= 2, "need a multi-round plan"
-        done = 1
-        self.apply_rounds(cluster, plan, done)
-        cluster.node(stf).mark_failed()
-        replan = replan_after_midrepair_failure(cluster, plan, done, seed=0)
-        remaining = {
-            (a.stripe_id, a.chunk_index)
-            for r in plan.rounds[done:]
-            for a in r.actions()
-        }
-        covered = {(a.stripe_id, a.chunk_index) for a in replan.actions()}
-        assert covered == remaining
-        assert replan.migrated_chunks == 0
-        for action in replan.actions():
-            assert stf not in action.sources
-
-    def test_replan_validates_and_applies(self):
-        from repro.core.reactive import replan_after_midrepair_failure
-
-        cluster, stf, plan = self.setup_plan(seed=21)
-        done = 1
-        self.apply_rounds(cluster, plan, done)
-        cluster.node(stf).mark_failed()
-        replan = replan_after_midrepair_failure(cluster, plan, done, seed=0)
-        chunks = [
-            c
-            for c in cluster.chunks_on_node(stf)
-        ]
-        replan.validate(cluster, stf_chunks=chunks)
-        apply_plan(cluster, replan)
-        assert cluster.load_of(stf) == 0
-        cluster.verify_fault_tolerance()
-
-    def test_requires_failed_node(self):
-        from repro.core.reactive import replan_after_midrepair_failure
-
-        cluster, stf, plan = self.setup_plan(seed=22)
-        with pytest.raises(ValueError, match="not marked failed"):
-            replan_after_midrepair_failure(cluster, plan, 0)
-
-    def test_bad_round_count(self):
-        from repro.core.reactive import replan_after_midrepair_failure
-
-        cluster, stf, plan = self.setup_plan(seed=23)
-        cluster.node(stf).mark_failed()
-        with pytest.raises(ValueError, match="outside"):
-            replan_after_midrepair_failure(cluster, plan, plan.num_rounds + 1)
-
-    def test_failure_before_any_round(self):
-        from repro.core.reactive import replan_after_midrepair_failure
-
-        cluster, stf, plan = self.setup_plan(seed=24)
-        cluster.node(stf).mark_failed()
-        replan = replan_after_midrepair_failure(cluster, plan, 0, seed=0)
-        assert replan.total_chunks == plan.total_chunks
-
-
-class TestRepairAfterFailures:
-    def test_single_failure_shortcut(self):
-        cluster = make_cluster(seed=8)
-        plans = repair_after_failures(cluster, [3])
-        assert len(plans) == 1
-        assert cluster.node(3).is_failed
-        plans[0].validate(cluster)
-
-    def test_multiple_failures(self):
-        cluster = make_cluster(seed=9)
-        plans = repair_after_failures(cluster, [0, 1])
-        assert len(plans) == 2
-        for plan in plans:
-            plan.validate(cluster)
-
-    def test_deduplicates_nodes(self):
-        cluster = make_cluster(seed=10)
-        plans = repair_after_failures(cluster, [2, 2])
-        assert len(plans) == 1

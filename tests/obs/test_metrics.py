@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, concurrency, exposition formats."""
+"""Metrics registry: instruments, concurrency, the JSON exposition."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.obs import (
     METRICS_SCHEMA_VERSION,
     MetricError,
     MetricsRegistry,
-    parse_prometheus,
 )
 
 
@@ -182,17 +181,13 @@ def _golden_registry() -> MetricsRegistry:
 
 class TestExposition:
     def test_output_matches_golden(self):
-        """Both expositions byte for byte as before label sets were
-        memoised (the golden files were written by that code)."""
+        """The JSON exposition byte for byte as before label sets were
+        memoised (the golden file was written by that code)."""
         registry = _golden_registry()
         here = Path(__file__).parent
         assert (
             json.dumps(registry.to_dict(), indent=1, sort_keys=True) + "\n"
             == (here / "golden_metrics.json").read_text()
-        )
-        assert (
-            registry.render_prometheus()
-            == (here / "golden_metrics.prom").read_text()
         )
 
     def test_json_document_shape(self, tmp_path):
@@ -208,24 +203,3 @@ class TestExposition:
             "migration": 3,
             "reconstruction": 2,
         }
-
-    def test_prometheus_output_parses(self):
-        text = _populated_registry().render_prometheus()
-        parsed = parse_prometheus(text)
-        assert parsed["repair_actions_total"]['{method="migration"}'] == 3
-        assert parsed["coordinator_epoch"][""] == 1
-        buckets = parsed["repair_round_seconds_bucket"]
-        assert buckets['{le="0.1"}'] == 1
-        assert buckets['{le="1"}'] == 2
-        assert buckets['{le="+Inf"}'] == 2
-        assert parsed["repair_round_seconds_count"][""] == 2
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(1, path='a"b\\c\nd')
-        parsed = parse_prometheus(registry.render_prometheus())
-        assert sum(parsed["c"].values()) == 1
-
-    def test_parser_rejects_garbage(self):
-        with pytest.raises(MetricError):
-            parse_prometheus("not a metric line at all!")

@@ -7,9 +7,11 @@ from repro.core.planner import (
     FastPRPlanner,
     MigrationOnlyPlanner,
     ReconstructionOnlyPlanner,
+    apply_plan,
 )
 from repro.core.plan import RepairScenario
 from repro.ec import make_codec
+from repro.runtime.scrub import Scrubber
 from repro.runtime.testbed import EmulatedTestbed, VerificationError
 
 CHUNK = 64 * 1024
@@ -91,6 +93,45 @@ class TestEndToEnd:
         # Restore for other tests.
         testbed.execute(plan)
         testbed.verify_plan(plan)
+
+
+class TestSuccessiveHotStandbyRepairs:
+    def test_second_repair_keeps_earlier_standby_chunks(self, tmp_path):
+        """Two hot-standby repairs in a row fill the same two standbys.
+        The second must not target a standby that the first already
+        gave a chunk of the stripe: that write would replace the chunk
+        and leave the stripe one failure short."""
+        cluster = StorageCluster.random(
+            14,
+            60,
+            5,
+            3,
+            seed=3,
+            num_hot_standby=2,
+            chunk_size=4096,
+            disk_bandwidth=1e9,
+            network_bandwidth=1e9,
+        )
+        with EmulatedTestbed(
+            cluster, make_codec("rs(5,3)"), workdir=tmp_path
+        ) as testbed:
+            testbed.load_random_data(seed=1)
+            for stf in (0, 1):
+                cluster.node(stf).mark_soon_to_fail()
+                plan = FastPRPlanner(
+                    scenario=RepairScenario.HOT_STANDBY, seed=0
+                ).plan(cluster, stf)
+                plan.validate(cluster)
+                testbed.execute(plan)
+                testbed.verify_plan(plan)
+                corrupt = [
+                    (c.stripe_id, c.chunk_index, c.node_id)
+                    for c in Scrubber(testbed).scan().corrupt
+                ]
+                assert corrupt == [], f"after repairing node {stf}"
+                apply_plan(cluster, plan)
+                cluster.node(stf).mark_healthy()
+        cluster.verify_fault_tolerance()
 
 
 class TestLifecycle:

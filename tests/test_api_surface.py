@@ -43,7 +43,6 @@ PUBLIC_API = [
     "ShardMap",
     "find_reconstruction_sets",
     "split_plan",
-    "stagger_concurrent_plans",
     # emulated runtime backend
     "Agent",
     "Coordinator",
@@ -135,6 +134,103 @@ FAILURE_API = [
     "window_features",
 ]
 
+# One reactive path (plan_failed_node_repair, one task per dead node)
+# and one guard for concurrent rounds (HelperBudget, at run time).
+CORE_API = [
+    "Algorithm1Stats",
+    "AnalyticalModel",
+    "BandwidthProfile",
+    "BudgetTimeout",
+    "ChunkRepairAction",
+    "DinicMaxFlow",
+    "FastPRPlanner",
+    "HelperBudget",
+    "HotStandbyPlacer",
+    "IncrementalStripeMatcher",
+    "LrcFastPRPlanner",
+    "LrcReconstructionOnlyPlanner",
+    "MigrationOnlyPlanner",
+    "PAPER_DEFAULT_PROFILE",
+    "PlacementError",
+    "ReconstructionOnlyPlanner",
+    "ReconstructionSetFinder",
+    "RepairMethod",
+    "RepairPlan",
+    "RepairPlanner",
+    "RepairRound",
+    "RepairScenario",
+    "RoundComposition",
+    "ShardMap",
+    "apply_plan",
+    "assign_scattered_destinations",
+    "build_lrc_cluster",
+    "find_reconstruction_sets",
+    "gbit_per_s",
+    "helper_assignment",
+    "hopcroft_karp",
+    "lrc_helper_candidates",
+    "match_one_per_target",
+    "mb_per_s",
+    "mib",
+    "migration_quota",
+    "model_for",
+    "optimal_packet_size",
+    "plan_failed_node_repair",
+    "profile_from_cluster",
+    "schedule_migration_only",
+    "schedule_reconstruction_only",
+    "schedule_repair_rounds",
+    "split_by_repair_locality",
+    "split_plan",
+    "stripe_helper_flow",
+]
+
+# StorageCluster.random/add_stripe place stripes; RackAwarePlacement is
+# the one policy kept, for rack-tolerant test clusters.
+CLUSTER_API = [
+    "ChunkLocation",
+    "ClusterError",
+    "Node",
+    "NodeId",
+    "NodeRole",
+    "NodeState",
+    "RackAwarePlacement",
+    "RackTopology",
+    "RackViolationError",
+    "StorageCluster",
+    "Stripe",
+    "StripeCatalog",
+    "StripeId",
+    "snapshot",
+    "verify_rack_tolerance",
+]
+
+# One metrics exposition: the JSON document.
+OBS_API = [
+    "Counter",
+    "DEFAULT_BUCKETS",
+    "Gauge",
+    "Histogram",
+    "METRICS_SCHEMA_VERSION",
+    "MetricError",
+    "MetricsRegistry",
+    "REPORT_SCHEMA_VERSION",
+    "RepairBreakdown",
+    "RoundBreakdown",
+    "SimClock",
+    "Span",
+    "TRACE_SCHEMA_VERSION",
+    "TraceDocument",
+    "TraceError",
+    "Tracer",
+    "WallClock",
+    "breakdown_from_trace",
+    "duration_of",
+    "load_report_inputs",
+    "metrics_summary",
+    "render_breakdown",
+]
+
 
 def test_all_matches_snapshot():
     assert sorted(repro.__all__) == sorted(PUBLIC_API)
@@ -142,7 +238,13 @@ def test_all_matches_snapshot():
 
 @pytest.mark.parametrize(
     "module, snapshot",
-    [("repro.sim", SIM_API), ("repro.failure", FAILURE_API)],
+    [
+        ("repro.sim", SIM_API),
+        ("repro.failure", FAILURE_API),
+        ("repro.core", CORE_API),
+        ("repro.cluster", CLUSTER_API),
+        ("repro.obs", OBS_API),
+    ],
 )
 def test_subpackage_all_matches_snapshot(module, snapshot):
     exported = importlib.import_module(module).__all__
@@ -159,6 +261,9 @@ def test_subpackage_all_matches_snapshot(module, snapshot):
         # one plan timer: sim.cost_model.evaluate_plan
         "repro.sim.simulator",
         "repro.sim.resources",
+        # stripes are placed by StorageCluster; nothing rebalances
+        "repro.cluster.placement",
+        "repro.cluster.rebalance",
     ],
 )
 def test_retired_modules_stay_gone(module):
@@ -216,6 +321,6 @@ def test_obs_surface():
         "TraceDocument",
         "breakdown_from_trace",
         "render_breakdown",
-        "parse_prometheus",
     ):
         assert name in obs.__all__, name
+    assert not hasattr(obs, "parse_prometheus")

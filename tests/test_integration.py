@@ -2,7 +2,7 @@
 
 These tests wire the substrates together the way the paper's system
 does: SMART telemetry -> failure predictor -> STF flag -> FastPR plan ->
-cost-model timing or emulated execution -> metadata update -> rebalance.
+cost-model timing or emulated execution -> metadata update.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro import (
     evaluate_plan,
     make_codec,
 )
-from repro.cluster import Rebalancer, StorageCluster, placement_balance
+from repro.cluster import StorageCluster
 from repro.core import apply_plan
 from repro.failure import (
     ClusterFailureMonitor,
@@ -76,23 +76,6 @@ class TestPredictiveMaintenancePipeline:
         )
         assert fast.total_time <= reactive.total_time
         assert fast.total_time < migration.total_time
-
-
-class TestRepairThenRebalance:
-    def test_post_repair_rebalance(self):
-        cluster = StorageCluster.random(12, 60, 5, 3, seed=70)
-        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
-        cluster.node(stf).mark_soon_to_fail()
-        plan = FastPRPlanner(seed=0).plan(cluster, stf)
-        apply_plan(cluster, plan)
-        cluster.decommission(stf)
-        # Repair skews the distribution; the paper assumes periodic
-        # rebalancing restores it.
-        Rebalancer(seed=0).run(cluster)
-        cluster.verify_fault_tolerance()
-        healthy = cluster.healthy_storage_nodes()
-        loads = [cluster.load_of(n) for n in healthy]
-        assert max(loads) - min(loads) <= 2
 
 
 class TestRuntimeAgainstSimulator:

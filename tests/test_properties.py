@@ -2,7 +2,7 @@
 
 These complement the per-module suites with whole-system invariants on
 randomized inputs: codec interchangeability, snapshot round-trips,
-plan/simulator consistency, and rebalance monotonicity.
+and plan/simulator consistency.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro import (
     ReconstructionOnlyPlanner,
     make_codec,
 )
-from repro.cluster import Rebalancer, StorageCluster, placement_balance
+from repro.cluster import StorageCluster
 from repro.cluster import snapshot as snapshot_mod
 from repro.core import apply_plan
 from repro.sim import evaluate_plan
@@ -126,15 +126,3 @@ class TestPlanningProperties:
         # seed=896); it is never materially slower.
         assert times["fastpr"] <= times["reconstruction"] * 1.05
         assert times["fastpr"] <= times["migration"] * 1.05
-
-
-class TestRebalanceProperties:
-    @relaxed
-    @given(st.integers(0, 2**16))
-    def test_rebalance_never_increases_spread(self, seed):
-        cluster = StorageCluster.random(10, 30, 4, 2, seed=seed)
-        before = placement_balance(cluster)
-        Rebalancer(seed=seed).run(cluster)
-        after = placement_balance(cluster)
-        assert after <= before + 1e-9
-        cluster.verify_fault_tolerance()
