@@ -3,7 +3,6 @@
 A repair run is a tree of timed phases::
 
     repair
-    ├── plan_commit
     ├── round (round=0)
     │   ├── action (method=migration, stripe=4, ...)
     │   ├── action (method=reconstruction, ...)

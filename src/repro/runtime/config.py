@@ -4,7 +4,7 @@ Every timeout that used to be a magic constant in the runtime lives
 here, so tests can run with tight deadlines and production-like runs
 can relax them.  The coordinator derives its *per-round* deadlines
 from the Section III cost model (see
-:meth:`~repro.runtime.coordinator.Coordinator._round_deadline`); the
+:meth:`~repro.runtime.coordinator.CoordinatorState.estimate`); the
 values below bound and scale those estimates rather than replacing
 them.
 """

@@ -1,4 +1,4 @@
-"""The FastPR coordinator (Section V), as a supervised state machine.
+"""The FastPR coordinator (Section V): a pure state machine and its shell.
 
 Deployed alongside the NameNode in the paper; here it drives the
 emulated testbed.  Per repair round it sends every destination a
@@ -25,27 +25,40 @@ The run fails loudly — :class:`RepairTimeoutError` names the pending
 action keys, :class:`RepairFailedError` the unrecoverable one — rather
 than hanging on a bare ``inbox.get``.
 
-Crash recovery: when constructed with a
-:class:`~repro.runtime.journal.RepairJournal`, the coordinator
-journals every state transition *before* acting on it (plan commit,
-round start, each ACKed action, round completion, finish).  If the
-coordinator process dies, :meth:`Coordinator.recover` replays the
-journal, :meth:`Coordinator.resume` queries every agent's chunk
-inventory (:class:`~repro.runtime.messages.InventoryQuery`),
-reconciles journal against reality, and re-executes only the actions
-that never durably completed.  Each incarnation runs under a fresh
-``epoch``; agents fence out commands from older epochs, so a zombie
-predecessor can never mutate a store behind its successor's back.
+What the coordinator decides is :func:`step`, ``step(state, event,
+now) -> (commands, records)`` over one :class:`CoordinatorState`: agent
+messages, :class:`Tick` (a deadline the state holds is due) and
+journal records are its events, and it reads no clock, never sleeps
+and does no I/O.  How it waits is :class:`Coordinator`, the shell: it
+alone owns the inbox, the network, the journal, the helper budget,
+lease renewal and the clock, and appends the records of each step
+before it sends the step's commands (write-ahead).  Crash recovery is
+the same fold: :meth:`Coordinator.recover` feeds a crashed run's
+journal through :func:`step`, and :meth:`Coordinator.resume` runs an
+inventory exchange (which fences the old epoch) and then the loop
+:meth:`Coordinator.execute` runs, re-issuing only unfinished actions.
 """
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import queue
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    get_args,
+)
 
 from ..cluster.chunk import NodeId, StripeId
 from ..cluster.cluster import StorageCluster
@@ -63,7 +76,6 @@ from ..obs.tracing import Span, Tracer
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .journal import (
     ActionCompleted,
-    CoordinatorCrash,
     JournalError,
     JournalRecord,
     PlanCommitted,
@@ -98,10 +110,6 @@ def shard_coordinator_id(shard: int) -> NodeId:
     bumped epoch, and the existing fencing does the rest.
     """
     return -(shard + 1)
-
-
-#: stateless stand-in when no HelperBudget is configured
-_NO_BUDGET = contextlib.nullcontext()
 
 
 class RepairTimeoutError(RuntimeError):
@@ -159,20 +167,538 @@ class RuntimeResult:
         return bool(self.retries or self.replans or self.dead_nodes or self.nacks)
 
 
-@dataclass
-class RecoveredState:
-    """What :meth:`Coordinator.recover` reconstructed from the journal."""
+# ----------------------------------------------------------------------
+# the state machine
+# ----------------------------------------------------------------------
 
-    plan: RepairPlan
+#: one message for one endpoint: ``(node id, message)``
+Command = Tuple[NodeId, object]
+#: one step's output: send the commands after appending the records
+Out = Tuple[List[Command], List[JournalRecord]]
+
+
+@dataclass(frozen=True)
+class Tick:
+    """``now`` reached :meth:`CoordinatorState.wake_at`."""
+
+
+@dataclass(frozen=True)
+class Start:
+    """Commit the plan; a state folded from a journal first asks
+    ``nodes`` (every attached agent) for their inventories."""
+
+    nodes: Tuple[NodeId, ...] = ()
+
+
+@dataclass(frozen=True)
+class NextRound:
+    """Issue the next round; the shell holds its helper budget."""
+
+
+@dataclass(frozen=True)
+class Probe:
+    """Ping ``nodes`` outside any round; whoever stays silent is dead."""
+
+    nodes: Tuple[NodeId, ...]
+
+
+@dataclass
+class Window:
+    """An outstanding ping or inventory query of ``nodes``."""
+
+    nonce: int
+    expires: float
+    reason: str = ""
+    nodes: Set[NodeId] = field(default_factory=set)
+    #: the stalled actions a ping decides on
+    keys: Set[ActionKey] = field(default_factory=set)
+    #: node -> its reply (the stripes of an inventory reply)
+    replies: Dict[NodeId, Tuple[StripeId, ...]] = field(default_factory=dict)
+
+
+@dataclass
+class CoordinatorState:
+    """Everything :func:`step` decides on; one per run, mutated in place."""
+
+    plan: Optional[RepairPlan]
     packet_size: int
-    #: journaled ActionCompleted records: key -> executed action
-    completed: Dict[ActionKey, ChunkRepairAction]
-    #: the journal already holds a RepairFinished record
-    finished: bool
+    epoch: int
+    cluster: StorageCluster
+    codec: ErasureCodec
+    config: RuntimeConfig = DEFAULT_CONFIG
+    #: endpoint every command names as ``reply_to``
+    coordinator_id: NodeId = COORDINATOR_ID
+    #: the fault plan's slow-NIC scales (node -> scale in (0, 1])
+    link_scales: Dict[NodeId, float] = field(default_factory=dict)
+    nonces: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+    #: folded from a journal: Start reconciles with agent inventories
+    recovering: bool = False
+    committed: bool = False
+    finished: bool = False
+    #: durably complete actions: key -> executed (possibly healed) action
+    done: Dict[ActionKey, ChunkRepairAction] = field(default_factory=dict)
+    #: index into ``plan.rounds``: the round in flight, else the next
+    round: int = 0
+    in_round: bool = False
+    #: the round's remaining actions: key -> current (healed) action
+    actions: Dict[ActionKey, ChunkRepairAction] = field(default_factory=dict)
+    pending: Set[ActionKey] = field(default_factory=set)
+    attempts: Dict[ActionKey, int] = field(default_factory=dict)
+    retries: Dict[ActionKey, int] = field(default_factory=dict)
+    #: when each action waiting out its retry backoff is reissued
+    reissue_at: Dict[ActionKey, float] = field(default_factory=dict)
+    deadline: float = float("inf")
+    dead: Set[NodeId] = field(default_factory=set)
+    #: link scales halved each time a node survives a stall's probe, so
+    #: chain ordering demotes flaky-but-alive helpers to chain heads
+    observed_scales: Dict[NodeId, float] = field(default_factory=dict)
+    probe: Optional[Window] = None
+    inventory: Optional[Window] = None
+    #: ingress streams of the round's busiest NIC
+    busiest: int = 0
+    #: chains issued with a node still ingesting more than one stream
+    shared_chains: int = 0
+    #: what the run did so far; the shell adds the timings
+    result: RuntimeResult = field(default_factory=lambda: RuntimeResult(0.0))
+
+    def upcoming(self) -> List[ChunkRepairAction]:
+        """The next round's actions not yet complete (as planned)."""
+        return [
+            action
+            for action in self.plan.rounds[self.round].actions()
+            if (action.stripe_id, action.chunk_index) not in self.done
+        ]
+
+    def deadline_armed(self) -> bool:
+        """The round's ACK deadline is suspended while a probe or a
+        backoff is outstanding; the reissue that ends either re-arms it."""
+        return self.in_round and self.probe is None and not self.reissue_at
+
+    def wake_at(self) -> float:
+        """When :func:`step` next needs a :class:`Tick`."""
+        times = [w.expires for w in (self.probe, self.inventory) if w]
+        times.extend(self.reissue_at.values())
+        if self.deadline_armed():
+            times.append(self.deadline)
+        return min(times, default=float("inf"))
+
+    def estimate(self, actions: Iterable[ChunkRepairAction]) -> float:
+        """Cost-model-derived ACK deadline for a batch of actions.
+
+        Sums the Eq. (4)/(5) per-chunk estimates (reads + transfers +
+        write) — a deliberate over-approximation of the round's
+        critical path — then applies the configured margin and floor.
+        A node is only declared *suspect* after this budget elapses,
+        so the estimate errs long, never short.
+        """
+        cfg = self.config
+        chunk = self.cluster.chunk_size
+        disk_time = chunk / (self.cluster.disk_bandwidth or float("inf"))
+        net_time = chunk / (self.cluster.network_bandwidth or float("inf"))
+        estimate = 0.0
+        for action in actions:
+            if action.method is RepairMethod.MIGRATION:
+                estimate += 2 * disk_time + net_time
+            else:
+                estimate += 2 * disk_time + len(action.sources) * net_time
+        return max(cfg.min_deadline, cfg.deadline_margin * estimate)
+
+    def chain_weights(self) -> Dict[NodeId, float]:
+        """Effective link scale per node, for :func:`order_chain`: the
+        fault plan's slow-NIC scales (the numbers the injector applies
+        and the cost model prices) times the observed degradation.
+        Nodes absent from the result run at full speed."""
+        weights = dict(self.link_scales)
+        for node, scale in self.observed_scales.items():
+            weights[node] = weights.get(node, 1.0) * scale
+        return weights
+
+
+def step(state: CoordinatorState, event: object, now: float) -> Out:
+    """Apply one event to ``state``; returns ``(commands, records)``.
+
+    The caller appends ``records`` to the journal before it sends
+    ``commands``.  ``now`` is the caller's clock; nothing here reads
+    one, sleeps or does I/O.
+
+    Raises:
+        RepairTimeoutError: an action exhausted ``max_retries``.
+        RepairFailedError: a dead node left an action unrepairable.
+    """
+    out: Out = ([], [])
+    if isinstance(event, RepairAck):
+        _on_ack(state, event, now, out)
+    elif isinstance(event, (Pong, Heartbeat, InventoryReply)):
+        _on_reply(state, event, now, out)
+    elif isinstance(event, Tick):
+        _on_tick(state, now, out)
+    elif isinstance(event, NextRound):
+        _start_round(state, now, out)
+    elif isinstance(event, Start) and state.recovering:
+        expires = now + state.config.inventory_timeout
+        window = Window(next(state.nonces), expires, nodes=set(event.nodes))
+        state.inventory = window
+        for node in sorted(window.nodes):
+            query = InventoryQuery(
+                state.epoch, window.nonce, reply_to=state.coordinator_id
+            )
+            out[0].append((node, query))
+        if not window.nodes:
+            _reconcile(state, out)
+    elif isinstance(event, Start):
+        _commit(state, out)
+    elif isinstance(event, Probe):
+        _ping(state, set(event.nodes), set(), "probe", now, out)
+    elif isinstance(event, get_args(JournalRecord)):
+        _replay(state, event)
+    else:
+        raise RuntimeError(f"coordinator got unexpected {event!r}")
+    return out
+
+
+def _replay(state: CoordinatorState, record: JournalRecord) -> None:
+    """Fold one journal record of a crashed run into ``state``."""
+    state.epoch = max(state.epoch, record.epoch)
+    if isinstance(record, PlanCommitted):
+        state.plan = RepairPlan.from_dict(record.plan)
+        state.packet_size = record.packet_size
+        state.recovering = True
+    elif isinstance(record, ActionCompleted):
+        action = ChunkRepairAction.from_dict(record.action)
+        state.done[(action.stripe_id, action.chunk_index)] = action
+    elif isinstance(record, RepairFinished):
+        state.finished = True
+
+
+def _on_reply(state: CoordinatorState, reply, now: float, out: Out) -> None:
+    """Pongs and heartbeats count inside a probe, inventory replies
+    inside the inventory window; anything else arrived late."""
+    inventory = isinstance(reply, InventoryReply)
+    window = state.inventory if inventory else state.probe
+    if (
+        window is None
+        or reply.node_id not in window.nodes
+        or getattr(reply, "nonce", window.nonce) != window.nonce
+    ):
+        return
+    window.replies[reply.node_id] = getattr(reply, "stripes", ())
+    if window.replies.keys() < window.nodes:
+        return
+    if inventory:
+        _reconcile(state, out)
+    else:
+        _conclude_probe(state, now, out)
+
+
+def _reconcile(state: CoordinatorState, out: Out) -> None:
+    """Inventory in (or timed out: crashed nodes are absent): an action
+    is complete iff journaled or its destination stores the chunk."""
+    replies, state.inventory = state.inventory.replies, None
+    for action in state.plan.actions():
+        key = (action.stripe_id, action.chunk_index)
+        if action.stripe_id in replies.get(action.destination, ()):
+            # Destinations never previously store a chunk of the stripe
+            # (plan invariant) and promotion is atomic, so presence
+            # proves the action completed durably.
+            state.done.setdefault(key, action)
+    _commit(state, out)
+
+
+def _commit(state: CoordinatorState, out: Out) -> None:
+    state.committed = True
+    _count_recovered(state)
+    state.result.chunks_repaired = state.plan.total_chunks - len(state.done)
+    plan = state.plan.to_dict()
+    out[1].append(PlanCommitted(state.epoch, plan, state.packet_size))
+    _finish_if_done(state, out)
+
+
+def _count_recovered(state: CoordinatorState) -> None:
+    result = state.result
+    result.recovered_chunks = len(state.done)
+    result.executed_actions = [state.done[key] for key in sorted(state.done)]
+
+
+def _finish_if_done(state: CoordinatorState, out: Out) -> None:
+    if state.round >= len(state.plan.rounds):
+        out[1].append(RepairFinished(state.epoch))
+        state.finished = True
+
+
+def _start_round(state: CoordinatorState, now: float, out: Out) -> None:
+    # Write-ahead: the round marker lands before any command.
+    out[1].append(RoundStarted(state.epoch, state.plan.rounds[state.round].index))
+    state.in_round = True
+    state.actions = {
+        (a.stripe_id, a.chunk_index): _heal(state, a) for a in state.upcoming()
+    }
+    state.pending = set(state.actions)
+    state.attempts = dict.fromkeys(state.actions, 0)
+    state.retries = dict.fromkeys(state.actions, 0)
+    state.reissue_at = {}
+    if not state.pending:
+        _end_round(state, out)
+        return
+    # Issued only once the whole round is healed: chain order depends
+    # on every action's final destination and helpers.
+    state.busiest = _issue(state, list(state.actions), out)
+    state.deadline = now + state.estimate(state.actions.values())
+
+
+def _end_round(state: CoordinatorState, out: Out) -> None:
+    state.in_round = False
+    state.probe = None
+    state.result.executed_actions.extend(state.actions.values())
+    out[1].append(RoundCompleted(state.epoch, state.plan.rounds[state.round].index))
+    state.round += 1
+    _finish_if_done(state, out)
+
+
+def _on_ack(state: CoordinatorState, ack: RepairAck, now: float, out: Out) -> None:
+    key = ack.key
+    if (
+        ack.epoch != state.epoch
+        or key not in state.pending
+        or ack.attempt != state.attempts[key]
+    ):
+        return  # fenced epoch, superseded attempt, or already handled
+    if not ack.ok:
+        if state.probe is None or key not in state.probe.keys:
+            state.result.nacks += 1
+            reason = f"NACK from node {ack.node_id}: {ack.detail}"
+            _stall(state, {key}, reason, now, out)
+        return
+    executed = state.actions[key]
+    index = state.plan.rounds[state.round].index
+    # Write-ahead: the completion is durable in the journal before the
+    # coordinator acts on it, so a crash here never re-executes it.
+    out[1].append(
+        ActionCompleted(state.epoch, index, executed.to_dict(), ack.attempt)
+    )
+    state.done[key] = executed
+    state.pending.discard(key)
+    if not state.pending:
+        _end_round(state, out)
+
+
+def _on_tick(state: CoordinatorState, now: float, out: Out) -> None:
+    if state.inventory and now >= state.inventory.expires:
+        _reconcile(state, out)
+    if state.probe and now >= state.probe.expires:
+        _conclude_probe(state, now, out)
+    due = sorted(key for key, at in state.reissue_at.items() if at <= now)
+    if due:
+        for key in due:
+            del state.reissue_at[key]
+        _reissue(state, due, now, out)
+    if state.deadline_armed() and now >= state.deadline:
+        _stall(state, set(state.pending), "deadline", now, out)
+
+
+def _nodes(action: ChunkRepairAction) -> Tuple[NodeId, ...]:
+    return (*action.sources, action.destination)
+
+
+def _stall(
+    state: CoordinatorState, keys: Set[ActionKey], reason: str, now: float, out: Out
+) -> None:
+    """Deadline missed or NACK received: probe the nodes of ``keys``."""
+    nodes = {node for key in keys for node in _nodes(state.actions[key])}
+    _ping(state, nodes - state.dead, keys, reason, now, out)
+
+
+def _ping(
+    state: CoordinatorState, nodes: Set[NodeId], keys: Set[ActionKey],
+    reason: str, now: float, out: Out,
+) -> None:
+    """Ping ``nodes``, joining the outstanding probe if there is one.
+    A probe with nobody to wait for expires at once."""
+    probe = state.probe
+    if probe is None:
+        probe = state.probe = Window(next(state.nonces), now, reason)
+    new = nodes - probe.nodes
+    if new:
+        probe.nodes |= new
+        probe.expires = now + state.config.probe_timeout
+    probe.keys |= keys
+    for node in sorted(new):
+        out[0].append((node, Ping(probe.nonce, reply_to=state.coordinator_id)))
+
+
+def _conclude_probe(state: CoordinatorState, now: float, out: Out) -> None:
+    """Every probed node answered, or the window closed: silent nodes
+    are dead; replan the stalled actions around them, else retry."""
+    probe, state.probe = state.probe, None
+    state.dead |= probe.nodes - probe.replies.keys()
+    keys = sorted(probe.keys & state.pending)
+    if not keys:
+        return  # a barrier probe, or every stalled action completed
+    if any(not state.dead.isdisjoint(_nodes(state.actions[k])) for k in keys):
+        state.result.replans += 1
+        for key in keys:
+            state.actions[key] = _heal(state, state.actions[key])
+            state.attempts[key] += 1
+        _reissue(state, keys, now, out)
+        return
+    # Every suspect answered: the stall is transient (lost packets,
+    # wedged transfer).  They are alive but were slow enough to stall a
+    # round: halve their observed link scale so reissued chains place
+    # them at the head, where they only upload.
+    cfg = state.config
+    for node in probe.nodes:
+        state.observed_scales[node] = state.observed_scales.get(node, 1.0) * 0.5
+    for key in keys:
+        state.retries[key] += 1
+        if state.retries[key] > cfg.max_retries:
+            raise RepairTimeoutError(
+                keys,
+                detail=f"{cfg.max_retries} retries exhausted; last "
+                f"cause: {probe.reason}",
+            )
+    backoff = cfg.backoff(max(state.retries[key] for key in keys))
+    state.result.retries += len(keys)
+    for key in keys:
+        state.attempts[key] += 1
+        state.reissue_at[key] = now + backoff
+
+
+def _reissue(
+    state: CoordinatorState, keys: List[ActionKey], now: float, out: Out
+) -> None:
+    _issue(state, keys, out)
+    remaining = (state.actions[key] for key in state.pending)
+    state.deadline = max(state.deadline, now + state.estimate(remaining))
+
+
+def _heal(state: CoordinatorState, action: ChunkRepairAction) -> ChunkRepairAction:
+    if not state.dead:
+        return action
+    plan = state.plan
+    try:
+        healed = heal_action(
+            state.cluster, plan.stf_node, action, state.dead, plan.scenario
+        )
+    except UnrecoverableChunkError as exc:
+        key = (action.stripe_id, action.chunk_index)
+        raise RepairFailedError(f"action {key} cannot be healed: {exc}") from exc
+    if (
+        healed.method is RepairMethod.RECONSTRUCTION
+        and action.method is RepairMethod.MIGRATION
+    ):
+        state.result.converted_migrations += 1
+    return healed
+
+
+def _issue(state: CoordinatorState, keys: Sequence[ActionKey], out: Out) -> int:
+    """Commands for ``keys``; returns the round's busiest NIC's ingress
+    stream count.
+
+    Chain order is a round-level decision: every chain is ordered
+    against the ingress duties of all the round's current actions
+    (:func:`ingress_duties`), so a helper that also receives a chunk
+    this round heads its chain.
+    """
+    weights = state.chain_weights()
+    current = list(state.actions.values())
+    duties = ingress_duties(current)
+    streams = ingress_streams(current, weights)
+    for key in keys:
+        action = state.actions[key]
+        chain = None
+        if action.method is RepairMethod.RECONSTRUCTION and action.pipelined:
+            chain = order_chain(action.sources, weights, duties)
+            if any(
+                streams[node] > 1 for node in (*chain[1:], action.destination)
+            ):
+                state.shared_chains += 1
+        out[0].extend(_commands(state, action, chain, state.attempts[key]))
+    return max(streams.values())
+
+
+def _commands(
+    state: CoordinatorState,
+    action: ChunkRepairAction,
+    chain: Optional[List[NodeId]],
+    attempt: int,
+) -> List[Command]:
+    """A :class:`ReceiveCommand`, then one :class:`SendCommand` per stage.
+
+    ``chain`` is a pipelined reconstruction's helpers in forwarding
+    order, head first (repair pipelining): each stage scales its own
+    chunk by its coefficient, XORs in its upstream's partial sum and
+    forwards to the next stage, and the destination's one source is
+    the last stage.  ``None`` is star fan-in (and migration): each
+    source is a stage of its own whose next hop is the destination,
+    which applies the coefficients.
+
+    A slice is a packet, and this is the one place that sizes it:
+    with ``config.pipeline_slices > 0`` every hop of a chain moves
+    ``ceil(chunk_size / pipeline_slices)``-byte packets, so the
+    hops overlap slice by slice (Li et al. §3).  Star and migration
+    streams, and chains with ``pipeline_slices == 0``, keep the
+    run's ``packet_size``.
+    """
+    chunk_size = state.cluster.chunk_size
+    packet_size = state.packet_size
+    coeffs = _source_coefficients(state.cluster, state.codec, action)
+    if chain is None:
+        chains = [[node] for node in action.sources]
+        sources = coeffs
+    else:
+        chains = [chain]
+        sources = {chain[-1]: 1}
+        slices = state.config.pipeline_slices
+        if slices > 0:
+            packet_size = max(1, -(-chunk_size // slices))
+    common = dict(
+        stripe_id=action.stripe_id,
+        chunk_index=action.chunk_index,
+        chunk_size=chunk_size,
+        packet_size=packet_size,
+        attempt=attempt,
+        epoch=state.epoch,
+        reply_to=state.coordinator_id,
+    )
+    # The ReceiveCommand must precede any data packet; per-inbox FIFO
+    # plus issuing it first guarantees that.
+    commands: List[Command] = [
+        (action.destination, ReceiveCommand(sources=sources, **common))
+    ]
+    for stages in chains:
+        # Register stages downstream-first so each hop (usually) exists
+        # before its upstream starts; late packets buffer regardless.
+        for pos in reversed(range(len(stages))):
+            node = stages[pos]
+            last = pos + 1 == len(stages)
+            send = SendCommand(
+                destination=action.destination if last else stages[pos + 1],
+                coeff=1 if chain is None else coeffs[node],
+                upstream=stages[pos - 1] if pos else -1,
+                chain_pos=-1 if chain is None else pos,
+                **common,
+            )
+            commands.append((node, send))
+    return commands
+
+
+def _source_coefficients(
+    cluster: StorageCluster, codec: ErasureCodec, action: ChunkRepairAction
+) -> Dict[NodeId, int]:
+    if action.method is RepairMethod.MIGRATION:
+        return {action.sources[0]: 1}
+    stripe = cluster.stripe(action.stripe_id)
+    helper_chunks = [stripe.chunk_index_on(node) for node in action.sources]
+    coeffs = codec.recovery_coefficients(action.chunk_index, helper_chunks)
+    return {node: coeffs[stripe.chunk_index_on(node)] for node in action.sources}
+
+
+# ----------------------------------------------------------------------
+# the shell
+# ----------------------------------------------------------------------
 
 
 class Coordinator:
-    """Issues repair commands round by round and supervises the ACKs.
+    """Runs :func:`step` against the network, the journal and the clock.
 
     Args:
         network: the shared transport (the coordinator attaches itself
@@ -201,10 +727,10 @@ class Coordinator:
 HelperBudget`; when set, each round's helper/destination node slots
             are acquired (deadline-priority queueing) before any
             command is issued and released when the round ends.
-        lease_renew: optional callback invoked whenever this
-            coordinator demonstrates liveness (each supervision-loop
-            iteration); the multi-coordinator layer hangs its lease
-            table off it.
+        lease_renew: optional callback invoked every time the shell
+            wakes (at least every ``config.poll_interval``, budget
+            waits included); the multi-coordinator layer hangs its
+            lease table off it.
     """
 
     def __init__(
@@ -233,7 +759,7 @@ HelperBudget`; when set, each round's helper/destination node slots
         self.coordinator_id = coordinator_id
         self.shard = shard
         self.budget = budget
-        self.lease_renew = lease_renew
+        self.lease_renew = lease_renew or (lambda: None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         m = self.metrics
@@ -261,6 +787,10 @@ HelperBudget`; when set, each round's helper/destination node slots
             "repair_action_seconds",
             "issue-to-ACK latency of each completed action, by method",
         )
+        self._shared_ingress_counter = m.counter(
+            "repair_chain_shared_ingress_total",
+            "chains issued with a node still ingesting more than one stream",
+        )
         epoch_gauge = m.gauge(
             "coordinator_epoch", "epoch of the current coordinator incarnation"
         )
@@ -268,23 +798,12 @@ HelperBudget`; when set, each round's helper/destination node slots
             epoch_gauge.set(epoch)
         else:
             epoch_gauge.set(epoch, shard=shard)
-        #: fault hook: die right after journaling RoundCompleted(n >= this)
-        self.crash_after_round: Optional[int] = None
         self._endpoint = network.attach(self.coordinator_id, None)
-        #: nodes declared permanently dead (persists across rounds)
-        self._dead: Set[NodeId] = set()
-        #: runtime-observed link degradation (node -> scale in (0, 1]);
-        #: halved each time a node survives a probe that a stalled
-        #: round triggered, so chain ordering demotes flaky-but-alive
-        #: helpers to the head of subsequent chains
-        self._observed_scales: Dict[NodeId, float] = {}
-        self._shared_ingress_counter = m.counter(
-            "repair_chain_shared_ingress_total",
-            "chains issued with a node still ingesting more than one stream",
-        )
-        self._deferred: List[object] = []
-        self._nonce = 0
-        self._recovered: Optional[RecoveredState] = None
+        self._nonces = itertools.count(1)
+        #: a crashed run's journal, folded by recover() for resume()
+        self._recovered: Optional[CoordinatorState] = None
+        #: action spans of the round in flight, by key
+        self._spans: Dict[ActionKey, Span] = {}
 
     def close(self) -> None:
         """Release the journal's file handle (idempotent)."""
@@ -306,123 +825,15 @@ HelperBudget`; when set, each round's helper/destination node slots
                 (Experiment B.1 varies it without rebuilding the testbed).
         """
         packet = packet_size or self.packet_size
-        attrs = dict(
-            stf=plan.stf_node,
-            scenario=plan.scenario.value,
-            rounds=plan.num_rounds,
-            chunks=plan.total_chunks,
-            packet_size=packet,
-            epoch=self.epoch,
-            resumed=False,
+        state = CoordinatorState(
+            plan, packet, self.epoch, self.cluster, self.codec, self.config
         )
-        if self.shard is not None:
-            attrs["shard"] = self.shard
-        with self.tracer.span("repair", **attrs):
-            if self.journal is not None:
-                # A fresh run owns the file: records left by a previous,
-                # finished repair must not masquerade as this run's
-                # progress.  (Recovery appends instead — see resume().)
-                self.journal.reset()
-            with self.tracer.span("plan_commit"):
-                self._journal(PlanCommitted(self.epoch, plan.to_dict(), packet))
-            return self._execute(plan, packet, done={})
-
-    def _execute(
-        self,
-        plan: RepairPlan,
-        packet: int,
-        done: Dict[ActionKey, ChunkRepairAction],
-    ) -> RuntimeResult:
-        """Run the plan, skipping the actions already in ``done``."""
-        transferred_before = self.network.bytes_transferred
-        result = RuntimeResult(total_time=0.0)
-        result.recovered_chunks = len(done)
-        result.executed_actions.extend(done[key] for key in sorted(done))
-        self._dead = set()
-        start = time.monotonic()
-        for round_ in plan.rounds:
-            remaining = [
-                action
-                for action in round_.actions()
-                if (action.stripe_id, action.chunk_index) not in done
-            ]
-            # Write-ahead: the round marker lands before any command.
-            self._journal(RoundStarted(self.epoch, round_.index))
-            round_span = self.tracer.start_span("round", round=round_.index)
-            round_start = time.monotonic()
-            try:
-                if remaining:
-                    slots = self._round_nodes(remaining)
-                    deadline = self._round_deadline(remaining)
-                    with self._budget_slots(slots, deadline):
-                        self._run_round(
-                            plan, round_.index, remaining, packet, result,
-                            round_span,
-                        )
-            except BaseException:
-                # Close the span at the failure point: action spans
-                # completed before a coordinator crash stay reachable
-                # under their round in the trace tree.
-                round_span.finish(actions=len(remaining), aborted=True)
-                raise
-            duration = time.monotonic() - round_start
-            result.round_times.append(duration)
-            round_span.finish(actions=len(remaining))
-            self._round_hist.observe(duration)
-            self._journal(RoundCompleted(self.epoch, round_.index))
-            self._maybe_crash_after_round(round_.index)
-        self._journal(RepairFinished(self.epoch))
-        result.total_time = time.monotonic() - start
-        result.chunks_repaired = plan.total_chunks - len(done)
-        result.bytes_transferred = (
-            self.network.bytes_transferred - transferred_before
-        )
-        result.dead_nodes = sorted(self._dead)
-        return result
-
-    def _journal(self, record: JournalRecord) -> None:
         if self.journal is not None:
-            self.journal.append(record)
-
-    def _renew_lease(self) -> None:
-        if self.lease_renew is not None:
-            self.lease_renew()
-
-    def _round_nodes(self, actions) -> Set[NodeId]:
-        """Helper + destination node slots a round needs concurrently."""
-        nodes: Set[NodeId] = set()
-        for action in actions:
-            nodes.update(action.sources)
-            nodes.add(action.destination)
-        return nodes
-
-    def _budget_slots(self, nodes: Set[NodeId], deadline: float):
-        """Acquire the shared helper budget for a round (if configured).
-
-        Priority is the round's cost-model deadline: when shards
-        oversubscribe the budget, the round that must finish soonest is
-        admitted first and the rest queue instead of stampeding the
-        same helpers.  Waiting still renews the shard's lease — a
-        queued coordinator is alive, not wedged.
-        """
-        if self.budget is None:
-            return _NO_BUDGET
-        return self.budget.round(
-            nodes,
-            priority=time.monotonic() + deadline,
-            renew=self._renew_lease,
-        )
-
-    def _maybe_crash_after_round(self, round_index: int) -> None:
-        if (
-            self.crash_after_round is not None
-            and round_index >= self.crash_after_round
-        ):
-            records = self.journal.records_written if self.journal else 0
-            self.close()
-            raise CoordinatorCrash(records)
-
-    # -- crash recovery ------------------------------------------------
+            # A fresh run owns the file: records left by a previous,
+            # finished repair must not masquerade as this run's
+            # progress.  (Recovery appends instead — see resume().)
+            self.journal.reset()
+        return self._run(state)
 
     @classmethod
     def recover(
@@ -432,75 +843,38 @@ HelperBudget`; when set, each round's helper/destination node slots
         cluster: StorageCluster,
         codec: ErasureCodec,
         config: Optional[RuntimeConfig] = None,
-        packet_size: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        coordinator_id: NodeId = COORDINATOR_ID,
-        shard: Optional[int] = None,
-        budget: Optional[HelperBudget] = None,
-        lease_renew: Optional[Callable[[], None]] = None,
+        **kwargs,
     ) -> "Coordinator":
         """Build a successor coordinator from a crashed run's journal.
 
-        Replays the journal (truncating any torn tail), folds the
-        records into a :class:`RecoveredState`, and returns a new
-        coordinator one epoch above the highest journaled one.  Call
-        :meth:`resume` on the result to finish the repair.  The old
-        coordinator's endpoint must be detached first (the driver's
-        ``build(resume=True)`` does both).  In a sharded run the
-        successor assumes the dead shard's identity: same
-        ``coordinator_id``, same journal, bumped epoch.
+        Replays the journal (truncating any torn tail), folds its
+        records through :func:`step`, and returns a new coordinator one
+        epoch above the highest journaled one; :meth:`resume` on it
+        finishes the repair at the journaled packet size.  The old
+        endpoint must be detached first.  A sharded successor keeps the
+        dead shard's ``coordinator_id`` and journal.  Other keywords are
+        the constructor's.
 
         Raises:
             JournalError: if the journal holds no committed plan.
         """
         cfg = config or DEFAULT_CONFIG
-        records = RepairJournal.replay(journal_path)
-        plan_doc: Optional[dict] = None
-        journaled_packet: Optional[int] = None
-        last_epoch = 0
-        completed: Dict[ActionKey, ChunkRepairAction] = {}
-        finished = False
-        for record in records:
-            last_epoch = max(last_epoch, record.epoch)
-            if isinstance(record, PlanCommitted):
-                plan_doc = record.plan
-                journaled_packet = record.packet_size
-            elif isinstance(record, ActionCompleted):
-                action = ChunkRepairAction.from_dict(record.action)
-                completed[(action.stripe_id, action.chunk_index)] = action
-            elif isinstance(record, RepairFinished):
-                finished = True
-        if plan_doc is None:
+        state = CoordinatorState(None, 0, 0, cluster, codec, cfg)
+        for record in RepairJournal.replay(journal_path):
+            step(state, record, 0.0)
+        if state.plan is None:
             raise JournalError(
                 f"journal {journal_path} holds no committed plan; "
                 "nothing to recover"
             )
-        plan = RepairPlan.from_dict(plan_doc)
-        journal = RepairJournal(
-            journal_path, fsync=cfg.journal_fsync, metrics=metrics
-        )
+        state.epoch += 1
+        journal = RepairJournal(journal_path, fsync=cfg.journal_fsync, metrics=metrics)
         coordinator = cls(
-            network,
-            cluster,
-            codec,
-            packet_size=packet_size or journaled_packet,
-            config=cfg,
-            journal=journal,
-            epoch=last_epoch + 1,
-            metrics=metrics,
-            tracer=tracer,
-            coordinator_id=coordinator_id,
-            shard=shard,
-            budget=budget,
-            lease_renew=lease_renew,
+            network, cluster, codec, state.packet_size, config=cfg,
+            journal=journal, epoch=state.epoch, metrics=metrics, **kwargs,
         )
-        coordinator._recovered = RecoveredState(
-            plan=plan,
-            packet_size=journaled_packet,
-            completed=completed,
-            finished=finished,
-        )
+        coordinator._recovered = state
         return coordinator
 
     def resume(self) -> RuntimeResult:
@@ -508,516 +882,170 @@ HelperBudget`; when set, each round's helper/destination node slots
 
         Fences the old epoch (every agent adopts this coordinator's
         epoch while answering the inventory query), reconciles the
-        journal against the agents' durable chunk inventories — an
-        action is complete iff it was journaled *or* its destination
-        already stores the stripe's chunk — then re-runs the plan with
-        the completed actions skipped.  Resuming an already-finished
-        journal performs no agent traffic at all.
+        journal against the agents' durable chunk inventories, then
+        runs the plan with the completed actions skipped.  Resuming an
+        already-finished journal performs no agent traffic at all.
         """
-        if self._recovered is None:
+        state = self._recovered
+        if state is None:
             raise RuntimeError(
                 "resume() needs Coordinator.recover; this coordinator "
                 "was not built from a journal"
             )
-        state = self._recovered
-        done = dict(state.completed)
-        if state.finished:
-            result = RuntimeResult(total_time=0.0)
-            result.recovered_chunks = len(done)
-            result.executed_actions.extend(done[key] for key in sorted(done))
-            return result
+        if not state.finished:
+            return self._run(state)
+        _count_recovered(state)
+        return state.result
+
+    # -- the loop ------------------------------------------------------
+
+    def _run(self, state: CoordinatorState) -> RuntimeResult:
+        """Feed :func:`step` until the plan is done: execute and resume."""
+        plan = state.plan
+        state.coordinator_id = self.coordinator_id
+        state.nonces = self._nonces
+        fault_plan = getattr(getattr(self.network, "faults", None), "plan", None)
+        if fault_plan is not None:
+            state.link_scales = fault_plan.link_bandwidths()
         attrs = dict(
-            stf=state.plan.stf_node,
-            scenario=state.plan.scenario.value,
-            rounds=state.plan.num_rounds,
-            chunks=state.plan.total_chunks,
+            stf=plan.stf_node,
+            scenario=plan.scenario.value,
+            rounds=plan.num_rounds,
+            chunks=plan.total_chunks,
             packet_size=state.packet_size,
             epoch=self.epoch,
-            resumed=True,
-            journaled_complete=len(done),
+            resumed=state.recovering,
         )
+        nodes: Tuple[NodeId, ...] = ()
+        if state.recovering:
+            attrs["journaled_complete"] = len(state.done)
+            nodes = tuple(n for n in self.network.node_ids() if n >= 0)
         if self.shard is not None:
             attrs["shard"] = self.shard
-        with self.tracer.span("repair", **attrs) as repair_span:
-            with self.tracer.span("inventory"):
-                inventory = self._collect_inventory()
-            for action in state.plan.actions():
-                key = (action.stripe_id, action.chunk_index)
-                if key in done:
-                    continue
-                if action.stripe_id in inventory.get(action.destination, ()):
-                    # Destinations never previously store a chunk of the
-                    # stripe (plan invariant) and promotion is atomic, so
-                    # presence proves the action completed durably.
-                    done[key] = action
-            repair_span.annotate(recovered=len(done))
-            with self.tracer.span("plan_commit"):
-                self._journal(
-                    PlanCommitted(
-                        self.epoch, state.plan.to_dict(), state.packet_size
-                    )
-                )
-            return self._execute(state.plan, state.packet_size, done)
-
-    def _collect_inventory(self) -> Dict[NodeId, Set[StripeId]]:
-        """Ask every attached agent which stripes it durably stores.
-
-        Doubles as the fencing broadcast: the query carries this
-        coordinator's epoch, and each agent aborts all older-epoch work
-        before snapshotting its store, so the replies are exact.
-        Nodes that do not answer within ``config.inventory_timeout``
-        (crashed ones) are simply absent from the result.
-        """
-        nodes = {
-            node for node in self.network.node_ids() if node >= 0
-        }
-        self._nonce += 1
-        nonce = self._nonce
-        for node in sorted(nodes):
+        transferred = self.network.bytes_transferred
+        start = time.monotonic()
+        with self.tracer.span("repair", **attrs):
             try:
-                self.network.send(
-                    self.coordinator_id,
-                    node,
-                    InventoryQuery(
-                        self.epoch, nonce, reply_to=self.coordinator_id
-                    ),
-                )
-            except KeyError:  # pragma: no cover - detached mid-iteration
-                nodes.discard(node)
-        inventory: Dict[NodeId, Set[StripeId]] = {}
-        deadline = time.monotonic() + self.config.inventory_timeout
-        while nodes - set(inventory) and time.monotonic() < deadline:
-            self._renew_lease()
-            try:
-                message = self._endpoint.inbox.get(
-                    timeout=max(deadline - time.monotonic(), 0.01)
-                )
-            except queue.Empty:
-                break
-            if isinstance(message, InventoryReply):
-                if message.nonce == nonce:
-                    inventory[message.node_id] = set(message.stripes)
-            elif isinstance(message, (Heartbeat, Pong)):
-                pass  # liveness only counts inside a probe
-            elif isinstance(message, RepairAck):
-                pass  # straggler from the fenced epoch; inventory wins
-            else:
-                self._deferred.append(message)
-        return inventory
-
-    # -- the supervised round state machine ----------------------------
-
-    def _run_round(
-        self,
-        plan: RepairPlan,
-        round_index: int,
-        round_actions: List[ChunkRepairAction],
-        packet: int,
-        result: RuntimeResult,
-        round_span: Optional[Span] = None,
-    ) -> None:
-        cfg = self.config
-        actions: Dict[ActionKey, ChunkRepairAction] = {}
-        attempts: Dict[ActionKey, int] = {}
-        retries: Dict[ActionKey, int] = {}
-        spans: Dict[ActionKey, Span] = {}
-        for action in round_actions:
-            healed = self._heal(plan, action, result)
-            key = (action.stripe_id, action.chunk_index)
-            actions[key] = healed
-            attempts[key] = 0
-            retries[key] = 0
-            # Non-lexical span: opened at command issue, closed when
-            # the matching ACK arrives (possibly after reissues).
-            spans[key] = self.tracer.start_span(
-                "action",
-                parent=round_span,
-                method=healed.method.value,
-                stripe=healed.stripe_id,
-                chunk=healed.chunk_index,
-                destination=healed.destination,
-            )
-        # Issued only once the whole round is healed: chain order
-        # depends on every action's final destination and helpers.
-        busiest = self._issue(actions, list(actions), packet, attempts)
-        if round_span is not None:
-            round_span.annotate(max_ingress_streams=busiest)
-        pending: Set[ActionKey] = set(actions)
-        deadline = time.monotonic() + self._round_deadline(actions.values())
-        while pending:
-            self._renew_lease()
-            now = time.monotonic()
-            if now >= deadline:
-                self._recover(
-                    plan, actions, pending, attempts, retries, packet, result,
-                    reason="deadline", spans=spans,
-                )
-                deadline = time.monotonic() + self._round_deadline(
-                    [actions[k] for k in pending]
-                )
-                continue
-            message = self._next_message(min(deadline - now, cfg.poll_interval))
-            if message is None:
-                continue
-            if isinstance(message, (Heartbeat, Pong, InventoryReply)):
-                # Liveness only counts inside a probe; an InventoryReply
-                # here is late from a recovery inventory sweep.
-                continue
-            if isinstance(message, RepairAck):
-                key = message.key
-                if message.epoch != self.epoch:
-                    continue  # ack/NACK addressed to a fenced epoch
-                if key not in pending or message.attempt != attempts[key]:
-                    continue  # stale or duplicate (already-handled) ack
-                if message.ok:
-                    executed = actions[key]
-                    # The span closes (and metrics record) at ACK time,
-                    # before the completion is journaled: a crash inside
-                    # the append then leaves trace, metrics and journal
-                    # agreeing on which actions finished.
-                    span = spans[key].finish(
-                        method=executed.method.value,
-                        destination=executed.destination,
-                        attempt=message.attempt,
-                        retries=retries[key],
-                    )
-                    self._actions_counter.inc(method=executed.method.value)
-                    self._action_hist.observe(
-                        span.duration, method=executed.method.value
-                    )
-                    # Write-ahead: the completion is durable in the
-                    # journal before the coordinator acts on it, so a
-                    # crash here never re-executes this action.
-                    self._journal(
-                        ActionCompleted(
-                            self.epoch,
-                            round_index,
-                            actions[key].to_dict(),
-                            message.attempt,
-                        )
-                    )
-                    pending.discard(key)
-                else:
-                    result.nacks += 1
-                    self._nacks_counter.inc()
-                    self._recover(
-                        plan, actions, {key}, attempts, retries, packet, result,
-                        reason=f"NACK from node {message.node_id}: "
-                        f"{message.detail}",
-                        spans=spans,
-                    )
-                    deadline = max(
-                        deadline,
-                        time.monotonic()
-                        + self._round_deadline([actions[k] for k in pending]),
-                    )
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"coordinator got unexpected {message!r}")
-        result.executed_actions.extend(actions.values())
-
-    def _recover(
-        self,
-        plan: RepairPlan,
-        actions: Dict[ActionKey, ChunkRepairAction],
-        keys: Set[ActionKey],
-        attempts: Dict[ActionKey, int],
-        retries: Dict[ActionKey, int],
-        packet: int,
-        result: RuntimeResult,
-        reason: str,
-        spans: Optional[Dict[ActionKey, Span]] = None,
-    ) -> None:
-        """Deadline missed or NACK received: probe, replan, reissue."""
-        cfg = self.config
-        spans = spans if spans is not None else {}
-        suspects = set()
-        for key in keys:
-            action = actions[key]
-            suspects.update(action.sources)
-            suspects.add(action.destination)
-        suspects -= self._dead
-        newly_dead = suspects - self._probe(suspects)
-        if newly_dead:
-            self._dead |= newly_dead
-            result.replans += 1
-            self._replans_counter.inc()
-            for key in sorted(keys):
-                actions[key] = self._heal(plan, actions[key], result)
-                attempts[key] += 1
-                if key in spans:
-                    spans[key].annotate(
-                        healed=True, attempts=attempts[key]
-                    )
-            self._issue(actions, sorted(keys), packet, attempts)
-            return
-        # Every suspect answered: the stall is transient (lost packets,
-        # wedged transfer).  Bounded retry with exponential backoff.
-        # The suspects are alive but were slow enough to stall a round:
-        # halve their observed link scale so reissued chains place them
-        # at the head, where they only upload.
-        for node in sorted(suspects):
-            self._observed_scales[node] = (
-                self._observed_scales.get(node, 1.0) * 0.5
-            )
-        for key in sorted(keys):
-            retries[key] += 1
-            if retries[key] > cfg.max_retries:
-                raise RepairTimeoutError(
-                    keys,
-                    detail=f"{cfg.max_retries} retries exhausted; last "
-                    f"cause: {reason}",
-                )
-        backoff = cfg.backoff(max(retries[key] for key in keys))
-        time.sleep(backoff)
-        result.retries += len(keys)
-        self._retries_counter.inc(len(keys))
-        for key in sorted(keys):
-            attempts[key] += 1
-            if key in spans:
-                spans[key].annotate(attempts=attempts[key])
-        self._issue(actions, sorted(keys), packet, attempts)
-
-    def _heal(
-        self,
-        plan: RepairPlan,
-        action: ChunkRepairAction,
-        result: RuntimeResult,
-    ) -> ChunkRepairAction:
-        if not self._dead:
-            return action
-        try:
-            healed = heal_action(
-                self.cluster, plan.stf_node, action, self._dead, plan.scenario
-            )
-        except UnrecoverableChunkError as exc:
-            raise RepairFailedError(str(exc)) from exc
-        if (
-            healed.method is RepairMethod.RECONSTRUCTION
-            and action.method is RepairMethod.MIGRATION
-        ):
-            result.converted_migrations += 1
-            self._converted_counter.inc()
-        return healed
-
-    # -- liveness ------------------------------------------------------
-
-    def _probe(self, nodes: Set[NodeId]) -> Set[NodeId]:
-        """Ping ``nodes``; returns the subset that answered in time."""
-        if not nodes:
-            return set()
-        self._nonce += 1
-        nonce = self._nonce
-        for node in nodes:
-            try:
-                self.network.send(
-                    self.coordinator_id,
-                    node,
-                    Ping(nonce, reply_to=self.coordinator_id),
-                )
-            except KeyError:
-                pass  # detached endpoint: definitely dead
-        alive: Set[NodeId] = set()
-        deadline = time.monotonic() + self.config.probe_timeout
-        while time.monotonic() < deadline and alive != nodes:
-            try:
-                message = self._endpoint.inbox.get(
-                    timeout=max(deadline - time.monotonic(), 0.01)
-                )
-            except queue.Empty:
-                break
-            if isinstance(message, Pong):
-                if message.nonce == nonce and message.node_id in nodes:
-                    alive.add(message.node_id)
-            elif isinstance(message, Heartbeat):
-                if message.node_id in nodes:
-                    alive.add(message.node_id)
-            else:
-                # Not consumable here (e.g. a RepairAck racing the
-                # probe); defer to the main loop in arrival order.
-                self._deferred.append(message)
-        return alive
-
-    def _next_message(self, timeout: float):
-        if self._deferred:
-            return self._deferred.pop(0)
-        try:
-            return self._endpoint.inbox.get(timeout=max(timeout, 0.01))
-        except queue.Empty:
-            return None
-
-    # -- deadlines from the cost model ---------------------------------
-
-    def _round_deadline(self, actions) -> float:
-        """Cost-model-derived ACK deadline for a batch of actions.
-
-        Sums the Eq. (4)/(5) per-chunk estimates (reads + transfers +
-        write) — a deliberate over-approximation of the round's
-        critical path — then applies the configured margin and floor.
-        A node is only declared *suspect* after this budget elapses,
-        so the estimate errs long, never short.
-        """
-        cfg = self.config
-        chunk = self.cluster.chunk_size
-        disk = self.cluster.disk_bandwidth or float("inf")
-        net = self.cluster.network_bandwidth or float("inf")
-        disk_time = chunk / disk
-        net_time = chunk / net
-        estimate = 0.0
-        for action in actions:
-            if action.method is RepairMethod.MIGRATION:
-                estimate += 2 * disk_time + net_time
-            else:
-                estimate += 2 * disk_time + len(action.sources) * net_time
-        return max(cfg.min_deadline, cfg.deadline_margin * estimate)
-
-    # -- command issue --------------------------------------------------
-
-    def _issue(
-        self,
-        actions: Dict[ActionKey, ChunkRepairAction],
-        keys: Sequence[ActionKey],
-        packet_size: int,
-        attempts: Dict[ActionKey, int],
-    ) -> int:
-        """Send the commands of ``keys``; returns the round's busiest
-        NIC's ingress stream count.
-
-        Chain order is a round-level decision: every chain is ordered
-        against the ingress duties of all the round's current
-        ``actions`` (:func:`ingress_duties`), so a helper that also
-        receives a chunk this round heads its chain.
-        """
-        chunk_size = self.cluster.chunk_size
-        weights = self._chain_weights()
-        current = list(actions.values())
-        duties = ingress_duties(current)
-        streams = ingress_streams(current, weights)
-        for key in keys:
-            action = actions[key]
-            chain = None
-            if (
-                action.method is RepairMethod.RECONSTRUCTION
-                and action.pipelined
-            ):
-                chain = order_chain(action.sources, weights, duties)
-                if any(
-                    streams[node] > 1
-                    for node in (*chain[1:], action.destination)
+                self._act(state, step(state, Start(nodes), start))
+                while not state.finished:
+                    if state.committed:
+                        self._round(state)
+                    else:
+                        self._wait(state)  # the inventory exchange
+            finally:
+                tallies = state.result
+                for counter, value in (
+                    (self._retries_counter, tallies.retries),
+                    (self._nacks_counter, tallies.nacks),
+                    (self._replans_counter, tallies.replans),
+                    (self._converted_counter, tallies.converted_migrations),
+                    (self._shared_ingress_counter, state.shared_chains),
                 ):
-                    self._shared_ingress_counter.inc()
-            self._issue_action(
-                action, chain, chunk_size, packet_size, attempts[key]
+                    if value:
+                        counter.inc(value)
+        result = state.result
+        result.total_time = time.monotonic() - start
+        result.bytes_transferred = self.network.bytes_transferred - transferred
+        result.dead_nodes = sorted(state.dead)
+        return result
+
+    def _round(self, state: CoordinatorState) -> None:
+        """Hold the next round's helper budget, issue it, wait it out.
+
+        Oversubscribed, the budget admits the round with the soonest
+        cost-model deadline first; the rest queue instead of stampeding
+        the same helpers, renewing the lease (queued is not wedged).
+        """
+        upcoming = state.upcoming()
+        nodes = {node for action in upcoming for node in _nodes(action)}
+        if self.budget is not None and nodes:
+            self.budget.acquire(
+                nodes,
+                priority=time.monotonic() + state.estimate(upcoming),
+                renew=self.lease_renew,
             )
-        return max(streams.values())
+        index = state.plan.rounds[state.round].index
+        try:
+            with self.tracer.span("round", round=index) as span:
+                started = time.monotonic()
+                commands, records = step(state, NextRound(), started)
+                self._act(state, ([], records))
+                for key, action in state.actions.items():
+                    # Opened between the journaled RoundStarted and the
+                    # commands; closed by the matching ACK (after any
+                    # reissue), so not lexical.
+                    self._spans[key] = self.tracer.start_span(
+                        "action", parent=span, method=action.method.value,
+                        stripe=key[0], chunk=key[1], destination=action.destination,
+                    )
+                self._act(state, (commands, []))
+                span.annotate(actions=len(state.actions))
+                if state.actions:
+                    span.annotate(max_ingress_streams=state.busiest)
+                while state.in_round:
+                    self._wait(state)
+            duration = time.monotonic() - started
+            state.result.round_times.append(duration)
+            self._round_hist.observe(duration)
+        finally:
+            if self.budget is not None and nodes:
+                self.budget.release(nodes)
 
-    def _issue_action(
-        self,
-        action: ChunkRepairAction,
-        chain: Optional[List[NodeId]],
-        chunk_size: int,
-        packet_size: int,
-        attempt: int,
-    ) -> None:
-        """A :class:`ReceiveCommand`, then one :class:`SendCommand` per stage.
-
-        ``chain`` is a pipelined reconstruction's helpers in forwarding
-        order, head first (repair pipelining): each stage scales its own
-        chunk by its coefficient, XORs in its upstream's partial sum and
-        forwards to the next stage, and the destination's one source is
-        the last stage.  ``None`` is star fan-in (and migration): each
-        source is a stage of its own whose next hop is the destination,
-        which applies the coefficients.
-
-        A slice is a packet, and this is the one place that sizes it:
-        with ``config.pipeline_slices > 0`` every hop of a chain moves
-        ``ceil(chunk_size / pipeline_slices)``-byte packets, so the
-        hops overlap slice by slice (Li et al. §3).  Star and migration
-        streams, and chains with ``pipeline_slices == 0``, keep the
-        run's ``packet_size``.
-        """
-        coeffs = self._source_coefficients(action)
-        if chain is None:
-            chains = [[node] for node in action.sources]
-            sources = coeffs
-        else:
-            chains = [chain]
-            sources = {chain[-1]: 1}
-            slices = self.config.pipeline_slices
-            if slices > 0:
-                packet_size = max(1, -(-chunk_size // slices))
-        # The ReceiveCommand must precede any data packet; per-inbox
-        # FIFO plus issuing it first guarantees that.
-        self.network.send(
-            self.coordinator_id,
-            action.destination,
-            ReceiveCommand(
-                stripe_id=action.stripe_id,
-                chunk_index=action.chunk_index,
-                chunk_size=chunk_size,
-                packet_size=packet_size,
-                sources=sources,
-                attempt=attempt,
-                epoch=self.epoch,
-                reply_to=self.coordinator_id,
-            ),
-        )
-        for stages in chains:
-            # Register stages downstream-first so each hop (usually)
-            # exists before its upstream starts; late packets buffer
-            # regardless.
-            for pos in reversed(range(len(stages))):
-                node = stages[pos]
-                self.network.send(
-                    self.coordinator_id,
-                    node,
-                    SendCommand(
-                        stripe_id=action.stripe_id,
-                        chunk_index=action.chunk_index,
-                        destination=(
-                            stages[pos + 1]
-                            if pos + 1 < len(stages)
-                            else action.destination
-                        ),
-                        packet_size=packet_size,
-                        chunk_size=chunk_size,
-                        attempt=attempt,
-                        epoch=self.epoch,
-                        reply_to=self.coordinator_id,
-                        coeff=1 if chain is None else coeffs[node],
-                        upstream=stages[pos - 1] if pos else -1,
-                        chain_pos=-1 if chain is None else pos,
-                    ),
+    def _wait(self, state: CoordinatorState) -> None:
+        """Renew the lease, then step one inbox message — or a
+        :class:`Tick` once a deadline of the state is due.  Returns
+        within ``poll_interval``, so the lease never goes stale."""
+        self.lease_renew()
+        now = time.monotonic()
+        wake = state.wake_at()
+        if now < wake:
+            try:
+                event = self._endpoint.inbox.get(
+                    timeout=max(min(wake - now, self.config.poll_interval), 0.001)
                 )
+            except queue.Empty:
+                return
+        else:
+            event = Tick()
+        self._act(state, step(state, event, time.monotonic()))
 
-    def _chain_weights(self) -> Dict[NodeId, float]:
-        """Effective link scale per node, for :func:`order_chain`.
+    def _act(self, state: CoordinatorState, out: Out) -> None:
+        """Append the step's records, then send its commands."""
+        commands, records = out
+        for record in records:
+            if isinstance(record, ActionCompleted):
+                self._close_action(state, record)
+            if self.journal is not None:
+                self.journal.append(record)
+        for node, message in commands:
+            try:
+                self.network.send(self.coordinator_id, node, message)
+            except KeyError:
+                pass  # never attached: silent, as the probe will find
 
-        Folds the fault plan's slow-NIC scales (via
-        :meth:`~repro.runtime.faults.FaultPlan.link_bandwidths`, the
-        same numbers the injector applies to the NIC limiters and the
-        cost model prices) with runtime-observed degradation from
-        probe-surviving stalls.  Nodes absent from the result run at
-        full speed.
-        """
-        weights: Dict[NodeId, float] = {}
-        faults = getattr(self.network, "faults", None)
-        plan = getattr(faults, "plan", None)
-        if plan is not None:
-            weights.update(plan.link_bandwidths())
-        for node, scale in self._observed_scales.items():
-            weights[node] = weights.get(node, 1.0) * scale
-        return weights
-
-    def _source_coefficients(
-        self, action: ChunkRepairAction
-    ) -> Dict[NodeId, int]:
-        if action.method is RepairMethod.MIGRATION:
-            return {action.sources[0]: 1}
-        stripe = self.cluster.stripe(action.stripe_id)
-        helper_chunks = [stripe.chunk_index_on(node) for node in action.sources]
-        coeffs = self.codec.recovery_coefficients(
-            action.chunk_index, helper_chunks
+    def _close_action(self, state: CoordinatorState, record: ActionCompleted) -> None:
+        key = (record.action["stripe_id"], record.action["chunk_index"])
+        executed = state.done[key]
+        # The span closes (and metrics record) at ACK time, before the
+        # completion is journaled: a crash inside the append then
+        # leaves trace, metrics and journal agreeing on which actions
+        # finished.
+        span = self._spans.pop(key).finish(
+            method=executed.method.value,
+            destination=executed.destination,
+            attempt=record.attempt,
+            retries=state.retries[key],
         )
-        return {
-            node: coeffs[stripe.chunk_index_on(node)] for node in action.sources
-        }
+        self._actions_counter.inc(method=executed.method.value)
+        self._action_hist.observe(span.duration, method=executed.method.value)
+
+    def _reachable(self, nodes: Set[NodeId]) -> Set[NodeId]:
+        """The subset of ``nodes`` that answers a ping in time."""
+        state = CoordinatorState(
+            None, 0, self.epoch, self.cluster, self.codec, self.config,
+            self.coordinator_id, nonces=self._nonces,
+        )
+        self._act(state, step(state, Probe(tuple(nodes)), time.monotonic()))
+        while state.probe is not None:
+            self._wait(state)
+        return nodes - state.dead

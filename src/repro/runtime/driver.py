@@ -427,10 +427,8 @@ class RepairDriver:
         (default ``workdir/"repair.journal"``) if it was not.
         """
         journal = self._journal()
-        if fault.after_records is not None:
-            journal.crash_after_records = fault.after_records
-        else:
-            self.coordinator.crash_after_round = fault.after_round
+        journal.crash_after_records = fault.after_records
+        journal.crash_after_round = fault.after_round
 
     def _journal(self) -> RepairJournal:
         """The live coordinator's journal, opened on first need."""
@@ -472,11 +470,7 @@ class RepairDriver:
             if self.journal_path is None:
                 raise RuntimeError("no journal: coordinator cannot be recovered")
             self.coordinator = Coordinator.recover(
-                self.journal_path,
-                self.network,
-                self.cluster,
-                self.codec,
-                packet_size=self.packet_size,
+                self.journal_path, self.network, self.cluster, self.codec,
                 **shared,
             )
         else:
@@ -542,13 +536,11 @@ class RepairDriver:
         node in ``also``, answers a ping (lazy connects absorb
         agent-process startup races; an agent answers only once its
         data is loaded)."""
-        pending = {a.destination for a in plan.actions()} | {
-            s for a in plan.actions() for s in a.sources
-        }
+        pending = {n for a in plan.actions() for n in (*a.sources, a.destination)}
         pending.update(also)
         deadline = time.monotonic() + timeout
         while True:
-            pending -= self.coordinator._probe(set(pending))
+            pending -= self.coordinator._reachable(set(pending))
             if not pending:
                 return
             if time.monotonic() >= deadline:

@@ -31,11 +31,13 @@ fsyncs every append (a crash loses at most the record being written),
 ``"never"`` leaves flushing to the OS (faster, used by tests and
 benches that only need crash *points*, not power-failure durability).
 
-Deterministic crash injection: ``crash_after_records=N`` makes the
-journal raise :class:`CoordinatorCrash` immediately *after* the N-th
-append hits the file — the record is on disk, the coordinator dies
-before acting on it — which is exactly the window the crash-point sweep
-tests iterate over.
+Deterministic crash injection lives here, and only here:
+``crash_after_records=N`` makes the journal raise
+:class:`CoordinatorCrash` immediately *after* the N-th append hits the
+file — the record is on disk, the coordinator dies before acting on it
+— which is exactly the window the crash-point sweep tests iterate
+over; ``crash_after_round=R`` does the same after the first
+``RoundCompleted`` whose round index is ``R`` or more.
 """
 
 from __future__ import annotations
@@ -264,6 +266,8 @@ class RepairJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.crash_after_records = crash_after_records
+        #: fault hook: raise right after a RoundCompleted(index >= this)
+        self.crash_after_round: Optional[int] = None
         #: records appended by this instance (not counting replayed ones)
         self.records_written = 0
         self._record_counter = None
@@ -311,6 +315,10 @@ class RepairJournal:
         if (
             self.crash_after_records is not None
             and self.records_written >= self.crash_after_records
+        ) or (
+            isinstance(record, RoundCompleted)
+            and self.crash_after_round is not None
+            and record.round_index >= self.crash_after_round
         ):
             self.close()
             raise CoordinatorCrash(self.records_written)

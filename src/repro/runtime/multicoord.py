@@ -22,8 +22,9 @@ Design:
   on that file, plus a :class:`~repro.runtime.journal.ShardTakeover`
   record so the journal itself shows who owned the shard when.
 * **Leases detect wedged (not just dead) owners.**  Every shard
-  coordinator renews a lease on each supervision-loop iteration (and
-  on every budget wait tick).  The supervisor treats a dead thread
+  coordinator renews a lease whenever it wakes, at most
+  ``poll_interval`` apart whatever it waits on (ACKs, probes, retry
+  backoff, the helper budget).  The supervisor treats a dead thread
   *or* an expired lease as a crashed owner; a live zombie is first
   killed through its journal (``kill_on_next_append``) so it can never
   append — much less act — after its successor takes over.
@@ -45,6 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Union
 
@@ -326,9 +328,11 @@ class MultiCoordinator:
         self, sub_plans: List[RepairPlan], packet: int
     ) -> MultiRepairResult:
         outcome = MultiRepairResult(total_time=0.0)
-        self._packet = packet
         for shard, sub_plan in enumerate(sub_plans):
-            run = self._spawn(shard, self._fresh_coordinator(shard), sub_plan)
+            coordinator = self._coordinator(shard)
+            run = self._spawn(
+                shard, coordinator, partial(coordinator.execute, sub_plan, packet)
+            )
             run.start()
         try:
             while self._active:
@@ -386,31 +390,16 @@ class MultiCoordinator:
             self.network.detach(shard_coordinator_id(shard))
         except KeyError:
             pass
-        successor = Coordinator.recover(
-            self.journal_path(shard),
-            self.network,
-            self.cluster,
-            self.codec,
-            config=self.config,
-            packet_size=self.packet_size,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            coordinator_id=shard_coordinator_id(shard),
-            shard=shard,
-            budget=self.budget,
-            lease_renew=self._renewer(shard),
-        )
+        successor = self._coordinator(shard, recover=True)
         # Journaled before any re-issued command: the shard's own log
         # records the handoff and the epoch it happened under.
-        successor.journal.append(
-            ShardTakeover(successor.epoch, shard, adopter)
-        )
+        successor.journal.append(ShardTakeover(successor.epoch, shard, adopter))
         event = TakeoverEvent(shard=shard, adopter=adopter, epoch=successor.epoch)
         self.takeovers.append(event)
         outcome.takeovers.append(event)
         self._takeovers_counter.inc(shard=shard)
         self.lease.renew(shard)
-        run = self._spawn(shard, successor, plan=None)
+        run = self._spawn(shard, successor, successor.resume)
         run.start()
 
     def _choose_adopter(
@@ -434,38 +423,28 @@ class MultiCoordinator:
             return None if self.shard_map.num_shards > 1 else -1
         return min(survivors)
 
-    def _renewer(self, shard: int) -> Callable[[], None]:
-        return lambda: self.lease.renew(shard)
-
-    def _fresh_coordinator(self, shard: int) -> Coordinator:
+    def _coordinator(self, shard: int, recover: bool = False) -> Coordinator:
+        """Shard ``shard``'s next incarnation: fresh, or its journal's
+        successor (epoch + 1, the journaled plan and packet size)."""
+        path = self.journal_path(shard)
+        shared = dict(
+            config=self.config, metrics=self.metrics, tracer=self.tracer,
+            coordinator_id=shard_coordinator_id(shard), shard=shard,
+            budget=self.budget, lease_renew=lambda: self.lease.renew(shard),
+        )
+        if recover:
+            return Coordinator.recover(
+                path, self.network, self.cluster, self.codec, **shared
+            )
         journal = RepairJournal(
-            self.journal_path(shard),
-            fsync=self.config.journal_fsync,
-            metrics=self.metrics,
+            path, fsync=self.config.journal_fsync, metrics=self.metrics
         )
         return Coordinator(
-            self.network,
-            self.cluster,
-            self.codec,
-            self.packet_size,
-            config=self.config,
-            journal=journal,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            coordinator_id=shard_coordinator_id(shard),
-            shard=shard,
-            budget=self.budget,
-            lease_renew=self._renewer(shard),
+            self.network, self.cluster, self.codec, self.packet_size,
+            journal=journal, **shared,
         )
 
-    def _spawn(
-        self, shard: int, coordinator: Coordinator, plan: Optional[RepairPlan]
-    ) -> _ShardRun:
-        packet = getattr(self, "_packet", self.packet_size)
-        if plan is not None:
-            work = lambda: coordinator.execute(plan, packet_size=packet)  # noqa: E731
-        else:
-            work = coordinator.resume
+    def _spawn(self, shard: int, coordinator: Coordinator, work: Callable) -> _ShardRun:
         run = _ShardRun(shard, coordinator, work)
         self.lease.renew(shard)
         with self._lock:

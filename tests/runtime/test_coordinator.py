@@ -5,7 +5,11 @@ import pytest
 from repro.cluster import StorageCluster
 from repro.core.plan import ChunkRepairAction, RepairMethod
 from repro.ec import make_codec
-from repro.runtime.coordinator import COORDINATOR_ID, Coordinator
+from repro.runtime.coordinator import (
+    COORDINATOR_ID,
+    Coordinator,
+    _source_coefficients,
+)
 from repro.runtime.transport import Network
 
 
@@ -24,7 +28,7 @@ class TestSourceCoefficients:
     def test_migration_unity_coefficient(self, setup):
         cluster, net, codec, coordinator = setup
         action = ChunkRepairAction(0, 0, RepairMethod.MIGRATION, (0,), 5)
-        assert coordinator._source_coefficients(action) == {0: 1}
+        assert _source_coefficients(cluster, codec, action) == {0: 1}
 
     def test_reconstruction_coefficients_match_codec(self, setup):
         cluster, net, codec, coordinator = setup
@@ -32,7 +36,7 @@ class TestSourceCoefficients:
         action = ChunkRepairAction(
             0, 0, RepairMethod.RECONSTRUCTION, (1, 2, 3), 5
         )
-        coeffs = coordinator._source_coefficients(action)
+        coeffs = _source_coefficients(cluster, codec, action)
         expected = codec.recovery_coefficients(0, [1, 2, 3])
         assert coeffs == {node: expected[node] for node in (1, 2, 3)}
 
@@ -40,15 +44,13 @@ class TestSourceCoefficients:
         # Shuffled placement: node id != chunk index.
         cluster = StorageCluster(8, chunk_size=1024)
         cluster.add_stripe(5, 3, [4, 3, 2, 1, 0])
-        net = Network()
         codec = make_codec("rs(5,3)")
-        coordinator = Coordinator(net, cluster, codec, packet_size=256)
         # Repair chunk index 0 (stored on node 4, the "STF" here);
         # helpers are nodes 3, 2, 1 holding chunk indices 1, 2, 3.
         action = ChunkRepairAction(
             0, 0, RepairMethod.RECONSTRUCTION, (3, 2, 1), 5
         )
-        coeffs = coordinator._source_coefficients(action)
+        coeffs = _source_coefficients(cluster, codec, action)
         expected = codec.recovery_coefficients(0, [1, 2, 3])
         assert coeffs == {3: expected[1], 2: expected[2], 1: expected[3]}
 

@@ -8,6 +8,7 @@ fault-free run, the takeover visible in both the metrics
 (:class:`~repro.runtime.journal.ShardTakeover`).
 """
 
+import dataclasses
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.runtime import (
     DomainCrashFault,
     FaultPlan,
     LeaseTable,
+    LinkFault,
     MultiCoordinator,
     MultiRepairResult,
     RepairJournal,
@@ -372,6 +374,43 @@ class TestCorrelatedFailures:
             multi.close()
             testbed.multi = multi  # so verify has the stores intact
             testbed.verify_plan(plan, result)
+        finally:
+            testbed.shutdown(check_errors=False)
+
+
+class TestLeaseRenewal:
+    def test_backoff_longer_than_the_lease_is_not_a_takeover(self, tmp_path):
+        """A shard waiting out a retry backoff longer than its lease is
+        alive: it renews on every wake (at most ``poll_interval``
+        apart), so the supervisor never fences it and hands it over."""
+        config = dataclasses.replace(
+            FAST,
+            lease_timeout=0.3,
+            backoff_base=0.6,
+            backoff_cap=0.6,
+            max_retries=6,
+        )
+        cluster, topology = make_rack_cluster()
+        testbed = EmulatedTestbed(
+            cluster,
+            make_codec("rs(5,3)"),
+            packet_size=CHUNK // 2,
+            workdir=tmp_path / "bed",
+            config=config,
+            faults=FaultPlan(links=[LinkFault(drop=0.05)], seed=11),
+            topology=topology,
+        )
+        testbed.start()
+        testbed.load_random_data(seed=1)
+        try:
+            plan = FastPRPlanner(seed=3).plan(cluster, 0)
+            testbed.shard(2)
+            result = testbed.execute(plan)
+            assert result.takeovers == []
+            assert testbed.faults.stats["dropped"] >= 1
+            assert result.retries >= 1
+            testbed.verify_plan(plan, result)
+            assert_no_double_execution(testbed)
         finally:
             testbed.shutdown(check_errors=False)
 

@@ -43,7 +43,6 @@ from repro.ec import make_codec
 from repro.ec.galois import gf_addmul_bytes
 from repro.runtime import (
     CrashFault,
-    FaultInjector,
     FaultPlan,
     LinkFault,
     RuntimeConfig,
@@ -51,12 +50,11 @@ from repro.runtime import (
     SlowNicFault,
 )
 from repro.runtime.agent import _Assembly, _Stream
-from repro.runtime.coordinator import Coordinator
+from repro.runtime.coordinator import CoordinatorState, _commands
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.messages import DataPacket, ReceiveCommand, SendCommand
 from repro.runtime.testbed import EmulatedTestbed
 from repro.runtime.throttle import RateLimiter
-from repro.runtime.transport import Network
 from repro.obs import MetricsRegistry, Tracer, breakdown_from_trace, render_breakdown
 from repro.sim.cost_model import evaluate_plan
 
@@ -133,18 +131,17 @@ def _issued_packet_sizes(slices, chunk_size=1 << 20, packet_size=4096):
     issued as a chain and as star fan-in, at ``pipeline_slices =
     slices``.
     """
-    cluster, network, sent = make_cluster(), Network(), []
-    coord = Coordinator(
-        network, cluster, make_codec("rs(5,3)"), packet_size=packet_size,
+    cluster = make_cluster()
+    plan = ReconstructionOnlyPlanner(seed=1).plan(cluster, 0)
+    cluster.chunk_size = chunk_size
+    state = CoordinatorState(
+        plan, packet_size, 0, cluster, make_codec("rs(5,3)"),
         config=dataclasses.replace(FAST, pipeline_slices=slices),
     )
-    network.send = lambda src, dst, message: sent.append(message)
-    plan = ReconstructionOnlyPlanner(seed=1).plan(cluster, 0)
     action = plan.rounds[0].reconstructions[0]
     sizes = {}
     for topology, chain in (("chain", list(action.sources)), ("star", None)):
-        sent.clear()
-        coord._issue_action(action, chain, chunk_size, packet_size, 0)
+        sent = [message for _node, message in _commands(state, action, chain, 0)]
         assert {type(m) for m in sent} == {ReceiveCommand, SendCommand}
         sizes[topology] = {m.packet_size for m in sent}
     return sizes
@@ -258,32 +255,29 @@ class TestLinkBandwidths:
 class TestChainWeights:
     """The coordinator folds fault-plan and observed scales."""
 
-    def _coordinator(self, faults=None):
-        cluster = make_cluster()
-        net = Network(faults=faults)
-        return Coordinator(
-            net, cluster, make_codec("rs(5,3)"), packet_size=CHUNK // 4,
+    def _state(self, faults=None):
+        return CoordinatorState(
+            None, CHUNK // 4, 0, make_cluster(), make_codec("rs(5,3)"),
             config=SLICED,
+            link_scales=faults.link_bandwidths() if faults else {},
         )
 
     def test_fault_plan_scales_surface(self):
         plan = FaultPlan(slow_nics=[SlowNicFault(node=3, factor=0.25)])
-        coord = self._coordinator(faults=FaultInjector(plan))
-        assert coord._chain_weights() == {3: 0.25}
+        assert self._state(faults=plan).chain_weights() == {3: 0.25}
 
     def test_observed_degradation_composes(self):
         plan = FaultPlan(slow_nics=[SlowNicFault(node=3, factor=0.5)])
-        coord = self._coordinator(faults=FaultInjector(plan))
-        coord._observed_scales[3] = 0.5   # probe-surviving stall
-        coord._observed_scales[7] = 0.5
-        weights = coord._chain_weights()
+        state = self._state(faults=plan)
+        state.observed_scales[3] = 0.5   # probe-surviving stall
+        state.observed_scales[7] = 0.5
+        weights = state.chain_weights()
         assert weights == {3: 0.25, 7: 0.5}
         # ... and those weights place the degraded nodes at the head.
         assert order_chain([5, 3, 7], weights) == [3, 7, 5]
 
     def test_no_faults_no_observations_means_no_reorder(self):
-        coord = self._coordinator(faults=None)
-        assert coord._chain_weights() == {}
+        assert self._state(faults=None).chain_weights() == {}
 
 
 def _sliced_command(sources, chunk_size=256, packet_size=256 // SLICES):
