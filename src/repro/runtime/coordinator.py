@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import queue
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -251,6 +252,7 @@ class CoordinatorState:
     dead: Set[NodeId] = field(default_factory=set)
     #: link scales halved each time a node survives a stall's probe, so
     #: chain ordering demotes flaky-but-alive helpers to chain heads
+    #: (the shell hands every run its coordinator's one dict)
     observed_scales: Dict[NodeId, float] = field(default_factory=dict)
     probe: Optional[Window] = None
     inventory: Optional[Window] = None
@@ -493,6 +495,12 @@ def _on_tick(state: CoordinatorState, now: float, out: Out) -> None:
         _reissue(state, due, now, out)
     if state.deadline_armed() and now >= state.deadline:
         _stall(state, set(state.pending), "deadline", now, out)
+
+
+def _tallies(state: CoordinatorState) -> Tuple[int, ...]:
+    """The run's fault-handling counts, in the shell's counter order."""
+    r = state.result
+    return (r.retries, r.nacks, r.replans, r.converted_migrations, state.shared_chains)
 
 
 def _nodes(action: ChunkRepairAction) -> Tuple[NodeId, ...]:
@@ -763,18 +771,17 @@ HelperBudget`; when set, each round's helper/destination node slots
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         m = self.metrics
-        self._retries_counter = m.counter(
-            "repair_retries_total", "bounded reissues after transient stalls"
-        )
-        self._nacks_counter = m.counter(
-            "repair_nacks_total", "NACKs received from agents"
-        )
-        self._replans_counter = m.counter(
-            "repair_replans_total", "healing waves after a node died"
-        )
-        self._converted_counter = m.counter(
-            "repair_converted_migrations_total",
-            "migrations converted to reconstructions (STF died mid-repair)",
+        #: bumped as :func:`_tallies` grows, in its order
+        self._tally_counters = tuple(
+            m.counter(name, help_) for name, help_ in (
+                ("repair_retries_total", "bounded reissues after transient stalls"),
+                ("repair_nacks_total", "NACKs received from agents"),
+                ("repair_replans_total", "healing waves after a node died"),
+                ("repair_converted_migrations_total",
+                 "migrations converted to reconstructions (STF died mid-repair)"),
+                ("repair_chain_shared_ingress_total",
+                 "chains issued with a node still ingesting more than one stream"),
+            )
         )
         self._actions_counter = m.counter(
             "repair_actions_total",
@@ -787,19 +794,13 @@ HelperBudget`; when set, each round's helper/destination node slots
             "repair_action_seconds",
             "issue-to-ACK latency of each completed action, by method",
         )
-        self._shared_ingress_counter = m.counter(
-            "repair_chain_shared_ingress_total",
-            "chains issued with a node still ingesting more than one stream",
-        )
-        epoch_gauge = m.gauge(
+        m.gauge(
             "coordinator_epoch", "epoch of the current coordinator incarnation"
-        )
-        if shard is None:
-            epoch_gauge.set(epoch)
-        else:
-            epoch_gauge.set(epoch, shard=shard)
+        ).set(epoch, **({} if shard is None else {"shard": shard}))
         self._endpoint = network.attach(self.coordinator_id, None)
         self._nonces = itertools.count(1)
+        #: survives across this coordinator's runs, as a flaky link does
+        self._observed_scales: Dict[NodeId, float] = {}
         #: a crashed run's journal, folded by recover() for resume()
         self._recovered: Optional[CoordinatorState] = None
         #: action spans of the round in flight, by key
@@ -904,6 +905,7 @@ HelperBudget`; when set, each round's helper/destination node slots
         plan = state.plan
         state.coordinator_id = self.coordinator_id
         state.nonces = self._nonces
+        state.observed_scales = self._observed_scales
         fault_plan = getattr(getattr(self.network, "faults", None), "plan", None)
         if fault_plan is not None:
             state.link_scales = fault_plan.link_bandwidths()
@@ -925,24 +927,12 @@ HelperBudget`; when set, each round's helper/destination node slots
         transferred = self.network.bytes_transferred
         start = time.monotonic()
         with self.tracer.span("repair", **attrs):
-            try:
-                self._act(state, step(state, Start(nodes), start))
-                while not state.finished:
-                    if state.committed:
-                        self._round(state)
-                    else:
-                        self._wait(state)  # the inventory exchange
-            finally:
-                tallies = state.result
-                for counter, value in (
-                    (self._retries_counter, tallies.retries),
-                    (self._nacks_counter, tallies.nacks),
-                    (self._replans_counter, tallies.replans),
-                    (self._converted_counter, tallies.converted_migrations),
-                    (self._shared_ingress_counter, state.shared_chains),
-                ):
-                    if value:
-                        counter.inc(value)
+            self._act(state, self._step(state, Start(nodes), start))
+            while not state.finished:
+                if state.committed:
+                    self._round(state)
+                else:
+                    self._wait(state)  # the inventory exchange
         result = state.result
         result.total_time = time.monotonic() - start
         result.bytes_transferred = self.network.bytes_transferred - transferred
@@ -958,38 +948,37 @@ HelperBudget`; when set, each round's helper/destination node slots
         """
         upcoming = state.upcoming()
         nodes = {node for action in upcoming for node in _nodes(action)}
-        if self.budget is not None and nodes:
-            self.budget.acquire(
+        budget = (
+            self.budget.round(
                 nodes,
                 priority=time.monotonic() + state.estimate(upcoming),
                 renew=self.lease_renew,
             )
+            if self.budget is not None and nodes
+            else nullcontext()
+        )
         index = state.plan.rounds[state.round].index
-        try:
-            with self.tracer.span("round", round=index) as span:
-                started = time.monotonic()
-                commands, records = step(state, NextRound(), started)
-                self._act(state, ([], records))
-                for key, action in state.actions.items():
-                    # Opened between the journaled RoundStarted and the
-                    # commands; closed by the matching ACK (after any
-                    # reissue), so not lexical.
-                    self._spans[key] = self.tracer.start_span(
-                        "action", parent=span, method=action.method.value,
-                        stripe=key[0], chunk=key[1], destination=action.destination,
-                    )
-                self._act(state, (commands, []))
-                span.annotate(actions=len(state.actions))
-                if state.actions:
-                    span.annotate(max_ingress_streams=state.busiest)
-                while state.in_round:
-                    self._wait(state)
-            duration = time.monotonic() - started
-            state.result.round_times.append(duration)
-            self._round_hist.observe(duration)
-        finally:
-            if self.budget is not None and nodes:
-                self.budget.release(nodes)
+        with budget, self.tracer.span("round", round=index) as span:
+            started = time.monotonic()
+            commands, records = self._step(state, NextRound(), started)
+            self._act(state, ([], records))
+            for key, action in state.actions.items():
+                # Opened between the journaled RoundStarted and the
+                # commands; closed by the matching ACK (after any
+                # reissue), so not lexical.
+                self._spans[key] = self.tracer.start_span(
+                    "action", parent=span, method=action.method.value,
+                    stripe=key[0], chunk=key[1], destination=action.destination,
+                )
+            self._act(state, (commands, []))
+            span.annotate(actions=len(state.actions))
+            if state.actions:
+                span.annotate(max_ingress_streams=state.busiest)
+            while state.in_round:
+                self._wait(state)
+        duration = time.monotonic() - started
+        state.result.round_times.append(duration)
+        self._round_hist.observe(duration)
 
     def _wait(self, state: CoordinatorState) -> None:
         """Renew the lease, then step one inbox message — or a
@@ -1007,7 +996,18 @@ HelperBudget`; when set, each round's helper/destination node slots
                 return
         else:
             event = Tick()
-        self._act(state, step(state, event, time.monotonic()))
+        self._act(state, self._step(state, event, time.monotonic()))
+
+    def _step(self, state: CoordinatorState, event: object, now: float) -> Out:
+        """:func:`step`, bumping the run's counters as its tallies grow,
+        so a registry read mid-run sees them."""
+        before = _tallies(state)
+        try:
+            return step(state, event, now)
+        finally:
+            for counter, old, new in zip(self._tally_counters, before, _tallies(state)):
+                if new > old:
+                    counter.inc(new - old)
 
     def _act(self, state: CoordinatorState, out: Out) -> None:
         """Append the step's records, then send its commands."""
@@ -1021,7 +1021,11 @@ HelperBudget`; when set, each round's helper/destination node slots
             try:
                 self.network.send(self.coordinator_id, node, message)
             except KeyError:
-                pass  # never attached: silent, as the probe will find
+                # A ping to an endpoint that never attached goes
+                # unanswered, like one to a dead node; anything else
+                # is a bug.  (Detached endpoints drop sends silently.)
+                if not isinstance(message, Ping) or node in self.network.node_ids():
+                    raise
 
     def _close_action(self, state: CoordinatorState, record: ActionCompleted) -> None:
         key = (record.action["stripe_id"], record.action["chunk_index"])
@@ -1045,7 +1049,7 @@ HelperBudget`; when set, each round's helper/destination node slots
             None, 0, self.epoch, self.cluster, self.codec, self.config,
             self.coordinator_id, nonces=self._nonces,
         )
-        self._act(state, step(state, Probe(tuple(nodes)), time.monotonic()))
+        self._act(state, self._step(state, Probe(tuple(nodes)), time.monotonic()))
         while state.probe is not None:
             self._wait(state)
         return nodes - state.dead

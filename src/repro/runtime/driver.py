@@ -436,8 +436,7 @@ class RepairDriver:
             if self.journal_path is None:
                 self.journal_path = self.workdir / "repair.journal"
             self.coordinator.journal = RepairJournal(
-                self.journal_path,
-                fsync=self.config.journal_fsync,
+                self.journal_path, fsync=self.config.journal_fsync,
                 metrics=self.metrics,
             )
         return self.coordinator.journal
@@ -500,16 +499,10 @@ class RepairDriver:
         if self.multi is None:
             self._retire()
             self.multi = MultiCoordinator(
-                self.network,
-                self.cluster,
-                self.codec,
-                self.packet_size,
+                self.network, self.cluster, self.codec, self.packet_size,
                 journal_dir=journal_dir or self.workdir / "shards",
-                num_shards=num_shards,
-                config=self.config,
-                budget=budget,
-                metrics=self.metrics,
-                tracer=self.tracer,
+                num_shards=num_shards, config=self.config, budget=budget,
+                metrics=self.metrics, tracer=self.tracer,
             )
         elif self.multi.shard_map.num_shards != num_shards:
             raise RuntimeError(

@@ -190,9 +190,7 @@ class _ShardRun:
         self.result: Optional[RuntimeResult] = None
         self.error: Optional[BaseException] = None
         self.thread = threading.Thread(
-            target=self._main,
-            args=(work,),
-            name=f"shard-coordinator-{shard}",
+            target=self._main, args=(work,), name=f"shard-coordinator-{shard}",
             daemon=True,
         )
 
@@ -201,9 +199,6 @@ class _ShardRun:
             self.result = work()
         except BaseException as exc:  # noqa: BLE001 - reported to supervisor
             self.error = exc
-
-    def start(self) -> None:
-        self.thread.start()
 
 
 class MultiCoordinator:
@@ -330,10 +325,9 @@ class MultiCoordinator:
         outcome = MultiRepairResult(total_time=0.0)
         for shard, sub_plan in enumerate(sub_plans):
             coordinator = self._coordinator(shard)
-            run = self._spawn(
+            self._spawn(
                 shard, coordinator, partial(coordinator.execute, sub_plan, packet)
             )
-            run.start()
         try:
             while self._active:
                 self._sweep(outcome)
@@ -399,8 +393,7 @@ class MultiCoordinator:
         outcome.takeovers.append(event)
         self._takeovers_counter.inc(shard=shard)
         self.lease.renew(shard)
-        run = self._spawn(shard, successor, successor.resume)
-        run.start()
+        self._spawn(shard, successor, successor.resume)
 
     def _choose_adopter(
         self, dead_shard: int, outcome: MultiRepairResult
@@ -444,7 +437,8 @@ class MultiCoordinator:
             journal=journal, **shared,
         )
 
-    def _spawn(self, shard: int, coordinator: Coordinator, work: Callable) -> _ShardRun:
+    def _spawn(self, shard: int, coordinator: Coordinator, work: Callable) -> None:
+        """Start ``work`` on its own thread as ``shard``'s live incarnation."""
         run = _ShardRun(shard, coordinator, work)
         self.lease.renew(shard)
         with self._lock:
@@ -452,7 +446,7 @@ class MultiCoordinator:
             if shard in self._pending_kills and coordinator.journal is not None:
                 self._pending_kills.discard(shard)
                 coordinator.journal.kill_on_next_append()
-        return run
+        run.thread.start()
 
     def close(self) -> None:
         """Release every active incarnation's journal (idempotent)."""

@@ -4,12 +4,18 @@ import pytest
 
 from repro.cluster import StorageCluster
 from repro.core.plan import ChunkRepairAction, RepairMethod
+from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
+from repro.obs import MetricsRegistry
 from repro.runtime.coordinator import (
     COORDINATOR_ID,
     Coordinator,
+    CoordinatorState,
+    NextRound,
+    Start,
     _source_coefficients,
 )
+from repro.runtime.messages import ACK_FAILED, RepairAck
 from repro.runtime.transport import Network
 
 
@@ -57,3 +63,28 @@ class TestSourceCoefficients:
     def test_coordinator_attaches_itself(self, setup):
         cluster, net, codec, coordinator = setup
         assert net.endpoint(COORDINATOR_ID) is coordinator._endpoint
+
+
+class TestShell:
+    def test_counters_move_as_events_happen(self, setup):
+        # A registry read mid-run (daemon, supervisor) sees a NACK as
+        # soon as the shell has stepped it, not when the run ends.
+        cluster, net, codec, _ = setup
+        metrics = MetricsRegistry()
+        coordinator = Coordinator(
+            net, cluster, codec, packet_size=256, metrics=metrics,
+            coordinator_id=-2,
+        )
+        plan = FastPRPlanner(seed=1).plan(cluster, 0)
+        state = CoordinatorState(
+            plan, 256, 0, cluster, codec, coordinator_id=-2
+        )
+        coordinator._step(state, Start(), 0.0)
+        coordinator._step(state, NextRound(), 0.0)
+        (key, action), = state.actions.items()
+        nack = RepairAck(
+            *key, action.destination, status=ACK_FAILED, detail="injected"
+        )
+        coordinator._step(state, nack, 0.1)
+        assert metrics.get("repair_nacks_total").total() == 1
+        assert not state.finished

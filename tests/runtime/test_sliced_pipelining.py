@@ -262,9 +262,39 @@ class TestChainWeights:
             link_scales=faults.link_bandwidths() if faults else {},
         )
 
-    def test_fault_plan_scales_surface(self):
-        plan = FaultPlan(slow_nics=[SlowNicFault(node=3, factor=0.25)])
-        assert self._state(faults=plan).chain_weights() == {3: 0.25}
+    def _heads(self, path, faults=None):
+        """First-attempt chain heads of a chained plan run end to end."""
+        cluster, testbed = make_testbed(path, faults=faults)
+        try:
+            plan = chained_plan(ReconstructionOnlyPlanner(seed=1), cluster)
+            heads = _record_relay_heads(testbed)
+            result = testbed.execute(plan)
+            testbed.verify_plan(plan, result)
+        finally:
+            testbed.shutdown()
+        chains = [
+            action for action in result.executed_actions if action.pipelined
+        ]
+        return {
+            (a.stripe_id, a.chunk_index): a.sources for a in chains
+        }, {(s, c): node for (s, c, attempt), node in heads.items() if not attempt}
+
+    def test_fault_plan_scales_surface(self, tmp_path):
+        # The coordinator reads the slow-NIC scales off its network's
+        # fault plan: a quarter-rate helper heads every chain it serves
+        # in, including the ones it does not head on a clean network.
+        helpers, clean = self._heads(tmp_path / "clean")
+        slow = next(
+            node
+            for key, sources in sorted(helpers.items())
+            for node in sources
+            if node != clean[key]
+        )
+        plan = FaultPlan(slow_nics=[SlowNicFault(node=slow, factor=0.25)])
+        helpers, heads = self._heads(tmp_path / "slow", faults=plan)
+        served = [key for key, sources in helpers.items() if slow in sources]
+        assert any(clean[key] != slow for key in served)
+        assert all(heads[key] == slow for key in served)
 
     def test_observed_degradation_composes(self):
         plan = FaultPlan(slow_nics=[SlowNicFault(node=3, factor=0.5)])
