@@ -45,6 +45,8 @@ class StorageCluster:
             raise ValueError(f"need at least 2 storage nodes, got {num_nodes}")
         if num_hot_standby < 0:
             raise ValueError("num_hot_standby must be non-negative")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.disk_bandwidth = float(disk_bandwidth)
         self.network_bandwidth = float(network_bandwidth)
         self.chunk_size = int(chunk_size)

@@ -769,10 +769,16 @@ class Agent:
                     self.errors.append(exc)
 
     def _dispatch_one(self, message) -> None:
-        if isinstance(
-            message, (ReceiveCommand, SendCommand)
-        ) and not self._admit_command(message):
-            return  # fenced: a stale-epoch coordinator mutates nothing
+        if isinstance(message, (ReceiveCommand, SendCommand)):
+            if not self._admit_command(message):
+                return  # fenced: a stale-epoch coordinator mutates nothing
+            if message.packet_size < 1 or message.chunk_size < 1:
+                # Off the wire: an assembly would count no offsets and
+                # promote its all-zero buffer, a stream would send nothing.
+                raise AgentError(
+                    f"non-positive size for {message.key}: packet "
+                    f"{message.packet_size}, chunk {message.chunk_size}"
+                )
         # Gateway chunk ops first: ChunkWrite subclasses DataPacket, so
         # it must be claimed before the generic packet-routing branch.
         if isinstance(message, (ChunkWrite, ChunkRead, ChunkDelete)):

@@ -826,6 +826,8 @@ HelperBudget`; when set, each round's helper/destination node slots
                 (Experiment B.1 varies it without rebuilding the testbed).
         """
         packet = packet_size or self.packet_size
+        if packet < 1:
+            raise ValueError(f"packet_size must be >= 1, got {packet}")
         state = CoordinatorState(
             plan, packet, self.epoch, self.cluster, self.codec, self.config
         )

@@ -305,7 +305,8 @@ class RepairDriver:
             packet_size
             or optimal_packet_size(
                 profile_from_cluster(cluster), self.max_packet
-            )
+            ),
+            self.max_packet,
         )
         self.config = config or DEFAULT_CONFIG
         self.metrics = metrics
@@ -337,13 +338,17 @@ class RepairDriver:
         self.coordinator: Optional[Coordinator] = None
         self.multi: Optional[MultiCoordinator] = None
 
-    def _fitting(self, packet_size: int) -> int:
-        """``packet_size``, or a ``ValueError`` when no frame of the
-        transport can carry it (it would fail mid-round instead)."""
-        if self.max_packet is not None and packet_size > self.max_packet:
+    @staticmethod
+    def _fitting(packet_size: int, max_packet: Optional[int] = None) -> int:
+        """``packet_size``, or a ``ValueError`` when it is not positive or
+        no frame of the transport (whose largest payload is
+        ``max_packet``) can carry it — it would fail mid-round instead."""
+        if packet_size < 1:
+            raise ValueError(f"packet_size must be >= 1, got {packet_size}")
+        if max_packet is not None and packet_size > max_packet:
             raise ValueError(
                 f"packet_size {packet_size} does not fit the transport: "
-                f"its largest packet is {self.max_packet} bytes"
+                f"its largest packet is {max_packet} bytes"
             )
         return packet_size
 
@@ -554,7 +559,7 @@ class RepairDriver:
     ) -> Result:
         """Run ``plan`` from the top on the live coordinator(s)."""
         if packet_size is not None:
-            self._fitting(packet_size)
+            self._fitting(packet_size, self.max_packet)
         self.arm_faults()
         runner = self.multi or self.coordinator
         return self._supervised(

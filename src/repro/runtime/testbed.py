@@ -89,6 +89,9 @@ class EmulatedTestbed(RepairDriver):
         topology: Optional[RackTopology] = None,
         arbiter=None,
     ):
+        if packet_size:  # 0 or None: the driver picks the size
+            # Rejected before any store, thread or temp dir exists.
+            self._fitting(packet_size)
         self._own_workdir = workdir is None
         workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="fastpr-"))
         config = config or RuntimeConfig()

@@ -26,7 +26,12 @@ from repro.runtime.agent import MAX_PENDING_CHUNKS, Agent, AgentError
 from repro.runtime.datanode import ChunkStore
 from repro.runtime.driver import RepairDriver
 from repro.runtime.journal import PlanCommitted, RepairJournal
-from repro.runtime.messages import DataPacket
+from repro.runtime.messages import (
+    ACK_FAILED,
+    DataPacket,
+    ReceiveCommand,
+    SendCommand,
+)
 from repro.runtime.testbed import EmulatedTestbed
 from repro.runtime.throttle import RateLimiter
 from repro.runtime.transport import Network
@@ -284,3 +289,53 @@ class TestPendingPacketsBoundedInBytes:
         assert pending.nbytes == 16 * CHUNK
         assert pending.extent == CHUNK
         assert len(pending.packets) == 16 * 64
+
+
+class TestNonPositiveSizes:
+    """A packet or chunk size below 1 never reaches an assembly: the
+    library rejects it, and an agent NACKs a command carrying one."""
+
+    def test_testbed_rejects_before_building_anything(self, tmp_path):
+        with pytest.raises(ValueError, match="packet_size must be >= 1"):
+            EmulatedTestbed(
+                make_cluster(), make_codec("rs(5,3)"),
+                workdir=tmp_path / "bed", packet_size=-4,
+            )
+        assert not (tmp_path / "bed").exists()
+        testbed = EmulatedTestbed(
+            make_cluster(), make_codec("rs(5,3)"), workdir=tmp_path / "ok"
+        )
+        with pytest.raises(ValueError, match="packet_size must be >= 1"):
+            testbed.coordinator.execute(None, packet_size=-4)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ReceiveCommand(7, 2, chunk_size=4 * KIB, packet_size=-4,
+                           sources={0: 1}),
+            ReceiveCommand(7, 2, chunk_size=0, packet_size=KIB,
+                           sources={0: 1}),
+            SendCommand(7, 2, destination=-1, packet_size=-4,
+                        chunk_size=4 * KIB),
+        ],
+        ids=["receive-packet", "receive-chunk", "send-packet"],
+    )
+    def test_agent_nacks_a_command_off_the_wire(self, tmp_path, command):
+        net = Network()
+        coordinator = net.attach(-1, None)
+        net.attach(1, None)
+        store = ChunkStore(tmp_path / "n1", 1, RateLimiter(None))
+        if isinstance(command, SendCommand):
+            store.put(7, bytes(4 * KIB))
+        agent = Agent(1, store, net, -1)
+        agent.start()
+        try:
+            net.send(-1, 1, command)
+            reply = coordinator.inbox.get(timeout=10)
+        finally:
+            agent.stop()
+        assert reply.status == ACK_FAILED and "non-positive" in reply.detail
+        assert coordinator.inbox.empty()  # nothing was sent or promoted
+        assert list(store.stripes()) == (
+            [7] if isinstance(command, SendCommand) else []
+        )

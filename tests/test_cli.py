@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +447,50 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--stf", "1"])
 
+    def test_surface_is_pinned(self):
+        # Every subcommand's flags as the parser builds them; a renamed,
+        # retyped or re-defaulted flag (or changed help text) shows here.
+        pinned = json.loads(SURFACE.read_text())
+        surface = _surface(build_parser())
+        assert list(surface) == list(pinned)
+        for command, spec in pinned.items():
+            assert surface[command] == spec, command
+
+
+SURFACE = Path(__file__).with_name("cli_surface.json")
+
+
+def _surface(parser, prefix=""):
+    """``{"gateway serve": {"help": ..., "flags": [...]}, ...}``."""
+    surface = {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        helps = {c.dest: c.help for c in action._choices_actions}
+        for name, sub in action.choices.items():
+            path = f"{prefix}{name}"
+            surface[path] = {"help": helps.get(name), "flags": [
+                {
+                    "option_strings": flag.option_strings,
+                    "dest": flag.dest,
+                    "action": type(flag).__name__,
+                    "type": getattr(flag.type, "__name__", flag.type),
+                    "default": flag.default,
+                    "choices": (
+                        None if flag.choices is None else list(flag.choices)
+                    ),
+                    "required": flag.required,
+                    "nargs": flag.nargs,
+                    "help": flag.help,
+                }
+                for flag in sub._actions
+                if not isinstance(
+                    flag, (argparse._HelpAction, argparse._SubParsersAction)
+                )
+            ]}
+            surface.update(_surface(sub, f"{path} "))
+    return surface
+
 
 def _small_snapshot(tmp_path):
     path = tmp_path / "cluster.json"
@@ -510,6 +556,20 @@ class TestBadInput:
              "exceeds cluster size"),
             (["snapshot", "--stripes", "-1", "-o", "{tmp}/x.json"],
              "--stripes must be >= 1"),
+            (["gateway", "serve", "--snapshot", "{snap}", "--workdir",
+              "{tmp}/w", "--transport", "tcp", "--listen", "127.0.0.1:1",
+              "--peers", "0=127.0.0.1:2", "--client-floor", "1.5"],
+             "bad --client-floor: client_floor"),
+            (["repair", "--snapshot", "{snap}", "--stf", "0", "--racks", "0"],
+             "bad --racks: need at least one rack"),
+            (["daemon", "--snapshot", "{snap}", "--fleet", "{fleet}",
+              "--helper-budget", "0"], "bad --helper-budget: helper_budget"),
+            (["repair", "--snapshot", "{snap}", "--stf", "0",
+              "--packet-size", "-4"], "bad --packet-size: packet_size"),
+            (["snapshot", "--chunk-size", "0", "-o", "{tmp}/x.json"],
+             "bad --chunk-size: chunk_size"),
+            (["snapshot", "--hot-standby", "-1", "-o", "{tmp}/x.json"],
+             "bad --hot-standby: num_hot_standby"),
         ],
         ids=[
             "snapshot-lrc", "code-rs-one-parameter", "code-msr-too-short",
@@ -521,12 +581,19 @@ class TestBadInput:
             "predict-fleet-missing", "predict-train-fraction",
             "daemon-fleet-missing", "fleet-no-disks", "fleet-afr-above-one",
             "snapshot-nodes-below-n", "snapshot-negative-stripes",
+            "gateway-client-floor-above-one", "repair-no-racks",
+            "daemon-no-helper-budget", "repair-negative-packet-size",
+            "snapshot-no-chunk-size", "snapshot-negative-hot-standby",
         ],
     )
     def test_rejected_on_one_line(self, argv, message, tmp_path, capsys):
+        from repro.failure import SmartTraceGenerator, save_traces
+
         snap = _small_snapshot(tmp_path)
         (tmp_path / "typo.json").write_text(json.dumps({"ack_timeoutt": 3}))
-        argv = [a.format(tmp=tmp_path, snap=snap) for a in argv]
+        fleet = tmp_path / "fleet.csv"
+        save_traces(SmartTraceGenerator(12, horizon_days=5).generate(), fleet)
+        argv = [a.format(tmp=tmp_path, snap=snap, fleet=fleet) for a in argv]
         captured = _one_line_exit_2(argv, capsys)
         assert message in captured.err
         assert not (tmp_path / "x.json").exists()
