@@ -18,12 +18,16 @@ report:
 	rm -f figures/*.svg
 	$(PY) -m repro.bench.plots benchmarks/results -o figures
 
-# cProfile one quick drain-cpu-mem run of the end-to-end harness;
+# cProfile one quick run of an end-to-end workload (default
+# drain-cpu-mem):  make profile [WORKLOAD=gateway-mixed-cpu]
 # profile.prof feeds any flamegraph tool (e.g. snakeviz/flameprof),
 # profile.txt is the top functions by cumulative time, readable as-is.
+# cProfile sees only the calling thread: work handed to a pool (the
+# gateway's chunk hashing) shows up as time waiting on it.
+profile: WORKLOAD ?= drain-cpu-mem
 profile:
 	$(PY) -m cProfile -o profile.prof benchmarks/e2e/run.py \
-		--workload drain-cpu-mem --quick
+		--workload $(WORKLOAD) --quick
 	python3 -c "import pstats, sys; pstats.Stats('profile.prof', \
 		stream=sys.stdout).sort_stats('cumulative').print_stats(60)" \
 		> profile.txt

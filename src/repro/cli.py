@@ -1052,8 +1052,8 @@ COMMANDS: Dict[str, Command] = {command.name: command for command in (
              "fleet (logistic/cart train on the fleet itself)"),
         "--scenario", "--seed",
         flag("--journal", help="daemon queue journal (default: "
-             "<workdir>/daemon.journal); reuse with --resume to continue "
-             "after a crash"),
+             "<workdir>/daemon.journal); an existing journal is "
+             "replayed on start and its unfinished tasks run first"),
         flag("--workdir", help="directory for chunk stores + journals "
              "(default: temp dir)"),
         flag("--helper-budget", type=int, help="max repairs admitted per "

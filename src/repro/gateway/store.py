@@ -15,7 +15,12 @@ A GET hashes each chunk it returns exactly once, against the
 manifest's digest for that chunk, whether it was fetched or decoded:
 that is the read path's only integrity check, end to end from the
 PUT's encoder, so agents serve chunks without a checksum and the
-object is never hashed whole.
+object is never hashed whole.  The hashing runs on a process-wide
+thread pool (:func:`~repro.gateway.manifest.digest_all`), one stripe's
+chunks at a time: all replies of a read wave, a degraded stripe's
+decoded chunks, a PUT's ``n`` chunks while its writes fly.  sha256
+releases the GIL on large buffers, so that spreads over every usable
+core; the pool is bounded by the CPU count.
 
 Everything speaks the existing :class:`~repro.runtime.transport`
 interface, so the same gateway runs unchanged over the in-memory,
@@ -56,7 +61,7 @@ from .manifest import (
     ManifestStore,
     ObjectManifest,
     StripeRef,
-    digest,
+    digest_all,
     root_digest,
 )
 
@@ -373,7 +378,7 @@ class ObjectStore(RpcEndpoint):
             )))
         digests: List[str] = []
         replies = self._rpc_many(
-            calls, meanwhile=lambda: digests.extend(map(digest, chunks))
+            calls, meanwhile=lambda: digests.extend(digest_all(chunks))
         )
         written.append(
             StripeRef(stripe.stripe_id, tuple(placement), tuple(digests))
@@ -484,8 +489,9 @@ class ObjectStore(RpcEndpoint):
             raise GatewayError(
                 f"stripe {ref.stripe_id}: degraded decode failed: {exc}"
             ) from exc
-        for index in missing:
-            if digest(decoded[index]) != ref.digests[index]:
+        hashes = digest_all([decoded[index] for index in missing])
+        for index, chunk_digest in zip(missing, hashes):
+            if chunk_digest != ref.digests[index]:
                 raise GatewayError(
                     f"stripe {ref.stripe_id}: decoded chunk {index} "
                     "does not match its manifest digest"
@@ -515,17 +521,19 @@ class ObjectStore(RpcEndpoint):
             ))
             for i in indices
         ]
-        fetched: Dict[int, bytes] = {}
+        answered = []
         for (dst, request), reply in zip(calls, self._rpc_many(calls)):
-            index = request.chunk_index
-            if (
-                reply is None
-                or not reply.ok
-                or digest(reply.payload) != ref.digests[index]
-            ):
+            if reply is None or not reply.ok:
+                self._suspect(dst)
+            else:
+                answered.append((dst, request.chunk_index, reply.payload))
+        hashes = digest_all([payload for _, _, payload in answered])
+        fetched: Dict[int, bytes] = {}
+        for (dst, index, payload), chunk_digest in zip(answered, hashes):
+            if chunk_digest != ref.digests[index]:
                 self._suspect(dst)
                 continue
-            fetched[index] = reply.payload
+            fetched[index] = payload
         return fetched
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .report import (
     RepairBreakdown,
     RoundBreakdown,
     breakdown_from_trace,
-    load_report_inputs,
     metrics_summary,
     render_breakdown,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "WallClock",
     "breakdown_from_trace",
     "duration_of",
-    "load_report_inputs",
     "metrics_summary",
     "render_breakdown",
 ]

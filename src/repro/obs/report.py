@@ -16,9 +16,7 @@ includes command issue and ACK collection overhead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .tracing import TraceDocument, TraceError, duration_of
@@ -181,15 +179,3 @@ def metrics_summary(metrics_doc: dict) -> str:
                 f"{name:48s} {kind:10s} count={count} mean={mean:.6g}s"
             )
     return "\n".join(lines)
-
-
-def load_report_inputs(
-    trace_path: Union[str, Path],
-    metrics_path: Optional[Union[str, Path]] = None,
-):
-    """Load the trace (and optional metrics) files ``repro report`` takes."""
-    trace = TraceDocument.load(trace_path)
-    metrics_doc = None
-    if metrics_path is not None:
-        metrics_doc = json.loads(Path(metrics_path).read_text())
-    return trace, metrics_doc

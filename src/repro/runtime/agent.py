@@ -791,6 +791,16 @@ class Agent:
         elif isinstance(message, DataPacket):
             self._route_packet(message)
         elif isinstance(message, WriteComplete):
+            # The chunk is durable downstream, so this node's part of the
+            # action ends here, not when its worker thread next runs: a
+            # command issued after the destination's RepairAck (a later
+            # run of the same key and generation) is not a duplicate.
+            with self._assembly_lock:
+                worker = self._inflight.get(message.key)
+                if worker is not None and (
+                    _generation(worker.command) == _generation(message)
+                ):
+                    del self._inflight[message.key]
             with self._ack_lock:
                 written = self._write_acks.get(
                     (message.key, message.epoch, message.attempt)

@@ -1,6 +1,8 @@
 """Object manifests: schema round-trip and the durable catalog."""
 
 import json
+import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,7 @@ from repro.gateway import (
     StripeRef,
     digest,
 )
-from repro.gateway.manifest import root_digest
+from repro.gateway.manifest import digest_all, root_digest
 from tests.gateway.test_objectstore import CHUNK, build_rig
 
 
@@ -150,6 +152,36 @@ def test_get_on_a_digest_less_stripe_raises(tmp_path):
         )))
         with pytest.raises(GatewayError, match="0 chunk digests"):
             store.get("bare")
+
+
+class TestDigestAll:
+    """The parallel hash is the serial one, chunk for chunk, in order."""
+
+    @staticmethod
+    def chunks(count, size=64 * 1024):
+        # Above hashlib's GIL-release threshold, each chunk distinct.
+        return [bytes([i]) * size for i in range(count)]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 9])
+    def test_equals_the_serial_digests(self, count):
+        chunks = self.chunks(count)
+        assert digest_all(chunks) == [digest(c) for c in chunks]
+
+    def test_memoryview_payloads_hash_like_their_bytes(self):
+        # As tcp delivers them: views into one received frame.
+        chunks = self.chunks(6)
+        frame = memoryview(b"".join(chunks))
+        size = len(chunks[0])
+        views = [frame[i * size:(i + 1) * size] for i in range(6)]
+        assert digest_all(views) == [digest(c) for c in chunks]
+        assert digest_all(views[:1]) == [digest(chunks[0])]
+
+    def test_pool_is_bounded_by_the_cpu_count(self):
+        digest_all(self.chunks(32))
+        hashers = [
+            t for t in threading.enumerate() if t.name.startswith("digest")
+        ]
+        assert 1 <= len(hashers) <= len(os.sched_getaffinity(0))
 
 
 class TestManifestStore:

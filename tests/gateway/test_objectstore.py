@@ -7,6 +7,8 @@ bottom is the ISSUE's satellite: degraded-read bytes equal
 healthy-read bytes for *every* single-node erasure in RS(9,6).
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,31 @@ class TestPutGet:
         assert counter_total(metrics, "gateway_puts_total") == 1
         assert counter_total(metrics, "gateway_gets_total") == 1
         assert counter_total(metrics, "gateway_bytes_out_total") == len(data)
+
+    def test_manifest_digests_hash_the_chunks_each_node_holds(
+        self, tmp_path
+    ):
+        """PUT hashes a stripe's n chunks in parallel; each digest must
+        still belong to the chunk written at its own index."""
+        cluster, codec, testbed, _ = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK
+        ) as store:
+            data = bytes(i % 241 for i in range(2 * codec.k * CHUNK))
+            manifest = store.put("lined-up", data)
+            for s, ref in enumerate(manifest.stripes):
+                held = [
+                    testbed.stores[node].read(ref.stripe_id)
+                    for node in ref.placement
+                ]
+                offset = s * codec.k * CHUNK
+                for i in range(codec.k):
+                    assert held[i] == data[
+                        offset + i * CHUNK:offset + (i + 1) * CHUNK
+                    ]
+                assert list(ref.digests) == [
+                    hashlib.sha256(chunk).hexdigest() for chunk in held
+                ]
 
     def test_small_object_pads_one_stripe(self, rig):
         _, codec, store, _ = rig
@@ -223,6 +250,48 @@ class TestDegradedReads:
             assert waves == [codec.k, 1, 1]
             assert not store._readable(ref.placement[1])
             assert not store._readable(ref.placement[codec.k])
+            assert counter_total(metrics, "gateway_degraded_reads_total") == 1
+
+    def test_lost_and_rotted_replies_in_one_wave_are_told_apart(
+        self, tmp_path
+    ):
+        """One wave: a lost reply, a rotted one, the rest good.  Both bad
+        nodes are suspected and decoded around, and no good chunk is
+        blamed — each reply meets its own index's digest."""
+        cluster, codec, testbed, metrics = build_rig(tmp_path)
+        with testbed, ObjectStore(
+            cluster, codec, testbed.network, chunk_size=CHUNK, metrics=metrics
+        ) as store:
+            data = bytes(i % 239 for i in range(codec.k * CHUNK))
+            ref = store.put("mixed", data).stripes[0]
+            lost, rotted = 1, 2
+            chunks = testbed.stores[ref.placement[rotted]]
+            rot = bytearray(chunks.read(ref.stripe_id))
+            rot[CHUNK // 3] ^= 0x80
+            chunks.put(ref.stripe_id, bytes(rot))
+            waves = []
+            rpc_many = store._rpc_many
+
+            def losing(calls, timeout=None):
+                replies = rpc_many(calls, timeout=timeout)
+                if not waves:
+                    replies = [
+                        None if request.chunk_index == lost else reply
+                        for (_, request), reply in zip(calls, replies)
+                    ]
+                waves.append(len(calls))
+                return replies
+
+            store._rpc_many = losing
+            result = store.get_result("mixed")
+            assert result.data == data and result.degraded
+            assert waves == [codec.k, 1, 1]
+            assert not store._readable(ref.placement[lost])
+            assert not store._readable(ref.placement[rotted])
+            assert all(
+                store._readable(ref.placement[i])
+                for i in range(codec.k) if i not in (lost, rotted)
+            )
             assert counter_total(metrics, "gateway_degraded_reads_total") == 1
 
     def test_reads_go_direct_again_after_the_drain(self, tmp_path):

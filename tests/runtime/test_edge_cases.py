@@ -12,6 +12,7 @@ from repro.runtime.messages import (
     ReceiveCommand,
     RepairAck,
     SendCommand,
+    WriteComplete,
 )
 from repro.runtime.throttle import RateLimiter
 from repro.runtime.transport import Network
@@ -135,6 +136,28 @@ class TestFailureInjection:
             assert not agents[1].errors
         finally:
             stop_all(agents)
+
+    def test_next_run_of_a_key_after_write_complete_is_no_duplicate(
+        self, tmp_path
+    ):
+        """A fresh coordinator reissues a finished key at the same
+        (epoch, attempt).  The source's stream ended with its
+        WriteComplete, even if its worker has not yet run to clean up:
+        the new SendCommand must register, not be NACKed as a duplicate.
+        """
+        net = Network()
+        net.attach(COORD, None)
+        net.attach(0, None)
+        store = ChunkStore(tmp_path / "n0", 0, RateLimiter(None))
+        store.put(6, b"s" * 128)
+        agent = Agent(0, store, net, COORD)  # no worker threads run
+        send = SendCommand(6, 0, 1, 64, 128)
+        agent._dispatch_one(send)
+        agent._dispatch_one(WriteComplete(6, 0))
+        agent._dispatch_one(send)
+        assert agent._inflight[(6, 0)].command == send
+        with pytest.raises(AgentError, match="duplicate"):
+            agent._dispatch_one(send)  # a true duplicate still is one
 
     def test_send_of_missing_chunk_nacked(self, tmp_path):
         net, coord, agents = build_rig(tmp_path)

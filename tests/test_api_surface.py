@@ -226,7 +226,6 @@ OBS_API = [
     "WallClock",
     "breakdown_from_trace",
     "duration_of",
-    "load_report_inputs",
     "metrics_summary",
     "render_breakdown",
 ]
