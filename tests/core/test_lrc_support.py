@@ -1,6 +1,11 @@
 """Tests for LRC-aware predictive repair planning."""
 
+import hashlib
+import json
+
 import pytest
+
+from repro.cluster import StorageCluster
 
 from repro.core.lrc_support import (
     LrcFastPRPlanner,
@@ -151,3 +156,51 @@ class TestLrcReconstructionOnly:
         lrc_plan = LrcReconstructionOnlyPlanner(codec, seed=0).plan(cluster, stf)
         rs_plan = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
         assert lrc_plan.num_rounds <= rs_plan.num_rounds + 2
+
+
+# sha256(json(plan.to_dict()))[:16] of LRC(6,2,2) plans on a 20-node
+# cluster with two hot standbys; every STF node here holds global
+# parities, so each plan mixes local repairs with global-parity ones.
+GOLDEN_LRC_PLAN_DIGESTS = {
+    ("fastpr", RepairScenario.SCATTERED, 0): "92bb1fd6c01e677e",
+    ("fastpr", RepairScenario.SCATTERED, 1): "6622976d374b5fee",
+    ("fastpr", RepairScenario.SCATTERED, 2): "86a39178d4f2996e",
+    ("fastpr", RepairScenario.HOT_STANDBY, 0): "49ea27463b2baca7",
+    ("fastpr", RepairScenario.HOT_STANDBY, 1): "80bc3af9971efe99",
+    ("fastpr", RepairScenario.HOT_STANDBY, 2): "32ea6fb6e755ef7a",
+    ("reconstruction", RepairScenario.SCATTERED, 0): "5d5eac7df8e2a8ab",
+    ("reconstruction", RepairScenario.SCATTERED, 1): "ace2af58887245c6",
+    ("reconstruction", RepairScenario.SCATTERED, 2): "e96fea7939b15b1a",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 0): "4618f769214f31aa",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 1): "2b5b679141b4d82c",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 2): "6ac81b88b4e0e0a0",
+}
+
+LRC_PLANNERS = {
+    "fastpr": LrcFastPRPlanner,
+    "reconstruction": LrcReconstructionOnlyPlanner,
+}
+
+
+class TestGoldenLrcPlans:
+    @pytest.mark.parametrize(
+        "planner, scenario, seed",
+        sorted(GOLDEN_LRC_PLAN_DIGESTS, key=lambda p: (p[0], p[1].name, p[2])),
+    )
+    def test_plan_digest_unchanged(self, codec, planner, scenario, seed):
+        cluster = StorageCluster.random(
+            20, 60, codec.n, codec.k, num_hot_standby=2, seed=40 + seed
+        )
+        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+        cluster.node(stf).mark_soon_to_fail()
+        assert any(
+            c.chunk_index >= codec.k + codec.l
+            for c in cluster.chunks_on_node(stf)
+        )
+        plan = LRC_PLANNERS[planner](codec, scenario=scenario, seed=seed).plan(
+            cluster, stf
+        )
+        digest = hashlib.sha256(
+            json.dumps(plan.to_dict(), sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == GOLDEN_LRC_PLAN_DIGESTS[planner, scenario, seed]
