@@ -8,18 +8,22 @@ The paper has no LRC figure, but its analysis extension predicts:
   though by less (migration's relative advantage shrinks when
   reconstruction is already cheap);
 * the simulated LRC-aware FastPR tracks the k'-substituted optimum.
+
+The planners take the codec, which names each chunk's repair helpers;
+the cost model prices every reconstruction by the helpers it reads, so
+a global parity's reconstruction costs k reads and a local one k'.
 """
 
 from conftest import run_once
 
 from repro.bench.harness import Experiment, Panel
 from repro.core.analysis import AnalyticalModel
-from repro.core.lrc_support import (
-    LrcFastPRPlanner,
-    LrcReconstructionOnlyPlanner,
-    build_lrc_cluster,
+from repro.cluster import StorageCluster
+from repro.core.planner import (
+    FastPRPlanner,
+    ReconstructionOnlyPlanner,
+    profile_from_cluster,
 )
-from repro.core.planner import ReconstructionOnlyPlanner, profile_from_cluster
 from repro.ec import make_codec
 from repro.sim.cost_model import evaluate_plan
 
@@ -49,26 +53,25 @@ def run_lrc_extension(runs: int = 2) -> Experiment:
     sim = Panel("Simulation — per-chunk repair time", "approach")
     lrc_fast, lrc_recon, rs_recon, optimum = [], [], [], []
     for run in range(runs):
-        cluster = build_lrc_cluster(
-            codec, num_nodes=100, num_stripes=300, seed=19 + 101 * run
+        cluster = StorageCluster.random(
+            100, 300, codec.n, codec.k, seed=19 + 101 * run
         )
         stf = max(cluster.storage_node_ids(), key=cluster.load_of)
         cluster.node(stf).mark_soon_to_fail()
-        kp = codec.group_size
         lrc_fast.append(
             evaluate_plan(
                 cluster,
-                LrcFastPRPlanner(codec, seed=run, group_size=64).plan(cluster, stf),
-                k_prime=kp,
+                FastPRPlanner(seed=run, group_size=64, codec=codec).plan(
+                    cluster, stf
+                ),
             ).time_per_chunk
         )
         lrc_recon.append(
             evaluate_plan(
                 cluster,
-                LrcReconstructionOnlyPlanner(codec, seed=run, group_size=64).plan(
-                    cluster, stf
-                ),
-                k_prime=kp,
+                ReconstructionOnlyPlanner(
+                    seed=run, group_size=64, codec=codec
+                ).plan(cluster, stf),
             ).time_per_chunk
         )
         rs_recon.append(
@@ -79,11 +82,10 @@ def run_lrc_extension(runs: int = 2) -> Experiment:
                 ),
             ).time_per_chunk
         )
-        model = AnalyticalModel(
+        model = AnalyticalModel.for_codec(
+            codec,
             num_nodes=cluster.num_storage_nodes,
-            k=codec.k,
             profile=profile_from_cluster(cluster),
-            k_prime=kp,
         )
         optimum.append(model.predictive_time_per_chunk())
     n = len(lrc_fast)

@@ -46,7 +46,6 @@ from .core import (
     RepairRound,
     RepairScenario,
     ShardMap,
-    find_reconstruction_sets,
     split_plan,
 )
 from .core.plan import PIPELINING_MODES, apply_pipelining
@@ -111,7 +110,6 @@ __all__ = [
     "RepairRound",
     "RepairScenario",
     "ShardMap",
-    "find_reconstruction_sets",
     "split_plan",
     # runtime backend
     "Agent",

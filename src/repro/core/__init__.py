@@ -39,18 +39,10 @@ from .planner import (
     model_for,
     profile_from_cluster,
 )
-from .lrc_support import (
-    LrcFastPRPlanner,
-    LrcReconstructionOnlyPlanner,
-    build_lrc_cluster,
-    lrc_helper_candidates,
-    split_by_repair_locality,
-)
 from .reactive import plan_failed_node_repair
 from .reconstruction_sets import (
     Algorithm1Stats,
     ReconstructionSetFinder,
-    find_reconstruction_sets,
     helper_assignment,
 )
 from .scheduling import (
@@ -72,12 +64,7 @@ __all__ = [
     "FastPRPlanner",
     "HotStandbyPlacer",
     "IncrementalStripeMatcher",
-    "LrcFastPRPlanner",
-    "LrcReconstructionOnlyPlanner",
     "MigrationOnlyPlanner",
-    "build_lrc_cluster",
-    "lrc_helper_candidates",
-    "split_by_repair_locality",
     "PAPER_DEFAULT_PROFILE",
     "plan_failed_node_repair",
     "PlacementError",
@@ -95,7 +82,6 @@ __all__ = [
     "HelperBudget",
     "apply_plan",
     "assign_scattered_destinations",
-    "find_reconstruction_sets",
     "gbit_per_s",
     "helper_assignment",
     "hopcroft_karp",

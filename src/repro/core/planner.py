@@ -7,6 +7,14 @@
 * :class:`MigrationOnlyPlanner` — relocate every chunk off the STF
   node, serialized by its bandwidth.
 
+Given the stripes' codec, the planners carry over to repair-efficient
+codes as the paper's Section III does: the codec names the chunks each
+repair reads (an LRC's local group), and the STF chunks are grouped by
+that repair fan-in.  FastPR runs Algorithms 1+2 on the chunks with the
+codec's cheapest fan-in and migrates the costlier ones in round 0;
+reconstruction-only runs one Algorithm 1 pass per fan-in, cheapest
+first.  With no codec every chunk reads any ``k`` healthy holders.
+
 All planners emit a :class:`~repro.core.plan.RepairPlan` that
 :func:`repro.sim.evaluate_plan` times and the emulated testbed runtime
 (:mod:`repro.runtime`) executes.
@@ -20,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from ..cluster.cluster import StorageCluster
+from ..ec.codec import ErasureCodec
 from .analysis import AnalyticalModel, BandwidthProfile
 from .placement import (
     HotStandbyPlacer,
@@ -35,6 +44,7 @@ from .plan import (
 from .reconstruction_sets import (
     ReconstructionSetFinder,
     helper_assignment,
+    repair_fanin,
 )
 from .scheduling import (
     RoundComposition,
@@ -58,9 +68,13 @@ def model_for(
     scenario: RepairScenario,
     k: int,
     profile: Optional[BandwidthProfile] = None,
-    k_prime: Optional[int] = None,
+    codec: Optional[ErasureCodec] = None,
 ) -> AnalyticalModel:
-    """Analytical model matching a cluster + scenario configuration."""
+    """Analytical model matching a cluster + scenario configuration.
+
+    With a codec, the repair fan-in ``k'`` is its cheapest repair's
+    (:meth:`~repro.ec.codec.ErasureCodec.single_repair_cost`).
+    """
     if profile is None:
         profile = profile_from_cluster(cluster)
     hot_standby = None
@@ -75,7 +89,7 @@ def model_for(
         k=k,
         profile=profile,
         hot_standby=hot_standby,
-        k_prime=k_prime,
+        k_prime=None if codec is None else codec.single_repair_cost().helpers,
     )
 
 
@@ -90,10 +104,12 @@ class RepairPlanner(ABC):
         scenario: RepairScenario = RepairScenario.SCATTERED,
         profile: Optional[BandwidthProfile] = None,
         seed: Optional[int] = None,
+        codec: Optional[ErasureCodec] = None,
     ):
         self.scenario = scenario
         self.profile = profile
         self.seed = seed
+        self.codec = codec
 
     @abstractmethod
     def compose_rounds(
@@ -146,7 +162,9 @@ class RepairPlanner(ABC):
             )
         helpers: Dict[int, List[NodeId]] = {}
         if comp.reconstruction:
-            helpers = helper_assignment(cluster, stf_node, comp.reconstruction)
+            helpers = helper_assignment(
+                cluster, stf_node, comp.reconstruction, self.codec
+            )
         round_ = RepairRound(index=index)
         for chunk in comp.reconstruction:
             round_.reconstructions.append(
@@ -170,22 +188,9 @@ class RepairPlanner(ABC):
             )
         return round_
 
-    # Shared helpers -----------------------------------------------------
 
-    def _uniform_k(
-        self, cluster: StorageCluster, chunks: Sequence[ChunkLocation]
-    ) -> int:
-        ks = {cluster.stripe(c.stripe_id).k for c in chunks}
-        if len(ks) != 1:
-            raise ValueError(
-                f"planner requires a uniform code over the STF chunks; "
-                f"found k values {sorted(ks)}"
-            )
-        return ks.pop()
-
-
-class FastPRPlanner(RepairPlanner):
-    """The paper's contribution: coupled migration + reconstruction.
+class _SetPlanner(RepairPlanner):
+    """A planner that reconstructs Algorithm 1's sets.
 
     Args:
         scenario: scattered or hot-standby repair.
@@ -194,12 +199,9 @@ class FastPRPlanner(RepairPlanner):
         optimize: enable Algorithm 1's swap optimization.
         group_size: run Algorithm 1 per chunk group (Section IV-D).
         seed: randomization for Algorithm 1 ordering and the R'_x split.
-        k_prime: repair fan-in override for repair-efficient codes.
-        rounding: integerization of c_m ("nearest" or "floor"); see
-            :func:`repro.core.scheduling.migration_quota`.
+        codec: the stripes' erasure code, which names the chunks each
+            repair reads; ``None`` reads any ``k`` healthy holders.
     """
-
-    name = "fastpr"
 
     def __init__(
         self,
@@ -208,62 +210,109 @@ class FastPRPlanner(RepairPlanner):
         optimize: bool = True,
         group_size: Optional[int] = None,
         seed: Optional[int] = None,
-        k_prime: Optional[int] = None,
-        rounding: str = "nearest",
+        codec: Optional[ErasureCodec] = None,
     ):
-        super().__init__(scenario, profile, seed)
+        super().__init__(scenario, profile, seed, codec)
         self.optimize = optimize
         self.group_size = group_size
-        self.k_prime = k_prime
+
+    def _fanin_classes(
+        self, cluster: StorageCluster, chunks: Sequence[ChunkLocation]
+    ) -> Dict[int, List[ChunkLocation]]:
+        """The STF chunks grouped by repair fan-in, cheapest first.
+
+        Raises:
+            ValueError: the chunks' stripes differ in ``k``, or are not
+                the codec's ``(n, k)``.
+        """
+        stripes = (cluster.stripe(c.stripe_id) for c in chunks)
+        codes = sorted({(stripe.n, stripe.k) for stripe in stripes})
+        codec = self.codec
+        if codec is not None and codes != [(codec.n, codec.k)]:
+            raise ValueError(
+                f"the STF chunks' stripes are (n, k) {codes} but the "
+                f"codec is ({codec.n}, {codec.k})"
+            )
+        ks = sorted({k for _, k in codes})
+        if len(ks) != 1:
+            raise ValueError(
+                f"planner requires a uniform code over the STF chunks; "
+                f"found k values {ks}"
+            )
+        classes: Dict[int, List[ChunkLocation]] = {}
+        for chunk in chunks:
+            fanin = repair_fanin(cluster, chunk, codec)
+            classes.setdefault(fanin, []).append(chunk)
+        return dict(sorted(classes.items()))
+
+    def _finder(
+        self, cluster: StorageCluster, stf_node: NodeId
+    ) -> ReconstructionSetFinder:
+        return ReconstructionSetFinder(
+            cluster,
+            stf_node,
+            optimize=self.optimize,
+            group_size=self.group_size,
+            seed=self.seed,
+            codec=self.codec,
+        )
+
+
+class FastPRPlanner(_SetPlanner):
+    """The paper's contribution: coupled migration + reconstruction.
+
+    Takes :class:`_SetPlanner`'s arguments plus ``rounding``, the
+    integerization of c_m ("nearest" or "floor"; see
+    :func:`repro.core.scheduling.migration_quota`).
+    """
+
+    name = "fastpr"
+
+    def __init__(self, *args, rounding: str = "nearest", **kwargs):
+        super().__init__(*args, **kwargs)
         self.rounding = rounding
         #: stats of the last Algorithm 1 run (Experiment B.5)
         self.last_stats = None
 
     def compose_rounds(self, cluster, stf_node, chunks):
-        finder = ReconstructionSetFinder(
-            cluster,
-            stf_node,
-            optimize=self.optimize,
-            group_size=self.group_size,
-            seed=self.seed,
-        )
-        sets = finder.find_all(chunks)
-        self.last_stats = finder.stats
-        k = self._uniform_k(cluster, chunks)
+        classes = self._fanin_classes(cluster, chunks)
         model = model_for(
-            cluster, self.scenario, k, profile=self.profile, k_prime=self.k_prime
+            cluster,
+            self.scenario,
+            cluster.stripe(chunks[0].stripe_id).k,
+            profile=self.profile,
+            codec=self.codec,
         )
-        return schedule_repair_rounds(
-            sets, model, seed=self.seed, rounding=self.rounding
-        )
+        cheapest = classes.pop(model.repair_fanin, [])
+        compositions: List[RoundComposition] = []
+        if cheapest:
+            finder = self._finder(cluster, stf_node)
+            sets = finder.find_all(cheapest)
+            self.last_stats = finder.stats
+            compositions = schedule_repair_rounds(
+                sets, model, seed=self.seed, rounding=self.rounding
+            )
+        # A costlier repair (an LRC global parity's k-helper decode)
+        # reads more than migration's one chunk: migrate those.
+        costlier = [c for group in classes.values() for c in group]
+        if costlier:
+            if not compositions:
+                compositions = [RoundComposition()]
+            compositions[0].migration.extend(costlier)
+        return compositions
 
 
-class ReconstructionOnlyPlanner(RepairPlanner):
+class ReconstructionOnlyPlanner(_SetPlanner):
     """Conventional reactive repair: reconstruction sets, no migration."""
 
     name = "reconstruction"
 
-    def __init__(
-        self,
-        scenario: RepairScenario = RepairScenario.SCATTERED,
-        profile: Optional[BandwidthProfile] = None,
-        optimize: bool = True,
-        group_size: Optional[int] = None,
-        seed: Optional[int] = None,
-    ):
-        super().__init__(scenario, profile, seed)
-        self.optimize = optimize
-        self.group_size = group_size
-
     def compose_rounds(self, cluster, stf_node, chunks):
-        finder = ReconstructionSetFinder(
-            cluster,
-            stf_node,
-            optimize=self.optimize,
-            group_size=self.group_size,
-            seed=self.seed,
-        )
-        return schedule_reconstruction_only(finder.find_all(chunks))
+        compositions: List[RoundComposition] = []
+        for group in self._fanin_classes(cluster, chunks).values():
+            sets = self._finder(cluster, stf_node).find_all(group)
+            compositions.extend(schedule_reconstruction_only(sets))
+        return compositions
 
 
 class MigrationOnlyPlanner(RepairPlanner):

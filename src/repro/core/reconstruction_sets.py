@@ -2,8 +2,12 @@
 
 A *reconstruction set* is a group of STF-node chunks that can all be
 reconstructed in the same repair round: their stripes can be assigned
-``k`` helper nodes each, with every healthy node serving at most one
-chunk in the round (Section IV-B).
+the helpers each repair reads, with every healthy node serving at most
+one chunk in the round (Section IV-B).  A repair reads any ``k``
+healthy holders of its stripe, unless the stripes' codec names a
+smaller repair group (an LRC's ``k' = k/l`` local-group members, the
+paper's Section III extension); :func:`helper_candidates` asks the
+codec.  One finder runs on chunks of one repair fan-in.
 
 The implementation follows the paper's pseudocode:
 
@@ -28,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from ..cluster.cluster import StorageCluster
+from ..ec.codec import ErasureCodec
 from .matching import IncrementalStripeMatcher
 
 
@@ -51,13 +56,11 @@ class ReconstructionSetFinder:
             size and run Algorithm 1 per group (Section IV-D).
         seed: ordering randomization for tie-breaking; ``None`` keeps
             catalog order (deterministic).
-        fanin: helpers needed per chunk; defaults to the stripes'
-            ``k``.  Repair-efficient codes pass ``k'`` (LRC: ``k/l``),
-            per the paper's Section III extension.
-        helper_fn: candidate-helper override, mapping a chunk to the
-            nodes its repair may read from.  Defaults to all healthy
-            holders of the stripe; an LRC passes the chunk's local
-            group (see :mod:`repro.core.lrc_support`).
+        codec: the stripes' erasure code.  It names the chunks each
+            repair reads (:meth:`~repro.ec.codec.ErasureCodec.\
+repair_group`), per the paper's Section III extension to
+            repair-efficient codes.  ``None`` means any ``k`` healthy
+            holders of the stripe.
     """
 
     def __init__(
@@ -67,15 +70,13 @@ class ReconstructionSetFinder:
         optimize: bool = True,
         group_size: Optional[int] = None,
         seed: Optional[int] = None,
-        fanin: Optional[int] = None,
-        helper_fn=None,
+        codec: Optional[ErasureCodec] = None,
     ):
         self.cluster = cluster
         self.stf_node = stf_node
         self.optimize = optimize
         self.group_size = group_size
-        self.fanin = fanin
-        self.helper_fn = helper_fn
+        self.codec = codec
         self._rng = random.Random(seed) if seed is not None else None
         self.stats = Algorithm1Stats()
         self._helpers_cache: Dict[tuple, List[NodeId]] = {}
@@ -201,19 +202,14 @@ class ReconstructionSetFinder:
         key = (chunk.stripe_id, chunk.chunk_index)
         cached = self._helpers_cache.get(key)
         if cached is None:
-            if self.helper_fn is not None:
-                cached = list(self.helper_fn(chunk))
-            else:
-                cached = self.cluster.helper_nodes(
-                    chunk.stripe_id, exclude={self.stf_node}
-                )
+            cached = helper_candidates(
+                self.cluster, self.stf_node, chunk, self.codec
+            )
             self._helpers_cache[key] = cached
         return cached
 
     def _uniform_k(self, chunks: Sequence[ChunkLocation]) -> int:
-        if self.fanin is not None:
-            return self.fanin
-        ks = {self.cluster.stripe(c.stripe_id).k for c in chunks}
+        ks = {repair_fanin(self.cluster, c, self.codec) for c in chunks}
         if len(ks) != 1:
             raise ValueError(
                 f"Algorithm 1 requires a uniform code across the STF "
@@ -222,41 +218,48 @@ class ReconstructionSetFinder:
         return ks.pop()
 
 
-def find_reconstruction_sets(
+def repair_fanin(
+    cluster: StorageCluster,
+    chunk: ChunkLocation,
+    codec: Optional[ErasureCodec] = None,
+) -> int:
+    """Helpers a repair of ``chunk`` reads: the size of its codec repair
+    group, else its stripe's ``k``."""
+    group = None if codec is None else codec.repair_group(chunk.chunk_index)
+    if group is None:
+        return cluster.stripe(chunk.stripe_id).k
+    return len(group)
+
+
+def helper_candidates(
     cluster: StorageCluster,
     stf_node: NodeId,
-    chunks: Optional[Sequence[ChunkLocation]] = None,
-    optimize: bool = True,
-    group_size: Optional[int] = None,
-    seed: Optional[int] = None,
-    fanin: Optional[int] = None,
-    helper_fn=None,
-) -> List[List[ChunkLocation]]:
-    """Convenience wrapper around :class:`ReconstructionSetFinder`.
+    chunk: ChunkLocation,
+    codec: Optional[ErasureCodec] = None,
+) -> List[NodeId]:
+    """Healthy nodes a repair of ``chunk`` may read from.
 
-    Returns the reconstruction sets ``R_1 … R_d`` (unordered; Algorithm
-    2 sorts them by size).
+    The holders of the chunk's codec repair group, in the codec's
+    order; with no group, every healthy holder of the stripe.
     """
-    finder = ReconstructionSetFinder(
-        cluster,
-        stf_node,
-        optimize=optimize,
-        group_size=group_size,
-        seed=seed,
-        fanin=fanin,
-        helper_fn=helper_fn,
-    )
-    return finder.find_all(chunks)
+    healthy = cluster.helper_nodes(chunk.stripe_id, exclude={stf_node})
+    group = None if codec is None else codec.repair_group(chunk.chunk_index)
+    if group is None:
+        return healthy
+    stripe = cluster.stripe(chunk.stripe_id)
+    return [
+        node for node in map(stripe.node_of, group) if node in healthy
+    ]
 
 
 def helper_assignment(
     cluster: StorageCluster,
     stf_node: NodeId,
     reconstruction_set: Sequence[ChunkLocation],
-    fanin: Optional[int] = None,
-    helper_fn=None,
+    codec: Optional[ErasureCodec] = None,
 ) -> Dict[int, List[NodeId]]:
-    """Assign k (or k') distinct helpers per stripe of a (feasible) set.
+    """Assign each stripe of a (feasible) set the helpers its repair
+    reads (``k``, or the codec's repair group).
 
     Returns stripe_id -> helper node list; raises if the set is not
     actually reconstructable in parallel (which would indicate a bug in
@@ -264,13 +267,11 @@ def helper_assignment(
     """
     if not reconstruction_set:
         return {}
-    k = fanin or cluster.stripe(reconstruction_set[0].stripe_id).k
-    matcher = IncrementalStripeMatcher(k)
+    matcher = IncrementalStripeMatcher(
+        repair_fanin(cluster, reconstruction_set[0], codec)
+    )
     for chunk in reconstruction_set:
-        if helper_fn is not None:
-            helpers = list(helper_fn(chunk))
-        else:
-            helpers = cluster.helper_nodes(chunk.stripe_id, exclude={stf_node})
+        helpers = helper_candidates(cluster, stf_node, chunk, codec)
         if not matcher.try_add(chunk.stripe_id, helpers):
             raise ValueError(
                 f"reconstruction set infeasible at chunk {chunk}; was the "

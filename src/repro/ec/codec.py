@@ -138,6 +138,16 @@ class ErasureCodec(ABC):
             DecodeError: if the lost chunk is unrepairable from ``alive``.
         """
 
+    def repair_group(self, lost_index: int) -> Optional[List[int]]:
+        """The chunk indices a healthy-stripe repair of one chunk reads.
+
+        ``None`` (the default) means any ``k`` surviving chunks do.  A
+        repair-efficient code names the smaller fixed set it reads
+        instead (an LRC's local group).  Repair planners choose helpers
+        from this answer alone.
+        """
+        return None
+
     def single_repair_cost(self) -> RepairCost:
         """Cost of a single-chunk repair in the common (non-degraded) case."""
         return RepairCost(helpers=self.k, traffic_chunks=float(self.k))

@@ -18,7 +18,7 @@ Chunk index layout within a stripe:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -152,15 +152,18 @@ class LocalReconstructionCodec(ErasureCodec):
             f"{len(chosen)} < k={self.k}; stripe unrecoverable"
         )
 
+    def repair_group(self, lost_index: int) -> Optional[List[int]]:
+        """The lost chunk's local group; ``None`` for a global parity."""
+        if lost_index >= self.k + self.l:
+            return None
+        members = self.local_group_members(self.group_of(lost_index))
+        return [m for m in members if m != lost_index]
+
     def repair_helpers(self, lost_index: int, alive: Sequence[int]) -> List[int]:
         alive_set = {i for i in alive if i != lost_index}
-        if lost_index < self.k + self.l:
-            group = self.group_of(lost_index)
-            members = [
-                m for m in self.local_group_members(group) if m != lost_index
-            ]
-            if all(m in alive_set for m in members):
-                return members
+        group = self.repair_group(lost_index)
+        if group is not None and alive_set.issuperset(group):
+            return group
         # Degraded: fall back to a global decode from k independent rows.
         return self._independent_rows(sorted(alive_set))
 
@@ -176,11 +179,9 @@ class LocalReconstructionCodec(ErasureCodec):
         helper_ids = list(helper_ids)
         if lost_index in helper_ids:
             raise DecodeError("lost chunk cannot be its own helper")
-        if lost_index < self.k + self.l:
-            group = self.group_of(lost_index)
-            members = set(self.local_group_members(group)) - {lost_index}
-            if members == set(helper_ids):
-                return {helper: 1 for helper in helper_ids}
+        group = self.repair_group(lost_index)
+        if group is not None and set(group) == set(helper_ids):
+            return {helper: 1 for helper in helper_ids}
         if rank(self._generator[helper_ids, :]) != self.k:
             raise DecodeError(
                 f"helpers {helper_ids} do not span the code (rank < k)"

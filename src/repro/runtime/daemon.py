@@ -43,9 +43,10 @@ from typing import Callable, Dict, List, Optional
 
 from ..cluster.chunk import NodeId
 from ..core.plan import RepairPlan, RepairScenario
-from ..core.planner import FastPRPlanner, apply_plan
+from ..core.planner import FastPRPlanner
 from ..core.reactive import plan_failed_node_repair
 from ..failure.monitor import ClusterFailureMonitor, MissedFailure, MonitorReport, StfEvent
+from .driver import Result
 from .journal import CoordinatorCrash, encode_frame, read_frames
 from .scrub import Scrubber
 
@@ -393,17 +394,28 @@ class RepairDaemon:
                 )
                 continue
             self._inflight_gauge.set(0)
-            self._finalize(task, plan)
+            self._finalize(task, plan, result)
             return
         self.journal.append("task_abandoned", task_id=task.task_id)
         self._tasks_total.inc(kind=task.kind, outcome="abandoned")
         if last_error is not None:
             raise last_error
 
-    def _finalize(self, task: RepairTask, plan: RepairPlan) -> None:
-        """Commit a verified repair: metadata, monitor re-arm, journal."""
-        chunks = len(list(plan.actions()))
-        apply_plan(self.testbed.cluster, plan)
+    def _finalize(
+        self, task: RepairTask, plan: RepairPlan, result: Result
+    ) -> None:
+        """Commit a verified repair: metadata, monitor re-arm, journal.
+
+        Each chunk is relocated to where the run wrote it: a heal
+        (a destination that died mid-task) moves an action off its
+        planned destination.
+        """
+        actions = result.executed_actions or list(plan.actions())
+        chunks = len(actions)
+        for action in actions:
+            self.testbed.cluster.relocate_chunk(
+                action.stripe_id, action.chunk_index, action.destination
+            )
         node = self.testbed.cluster.node(task.node_id)
         if node.is_stf:
             # Replacement-in-place: the drained disk is swapped for a
@@ -448,12 +460,12 @@ class RepairDaemon:
             journal_path = self.testbed.journal_path
             if journal_path is not None and Path(journal_path).exists():
                 self.testbed.build(resume=True)
-                self.testbed.resume()
+                result = self.testbed.resume()
                 # The executed plan is reproducible: planner seed and
                 # cluster metadata are unchanged until _finalize.
                 plan = self._plan_for(task)
-                self.testbed.verify_plan(plan)
-                self._finalize(task, plan)
+                self.testbed.verify_plan(plan, result)
+                self._finalize(task, plan, result)
             else:
                 self._execute(task)
         return recovered

@@ -52,16 +52,18 @@ def evaluate_plan(
     cluster: StorageCluster,
     plan: RepairPlan,
     profile: Optional[BandwidthProfile] = None,
-    k_prime: Optional[int] = None,
     link_scales: Optional[Dict[NodeId, float]] = None,
 ) -> RepairResult:
     """Compute a repair plan's time and traffic with the cost model.
+
+    Each reconstruction is priced by the helpers it reads
+    (``len(action.sources)``): ``k`` for RS, ``k'`` for an LRC local
+    repair; a round takes the fan-in of its widest reconstruction.
 
     Args:
         cluster: supplies M, h, bandwidths and the chunk size.
         plan: the plan to time.
         profile: bandwidth override (defaults to the cluster's).
-        k_prime: repair fan-in override for repair-efficient codes.
         link_scales: per-node NIC bandwidth scales in (0, 1] — the
             same numbers :meth:`~repro.runtime.faults.FaultPlan.\
 link_bandwidths` feeds the runtime's chain ordering.  A *chained*
@@ -84,14 +86,13 @@ link_bandwidths` feeds the runtime's chain ordering.  A *chained*
     for round_ in plan.rounds:
         t_round = 0.0
         if round_.reconstructions:
+            reads = [len(a.sources) for a in round_.reconstructions]
             model = AnalyticalModel(
                 num_nodes=cluster.num_storage_nodes,
-                k=_round_k(cluster, round_),
+                k=max(reads),
                 profile=p,
                 hot_standby=hot_standby,
-                k_prime=k_prime,
             )
-            fanin = model.repair_fanin
             chains = sum(a.pipelined for a in round_.reconstructions)
             if not chains:
                 t_round = model.reconstruction_time(groups=round_.cr)
@@ -111,17 +112,20 @@ link_bandwidths` feeds the runtime's chain ordering.  A *chained*
                 t_round = p.disk_time + net + p.disk_time
             else:
                 # Eq. (6)'s shape: the standby nodes split the round's
-                # ingest (one stream per chain, k per star repair) and
-                # its writes evenly.
+                # ingest (one stream per chain, one per helper read for
+                # a star repair) and its writes evenly.
                 net = p.network_time / _ingress_worth(round_, {}, link_scales)
-                streams = chains + fanin * (round_.cr - chains)
+                streams = sum(
+                    1 if a.pipelined else len(a.sources)
+                    for a in round_.reconstructions
+                )
                 t_round = (
                     p.disk_time
                     + (streams / hot_standby) * net
                     + (round_.cr / hot_standby) * p.disk_time
                 )
-            bytes_read += round_.cr * fanin * chunk
-            bytes_transferred += round_.cr * fanin * chunk
+            bytes_read += sum(reads) * chunk
+            bytes_transferred += sum(reads) * chunk
             bytes_written += round_.cr * chunk
         if round_.migrations:
             # t_m only needs the profile; k is irrelevant but required.
@@ -159,10 +163,3 @@ def _ingress_worth(
         link_scales.get(node, 1.0) / (streams.get(node) or 1)
         for node in involved
     )
-
-
-def _round_k(cluster: StorageCluster, round_: RepairRound) -> int:
-    ks = {cluster.stripe(a.stripe_id).k for a in round_.reconstructions}
-    if len(ks) != 1:
-        raise ValueError(f"mixed k values in one round: {sorted(ks)}")
-    return ks.pop()

@@ -307,6 +307,8 @@ class LifetimeResult:
     latent_errors: int = 0
     scrub_detections: int = 0
     repairs_completed: Dict[str, int] = field(default_factory=dict)
+    #: free repair slots given to reactive or chunk work while a
+    #: predictive drain waited in the queue
     predictive_deferrals: int = 0
     max_queue_depth: int = 0
     #: time-weighted count of chunk-days below full redundancy
@@ -471,11 +473,11 @@ class _LifetimeTrial:
     def _pump(self) -> None:
         while self.in_flight < self.config.repair_concurrency and self.queue:
             job = min(self.queue, key=lambda j: j.sort_key)
-            if job.kind == "predictive" and any(
-                j.kind == "reactive" for j in self.queue if j is not job
+            if job.kind != "predictive" and any(
+                j.kind == "predictive" for j in self.queue
             ):
-                # Degradation policy: with reactive work waiting, every
-                # free slot goes to it; predictive drains defer.
+                # Degradation policy: reactive and chunk repairs take
+                # every free slot; a waiting predictive drain defers.
                 self.result.predictive_deferrals += 1
             self.queue.remove(job)
             self._note_queue_depth()

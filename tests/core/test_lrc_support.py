@@ -1,4 +1,9 @@
-"""Tests for LRC-aware predictive repair planning."""
+"""Tests for LRC-aware predictive repair planning.
+
+The planners take the stripes' codec; an LRC's codec names each
+chunk's local group as the chunks its repair reads (the paper's
+Section III extension).
+"""
 
 import hashlib
 import json
@@ -6,16 +11,9 @@ import json
 import pytest
 
 from repro.cluster import StorageCluster
-
-from repro.core.lrc_support import (
-    LrcFastPRPlanner,
-    LrcReconstructionOnlyPlanner,
-    build_lrc_cluster,
-    lrc_helper_candidates,
-    split_by_repair_locality,
-)
 from repro.core.plan import RepairMethod, RepairScenario
-from repro.core.planner import ReconstructionOnlyPlanner
+from repro.core.planner import FastPRPlanner, ReconstructionOnlyPlanner
+from repro.core.reconstruction_sets import helper_candidates, repair_fanin
 from repro.ec import make_codec
 from repro.sim.cost_model import evaluate_plan
 
@@ -27,22 +25,29 @@ def codec():
 
 @pytest.fixture
 def lrc_cluster(codec):
-    cluster = build_lrc_cluster(
-        codec, num_nodes=20, num_stripes=60, num_hot_standby=2, seed=13
+    cluster = StorageCluster.random(
+        20, 60, codec.n, codec.k, num_hot_standby=2, seed=13
     )
     stf = max(cluster.storage_node_ids(), key=cluster.load_of)
     cluster.node(stf).mark_soon_to_fail()
     return cluster, stf
 
 
+def global_parities(codec, cluster, stf):
+    return [
+        c
+        for c in cluster.chunks_on_node(stf)
+        if c.chunk_index >= codec.k + codec.l
+    ]
+
+
 class TestHelperCandidates:
     def test_local_group_members_only(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        candidates = lrc_helper_candidates(cluster, codec, stf)
         for chunk in cluster.chunks_on_node(stf):
             if chunk.chunk_index >= codec.k + codec.l:
                 continue
-            helpers = candidates(chunk)
+            helpers = helper_candidates(cluster, stf, chunk, codec)
             stripe = cluster.stripe(chunk.stripe_id)
             group = codec.group_of(chunk.chunk_index)
             member_nodes = {
@@ -53,40 +58,41 @@ class TestHelperCandidates:
             assert set(helpers) <= member_nodes
             assert len(helpers) <= codec.group_size
 
-    def test_global_parity_rejected(self, codec, lrc_cluster):
+    def test_global_parity_reads_any_k_holders(self, codec, lrc_cluster):
+        # A global parity has no local group: its repair is an ordinary
+        # k-helper decode from any healthy holder of the stripe.
         cluster, stf = lrc_cluster
-        candidates = lrc_helper_candidates(cluster, codec, stf)
-        globals_ = [
-            c
-            for c in cluster.chunks_on_node(stf)
-            if c.chunk_index >= codec.k + codec.l
-        ]
-        if not globals_:
-            pytest.skip("seed produced no global-parity chunk on STF node")
-        with pytest.raises(ValueError, match="global parity"):
-            candidates(globals_[0])
+        globals_ = global_parities(codec, cluster, stf)
+        assert globals_
+        for chunk in globals_:
+            assert codec.repair_group(chunk.chunk_index) is None
+            assert helper_candidates(
+                cluster, stf, chunk, codec
+            ) == cluster.helper_nodes(chunk.stripe_id, exclude={stf})
 
 
 class TestSplit:
     def test_partition(self, codec, lrc_cluster):
+        # Local chunks repair with fan-in k' = k/l, global parities k.
         cluster, stf = lrc_cluster
-        chunks = cluster.chunks_on_node(stf)
-        local, global_ = split_by_repair_locality(codec, chunks)
-        assert len(local) + len(global_) == len(chunks)
-        assert all(c.chunk_index < 8 for c in local)
-        assert all(c.chunk_index >= 8 for c in global_)
+        for chunk in cluster.chunks_on_node(stf):
+            fanin = repair_fanin(cluster, chunk, codec)
+            if chunk.chunk_index < 8:
+                assert fanin == codec.group_size
+            else:
+                assert fanin == codec.k
 
 
 class TestLrcFastPR:
     def test_valid_plan(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
+        plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf)
         plan.validate(cluster)
         assert plan.total_chunks == cluster.load_of(stf)
 
     def test_local_reconstructions_use_group_fanin(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
+        plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf)
         for action in plan.actions():
             if action.method is RepairMethod.RECONSTRUCTION:
                 assert len(action.sources) == codec.group_size
@@ -102,60 +108,109 @@ class TestLrcFastPR:
 
     def test_global_parities_migrate(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
+        plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf)
         for action in plan.actions():
             if action.chunk_index >= codec.k + codec.l:
                 assert action.method is RepairMethod.MIGRATION
+        assert all(
+            a.method is RepairMethod.MIGRATION
+            for a in plan.rounds[0].migrations
+        )
+
+    def test_only_global_parities_all_migrate_in_one_round(self, codec):
+        cluster = StorageCluster.random(
+            20, 60, codec.n, codec.k, num_hot_standby=2, seed=13
+        )
+        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+        cluster.node(stf).mark_soon_to_fail()
+        globals_ = global_parities(codec, cluster, stf)
+        plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf, globals_)
+        assert plan.num_rounds == 1
+        assert plan.migrated_chunks == len(globals_)
 
     def test_beats_rs_style_reconstruction(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        lrc_plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
+        lrc_plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf)
         rs_plan = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
-        lrc_time = evaluate_plan(
-            cluster, lrc_plan, k_prime=codec.group_size
-        ).total_time
+        lrc_time = evaluate_plan(cluster, lrc_plan).total_time
         rs_time = evaluate_plan(cluster, rs_plan).total_time
         assert lrc_time < rs_time
 
     def test_hot_standby(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcFastPRPlanner(
-            codec, scenario=RepairScenario.HOT_STANDBY, seed=0
+        plan = FastPRPlanner(
+            scenario=RepairScenario.HOT_STANDBY, seed=0, codec=codec
         ).plan(cluster, stf)
         plan.validate(cluster)
 
     def test_codec_mismatch_rejected(self, codec):
-        cluster = build_lrc_cluster(
-            make_codec("lrc(4,2,2)"), num_nodes=16, num_stripes=10, seed=1
-        )
+        other = make_codec("lrc(4,2,2)")
+        cluster = StorageCluster.random(16, 10, other.n, other.k, seed=1)
         cluster.node(0).mark_soon_to_fail()
         with pytest.raises(ValueError, match="codec"):
-            LrcFastPRPlanner(codec).plan(cluster, 0)
+            FastPRPlanner(codec=codec).plan(cluster, 0)
+        with pytest.raises(ValueError, match="codec"):
+            ReconstructionOnlyPlanner(codec=codec).plan(cluster, 0)
 
 
 class TestLrcReconstructionOnly:
     def test_valid_plan_no_migration_of_local_chunks(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcReconstructionOnlyPlanner(codec, seed=0).plan(cluster, stf)
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
         plan.validate(cluster)
         assert plan.migrated_chunks == 0
 
     def test_global_rounds_use_full_k(self, codec, lrc_cluster):
         cluster, stf = lrc_cluster
-        plan = LrcReconstructionOnlyPlanner(codec, seed=0).plan(cluster, stf)
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
         for action in plan.actions():
             if action.chunk_index >= codec.k + codec.l:
                 assert len(action.sources) == codec.k
             else:
                 assert len(action.sources) == codec.group_size
 
+    def test_cheapest_class_first(self, codec, lrc_cluster):
+        # One Algorithm 1 pass per fan-in, local repairs first: no
+        # round mixes a local repair with a global-parity one.
+        cluster, stf = lrc_cluster
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
+        fanins = [
+            {len(a.sources) for a in round_.reconstructions}
+            for round_ in plan.rounds
+        ]
+        assert all(len(f) == 1 for f in fanins)
+        flat = [f.pop() for f in fanins]
+        assert flat == sorted(flat)
+        assert flat[0] == codec.group_size and flat[-1] == codec.k
+
     def test_more_parallelism_than_rs(self, codec, lrc_cluster):
         # k' = 3 < k = 6 allows more parallel groups, so fewer or equal
         # rounds for the locally repairable chunks.
         cluster, stf = lrc_cluster
-        lrc_plan = LrcReconstructionOnlyPlanner(codec, seed=0).plan(cluster, stf)
+        lrc_plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
         rs_plan = ReconstructionOnlyPlanner(seed=0).plan(cluster, stf)
         assert lrc_plan.num_rounds <= rs_plan.num_rounds + 2
+
+    def test_priced_by_the_helpers_each_repair_reads(
+        self, codec, lrc_cluster
+    ):
+        cluster, stf = lrc_cluster
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
+        reads = sum(len(a.sources) for r in plan.rounds for a in r.reconstructions)
+        result = evaluate_plan(cluster, plan)
+        expected = (reads + plan.migrated_chunks) * cluster.chunk_size
+        assert result.bytes_read == expected
+        assert result.bytes_transferred == expected
 
 
 # sha256(json(plan.to_dict()))[:16] of LRC(6,2,2) plans on a 20-node
@@ -177,8 +232,8 @@ GOLDEN_LRC_PLAN_DIGESTS = {
 }
 
 LRC_PLANNERS = {
-    "fastpr": LrcFastPRPlanner,
-    "reconstruction": LrcReconstructionOnlyPlanner,
+    "fastpr": FastPRPlanner,
+    "reconstruction": ReconstructionOnlyPlanner,
 }
 
 
@@ -197,9 +252,9 @@ class TestGoldenLrcPlans:
             c.chunk_index >= codec.k + codec.l
             for c in cluster.chunks_on_node(stf)
         )
-        plan = LRC_PLANNERS[planner](codec, scenario=scenario, seed=seed).plan(
-            cluster, stf
-        )
+        plan = LRC_PLANNERS[planner](
+            scenario=scenario, seed=seed, codec=codec
+        ).plan(cluster, stf)
         digest = hashlib.sha256(
             json.dumps(plan.to_dict(), sort_keys=True).encode()
         ).hexdigest()[:16]

@@ -7,9 +7,12 @@ from repro.cluster import StorageCluster
 from repro.core.matching import IncrementalStripeMatcher
 from repro.core.reconstruction_sets import (
     ReconstructionSetFinder,
-    find_reconstruction_sets,
     helper_assignment,
 )
+
+
+def find_reconstruction_sets(cluster, stf, chunks=None, **options):
+    return ReconstructionSetFinder(cluster, stf, **options).find_all(chunks)
 
 
 def chunk_keys(sets):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import StorageCluster
+from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
 from repro.failure.monitor import ClusterFailureMonitor
 from repro.failure.predictor import ThresholdPredictor
@@ -21,6 +22,7 @@ from repro.failure.smart import SmartTraceGenerator
 from repro.runtime import (
     CoordinatorCrash,
     CoordinatorCrashFault,
+    CrashFault,
     DaemonCrash,
     DaemonCrashFault,
     DaemonJournal,
@@ -32,14 +34,15 @@ from repro.runtime import (
 from repro.runtime.daemon import _queue_state
 from repro.runtime.testbed import EmulatedTestbed
 
+from .test_faults import FAST
 from .test_scrub import corrupt_chunk
 
 CHUNK = 16 * 1024
 
 #: a hot fleet against a small cluster: by day ~50 the daemon has a mix
 #: of predictive and reactive work, which is what the crash tests cut.
-def build(tmp_path, faults=None, config=None):
-    cluster = StorageCluster.random(
+def daemon_cluster():
+    return StorageCluster.random(
         num_nodes=12,
         num_stripes=10,
         n=5,
@@ -49,6 +52,10 @@ def build(tmp_path, faults=None, config=None):
         network_bandwidth=1e9,
         chunk_size=CHUNK,
     )
+
+
+def build(tmp_path, faults=None, config=None):
+    cluster = daemon_cluster()
     codec = make_codec("rs(5,3)")
     testbed = EmulatedTestbed(
         cluster, codec, workdir=tmp_path, faults=faults, config=config
@@ -296,6 +303,34 @@ class TestRepairDaemon:
         assert by_name["daemon_tasks_total"].total() == daemon.completed_tasks
         assert by_name["daemon_chunks_repaired_total"].total() > 0
         assert by_name["daemon_queue_depth"].value() == 0
+
+    def test_commit_follows_a_healed_destination(self, tmp_path):
+        # A planned destination dies on its first received byte, so the
+        # coordinator heals its actions onto a substitute node.  The
+        # committed metadata must name the node that holds the bytes.
+        preview = daemon_cluster()
+        preview.node(1).mark_soon_to_fail()
+        plan = FastPRPlanner(seed=3).plan(preview, 1)
+        dead = next(iter(plan.actions())).destination
+        faults = FaultPlan(crashes=[CrashFault(node=dead, after_recv_bytes=1)])
+        cluster, testbed, monitor = build(tmp_path, faults=faults, config=FAST)
+        lost = cluster.chunks_on_node(1)
+        with testbed:
+            daemon = RepairDaemon(testbed, monitor, seed=3, sleep=lambda s: None)
+            cluster.node(1).mark_soon_to_fail()
+            daemon.enqueue(1, "predictive", day=0)
+            assert daemon.pump() == 1
+            daemon.close()
+            for chunk in lost:
+                holder = cluster.stripe(chunk.stripe_id).node_of(
+                    chunk.chunk_index
+                )
+                assert holder != dead
+                stored = testbed.stores[holder].read(chunk.stripe_id)
+                assert (
+                    hashlib.sha256(stored).hexdigest()
+                    == testbed._checksums[(chunk.stripe_id, chunk.chunk_index)]
+                )
 
     def test_scrub_cycle_restores_latent_corruption(self, tmp_path):
         # Satellite: runtime.scrub x latent sector errors, daemon-driven.

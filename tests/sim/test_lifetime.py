@@ -271,6 +271,34 @@ class TestDrainRace:
         assert report.lost_stripe_probability == 0.0
 
 
+class _AlarmBehindTwoFailures:
+    """Disk 0 dies at day 5; disk 1 is flagged (falsely) at day 5.5 and
+    disk 2 dies at day 5.6, while disk 0's rebuild holds the one slot."""
+
+    name = "alarm-behind-two-failures"
+
+    def events(self, rng, num_disks, horizon_days):
+        return [
+            DiskEvent(0, fail_day=5.0, alarm_day=None),
+            DiskEvent(1, fail_day=None, alarm_day=5.5),
+            DiskEvent(2, fail_day=5.6, alarm_day=None),
+        ]
+
+
+class TestDegradationPolicy:
+    def test_slot_given_to_reactive_work_defers_the_waiting_drain(self):
+        # Disk 0's rebuild ends at day 6.25 with disk 1's drain and disk
+        # 2's rebuild both queued: the slot goes to the rebuild, and the
+        # drain defers once.  It then runs when disk 2's rebuild ends.
+        config = LifetimeConfig(
+            num_disks=12, num_stripes=30, repair_concurrency=1
+        )
+        report = run_lifetime(_AlarmBehindTwoFailures(), config, trials=1)
+        (result,) = report.results
+        assert result.predictive_deferrals == 1
+        assert result.repairs_completed == {"reactive": 2, "predictive": 1}
+
+
 class TestDurabilityStudy:
     def test_both_modes_per_process(self):
         traces = SmartTraceGenerator(

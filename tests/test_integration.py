@@ -109,13 +109,12 @@ class TestRuntimeAgainstSimulator:
 
     def test_lrc_repair_on_testbed(self, tmp_path):
         """LRC local repair end-to-end: XOR streaming decode, verified."""
-        from repro.core.lrc_support import LrcFastPRPlanner, build_lrc_cluster
-
         codec = make_codec("lrc(6,2,2)")
-        cluster = build_lrc_cluster(
-            codec,
-            num_nodes=14,
-            num_stripes=12,
+        cluster = StorageCluster.random(
+            14,
+            12,
+            codec.n,
+            codec.k,
             num_hot_standby=2,
             seed=100,
             disk_bandwidth=200e6,
@@ -124,7 +123,7 @@ class TestRuntimeAgainstSimulator:
         )
         stf = max(cluster.storage_node_ids(), key=cluster.load_of)
         cluster.node(stf).mark_soon_to_fail()
-        plan = LrcFastPRPlanner(codec, seed=0).plan(cluster, stf)
+        plan = FastPRPlanner(seed=0, codec=codec).plan(cluster, stf)
         plan.validate(cluster)
         # 16 packets per stream, so the decode really streams.
         with EmulatedTestbed(
