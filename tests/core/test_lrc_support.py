@@ -206,7 +206,9 @@ class TestLrcReconstructionOnly:
         plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
             cluster, stf
         )
-        reads = sum(len(a.sources) for r in plan.rounds for a in r.reconstructions)
+        reads = sum(
+            len(a.sources) for r in plan.rounds for a in r.reconstructions
+        )
         result = evaluate_plan(cluster, plan)
         expected = (reads + plan.migrated_chunks) * cluster.chunk_size
         assert result.bytes_read == expected
