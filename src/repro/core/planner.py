@@ -68,12 +68,11 @@ def model_for(
     scenario: RepairScenario,
     k: int,
     profile: Optional[BandwidthProfile] = None,
-    codec: Optional[ErasureCodec] = None,
 ) -> AnalyticalModel:
     """Analytical model matching a cluster + scenario configuration.
 
-    With a codec, the repair fan-in ``k'`` is its cheapest repair's
-    (:meth:`~repro.ec.codec.ErasureCodec.single_repair_cost`).
+    ``k`` is the reconstruction fan-in being modelled (a repair-efficient
+    code's ``k'`` when its cheaper repairs are planned).
     """
     if profile is None:
         profile = profile_from_cluster(cluster)
@@ -89,7 +88,6 @@ def model_for(
         k=k,
         profile=profile,
         hot_standby=hot_standby,
-        k_prime=None if codec is None else codec.single_repair_cost().helpers,
     )
 
 
@@ -98,18 +96,18 @@ class RepairPlanner(ABC):
 
     #: short name used in experiment tables
     name: str = "base"
+    #: the stripes' erasure code; ``None`` reads any ``k`` healthy holders
+    codec: Optional[ErasureCodec] = None
 
     def __init__(
         self,
         scenario: RepairScenario = RepairScenario.SCATTERED,
         profile: Optional[BandwidthProfile] = None,
         seed: Optional[int] = None,
-        codec: Optional[ErasureCodec] = None,
     ):
         self.scenario = scenario
         self.profile = profile
         self.seed = seed
-        self.codec = codec
 
     @abstractmethod
     def compose_rounds(
@@ -212,7 +210,8 @@ class _SetPlanner(RepairPlanner):
         seed: Optional[int] = None,
         codec: Optional[ErasureCodec] = None,
     ):
-        super().__init__(scenario, profile, seed, codec)
+        super().__init__(scenario, profile, seed)
+        self.codec = codec
         self.optimize = optimize
         self.group_size = group_size
 
@@ -245,6 +244,15 @@ class _SetPlanner(RepairPlanner):
             classes.setdefault(fanin, []).append(chunk)
         return dict(sorted(classes.items()))
 
+    def _cheapest_fanin(self, k: int) -> int:
+        """The fewest helpers any chunk's repair reads under the codec."""
+        codec = self.codec
+        if codec is None:
+            return k
+        return min(
+            len(codec.repair_group(i) or range(k)) for i in range(codec.n)
+        )
+
     def _finder(
         self, cluster: StorageCluster, stf_node: NodeId
     ) -> ReconstructionSetFinder:
@@ -276,14 +284,9 @@ class FastPRPlanner(_SetPlanner):
 
     def compose_rounds(self, cluster, stf_node, chunks):
         classes = self._fanin_classes(cluster, chunks)
-        model = model_for(
-            cluster,
-            self.scenario,
-            cluster.stripe(chunks[0].stripe_id).k,
-            profile=self.profile,
-            codec=self.codec,
-        )
-        cheapest = classes.pop(model.repair_fanin, [])
+        fanin = self._cheapest_fanin(cluster.stripe(chunks[0].stripe_id).k)
+        model = model_for(cluster, self.scenario, fanin, profile=self.profile)
+        cheapest = classes.pop(fanin, [])
         compositions: List[RoundComposition] = []
         if cheapest:
             finder = self._finder(cluster, stf_node)
@@ -443,14 +446,23 @@ def _replacement_destination(
     )
 
 
-def apply_plan(cluster: StorageCluster, plan: RepairPlan) -> None:
+def apply_plan(
+    cluster: StorageCluster,
+    plan: RepairPlan,
+    executed: Optional[Sequence[ChunkRepairAction]] = None,
+) -> None:
     """Commit a plan's placements to the cluster metadata.
 
     After this, the STF node stores no chunks and can be decommissioned
     (the runtime counterpart is the DataNodes' heartbeat reports that
     update the NameNode, Section V).
+
+    Pass the actions a run carried out (a runtime result's
+    ``executed_actions``) when faults may have healed actions onto
+    substitute destinations, so each chunk is committed where its
+    bytes were written.
     """
-    for action in plan.actions():
+    for action in executed or plan.actions():
         cluster.relocate_chunk(
             action.stripe_id, action.chunk_index, action.destination
         )

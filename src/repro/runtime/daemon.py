@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..cluster.chunk import NodeId
 from ..core.plan import RepairPlan, RepairScenario
-from ..core.planner import FastPRPlanner
+from ..core.planner import FastPRPlanner, apply_plan
 from ..core.reactive import plan_failed_node_repair
 from ..failure.monitor import ClusterFailureMonitor, MissedFailure, MonitorReport, StfEvent
 from .driver import Result
@@ -410,12 +410,8 @@ class RepairDaemon:
         (a destination that died mid-task) moves an action off its
         planned destination.
         """
-        actions = result.executed_actions or list(plan.actions())
-        chunks = len(actions)
-        for action in actions:
-            self.testbed.cluster.relocate_chunk(
-                action.stripe_id, action.chunk_index, action.destination
-            )
+        apply_plan(self.testbed.cluster, plan, result.executed_actions)
+        chunks = plan.total_chunks
         node = self.testbed.cluster.node(task.node_id)
         if node.is_stf:
             # Replacement-in-place: the drained disk is swapped for a

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from repro.core.planner import (
     model_for,
     profile_from_cluster,
 )
+from repro.ec import make_codec
 
 
 class TestModelFor:
@@ -124,6 +126,19 @@ class TestBaselinePlanners:
             assert action.method is RepairMethod.MIGRATION
             assert action.sources == (stf,)
 
+    @pytest.mark.parametrize("planner", [FastPRPlanner, ReconstructionOnlyPlanner])
+    def test_codec_without_repair_groups_plans_like_no_codec(
+        self, stf_cluster, planner
+    ):
+        # An MSR repair reads d = 2k-2 helpers but names no fixed group:
+        # every chunk repairs from any k holders, exactly as with no codec.
+        cluster, stf = stf_cluster
+        codec = make_codec("msr(5,3)")
+        plain = planner(seed=0).plan(cluster, stf)
+        with_codec = planner(seed=0, codec=codec).plan(cluster, stf)
+        assert with_codec.to_dict() == plain.to_dict()
+        assert with_codec.reconstructed_chunks > 0
+
     def test_fastpr_no_more_rounds_than_reconstruction(self, medium_cluster):
         stf = max(medium_cluster.storage_node_ids(), key=medium_cluster.load_of)
         medium_cluster.node(stf).mark_soon_to_fail()
@@ -139,6 +154,32 @@ class TestApplyPlan:
         apply_plan(cluster, plan)
         assert cluster.load_of(stf) == 0
         cluster.verify_fault_tolerance()
+
+    def test_commits_executed_destinations(self, stf_cluster):
+        # A heal moved one action onto a substitute destination: the
+        # chunk is committed where it was written, not where planned.
+        cluster, stf = stf_cluster
+        plan = FastPRPlanner(seed=0).plan(cluster, stf)
+        executed = list(plan.actions())
+        moved = executed[0]
+        stripe = cluster.stripe(moved.stripe_id)
+        substitute = next(
+            n
+            for n in cluster.storage_node_ids()
+            if n != stf
+            and not stripe.stores_on(n)
+            and all(
+                a.destination != n
+                for a in executed
+                if a.stripe_id == moved.stripe_id
+            )
+        )
+        executed[0] = replace(moved, destination=substitute)
+        apply_plan(cluster, plan, executed)
+        assert cluster.stripe(moved.stripe_id).node_of(
+            moved.chunk_index
+        ) == substitute
+        assert cluster.load_of(stf) == 0
 
     def test_decommission_after_apply(self, stf_cluster):
         cluster, stf = stf_cluster
