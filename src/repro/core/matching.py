@@ -8,8 +8,10 @@ provides three interchangeable solvers:
 * :func:`hopcroft_karp` — classic O(E sqrt(V)) bipartite matching,
 * :class:`DinicMaxFlow` — general max-flow (the Ford-Fulkerson family),
 * :class:`IncrementalStripeMatcher` — an augmenting-path matcher with
-  cheap rollback, tailored to Algorithm 1's MATCH calls, which add one
-  stripe (k chunk vertices) at a time to an existing matching.
+  cheap rollback and a reachability pre-check that rejects doomed
+  stripes without searching, tailored to Algorithm 1's MATCH calls,
+  which add one stripe (k chunk vertices) at a time to an existing
+  matching.
 
 For helper selection, each stripe to be reconstructed needs ``k``
 distinct helper nodes out of the ``n - 1`` nodes holding its surviving
@@ -224,6 +226,9 @@ class IncrementalStripeMatcher:
         if k <= 0:
             raise ValueError("k must be positive")
         self.k = k
+        #: helper nodes visited by this matcher's searches (the
+        #: reachability pre-check and the augmenting DFSs): its work
+        self.steps = 0
         #: slot id -> candidate helper nodes
         self._slot_candidates: List[Tuple[Hashable, List[Hashable]]] = []
         #: node -> slot id it is matched to
@@ -233,6 +238,13 @@ class IncrementalStripeMatcher:
         #: stripes currently matched, in insertion order
         self._stripes: List[Hashable] = []
         self._slots_of_stripe: Dict[Hashable, List[int]] = {}
+        #: node -> its bit in the masks of :meth:`_reaches_free`
+        self._bit: Dict[Hashable, int] = {}
+        #: matched node -> mask of the nodes it reaches; rebuilt after
+        #: the matching changes (None until then)
+        self._closure: Optional[Dict[Hashable, int]] = None
+        #: mask of the matched nodes, built with ``_closure``
+        self._matched = 0
 
     @property
     def stripes(self) -> List[Hashable]:
@@ -247,6 +259,9 @@ class IncrementalStripeMatcher:
         twin._match_of_slot = list(self._match_of_slot)
         twin._stripes = list(self._stripes)
         twin._slots_of_stripe = {s: list(v) for s, v in self._slots_of_stripe.items()}
+        twin._bit = self._bit
+        twin._closure = self._closure
+        twin._matched = self._matched
         return twin
 
     def __len__(self) -> int:
@@ -258,6 +273,25 @@ class IncrementalStripeMatcher:
         Returns True (and keeps the stripe) if the enlarged matching
         still saturates every chunk slot; otherwise restores the
         previous matching exactly and returns False.
+        """
+        return self._probe(stripe, helpers, keep=True)
+
+    def would_fit(self, stripe: Hashable, helpers: Sequence[Hashable]) -> bool:
+        """Non-mutating feasibility probe (MATCH without commitment)."""
+        return self._probe(stripe, helpers, keep=False)
+
+    def assignment(self) -> Dict[Hashable, List[Hashable]]:
+        """Current stripe -> chosen helper nodes mapping."""
+        result: Dict[Hashable, List[Hashable]] = {}
+        for stripe, slots in self._slots_of_stripe.items():
+            result[stripe] = [self._match_of_slot[s] for s in slots]
+        return result
+
+    def _probe(
+        self, stripe: Hashable, helpers: Sequence[Hashable], keep: bool
+    ) -> bool:
+        """Add the stripe's ``k`` slots; keep them only if ``keep`` and
+        every slot was matched.
 
         Rollback uses an undo trail of the augmenting paths' individual
         reassignments rather than snapshotting the whole matching —
@@ -267,81 +301,112 @@ class IncrementalStripeMatcher:
         if stripe in self._slots_of_stripe:
             raise ValueError(f"stripe {stripe!r} already in matching")
         helpers = list(dict.fromkeys(helpers))  # dedupe, keep order
-        if len(helpers) < self.k:
+        if len(helpers) < self.k or not self._reaches_free(helpers):
             return False
         trail: List[tuple] = []
         base = len(self._slot_candidates)
-        new_slots = []
-        for s in range(self.k):
+        new_slots = range(base, base + self.k)
+        for _ in new_slots:
             self._slot_candidates.append((stripe, helpers))
             self._match_of_slot.append(None)
-            new_slots.append(base + s)
         ok = True
         for slot in new_slots:
-            if not self._augment(slot, set(), trail):
+            visited: set = set()
+            found = self._augment(slot, visited, trail)
+            self.steps += len(visited)
+            if not found:
                 ok = False
                 break
-        if not ok:
-            for node, prev_slot in reversed(trail):
-                if prev_slot is None:
-                    del self._match_of_node[node]
-                else:
-                    self._match_of_node[node] = prev_slot
-                    self._match_of_slot[prev_slot] = node
-            del self._slot_candidates[base:]
-            del self._match_of_slot[base:]
-            return False
-        self._stripes.append(stripe)
-        self._slots_of_stripe[stripe] = new_slots
-        return True
-
-    def would_fit(self, stripe: Hashable, helpers: Sequence[Hashable]) -> bool:
-        """Non-mutating feasibility probe (MATCH without commitment)."""
-        if self.try_add(stripe, helpers):
-            self.remove(stripe)
+        if ok and keep:
+            self._stripes.append(stripe)
+            self._slots_of_stripe[stripe] = list(new_slots)
+            self._closure = None
             return True
-        return False
+        for node, prev_slot in reversed(trail):
+            if prev_slot is None:
+                del self._match_of_node[node]
+            else:
+                self._match_of_node[node] = prev_slot
+                self._match_of_slot[prev_slot] = node
+        del self._slot_candidates[base:]
+        del self._match_of_slot[base:]
+        return ok
 
-    def remove(self, stripe: Hashable) -> None:
-        """Remove a stripe and rebuild the matching without it.
+    def _reaches_free(self, helpers: List[Hashable]) -> bool:
+        """Whether ``k`` unmatched nodes are reachable from ``helpers``.
 
-        A full rebuild keeps the implementation simple and is only used
-        by :meth:`would_fit` and the swap phase of Algorithm 1.
+        A matching that also saturates the new stripe's ``k`` slots
+        differs from the current one by ``k`` disjoint augmenting paths,
+        each ending at a distinct unmatched node that an alternating
+        path reaches from ``helpers``.  Fewer than ``k`` such nodes
+        means :meth:`_probe` would fail, so it skips its DFSs.
+
+        Every slot of a stripe shares one candidate list, so an
+        alternating path that enters a matched stripe can leave through
+        any of its candidates: what a matched node reaches is the
+        closure of its stripe, a bit mask computed once per matching.
         """
-        if stripe not in self._slots_of_stripe:
-            raise KeyError(f"stripe {stripe!r} not in matching")
-        remaining = [
-            (s, self._slot_candidates[self._slots_of_stripe[s][0]][1])
-            for s in self._stripes
-            if s != stripe
-        ]
-        self._reset()
-        for s, helpers in remaining:
-            if not self.try_add(s, helpers):
-                raise AssertionError(
-                    "matching became infeasible after removal; invariant broken"
-                )
+        if self._closure is None:
+            self._build_closures()
+        bit = self._bit
+        closure = self._closure
+        reached = 0
+        for node in helpers:
+            mask = bit.get(node)
+            if mask is None:
+                mask = bit[node] = 1 << len(bit)
+            reached |= mask | closure.get(node, 0)
+        self.steps += len(helpers)
+        return (reached & ~self._matched).bit_count() >= self.k
 
-    def assignment(self) -> Dict[Hashable, List[Hashable]]:
-        """Current stripe -> chosen helper nodes mapping."""
-        result: Dict[Hashable, List[Hashable]] = {}
+    def _build_closures(self) -> None:
+        """Map each matched node to the mask of every node its stripe
+        reaches by alternating paths (:meth:`_reaches_free`)."""
+        bit = self._bit
+        stripe_of = {
+            node: self._slot_candidates[slot][0]
+            for node, slot in self._match_of_node.items()
+        }
+        direct: Dict[Hashable, int] = {}
+        successors: Dict[Hashable, set] = {}
         for stripe, slots in self._slots_of_stripe.items():
-            result[stripe] = [self._match_of_slot[s] for s in slots]
-        return result
+            candidates = self._slot_candidates[slots[0]][1]
+            mask = 0
+            for node in candidates:
+                if node not in bit:
+                    bit[node] = 1 << len(bit)
+                mask |= bit[node]
+            direct[stripe] = mask
+            successors[stripe] = {
+                stripe_of[n] for n in candidates if n in stripe_of
+            }
+            self.steps += len(candidates)
+        closure_of: Dict[Hashable, int] = {}
+        for stripe in direct:
+            seen = {stripe}
+            stack = [stripe]
+            mask = 0
+            while stack:
+                current = stack.pop()
+                mask |= direct[current]
+                for successor in successors[current] - seen:
+                    seen.add(successor)
+                    stack.append(successor)
+            closure_of[stripe] = mask
+        matched = 0
+        for node in stripe_of:
+            matched |= bit[node]
+        self._matched = matched
+        self._closure = {
+            node: closure_of[stripe] for node, stripe in stripe_of.items()
+        }
 
-    def _reset(self) -> None:
-        self._slot_candidates = []
-        self._match_of_node = {}
-        self._match_of_slot = []
-        self._stripes = []
-        self._slots_of_stripe = {}
-
-    def _augment(self, slot: int, visited: set, trail: Optional[list] = None) -> bool:
+    def _augment(self, slot: int, visited: set, trail: list) -> bool:
         """Kuhn's DFS: find an augmenting path for ``slot``.
 
         Every (node -> slot) reassignment is appended to ``trail`` as
-        ``(node, previous_slot)`` so a failed :meth:`try_add` can undo
-        exactly what its augmenting paths changed.
+        ``(node, previous_slot)`` so :meth:`_probe` can undo exactly
+        what its augmenting paths changed.
         """
         _, candidates = self._slot_candidates[slot]
         for node in candidates:
@@ -350,8 +415,7 @@ class IncrementalStripeMatcher:
             visited.add(node)
             holder = self._match_of_node.get(node)
             if holder is None or self._augment(holder, visited, trail):
-                if trail is not None:
-                    trail.append((node, holder))
+                trail.append((node, holder))
                 self._match_of_node[node] = slot
                 self._match_of_slot[slot] = node
                 return True

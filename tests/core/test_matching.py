@@ -163,19 +163,15 @@ class TestIncrementalMatcher:
         assert matcher.stripes == ["s1"]
         assert len(matcher) == 1
 
-    def test_remove(self):
-        matcher = IncrementalStripeMatcher(2)
-        matcher.try_add("s1", ["a", "b"])
-        matcher.try_add("s2", ["c", "d"])
-        matcher.remove("s1")
-        assert matcher.stripes == ["s2"]
-        # Freed nodes are usable again.
-        assert matcher.try_add("s3", ["a", "b"])
-
-    def test_remove_unknown(self):
+    def test_would_fit_undoes_a_rerouted_matching(self):
         matcher = IncrementalStripeMatcher(1)
-        with pytest.raises(KeyError):
-            matcher.remove("nope")
+        matcher.try_add("s1", ["a", "b"])
+        before = matcher.assignment()
+        # s2 only reaches 'a', so the probe must move s1 to 'b' first.
+        assert matcher.would_fit("s2", ["a"])
+        assert matcher.assignment() == before == {"s1": ["a"]}
+        assert matcher.try_add("s2", ["a"])
+        assert matcher.assignment() == {"s1": ["b"], "s2": ["a"]}
 
     def test_clone_is_independent(self):
         matcher = IncrementalStripeMatcher(1)
@@ -210,6 +206,52 @@ class TestIncrementalMatcher:
         # Global invariant: every node serves at most one slot.
         used = [n for nodes_ in matcher.assignment().values() for n in nodes_]
         assert len(used) == len(set(used))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_would_fit_agrees_with_try_add_and_leaves_no_trace(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        nodes = list(range(rng.randint(k, 10)))
+        matcher = IncrementalStripeMatcher(k)
+        for i in range(10):
+            helpers = rng.sample(nodes, rng.randint(1, len(nodes)))
+            before = (
+                dict(matcher._match_of_node),
+                list(matcher._match_of_slot),
+                matcher.assignment(),
+            )
+            fits = matcher.would_fit(f"s{i}", helpers)
+            assert (
+                dict(matcher._match_of_node),
+                list(matcher._match_of_slot),
+                matcher.assignment(),
+            ) == before
+            assert matcher.try_add(f"s{i}", helpers) == fits
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reachability_rejects_only_doomed_adds(self, seed):
+        """Whenever the free-node count rejects a stripe, the augmenting
+        DFSs alone reject it too, and so does max-flow."""
+        import random
+
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        nodes = list(range(rng.randint(k, 9)))
+        stripes = {}
+        matcher = IncrementalStripeMatcher(k)
+        for i in range(12):
+            helpers = rng.sample(nodes, rng.randint(k, len(nodes)))
+            if not matcher._reaches_free(helpers):
+                plain = matcher.clone()
+                plain._reaches_free = lambda helpers: True
+                assert not plain.try_add(f"s{i}", helpers)
+                assert stripe_helper_flow({**stripes, f"s{i}": helpers}, k) is None
+            if matcher.try_add(f"s{i}", helpers):
+                stripes[f"s{i}"] = helpers
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
