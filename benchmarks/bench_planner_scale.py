@@ -14,12 +14,14 @@ the STF node's chunk count:
   against d_opt per ``sim_group_size`` group, against d_ini (initial
   greedy only), against the parallelism bound ceil(|C| / floor((M-1)/k)).
 
-The set counts are seeded and independent of the host; CI compares
-them with the committed copy.  The seconds are the host's.
+The set counts are seeded and independent of the host, so they go to
+``planner_scale.json``, which CI byte-compares with its committed copy;
+the seconds are the host's and go to ``planner_scale_time.json``.
 """
 
 import math
 import time
+from typing import Tuple
 
 from conftest import run_once
 
@@ -33,8 +35,10 @@ SWEEPS = {20: (100, 300, 1000, 3000, 10000), 100: (100, 200, 300, 400, 500)}
 K = 6
 
 
-def planner_scale() -> Experiment:
-    exp = Experiment("planner_scale", "Algorithm 1 at disk scale (B.5)")
+def planner_scale() -> Tuple[Experiment, Experiment]:
+    title = "Algorithm 1 at disk scale (B.5)"
+    counts_exp = Experiment("planner_scale", title)
+    times_exp = Experiment("planner_scale_time", title)
     for num_nodes, sizes in SWEEPS.items():
         group = sim_group_size(num_nodes, K)
         sets = Panel(
@@ -78,17 +82,17 @@ def planner_scale() -> Experiment:
                 },
             )
             seconds.add_point(num_chunks, times)
-        exp.panels.extend([sets, seconds])
-    return exp
+        counts_exp.panels.append(sets)
+        times_exp.panels.append(seconds)
+    return counts_exp, times_exp
 
 
 def test_planner_scale(benchmark, save_result):
-    exp = run_once(benchmark, planner_scale)
-    save_result(exp)
+    counts_exp, times_exp = run_once(benchmark, planner_scale)
+    save_result(counts_exp)
+    save_result(times_exp)
 
-    for panel in exp.panels:
-        if panel.ylabel != "sets":
-            continue
+    for panel in counts_exp.panels:
         d_opt = panel.values_of("d_opt")
         for opt, grouped, ini, bound in zip(
             d_opt,
@@ -99,7 +103,7 @@ def test_planner_scale(benchmark, save_result):
             assert bound <= opt <= ini, (panel.title, bound, opt, ini)
             assert opt <= grouped, (panel.title, opt, grouped)
 
-    m20 = exp.panel("M = 20 — FastPR plan time")
+    m20 = times_exp.panel("M = 20 — FastPR plan time")
     assert m20.xticks[-1] == "10000"
     # A whole 10^4-chunk node plans in well under a minute.
     assert m20.values_of("whole_node")[-1] < 60.0

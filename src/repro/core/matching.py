@@ -357,7 +357,8 @@ class IncrementalStripeMatcher:
                 mask = bit[node] = 1 << len(bit)
             reached |= mask | closure.get(node, 0)
         self.steps += len(helpers)
-        return (reached & ~self._matched).bit_count() >= self.k
+        # bin().count rather than int.bit_count, which needs Python 3.10
+        return bin(reached & ~self._matched).count("1") >= self.k
 
     def _build_closures(self) -> None:
         """Map each matched node to the mask of every node its stripe
