@@ -6,8 +6,9 @@ Paper claims reproduced here:
   sets: d_opt < d_ini on average (paper: ~13% fewer);
 * Algorithm 1's running time grows polynomially with the number of
   repaired chunks (the paper's C++ run goes 0.84 s -> 254.63 s over
-  100 -> 1,000 chunks; our Python sweep is scaled to 20-100 chunks and
-  asserts the superlinear growth shape).
+  100 -> 1,000 chunks; our Python sweep is scaled to 40-120 chunks and
+  asserts the superlinear growth shape on the matcher's step count,
+  which, unlike seconds, does not move with the host's load).
 """
 
 from conftest import run_once
@@ -23,10 +24,11 @@ def test_fig15_microbench(benchmark, save_result):
     exp = run_once(benchmark, fig15_microbench, sizes=SIZES, runs=RUNS)
     panel_a = exp.panel("Fig 15(a) — reduction of d_opt over d_ini")
     panel_b = exp.panel("Fig 15(b) — running time of Algorithm 1")
-    # Panel (a) is seeded and model-only, panel (b) the host's seconds:
-    # one file each, so CI can byte-compare fig15.json with its
-    # committed copy.
-    save_result(Experiment(exp.experiment_id, exp.title, [panel_a]))
+    panel_c = exp.panel("Fig 15(c) — matcher steps of Algorithm 1")
+    # Panels (a) and (c) are seeded counts, panel (b) the host's
+    # seconds: one file each, so CI can byte-compare fig15.json with
+    # its committed copy.
+    save_result(Experiment(exp.experiment_id, exp.title, [panel_a, panel_c]))
     save_result(Experiment("fig15_time", exp.title, [panel_b]))
 
     reductions = panel_a.values_of("reduction")
@@ -35,8 +37,8 @@ def test_fig15_microbench(benchmark, save_result):
     mean_reduction = sum(reductions) / len(reductions)
     assert mean_reduction > 0.02, f"mean reduction {mean_reduction:.1%}"
 
-    times = panel_b.values_of("algorithm1")
-    # Superlinear growth: quadrupling |C| should cost far more than 4x.
-    assert times[-1] > times[0] * 6, (
-        f"expected superlinear growth, got {times}"
+    steps = panel_c.values_of("matcher_steps")
+    # Superlinear growth: tripling |C| should cost far more than 3x.
+    assert steps[-1] > steps[0] * 6, (
+        f"expected superlinear growth, got {steps}"
     )

@@ -196,7 +196,9 @@ class _SetPlanner(RepairPlanner):
             the cluster's configured bandwidths.
         optimize: enable Algorithm 1's swap optimization.
         group_size: run Algorithm 1 per chunk group (Section IV-D).
-        seed: randomization for Algorithm 1 ordering and the R'_x split.
+        seed: randomization for Algorithm 1 ordering and the R'_x split;
+            ``None`` keeps catalog order and R_x's order, so the plan is
+            reproducible.
         codec: the stripes' erasure code, which names the chunks each
             repair reads; ``None`` reads any ``k`` healthy holders.
     """

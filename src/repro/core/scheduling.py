@@ -88,14 +88,15 @@ def schedule_repair_rounds(
             configured for the same scenario (scattered / hot-standby)
             the plan targets.
         seed: randomizes which chunks of the split set ``R_x`` migrate
-            (the paper picks ``R'_x ⊂ R_x`` randomly).
+            (the paper picks ``R'_x ⊂ R_x`` randomly); ``None`` takes
+            them in ``R_x``'s own order, so the rounds are reproducible.
         rounding: integerization of c_m; see :func:`migration_quota`.
 
     Returns:
         Round compositions in execution order.  Every input chunk
         appears in exactly one round, exactly once.
     """
-    rng = random.Random(seed)
+    rng = random.Random(seed) if seed is not None else None
     sets: List[List[ChunkLocation]] = [
         list(s) for s in reconstruction_sets if len(s) > 0
     ]
@@ -129,7 +130,8 @@ def schedule_repair_rounds(
         after_x = sum(len(sets[i]) for i in range(x + 1, u + 1))
         need = quota - after_x
         split_set = sets[x]
-        rng.shuffle(split_set)
+        if rng is not None:
+            rng.shuffle(split_set)
         migrated_part = split_set[:need]
         sets[x] = split_set[need:]
         migration = migrated_part + [

@@ -32,7 +32,8 @@ from .matrix import cauchy, identity, invert, matmul, SingularMatrixError
 #: at 4 KiB chunks, which already amortizes the calls).  Kept under the
 #: allocator's 128 KiB mmap threshold: a larger stack is mapped afresh
 #: and page-faulted in on every call, which cost more than it saved.
-_WINDOW_BYTES = 96 * 1024
+#: The seeded data set (``runtime.driver``) draws windows of this size.
+WINDOW_BYTES = 96 * 1024
 
 
 class ReedSolomonCodec(ErasureCodec):
@@ -86,7 +87,7 @@ class ReedSolomonCodec(ErasureCodec):
         ``(k, W*L)`` matrix, so the GF kernel runs once per window of
         ``W`` stripes instead of once per stripe — same bytes out as
         ``[self.encode(s) for s in stripes]``, far less per-call
-        overhead.  A window holds at most ``_WINDOW_BYTES`` of input
+        overhead.  A window holds at most ``WINDOW_BYTES`` of input
         (one stripe when a stripe is larger), so a large batch never
         allocates a second copy of itself.
         """
@@ -104,7 +105,7 @@ class ReedSolomonCodec(ErasureCodec):
         size = check_equal_sizes(
             [chunk for stripe in stripes for chunk in stripe]
         )
-        window = max(1, _WINDOW_BYTES // max(1, self.k * size))
+        window = max(1, WINDOW_BYTES // max(1, self.k * size))
         parity_rows = self._generator[self.k :, :]
         coded: List[List[bytes]] = []
         for start in range(0, len(stripes), window):

@@ -17,7 +17,11 @@ The data set is deterministic and *distributed*: every consumer of one
 their chunks; the driver keeps every chunk's checksum, so after the
 repair it can prove — from the stores under the shared ``workdir`` —
 that each repaired chunk is byte-identical to the original without any
-chunk ever crossing a non-repair channel.
+chunk ever crossing a non-repair channel.  The stream is
+``random.Random(seed).getrandbits`` bytes drawn through numpy's MT19937,
+encoded in windows bounded by bytes, not stripes; storing and hashing
+each stripe runs on loader threads while the next one is drawn, with
+at most two stripes waiting for them.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -37,10 +44,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
-from ..cluster.chunk import NodeId
+import numpy as np
+
+from ..cluster.chunk import NodeId, Stripe
 from ..cluster.cluster import StorageCluster
 from ..cluster.topology import RackTopology
 from ..core.analysis import optimal_packet_size
@@ -48,6 +58,7 @@ from ..core.plan import RepairPlan
 from ..core.planner import profile_from_cluster
 from ..core.scheduling import HelperBudget
 from ..ec.codec import ErasureCodec
+from ..ec.reed_solomon import WINDOW_BYTES
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .agent import Agent
@@ -61,11 +72,46 @@ from .multicoord import MultiCoordinator, MultiRepairResult
 from .throttle import RateLimiter
 
 Result = Union[RuntimeResult, MultiRepairResult]
+T = TypeVar("T")
 
 
 # ----------------------------------------------------------------------
 # the deterministic data set
 # ----------------------------------------------------------------------
+
+
+def _mersenne_twister(rng: random.Random) -> np.random.MT19937:
+    """``rng``'s Mersenne Twister, at its state, as numpy's bit generator.
+
+    Both run the reference MT19937; ``getstate()`` is its 624 key words
+    and then the position in them, exactly numpy's ``key`` and ``pos``.
+    """
+    internal = rng.getstate()[1]
+    twister = np.random.MT19937(0)
+    twister.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(internal[:624], dtype=np.uint32),
+            "pos": internal[624],
+        },
+    }
+    return twister
+
+
+def _random_chunk(twister: np.random.MT19937, size: int) -> bytes:
+    """``getrandbits(8 * size).to_bytes(size, "little")``, drawn in C.
+
+    ``getrandbits`` fills its integer 32 bits at a time, least
+    significant word first, from one MT output each, and keeps only the
+    top ``8 * size % 32`` bits of the last one: the same words, shifted
+    the same way and laid out little-endian, are the same bytes, and
+    the twister ends where Python's would.
+    """
+    words = twister.random_raw(-(-size // 4)).astype("<u4")
+    tail = 8 * size % 32
+    if tail:
+        words[-1] >>= 32 - tail
+    return words.view(np.uint8)[:size].tobytes()
 
 
 def iter_encoded_stripes(
@@ -78,27 +124,66 @@ def iter_encoded_stripes(
     same ``(cluster, codec, seed)`` triple sees byte-identical chunks —
     the testbed loads them all into local stores, while each standalone
     agent process walks the same stream and keeps only its own node's
-    chunks (see :func:`load_node_data`).
+    chunks (see :func:`load_node_data`).  The bytes are those of
+    ``random.Random(seed).getrandbits``, drawn through numpy's MT19937.
+
+    Stripes are drawn and encoded in windows of at most
+    :data:`~repro.ec.reed_solomon.WINDOW_BYTES` of data (one stripe once
+    ``k`` chunks exceed it), the most one ``encode_batch`` matmul
+    stacks: small chunks still batch, and large ones hold one stripe
+    at a time.
     """
-    rng = random.Random(seed)
+    twister = _mersenne_twister(random.Random(seed))
     chunk_size = cluster.chunk_size
     stripes = list(cluster.stripes())
-    # Encode in windows through ``encode_batch`` (one wide GF matmul per
-    # window).  The RNG stream is untouched: data chunks are still drawn
-    # sequentially in stripe order, so the bytes are identical to the
-    # one-stripe-at-a-time path.
-    window = 16
+    window = max(1, WINDOW_BYTES // max(1, codec.k * chunk_size))
     for start in range(0, len(stripes), window):
         batch = stripes[start : start + window]
         data = [
-            [
-                rng.getrandbits(8 * chunk_size).to_bytes(chunk_size, "little")
-                for _ in range(stripe.k)
-            ]
+            [_random_chunk(twister, chunk_size) for _ in range(stripe.k)]
             for stripe in batch
         ]
         for stripe, coded in zip(batch, codec.encode_batch(data)):
             yield stripe, coded
+
+
+#: threads that store and hash the stream's stripes, and the stripes
+#: handed to them at most: sha256 and file writes release the GIL, so
+#: they overlap the next stripes' draw and encode, and at most this
+#: many coded stripes wait for them.
+_LOADERS = 2
+_IN_FLIGHT = 2
+
+
+def _map_stripes(
+    cluster: StorageCluster,
+    codec: ErasureCodec,
+    seed: Optional[int],
+    work: Callable[[Stripe, List[bytes]], T],
+) -> List[T]:
+    """``[work(s, coded) for s, coded in iter_encoded_stripes(...)]``,
+    with ``work`` on loader threads.
+
+    The calling thread draws and encodes while at most
+    :data:`_IN_FLIGHT` stripes are with the loaders.  Results come back
+    in stripe order; the first failure re-raises here once every
+    loader has stopped, and no loader outlives the call (none starts
+    for a cluster without stripes).
+    """
+    results: List[T] = []
+    pending: Deque[Future] = deque()
+    with ThreadPoolExecutor(_LOADERS, thread_name_prefix="data-loader") as pool:
+        try:
+            for stripe, coded in iter_encoded_stripes(cluster, codec, seed):
+                if len(pending) == _IN_FLIGHT:
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(work, stripe, coded))
+            while pending:
+                results.append(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+    return results
 
 
 def load_node_data(
@@ -114,13 +199,16 @@ def load_node_data(
     other agents' and the driver's view exactly) but writes only this
     node's chunks; returns how many were stored.
     """
-    loaded = 0
-    for stripe, coded in iter_encoded_stripes(cluster, codec, seed):
+
+    def store_own(stripe: Stripe, coded: List[bytes]) -> int:
+        stored = 0
         for index, placed in enumerate(stripe.placement):
             if placed == node_id:
                 store.put(stripe.stripe_id, coded[index])
-                loaded += 1
-    return loaded
+                stored += 1
+        return stored
+
+    return sum(_map_stripes(cluster, codec, seed, store_own))
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +450,18 @@ class RepairDriver:
         (unthrottled) the chunks of nodes hosted in this process —
         remote agents load their own (:func:`load_node_data`).
         """
-        for stripe, coded in iter_encoded_stripes(
-            self.cluster, self.codec, seed
-        ):
+
+        def store_and_hash(stripe: Stripe, coded: List[bytes]):
             for index, node_id in enumerate(stripe.placement):
                 if node_id in self.agents:
                     self.stores[node_id].put(stripe.stripe_id, coded[index])
-                self._checksums[(stripe.stripe_id, index)] = _digest(coded[index])
+            return stripe.stripe_id, [_digest(chunk) for chunk in coded]
+
+        for stripe_id, digests in _map_stripes(
+            self.cluster, self.codec, seed, store_and_hash
+        ):
+            for index, digest in enumerate(digests):
+                self._checksums[(stripe_id, index)] = digest
 
     def verify_plan(
         self, plan: RepairPlan, result: Optional[Result] = None

@@ -95,6 +95,15 @@ class TestFastPRPlanner:
         ]
         assert keys(plan_a) == keys(plan_b)
 
+    def test_default_seed_is_reproducible(self):
+        # seed=None is catalog order in Algorithm 1 and R_x's own order
+        # in the R'_x split: no plan draws from OS entropy.
+        cluster = StorageCluster.random(20, 200, 9, 6, seed=1)
+        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+        cluster.node(stf).mark_soon_to_fail()
+        plans = [FastPRPlanner().plan(cluster, stf).to_dict() for _ in range(2)]
+        assert plans[0] == plans[1]
+
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2**16))
     def test_random_clusters_valid_plans(self, seed):
