@@ -133,9 +133,11 @@ def iter_encoded_stripes(
     stacks: small chunks still batch, and large ones hold one stripe
     at a time.
     """
+    stripes = list(cluster.stripes())
+    if not stripes:
+        return  # without importing numpy.random (about 2 MB resident)
     twister = _mersenne_twister(random.Random(seed))
     chunk_size = cluster.chunk_size
-    stripes = list(cluster.stripes())
     window = max(1, WINDOW_BYTES // max(1, codec.k * chunk_size))
     for start in range(0, len(stripes), window):
         batch = stripes[start : start + window]
