@@ -149,12 +149,11 @@ def iter_encoded_stripes(
             yield stripe, coded
 
 
-#: threads that store and hash the stream's stripes, and the stripes
-#: handed to them at most: sha256 and file writes release the GIL, so
-#: they overlap the next stripes' draw and encode, and at most this
-#: many coded stripes wait for them.
+#: threads that store and hash the stream's stripes, one stripe each at
+#: most: sha256 and file writes release the GIL, so they overlap the
+#: next stripe's draw and encode, and no more coded stripes than this
+#: wait for them.
 _LOADERS = 2
-_IN_FLIGHT = 2
 
 
 def _map_stripes(
@@ -167,7 +166,7 @@ def _map_stripes(
     with ``work`` on loader threads.
 
     The calling thread draws and encodes while at most
-    :data:`_IN_FLIGHT` stripes are with the loaders.  Results come back
+    :data:`_LOADERS` stripes are with the loaders.  Results come back
     in stripe order; the first failure re-raises here once every
     loader has stopped, and no loader outlives the call (none starts
     for a cluster without stripes).
@@ -177,7 +176,7 @@ def _map_stripes(
     with ThreadPoolExecutor(_LOADERS, thread_name_prefix="data-loader") as pool:
         try:
             for stripe, coded in iter_encoded_stripes(cluster, codec, seed):
-                if len(pending) == _IN_FLIGHT:
+                if len(pending) == _LOADERS:
                     results.append(pending.popleft().result())
                 pending.append(pool.submit(work, stripe, coded))
             while pending:
