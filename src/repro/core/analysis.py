@@ -84,9 +84,10 @@ PAPER_DEFAULT_PROFILE = BandwidthProfile()
 
 #: Critical-path seconds one more packet per stream adds to a repair
 #: round, and the rate of the stage every packet crosses in memory
-#: whatever the devices are (read-ahead, two CRC32s, a star
-#: destination's k GF accumulations, the hand-off to the staging
-#: writer — all agents of a host sharing one interpreter).  Measured,
+#: whatever the devices are (the chunk reads, two CRC32s, a star
+#: destination's k GF accumulations, the staged writes — behind a
+#: read-ahead and a staging-writer thread once a chunk is cut into
+#: packets — all agents of a host sharing one interpreter).  Measured,
 #: not derived: ``PACKET_COST`` is the least-squares fit of ``T(p)``
 #: below to the end-to-end sweep of the unthrottled in-memory rig
 #: (``make packet-sweep WORKLOAD=drain-cpu-mem``; REPORT.md §fig11 has

@@ -29,7 +29,7 @@ from .codec import (
     register_codec,
 )
 from .galois import gf_matmul_bytes
-from .matrix import cauchy, identity, invert, rank
+from .matrix import cauchy, identity, invert, matmul, rank
 
 
 class LocalReconstructionCodec(ErasureCodec):
@@ -132,8 +132,11 @@ class LocalReconstructionCodec(ErasureCodec):
             [np.frombuffer(available[i], dtype=np.uint8) for i in helper_ids]
         )
         sub_inv = invert(self._generator[helper_ids, :])
-        data_shards = gf_matmul_bytes(sub_inv, helper_shards)
-        rebuilt = gf_matmul_bytes(self._generator[missing, :], data_shards)
+        # G[missing] @ inv(G[helpers]) first: one r x k product over the
+        # bytes instead of rebuilding all k data chunks.
+        rebuilt = gf_matmul_bytes(
+            matmul(self._generator[missing, :], sub_inv), helper_shards
+        )
         for row, idx in enumerate(missing):
             result[idx] = rebuilt[row].tobytes()
         return result
@@ -186,8 +189,6 @@ class LocalReconstructionCodec(ErasureCodec):
             raise DecodeError(
                 f"helpers {helper_ids} do not span the code (rank < k)"
             )
-        from .matrix import matmul
-
         if len(helper_ids) != self.k:
             raise DecodeError(
                 f"general LRC repair needs exactly k={self.k} independent "

@@ -240,9 +240,11 @@ class ReedSolomonCodec(ErasureCodec):
             sub_inv = invert(sub)
         except SingularMatrixError as exc:  # cannot happen for Cauchy RS
             raise DecodeError(f"singular decode submatrix: {exc}") from exc
-        data_shards = gf_matmul_bytes(sub_inv, helper_shards)
-        rebuild_rows = self._generator[missing, :]
-        rebuilt = gf_matmul_bytes(rebuild_rows, data_shards)
+        # rebuilt = G[missing] @ data: fold the two small matrices first
+        # so one r x k product runs over the bytes, not k x k and r x k.
+        rebuilt = gf_matmul_bytes(
+            matmul(self._generator[missing, :], sub_inv), helper_shards
+        )
         for row, idx in enumerate(missing):
             result[idx] = rebuilt[row].tobytes()
         for i in wanted:

@@ -11,15 +11,21 @@ Each storage node runs an :class:`Agent` with:
 * one *stream worker per chain stage*: a stage blocks on its upstream's
   partial sums, so it cannot queue on the send worker — two chains
   crossing a node in opposite order would deadlock there,
-* one short-lived *reader* thread per stream, running ahead of it by
-  up to the chunk (the paper's multi-threaded pipeline, Experiment B.1),
+* one short-lived *reader* thread per stream of two or more packets,
+  reading packets 1..n-1 ahead of the stream by up to the chunk while
+  the stream sends the ones before (the paper's multi-threaded
+  pipeline, Experiment B.1); the stream reads packet 0 itself, so a
+  one-packet stream starts no reader,
 * a *client worker* serving gateway chunk reads, writes and deletes off
   the dispatcher thread,
 * one *decode thread per chunk being assembled*, which applies the
   GF(2^8) recovery coefficient to each arriving packet (the paper's
-  "one thread for decoding the received packets"), plus its
-  *staging-writer* thread, which writes each fully decoded region to
-  the assembly's staging file while the next packet is decoded,
+  "one thread for decoding the received packets"), plus, once a region
+  completes before the last one, its *staging-writer* thread, which
+  writes each fully decoded region to the assembly's staging file while
+  the next packet is decoded; the region that finishes a chunk with no
+  writer running (a one-packet chunk) is written by the decode thread,
+  since promotion waits for that write anyway,
 * an optional *heartbeat* thread beaconing liveness to the coordinator.
 
 The hand-offs between those threads are ``queue.SimpleQueue``s, and a
@@ -175,6 +181,9 @@ class _Assembly(_ActionWorker):
     contributed to an offset, that packet is written to the staging
     file — so receive, decode and write pipeline across packets,
     matching the prototype's multi-threaded repair path (Section V).
+    The writes run on a staging-writer thread started by the first
+    region that completes before the last; a chunk of one region has
+    nothing to overlap and is written on the decode thread.
     The staged chunk is promoted by :meth:`Agent._run_assembly` (under
     the agent's assembly lock, so promotion serializes with epoch
     fencing) only when complete — a crashed or superseded assembly
@@ -207,26 +216,29 @@ class _Assembly(_ActionWorker):
         size, packet = self.command.chunk_size, self.command.packet_size
         return (size + packet - 1) // packet
 
-    def _staging_writer(self) -> None:
-        """Writer-thread body: flush completed regions to the .part file.
+    def _stage(self, offset: int, end: int) -> None:
+        """Write one fully decoded region to the .part file.
 
-        Each queued region is final — every source has contributed and
+        The region is final — every source has contributed and
         duplicates are dropped by the arrived-set — so the decode
         thread never touches those buffer bytes again and the write
         can proceed without copying them out (no ``tobytes``).
         """
+        started = time.perf_counter()
+        self.staged.write(offset, self._buffer[offset:end])
+        self.staging_seconds += time.perf_counter() - started
+
+    def _staging_writer(self) -> None:
+        """Writer-thread body: stage queued regions until ``None``."""
         while True:
             item = self._writes.get()
             if item is None:
                 return
-            offset, end = item
-            started = time.perf_counter()
             try:
-                self.staged.write(offset, self._buffer[offset:end])
+                self._stage(*item)
             except BaseException as exc:  # surfaced by run() after join
                 self._write_error = exc
                 return
-            self.staging_seconds += time.perf_counter() - started
 
     def run(self) -> bool:
         """Decode-thread body; returns False if aborted before done.
@@ -241,12 +253,8 @@ class _Assembly(_ActionWorker):
             size,
             tag=f"e{self.command.epoch}a{self.command.attempt}",
         )
-        writer = threading.Thread(
-            target=self._staging_writer,
-            name=f"agent-staging-{self.command.key}",
-            daemon=True,
-        )
-        writer.start()
+        # started by the first region that completes before the last
+        writer: Optional[threading.Thread] = None
         complete = False
         try:
             while self._remaining_offsets > 0:
@@ -289,18 +297,30 @@ class _Assembly(_ActionWorker):
                     # the offset completed double-apply its coefficient
                     # and re-trigger the completion below.
                     self._remaining_offsets -= 1
-                    # Fully decoded region: hand it to the writer.
-                    self._writes.put((packet.offset, end))
+                    if writer is None and self._remaining_offsets == 0:
+                        # Promotion waits for this write anyway: a
+                        # writer thread would have nothing to overlap.
+                        self._stage(packet.offset, end)
+                    else:
+                        if writer is None:
+                            writer = threading.Thread(
+                                target=self._staging_writer,
+                                name=f"agent-staging-{self.command.key}",
+                                daemon=True,
+                            )
+                            writer.start()
+                        self._writes.put((packet.offset, end))
                 if self._write_error is not None:
                     break
-            self._writes.put(None)
-            writer.join()
+            if writer is not None:
+                self._writes.put(None)
+                writer.join()
             if self._write_error is not None:
                 raise self._write_error
             complete = True
             return True
         finally:
-            if writer.is_alive():
+            if writer is not None and writer.is_alive():
                 self._writes.put(None)
                 writer.join()
             if not complete:
@@ -317,6 +337,8 @@ class _Stream(_ActionWorker):
     of Li et al.'s repair pipelining.  A star or migration sender is
     the chain of length one: coefficient 1 (the destination applies the
     recovery coefficient), no upstream, the destination as next hop.
+    The stream reads packet 0 itself; a reader thread reads the rest
+    ahead of it, so a one-packet stream runs on its own thread alone.
     """
 
     def __init__(self, command: SendCommand, store: ChunkStore, agent: "Agent"):
@@ -334,33 +356,41 @@ class _Stream(_ActionWorker):
             )
         packet_size = min(command.packet_size, size)
         offsets = range(0, size, packet_size)
-        # The reader runs ahead so (throttled) disk waits overlap the
-        # GF math and the NIC.  Every packet is read into a fresh buffer
-        # that send() hands over to the transport (DESIGN.md §13), so no
-        # buffer is ever refilled and the read-ahead is bounded by the
-        # chunk.
+        chunk = self.store.open_read(command.stripe_id)
+
+        def read(offset: int) -> np.ndarray:
+            # A fresh buffer per packet: send() hands it over to the
+            # transport (DESIGN.md §13), so none is ever refilled.
+            buf = np.empty(min(packet_size, size - offset), dtype=np.uint8)
+            chunk.read_into(offset, buf)
+            return buf
+
         ahead: "queue.SimpleQueue" = queue.SimpleQueue()
         finished = threading.Event()
 
         def read_ahead():
             try:
-                with self.store.open_read(command.stripe_id) as chunk:
-                    for offset in offsets:
-                        if finished.is_set():
-                            return
-                        buf = np.empty(
-                            min(packet_size, size - offset), dtype=np.uint8
-                        )
-                        chunk.read_into(offset, buf)
-                        ahead.put(buf)
+                for offset in offsets[1:]:
+                    if finished.is_set():
+                        return
+                    ahead.put(read(offset))
             except Exception as exc:
                 ahead.put(exc)
 
-        reader = threading.Thread(
-            target=read_ahead, name=f"agent-{agent.node_id}-read", daemon=True
-        )
-        reader.start()
+        reader = None
         try:
+            # Nothing can be sent before packet 0 is read, so the stream
+            # reads it itself; a reader thread runs ahead (so throttled
+            # disk waits overlap the GF math and the NIC) only when
+            # there is a packet 1 for it to read while packet 0 is sent.
+            ahead.put(read(0))
+            if len(offsets) > 1:
+                reader = threading.Thread(
+                    target=read_ahead,
+                    name=f"agent-{agent.node_id}-read",
+                    daemon=True,
+                )
+                reader.start()
             for offset in offsets:
                 buf = ahead.get()
                 if isinstance(buf, BaseException):
@@ -395,8 +425,10 @@ class _Stream(_ActionWorker):
                     ),
                 )
         finally:
-            finished.set()  # stop the reader if it is still ahead
-            reader.join()
+            if reader is not None:
+                finished.set()  # stop the reader if it is still ahead
+                reader.join()
+            chunk.close()
 
     def _next_upstream(self, offset: int) -> Optional[DataPacket]:
         """Next valid upstream packet for ``offset``; None on abort."""

@@ -133,20 +133,44 @@ def iter_encoded_stripes(
     stacks: small chunks still batch, and large ones hold one stripe
     at a time.
     """
+    yield from _encoded_stripes(cluster, codec, seed)
+
+
+def _encoded_stripes(
+    cluster: StorageCluster,
+    codec: ErasureCodec,
+    seed: Optional[int],
+    node_id: Optional[NodeId] = None,
+) -> Iterable[Tuple[Stripe, List[bytes]]]:
+    """:func:`iter_encoded_stripes`, only the stripes placed on
+    ``node_id`` when one is given.
+
+    A skipped stripe is neither drawn nor encoded: the twister just
+    advances past its words, so the stripes kept carry the stream's
+    bytes.
+    """
     stripes = list(cluster.stripes())
     if not stripes:
         return  # without importing numpy.random (about 2 MB resident)
     twister = _mersenne_twister(random.Random(seed))
     chunk_size = cluster.chunk_size
+    words = -(-chunk_size // 4)  # what one _random_chunk draws
     window = max(1, WINDOW_BYTES // max(1, codec.k * chunk_size))
-    for start in range(0, len(stripes), window):
-        batch = stripes[start : start + window]
-        data = [
+    batch: List[Stripe] = []
+    data: List[List[bytes]] = []
+    for stripe in stripes:
+        if node_id is not None and node_id not in stripe.placement:
+            twister.random_raw(stripe.k * words, output=False)
+            continue
+        batch.append(stripe)
+        data.append(
             [_random_chunk(twister, chunk_size) for _ in range(stripe.k)]
-            for stripe in batch
-        ]
-        for stripe, coded in zip(batch, codec.encode_batch(data)):
-            yield stripe, coded
+        )
+        if len(batch) == window:
+            yield from zip(batch, codec.encode_batch(data))
+            batch, data = [], []
+    if batch:
+        yield from zip(batch, codec.encode_batch(data))
 
 
 #: threads that store and hash the stream's stripes, one stripe each at
@@ -157,13 +181,11 @@ _LOADERS = 2
 
 
 def _map_stripes(
-    cluster: StorageCluster,
-    codec: ErasureCodec,
-    seed: Optional[int],
+    stream: Iterable[Tuple[Stripe, List[bytes]]],
     work: Callable[[Stripe, List[bytes]], T],
 ) -> List[T]:
-    """``[work(s, coded) for s, coded in iter_encoded_stripes(...)]``,
-    with ``work`` on loader threads.
+    """``[work(s, coded) for s, coded in stream]``, with ``work`` on
+    loader threads.
 
     The calling thread draws and encodes while at most
     :data:`_LOADERS` stripes are with the loaders.  Results come back
@@ -175,7 +197,7 @@ def _map_stripes(
     pending: Deque[Future] = deque()
     with ThreadPoolExecutor(_LOADERS, thread_name_prefix="data-loader") as pool:
         try:
-            for stripe, coded in iter_encoded_stripes(cluster, codec, seed):
+            for stripe, coded in stream:
                 if len(pending) == _LOADERS:
                     results.append(pending.popleft().result())
                 pending.append(pool.submit(work, stripe, coded))
@@ -196,9 +218,10 @@ def load_node_data(
 ) -> int:
     """Store ``node_id``'s chunk of every stripe placed on it.
 
-    Walks the full deterministic encode stream (so the bytes match the
-    other agents' and the driver's view exactly) but writes only this
-    node's chunks; returns how many were stored.
+    Walks the deterministic stream (so the bytes match the other
+    agents' and the driver's view exactly) but draws and encodes only
+    the stripes placed on this node; returns how many chunks were
+    stored.
     """
 
     def store_own(stripe: Stripe, coded: List[bytes]) -> int:
@@ -209,7 +232,9 @@ def load_node_data(
                 stored += 1
         return stored
 
-    return sum(_map_stripes(cluster, codec, seed, store_own))
+    return sum(
+        _map_stripes(_encoded_stripes(cluster, codec, seed, node_id), store_own)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +484,7 @@ class RepairDriver:
             return stripe.stripe_id, [_digest(chunk) for chunk in coded]
 
         for stripe_id, digests in _map_stripes(
-            self.cluster, self.codec, seed, store_and_hash
+            iter_encoded_stripes(self.cluster, self.codec, seed), store_and_hash
         ):
             for index, digest in enumerate(digests):
                 self._checksums[(stripe_id, index)] = digest

@@ -25,7 +25,9 @@ from repro.runtime.driver import (
     _mersenne_twister,
     _random_chunk,
     iter_encoded_stripes,
+    load_node_data,
 )
+from repro.runtime.throttle import RateLimiter
 from repro.runtime.testbed import EmulatedTestbed
 
 
@@ -203,3 +205,39 @@ def test_no_stripes_no_loaders(tmp_path, monkeypatch):
         assert submitted == [] and testbed._checksums == {}
     finally:
         testbed.shutdown()
+
+
+@pytest.mark.parametrize("chunk_size", [1001, 4096])
+def test_each_node_loads_its_chunks_and_encodes_only_its_stripes(
+    tmp_path, monkeypatch, chunk_size
+):
+    """An agent process's start-up: every node stores exactly its
+    chunks of the stream, and encodes no stripe it holds nothing of
+    (1001 B chunks end in a partial twister word)."""
+    codec = make_codec("rs(9,6)")
+    cluster = StorageCluster.random(
+        14, 40, codec.n, codec.k, seed=9, chunk_size=chunk_size
+    )
+    stream = list(iter_encoded_stripes(cluster, codec, seed=6))
+    encoded = []
+    encode_batch = codec.encode_batch
+    monkeypatch.setattr(
+        codec,
+        "encode_batch",
+        lambda data: encoded.append(len(data)) or encode_batch(data),
+    )
+    for node_id in cluster.nodes:
+        store = ChunkStore(tmp_path / f"n{node_id}", node_id, RateLimiter(None))
+        encoded.clear()
+        expected = {
+            stripe.stripe_id: coded[stripe.placement.index(node_id)]
+            for stripe, coded in stream
+            if node_id in stripe.placement
+        }
+        assert load_node_data(cluster, codec, 6, store, node_id) == len(
+            expected
+        )
+        assert sum(encoded) == len(expected)
+        assert sorted(store.stripes()) == sorted(expected)
+        for stripe_id, chunk in expected.items():
+            assert store.read(stripe_id) == chunk
