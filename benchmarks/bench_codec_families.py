@@ -36,7 +36,7 @@ def run_family_analysis() -> Experiment:
             {
                 "reactive": model.reactive_time_per_chunk(),
                 "predictive": model.predictive_time_per_chunk(),
-                "traffic_chunks": codec.single_repair_cost().traffic_chunks,
+                "traffic_chunks": model.repair_fanin * model.traffic_fraction,
             },
         )
     exp.panels.append(panel)

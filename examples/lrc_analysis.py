@@ -30,7 +30,7 @@ def codec_demo() -> None:
 
     # Local repair: one lost data chunk costs k/l = 6 reads, not 12.
     lost = 3
-    helpers = codec.repair_helpers(lost, [i for i in range(codec.n) if i != lost])
+    helpers = list(codec.repair_recipe(lost).candidates)
     rebuilt = codec.decode(
         {i: coded[i] for i in helpers}, [lost]
     )
@@ -38,6 +38,13 @@ def codec_demo() -> None:
     print(
         f"repaired chunk {lost} from {len(helpers)} local helpers "
         f"{helpers} (RS(14,12) would need 12)"
+    )
+
+    # A global parity reads k of the data chunks and the other globals.
+    recipe = codec.repair_recipe(codec.n - 1)
+    print(
+        f"global parity {codec.n - 1} reads {recipe.fanin} of "
+        f"{list(recipe.candidates)}"
     )
 
     # Degraded repair: a broken local group falls back to globals.

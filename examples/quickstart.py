@@ -15,6 +15,7 @@ from repro import (
     MigrationOnlyPlanner,
     ReconstructionOnlyPlanner,
     RepairScenario,
+    make_codec,
 )
 from repro.core import model_for
 from repro.sim import (
@@ -51,7 +52,9 @@ def main() -> None:
             f"{result.total_time:>10.1f} {result.time_per_chunk:>8.3f}"
         )
 
-    model = model_for(cluster, RepairScenario.SCATTERED, k=config.k)
+    # Eq. (2) for the repair RS(9,6) runs: any k helpers, whole chunks.
+    recipe = make_codec(f"rs({config.n},{config.k})").repair_recipe(0)
+    model = model_for(cluster, RepairScenario.SCATTERED, recipe)
     optimum = model.predictive_time_per_chunk()
     print(f"{'optimum (Eq. 2)':16s} {'-':>6s} {'-':>9s} {'-':>14s} "
           f"{optimum * chunks:>10.1f} {optimum:>8.3f}")

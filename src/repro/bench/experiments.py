@@ -170,7 +170,8 @@ def simulate_point(
             plan = planner.plan(cluster, stf)
             result = evaluate_plan(cluster, plan)
             acc[planner.name].append(result.time_per_chunk)
-        model = model_for(cluster, scenario, cfg.k)
+        recipe = make_codec(f"rs({cfg.n},{cfg.k})").repair_recipe(0)
+        model = model_for(cluster, scenario, recipe)
         acc[OPTIMUM].append(model.predictive_time_per_chunk())
     return {label: average_runs(values) for label, values in acc.items()}
 

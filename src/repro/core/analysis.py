@@ -191,19 +191,22 @@ class AnalyticalModel:
         profile: BandwidthProfile = PAPER_DEFAULT_PROFILE,
         hot_standby: Optional[int] = None,
     ) -> "AnalyticalModel":
-        """Model parameterized by a codec's single-repair cost.
+        """Model parameterized by a codec's cheapest repair recipe.
 
-        Works for RS (k helpers, k chunks of traffic), LRC (k' = k/l
-        both) and MSR (d helpers, d/α chunks of traffic).
+        Works for RS (k helpers, whole chunks), LRC (a local repair's
+        k' = k/l helpers, whole chunks) and MSR (d helpers, 1/α of a
+        chunk each).
         """
-        cost = codec.single_repair_cost()
+        recipe = min(
+            map(codec.repair_recipe, range(codec.n)), key=lambda r: r.fanin
+        )
         return cls(
             num_nodes=num_nodes,
             k=codec.k,
             profile=profile,
             hot_standby=hot_standby,
-            k_prime=cost.helpers,
-            traffic_fraction=cost.traffic_chunks / cost.helpers,
+            k_prime=recipe.fanin,
+            traffic_fraction=recipe.traffic,
         )
 
     @property

@@ -7,13 +7,16 @@
 * :class:`MigrationOnlyPlanner` — relocate every chunk off the STF
   node, serialized by its bandwidth.
 
-Given the stripes' codec, the planners carry over to repair-efficient
-codes as the paper's Section III does: the codec names the chunks each
-repair reads (an LRC's local group), and the STF chunks are grouped by
-that repair fan-in.  FastPR runs Algorithms 1+2 on the chunks with the
-codec's cheapest fan-in and migrates the costlier ones in round 0;
+The planners carry over to repair-efficient codes as the paper's
+Section III does.  The stripes' codec answers, per lost chunk, which
+chunks its repair may read, how many it reads and how much each helper
+sends (:meth:`~repro.ec.codec.ErasureCodec.repair_recipe`; with no
+codec, the stripes' ``rs(n, k)``), and the STF chunks are grouped by
+that fan-in.  FastPR runs Algorithms 1+2 on the chunks of the cheapest
+fan-in, with Eqs. (4)-(6) priced by that recipe, and migrates the
+costlier ones (an LRC's global parities) in round 0;
 reconstruction-only runs one Algorithm 1 pass per fan-in, cheapest
-first.  With no codec every chunk reads any ``k`` healthy holders.
+first.
 
 All planners emit a :class:`~repro.core.plan.RepairPlan` that
 :func:`repro.sim.evaluate_plan` times and the emulated testbed runtime
@@ -28,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from ..cluster.cluster import StorageCluster
-from ..ec.codec import ErasureCodec
+from ..ec.codec import ErasureCodec, RepairRecipe
 from .analysis import AnalyticalModel, BandwidthProfile
 from .placement import (
     HotStandbyPlacer,
@@ -44,7 +47,7 @@ from .plan import (
 from .reconstruction_sets import (
     ReconstructionSetFinder,
     helper_assignment,
-    repair_fanin,
+    stripes_codec,
 )
 from .scheduling import (
     RoundComposition,
@@ -66,13 +69,14 @@ def profile_from_cluster(cluster: StorageCluster) -> BandwidthProfile:
 def model_for(
     cluster: StorageCluster,
     scenario: RepairScenario,
-    k: int,
+    recipe: RepairRecipe,
     profile: Optional[BandwidthProfile] = None,
 ) -> AnalyticalModel:
     """Analytical model matching a cluster + scenario configuration.
 
-    ``k`` is the reconstruction fan-in being modelled (a repair-efficient
-    code's ``k'`` when its cheaper repairs are planned).
+    ``recipe`` is the repair being modelled: its fan-in is Eqs. (5)-(6)'s
+    ``k`` (a repair-efficient code's ``k'``), and each helper sends
+    ``recipe.traffic`` of a chunk.
     """
     if profile is None:
         profile = profile_from_cluster(cluster)
@@ -85,9 +89,10 @@ def model_for(
             )
     return AnalyticalModel(
         num_nodes=cluster.num_storage_nodes,
-        k=k,
+        k=recipe.fanin,
         profile=profile,
         hot_standby=hot_standby,
+        traffic_fraction=recipe.traffic,
     )
 
 
@@ -96,7 +101,7 @@ class RepairPlanner(ABC):
 
     #: short name used in experiment tables
     name: str = "base"
-    #: the stripes' erasure code; ``None`` reads any ``k`` healthy holders
+    #: the stripes' erasure code; ``None`` is their ``rs(n, k)``
     codec: Optional[ErasureCodec] = None
 
     def __init__(
@@ -115,6 +120,7 @@ class RepairPlanner(ABC):
         cluster: StorageCluster,
         stf_node: NodeId,
         chunks: List[ChunkLocation],
+        codec: ErasureCodec,
     ) -> List[RoundComposition]:
         """Return the per-round chunk partition for this strategy."""
 
@@ -131,14 +137,15 @@ class RepairPlanner(ABC):
         plan = RepairPlan(stf_node=stf_node, scenario=self.scenario)
         if not chunks:
             return plan
-        compositions = self.compose_rounds(cluster, stf_node, chunks)
+        codec = stripes_codec(cluster, chunks, self.codec)
+        compositions = self.compose_rounds(cluster, stf_node, chunks, codec)
         standby_placer = None
         if self.scenario is RepairScenario.HOT_STANDBY:
             standby_placer = HotStandbyPlacer(cluster)
         for index, comp in enumerate(compositions):
             plan.rounds.append(
                 self._build_round(
-                    cluster, stf_node, index, comp, standby_placer
+                    cluster, stf_node, index, comp, standby_placer, codec
                 )
             )
         return plan
@@ -150,6 +157,7 @@ class RepairPlanner(ABC):
         index: int,
         comp: RoundComposition,
         standby_placer: Optional[HotStandbyPlacer],
+        codec: ErasureCodec,
     ) -> RepairRound:
         all_chunks = comp.reconstruction + comp.migration
         if standby_placer is not None:
@@ -161,7 +169,7 @@ class RepairPlanner(ABC):
         helpers: Dict[int, List[NodeId]] = {}
         if comp.reconstruction:
             helpers = helper_assignment(
-                cluster, stf_node, comp.reconstruction, self.codec
+                cluster, stf_node, comp.reconstruction, codec
             )
         round_ = RepairRound(index=index)
         for chunk in comp.reconstruction:
@@ -199,8 +207,9 @@ class _SetPlanner(RepairPlanner):
         seed: randomization for Algorithm 1 ordering and the R'_x split;
             ``None`` keeps catalog order and R_x's order, so the plan is
             reproducible.
-        codec: the stripes' erasure code, which names the chunks each
-            repair reads; ``None`` reads any ``k`` healthy holders.
+        codec: the stripes' erasure code, whose repair recipe names the
+            chunks each repair reads; ``None`` is the stripes'
+            ``rs(n, k)``.
     """
 
     def __init__(
@@ -218,45 +227,17 @@ class _SetPlanner(RepairPlanner):
         self.group_size = group_size
 
     def _fanin_classes(
-        self, cluster: StorageCluster, chunks: Sequence[ChunkLocation]
+        self, chunks: Sequence[ChunkLocation], codec: ErasureCodec
     ) -> Dict[int, List[ChunkLocation]]:
-        """The STF chunks grouped by repair fan-in, cheapest first.
-
-        Raises:
-            ValueError: the chunks' stripes differ in ``k``, or are not
-                the codec's ``(n, k)``.
-        """
-        stripes = (cluster.stripe(c.stripe_id) for c in chunks)
-        codes = sorted({(stripe.n, stripe.k) for stripe in stripes})
-        codec = self.codec
-        if codec is not None and codes != [(codec.n, codec.k)]:
-            raise ValueError(
-                f"the STF chunks' stripes are (n, k) {codes} but the "
-                f"codec is ({codec.n}, {codec.k})"
-            )
-        ks = sorted({k for _, k in codes})
-        if len(ks) != 1:
-            raise ValueError(
-                f"planner requires a uniform code over the STF chunks; "
-                f"found k values {ks}"
-            )
+        """The STF chunks grouped by repair fan-in, cheapest first."""
         classes: Dict[int, List[ChunkLocation]] = {}
         for chunk in chunks:
-            fanin = repair_fanin(cluster, chunk, codec)
+            fanin = codec.repair_recipe(chunk.chunk_index).fanin
             classes.setdefault(fanin, []).append(chunk)
         return dict(sorted(classes.items()))
 
-    def _cheapest_fanin(self, k: int) -> int:
-        """The fewest helpers any chunk's repair reads under the codec."""
-        codec = self.codec
-        if codec is None:
-            return k
-        return min(
-            len(codec.repair_group(i) or range(k)) for i in range(codec.n)
-        )
-
     def _finder(
-        self, cluster: StorageCluster, stf_node: NodeId
+        self, cluster: StorageCluster, stf_node: NodeId, codec: ErasureCodec
     ) -> ReconstructionSetFinder:
         return ReconstructionSetFinder(
             cluster,
@@ -264,7 +245,7 @@ class _SetPlanner(RepairPlanner):
             optimize=self.optimize,
             group_size=self.group_size,
             seed=self.seed,
-            codec=self.codec,
+            codec=codec,
         )
 
 
@@ -284,14 +265,16 @@ class FastPRPlanner(_SetPlanner):
         #: stats of the last Algorithm 1 run (Experiment B.5)
         self.last_stats = None
 
-    def compose_rounds(self, cluster, stf_node, chunks):
-        classes = self._fanin_classes(cluster, chunks)
-        fanin = self._cheapest_fanin(cluster.stripe(chunks[0].stripe_id).k)
-        model = model_for(cluster, self.scenario, fanin, profile=self.profile)
-        cheapest = classes.pop(fanin, [])
+    def compose_rounds(self, cluster, stf_node, chunks, codec):
+        classes = self._fanin_classes(chunks, codec)
+        recipe = min(
+            map(codec.repair_recipe, range(codec.n)), key=lambda r: r.fanin
+        )
+        model = model_for(cluster, self.scenario, recipe, profile=self.profile)
+        cheapest = classes.pop(recipe.fanin, [])
         compositions: List[RoundComposition] = []
         if cheapest:
-            finder = self._finder(cluster, stf_node)
+            finder = self._finder(cluster, stf_node, codec)
             sets = finder.find_all(cheapest)
             self.last_stats = finder.stats
             compositions = schedule_repair_rounds(
@@ -312,10 +295,10 @@ class ReconstructionOnlyPlanner(_SetPlanner):
 
     name = "reconstruction"
 
-    def compose_rounds(self, cluster, stf_node, chunks):
+    def compose_rounds(self, cluster, stf_node, chunks, codec):
         compositions: List[RoundComposition] = []
-        for group in self._fanin_classes(cluster, chunks).values():
-            sets = self._finder(cluster, stf_node).find_all(group)
+        for group in self._fanin_classes(chunks, codec).values():
+            sets = self._finder(cluster, stf_node, codec).find_all(group)
             compositions.extend(schedule_reconstruction_only(sets))
         return compositions
 
@@ -325,7 +308,7 @@ class MigrationOnlyPlanner(RepairPlanner):
 
     name = "migration"
 
-    def compose_rounds(self, cluster, stf_node, chunks):
+    def compose_rounds(self, cluster, stf_node, chunks, codec):
         return schedule_migration_only(chunks)
 
 

@@ -3,11 +3,14 @@
 A *reconstruction set* is a group of STF-node chunks that can all be
 reconstructed in the same repair round: their stripes can be assigned
 the helpers each repair reads, with every healthy node serving at most
-one chunk in the round (Section IV-B).  A repair reads any ``k``
-healthy holders of its stripe, unless the stripes' codec names a
-smaller repair group (an LRC's ``k' = k/l`` local-group members, the
-paper's Section III extension); :func:`helper_candidates` asks the
-codec.  One finder runs on chunks of one repair fan-in.
+one chunk in the round (Section IV-B).  Which chunks a repair may read
+and how many of them it reads is the stripes' codec's answer,
+:meth:`~repro.ec.codec.ErasureCodec.repair_recipe`: any ``k`` healthy
+holders for RS, an LRC's ``k' = k/l`` local-group members (the paper's
+Section III extension), any ``d`` holders for MSR.
+:func:`repair_reads` is the one place that maps a recipe onto nodes;
+with no codec the stripes' ``rs(n, k)`` answers (:func:`stripes_codec`).
+One finder runs on chunks of one repair fan-in.
 
 The implementation follows the paper's pseudocode:
 
@@ -49,11 +52,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from ..cluster.cluster import StorageCluster
 from ..ec.codec import ErasureCodec
+from ..ec.reed_solomon import ReedSolomonCodec
 from .matching import IncrementalStripeMatcher
 
 
@@ -84,11 +88,10 @@ class ReconstructionSetFinder:
             size and run Algorithm 1 per group (Section IV-D).
         seed: ordering randomization for tie-breaking; ``None`` keeps
             catalog order (deterministic).
-        codec: the stripes' erasure code.  It names the chunks each
-            repair reads (:meth:`~repro.ec.codec.ErasureCodec.\
-repair_group`), per the paper's Section III extension to
-            repair-efficient codes.  ``None`` means any ``k`` healthy
-            holders of the stripe.
+        codec: the stripes' erasure code, whose repair recipe names
+            the chunks each repair reads, per the paper's Section III
+            extension to repair-efficient codes.  ``None`` reads the
+            stripes' ``rs(n, k)`` recipe: any ``k`` healthy holders.
     """
 
     def __init__(
@@ -107,7 +110,7 @@ repair_group`), per the paper's Section III extension to
         self.codec = codec
         self._rng = random.Random(seed) if seed is not None else None
         self.stats = Algorithm1Stats()
-        self._helpers_cache: Dict[tuple, List[NodeId]] = {}
+        self._reads: Dict[tuple, Tuple[int, List[NodeId]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -120,7 +123,8 @@ repair_group`), per the paper's Section III extension to
         chunks = list(chunks)
         if not chunks:
             return []
-        self._k = self._uniform_k(chunks)
+        self._codec = stripes_codec(self.cluster, chunks, self.codec)
+        self._k = self._uniform_fanin(chunks)
         if self._rng is not None:
             self._rng.shuffle(chunks)
         if self.group_size is not None and self.group_size > 0:
@@ -268,59 +272,80 @@ repair_group`), per the paper's Section III extension to
 
     # ------------------------------------------------------------------
 
+    def _read(self, chunk: ChunkLocation) -> Tuple[int, List[NodeId]]:
+        key = (chunk.stripe_id, chunk.chunk_index)
+        read = self._reads.get(key)
+        if read is None:
+            read = self._reads[key] = repair_reads(
+                self.cluster, self.stf_node, chunk, self._codec
+            )
+        return read
+
     def _helpers(self, chunk: ChunkLocation) -> List[NodeId]:
         """Healthy candidate helper nodes for a chunk."""
-        key = (chunk.stripe_id, chunk.chunk_index)
-        cached = self._helpers_cache.get(key)
-        if cached is None:
-            cached = helper_candidates(
-                self.cluster, self.stf_node, chunk, self.codec
-            )
-            self._helpers_cache[key] = cached
-        return cached
+        return self._read(chunk)[1]
 
-    def _uniform_k(self, chunks: Sequence[ChunkLocation]) -> int:
-        ks = {repair_fanin(self.cluster, c, self.codec) for c in chunks}
-        if len(ks) != 1:
+    def _uniform_fanin(self, chunks: Sequence[ChunkLocation]) -> int:
+        fanins = {self._read(c)[0] for c in chunks}
+        if len(fanins) != 1:
             raise ValueError(
-                f"Algorithm 1 requires a uniform code across the STF "
-                f"chunks; found k values {sorted(ks)}"
+                f"Algorithm 1 runs on chunks of one repair fan-in; found "
+                f"{sorted(fanins)}"
             )
-        return ks.pop()
+        return fanins.pop()
 
 
-def repair_fanin(
+def stripes_codec(
     cluster: StorageCluster,
-    chunk: ChunkLocation,
+    chunks: Sequence[ChunkLocation],
     codec: Optional[ErasureCodec] = None,
-) -> int:
-    """Helpers a repair of ``chunk`` reads: the size of its codec repair
-    group, else its stripe's ``k``."""
-    group = None if codec is None else codec.repair_group(chunk.chunk_index)
-    if group is None:
-        return cluster.stripe(chunk.stripe_id).k
-    return len(group)
+) -> ErasureCodec:
+    """The erasure code of the chunks' stripes: ``codec``, else their
+    ``rs(n, k)``.
+
+    Raises:
+        ValueError: the stripes differ in ``(n, k)``, or are not the
+            codec's ``(n, k)``.
+    """
+    codes = sorted(
+        {(cluster.stripe(c.stripe_id).n, cluster.stripe(c.stripe_id).k)
+         for c in chunks}
+    )
+    if len(codes) != 1:
+        raise ValueError(
+            f"planning requires a uniform code over the STF chunks; "
+            f"found (n, k) values {codes}"
+        )
+    codec = codec or ReedSolomonCodec(*codes[0])
+    if codes != [(codec.n, codec.k)]:
+        raise ValueError(
+            f"the STF chunks' stripes are (n, k) {codes} but the codec is "
+            f"({codec.n}, {codec.k})"
+        )
+    return codec
 
 
-def helper_candidates(
+def repair_reads(
     cluster: StorageCluster,
     stf_node: NodeId,
     chunk: ChunkLocation,
-    codec: Optional[ErasureCodec] = None,
-) -> List[NodeId]:
-    """Healthy nodes a repair of ``chunk`` may read from.
+    codec: ErasureCodec,
+) -> Tuple[int, List[NodeId]]:
+    """How many helpers a repair of ``chunk`` reads, and the healthy
+    nodes it may read them from.
 
-    The holders of the chunk's codec repair group, in the codec's
-    order; with no group, every healthy holder of the stripe.
+    One read of the codec's repair recipe.  A repair that reads every
+    candidate lists their holders in the codec's order; one that picks
+    ``fanin`` of them lists the holders in node order, the order
+    Algorithm 1 has always scanned a stripe's helpers in.
     """
-    healthy = cluster.helper_nodes(chunk.stripe_id, exclude={stf_node})
-    group = None if codec is None else codec.repair_group(chunk.chunk_index)
-    if group is None:
-        return healthy
+    recipe = codec.repair_recipe(chunk.chunk_index)
+    healthy = set(cluster.helper_nodes(chunk.stripe_id, exclude={stf_node}))
     stripe = cluster.stripe(chunk.stripe_id)
-    return [
-        node for node in map(stripe.node_of, group) if node in healthy
-    ]
+    nodes = [n for n in map(stripe.node_of, recipe.candidates) if n in healthy]
+    if recipe.fanin < len(recipe.candidates):
+        nodes.sort()
+    return recipe.fanin, nodes
 
 
 def helper_assignment(
@@ -330,7 +355,7 @@ def helper_assignment(
     codec: Optional[ErasureCodec] = None,
 ) -> Dict[int, List[NodeId]]:
     """Assign each stripe of a (feasible) set the helpers its repair
-    reads (``k``, or the codec's repair group).
+    reads (the codec's recipe; ``rs(n, k)``'s with no codec).
 
     Returns stripe_id -> helper node list; raises if the set is not
     actually reconstructable in parallel (which would indicate a bug in
@@ -338,11 +363,13 @@ def helper_assignment(
     """
     if not reconstruction_set:
         return {}
-    matcher = IncrementalStripeMatcher(
-        repair_fanin(cluster, reconstruction_set[0], codec)
-    )
-    for chunk in reconstruction_set:
-        helpers = helper_candidates(cluster, stf_node, chunk, codec)
+    codec = stripes_codec(cluster, reconstruction_set, codec)
+    reads = [
+        repair_reads(cluster, stf_node, chunk, codec)
+        for chunk in reconstruction_set
+    ]
+    matcher = IncrementalStripeMatcher(reads[0][0])
+    for chunk, (_, helpers) in zip(reconstruction_set, reads):
         if not matcher.try_add(chunk.stripe_id, helpers):
             raise ValueError(
                 f"reconstruction set infeasible at chunk {chunk}; was the "

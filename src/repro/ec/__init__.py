@@ -3,7 +3,7 @@
 from .codec import (
     DecodeError,
     ErasureCodec,
-    RepairCost,
+    RepairRecipe,
     make_codec,
     register_codec,
     registered_schemes,
@@ -26,7 +26,7 @@ from .reed_solomon import ReedSolomonCodec
 __all__ = [
     "DecodeError",
     "ErasureCodec",
-    "RepairCost",
+    "RepairRecipe",
     "LocalReconstructionCodec",
     "MsrCodec",
     "ReedSolomonCodec",

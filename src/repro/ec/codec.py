@@ -8,6 +8,14 @@ names them in its figures.
 A codec operates on *stripes*: ``k`` source chunks are encoded into
 ``n`` coded chunks, and any allowed subset of coded chunks can rebuild
 the missing ones.  Chunks are ``bytes``-like buffers of equal length.
+
+A codec answers every question about repairing one lost chunk of a
+healthy stripe in one place, :meth:`ErasureCodec.repair_recipe`: which
+chunks the repair may read, how many of them it reads (the paper's
+``k'``) and how much of a chunk each helper sends.  The planners, the
+cost model and the repair runtime all read that one answer; the
+runtime turns the helpers a plan chose into per-helper GF(2^8)
+coefficients with :meth:`ErasureCodec.recovery_coefficients`.
 """
 
 from __future__ import annotations
@@ -15,7 +23,11 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .matrix import SingularMatrixError, solve
 
 
 class DecodeError(ValueError):
@@ -42,18 +54,22 @@ def normalize_wanted(wanted: Sequence, batch: int) -> List[List[int]]:
 
 
 @dataclass(frozen=True)
-class RepairCost:
-    """Cost of repairing a single lost chunk.
+class RepairRecipe:
+    """How a healthy stripe repairs one lost chunk.
 
     Attributes:
-        helpers: number of distinct helper nodes read from (the paper's
-            ``k'``; ``k`` for RS, ``k/l`` for a local LRC repair).
-        traffic_chunks: repair traffic in units of chunk size (equals
-            ``helpers`` for RS/LRC conventional repair).
+        candidates: the chunk indices the repair may read, in the
+            codec's order.
+        fanin: how many of the candidates one repair reads (the
+            paper's ``k'``: ``k`` for RS, ``k/l`` for an LRC local
+            repair, ``d`` for MSR).
+        traffic: the bytes each helper sends, as a fraction of a chunk
+            (1.0 for whole chunks, ``1/α`` for an MSR sub-symbol).
     """
 
-    helpers: int
-    traffic_chunks: float
+    candidates: Tuple[int, ...]
+    fanin: int
+    traffic: float = 1.0
 
 
 class ErasureCodec(ABC):
@@ -66,6 +82,9 @@ class ErasureCodec(ABC):
     n: int
     #: source chunks per stripe
     k: int
+    #: ``n x k`` generator matrix when every chunk is a GF(2^8)
+    #: combination of the data chunks (RS, LRC; not MSR)
+    _generator: Optional[np.ndarray] = None
 
     @abstractmethod
     def encode(self, data_chunks: Sequence[bytes]) -> List[bytes]:
@@ -127,30 +146,59 @@ class ErasureCodec(ABC):
             for available, want in zip(stripes, per_stripe)
         ]
 
-    @abstractmethod
-    def repair_helpers(self, lost_index: int, alive: Sequence[int]) -> List[int]:
-        """Choose the helper chunk indices used to repair one lost chunk.
+    def repair_recipe(self, lost_index: int) -> RepairRecipe:
+        """How a healthy stripe repairs the chunk at ``lost_index``.
 
-        Returns the (minimal, code-specific) set of surviving chunk
-        indices that a single-chunk repair reads.
+        The MDS answer: any ``k`` of the other ``n - 1`` chunks, each
+        sent whole.  A repair-efficient code overrides it.
+        """
+        if not 0 <= lost_index < self.n:
+            raise ValueError(
+                f"chunk index {lost_index} outside stripe of {self.n}"
+            )
+        others = tuple(i for i in range(self.n) if i != lost_index)
+        return RepairRecipe(candidates=others, fanin=self.k)
+
+    def recovery_coefficients(
+        self, lost_index: int, helper_ids: Sequence[int]
+    ) -> Dict[int, int]:
+        """GF(2^8) coefficients for streaming single-chunk repair.
+
+        The lost chunk equals ``sum(coeff[h] * chunk[h])`` over the
+        helpers (``k`` chunks that span the code, or an LRC's local
+        group), so a repairing node can accumulate each helper packet
+        as it arrives (the runtime's decode thread, Section V).
 
         Raises:
-            DecodeError: if the lost chunk is unrepairable from ``alive``.
+            DecodeError: the helpers include the lost chunk, repeat or
+                do not determine it, or the code's helpers send
+                sub-chunk symbols rather than scaled chunks (MSR).
         """
+        helper_ids = list(helper_ids)
+        if lost_index in helper_ids:
+            raise DecodeError("lost chunk cannot be its own helper")
+        row = self._rebuild_matrix(helper_ids, [lost_index])[0]
+        return {helper: int(c) for helper, c in zip(helper_ids, row)}
 
-    def repair_group(self, lost_index: int) -> Optional[List[int]]:
-        """The chunk indices a healthy-stripe repair of one chunk reads.
-
-        ``None`` (the default) means any ``k`` surviving chunks do.  A
-        repair-efficient code names the smaller fixed set it reads
-        instead (an LRC's local group).  Repair planners choose helpers
-        from this answer alone.
-        """
-        return None
-
-    def single_repair_cost(self) -> RepairCost:
-        """Cost of a single-chunk repair in the common (non-degraded) case."""
-        return RepairCost(helpers=self.k, traffic_chunks=float(self.k))
+    def _rebuild_matrix(
+        self, helper_ids: Sequence[int], wanted: Sequence[int]
+    ) -> np.ndarray:
+        """The ``wanted x helpers`` matrix that turns the helpers' chunks
+        into the wanted ones: the one solve of ``G[helpers]^T X =
+        G[wanted]^T`` behind every decode and repair coefficient."""
+        if self._generator is None:
+            raise DecodeError(
+                f"{self!r} has no per-helper coefficients: its helpers "
+                "send sub-chunk symbols"
+            )
+        generator = self._generator
+        try:
+            return solve(generator[helper_ids].T, generator[wanted].T).T
+        except SingularMatrixError as exc:
+            raise DecodeError(
+                f"helpers {list(helper_ids)} cannot rebuild chunks "
+                f"{list(wanted)}: {exc}"
+            ) from exc
 
     @property
     def storage_overhead(self) -> float:

@@ -18,18 +18,19 @@ Chunk index layout within a stripe:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .codec import (
     DecodeError,
     ErasureCodec,
+    RepairRecipe,
     check_equal_sizes,
     register_codec,
 )
 from .galois import gf_matmul_bytes
-from .matrix import cauchy, identity, invert, matmul, rank
+from .matrix import cauchy, identity, rank
 
 
 class LocalReconstructionCodec(ErasureCodec):
@@ -112,30 +113,19 @@ class LocalReconstructionCodec(ErasureCodec):
         if not missing:
             return result
         check_equal_sizes(list(available.values()))
-
-        # Fast path: single missing chunk repairable within its group.
-        if len(missing) == 1 and missing[0] < self.k + self.l:
-            group = self.group_of(missing[0])
-            members = [m for m in self.local_group_members(group) if m != missing[0]]
-            if all(m in available for m in members):
-                acc = np.zeros(len(next(iter(available.values()))), dtype=np.uint8)
-                for m in members:
-                    np.bitwise_xor(
-                        acc, np.frombuffer(available[m], dtype=np.uint8), out=acc
-                    )
-                result[missing[0]] = acc.tobytes()
-                return result
-
-        # General path: pick k independent generator rows among survivors.
-        helper_ids = self._independent_rows(sorted(available))
+        # One lost chunk with its recipe's candidates at hand reads them
+        # (a local group); otherwise k survivors whose rows span.
+        recipe = self.repair_recipe(missing[0])
+        if len(missing) == 1 and available.keys() >= set(recipe.candidates):
+            helper_ids = list(recipe.candidates[: recipe.fanin])
+        else:
+            helper_ids = self._independent_rows(sorted(available))
         helper_shards = np.stack(
             [np.frombuffer(available[i], dtype=np.uint8) for i in helper_ids]
         )
-        sub_inv = invert(self._generator[helper_ids, :])
-        # G[missing] @ inv(G[helpers]) first: one r x k product over the
-        # bytes instead of rebuilding all k data chunks.
+        # one r x k product over the bytes, not all k data chunks
         rebuilt = gf_matmul_bytes(
-            matmul(self._generator[missing, :], sub_inv), helper_shards
+            self._rebuild_matrix(helper_ids, missing), helper_shards
         )
         for row, idx in enumerate(missing):
             result[idx] = rebuilt[row].tobytes()
@@ -155,54 +145,20 @@ class LocalReconstructionCodec(ErasureCodec):
             f"{len(chosen)} < k={self.k}; stripe unrecoverable"
         )
 
-    def repair_group(self, lost_index: int) -> Optional[List[int]]:
-        """The lost chunk's local group; ``None`` for a global parity."""
-        if lost_index >= self.k + self.l:
-            return None
-        members = self.local_group_members(self.group_of(lost_index))
-        return [m for m in members if m != lost_index]
-
-    def repair_helpers(self, lost_index: int, alive: Sequence[int]) -> List[int]:
-        alive_set = {i for i in alive if i != lost_index}
-        group = self.repair_group(lost_index)
-        if group is not None and alive_set.issuperset(group):
-            return group
-        # Degraded: fall back to a global decode from k independent rows.
-        return self._independent_rows(sorted(alive_set))
-
-    def recovery_coefficients(
-        self, lost_index: int, helper_ids: Sequence[int]
-    ) -> Dict[int, int]:
-        """GF coefficients for streaming single-chunk repair.
-
-        For a local repair (helpers = the lost chunk's local group) the
-        coefficients are all 1 (XOR); in general they come from solving
-        the generator system over the supplied helper rows.
+    def repair_recipe(self, lost_index: int) -> RepairRecipe:
+        """A data chunk or local parity reads the other ``k/l`` members
+        of its local group.  A global parity reads any ``k`` of the data
+        chunks and the other global parities: their generator rows,
+        ``[I; Cauchy]``, form an MDS code, so every ``k`` of them span.
         """
-        helper_ids = list(helper_ids)
-        if lost_index in helper_ids:
-            raise DecodeError("lost chunk cannot be its own helper")
-        group = self.repair_group(lost_index)
-        if group is not None and set(group) == set(helper_ids):
-            return {helper: 1 for helper in helper_ids}
-        if rank(self._generator[helper_ids, :]) != self.k:
-            raise DecodeError(
-                f"helpers {helper_ids} do not span the code (rank < k)"
-            )
-        if len(helper_ids) != self.k:
-            raise DecodeError(
-                f"general LRC repair needs exactly k={self.k} independent "
-                f"helpers, got {len(helper_ids)}"
-            )
-        sub_inv = invert(self._generator[helper_ids, :])
-        row = matmul(self._generator[[lost_index], :], sub_inv)[0]
-        return {helper: int(row[i]) for i, helper in enumerate(helper_ids)}
-
-    def single_repair_cost(self):
-        from .codec import RepairCost
-
-        kprime = self.group_size
-        return RepairCost(helpers=kprime, traffic_chunks=float(kprime))
+        others = super().repair_recipe(lost_index).candidates
+        if lost_index < self.k + self.l:
+            members = self.local_group_members(self.group_of(lost_index))
+            group = tuple(m for m in members if m != lost_index)
+            return RepairRecipe(group, fanin=len(group))
+        local_parities = range(self.k, self.k + self.l)
+        spanning = tuple(i for i in others if i not in local_parities)
+        return RepairRecipe(spanning, fanin=self.k)
 
 
 def _lrc_factory(k: int, l: int, g: int) -> LocalReconstructionCodec:

@@ -2,7 +2,7 @@
 
 Provides the small dense-matrix operations needed by the Reed-Solomon
 and LRC codecs: construction of Vandermonde and Cauchy matrices,
-Gauss-Jordan inversion, rank, and systematic-form conversion.
+Gauss-Jordan inversion and solve, rank, and systematic-form conversion.
 
 Matrices are plain ``uint8`` numpy arrays; all arithmetic routes through
 :mod:`repro.ec.galois`.
@@ -85,28 +85,35 @@ def invert(matrix: np.ndarray) -> np.ndarray:
     n, m = matrix.shape
     if n != m:
         raise ValueError(f"cannot invert non-square matrix {matrix.shape}")
-    # Work on [A | I] with int rows for convenience.
-    work = np.concatenate([matrix.astype(np.int32), np.eye(n, dtype=np.int32)], axis=1)
-    for col in range(n):
-        # Find pivot.
-        pivot_row = next((r for r in range(col, n) if work[r, col] != 0), None)
+    return solve(matrix, identity(n))
+
+
+def solve(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The one ``X`` with ``matrix @ X = targets`` over GF(2^8).
+
+    ``matrix`` is ``rows x cols``, ``targets`` ``rows x t``; Gauss-Jordan
+    elimination on the augmented rows.
+
+    Raises:
+        SingularMatrixError: the columns are dependent (no unique
+            ``X``) or no combination of them gives a target.
+    """
+    work = np.concatenate([matrix, targets], axis=1).astype(np.uint8).tolist()
+    rows, cols = len(work), matrix.shape[1]
+    for col in range(cols):
+        pivot_row = next((r for r in range(col, rows) if work[r][col]), None)
         if pivot_row is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-        # Scale pivot row to make the pivot 1.
-        pivot = int(work[col, col])
-        if pivot != 1:
-            for j in range(2 * n):
-                work[col, j] = gf_div(int(work[col, j]), pivot)
-        # Eliminate the column from every other row.
-        for r in range(n):
-            if r == col or work[r, col] == 0:
-                continue
-            factor = int(work[r, col])
-            for j in range(2 * n):
-                work[r, j] ^= gf_mul(factor, int(work[col, j]))
-    return work[:, n:].astype(np.uint8)
+            raise SingularMatrixError(f"columns are dependent at column {col}")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        row = work[col] = [gf_div(v, pivot) for v in work[col]]
+        for r in range(rows):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [v ^ gf_mul(factor, p) for v, p in zip(work[r], row)]
+    if any(any(work[r][cols:]) for r in range(cols, rows)):
+        raise SingularMatrixError("no combination of the columns is a target")
+    return np.array([r[cols:] for r in work[:cols]], dtype=np.uint8)
 
 
 def rank(matrix: np.ndarray) -> int:

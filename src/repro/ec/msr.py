@@ -28,14 +28,14 @@ packs the ``k`` input chunks into the message matrices and returns the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .codec import (
     DecodeError,
     ErasureCodec,
-    RepairCost,
+    RepairRecipe,
     check_equal_sizes,
     register_codec,
 )
@@ -182,14 +182,12 @@ class MsrCodec(ErasureCodec):
     # Repair-by-transfer
     # ------------------------------------------------------------------
 
-    def repair_helpers(self, lost_index: int, alive: Sequence[int]) -> List[int]:
-        alive = [i for i in alive if i != lost_index]
-        if len(alive) < self.d:
-            raise DecodeError(
-                f"MSR repair of chunk {lost_index} needs d={self.d} helpers, "
-                f"only {len(alive)} alive"
-            )
-        return sorted(alive)[: self.d]
+    def repair_recipe(self, lost_index: int) -> RepairRecipe:
+        """Any ``d`` of the other chunks, each sending one sub-symbol
+        (``1/α`` of a chunk): :meth:`repair_symbol` on the helpers,
+        :meth:`repair_from_symbols` at the destination."""
+        others = super().repair_recipe(lost_index).candidates
+        return RepairRecipe(others, fanin=self.d, traffic=1 / self.alpha)
 
     def repair_symbol(
         self, helper_index: int, helper_chunk: bytes, lost_index: int
@@ -252,11 +250,6 @@ class MsrCodec(ErasureCodec):
             np.bitwise_xor(out[j], s1_phi[j], out=out[j])
             gf_addmul_bytes(out[j], lam_f, s2_phi[j])
         return out.reshape(-1).tobytes()
-
-    def single_repair_cost(self) -> RepairCost:
-        return RepairCost(
-            helpers=self.d, traffic_chunks=self.d / self.alpha
-        )
 
     # ------------------------------------------------------------------
     # Data reconstruction from any k nodes

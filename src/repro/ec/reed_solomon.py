@@ -25,7 +25,7 @@ from .codec import (
     register_codec,
 )
 from .galois import gf_matmul_bytes
-from .matrix import cauchy, identity, invert, matmul, SingularMatrixError
+from .matrix import cauchy, identity
 
 
 #: input bytes ``encode_batch`` stacks per matmul (4 stripes of rs(9,6)
@@ -184,15 +184,9 @@ class ReedSolomonCodec(ErasureCodec):
                     helpers[row, col * size : (col + 1) * size] = (
                         np.frombuffer(stripes[i][h], dtype=np.uint8)
                     )
-            sub = self._generator[helper_ids, :]
-            try:
-                sub_inv = invert(sub)
-            except SingularMatrixError as exc:  # pragma: no cover
-                raise DecodeError(f"singular decode submatrix: {exc}") from exc
-            # rebuild = G[missing] @ inv(G[helpers]) @ helpers: fold the
-            # two small matrices first so only one wide product runs.
+            # one small solve, then one wide product over the bytes
             rebuild = gf_matmul_bytes(
-                matmul(self._generator[missing, :], sub_inv), helpers
+                self._rebuild_matrix(helper_ids, missing), helpers
             )
             for col, i in enumerate(members):
                 out = {
@@ -234,16 +228,9 @@ class ReedSolomonCodec(ErasureCodec):
         helper_shards = np.stack(
             [np.frombuffer(available[i], dtype=np.uint8) for i in helper_ids]
         )
-        # helpers = G[helper_ids] @ data  =>  data = inv(G[helper_ids]) @ helpers
-        sub = self._generator[helper_ids, :]
-        try:
-            sub_inv = invert(sub)
-        except SingularMatrixError as exc:  # cannot happen for Cauchy RS
-            raise DecodeError(f"singular decode submatrix: {exc}") from exc
-        # rebuilt = G[missing] @ data: fold the two small matrices first
-        # so one r x k product runs over the bytes, not k x k and r x k.
+        # one r x k product over the bytes, not k x k and then r x k
         rebuilt = gf_matmul_bytes(
-            matmul(self._generator[missing, :], sub_inv), helper_shards
+            self._rebuild_matrix(helper_ids, missing), helper_shards
         )
         for row, idx in enumerate(missing):
             result[idx] = rebuilt[row].tobytes()
@@ -251,43 +238,6 @@ class ReedSolomonCodec(ErasureCodec):
             if len(result[i]) != size:
                 raise AssertionError("decoded size mismatch")
         return result
-
-    def repair_helpers(self, lost_index: int, alive: Sequence[int]) -> List[int]:
-        alive = [i for i in alive if i != lost_index]
-        if len(alive) < self.k:
-            raise DecodeError(
-                f"cannot repair chunk {lost_index}: only {len(alive)} "
-                f"survivors, need {self.k}"
-            )
-        return sorted(alive)[: self.k]
-
-    def recovery_coefficients(
-        self, lost_index: int, helper_ids: Sequence[int]
-    ) -> Dict[int, int]:
-        """GF coefficients for streaming single-chunk repair.
-
-        The lost chunk equals ``sum(coeff[h] * chunk[h])`` over the
-        ``k`` helpers, so a repairing node can accumulate each helper
-        packet as it arrives (the runtime's decode thread, Section V).
-
-        Raises:
-            DecodeError: if ``helper_ids`` is not exactly ``k`` distinct
-                surviving indices.
-        """
-        helper_ids = list(helper_ids)
-        if len(helper_ids) != self.k or len(set(helper_ids)) != self.k:
-            raise DecodeError(
-                f"need exactly k={self.k} distinct helpers, got {helper_ids}"
-            )
-        if lost_index in helper_ids:
-            raise DecodeError("lost chunk cannot be its own helper")
-        sub = self._generator[helper_ids, :]
-        try:
-            sub_inv = invert(sub)
-        except SingularMatrixError as exc:
-            raise DecodeError(f"singular helper submatrix: {exc}") from exc
-        row = matmul(self._generator[[lost_index], :], sub_inv)[0]
-        return {helper: int(row[i]) for i, helper in enumerate(helper_ids)}
 
 
 def _rs_factory(n: int, k: int) -> ReedSolomonCodec:

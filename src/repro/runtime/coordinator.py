@@ -692,6 +692,8 @@ def _commands(
 def _source_coefficients(
     cluster: StorageCluster, codec: ErasureCodec, action: ChunkRepairAction
 ) -> Dict[NodeId, int]:
+    """Each source node's GF coefficient: 1 for a migration, the
+    codec's solve over the helpers' chunks for a reconstruction."""
     if action.method is RepairMethod.MIGRATION:
         return {action.sources[0]: 1}
     stripe = cluster.stripe(action.stripe_id)

@@ -57,13 +57,18 @@ from ..core.analysis import optimal_packet_size
 from ..core.plan import RepairPlan
 from ..core.planner import profile_from_cluster
 from ..core.scheduling import HelperBudget
-from ..ec.codec import ErasureCodec
+from ..ec.codec import DecodeError, ErasureCodec
 from ..ec.reed_solomon import WINDOW_BYTES
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .agent import Agent
 from .config import DEFAULT_CONFIG, RuntimeConfig
-from .coordinator import COORDINATOR_ID, Coordinator, RuntimeResult
+from .coordinator import (
+    COORDINATOR_ID,
+    Coordinator,
+    RuntimeResult,
+    _source_coefficients,
+)
 from .datanode import ChunkStore
 from .faults import CoordinatorCrashFault, FaultInjector, FaultPlan
 from .journal import CoordinatorCrash, RepairJournal
@@ -676,9 +681,26 @@ class RepairDriver:
     def execute(
         self, plan: RepairPlan, packet_size: Optional[int] = None
     ) -> Result:
-        """Run ``plan`` from the top on the live coordinator(s)."""
+        """Run ``plan`` from the top on the live coordinator(s).
+
+        Raises:
+            ValueError: before any command is sent, when the codec has
+                no per-helper coefficients for one of the plan's
+                reconstructions (an MSR repair, whose helpers send
+                sub-chunk symbols, or helpers that do not determine
+                the lost chunk).  Migrations need none.
+        """
         if packet_size is not None:
             self._fitting(packet_size, self.max_packet)
+        for action in plan.actions():
+            try:
+                _source_coefficients(self.cluster, self.codec, action)
+            except DecodeError as exc:
+                raise ValueError(
+                    f"{self.codec!r} cannot run the reconstruction of chunk "
+                    f"({action.stripe_id}, {action.chunk_index}) from nodes "
+                    f"{list(action.sources)}: {exc}"
+                ) from exc
         self.arm_faults()
         runner = self.multi or self.coordinator
         return self._supervised(

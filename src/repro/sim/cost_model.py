@@ -57,8 +57,12 @@ def evaluate_plan(
     """Compute a repair plan's time and traffic with the cost model.
 
     Each reconstruction is priced by the helpers it reads
-    (``len(action.sources)``): ``k`` for RS, ``k'`` for an LRC local
-    repair; a round takes the fan-in of its widest reconstruction.
+    (``len(action.sources)`` whole chunks): ``k`` for RS, ``k'`` for an
+    LRC local repair; a round takes the fan-in of its widest
+    reconstruction.  An MSR plan's ``d`` helpers send ``1/α`` of a
+    chunk each (its repair recipe's ``traffic``), so this over-prices
+    it until regenerating repair runs through the runtime (ROADMAP
+    item 6(b)).
 
     Args:
         cluster: supplies M, h, bandwidths and the chunk size.

@@ -1,8 +1,9 @@
 """Tests for LRC-aware predictive repair planning.
 
-The planners take the stripes' codec; an LRC's codec names each
-chunk's local group as the chunks its repair reads (the paper's
-Section III extension).
+The planners take the stripes' codec; an LRC's repair recipe names
+each chunk's local group as the chunks its repair reads (the paper's
+Section III extension), and a global parity's as the data chunks plus
+the other global parities.
 """
 
 import hashlib
@@ -13,8 +14,9 @@ import pytest
 from repro.cluster import StorageCluster
 from repro.core.plan import RepairMethod, RepairScenario
 from repro.core.planner import FastPRPlanner, ReconstructionOnlyPlanner
-from repro.core.reconstruction_sets import helper_candidates, repair_fanin
+from repro.core.reconstruction_sets import repair_reads
 from repro.ec import make_codec
+from repro.runtime import EmulatedTestbed
 from repro.sim.cost_model import evaluate_plan
 
 
@@ -47,7 +49,8 @@ class TestHelperCandidates:
         for chunk in cluster.chunks_on_node(stf):
             if chunk.chunk_index >= codec.k + codec.l:
                 continue
-            helpers = helper_candidates(cluster, stf, chunk, codec)
+            fanin, helpers = repair_reads(cluster, stf, chunk, codec)
+            assert fanin == codec.group_size
             stripe = cluster.stripe(chunk.stripe_id)
             group = codec.group_of(chunk.chunk_index)
             member_nodes = {
@@ -58,17 +61,26 @@ class TestHelperCandidates:
             assert set(helpers) <= member_nodes
             assert len(helpers) <= codec.group_size
 
-    def test_global_parity_reads_any_k_holders(self, codec, lrc_cluster):
-        # A global parity has no local group: its repair is an ordinary
-        # k-helper decode from any healthy holder of the stripe.
+    def test_global_parity_reads_data_and_other_globals(
+        self, codec, lrc_cluster
+    ):
+        # A global parity reads k of the data chunks and the other
+        # global parities, never a local parity: k chunks that include
+        # a local parity and its whole group do not span the code.
         cluster, stf = lrc_cluster
         globals_ = global_parities(codec, cluster, stf)
         assert globals_
         for chunk in globals_:
-            assert codec.repair_group(chunk.chunk_index) is None
-            assert helper_candidates(
-                cluster, stf, chunk, codec
-            ) == cluster.helper_nodes(chunk.stripe_id, exclude={stf})
+            fanin, helpers = repair_reads(cluster, stf, chunk, codec)
+            stripe = cluster.stripe(chunk.stripe_id)
+            allowed = {
+                stripe.node_of(i)
+                for i in (*range(codec.k), *range(codec.k + codec.l, codec.n))
+                if i != chunk.chunk_index
+            }
+            assert fanin == codec.k
+            assert set(helpers) == allowed - {stf}
+            assert helpers == sorted(helpers)
 
 
 class TestSplit:
@@ -76,7 +88,7 @@ class TestSplit:
         # Local chunks repair with fan-in k' = k/l, global parities k.
         cluster, stf = lrc_cluster
         for chunk in cluster.chunks_on_node(stf):
-            fanin = repair_fanin(cluster, chunk, codec)
+            fanin = codec.repair_recipe(chunk.chunk_index).fanin
             if chunk.chunk_index < 8:
                 assert fanin == codec.group_size
             else:
@@ -215,9 +227,60 @@ class TestLrcReconstructionOnly:
         assert result.bytes_transferred == expected
 
 
+def golden_lrc_cluster(codec, seed, **options):
+    cluster = StorageCluster.random(
+        20, 60, codec.n, codec.k, num_hot_standby=2, seed=40 + seed, **options
+    )
+    stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+    cluster.node(stf).mark_soon_to_fail()
+    return cluster, stf
+
+
+class TestGlobalParityRepairsDecode:
+    """Every reconstruction a plan holds has coefficients that solve:
+    a global parity's helpers span the code."""
+
+    @pytest.mark.parametrize("scenario", list(RepairScenario))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_reconstruction_solves(self, codec, scenario, seed):
+        cluster, stf = golden_lrc_cluster(codec, seed)
+        plan = ReconstructionOnlyPlanner(
+            scenario=scenario, seed=seed, codec=codec
+        ).plan(cluster, stf)
+        repaired_globals = 0
+        for action in plan.actions():
+            stripe = cluster.stripe(action.stripe_id)
+            helpers = [stripe.chunk_index_on(n) for n in action.sources]
+            # raises DecodeError when the helpers do not span the code
+            coeffs = codec.recovery_coefficients(action.chunk_index, helpers)
+            assert sorted(coeffs) == sorted(helpers)
+            repaired_globals += action.chunk_index >= codec.k + codec.l
+        assert repaired_globals
+
+    def test_plan_runs_on_the_testbed(self, codec, tmp_path):
+        cluster, stf = golden_lrc_cluster(
+            codec,
+            0,
+            chunk_size=16 * 1024,
+            disk_bandwidth=400e6,
+            network_bandwidth=880e6,
+        )
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
+        assert any(
+            a.chunk_index >= codec.k + codec.l for a in plan.actions()
+        )
+        with EmulatedTestbed(cluster, codec, workdir=tmp_path) as testbed:
+            testbed.load_random_data(seed=44)
+            testbed.execute(plan)
+            assert testbed.verify_plan(plan) == plan.total_chunks
+
+
 # sha256(json(plan.to_dict()))[:16] of LRC(6,2,2) plans on a 20-node
 # cluster with two hot standbys; every STF node here holds global
 # parities, so each plan mixes local repairs with global-parity ones.
+# A global parity reads k of the data chunks and the other globals.
 GOLDEN_LRC_PLAN_DIGESTS = {
     ("fastpr", RepairScenario.SCATTERED, 0): "92bb1fd6c01e677e",
     ("fastpr", RepairScenario.SCATTERED, 1): "6622976d374b5fee",
@@ -225,12 +288,12 @@ GOLDEN_LRC_PLAN_DIGESTS = {
     ("fastpr", RepairScenario.HOT_STANDBY, 0): "49ea27463b2baca7",
     ("fastpr", RepairScenario.HOT_STANDBY, 1): "80bc3af9971efe99",
     ("fastpr", RepairScenario.HOT_STANDBY, 2): "32ea6fb6e755ef7a",
-    ("reconstruction", RepairScenario.SCATTERED, 0): "5d5eac7df8e2a8ab",
-    ("reconstruction", RepairScenario.SCATTERED, 1): "ace2af58887245c6",
-    ("reconstruction", RepairScenario.SCATTERED, 2): "e96fea7939b15b1a",
-    ("reconstruction", RepairScenario.HOT_STANDBY, 0): "4618f769214f31aa",
-    ("reconstruction", RepairScenario.HOT_STANDBY, 1): "2b5b679141b4d82c",
-    ("reconstruction", RepairScenario.HOT_STANDBY, 2): "6ac81b88b4e0e0a0",
+    ("reconstruction", RepairScenario.SCATTERED, 0): "546ed6cf54760806",
+    ("reconstruction", RepairScenario.SCATTERED, 1): "9781382b980c0555",
+    ("reconstruction", RepairScenario.SCATTERED, 2): "93011d3c961c0ff1",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 0): "fb847c834c3e4d83",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 1): "5794a486b7b88d41",
+    ("reconstruction", RepairScenario.HOT_STANDBY, 2): "2e1919e17f30b87e",
 }
 
 LRC_PLANNERS = {
@@ -245,11 +308,7 @@ class TestGoldenLrcPlans:
         sorted(GOLDEN_LRC_PLAN_DIGESTS, key=lambda p: (p[0], p[1].name, p[2])),
     )
     def test_plan_digest_unchanged(self, codec, planner, scenario, seed):
-        cluster = StorageCluster.random(
-            20, 60, codec.n, codec.k, num_hot_standby=2, seed=40 + seed
-        )
-        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
-        cluster.node(stf).mark_soon_to_fail()
+        cluster, stf = golden_lrc_cluster(codec, seed)
         assert any(
             c.chunk_index >= codec.k + codec.l
             for c in cluster.chunks_on_node(stf)

@@ -20,6 +20,9 @@ from repro.core.planner import (
 )
 from repro.ec import make_codec
 
+#: the repair a small_cluster stripe runs: any 3 of the other 4 chunks
+RS53 = make_codec("rs(5,3)").repair_recipe(0)
+
 
 class TestModelFor:
     def test_profile_from_cluster(self, small_cluster):
@@ -28,18 +31,24 @@ class TestModelFor:
         assert profile.disk_bandwidth == small_cluster.disk_bandwidth
 
     def test_scattered_model(self, small_cluster):
-        model = model_for(small_cluster, RepairScenario.SCATTERED, k=3)
+        model = model_for(small_cluster, RepairScenario.SCATTERED, RS53)
         assert not model.is_hot_standby
         assert model.num_nodes == 12
 
     def test_hot_standby_model(self, small_cluster):
-        model = model_for(small_cluster, RepairScenario.HOT_STANDBY, k=3)
+        model = model_for(small_cluster, RepairScenario.HOT_STANDBY, RS53)
         assert model.hot_standby == 3
+
+    def test_model_prices_the_recipe(self, small_cluster):
+        msr = make_codec("msr(5,3)").repair_recipe(0)
+        model = model_for(small_cluster, RepairScenario.SCATTERED, msr)
+        assert model.repair_fanin == 4
+        assert model.traffic_fraction == 0.5
 
     def test_hot_standby_without_standbys(self):
         cluster = StorageCluster(6)
         with pytest.raises(ValueError, match="standby"):
-            model_for(cluster, RepairScenario.HOT_STANDBY, k=3)
+            model_for(cluster, RepairScenario.HOT_STANDBY, RS53)
 
 
 class TestFastPRPlanner:
@@ -135,18 +144,26 @@ class TestBaselinePlanners:
             assert action.method is RepairMethod.MIGRATION
             assert action.sources == (stf,)
 
-    @pytest.mark.parametrize("planner", [FastPRPlanner, ReconstructionOnlyPlanner])
-    def test_codec_without_repair_groups_plans_like_no_codec(
-        self, stf_cluster, planner
-    ):
-        # An MSR repair reads d = 2k-2 helpers but names no fixed group:
-        # every chunk repairs from any k holders, exactly as with no codec.
+    @pytest.mark.parametrize(
+        "planner",
+        [FastPRPlanner, ReconstructionOnlyPlanner],
+        ids=["fastpr", "reconstruction"],
+    )
+    def test_msr_plan_reads_d_helpers(self, stf_cluster, planner):
+        # An MSR repair reads any d = 2k-2 holders.  Every chunk shares
+        # that fan-in, so FastPR plans them all as its cheapest class
+        # rather than migrating every chunk in round 0.
         cluster, stf = stf_cluster
         codec = make_codec("msr(5,3)")
-        plain = planner(seed=0).plan(cluster, stf)
-        with_codec = planner(seed=0, codec=codec).plan(cluster, stf)
-        assert with_codec.to_dict() == plain.to_dict()
-        assert with_codec.reconstructed_chunks > 0
+        with_codec = planner(seed=0, codec=codec)
+        plan = with_codec.plan(cluster, stf)
+        plan.validate(cluster)
+        assert plan.reconstructed_chunks > 0
+        for action in plan.actions():
+            if action.method is RepairMethod.RECONSTRUCTION:
+                assert len(action.sources) == codec.d
+        if planner is FastPRPlanner:
+            assert with_codec.last_stats is not None
 
     def test_fastpr_no_more_rounds_than_reconstruction(self, medium_cluster):
         stf = max(medium_cluster.storage_node_ids(), key=medium_cluster.load_of)

@@ -14,7 +14,6 @@ from repro.core.planner import FastPRPlanner
 from repro.core.reconstruction_sets import (
     ReconstructionSetFinder,
     helper_assignment,
-    repair_fanin,
 )
 from repro.ec import make_codec
 
@@ -317,7 +316,7 @@ class TestExactSkips:
         cluster.node(stf).mark_soon_to_fail()
         classes = {}
         for chunk in cluster.chunks_on_node(stf):
-            fanin = repair_fanin(cluster, chunk, codec)
+            fanin = codec.repair_recipe(chunk.chunk_index).fanin
             classes.setdefault(fanin, []).append(chunk)
         for chunks in classes.values():
             assert_same_sets(cluster, stf, chunks, codec=codec, **options)

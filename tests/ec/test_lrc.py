@@ -37,9 +37,9 @@ class TestConstruction:
             LocalReconstructionCodec(4, 2, -1)
 
     def test_single_repair_cost_is_group_size(self, lrc):
-        cost = lrc.single_repair_cost()
-        assert cost.helpers == 3
-        assert cost.traffic_chunks == 3.0
+        recipe = lrc.repair_recipe(0)
+        assert recipe.fanin == 3
+        assert recipe.traffic == 1.0
 
 
 class TestGroups:
@@ -129,15 +129,16 @@ class TestEncodeDecode:
 
 class TestRepairHelpers:
     def test_local_helpers_preferred(self, lrc):
-        helpers = lrc.repair_helpers(1, [i for i in range(10) if i != 1])
-        assert sorted(helpers) == [0, 2, 6]
+        recipe = lrc.repair_recipe(1)
+        assert recipe.candidates == (0, 2, 6)
+        assert recipe.fanin == 3
 
     def test_degraded_falls_back_to_global(self, lrc):
-        alive = [i for i in range(10) if i not in (1, 2)]
-        helpers = lrc.repair_helpers(1, alive)
-        assert len(helpers) == 6
-        assert 1 not in helpers
-        assert 2 not in helpers
+        # Chunks 1 and 2 lost: the local group is broken, so chunk 1
+        # decodes from k chunks that span the code, globals included.
+        coded = lrc.encode(random_chunks(6, 32, seed=11))
+        alive = {i: coded[i] for i in range(10) if i not in (1, 2)}
+        assert lrc.decode(alive, [1])[1] == coded[1]
 
 
 class TestRecoveryCoefficients:

@@ -47,10 +47,10 @@ class TestConstruction:
         # Same per-node storage as RS (storage-optimal)...
         assert codec.storage_overhead == pytest.approx(2.0)
         # ...but repair traffic d/alpha = 2 chunks instead of k = 3.
-        cost = codec.single_repair_cost()
-        assert cost.helpers == 4
-        assert cost.traffic_chunks == pytest.approx(2.0)
-        assert cost.traffic_chunks < codec.k
+        recipe = codec.repair_recipe(0)
+        assert recipe.fanin == 4
+        assert recipe.fanin * recipe.traffic == pytest.approx(2.0)
+        assert recipe.fanin * recipe.traffic < codec.k
 
 
 class TestEncode:
@@ -113,9 +113,8 @@ class TestRepairByTransfer:
     def test_every_node_repairable(self, codec, coded):
         _, chunks = coded
         for lost in range(6):
-            helpers = codec.repair_helpers(
-                lost, [i for i in range(6) if i != lost]
-            )
+            recipe = codec.repair_recipe(lost)
+            helpers = recipe.candidates[: recipe.fanin]
             symbols = {
                 h: codec.repair_symbol(h, chunks[h], lost) for h in helpers
             }
@@ -128,7 +127,7 @@ class TestRepairByTransfer:
 
     def test_total_repair_traffic_below_rs(self, codec, coded):
         _, chunks = coded
-        helpers = codec.repair_helpers(0, list(range(1, 6)))
+        helpers = codec.repair_recipe(0).candidates[: codec.d]
         total = sum(
             len(codec.repair_symbol(h, chunks[h], 0)) for h in helpers
         )
@@ -136,9 +135,11 @@ class TestRepairByTransfer:
         assert total == 2 * len(chunks[0])
         assert total < rs_traffic
 
-    def test_too_few_helpers(self, codec):
-        with pytest.raises(DecodeError, match="helpers"):
-            codec.repair_helpers(0, [1, 2, 3])
+    def test_too_few_helpers(self, codec, coded):
+        _, chunks = coded
+        symbols = {h: codec.repair_symbol(h, chunks[h], 0) for h in (1, 2, 3)}
+        with pytest.raises(DecodeError, match="need 4 repair symbols"):
+            codec.repair_from_symbols(0, symbols)
 
     def test_too_few_symbols(self, codec, coded):
         _, chunks = coded
@@ -166,8 +167,9 @@ class TestLargerParameters:
         data = random_chunks(6, 6 * 5, seed=4)  # divisible by alpha=5
         chunks = codec.encode(data)
         assert codec.decode_data({i: chunks[i] for i in range(5, 11)}) == data
-        helpers = codec.repair_helpers(2, [i for i in range(11) if i != 2])
+        recipe = codec.repair_recipe(2)
+        helpers = recipe.candidates[: recipe.fanin]
         symbols = {h: codec.repair_symbol(h, chunks[h], 2) for h in helpers}
         assert codec.repair_from_symbols(2, symbols) == chunks[2]
         # Repair traffic: d/alpha = 10/5 = 2 chunks vs k = 6 for RS.
-        assert codec.single_repair_cost().traffic_chunks == pytest.approx(2.0)
+        assert recipe.fanin * recipe.traffic == pytest.approx(2.0)

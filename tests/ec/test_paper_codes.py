@@ -37,9 +37,8 @@ class TestPaperCodes:
         codec = make_codec(scheme)
         coded = codec.encode(random_chunks(codec.k, 64, seed=1))
         for lost in range(codec.n):
-            helpers = codec.repair_helpers(
-                lost, [i for i in range(codec.n) if i != lost]
-            )
+            recipe = codec.repair_recipe(lost)
+            helpers = recipe.candidates[: recipe.fanin]
             assert len(helpers) == codec.k
             rebuilt = codec.decode(
                 {i: coded[i] for i in helpers}, [lost]
@@ -57,9 +56,9 @@ class TestPaperCodes:
 
     def test_repair_traffic_is_k_chunks(self, scheme):
         codec = make_codec(scheme)
-        cost = codec.single_repair_cost()
-        assert cost.helpers == codec.k
-        assert cost.traffic_chunks == float(codec.k)
+        recipe = codec.repair_recipe(0)
+        assert recipe.fanin == codec.k
+        assert recipe.fanin * recipe.traffic == float(codec.k)
 
     def test_streaming_coefficients_match_decode(self, scheme):
         from repro.ec.galois import gf_mul_bytes

@@ -41,9 +41,9 @@ class TestConstruction:
         assert ReedSolomonCodec(9, 6).storage_overhead == pytest.approx(1.5)
 
     def test_single_repair_cost(self):
-        cost = ReedSolomonCodec(14, 10).single_repair_cost()
-        assert cost.helpers == 10
-        assert cost.traffic_chunks == 10.0
+        recipe = ReedSolomonCodec(14, 10).repair_recipe(3)
+        assert recipe.fanin == 10
+        assert recipe.traffic == 1.0
 
 
 class TestEncode:
@@ -126,14 +126,14 @@ class TestDecode:
 class TestRepairHelpers:
     def test_returns_k_survivors(self):
         codec = ReedSolomonCodec(9, 6)
-        helpers = codec.repair_helpers(2, list(range(9)))
-        assert len(helpers) == 6
-        assert 2 not in helpers
+        recipe = codec.repair_recipe(2)
+        assert recipe.fanin == 6
+        assert recipe.candidates == (0, 1, 3, 4, 5, 6, 7, 8)
 
     def test_too_few_survivors(self):
         codec = ReedSolomonCodec(9, 6)
         with pytest.raises(DecodeError):
-            codec.repair_helpers(0, [0, 1, 2, 3])
+            codec.recovery_coefficients(0, [1, 2, 3])
 
 
 class TestRecoveryCoefficients:

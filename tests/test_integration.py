@@ -133,6 +133,39 @@ class TestRuntimeAgainstSimulator:
             testbed.execute(plan)
             testbed.verify_plan(plan)
 
+    def test_msr_reconstruction_refused_before_any_command(self, tmp_path):
+        """The runtime streams scaled whole chunks; an MSR helper sends a
+        sub-chunk symbol, so a plan that reconstructs under MSR is
+        refused up front, while a migration-only plan still runs."""
+        codec = make_codec("msr(5,3)")
+        cluster = StorageCluster.random(
+            10,
+            8,
+            codec.n,
+            codec.k,
+            seed=5,
+            disk_bandwidth=400e6,
+            network_bandwidth=880e6,
+            chunk_size=16 * 1024,
+        )
+        stf = max(cluster.storage_node_ids(), key=cluster.load_of)
+        cluster.node(stf).mark_soon_to_fail()
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(cluster, stf)
+        first = next(iter(plan.actions()))
+        with EmulatedTestbed(cluster, codec, workdir=tmp_path) as testbed:
+            testbed.load_random_data(seed=6)
+            frames = testbed.network.net.frames_sent
+            before = frames.total()
+            with pytest.raises(ValueError) as refused:
+                testbed.execute(plan)
+            assert frames.total() == before
+            message = str(refused.value)
+            assert "MsrCodec(n=5, k=3)" in message
+            assert f"({first.stripe_id}, {first.chunk_index})" in message
+            migrate = MigrationOnlyPlanner().plan(cluster, stf)
+            testbed.execute(migrate)
+            assert testbed.verify_plan(migrate) == migrate.total_chunks
+
     def test_hot_standby_promotion_story(self, tmp_path):
         cluster = StorageCluster.random(
             8,

@@ -10,15 +10,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
+    AnalyticalModel,
     FastPRPlanner,
     MigrationOnlyPlanner,
+    MsrCodec,
     ReconstructionOnlyPlanner,
     make_codec,
 )
 from repro.cluster import StorageCluster
 from repro.cluster import snapshot as snapshot_mod
 from repro.core import apply_plan
+from repro.ec import registered_schemes
+from repro.ec.galois import gf_addmul_bytes
 from repro.sim import evaluate_plan
+
+#: parameters for every registered scheme, the paper's codes included
+RECIPE_SCHEMES = {
+    "rs(9,6)", "rs(14,10)", "rs(16,12)",
+    "lrc(6,2,2)", "lrc(12,2,2)", "lrc(12,3,2)", "lrc(4,2,1)", "lrc(6,3,3)",
+    "msr(6,3)", "msr(11,6)",
+}
 
 relaxed = settings(
     max_examples=10,
@@ -57,9 +68,61 @@ class TestCodecInterchangeability:
     @given(st.sampled_from(["rs(9,6)", "lrc(6,2,2)", "msr(6,3)"]))
     def test_repair_cost_within_bounds(self, scheme):
         codec = make_codec(scheme)
-        cost = codec.single_repair_cost()
-        assert 1 <= cost.helpers <= codec.n - 1
-        assert 0 < cost.traffic_chunks <= codec.k
+        for lost in range(codec.n):
+            recipe = codec.repair_recipe(lost)
+            assert 1 <= recipe.fanin <= len(recipe.candidates) <= codec.n - 1
+            assert lost not in recipe.candidates
+            assert 0 < recipe.fanin * recipe.traffic <= codec.k
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.sampled_from(sorted(RECIPE_SCHEMES)), st.data())
+    def test_recipe_rebuilds_the_lost_chunk(self, scheme, data):
+        # Any fanin-subset of the candidates, combined per the codec,
+        # equals the lost chunk; and fanin x traffic is what the model
+        # prices for the codec's cheapest repair.
+        assert {s.split("(")[0] for s in RECIPE_SCHEMES} == set(
+            registered_schemes()
+        )
+        codec = make_codec(scheme)
+        lost = data.draw(st.integers(0, codec.n - 1), label="lost")
+        recipe = codec.repair_recipe(lost)
+        helpers = data.draw(
+            st.permutations(recipe.candidates), label="order"
+        )[: recipe.fanin]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        size = 8 * getattr(codec, "alpha", 1)
+        coded = codec.encode(
+            [
+                rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+                for _ in range(codec.k)
+            ]
+        )
+        if isinstance(codec, MsrCodec):
+            symbols = {
+                h: codec.repair_symbol(h, coded[h], lost) for h in helpers
+            }
+            assert all(len(s) == size * recipe.traffic for s in symbols.values())
+            assert codec.repair_from_symbols(lost, symbols) == coded[lost]
+        else:
+            coeffs = codec.recovery_coefficients(lost, helpers)
+            acc = np.zeros(size, dtype=np.uint8)
+            for helper, coeff in coeffs.items():
+                gf_addmul_bytes(
+                    acc, coeff, np.frombuffer(coded[helper], dtype=np.uint8)
+                )
+            assert acc.tobytes() == coded[lost]
+        cheapest = min(
+            map(codec.repair_recipe, range(codec.n)), key=lambda r: r.fanin
+        )
+        model = AnalyticalModel.for_codec(codec, num_nodes=100)
+        assert model.repair_fanin * model.traffic_fraction == (
+            cheapest.fanin * cheapest.traffic
+        )
+        assert recipe.fanin * recipe.traffic >= cheapest.fanin * cheapest.traffic
 
 
 class TestSnapshotProperties:
