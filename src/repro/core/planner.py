@@ -25,13 +25,15 @@ All planners emit a :class:`~repro.core.plan.RepairPlan` that
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cluster.chunk import ChunkLocation, NodeId
 from ..cluster.cluster import StorageCluster
-from ..ec.codec import ErasureCodec, RepairRecipe
+from ..ec.codec import DecodeError, ErasureCodec, RepairRecipe
+from ..ec.reed_solomon import ReedSolomonCodec
 from .analysis import AnalyticalModel, BandwidthProfile
 from .placement import (
     HotStandbyPlacer,
@@ -322,6 +324,7 @@ def heal_action(
     action: ChunkRepairAction,
     dead: Iterable[NodeId],
     scenario: RepairScenario = RepairScenario.SCATTERED,
+    codec: Optional[ErasureCodec] = None,
 ) -> ChunkRepairAction:
     """Rewrite a repair action so it avoids permanently dead nodes.
 
@@ -341,6 +344,9 @@ def heal_action(
         action: the action to heal.
         dead: nodes known to be permanently gone.
         scenario: governs replacement-destination choice.
+        codec: the stripes' erasure code (default: their ``rs(n, k)``);
+            healed helpers follow its repair recipe, and any healed
+            helper set is one whose recovery coefficients solve.
 
     Returns:
         The action unchanged if no dead node is involved, else a healed
@@ -348,8 +354,8 @@ def heal_action(
         fan-in, whose coefficients any helper subset supports).
 
     Raises:
-        UnrecoverableChunkError: not enough surviving helpers or no
-            eligible destination remains.
+        UnrecoverableChunkError: no surviving helper set rebuilds the
+            chunk, or no eligible destination remains.
     """
     dead_set: Set[NodeId] = set(dead)
     involved = set(action.sources) | {action.destination}
@@ -365,33 +371,16 @@ def heal_action(
     method = action.method
     pipelined = action.pipelined
     if dead_set & set(action.sources):
-        exclude = dead_set | {stf_node, destination}
         if method is RepairMethod.MIGRATION:
             # The STF node itself died: hybrid -> pure reconstruction.
             method = RepairMethod.RECONSTRUCTION
-            k = stripe.k
-            candidates = cluster.helper_nodes(action.stripe_id, exclude=exclude)
-            if len(candidates) < k:
-                raise UnrecoverableChunkError(
-                    f"chunk ({action.stripe_id}, {action.chunk_index}): only "
-                    f"{len(candidates)} surviving helpers, need {k}"
-                )
-            sources = tuple(candidates[:k])
-        else:
-            survivors = [s for s in action.sources if s not in dead_set]
-            candidates = [
-                h
-                for h in cluster.helper_nodes(action.stripe_id, exclude=exclude)
-                if h not in survivors
-            ]
-            need = len(action.sources) - len(survivors)
-            if len(candidates) < need:
-                raise UnrecoverableChunkError(
-                    f"chunk ({action.stripe_id}, {action.chunk_index}): "
-                    f"cannot replace {need} dead helpers "
-                    f"({len(candidates)} candidates)"
-                )
-            sources = tuple(survivors + candidates[:need])
+        sources = _healed_helpers(
+            cluster,
+            codec or ReedSolomonCodec(stripe.n, stripe.k),
+            action,
+            keep=[s for s in action.sources if s not in dead_set],
+            exclude=dead_set | {stf_node, destination},
+        )
         pipelined = False
     return replace(
         action,
@@ -399,6 +388,50 @@ def heal_action(
         sources=sources,
         destination=destination,
         pipelined=pipelined,
+    )
+
+
+def _healed_helpers(
+    cluster: StorageCluster,
+    codec: ErasureCodec,
+    action: ChunkRepairAction,
+    keep: Sequence[NodeId],
+    exclude: Set[NodeId],
+) -> Tuple[NodeId, ...]:
+    """Surviving helpers for a reconstruction of ``action``'s chunk.
+
+    The codec's recipe first: the surviving ``keep`` sources that are
+    recipe candidates, topped up to its fan-in with other live holders
+    of recipe candidates in holder order (for RS: any ``k`` of the
+    ``n - 1``, as always).  When the dead took too many of those, or
+    the set does not solve, any ``k`` live holders whose recovery
+    coefficients solve.
+    """
+    stripe = cluster.stripe(action.stripe_id)
+    lost = action.chunk_index
+    holders = cluster.helper_nodes(action.stripe_id, exclude=exclude)
+    recipe = codec.repair_recipe(lost)
+    allowed = [
+        h for h in holders if stripe.chunk_index_on(h) in recipe.candidates
+    ]
+    preferred = [h for h in keep if h in allowed]
+    preferred += [h for h in allowed if h not in preferred]
+    tries = itertools.chain(
+        [preferred[: recipe.fanin]] if len(preferred) >= recipe.fanin else [],
+        itertools.combinations(holders, min(codec.k, len(holders))),
+    )
+    for helpers in tries:
+        try:
+            codec.recovery_coefficients(
+                lost, [stripe.chunk_index_on(h) for h in helpers]
+            )
+        except DecodeError:
+            continue
+        return tuple(helpers)
+    raise UnrecoverableChunkError(
+        f"chunk ({action.stripe_id}, {lost}): no set of the "
+        f"{len(holders)} surviving helpers {holders} rebuilds it with "
+        f"{codec!r}"
     )
 
 

@@ -9,6 +9,13 @@ A codec operates on *stripes*: ``k`` source chunks are encoded into
 ``n`` coded chunks, and any allowed subset of coded chunks can rebuild
 the missing ones.  Chunks are ``bytes``-like buffers of equal length.
 
+Encoding has one entry point, :meth:`ErasureCodec.encode_parity`: a
+stripe's data as one ``(k, L)`` uint8 array in, its ``(n - k, L)``
+parity out.  A caller that already holds the data as rows of one buffer
+(the gateway's object, the seeded data set's draw) hands over a view of
+it and the data is never copied; :meth:`ErasureCodec.encode` and
+:meth:`ErasureCodec.encode_batch` gather loose chunks once and call it.
+
 A codec answers every question about repairing one lost chunk of a
 healthy stripe in one place, :meth:`ErasureCodec.repair_recipe`: which
 chunks the repair may read, how many of them it reads (the paper's
@@ -27,7 +34,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .galois import gf_matmul_bytes
 from .matrix import SingularMatrixError, solve
+
+#: input bytes ``encode_batch`` lays side by side per matmul (4 stripes
+#: of rs(9,6) at 4 KiB chunks, which already amortizes the calls).  Kept
+#: under the allocator's 128 KiB mmap threshold: a larger stack is
+#: mapped afresh and page-faulted in on every call, which cost more than
+#: it saved.
+WINDOW_BYTES = 96 * 1024
 
 
 class DecodeError(ValueError):
@@ -86,12 +101,53 @@ class ErasureCodec(ABC):
     #: combination of the data chunks (RS, LRC; not MSR)
     _generator: Optional[np.ndarray] = None
 
-    @abstractmethod
+    @property
+    def systematic(self) -> bool:
+        """Whether the first ``k`` coded chunks are the data verbatim,
+        so that :meth:`encode_parity` is the whole encode."""
+        return self._generator is not None
+
+    def encode_parity(self, data: np.ndarray) -> np.ndarray:
+        """The ``(n - k, L)`` parity rows of one stripe's data.
+
+        ``data`` is the stripe's ``k`` data chunks as the rows of one
+        C-contiguous ``(k, L)`` uint8 array, typically a view of a
+        buffer the caller already holds; it is only read.  The data
+        chunks of a systematic code are those rows, so the parity is
+        the only new memory: one ``G[k:] @ data`` product.
+
+        Raises:
+            ValueError: ``data`` is not such an array, or the code is
+                not systematic (MSR: every chunk is coded; use
+                :meth:`encode`).
+        """
+        if not self.systematic:
+            raise ValueError(
+                f"{self!r} is not systematic: it has no parity rows "
+                "apart from its data; use encode"
+            )
+        if (
+            not isinstance(data, np.ndarray)
+            or data.dtype != np.uint8
+            or data.ndim != 2
+            or data.shape[0] != self.k
+            or not data.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{self!r} encodes a C-contiguous ({self.k}, L) uint8 "
+                f"array, got {getattr(data, 'shape', type(data).__name__)}"
+            )
+        return gf_matmul_bytes(self._generator[self.k :], data)
+
     def encode(self, data_chunks: Sequence[bytes]) -> List[bytes]:
         """Encode ``k`` equal-size data chunks into ``n`` coded chunks.
 
         For systematic codes the first ``k`` outputs are the inputs.
         """
+        data = self._gather([data_chunks])
+        coded = [bytes(chunk) for chunk in data_chunks]
+        coded.extend(row.tobytes() for row in self.encode_parity(data))
+        return coded
 
     @abstractmethod
     def decode(
@@ -117,12 +173,58 @@ class ErasureCodec(ABC):
     ) -> List[List[bytes]]:
         """Encode many stripes at once.
 
-        Semantically identical to ``[self.encode(s) for s in stripes]``.
-        Codecs whose math is a GF matrix product override this to stack
-        the batch into one wide matrix multiply, which amortizes the
-        per-call Python overhead over ``B * L`` bytes instead of ``L``.
+        Same bytes out as ``[self.encode(s) for s in stripes]``.  The
+        stripes' data chunks are laid side by side into one ``(k, W*L)``
+        array per window of ``W`` stripes, so :meth:`encode_parity` runs
+        once per window instead of once per stripe.  A window holds at
+        most :data:`WINDOW_BYTES` of input (one stripe when a stripe is
+        larger), so a large batch never allocates a second copy of
+        itself.
         """
-        return [self.encode(stripe) for stripe in stripes]
+        stripes = list(stripes)
+        if not stripes:
+            return []
+        size = check_equal_sizes(
+            [chunk for stripe in self._checked(stripes) for chunk in stripe]
+        )
+        window = max(1, WINDOW_BYTES // max(1, self.k * size))
+        coded: List[List[bytes]] = []
+        for start in range(0, len(stripes), window):
+            group = stripes[start : start + window]
+            parity = self.encode_parity(self._gather(group))
+            for b, stripe in enumerate(group):
+                rows = [bytes(chunk) for chunk in stripe]
+                rows.extend(
+                    parity[i, b * size : (b + 1) * size].tobytes()
+                    for i in range(self.n - self.k)
+                )
+                coded.append(rows)
+        return coded
+
+    def _checked(
+        self, stripes: Sequence[Sequence[bytes]]
+    ) -> Sequence[Sequence[bytes]]:
+        """``stripes``, once each holds ``k`` data chunks."""
+        for stripe in stripes:
+            if len(stripe) != self.k:
+                raise ValueError(
+                    f"{self!r} expects {self.k} data chunks, "
+                    f"got {len(stripe)}"
+                )
+        return stripes
+
+    def _gather(self, stripes: Sequence[Sequence[bytes]]) -> np.ndarray:
+        """One row-major ``(k, W*L)`` array of the stripes' data chunks:
+        row ``i`` holds chunk ``i`` of every stripe, side by side."""
+        size = check_equal_sizes(
+            [chunk for stripe in self._checked(stripes) for chunk in stripe]
+        )
+        joined = b"".join(
+            [stripe[row] for row in range(self.k) for stripe in stripes]
+        )
+        return np.frombuffer(joined, dtype=np.uint8).reshape(
+            self.k, len(stripes) * size
+        )
 
     def decode_batch(
         self,

@@ -85,21 +85,6 @@ class LocalReconstructionCodec(ErasureCodec):
         members.append(self.k + group)
         return members
 
-    def encode(self, data_chunks: Sequence[bytes]) -> List[bytes]:
-        if len(data_chunks) != self.k:
-            raise ValueError(
-                f"LRC expects {self.k} data chunks, got {len(data_chunks)}"
-            )
-        check_equal_sizes(data_chunks)
-        shards = np.stack(
-            [np.frombuffer(c, dtype=np.uint8) for c in data_chunks]
-        )
-        parity_rows = self._generator[self.k :, :]
-        parity = gf_matmul_bytes(parity_rows, shards)
-        coded = [bytes(c) for c in data_chunks]
-        coded.extend(parity[i].tobytes() for i in range(self.l + self.g))
-        return coded
-
     def decode(
         self,
         available: Dict[int, bytes],

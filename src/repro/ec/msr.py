@@ -178,6 +178,13 @@ class MsrCodec(ErasureCodec):
         coded = gf_matmul_bytes(self._psi, flatM)  # (n, alpha*sub)
         return [coded[i].tobytes() for i in range(self.n)]
 
+    def encode_batch(
+        self, stripes: Sequence[Sequence[bytes]]
+    ) -> List[List[bytes]]:
+        """One :meth:`encode` per stripe: no chunk is a plain row of a
+        parity product, so there is nothing to lay side by side."""
+        return [self.encode(stripe) for stripe in stripes]
+
     # ------------------------------------------------------------------
     # Repair-by-transfer
     # ------------------------------------------------------------------

@@ -28,14 +28,6 @@ from .galois import gf_matmul_bytes
 from .matrix import cauchy, identity
 
 
-#: input bytes ``encode_batch`` stacks per matmul (4 stripes of rs(9,6)
-#: at 4 KiB chunks, which already amortizes the calls).  Kept under the
-#: allocator's 128 KiB mmap threshold: a larger stack is mapped afresh
-#: and page-faulted in on every call, which cost more than it saved.
-#: The seeded data set (``runtime.driver``) draws windows of this size.
-WINDOW_BYTES = 96 * 1024
-
-
 class ReedSolomonCodec(ErasureCodec):
     """Systematic RS(n, k) codec.
 
@@ -61,71 +53,6 @@ class ReedSolomonCodec(ErasureCodec):
     def generator_matrix(self) -> np.ndarray:
         """The ``n x k`` systematic generator matrix (copy)."""
         return self._generator.copy()
-
-    def encode(self, data_chunks: Sequence[bytes]) -> List[bytes]:
-        if len(data_chunks) != self.k:
-            raise ValueError(
-                f"RS({self.n},{self.k}) expects {self.k} data chunks, "
-                f"got {len(data_chunks)}"
-            )
-        check_equal_sizes(data_chunks)
-        shards = np.stack(
-            [np.frombuffer(c, dtype=np.uint8) for c in data_chunks]
-        )
-        parity_rows = self._generator[self.k :, :]
-        parity = gf_matmul_bytes(parity_rows, shards)
-        coded = [bytes(c) for c in data_chunks]
-        coded.extend(parity[i].tobytes() for i in range(self.n - self.k))
-        return coded
-
-    def encode_batch(
-        self, stripes: Sequence[Sequence[bytes]]
-    ) -> List[List[bytes]]:
-        """Encode a batch of stripes with wide parity matmuls.
-
-        The stripes' data shards are laid side by side into a
-        ``(k, W*L)`` matrix, so the GF kernel runs once per window of
-        ``W`` stripes instead of once per stripe — same bytes out as
-        ``[self.encode(s) for s in stripes]``, far less per-call
-        overhead.  A window holds at most ``WINDOW_BYTES`` of input
-        (one stripe when a stripe is larger), so a large batch never
-        allocates a second copy of itself.
-        """
-        stripes = list(stripes)
-        if not stripes:
-            return []
-        if len(stripes) == 1:
-            return [self.encode(stripes[0])]
-        for stripe in stripes:
-            if len(stripe) != self.k:
-                raise ValueError(
-                    f"RS({self.n},{self.k}) expects {self.k} data chunks, "
-                    f"got {len(stripe)}"
-                )
-        size = check_equal_sizes(
-            [chunk for stripe in stripes for chunk in stripe]
-        )
-        window = max(1, WINDOW_BYTES // max(1, self.k * size))
-        parity_rows = self._generator[self.k :, :]
-        coded: List[List[bytes]] = []
-        for start in range(0, len(stripes), window):
-            group = stripes[start : start + window]
-            # one join is the whole row-major (k, W*L) stack
-            shards = np.frombuffer(
-                b"".join(
-                    [stripe[row] for row in range(self.k) for stripe in group]
-                ),
-                dtype=np.uint8,
-            ).reshape(self.k, len(group) * size)
-            parity = gf_matmul_bytes(parity_rows, shards)
-            for b, stripe in enumerate(group):
-                rows = [bytes(chunk) for chunk in stripe]
-                rows.extend(
-                    parity[i, b * size : (b + 1) * size].tobytes()
-                    for i in range(self.n - self.k)
-                )
-                coded.append(rows)
-        return coded
 
     def decode_batch(
         self,

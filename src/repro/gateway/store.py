@@ -38,6 +38,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..cluster.chunk import NodeId
 from ..cluster.cluster import ClusterError, StorageCluster
 from ..ec.codec import DecodeError, ErasureCodec
@@ -69,6 +71,16 @@ from .manifest import (
 GATEWAY_ID: NodeId = -1000
 #: well-known endpoint id of the CLI object client
 CLIENT_ID: NodeId = -1001
+
+
+def _leading(parts: Sequence[bytes], size: int) -> List[memoryview]:
+    """Views of ``parts`` that hold exactly their first ``size`` bytes."""
+    views = []
+    for part in parts:
+        view = memoryview(part)[:size]
+        size -= len(view)
+        views.append(view)
+    return views
 
 
 class GatewayError(RuntimeError):
@@ -142,14 +154,18 @@ class RpcEndpoint:
             if isinstance(message, Shutdown):
                 return
             nonce = getattr(message, "nonce", None)
+            slot = None
             if nonce is not None:
                 with self._lock:
                     slot = self._pending.get(nonce)
-                if slot is not None:
-                    slot.reply = message
-                    slot.event.set()
-                    continue
-            self._on_message(message)
+            if slot is not None:
+                slot.reply = message
+                slot.event.set()
+            else:
+                self._on_message(message)
+            # Not held while blocked on the inbox: a ChunkReadReply
+            # payload maps its chunk file until the last reference goes.
+            del message, slot
 
     def _on_message(self, message) -> None:
         """Hook for non-reply traffic (server request dispatch)."""
@@ -309,36 +325,41 @@ class ObjectStore(RpcEndpoint):
         the old chunks deleted (best effort).  A PUT that fails midway
         deletes what it wrote (best effort) and leaves the old version
         readable.
+
+        ``data`` is any bytes-like buffer and is never copied whole:
+        each stripe's data chunks are read-only views of its rows (a
+        partial last stripe alone is copied, zero-padded, into one
+        scratch stripe), the parity is one product over them, and the
+        writes, their CRCs and the chunk digests all read those views.
+        Like any payload handed to the transport, ``data`` must not
+        change while ``put`` runs; it returns only once every write has
+        been answered.
         """
         if not key:
             raise GatewayError("object key must be non-empty")
-        data = bytes(data)  # wire payloads arrive as memoryview
         old = self.manifests.load(key) if self.manifests.has(key) else None
         k, n = self.codec.k, self.codec.n
+        buf = np.frombuffer(data, dtype=np.uint8)
         stripe_bytes = k * self.chunk_size
-        num_stripes = max(-(-len(data) // stripe_bytes), 1)
-        padded = data.ljust(num_stripes * stripe_bytes, b"\x00")
-        stripes = [
-            [
-                padded[
-                    s * stripe_bytes + i * self.chunk_size:
-                    s * stripe_bytes + (i + 1) * self.chunk_size
-                ]
-                for i in range(k)
-            ]
-            for s in range(num_stripes)
-        ]
+        whole = len(buf) // stripe_bytes
+        stripes = list(
+            buf[: whole * stripe_bytes].reshape(whole, k, self.chunk_size)
+        )
+        if len(buf) % stripe_bytes or not whole:
+            last = np.zeros(stripe_bytes, dtype=np.uint8)
+            last[: len(buf) - whole * stripe_bytes] = buf[whole * stripe_bytes :]
+            stripes.append(last.reshape(k, self.chunk_size))
         refs: List[StripeRef] = []
         with self._client_flow():
             try:
-                for chunks in self.codec.encode_batch(stripes):
-                    self._write_stripe(chunks, refs)
+                for stripe_data in stripes:
+                    self._write_stripe(stripe_data, refs)
             except GatewayError:
                 self._delete_chunks(refs)
                 raise
             manifest = ObjectManifest(
                 key=key,
-                size=len(data),
+                size=len(buf),
                 chunk_size=self.chunk_size,
                 n=n,
                 k=k,
@@ -349,17 +370,21 @@ class ObjectStore(RpcEndpoint):
             if old is not None:
                 self._delete_chunks(old.stripes)
         self._count("puts")
-        self._count("bytes_in", len(data))
+        self._count("bytes_in", len(buf))
         return manifest
 
     def _write_stripe(
-        self, chunks: Sequence[bytes], written: List[StripeRef]
+        self, data: np.ndarray, written: List[StripeRef]
     ) -> None:
         """Write one stripe, hashing its chunks while the writes fly.
 
-        The stripe's ref joins ``written`` before any reply is judged,
-        so a failed PUT can delete whatever reached a node.
+        ``data`` is the stripe's ``(k, chunk)`` data; its parity lives
+        only until every write is answered.  The stripe's ref joins
+        ``written`` before any reply is judged, so a failed PUT can
+        delete whatever reached a node.
         """
+        rows = [*data, *self.codec.encode_parity(data)]
+        chunks = [memoryview(row).toreadonly() for row in rows]
         placement = self._choose_placement(len(chunks))
         stripe = self.cluster.add_stripe(
             self.codec.n, self.codec.k, placement
@@ -424,8 +449,9 @@ class ObjectStore(RpcEndpoint):
                 if degraded:
                     degraded_stripes += 1
         # Every part already matched its chunk digest: nothing to
-        # hash again here.
-        data = b"".join(parts)[:manifest.size]
+        # hash again here.  The one copy of the object is this join,
+        # which leaves the last stripe's padding out.
+        data = b"".join(_leading(parts, manifest.size))
         self._count("gets")
         self._count("bytes_out", len(data))
         return GetResult(data=data, degraded_stripes=degraded_stripes)

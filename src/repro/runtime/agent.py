@@ -799,6 +799,9 @@ class Agent:
                     )
                 else:
                     self.errors.append(exc)
+            # Not held while blocked on the inbox: a payload may be a
+            # view of its sender's buffer (a PUT's object or parity).
+            del message
 
     def _dispatch_one(self, message) -> None:
         if isinstance(message, (ReceiveCommand, SendCommand)):
@@ -1076,6 +1079,7 @@ class Agent:
                 if self.crashed:
                     return
                 self.errors.append(exc)
+            del message  # as in the dispatcher: hold no payload idle
 
     def _client_reply(self, reply_to: NodeId, reply) -> None:
         try:
@@ -1086,7 +1090,11 @@ class Agent:
     def _serve_client(self, message) -> None:
         if isinstance(message, ChunkRead):
             try:
-                payload = self.store.read(message.stripe_id, throttled=True)
+                # a mapped view: the reply carries the page cache's
+                # bytes, not a chunk-sized copy on this thread's heap
+                payload = self.store.read_mapped(
+                    message.stripe_id, throttled=True
+                )
             except (KeyError, OSError) as exc:
                 self._client_reply(
                     message.reply_to,
@@ -1117,7 +1125,10 @@ class Agent:
             return
         if isinstance(message, ChunkWrite):
             ok, detail = True, ""
-            payload = bytes(message.payload)
+            # persisted as received: the payload is the sender's buffer
+            # (memory) or the frame's (tcp/shm), checked and written
+            # without a copy
+            payload = message.payload
             if (
                 message.checksum is not None
                 and crc32(payload) != message.checksum

@@ -584,7 +584,12 @@ def _heal(state: CoordinatorState, action: ChunkRepairAction) -> ChunkRepairActi
     plan = state.plan
     try:
         healed = heal_action(
-            state.cluster, plan.stf_node, action, state.dead, plan.scenario
+            state.cluster,
+            plan.stf_node,
+            action,
+            state.dead,
+            plan.scenario,
+            codec=state.codec,
         )
     except UnrecoverableChunkError as exc:
         key = (action.stripe_id, action.chunk_index)

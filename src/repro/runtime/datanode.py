@@ -10,13 +10,23 @@ A chunk moves as a stream of packets, so the per-packet work is one
 per stream: :class:`ChunkReader` at the source, :class:`ChunkWriter`
 at the destination.  The store's packet methods are one-shot wrappers
 over the same handles.
+
+A published chunk file is never rewritten or truncated in place: every
+write lands in a staging or temporary file that ``os.replace`` then
+publishes.  That is what makes :meth:`ChunkStore.read_mapped` safe — a
+mapping keeps the inode it was made from, which no later write, promote
+or delete touches — and it also means a crash never leaves a torn
+chunk, only an orphan temp file that the owner's start-up sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
+import mmap
 import os
+import shutil
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from ..cluster.chunk import NodeId, StripeId
 from .throttle import RateLimiter
@@ -123,8 +133,18 @@ def _remove(path: Path) -> None:
         pass
 
 
+#: per-process sequence numbers for temp-file names, so concurrent
+#: writers of one stripe never share a file
+_TEMP_IDS = itertools.count()
+
+
 class ChunkStore:
     """Packet-granular chunk storage with disk-bandwidth emulation.
+
+    Chunks are published whole: :meth:`put` and unstaged
+    :meth:`write_packet` write a temp file and ``os.replace`` it, and
+    :meth:`promote` replaces from a staging file, so no chunk inode
+    changes once it is visible and :meth:`read_mapped` views stay valid.
 
     Args:
         root: directory for this node's chunk files.
@@ -150,25 +170,51 @@ class ChunkStore:
         suffix = f".{tag}" if tag else ""
         return self.root / f"stripe_{stripe_id}.chunk.part{suffix}"
 
+    def _temp_path(self, stripe_id: StripeId) -> Path:
+        return self.root / (
+            f"stripe_{stripe_id}.chunk.tmp.{os.getpid()}.{next(_TEMP_IDS)}"
+        )
+
     def sweep_staged(self) -> None:
-        """Remove every staging file.
+        """Remove every staging and temp file.
 
         For the store's *owner* (its agent) at start-up: whatever is
-        staged then belongs to a process that died mid-assembly.  A
-        second ``ChunkStore`` on the same directory — the repair
-        driver's verification view — must not call this.
+        staged or half-written then belongs to a process that died
+        mid-assembly or mid-write.  A second ``ChunkStore`` on the same
+        directory — the repair driver's verification view — must not
+        call this.
         """
-        for path in list(self.root.glob("stripe_*.chunk.part*")):
-            _remove(path)
+        for pattern in ("stripe_*.chunk.part*", "stripe_*.chunk.tmp.*"):
+            for path in list(self.root.glob(pattern)):
+                _remove(path)
+
+    def _write_whole(
+        self, stripe_id: StripeId, size: int, fill: Callable[[Path], None]
+    ) -> None:
+        """Publish the ``size``-byte chunk ``fill`` writes to a fresh
+        temp file; the temp file goes if anything fails."""
+        temp = self._temp_path(stripe_id)
+        try:
+            fill(temp)
+            os.replace(temp, self._path(stripe_id))
+        except BaseException:
+            _remove(temp)
+            raise
+        self._sizes[stripe_id] = size
 
     # ------------------------------------------------------------------
 
-    def put(self, stripe_id: StripeId, data: bytes, throttled: bool = False) -> None:
-        """Store a whole chunk (fixture loading; unthrottled by default)."""
+    def put(self, stripe_id: StripeId, data, throttled: bool = False) -> None:
+        """Store a whole chunk (fixture loading; unthrottled by default).
+
+        ``data`` is any bytes-like buffer, written as given.  It goes to
+        a temp file that then replaces the stripe's chunk, so a reader
+        (or a mapping) of the old chunk never sees it change.
+        """
+        view = memoryview(data)
         if throttled:
-            self.disk.throttle(len(data))
-        self._path(stripe_id).write_bytes(data)
-        self._sizes[stripe_id] = len(data)
+            self.disk.throttle(view.nbytes)
+        self._write_whole(stripe_id, view.nbytes, lambda t: t.write_bytes(view))
 
     def has(self, stripe_id: StripeId) -> bool:
         return stripe_id in self._sizes or self._path(stripe_id).exists()
@@ -230,13 +276,25 @@ class ChunkStore:
         With ``staged=True`` the packet lands in the untagged ``.part``
         staging file that only becomes the chunk on :meth:`promote` —
         so a crashed or retried assembly never leaves a torn chunk
-        behind.
+        behind.  Unstaged, the packet is written into a copy of the
+        current chunk (if any) that then replaces it: the published
+        file is never written in place.
         """
-        path = self._staging_path(stripe_id) if staged else self._path(stripe_id)
-        with ChunkWriter(self, stripe_id, path, total_size) as chunk:
-            chunk.write(offset, data)
-        if not staged:
-            self._sizes[stripe_id] = total_size
+        if staged:
+            path = self._staging_path(stripe_id)
+            with ChunkWriter(self, stripe_id, path, total_size) as chunk:
+                chunk.write(offset, data)
+            return
+
+        def patch(temp: Path) -> None:
+            try:
+                shutil.copyfile(self._path(stripe_id), temp)
+            except FileNotFoundError:
+                pass
+            with ChunkWriter(self, stripe_id, temp, total_size) as chunk:
+                chunk.write(offset, data)
+
+        self._write_whole(stripe_id, total_size, patch)
 
     def _publish(self, staging: Path, stripe_id: StripeId) -> None:
         """``os.replace`` a staging file over the stripe's chunk.
@@ -267,6 +325,29 @@ class ChunkStore:
         if throttled:
             self.disk.throttle(self.size(stripe_id))
         return self._path(stripe_id).read_bytes()
+
+    def read_mapped(
+        self, stripe_id: StripeId, throttled: bool = False
+    ) -> memoryview:
+        """A whole chunk as a read-only view of a mapping of its file.
+
+        Charged against the disk like :meth:`read` but copies nothing:
+        the pages come from the page cache as the view is read, and the
+        mapping goes when the last reference to the view does.  The
+        view keeps the bytes it was mapped with even after the chunk is
+        overwritten, promoted over or deleted, since none of those
+        touches a published inode.
+        """
+        fd = os.open(self._path(stripe_id), os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if throttled:
+                self.disk.throttle(size)
+            if not size:
+                return memoryview(b"")  # mmap refuses an empty file
+            return memoryview(mmap.mmap(fd, size, access=mmap.ACCESS_READ))
+        finally:
+            os.close(fd)
 
     def delete(self, stripe_id: StripeId) -> None:
         _remove(self._path(stripe_id))

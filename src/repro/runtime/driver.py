@@ -18,10 +18,10 @@ their chunks; the driver keeps every chunk's checksum, so after the
 repair it can prove — from the stores under the shared ``workdir`` —
 that each repaired chunk is byte-identical to the original without any
 chunk ever crossing a non-repair channel.  The stream is
-``random.Random(seed).getrandbits`` bytes drawn through numpy's MT19937,
-encoded in windows bounded by bytes, not stripes; storing and hashing
-each stripe runs on loader threads while the next one is drawn, with
-at most two stripes waiting for them.
+``random.Random(seed).getrandbits`` bytes drawn through numpy's MT19937
+straight into one array per stripe, whose parity is one product over
+it; storing and hashing each stripe runs on loader threads while the
+next one is drawn, with at most two stripes waiting for them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from ..core.plan import RepairPlan
 from ..core.planner import profile_from_cluster
 from ..core.scheduling import HelperBudget
 from ..ec.codec import DecodeError, ErasureCodec
-from ..ec.reed_solomon import WINDOW_BYTES
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from .agent import Agent
@@ -119,6 +118,27 @@ def _random_chunk(twister: np.random.MT19937, size: int) -> bytes:
     return words.view(np.uint8)[:size].tobytes()
 
 
+def _random_stripe(
+    twister: np.random.MT19937, k: int, size: int
+) -> np.ndarray:
+    """``k`` consecutive :func:`_random_chunk` draws as the rows of one
+    ``(k, size)`` array, the shape :meth:`ErasureCodec.encode_parity`
+    reads.
+
+    Whole-word chunks draw straight into their row, a chunk's words at
+    a time (so the raw draw, twice a chunk's bytes, never spans the
+    stripe); a ragged chunk keeps :func:`_random_chunk`'s shifted tail.
+    """
+    data = np.empty((k, size), dtype=np.uint8)
+    if size % 4:
+        for row in data:
+            row[...] = np.frombuffer(_random_chunk(twister, size), np.uint8)
+    else:
+        for row in data.view("<u4"):
+            row[...] = twister.random_raw(size // 4)
+    return data
+
+
 def iter_encoded_stripes(
     cluster: StorageCluster, codec: ErasureCodec, seed: Optional[int] = None
 ):
@@ -132,11 +152,10 @@ def iter_encoded_stripes(
     chunks (see :func:`load_node_data`).  The bytes are those of
     ``random.Random(seed).getrandbits``, drawn through numpy's MT19937.
 
-    Stripes are drawn and encoded in windows of at most
-    :data:`~repro.ec.reed_solomon.WINDOW_BYTES` of data (one stripe once
-    ``k`` chunks exceed it), the most one ``encode_batch`` matmul
-    stacks: small chunks still batch, and large ones hold one stripe
-    at a time.
+    A stripe's data is drawn into one ``(k, L)`` array and a systematic
+    code's parity taken from it with one
+    :meth:`~repro.ec.codec.ErasureCodec.encode_parity`; the chunks are
+    read-only memoryviews of those two arrays' rows, never copies.
     """
     yield from _encoded_stripes(cluster, codec, seed)
 
@@ -160,22 +179,16 @@ def _encoded_stripes(
     twister = _mersenne_twister(random.Random(seed))
     chunk_size = cluster.chunk_size
     words = -(-chunk_size // 4)  # what one _random_chunk draws
-    window = max(1, WINDOW_BYTES // max(1, codec.k * chunk_size))
-    batch: List[Stripe] = []
-    data: List[List[bytes]] = []
     for stripe in stripes:
         if node_id is not None and node_id not in stripe.placement:
             twister.random_raw(stripe.k * words, output=False)
             continue
-        batch.append(stripe)
-        data.append(
-            [_random_chunk(twister, chunk_size) for _ in range(stripe.k)]
-        )
-        if len(batch) == window:
-            yield from zip(batch, codec.encode_batch(data))
-            batch, data = [], []
-    if batch:
-        yield from zip(batch, codec.encode_batch(data))
+        data = _random_stripe(twister, stripe.k, chunk_size)
+        if codec.systematic:
+            rows = [*data, *codec.encode_parity(data)]
+            yield stripe, [memoryview(row).toreadonly() for row in rows]
+        else:
+            yield stripe, codec.encode(list(data))
 
 
 #: threads that store and hash the stream's stripes, one stripe each at

@@ -13,7 +13,12 @@ import pytest
 
 from repro.cluster import StorageCluster
 from repro.core.plan import RepairMethod, RepairScenario
-from repro.core.planner import FastPRPlanner, ReconstructionOnlyPlanner
+from repro.core.planner import (
+    FastPRPlanner,
+    ReconstructionOnlyPlanner,
+    UnrecoverableChunkError,
+    heal_action,
+)
 from repro.core.reconstruction_sets import repair_reads
 from repro.ec import make_codec
 from repro.runtime import EmulatedTestbed
@@ -320,3 +325,92 @@ class TestGoldenLrcPlans:
             json.dumps(plan.to_dict(), sort_keys=True).encode()
         ).hexdigest()[:16]
         assert digest == GOLDEN_LRC_PLAN_DIGESTS[planner, scenario, seed]
+
+
+def healed_helpers(cluster, codec, action):
+    stripe = cluster.stripe(action.stripe_id)
+    return [stripe.chunk_index_on(node) for node in action.sources]
+
+
+class TestHealedActionsFollowTheRecipe:
+    """``heal_action`` draws a reconstruction's helpers from the codec's
+    repair recipe, and every healed helper set solves."""
+
+    @pytest.mark.parametrize("scenario", list(RepairScenario))
+    def test_migrations_healed_after_the_stf_death_solve(
+        self, codec, scenario
+    ):
+        healed = 0
+        for seed in range(3):
+            cluster, stf = golden_lrc_cluster(codec, seed)
+            plan = FastPRPlanner(
+                scenario=scenario, seed=seed, codec=codec
+            ).plan(cluster, stf)
+            for action in plan.actions():
+                if action.method is not RepairMethod.MIGRATION:
+                    continue
+                fixed = heal_action(
+                    cluster, stf, action, {stf}, scenario, codec=codec
+                )
+                assert fixed.method is RepairMethod.RECONSTRUCTION
+                helpers = healed_helpers(cluster, codec, fixed)
+                recipe = codec.repair_recipe(action.chunk_index)
+                # the recipe's live holders suffice here: fan-in helpers
+                assert set(helpers) <= set(recipe.candidates)
+                assert len(helpers) == recipe.fanin
+                codec.recovery_coefficients(action.chunk_index, helpers)
+                healed += 1
+        assert healed >= 45
+
+    def test_dead_group_member_falls_back_to_a_spanning_set(self, codec):
+        cluster, stf = golden_lrc_cluster(codec, 0)
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
+        action = next(
+            a for a in plan.actions() if a.chunk_index < codec.k + codec.l
+        )
+        dead = {action.sources[0]}
+        fixed = heal_action(cluster, stf, action, dead, codec=codec)
+        assert not dead & set(fixed.sources)
+        helpers = healed_helpers(cluster, codec, fixed)
+        # the local group lost a member: k helpers that span the code
+        assert len(helpers) == codec.k
+        codec.recovery_coefficients(action.chunk_index, helpers)
+
+    def test_no_solving_set_is_unrecoverable(self, codec):
+        cluster, stf = golden_lrc_cluster(codec, 0)
+        plan = ReconstructionOnlyPlanner(seed=0, codec=codec).plan(
+            cluster, stf
+        )
+        action = next(iter(plan.actions()))
+        stripe = cluster.stripe(action.stripe_id)
+        # all but k - 1 other holders dead: nothing spans
+        others = [n for n in stripe.nodes if n != stf]
+        dead = set(others[codec.k - 1 :]) | set(action.sources)
+        with pytest.raises(UnrecoverableChunkError):
+            heal_action(cluster, stf, action, dead, codec=codec)
+
+    @pytest.mark.parametrize("scenario", list(RepairScenario))
+    def test_rs_heals_read_the_first_k_live_holders(self, scenario):
+        rs = make_codec("rs(9,6)")
+        cluster, stf = golden_lrc_cluster(rs, 1)
+        plan = FastPRPlanner(scenario=scenario, seed=1).plan(cluster, stf)
+        for action in plan.actions():
+            dead = {stf}
+            if action.method is RepairMethod.RECONSTRUCTION:
+                dead = {action.sources[1]}
+            fixed = heal_action(cluster, stf, action, dead, scenario)
+            assert heal_action(
+                cluster, stf, action, dead, scenario, codec=rs
+            ) == fixed
+            holders = cluster.helper_nodes(
+                action.stripe_id,
+                exclude=dead | {stf, fixed.destination},
+            )
+            if action.method is RepairMethod.MIGRATION:
+                assert fixed.sources == tuple(holders[: rs.k])
+            else:
+                kept = [s for s in action.sources if s not in dead]
+                extra = [h for h in holders if h not in kept]
+                assert fixed.sources == tuple(kept + extra[:1])

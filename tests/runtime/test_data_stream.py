@@ -220,11 +220,11 @@ def test_each_node_loads_its_chunks_and_encodes_only_its_stripes(
     )
     stream = list(iter_encoded_stripes(cluster, codec, seed=6))
     encoded = []
-    encode_batch = codec.encode_batch
+    encode_parity = codec.encode_parity
     monkeypatch.setattr(
         codec,
-        "encode_batch",
-        lambda data: encoded.append(len(data)) or encode_batch(data),
+        "encode_parity",
+        lambda data: encoded.append(data.shape) or encode_parity(data),
     )
     for node_id in cluster.nodes:
         store = ChunkStore(tmp_path / f"n{node_id}", node_id, RateLimiter(None))
@@ -237,7 +237,8 @@ def test_each_node_loads_its_chunks_and_encodes_only_its_stripes(
         assert load_node_data(cluster, codec, 6, store, node_id) == len(
             expected
         )
-        assert sum(encoded) == len(expected)
+        # one parity product per stripe kept, over its (k, L) draw
+        assert encoded == [(codec.k, chunk_size)] * len(expected)
         assert sorted(store.stripes()) == sorted(expected)
         for stripe_id, chunk in expected.items():
             assert store.read(stripe_id) == chunk

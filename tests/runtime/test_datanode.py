@@ -166,3 +166,101 @@ class TestChunkWriter:
         store.sweep_staged()
         assert list(store.root.glob("*.part*")) == []
         assert store.stripes() == [3]
+
+
+class TestWholeChunkPublication:
+    """No published chunk inode is written or truncated in place: what
+    makes a mapped read safe to hand out."""
+
+    def test_put_over_a_chunk_replaces_its_inode_and_leaves_no_temp(
+        self, store
+    ):
+        store.put(3, b"old bytes")
+        before = store._path(3).stat().st_ino
+        store.put(3, memoryview(b"new bytes, longer"))
+        assert store.read(3) == b"new bytes, longer"
+        assert store.size(3) == 17
+        assert store._path(3).stat().st_ino != before
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            "stripe_3.chunk"
+        ]
+
+    def test_unstaged_packet_writes_copy_then_replace(self, store):
+        store.write_packet(7, 0, b"HELO", 8)
+        before = store._path(7).stat().st_ino
+        store.write_packet(7, 4, b"WORL", 8)
+        assert store.read(7) == b"HELOWORL"
+        assert store._path(7).stat().st_ino != before
+        assert store.stripes() == [7]
+        assert len(list(store.root.iterdir())) == 1
+
+    def test_failed_put_removes_its_temp_file(self, store, monkeypatch):
+        store.put(3, b"kept")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.runtime.datanode.os.replace", refuse)
+        with pytest.raises(OSError):
+            store.put(3, b"lost")
+        monkeypatch.undo()
+        assert store.read(3) == b"kept"
+        assert len(list(store.root.iterdir())) == 1
+
+    def test_agent_start_sweeps_orphaned_temp_files(self, tmp_path):
+        from repro.runtime.agent import Agent
+        from repro.runtime.transport import Network
+
+        store = ChunkStore(tmp_path / "n", 0, RateLimiter(None))
+        store.put(3, b"kept")
+        orphan = store._temp_path(3)
+        orphan.write_bytes(b"half a chu")
+        assert store.stripes() == [3]  # never listed as a chunk
+        network = Network()
+        network.attach(0, None)
+        Agent(0, store, network, coordinator_id=-1)
+        assert not orphan.exists()
+        assert store.read(3) == b"kept"
+
+
+class TestMappedRead:
+    def test_reads_the_whole_chunk_read_only(self, store):
+        store.put(1, bytes(range(200)))
+        view = store.read_mapped(1)
+        assert view.readonly
+        assert view == bytes(range(200))
+        with pytest.raises(TypeError):
+            view[0] = 1
+
+    def test_empty_and_missing_chunks(self, store):
+        store.put(2, b"")
+        assert store.read_mapped(2) == b""
+        with pytest.raises(FileNotFoundError):
+            store.read_mapped(9)
+
+    def test_charges_the_disk_like_read(self, tmp_path):
+        disk = RateLimiter(1e9)
+        store = ChunkStore(tmp_path / "n", 0, disk)
+        store.put(0, b"x" * 100)
+        store.read_mapped(0)
+        assert disk.bytes_total == 0
+        store.read_mapped(0, throttled=True)
+        assert disk.bytes_total == 100
+
+    @pytest.mark.parametrize("change", ["put", "promote", "packet", "delete"])
+    def test_view_keeps_its_bytes_whatever_follows(self, store, change):
+        original = bytes(range(256)) * 64
+        store.put(4, original)
+        view = store.read_mapped(4)
+        if change == "put":
+            store.put(4, b"short")  # would SIGBUS a truncated mapping
+        elif change == "promote":
+            with store.open_staged(4, 10) as staged:
+                staged.write(0, b"0123456789")
+                staged.promote()
+        elif change == "packet":
+            store.write_packet(4, 0, bytes(16), 16)
+        else:
+            store.delete(4)
+        assert view == original
+        assert bytes(view[-256:]) == bytes(range(256))
