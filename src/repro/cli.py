@@ -414,7 +414,7 @@ def _cmd_repair(args):
         f"{result.total_time:.2f}s (+{result.recovered_chunks} recovered, "
         f"{len(result.round_times)} rounds){detail}; "
         f"retries={result.retries} replans={result.replans} "
-        f"coordinator_restarts={restarts}"
+        f"resplit={result.resplit_chunks} coordinator_restarts={restarts}"
     )
     print(
         f"post-repair scrub: {report.chunks_checked} chunks checked, "
@@ -445,6 +445,7 @@ def _cmd_repair(args):
         "dead_nodes": list(result.dead_nodes),
         "recovered_chunks": result.recovered_chunks,
         "converted_migrations": result.converted_migrations,
+        "resplit_chunks": result.resplit_chunks,
         "scrub": {
             "chunks_checked": report.chunks_checked,
             "corrupt": len(report.corrupt),

@@ -367,28 +367,37 @@ def heal_action(
         destination = _replacement_destination(
             cluster, stripe, dead_set, stf_node, scenario
         )
-    sources = action.sources
-    method = action.method
-    pipelined = action.pipelined
     if dead_set & set(action.sources):
-        if method is RepairMethod.MIGRATION:
-            # The STF node itself died: hybrid -> pure reconstruction.
-            method = RepairMethod.RECONSTRUCTION
-        sources = _healed_helpers(
-            cluster,
-            codec or ReedSolomonCodec(stripe.n, stripe.k),
+        # A dead helper is replaced; a dead STF node turns a migration
+        # into a pure reconstruction (hybrid -> reconstruction).
+        action = restored_by(
             action,
-            keep=[s for s in action.sources if s not in dead_set],
-            exclude=dead_set | {stf_node, destination},
+            RepairMethod.RECONSTRUCTION,
+            _healed_helpers(
+                cluster,
+                codec or ReedSolomonCodec(stripe.n, stripe.k),
+                action,
+                keep=[s for s in action.sources if s not in dead_set],
+                exclude=dead_set | {stf_node, destination},
+            ),
         )
-        pipelined = False
-    return replace(
-        action,
-        method=method,
-        sources=sources,
-        destination=destination,
-        pipelined=pipelined,
-    )
+    return replace(action, destination=destination)
+
+
+def restored_by(
+    action: ChunkRepairAction, method: RepairMethod, sources: Sequence[NodeId]
+) -> ChunkRepairAction:
+    """``action`` with its chunk restored by ``method`` from ``sources``.
+
+    The one place an action changes method: :func:`heal_action` turns
+    a migration whose STF node died into a reconstruction, and the
+    coordinator's run-time re-split (DESIGN.md §6 item 2) turns a
+    planned reconstruction into a migration from the STF node.  The
+    destination is kept and ``pipelined`` is cleared: a migration has
+    nothing to chain, and healed helpers use plain fan-in, whose
+    coefficients any helper subset supports.
+    """
+    return replace(action, method=method, sources=tuple(sources), pipelined=False)
 
 
 def _healed_helpers(

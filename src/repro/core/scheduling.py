@@ -18,6 +18,12 @@ reconstruction — whenever ``t_r < t_m``, which happens in small
 clusters where reconstruction sets shrink to one or two chunks.
 ``"nearest"`` (the default) lets migration overshoot a round by at most
 ``t_m / 2`` and keeps the methods coupled in that regime.
+
+This split is static: ``t_r`` and ``t_m`` come from the cluster's
+bandwidths.  At run time the coordinator re-solves it over the rounds
+not yet executed, from the costs it measured, turning trailing
+reconstructions into migrations when that is predicted to finish
+sooner (``repro.runtime.coordinator._resplit``; DESIGN.md §6 item 2).
 """
 
 from __future__ import annotations

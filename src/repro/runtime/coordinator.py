@@ -19,7 +19,13 @@ source a :class:`SendCommand`, then supervises the round to completion:
   :func:`repro.core.planner.heal_action`: if the STF node dies
   mid-repair its unmigrated chunks fall back to pure reconstruction
   (the paper's hybrid -> reconstruction fallback), a dead helper is
-  replaced by a surviving stripe peer, a dead destination is re-chosen.
+  replaced by a surviving stripe peer, a dead destination is re-chosen;
+* Algorithm 2's split is **re-solved at run time**: every finished
+  round folds its measured reconstruction and migration costs into
+  estimates the coordinator keeps, and before each round the trailing
+  reconstructions whose migration from the STF node is predicted to
+  finish the unexecuted rounds sooner are turned into migrations
+  (:func:`_resplit`; DESIGN.md §6 item 2).
 
 The run fails loudly — :class:`RepairTimeoutError` names the pending
 action keys, :class:`RepairFailedError` the unrecoverable one — rather
@@ -41,6 +47,7 @@ inventory exchange (which fences the old epoch) and then the loop
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import queue
 import time
@@ -63,8 +70,14 @@ from typing import (
 
 from ..cluster.chunk import NodeId, StripeId
 from ..cluster.cluster import StorageCluster
-from ..core.plan import ChunkRepairAction, RepairMethod, RepairPlan
-from ..core.planner import UnrecoverableChunkError, heal_action
+from ..core.plan import (
+    ChunkRepairAction,
+    RepairMethod,
+    RepairPlan,
+    RepairRound,
+    RepairScenario,
+)
+from ..core.planner import UnrecoverableChunkError, heal_action, restored_by
 from ..core.scheduling import (
     HelperBudget,
     ingress_duties,
@@ -147,6 +160,9 @@ class RuntimeResult:
     nacks: int = 0
     #: migrations converted to reconstructions (STF died mid-repair)
     converted_migrations: int = 0
+    #: planned reconstructions run as migrations by the run-time
+    #: re-split; not fault handling, so not part of :attr:`degraded`
+    resplit_chunks: int = 0
     #: nodes declared permanently dead during the run
     dead_nodes: List[NodeId] = field(default_factory=list)
     #: final (possibly healed) version of every executed action —
@@ -176,6 +192,8 @@ class RuntimeResult:
 Command = Tuple[NodeId, object]
 #: one step's output: send the commands after appending the records
 Out = Tuple[List[Command], List[JournalRecord]]
+#: weight of a finished round's measurement in the cost estimates
+COST_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -256,6 +274,18 @@ class CoordinatorState:
     observed_scales: Dict[NodeId, float] = field(default_factory=dict)
     probe: Optional[Window] = None
     inventory: Optional[Window] = None
+    #: the rounds as they run: the plan's, until :func:`_resplit`
+    #: moves reconstructions into earlier rounds as migrations
+    schedule: List[RepairRound] = field(default_factory=list)
+    #: seconds per chunk byte by method: the slowest reconstruction of
+    #: a round, and the STF node's time per migration (the shell hands
+    #: every run its coordinator's one dict)
+    costs: Dict[RepairMethod, float] = field(default_factory=dict)
+    #: whether this run may re-split (shard coordinators may not)
+    resplit: bool = True
+    #: when the round in flight was issued, and each of its ACKs
+    issued_at: float = 0.0
+    acked_at: Dict[ActionKey, float] = field(default_factory=dict)
     #: ingress streams of the round's busiest NIC
     busiest: int = 0
     #: chains issued with a node still ingesting more than one stream
@@ -264,12 +294,8 @@ class CoordinatorState:
     result: RuntimeResult = field(default_factory=lambda: RuntimeResult(0.0))
 
     def upcoming(self) -> List[ChunkRepairAction]:
-        """The next round's actions not yet complete (as planned)."""
-        return [
-            action
-            for action in self.plan.rounds[self.round].actions()
-            if (action.stripe_id, action.chunk_index) not in self.done
-        ]
+        """The next round's actions not yet complete (as scheduled)."""
+        return _undone(self, self.schedule[self.round].actions())
 
     def deadline_armed(self) -> bool:
         """The round's ACK deadline is suspended while a probe or a
@@ -412,6 +438,12 @@ def _commit(state: CoordinatorState, out: Out) -> None:
     state.result.chunks_repaired = state.plan.total_chunks - len(state.done)
     plan = state.plan.to_dict()
     out[1].append(PlanCommitted(state.epoch, plan, state.packet_size))
+    # The journal keeps the plan; the split is re-derived, never logged.
+    state.schedule = [
+        RepairRound(r.index, list(r.reconstructions), list(r.migrations))
+        for r in state.plan.rounds
+    ]
+    _resplit(state)
     _finish_if_done(state, out)
 
 
@@ -429,7 +461,7 @@ def _finish_if_done(state: CoordinatorState, out: Out) -> None:
 
 def _start_round(state: CoordinatorState, now: float, out: Out) -> None:
     # Write-ahead: the round marker lands before any command.
-    out[1].append(RoundStarted(state.epoch, state.plan.rounds[state.round].index))
+    out[1].append(RoundStarted(state.epoch, state.schedule[state.round].index))
     state.in_round = True
     state.actions = {
         (a.stripe_id, a.chunk_index): _heal(state, a) for a in state.upcoming()
@@ -438,6 +470,8 @@ def _start_round(state: CoordinatorState, now: float, out: Out) -> None:
     state.attempts = dict.fromkeys(state.actions, 0)
     state.retries = dict.fromkeys(state.actions, 0)
     state.reissue_at = {}
+    state.issued_at = now
+    state.acked_at = {}
     if not state.pending:
         _end_round(state, out)
         return
@@ -451,9 +485,178 @@ def _end_round(state: CoordinatorState, out: Out) -> None:
     state.in_round = False
     state.probe = None
     state.result.executed_actions.extend(state.actions.values())
-    out[1].append(RoundCompleted(state.epoch, state.plan.rounds[state.round].index))
+    out[1].append(RoundCompleted(state.epoch, state.schedule[state.round].index))
+    _fold_costs(state)
     state.round += 1
+    _resplit(state)
     _finish_if_done(state, out)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2 at run time
+# ----------------------------------------------------------------------
+
+
+def _undone(
+    state: CoordinatorState, actions: Iterable[ChunkRepairAction]
+) -> List[ChunkRepairAction]:
+    return [a for a in actions if (a.stripe_id, a.chunk_index) not in state.done]
+
+
+def _splittable(state: CoordinatorState) -> bool:
+    """Only a single coordinator's scattered plan that both reconstructs
+    and migrates is measured and re-split; every other plan (and every
+    shard coordinator) runs as planned."""
+    plan = state.plan
+    return (
+        state.resplit
+        and plan.scenario is RepairScenario.SCATTERED
+        and plan.reconstructed_chunks > 0
+        and plan.migrated_chunks > 0
+    )
+
+
+def _fold_costs(state: CoordinatorState) -> None:
+    """Fold the finished round's measured costs into ``state.costs``.
+
+    t_r is the round's slowest reconstruction, issue to ACK; t_m is the
+    STF node's last migration's ACK time over the round's migration
+    count, since its migrations queue at its one NIC.  Both are kept
+    per chunk byte.  A round that reissued an action or ran with a node
+    dead measured a fault, not the split, and is skipped.
+    """
+    if (
+        not _splittable(state)
+        or not state.acked_at
+        or state.dead
+        or any(state.attempts.values())
+    ):
+        return
+    elapsed: Dict[RepairMethod, List[float]] = {m: [] for m in RepairMethod}
+    for key, action in state.actions.items():
+        elapsed[action.method].append(state.acked_at[key] - state.issued_at)
+    recs = elapsed[RepairMethod.RECONSTRUCTION]
+    migs = elapsed[RepairMethod.MIGRATION]
+    measured = {}
+    if recs:
+        measured[RepairMethod.RECONSTRUCTION] = max(recs)
+    if migs:
+        measured[RepairMethod.MIGRATION] = max(migs) / len(migs)
+    for method, seconds in measured.items():
+        per_byte = seconds / state.cluster.chunk_size
+        old = state.costs.get(method, per_byte)
+        state.costs[method] = old + COST_WEIGHT * (per_byte - old)
+
+
+def _spread(
+    recs: List[List[ChunkRepairAction]],
+    migs: List[List[ChunkRepairAction]],
+    emptied: int,
+) -> Tuple[List[Tuple[ChunkRepairAction, bool]], List[int], List[int], List[bool]]:
+    """Where the chunks go when the last ``emptied`` rounds of ``recs``
+    (each round's undone reconstructions) and ``migs`` (its undone
+    migrations) stop reconstructing.
+
+    Their reconstructions, flagged ``True``, and the migrations of
+    every round that no longer reconstructs move, in round order, to
+    the rounds that remain — always at least the first — each to the
+    one with the fewest migrations among those still reconstructing,
+    else the fewest overall, the earliest on a tie.  Returns the moves,
+    each move's target round, and every remaining round's migration
+    count and whether it still reconstructs.
+    """
+    kept = max(1, len(recs) - emptied)
+    moves: List[Tuple[ChunkRepairAction, bool]] = []
+    for i in range(len(recs) - emptied, len(recs)):
+        moves.extend((action, True) for action in recs[i])
+        if i >= kept:
+            moves.extend((action, False) for action in migs[i])
+    counts = [len(m) for m in migs[:kept]]
+    reconstructs = [bool(r) for r in recs[:kept]]
+    if emptied == len(recs):
+        reconstructs[0] = False
+    heap = [(not reconstructs[i], counts[i], i) for i in range(kept)]
+    heapq.heapify(heap)
+    targets = []
+    for _ in moves:
+        idle, count, i = heapq.heappop(heap)
+        targets.append(i)
+        counts[i] += 1
+        heapq.heappush(heap, (idle, count + 1, i))
+    return moves, targets, counts, reconstructs
+
+
+def _resplit(state: CoordinatorState) -> None:
+    """Re-solve Algorithm 2's split over the rounds not yet executed.
+
+    Eq. (1) with measured costs: the predicted remaining time of a
+    split is the sum over its rounds of ``max(t_r * [the round still
+    reconstructs], migrations * t_m)``.  The candidates turn the
+    trailing ``j >= 0`` reconstructions into migrations from the STF
+    node, each keeping its planned destination, spread by
+    :func:`_spread` over the rounds that remain; rounds left with
+    nothing still run, empty.  Only whole trailing rounds are tried: a
+    round that keeps one reconstruction still costs ``t_r``, so
+    converting part of it only adds migrations elsewhere; rounds an
+    earlier re-split emptied are passed over, so each round start can
+    convert more as the estimates settle.  The least
+    predicted time wins and a tie keeps the schedule, so when the
+    measured costs agree with the plan nothing moves.  Chunks only move
+    from reconstruction to migration and only into earlier rounds;
+    nothing runs without both estimates or with the STF node dead or
+    suspect (:func:`_conclude_probe` halved its observed scale).
+    """
+    t_r = state.costs.get(RepairMethod.RECONSTRUCTION)
+    t_m = state.costs.get(RepairMethod.MIGRATION)
+    stf = state.plan.stf_node
+    if (
+        t_r is None
+        or t_m is None
+        or not _splittable(state)
+        or stf in state.dead
+        or stf in state.observed_scales
+    ):
+        return
+    rest = state.schedule[state.round:]
+    if not rest:
+        return
+    recs = [_undone(state, r.reconstructions) for r in rest]
+    migs = [_undone(state, r.migrations) for r in rest]
+
+    def predicted(emptied: int) -> float:
+        _, _, counts, reconstructs = _spread(recs, migs, emptied)
+        return sum(
+            max(t_r if busy else 0.0, count * t_m)
+            for count, busy in zip(counts, reconstructs)
+        )
+
+    best, least = 0, predicted(0)
+    for emptied in range(1, len(rest) + 1):
+        if not recs[-emptied]:
+            if migs[-emptied]:
+                break  # a round that only migrates has nothing to convert
+            continue  # emptied already, by an earlier re-split
+        cost = predicted(emptied)
+        if cost < least:
+            best, least = emptied, cost
+    if not best:
+        return
+    moves, targets, _, _ = _spread(recs, migs, best)
+    moved = {(a.stripe_id, a.chunk_index) for a, _ in moves}
+    for round_ in rest[len(rest) - best:]:
+        round_.reconstructions = [
+            a for a in round_.reconstructions
+            if (a.stripe_id, a.chunk_index) not in moved
+        ]
+        round_.migrations = [
+            a for a in round_.migrations
+            if (a.stripe_id, a.chunk_index) not in moved
+        ]
+    for (action, converted), target in zip(moves, targets):
+        if converted:
+            action = restored_by(action, RepairMethod.MIGRATION, (stf,))
+            state.result.resplit_chunks += 1
+        rest[target].migrations.append(action)
 
 
 def _on_ack(state: CoordinatorState, ack: RepairAck, now: float, out: Out) -> None:
@@ -471,13 +674,14 @@ def _on_ack(state: CoordinatorState, ack: RepairAck, now: float, out: Out) -> No
             _stall(state, {key}, reason, now, out)
         return
     executed = state.actions[key]
-    index = state.plan.rounds[state.round].index
+    index = state.schedule[state.round].index
     # Write-ahead: the completion is durable in the journal before the
     # coordinator acts on it, so a crash here never re-executes it.
     out[1].append(
         ActionCompleted(state.epoch, index, executed.to_dict(), ack.attempt)
     )
     state.done[key] = executed
+    state.acked_at[key] = now
     state.pending.discard(key)
     if not state.pending:
         _end_round(state, out)
@@ -498,9 +702,12 @@ def _on_tick(state: CoordinatorState, now: float, out: Out) -> None:
 
 
 def _tallies(state: CoordinatorState) -> Tuple[int, ...]:
-    """The run's fault-handling counts, in the shell's counter order."""
+    """The run's counts the shell mirrors as counters, in their order."""
     r = state.result
-    return (r.retries, r.nacks, r.replans, r.converted_migrations, state.shared_chains)
+    return (
+        r.retries, r.nacks, r.replans, r.converted_migrations,
+        state.shared_chains, r.resplit_chunks,
+    )
 
 
 def _nodes(action: ChunkRepairAction) -> Tuple[NodeId, ...]:
@@ -788,6 +995,8 @@ HelperBudget`; when set, each round's helper/destination node slots
                  "migrations converted to reconstructions (STF died mid-repair)"),
                 ("repair_chain_shared_ingress_total",
                  "chains issued with a node still ingesting more than one stream"),
+                ("repair_resplit_chunks_total",
+                 "planned reconstructions run as migrations by the run-time re-split"),
             )
         )
         self._actions_counter = m.counter(
@@ -808,6 +1017,8 @@ HelperBudget`; when set, each round's helper/destination node slots
         self._nonces = itertools.count(1)
         #: survives across this coordinator's runs, as a flaky link does
         self._observed_scales: Dict[NodeId, float] = {}
+        #: measured seconds per chunk byte by method, across runs too
+        self._costs: Dict[RepairMethod, float] = {}
         #: a crashed run's journal, folded by recover() for resume()
         self._recovered: Optional[CoordinatorState] = None
         #: action spans of the round in flight, by key
@@ -915,6 +1126,8 @@ HelperBudget`; when set, each round's helper/destination node slots
         state.coordinator_id = self.coordinator_id
         state.nonces = self._nonces
         state.observed_scales = self._observed_scales
+        state.costs = self._costs
+        state.resplit = self.shard is None
         fault_plan = getattr(getattr(self.network, "faults", None), "plan", None)
         if fault_plan is not None:
             state.link_scales = fault_plan.link_bandwidths()
@@ -966,8 +1179,8 @@ HelperBudget`; when set, each round's helper/destination node slots
             if self.budget is not None and nodes
             else nullcontext()
         )
-        index = state.plan.rounds[state.round].index
-        with budget, self.tracer.span("round", round=index) as span:
+        planned = state.plan.rounds[state.round]
+        with budget, self.tracer.span("round", round=planned.index) as span:
             started = time.monotonic()
             commands, records = self._step(state, NextRound(), started)
             self._act(state, ([], records))
@@ -980,7 +1193,14 @@ HelperBudget`; when set, each round's helper/destination node slots
                     stripe=key[0], chunk=key[1], destination=action.destination,
                 )
             self._act(state, (commands, []))
-            span.annotate(actions=len(state.actions))
+            span.annotate(
+                actions=len(state.actions),
+                planned_migrations=planned.cm,
+                migrations=sum(
+                    a.method is RepairMethod.MIGRATION
+                    for a in state.actions.values()
+                ),
+            )
             if state.actions:
                 span.annotate(max_ingress_streams=state.busiest)
             while state.in_round:

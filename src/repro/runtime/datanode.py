@@ -337,6 +337,12 @@ class ChunkStore:
         view keeps the bytes it was mapped with even after the chunk is
         overwritten, promoted over or deleted, since none of those
         touches a published inode.
+
+        Each live view also costs one file descriptor: ``mmap.mmap``
+        keeps a ``dup`` of the descriptor it maps, and closes it with
+        the mapping.  A reader that holds many replies at once runs out
+        of descriptors (``ulimit -n``) long before it runs out of
+        memory; drop each view once its bytes are used.
         """
         fd = os.open(self._path(stripe_id), os.O_RDONLY)
         try:

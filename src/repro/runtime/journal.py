@@ -47,7 +47,7 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Type, Union
 
@@ -211,8 +211,10 @@ def encode_record(record: JournalRecord) -> bytes:
     name = _TYPE_NAMES.get(type(record))
     if name is None:
         raise JournalError(f"unknown journal record type {type(record)!r}")
+    # A shallow field dict: the JSON of a record's plan or action dict
+    # is the same whether or not it is copied first (asdict deep-copies).
     payload = json.dumps(
-        {"type": name, **asdict(record)}, separators=(",", ":")
+        {"type": name, **vars(record)}, separators=(",", ":")
     ).encode("utf-8")
     return encode_frame(payload)
 

@@ -174,6 +174,10 @@ class MultiRepairResult:
         return sum(r.converted_migrations for r in self.per_shard.values())
 
     @property
+    def resplit_chunks(self) -> int:
+        return sum(r.resplit_chunks for r in self.per_shard.values())
+
+    @property
     def dead_nodes(self) -> List[int]:
         dead: Set[int] = set()
         for r in self.per_shard.values():

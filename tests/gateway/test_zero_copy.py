@@ -8,7 +8,9 @@ of every thread; file mappings are not heap), so they hold on any
 host.  Every backend must still move the same bytes.
 """
 
+import gc
 import hashlib
+import os
 import random
 import time
 import tracemalloc
@@ -137,6 +139,47 @@ class TestMappedReplies:
             for index, payload in replies.items():
                 digest = hashlib.sha256(payload).hexdigest()
                 assert digest == ref.digests[index]
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_dropped_replies_give_their_descriptors_back(tmp_path):
+    """A live mapped ChunkRead reply holds a ``dup`` of its chunk file's
+    descriptor (``mmap.mmap`` keeps one): once a burst of healthy and
+    degraded GETs is over and its results are dropped, the process
+    holds as many descriptors as before it."""
+    chunk = 8192
+    cluster, codec, testbed, store = build(tmp_path, chunk)
+    with testbed, store:
+        rng = random.Random(4)
+        objects = {f"o/{i}": rng.randbytes(codec.k * chunk) for i in range(4)}
+        manifests = {key: store.put(key, data) for key, data in objects.items()}
+        for key, data in objects.items():
+            assert store.get(key) == data  # warm lazy files and threads
+        gc.collect()
+        before = open_descriptors()
+        for _ in range(5):
+            for key in objects:
+                assert not store.get_result(key).degraded
+        victim = manifests["o/0"].stripes[0].placement[0]
+        cluster.node(victim).mark_soon_to_fail()
+        for _ in range(5):
+            for key in objects:
+                store.get_result(key)
+        assert store.get_result("o/0").degraded
+        gc.collect()
+        deadline = time.monotonic() + 5.0
+        while open_descriptors() != before:
+            assert time.monotonic() < deadline, (
+                f"{open_descriptors() - before} descriptors still open"
+            )
+            time.sleep(0.01)
+            gc.collect()
 
 
 WIRE = [

@@ -3,8 +3,10 @@ clock or threads.
 
 A hypothesis state machine feeds :func:`repro.runtime.coordinator.step`
 random interleavings of ACKs, NACKs, stale and duplicate ACKs, pongs,
-heartbeats and timer ticks at a synthetic ``now``, then drives the run
-to its end, and holds it to the invariants the runtime depends on:
+heartbeats and timer ticks at a synthetic ``now`` — ACKs at arbitrary
+times after their round started, from arbitrary measured costs, so the
+run-time re-split moves chunks between rounds — then drives the run to
+its end, and holds it to the invariants the runtime depends on:
 
 * no action is completed twice;
 * every action ends completed, or the run fails loudly with
@@ -23,12 +25,14 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
 )
 
 from repro.cluster import StorageCluster
+from repro.core.plan import RepairMethod
 from repro.core.planner import FastPRPlanner
 from repro.ec import make_codec
 from repro.runtime import coordinator
@@ -67,6 +71,12 @@ CLUSTER.node(0).mark_soon_to_fail()
 CODEC = make_codec("rs(5,3)")
 PLAN = FastPRPlanner(seed=3).plan(CLUSTER, 0)
 KEYS = {(a.stripe_id, a.chunk_index) for a in PLAN.actions()}
+#: action key -> index of the round the plan puts it in
+PLANNED_ROUND = {
+    (a.stripe_id, a.chunk_index): r.index
+    for r in PLAN.rounds
+    for a in r.actions()
+}
 NODES = sorted(CLUSTER.nodes)
 CONFIG = RuntimeConfig(
     min_deadline=1.0,
@@ -96,6 +106,19 @@ class CoordinatorMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.completed = []
         self.failure = None
+
+    @initialize(
+        costs=st.one_of(
+            st.just({}),
+            st.fixed_dictionaries({
+                method: st.floats(min_value=0.0, max_value=1e-3)
+                for method in RepairMethod
+            }),
+        )
+    )
+    def start(self, costs):
+        """Commit, with or without costs measured by earlier runs."""
+        self.state.costs = dict(costs)
         self.feed(Start())
 
     # -- plumbing ------------------------------------------------------
@@ -122,11 +145,12 @@ class CoordinatorMachine(RuleBasedStateMachine):
                 key = (record.action["stripe_id"], record.action["chunk_index"])
                 assert key not in self.completed, f"{key} completed twice"
                 self.completed.append(key)
-        round_ = PLAN.rounds[min(self.state.round, len(PLAN.rounds) - 1)]
-        current = {(a.stripe_id, a.chunk_index) for a in round_.actions()}
         for _node, message in commands:
             if isinstance(message, (ReceiveCommand, SendCommand)):
-                assert message.key in current, message
+                # an action of the round in flight, never run later
+                # than the plan has it (a re-split only pulls forward)
+                assert message.key in self.state.actions, message
+                assert PLANNED_ROUND[message.key] >= self.state.round, message
                 assert message.epoch == EPOCH
 
     @property
@@ -142,8 +166,15 @@ class CoordinatorMachine(RuleBasedStateMachine):
         self.feed(NextRound())
 
     @precondition(lambda self: self.live and self.state.in_round)
-    @rule(data=st.data(), ok=st.booleans())
-    def ack(self, data, ok):
+    @rule(
+        data=st.data(),
+        ok=st.booleans(),
+        dt=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def ack(self, data, ok, dt):
+        """An ACK ``dt`` after the last event: rounds take arbitrary
+        times, which the coordinator folds into its cost estimates."""
+        self.now += dt
         state = self.state
         key = data.draw(st.sampled_from(sorted(state.actions)))
         attempt = data.draw(

@@ -170,7 +170,7 @@ class TestRepairAndScrub:
             "total_time_s", "round_times_s", "chunks_repaired",
             "chunks_verified", "bytes_transferred", "retries", "replans",
             "nacks", "restarts", "dead_nodes", "recovered_chunks",
-            "converted_migrations", "scrub",
+            "converted_migrations", "resplit_chunks", "scrub",
         }
         assert set(document["scrub"]) == {"chunks_checked", "corrupt"}
         assert document["chunks_verified"] == document["chunks_repaired"] > 0
